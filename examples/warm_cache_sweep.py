@@ -22,7 +22,7 @@ import sys
 from repro.compiler.pipeline import compile_cache_stats
 from repro.compiler.store import CACHE_DIR_ENV, active_store
 from repro.curves.catalog import get_curve
-from repro.dse.engine import ParallelExplorer, default_workers
+from repro.dse.engine import ParallelExplorer
 from repro.dse.space import design_points, named_variant_configs
 from repro.hw.presets import figure10_models
 
@@ -52,7 +52,7 @@ def main() -> int:
     hw_models = figure10_models(curve.params.p.bit_length())[:2]
     points = design_points(configs, hw_models)
 
-    with ParallelExplorer(curve, workers=default_workers()) as engine:
+    with ParallelExplorer(curve) as engine:      # workers: FINESSE_DSE_WORKERS
         best = engine.best(points, objective="efficiency")
         report = engine.last_report
 

@@ -64,7 +64,7 @@ Design-space exploration
     ``list_objectives()`` -- registered ranking objectives with one-line
     descriptions (``--objectives help`` on the evaluation runner prints it).
     ``ParetoResult`` -- the frontier record returned by ``explore_pareto``
-    on ``repro.dse.ParallelExplorer`` / ``DesignSpaceExplorer``
+    on ``repro.dse.ParallelExplorer``
     (see ``docs/dse.md`` for objectives, strategies and budget semantics).
 
 Simulators
@@ -83,6 +83,11 @@ Serving
     variables via ``ServiceConfig.from_env``; see ``docs/serving.md``).
     ``ServiceProfile(...)`` -- a traffic profile for ranking hardware design
     points by end-to-end service latency/throughput in the DSE layer.
+
+Configuration
+    Every ``FINESSE_*`` environment variable is declared in ``repro.config``
+    and follows one policy (a bad value means the default); see
+    ``docs/configuration.md``.
 
 Reliability
     ``configure_faults(plan)`` / ``FaultPlan`` -- the deterministic seeded
@@ -124,7 +129,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, PipelineStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "get_curve",

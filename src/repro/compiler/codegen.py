@@ -9,6 +9,7 @@ constants), producing the single basic block the rest of the pipeline expects.
 
 from __future__ import annotations
 
+from repro.config import positive_int
 from repro.errors import CompilerError
 from repro.ir.builder import IRBuilder
 from repro.pairing.batch import (
@@ -143,15 +144,7 @@ class _LaneScopedSource:
 
 def validate_batch_size(n_pairs) -> int:
     """Batch sizes must be integral (no bools, no truncating floats) and >= 1."""
-    if isinstance(n_pairs, bool) or not isinstance(n_pairs, int):
-        raise CompilerError(
-            f"batch size must be an integer number of pairs, got {n_pairs!r}"
-        )
-    if n_pairs < 1:
-        raise CompilerError(
-            f"a batched pairing kernel needs at least one pair, got {n_pairs}"
-        )
-    return n_pairs
+    return positive_int(n_pairs, "batch size (pairs per kernel)", CompilerError)
 
 
 def generate_multi_pairing_ir(curve, n_pairs: int, use_naf: bool = True,
@@ -185,13 +178,8 @@ def generate_multi_pairing_ir(curve, n_pairs: int, use_naf: bool = True,
     """
     n_pairs = validate_batch_size(n_pairs)
     validate_final_exp_mode(final_exp_mode)
-    if accumulator_groups is not None and (
-        isinstance(accumulator_groups, bool) or not isinstance(accumulator_groups, int)
-        or accumulator_groups < 1
-    ):
-        raise CompilerError(
-            f"accumulator_groups must be a positive integer, got {accumulator_groups!r}"
-        )
+    if accumulator_groups is not None:
+        positive_int(accumulator_groups, "accumulator_groups", CompilerError)
     split = accumulator_groups is not None and accumulator_groups > 1
     # accumulator_groups=1 degenerates to the shared kernel; don't let the
     # module name claim otherwise.

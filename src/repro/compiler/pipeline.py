@@ -592,29 +592,14 @@ def compile_pairing(
     """
     variant_config = variant_config or VariantConfig.all_karatsuba()
     hw_resolved = (hw or default_model(curve.params.p.bit_length())).validate()
-    final_exp_mode = validate_final_exp_mode(final_exp_mode)
-    key = CompileCache.make_key(
-        curve.name,
-        variant_config,
-        hw_resolved,
-        optimize_ir=optimize_ir,
-        use_naf=use_naf,
-        use_affinity=use_affinity,
-        do_assemble=do_assemble,
-        include_baseline=include_baseline,
-        record_trace=record_trace,
+    flags = dict(
+        optimize_ir=optimize_ir, use_naf=use_naf, use_affinity=use_affinity,
+        do_assemble=do_assemble, record_trace=record_trace,
         final_exp_mode=final_exp_mode,
     )
-    pipeline = CompilerPipeline(
-        hw=hw_resolved,
-        variant_config=variant_config,
-        optimize_ir=optimize_ir,
-        use_naf=use_naf,
-        use_affinity=use_affinity,
-        do_assemble=do_assemble,
-        record_trace=record_trace,
-        final_exp_mode=final_exp_mode,
-    )
+    key = pairing_compile_digest(curve, hw_resolved, variant_config,
+                                 include_baseline=include_baseline, **flags)
+    pipeline = CompilerPipeline(hw=hw_resolved, variant_config=variant_config, **flags)
     return _cached_compile(
         key, use_cache, lambda: pipeline.compile(curve, include_baseline=include_baseline)
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import positive_int
 from repro.errors import CompilerError
 from repro.compiler.schedule import ScheduledProgram
 
@@ -109,8 +110,7 @@ def pipelined_register_demand(allocation: RegisterAllocation, depth: int, n_bank
     continuously-fed accelerator needs; at ``depth=1`` it is exactly
     ``allocation.registers_per_bank``.
     """
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-        raise CompilerError(f"pipeline depth must be a positive integer, got {depth!r}")
+    positive_int(depth, "pipeline depth", CompilerError)
     n_banks = max(1, n_banks)
     demand: dict = {}
     for instance in range(depth):

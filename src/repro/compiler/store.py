@@ -61,16 +61,11 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.config import CACHE_DIR_ENV, MAX_BYTES_ENV, env_int, env_str
 from repro.reliability import faults as _faults
 
 #: Bump on any incompatible change to the pickled artefact shape.
 SCHEMA_VERSION = 1
-
-#: Environment variable activating a process-wide store (used by CI and pools).
-CACHE_DIR_ENV = "FINESSE_CACHE_DIR"
-
-#: Environment variable overriding the default eviction budget.
-MAX_BYTES_ENV = "FINESSE_CACHE_MAX_BYTES"
 
 #: Default eviction budget: 2 GiB holds thousands of toy-curve kernels and
 #: hundreds of full-size ones while staying inside CI cache quotas.
@@ -148,15 +143,6 @@ class StoreStats:
         self.errors = 0
 
 
-def _default_max_bytes() -> int:
-    raw = os.environ.get(MAX_BYTES_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_BYTES
-    return max(1, value) if value > 0 else DEFAULT_MAX_BYTES
-
-
 class ArtifactStore:
     """Disk tier of the compile cache (see the module docstring for format)."""
 
@@ -164,7 +150,8 @@ class ArtifactStore:
         self.name = name
         self.root = Path(root).expanduser()
         self.namespace = self.root / f"v{SCHEMA_VERSION}-{code_fingerprint()[:12]}"
-        self.max_bytes = _default_max_bytes() if max_bytes is None else max(1, int(max_bytes))
+        self.max_bytes = (env_int(MAX_BYTES_ENV, DEFAULT_MAX_BYTES) if max_bytes is None
+                          else max(1, int(max_bytes)))
         self.stats = StoreStats()
         # Running estimate of the root's total size, so stores do not pay a
         # full directory walk each; measured on first use, corrected by gc().
@@ -469,7 +456,7 @@ def active_store() -> ArtifactStore | None:
     """
     if _EXPLICIT is not _UNSET:
         return _EXPLICIT
-    raw = os.environ.get(CACHE_DIR_ENV, "").strip()
+    raw = env_str(CACHE_DIR_ENV)
     if not raw:
         return None
     path = os.path.abspath(os.path.expanduser(raw))

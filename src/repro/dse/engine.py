@@ -19,9 +19,23 @@ Knobs
     Points per dispatched work unit.  Defaults to a balanced
     ``ceil(len(points) / (4 * workers))`` so stragglers (large kernels) do not
     serialise the sweep.
-``do_assemble``
-    Skip the assembler/linker stage when only cycle counts are needed
-    (the Figure 10 search does this).
+``max_retries`` / ``eval_timeout``
+    Failure handling: the per-point retry budget for transient evaluation
+    failures (``FINESSE_DSE_MAX_RETRIES``, default 2; crash recovery is
+    separate) and the per-point evaluation timeout in seconds
+    (``FINESSE_DSE_EVAL_TIMEOUT``, default off).  The timeout is enforced on
+    the parallel path only -- a chunk of k points gets ``k * eval_timeout``;
+    sequential evaluation cannot be preempted.
+evaluation knobs
+    Every other keyword (``n_cores``, ``technology``, ``do_assemble``,
+    ``batch_size``, ``split_accumulators``, ``final_exp_mode``,
+    ``service_profile``, the cross-batch depth...) is a field of
+    :class:`repro.dse.spec.EvalSpec`, documented on
+    :func:`repro.dse.explorer.evaluate_design_point`; the explorer folds them
+    into one validated spec at construction -- a bad batch size or policy
+    raises there, not halfway through a sharded sweep inside a worker -- and
+    ships that spec verbatim to every worker, so sharded sweeps score
+    identically to sequential ones.
 
 Caching
 -------
@@ -64,34 +78,26 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 from repro.compiler.pipeline import compile_cache_stats, is_pairing_compiled
-from repro.curves.catalog import CURVE_SPECS
-from repro.dse.explorer import (
-    EMPTY_SPACE_MESSAGE,
-    _resolve_accumulator_policy,
-    _resolve_final_exp_policy,
-    _resolve_pipeline_policy,
-    evaluate_design_point,
-    resolve_objective,
-    resolve_objectives,
-    validate_sweep_batch_size,
+from repro.config import (
+    BUDGET_ENV,
+    EVAL_TIMEOUT_ENV,
+    MAX_RETRIES_ENV,
+    WORKERS_ENV,
+    env_float,
+    env_int,
+    non_negative_int,
+    number,
+    positive_int,
 )
+from repro.curves.catalog import CURVE_SPECS
+from repro.dse.explorer import _evaluate_spec
+from repro.dse.objectives import resolve_objective, resolve_objectives
 from repro.dse.pareto import ParetoResult, pareto_result
+from repro.dse.spec import EvalSpec
 from repro.errors import DSEError, WorkerCrashError
-from repro.hw.technology import TECH_40NM, TechnologyNode
 from repro.reliability import faults as _faults
 from repro.reliability.retry import RetryPolicy, call_with_retries
 from repro.reliability.stats import FailedPoint, ReliabilityStats
-
-#: Environment variable providing the default worker count.
-WORKERS_ENV = "FINESSE_DSE_WORKERS"
-
-#: Environment variable providing the default per-point retry budget
-#: (transient evaluation failures; crashes are governed by quarantine).
-MAX_RETRIES_ENV = "FINESSE_DSE_MAX_RETRIES"
-
-#: Environment variable providing the default per-point evaluation timeout in
-#: seconds (parallel sweeps only; unset/empty disables the timeout).
-EVAL_TIMEOUT_ENV = "FINESSE_DSE_EVAL_TIMEOUT"
 
 #: Default retry budget: two retries heal every single- or double-transient
 #: fault without materially delaying a genuinely broken sweep.
@@ -106,56 +112,24 @@ QUARANTINE_AFTER = 2
 #: before the pool is declared unavailable (sequential fallback).
 _POOL_PROBE_TIMEOUT_S = 60.0
 
-
-def default_workers() -> int:
-    """Worker count from ``FINESSE_DSE_WORKERS`` (defaults to 1, i.e. sequential)."""
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        return 1
-    return max(1, workers)
+#: Error raised by ``best()`` when the sweep produced no rankable metrics --
+#: an empty point list, or every point filtered away.
+EMPTY_SPACE_MESSAGE = (
+    "empty design space: no design point produced metrics to rank "
+    "(did the sweep receive any points?)"
+)
 
 
 def validate_max_retries(value) -> int:
     """Reject anything but a non-negative integer retry budget."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise DSEError(
-            f"max retries must be a non-negative integer, got {value!r}"
-        )
-    return value
+    return non_negative_int(value, "max retries", DSEError)
 
 
 def validate_eval_timeout(value) -> float | None:
-    """Reject anything but ``None`` or a positive number of seconds."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise DSEError(
-            "evaluation timeout must be a positive number of seconds "
-            f"(or None to disable), got {value!r}"
-        )
-    return float(value)
-
-
-def default_max_retries() -> int:
-    """Retry budget from ``FINESSE_DSE_MAX_RETRIES`` (default 2)."""
-    raw = os.environ.get(MAX_RETRIES_ENV, "")
-    try:
-        retries = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_RETRIES
-    return retries if retries >= 0 else DEFAULT_MAX_RETRIES
-
-
-def default_eval_timeout() -> float | None:
-    """Per-point timeout from ``FINESSE_DSE_EVAL_TIMEOUT`` (default: off)."""
-    raw = os.environ.get(EVAL_TIMEOUT_ENV, "").strip()
-    try:
-        timeout = float(raw)
-    except ValueError:
-        return None
-    return timeout if timeout > 0 else None
+    """Reject anything but ``None`` or a positive, finite number of seconds."""
+    value = number(value, "evaluation timeout (seconds)", DSEError,
+                   exclusive=True, optional=True)
+    return None if value is None else float(value)
 
 
 @dataclass
@@ -222,7 +196,7 @@ def _stats_delta(after: dict, before: dict) -> dict:
     }
 
 
-def _evaluate_point_resilient(curve, point, eval_kwargs, policy, counters):
+def _evaluate_point_resilient(curve, point, spec, policy, counters):
     """Evaluate one point with retry/backoff; wrap persistent failures.
 
     Transient errors (injected faults, flaky I/O...) are retried up to the
@@ -239,7 +213,7 @@ def _evaluate_point_resilient(curve, point, eval_kwargs, policy, counters):
     def attempt():
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.apply("worker.evaluate")
-        return evaluate_design_point(curve, point, **eval_kwargs)
+        return _evaluate_spec(curve, point, spec)
 
     def on_retry(attempt_no, exc, delay):
         attempts["n"] += 1
@@ -261,9 +235,7 @@ def _evaluate_point_resilient(curve, point, eval_kwargs, policy, counters):
         ) from exc
 
 
-def _evaluate_chunk(curve_name, chunk, n_cores, technology, do_assemble, batch_size=None,
-                    split_accumulators="auto", final_exp_mode="cyclotomic",
-                    service_profile=None, pipeline_depth=None, max_retries=None):
+def _evaluate_chunk(curve_name, chunk, spec, max_retries):
     """Worker entry point: evaluate one chunk of (index, point) pairs.
 
     Runs in a separate process; the curve is rebuilt (or found pre-built when
@@ -275,19 +247,11 @@ def _evaluate_chunk(curve_name, chunk, n_cores, technology, do_assemble, batch_s
     from repro.curves.catalog import get_curve
 
     curve = get_curve(curve_name)
-    policy = RetryPolicy(
-        max_retries=default_max_retries() if max_retries is None else max_retries
-    )
-    eval_kwargs = dict(
-        n_cores=n_cores, technology=technology, do_assemble=do_assemble,
-        batch_size=batch_size, split_accumulators=split_accumulators,
-        final_exp_mode=final_exp_mode, service_profile=service_profile,
-        pipeline_depth=pipeline_depth,
-    )
+    policy = RetryPolicy(max_retries=max_retries)
     counters: dict = {}
     before = compile_cache_stats()
     evaluated = [
-        (index, _evaluate_point_resilient(curve, point, eval_kwargs, policy, counters))
+        (index, _evaluate_point_resilient(curve, point, spec, policy, counters))
         for index, point in chunk
     ]
     return evaluated, _stats_delta(compile_cache_stats(), before), counters
@@ -296,79 +260,22 @@ def _evaluate_chunk(curve_name, chunk, n_cores, technology, do_assemble, batch_s
 class ParallelExplorer:
     """Shard design-point evaluation across processes; merge deterministically."""
 
-    def __init__(
-        self,
-        curve,
-        workers: int | None = None,
-        n_cores: int = 1,
-        technology: TechnologyNode = TECH_40NM,
-        chunk_size: int | None = None,
-        do_assemble: bool = True,
-        batch_size: int | None = None,
-        split_accumulators="auto",
-        final_exp_mode="cyclotomic",
-        service_profile=None,
-        pipeline_depth=None,
-        max_retries: int | None = None,
-        eval_timeout: float | None = None,
-    ):
+    def __init__(self, curve, workers: int | None = None,
+                 chunk_size: int | None = None, max_retries: int | None = None,
+                 eval_timeout: float | None = None, **knobs):
         self.curve = curve
-        self.workers = default_workers() if workers is None else max(1, int(workers))
-        self.n_cores = n_cores
-        self.technology = technology
+        self.workers = (env_int(WORKERS_ENV, 1) if workers is None
+                        else positive_int(workers, "workers", DSEError))
         self.chunk_size = chunk_size
-        self.do_assemble = do_assemble
-        # Fail fast on degenerate sweep configuration: a bad batch size or
-        # accumulator/final-exp policy should raise here, not halfway through
-        # a sharded sweep inside a worker process.
-        validate_sweep_batch_size(batch_size)
-        _resolve_accumulator_policy(split_accumulators)
-        _resolve_final_exp_policy(final_exp_mode)
-        _resolve_pipeline_policy(pipeline_depth)
-        if batch_size is None and pipeline_depth not in (None, 1):
-            raise ValueError(
-                "pipeline_depth applies to batched sweeps only (set batch_size); "
-                f"got pipeline_depth={pipeline_depth!r}"
-            )
-        #: When set, rank points on the batched multi-pairing kernel of this
-        #: batch size (cycles from the n_cores-core simulation) instead of the
-        #: single-pairing kernel.
-        self.batch_size = batch_size
-        #: Batched-kernel accumulator policy: "auto" (default) compiles both
-        #: the shared- and split-accumulator kernel per design point and
-        #: scores whichever simulates to fewer cycles; "shared"/"split" (or
-        #: False/True) force one mode.  The winning mode is recorded per
-        #: point in ``DesignMetrics.accumulator_mode``.
-        self.split_accumulators = split_accumulators
-        #: Hard-part backend policy: "generic"/"cyclotomic"/"compressed"
-        #: force one kernel per point, "auto" compiles all three and scores
-        #: the winner (recorded in ``DesignMetrics.final_exp_mode``).
-        self.final_exp_mode = final_exp_mode
-        #: Optional :class:`repro.service.simulate.ServiceProfile`: when set,
-        #: every evaluated point also gets its ``service_*`` fields populated
-        #: (end-to-end latency percentiles / sustained verifications per
-        #: second of the modelled dynamic-batching service), enabling the
-        #: ``service_throughput`` and ``service_p99`` ranking objectives.
-        self.service_profile = service_profile
-        #: Cross-batch pipeline policy: ``None`` (env default / one-shot),
-        #: ``"auto"`` (score the depth ladder, keep the steady-state winner)
-        #: or an explicit depth; enables the ``steady_throughput`` objective.
-        #: Forwarded verbatim to every worker, so sharded sweeps score
-        #: identically to sequential ones.
-        self.pipeline_depth = pipeline_depth
-        #: Per-point retry budget for transient evaluation failures
-        #: (``FINESSE_DSE_MAX_RETRIES`` default; crash recovery is separate).
+        #: The sweep's evaluation knobs, validated once.
+        self.spec = EvalSpec(**knobs)
         self.max_retries = (
-            default_max_retries() if max_retries is None
-            else validate_max_retries(max_retries)
+            env_int(MAX_RETRIES_ENV, DEFAULT_MAX_RETRIES, minimum=0)
+            if max_retries is None else validate_max_retries(max_retries)
         )
-        #: Per-point evaluation timeout in seconds, enforced on the parallel
-        #: path (a chunk of k points gets k * eval_timeout); ``None`` = off.
-        #: Sequential evaluation cannot be preempted, so the timeout only
-        #: protects sharded sweeps.
         self.eval_timeout = (
-            default_eval_timeout() if eval_timeout is None
-            else validate_eval_timeout(eval_timeout)
+            env_float(EVAL_TIMEOUT_ENV, None, exclusive=True)
+            if eval_timeout is None else validate_eval_timeout(eval_timeout)
         )
         self.retry_policy = RetryPolicy(max_retries=self.max_retries)
         #: Metrics of the last sweep, in submission order (mirrors the points
@@ -432,16 +339,6 @@ class ParallelExplorer:
                 duplicates.append((index, first))
         return indexed, duplicates
 
-    def _eval_kwargs(self) -> dict:
-        return dict(
-            n_cores=self.n_cores, technology=self.technology,
-            do_assemble=self.do_assemble, batch_size=self.batch_size,
-            split_accumulators=self.split_accumulators,
-            final_exp_mode=self.final_exp_mode,
-            service_profile=self.service_profile,
-            pipeline_depth=self.pipeline_depth,
-        )
-
     def _quarantine(self, index, point, kind, attempts, exc, failed_by_index):
         failure = FailedPoint(
             label=point.display_label,
@@ -465,8 +362,7 @@ class ParallelExplorer:
         while True:
             try:
                 metrics = _evaluate_point_resilient(
-                    self.curve, point, self._eval_kwargs(),
-                    self.retry_policy, counters,
+                    self.curve, point, self.spec, self.retry_policy, counters,
                 )
             except WorkerCrashError as exc:
                 crashes += 1
@@ -488,12 +384,8 @@ class ParallelExplorer:
         ]
 
     def _submit_chunk(self, pool, chunk):
-        return pool.submit(
-            _evaluate_chunk, self.curve.name, chunk, self.n_cores,
-            self.technology, self.do_assemble, self.batch_size,
-            self.split_accumulators, self.final_exp_mode,
-            self.service_profile, self.pipeline_depth, self.max_retries,
-        )
+        return pool.submit(_evaluate_chunk, self.curve.name, chunk, self.spec,
+                           self.max_retries)
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -764,16 +656,12 @@ class ParallelExplorer:
         ``self.last_report`` the sweep's bookkeeping (``distinct_points`` is
         the deduplicated space, ``points`` the raw input count).
         """
-        from repro.dse.search import (
-            SearchContext,
-            default_budget,
-            resolve_strategy,
-            validate_budget,
-        )
+        from repro.dse.search import SearchContext, resolve_strategy, validate_budget
 
         scorers = resolve_objectives(objectives)
         run = resolve_strategy(strategy)
-        budget = validate_budget(budget if budget is not None else default_budget())
+        budget = validate_budget(
+            budget if budget is not None else env_int(BUDGET_ENV, None))
         points = list(points)
         self.failures = []
         self.reliability.reset()
@@ -807,20 +695,19 @@ class ParallelExplorer:
 
         def is_cached(index):
             point = distinct[index]
-            if self.batch_size is not None:
+            if self.spec.batch_size is not None:
                 return False
             return any(
                 is_pairing_compiled(self.curve, hw=point.hw,
                                     variant_config=point.variant_config,
-                                    do_assemble=self.do_assemble,
+                                    do_assemble=self.spec.do_assemble,
                                     final_exp_mode=mode)
-                for mode in _resolve_final_exp_policy(self.final_exp_mode)
+                for mode in self.spec.final_exp_modes
             )
 
         ctx = SearchContext(
             curve=self.curve, points=distinct, scorers=scorers, budget=budget,
-            evaluate=evaluate, is_cached=is_cached,
-            n_cores=self.n_cores, technology=self.technology,
+            evaluate=evaluate, is_cached=is_cached, spec=self.spec,
         )
         run(ctx)
         local_delta = _stats_delta(compile_cache_stats(), stats_before)

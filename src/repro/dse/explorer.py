@@ -1,4 +1,4 @@
-"""Design-point evaluation and exhaustive exploration.
+"""Design-point evaluation.
 
 Each design point is evaluated through the real tool-chain: compile (with the
 point's operator variants), schedule and simulate on the point's hardware model,
@@ -11,24 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compiler.pipeline import compile_multi_pairing, compile_pairing
-from repro.dse.objectives import (  # noqa: F401  (re-exported; see below)
-    OBJECTIVES,
-    list_objectives,
-    resolve_objective,
-    resolve_objectives,
-)
 from repro.dse.space import DesignPoint
-from repro.errors import DSEError, SimulationError
-from repro.pairing.final_exp import FINAL_EXP_MODES
+from repro.dse.spec import EvalSpec
 from repro.hw.area import estimate_area
 from repro.hw.power import estimate_power
-from repro.hw.technology import TECH_40NM, TechnologyNode
 from repro.hw.timing import frequency_mhz
-from repro.sim.cycle import default_pipeline_depth, validate_pipeline_depth
-
-# ``OBJECTIVES`` / ``resolve_objective`` historically lived in this module;
-# they now come from :mod:`repro.dse.objectives` (one registry shared by the
-# scalar and Pareto paths) and are re-exported here for compatibility.
+from repro.pairing.final_exp import FINAL_EXP_MODES
 
 
 @dataclass(frozen=True)
@@ -131,90 +119,26 @@ class DesignMetrics:
         return summary
 
 
-#: Accepted values of the ``split_accumulators`` evaluation policy.
-ACCUMULATOR_POLICIES = ("auto", "shared", "split")
-
-#: Accepted values of the ``final_exp_mode`` evaluation policy: the three
-#: concrete kernel modes plus "auto" (compile all three, score the winner).
-FINAL_EXP_POLICIES = ("auto",) + FINAL_EXP_MODES
-
-
-def validate_sweep_batch_size(batch_size):
-    """``None`` (single-pairing kernel) or a positive integer; bools and
-    truncating floats are caller bugs and raise ``ValueError`` at entry."""
-    if batch_size is not None and (
-        isinstance(batch_size, bool) or not isinstance(batch_size, int)
-        or batch_size < 1
-    ):
-        raise ValueError(
-            f"batch_size must be a positive integer (or None for the "
-            f"single-pairing kernel), got {batch_size!r}"
+def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
+                    accumulator: str, fe_mode: str, depth: int = 1):
+    """The one place a design point meets the compiler: the single-pairing
+    kernel when ``n_pairs`` is ``None``, else the ``n_pairs``-wide batched
+    kernel on the spec's core count."""
+    if n_pairs is None:
+        return compile_pairing(
+            curve, hw=point.hw, variant_config=point.variant_config,
+            do_assemble=spec.do_assemble, final_exp_mode=fe_mode,
         )
-    return batch_size
-
-
-def _resolve_final_exp_policy(final_exp_mode) -> tuple:
-    """Normalise the knob into the tuple of kernel modes to compile.
-
-    ``"auto"`` compiles every mode and lets the cycle ranking pick; a concrete
-    mode compiles just that one.  Anything else raises ``ValueError`` at entry.
-    """
-    if final_exp_mode == "auto":
-        return FINAL_EXP_MODES
-    if final_exp_mode in FINAL_EXP_MODES:
-        return (final_exp_mode,)
-    raise ValueError(
-        f"final_exp_mode must be one of {FINAL_EXP_POLICIES}, got {final_exp_mode!r}"
+    return compile_multi_pairing(
+        curve, n_pairs, hw=point.hw.with_cores(spec.n_cores),
+        variant_config=point.variant_config, do_assemble=spec.do_assemble,
+        split_accumulators=accumulator == "split", final_exp_mode=fe_mode,
+        pipeline_depth=depth,
     )
 
 
-#: Depths the ``pipeline_depth="auto"`` policy scores (the steady-state
-#: figure converges quickly with depth, so a shallow ladder suffices; the
-#: winner is the lowest depth achieving the best steady cycles-per-pairing).
-AUTO_PIPELINE_DEPTHS = (1, 2, 4)
-
-
-def _resolve_pipeline_policy(pipeline_depth) -> tuple:
-    """Normalise the ``pipeline_depth`` knob into the tuple of depths to score.
-
-    ``None`` defers to the ``FINESSE_PIPELINE_DEPTH`` environment default
-    (depth 1 -- the classic one-shot score -- when unset), ``"auto"`` scores
-    the :data:`AUTO_PIPELINE_DEPTHS` ladder and lets the steady-state ranking
-    pick, and an explicit integer scores just that depth.  Bools, floats and
-    non-positive values raise ``ValueError`` at entry, mirroring the other
-    evaluation knobs.
-    """
-    if pipeline_depth is None:
-        return (default_pipeline_depth(),)
-    if pipeline_depth == "auto":
-        return AUTO_PIPELINE_DEPTHS
-    try:
-        return (validate_pipeline_depth(pipeline_depth),)
-    except SimulationError as exc:
-        raise ValueError(str(exc)) from exc
-
-
-def _resolve_accumulator_policy(split_accumulators) -> str:
-    """Normalise the policy knob: ``"auto"`` / ``"shared"`` / ``"split"``.
-
-    Booleans are accepted as a convenience (``True`` = always split,
-    ``False`` = always shared); anything else raises ``ValueError`` at entry.
-    """
-    if split_accumulators is True:
-        return "split"
-    if split_accumulators is False:
-        return "shared"
-    if split_accumulators in ACCUMULATOR_POLICIES:
-        return split_accumulators
-    raise ValueError(
-        f"split_accumulators must be one of {ACCUMULATOR_POLICIES} or a bool, "
-        f"got {split_accumulators!r}"
-    )
-
-
-def _service_level_metrics(curve, point, n_cores, freq, profile, fe_mode,
-                           accumulator_mode, do_assemble,
-                           pipeline_depth: int = 1) -> dict:
+def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
+                           fe_mode, depth) -> dict:
     """End-to-end service figures of one design under a traffic profile.
 
     The design point's batched kernel is compiled at one-request and
@@ -229,7 +153,7 @@ def _service_level_metrics(curve, point, n_cores, freq, profile, fe_mode,
     profile's seeded arrival trace.
 
     Service times come from the *steady-state* cycles per batch of the
-    continuously-fed accelerator at ``pipeline_depth`` (the profile's own
+    continuously-fed accelerator at ``depth`` (the profile's own
     ``pipeline_depth`` field overrides the scoring depth when set): a service
     keeps the accelerator fed back-to-back, so the sustained
     completion-to-completion gap -- not the one-shot fill-included latency --
@@ -238,16 +162,15 @@ def _service_level_metrics(curve, point, n_cores, freq, profile, fe_mode,
     """
     from repro.service.simulate import arrival_times, simulate_batch_queue
 
-    split = accumulator_mode == "split" and n_cores > 1
-    hw_cores = point.hw.with_cores(n_cores)
-    depth = profile.pipeline_depth or pipeline_depth
+    profile = spec.service_profile
+    if spec.n_cores == 1:
+        accumulator = "shared"      # the split kernel degenerates on one core
+    depth = profile.pipeline_depth or depth
 
     def batch_cycles(n_requests: int) -> float:
-        return compile_multi_pairing(
-            curve, profile.pairs_per_request * n_requests, hw=hw_cores,
-            variant_config=point.variant_config, do_assemble=do_assemble,
-            split_accumulators=split, final_exp_mode=fe_mode,
-            pipeline_depth=depth,
+        return _compile_kernel(
+            curve, point, spec, profile.pairs_per_request * n_requests,
+            accumulator, fe_mode, depth,
         ).steady_batch_cycles
 
     one = batch_cycles(1)
@@ -277,18 +200,7 @@ def _service_level_metrics(curve, point, n_cores, freq, profile, fe_mode,
     }
 
 
-def evaluate_design_point(
-    curve,
-    point: DesignPoint,
-    n_cores: int = 1,
-    technology: TechnologyNode = TECH_40NM,
-    do_assemble: bool = True,
-    batch_size: int | None = None,
-    split_accumulators="auto",
-    final_exp_mode="cyclotomic",
-    service_profile=None,
-    pipeline_depth=None,
-) -> DesignMetrics:
+def evaluate_design_point(curve, point: DesignPoint, **knobs) -> DesignMetrics:
     """Compile + simulate + price one design point.
 
     With ``batch_size`` set, the point is scored on the *batched* multi-pairing
@@ -327,10 +239,10 @@ def evaluate_design_point(
     accelerator keeping that many batch instances in flight
     (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined`): an
     integer forces one depth, ``"auto"`` scores the
-    :data:`AUTO_PIPELINE_DEPTHS` ladder and records whichever depth minimises
-    the steady-state cycles per pairing, and ``None`` (the default) defers to
-    the ``FINESSE_PIPELINE_DEPTH`` environment default (depth 1 when unset --
-    the classic one-shot score).  The chosen depth and its steady-state
+    :data:`~repro.dse.spec.AUTO_PIPELINE_DEPTHS` ladder and records whichever
+    depth minimises the steady-state cycles per pairing, and ``None`` (the
+    default) defers to the ``FINESSE_PIPELINE_DEPTH`` environment default
+    (depth 1 when unset -- the classic one-shot score).  The chosen depth and its steady-state
     figures land in :attr:`DesignMetrics.pipeline_depth`,
     :attr:`DesignMetrics.steady_cycles_per_pairing` and
     :attr:`DesignMetrics.steady_throughput_ops` (the ``"steady_throughput"``
@@ -338,103 +250,68 @@ def evaluate_design_point(
     ``throughput_ops``) always describe the depth-1 kernel, so pipelined and
     classic rankings stay comparable.
 
-    Degenerate inputs fail loudly at entry: a non-positive or non-integral
-    ``batch_size`` or ``n_cores`` raises ``ValueError`` instead of compiling a
-    nonsense kernel or reporting a nonsense throughput, and a pipeline depth
-    other than 1 without a ``batch_size`` is refused (cross-batch pipelining
-    replays *batch* instances).
+    ``knobs`` are the fields of :class:`repro.dse.spec.EvalSpec`, with its
+    defaults: ``n_cores=1``, ``technology=TECH_40NM``, ``do_assemble=True``,
+    ``batch_size=None``, ``split_accumulators="auto"``,
+    ``final_exp_mode="cyclotomic"``, ``service_profile=None``,
+    ``pipeline_depth=None``.  Degenerate inputs fail loudly at entry: a
+    non-positive or non-integral ``batch_size`` or ``n_cores`` raises
+    ``ValueError`` instead of compiling a nonsense kernel or reporting a
+    nonsense throughput, and a pipeline depth other than 1 without a
+    ``batch_size`` is refused (cross-batch pipelining replays *batch*
+    instances).
     """
-    if isinstance(n_cores, bool) or not isinstance(n_cores, int) or n_cores < 1:
-        raise ValueError(
-            f"n_cores must be a positive integer, got {n_cores!r}"
-        )
-    # An explicit 0, negative or fractional batch is a caller bug -- refuse it
-    # before it turns into a degenerate kernel or a nonsense throughput figure.
-    validate_sweep_batch_size(batch_size)
-    policy = _resolve_accumulator_policy(split_accumulators)
-    fe_modes = _resolve_final_exp_policy(final_exp_mode)
-    if batch_size is None and pipeline_depth not in (None, 1):
-        raise ValueError(
-            "pipeline_depth applies to batched evaluations only (set batch_size); "
-            f"got pipeline_depth={pipeline_depth!r}"
-        )
-    depths = _resolve_pipeline_policy(pipeline_depth)
-    freq = frequency_mhz(point.hw.word_width, point.hw.long_latency, technology)
-    #: Deterministic tie-breaks: fewest cycles first, then the simpler shared
-    #: kernel, then the declaration order of FINAL_EXP_MODES.
-    accumulator_mode = "shared"
-    if batch_size is not None:
-        hw_cores = point.hw.with_cores(n_cores)
-        candidates = {}
-        for fe_mode in fe_modes:
-            if policy in ("auto", "shared"):
-                candidates[("shared", fe_mode)] = compile_multi_pairing(
-                    curve, batch_size, hw=hw_cores,
-                    variant_config=point.variant_config, do_assemble=do_assemble,
-                    final_exp_mode=fe_mode,
-                )
-            if policy == "split" or (policy == "auto" and n_cores > 1):
-                # On one core the split kernel degenerates to the shared one,
-                # so "auto" skips the redundant compile there.
-                candidates[("split", fe_mode)] = compile_multi_pairing(
-                    curve, batch_size, hw=hw_cores,
-                    variant_config=point.variant_config, do_assemble=do_assemble,
-                    split_accumulators=True, final_exp_mode=fe_mode,
-                )
-        accumulator_mode, fe_winner = min(
-            candidates,
-            key=lambda key: (candidates[key].cycles, key[0] != "shared",
-                             FINAL_EXP_MODES.index(key[1])),
-        )
-        result = candidates[(accumulator_mode, fe_winner)]
-        latency_us = result.cycles / freq
-        # The multi-core simulation already models the cores; throughput is
-        # pairings per second of one such multi-core accelerator.
-        throughput = batch_size * 1e6 / latency_us
-        cycles_per_pairing = result.cycles_per_pairing
-        # Depth ladder: the winning (accumulator, final-exp) kernel is
-        # re-scored as a continuously-fed pipeline at each candidate depth;
-        # the depth with the lowest steady-state cycles per pairing wins
-        # (ties to the shallowest depth -- less resident state for free).
-        scored = {}
-        for depth in depths:
-            if depth == 1:
-                scored[1] = result
-            else:
-                scored[depth] = compile_multi_pairing(
-                    curve, batch_size, hw=hw_cores,
-                    variant_config=point.variant_config, do_assemble=do_assemble,
-                    split_accumulators=accumulator_mode == "split",
-                    final_exp_mode=fe_winner, pipeline_depth=depth,
-                )
-        depth_winner = min(
-            scored, key=lambda depth: (scored[depth].steady_cycles_per_pairing, depth)
-        )
-        steady_cycles_per_pairing = scored[depth_winner].steady_cycles_per_pairing
-        steady_throughput = freq * 1e6 / steady_cycles_per_pairing
-    else:
-        candidates = {
-            fe_mode: compile_pairing(
-                curve, hw=point.hw, variant_config=point.variant_config,
-                do_assemble=do_assemble, final_exp_mode=fe_mode,
-            )
-            for fe_mode in fe_modes
-        }
-        fe_winner = min(
-            candidates,
-            key=lambda mode: (candidates[mode].cycles, FINAL_EXP_MODES.index(mode)),
-        )
-        result = candidates[fe_winner]
-        latency_us = result.cycles / freq
-        throughput = n_cores * 1e6 / latency_us
+    return _evaluate_spec(curve, point, EvalSpec(**knobs))
+
+
+def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec) -> DesignMetrics:
+    """:func:`evaluate_design_point` below the keyword boundary (what the
+    exploration engine and its pool workers call with their one spec)."""
+    freq = frequency_mhz(point.hw.word_width, point.hw.long_latency, spec.technology)
+    batch = spec.batch_size
+    # Every (accumulator x final-exp) kernel variant the policies admit;
+    # deterministic tie-breaks: fewest cycles first, then the simpler shared
+    # kernel, then the declaration order of FINAL_EXP_MODES.
+    variants = {
+        (accumulator, fe_mode): _compile_kernel(curve, point, spec, batch,
+                                                accumulator, fe_mode)
+        for fe_mode in spec.final_exp_modes
+        for accumulator in spec.accumulator_modes
+    }
+    accumulator, fe_mode = winner = min(
+        variants,
+        key=lambda key: (variants[key].cycles, key[0] != "shared",
+                         FINAL_EXP_MODES.index(key[1])),
+    )
+    result = variants[winner]
+    latency_us = result.cycles / freq
+    if batch is None:
+        throughput = spec.n_cores * 1e6 / latency_us
         cycles_per_pairing = float(result.cycles)
         # No batch to pipeline: the steady-state figures degenerate to the
         # one-shot ones at depth 1.
-        depth_winner = 1
+        depth = 1
         steady_cycles_per_pairing = cycles_per_pairing
         steady_throughput = throughput
+    else:
+        # The multi-core simulation already models the cores; throughput is
+        # pairings per second of one such multi-core accelerator.
+        throughput = batch * 1e6 / latency_us
+        cycles_per_pairing = result.cycles_per_pairing
+        # Depth ladder: the winning kernel is re-scored as a continuously-fed
+        # pipeline at each candidate depth; the depth with the lowest
+        # steady-state cycles per pairing wins (ties to the shallowest depth
+        # -- less resident state for free).
+        scored = {
+            d: result if d == 1 else _compile_kernel(
+                curve, point, spec, batch, accumulator, fe_mode, d)
+            for d in spec.depths
+        }
+        depth = min(scored, key=lambda d: (scored[d].steady_cycles_per_pairing, d))
+        steady_cycles_per_pairing = scored[depth].steady_cycles_per_pairing
+        steady_throughput = freq * 1e6 / steady_cycles_per_pairing
     area = estimate_area(point.hw, result.imem_bits, result.total_registers,
-                         n_cores=n_cores, technology=technology)
+                         n_cores=spec.n_cores, technology=spec.technology)
     # Power prices the same design the area model measured: dynamic power
     # scales with the scoring kernel's issue-slot utilisation, energy amortises
     # the draw over the steady-state per-pairing time, and throughput/W is the
@@ -442,13 +319,12 @@ def evaluate_design_point(
     # "throughput_per_watt" objectives).
     power = estimate_power(point.hw, area, freq,
                            activity=result.ipc / max(1, point.hw.issue_width),
-                           technology=technology)
+                           technology=spec.technology)
     energy_uj = (power.total_mw / 1e3) * (steady_cycles_per_pairing / freq)
     service_fields = {}
-    if service_profile is not None:
+    if spec.service_profile is not None:
         service_fields = _service_level_metrics(
-            curve, point, n_cores, freq, service_profile, fe_winner,
-            accumulator_mode, do_assemble, pipeline_depth=depth_winner)
+            curve, point, spec, freq, accumulator, fe_mode, depth)
     return DesignMetrics(
         label=point.display_label,
         curve=curve.name,
@@ -461,11 +337,11 @@ def evaluate_design_point(
         area_mm2=area.total_mm2,
         throughput_per_mm2=throughput / area.total_mm2,
         registers=result.total_registers,
-        batch=batch_size or 1,
+        batch=batch or 1,
         cycles_per_pairing=cycles_per_pairing,
-        accumulator_mode=accumulator_mode,
-        final_exp_mode=fe_winner,
-        pipeline_depth=depth_winner,
+        accumulator_mode=accumulator,
+        final_exp_mode=fe_mode,
+        pipeline_depth=depth,
         steady_cycles_per_pairing=steady_cycles_per_pairing,
         steady_throughput_ops=steady_throughput,
         power_mw=power.total_mw,
@@ -473,64 +349,3 @@ def evaluate_design_point(
         throughput_per_watt=steady_throughput / (power.total_mw / 1e3),
         **service_fields,
     )
-
-
-#: Error raised by both explorers' ``best()`` when the sweep produced no
-#: rankable metrics -- an empty point list, or every point filtered away.
-#: One shared constant so the two explorers can never drift apart.
-EMPTY_SPACE_MESSAGE = (
-    "empty design space: no design point produced metrics to rank "
-    "(did the sweep receive any points?)"
-)
-
-
-class DesignSpaceExplorer:
-    """Exhaustive search over a list of design points (the paper's baseline strategy).
-
-    Evaluation is routed through :class:`repro.dse.engine.ParallelExplorer` with
-    ``workers=1``, which is bit-identical to the historical in-order loop; use
-    the engine directly to shard a large space across processes.
-    """
-
-    def __init__(self, curve, n_cores: int = 1, technology: TechnologyNode = TECH_40NM):
-        self.curve = curve
-        self.n_cores = n_cores
-        self.technology = technology
-        self.evaluated: list = []
-        #: Quarantined points of the last sweep (``FailedPoint`` records).
-        self.failures: list = []
-
-    def _engine(self):
-        from repro.dse.engine import ParallelExplorer
-
-        return ParallelExplorer(self.curve, workers=1, n_cores=self.n_cores,
-                                technology=self.technology)
-
-    def explore(self, points, objective="throughput") -> list:
-        """Evaluate every point; returns metrics sorted best-first by the objective."""
-        engine = self._engine()
-        ranked = engine.explore(points, objective)
-        self.evaluated = engine.evaluated
-        self.failures = engine.failures
-        return ranked
-
-    def explore_pareto(self, points, objectives=("throughput", "area"),
-                       strategy="exhaustive", budget=None):
-        """Multi-objective sweep; returns a :class:`repro.dse.pareto.ParetoResult`.
-
-        Same semantics as :meth:`ParallelExplorer.explore_pareto` (this is the
-        ``workers=1`` routing of it): the frontier is bit-identical for any
-        worker count and any point enumeration order.
-        """
-        engine = self._engine()
-        result = engine.explore_pareto(points, objectives,
-                                       strategy=strategy, budget=budget)
-        self.evaluated = engine.evaluated
-        self.failures = engine.failures
-        return result
-
-    def best(self, points, objective="throughput") -> DesignMetrics:
-        ranked = self.explore(points, objective)
-        if not ranked:
-            raise DSEError(EMPTY_SPACE_MESSAGE)
-        return ranked[0]

@@ -10,10 +10,10 @@ evaluation runner's ``--objectives help``), and the multi-objective layer
 (:mod:`repro.dse.pareto`) consumes the same registry, so scalar ranking and
 Pareto extraction can never disagree about what an objective means.
 
-Both explorers (:class:`~repro.dse.engine.ParallelExplorer` and the legacy
-:class:`~repro.dse.explorer.DesignSpaceExplorer`) resolve objective names
-through :func:`resolve_objective` / :func:`resolve_objectives`, so an unknown
-name raises the *same* :class:`~repro.errors.DSEError` on every path.
+Both sweeps of :class:`~repro.dse.engine.ParallelExplorer` (``explore`` and
+``explore_pareto``) and the runner's ``--objectives`` flag resolve objective
+names through :func:`resolve_objective` / :func:`resolve_objectives`, so an
+unknown name raises the *same* :class:`~repro.errors.DSEError` on every path.
 """
 
 from __future__ import annotations
@@ -84,11 +84,9 @@ def list_objectives() -> dict:
 def resolve_objective(objective):
     """Turn an objective name (or scoring callable) into a scoring callable.
 
-    This is the single resolution path shared by both explorers, so an
-    unknown objective name produces the identical :class:`DSEError` whether
-    the sweep goes through :class:`~repro.dse.engine.ParallelExplorer`,
-    the legacy :class:`~repro.dse.explorer.DesignSpaceExplorer`, or
-    ``explore_pareto`` on either.
+    This is the single resolution path, so an unknown objective name
+    produces the identical :class:`DSEError` whether the sweep goes through
+    :meth:`~repro.dse.engine.ParallelExplorer.explore` or ``explore_pareto``.
     """
     if callable(objective):
         return objective

@@ -27,16 +27,15 @@ keys (never submission order), so the frontier a strategy returns is a pure
 function of the design-point *set* and the budget -- independent of worker
 count and enumeration order, matching the ``explore_pareto`` contract.
 
-Defaults come from the environment (set by the evaluation runner's
-``--objectives`` / ``--strategy`` / ``--budget`` flags): ``FINESSE_DSE_OBJECTIVES``
-(comma-separated names), ``FINESSE_DSE_STRATEGY`` and ``FINESSE_DSE_BUDGET``.
+``explore_pareto`` resolves an unset budget from ``FINESSE_DSE_BUDGET`` (the
+evaluation runner's ``--budget`` flag); see ``docs/configuration.md``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
+from repro.config import positive_int
 from repro.dse.pareto import (
     crowding_distances,
     non_dominated_sort,
@@ -45,13 +44,9 @@ from repro.dse.pareto import (
 from repro.errors import DSEError
 from repro.hw.area import estimate_area
 from repro.hw.power import estimate_power
+from repro.dse.spec import EvalSpec
 from repro.hw.technology import TECH_40NM
 from repro.hw.timing import frequency_mhz
-
-#: Environment variables backing the runner's multi-objective flags.
-OBJECTIVES_ENV = "FINESSE_DSE_OBJECTIVES"
-STRATEGY_ENV = "FINESSE_DSE_STRATEGY"
-BUDGET_ENV = "FINESSE_DSE_BUDGET"
 
 #: Objectives a Pareto sweep ranks on when none are named anywhere: the
 #: paper's headline trade-off (performance vs silicon).
@@ -69,40 +64,9 @@ PROXY_REGISTERS_PER_BANK = 48
 PROXY_LATENCY_EXPOSURE = 0.5
 
 
-def default_objectives() -> tuple:
-    """Objective names from ``FINESSE_DSE_OBJECTIVES`` (comma-separated)."""
-    raw = os.environ.get(OBJECTIVES_ENV, "")
-    names = tuple(name.strip() for name in raw.split(",") if name.strip())
-    return names or DEFAULT_OBJECTIVES
-
-
-def default_strategy() -> str:
-    """Strategy name from ``FINESSE_DSE_STRATEGY`` (defaults to exhaustive)."""
-    return os.environ.get(STRATEGY_ENV, "").strip() or "exhaustive"
-
-
-def default_budget():
-    """Evaluation budget from ``FINESSE_DSE_BUDGET`` (``None`` = strategy default)."""
-    raw = os.environ.get(BUDGET_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        return None
-    return budget if budget >= 1 else None
-
-
 def validate_budget(budget):
     """``None`` (strategy default) or a positive integer; anything else raises."""
-    if budget is None:
-        return None
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-        raise DSEError(
-            f"budget must be a positive integer (or None for the strategy "
-            f"default), got {budget!r}"
-        )
-    return budget
+    return None if budget is None else positive_int(budget, "budget", DSEError)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +164,9 @@ class SearchContext:
     ``evaluate(indices)`` pushes those points through the real tool-chain
     (sharded across the explorer's workers) and returns their metrics;
     ``is_cached(index)`` probes the in-process compile cache without
-    compiling.  Strategies must request each index at most once.
+    compiling; ``spec`` is the sweep's evaluation knobs (the proxy prices
+    the same core count and technology).  Strategies must request each index
+    at most once.
     """
 
     curve: object
@@ -209,15 +175,15 @@ class SearchContext:
     budget: int | None
     evaluate: object  # list[int] -> list[DesignMetrics]
     is_cached: object  # int -> bool
-    n_cores: int = 1
-    technology: object = TECH_40NM
+    spec: EvalSpec
     _proxies: list = field(default_factory=list)
 
     def proxies(self) -> list:
         """Analytic proxy metrics of every point (computed once, no compiles)."""
         if not self._proxies:
             self._proxies = [
-                proxy_design_metrics(self.curve, point, self.n_cores, self.technology)
+                proxy_design_metrics(self.curve, point, self.spec.n_cores,
+                                     self.spec.technology)
                 for point in self.points
             ]
         return self._proxies

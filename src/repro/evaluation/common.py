@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
+from repro.config import SCALE_ENV, env_choice
 from repro.curves.catalog import PAPER_CURVES, get_curve
 from repro.hw.presets import paper_hw1, paper_hw2
 from repro.hw.timing import frequency_mhz
-
-#: Environment variable selecting the benchmark scale.
-SCALE_ENV = "FINESSE_BENCH_SCALE"
 
 #: Ratio between our 40 nm ASIC frequency model and the Virtex-7 implementation
 #: (matches Table 6: 769 MHz ASIC vs 153.8 MHz FPGA for the same design).
@@ -21,10 +17,7 @@ FPGA_SLICES_PER_MM2 = 7_870.0
 
 def bench_scale(default: str = "reduced") -> str:
     """Benchmark scale: "full", "reduced" or "smoke" (see DESIGN.md)."""
-    value = os.environ.get(SCALE_ENV, default).lower()
-    if value not in ("full", "reduced", "smoke"):
-        return default
-    return value
+    return env_choice(SCALE_ENV, ("full", "reduced", "smoke"), default)
 
 
 def paper_curve_names(scale: str | None = None) -> list:

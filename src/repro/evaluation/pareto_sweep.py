@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import time
 
+from repro.config import BUDGET_ENV, OBJECTIVES_ENV, STRATEGY_ENV, env_int, env_str
 from repro.curves.catalog import get_curve
 from repro.dse.engine import ParallelExplorer
-from repro.dse.search import (
-    default_budget,
-    default_objectives,
-    default_strategy,
-)
+from repro.dse.search import DEFAULT_OBJECTIVES
 from repro.dse.space import design_points, named_variant_configs
 from repro.evaluation.common import bench_scale, dse_curve_name
 from repro.hw.presets import figure10_models
@@ -63,9 +60,10 @@ def run(scale: str | None = None) -> dict:
     scale = scale or bench_scale()
     curve = get_curve(dse_curve_name(scale))
     points = toy_design_points(curve)
-    objectives = default_objectives()
-    budget = default_budget()
-    forced = default_strategy()
+    names = env_str(OBJECTIVES_ENV).split(",")
+    objectives = tuple(n.strip() for n in names if n.strip()) or DEFAULT_OBJECTIVES
+    budget = env_int(BUDGET_ENV, None)
+    forced = env_str(STRATEGY_ENV, "exhaustive")
     strategies = SWEEP_STRATEGIES
     if forced != "exhaustive":
         strategies = ("exhaustive", forced)

@@ -1,8 +1,9 @@
 """Run every table/figure experiment and render a consolidated report.
 
 ``--workers N`` routes the design-space experiments through the parallel
-exploration engine (:mod:`repro.dse.engine`) with N worker processes; the
-consolidated JSON report additionally records the compile-cache statistics of
+exploration engine (:mod:`repro.dse.engine`) with N worker processes --
+exported as ``FINESSE_DSE_WORKERS``, validated at the flag like its siblings
+below (a positive integer); the consolidated JSON report additionally records the compile-cache statistics of
 the run, so sweep-over-sweep reuse is visible in the artifacts.
 
 ``--cache-dir PATH`` activates the disk-backed artifact store
@@ -40,36 +41,29 @@ so every explorer in the run resolves the same defaults.  ``--objectives
 help`` prints the registered objectives with their descriptions and exits;
 unknown objective or strategy names fail at the flag with the same
 ``DSEError`` the explorers raise.
+
+A value-taking flag given without a value raises a ``DSEError`` naming it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 
+from repro import config
 from repro.compiler.pipeline import compile_cache_stats
-from repro.compiler.store import CACHE_DIR_ENV, active_store, configure_store
+from repro.compiler.store import active_store, configure_store
 from repro.errors import DSEError, SimulationError
-from repro.fields.backends import BACKEND_ENV, configure_fp_backend
+from repro.fields.backends import configure_fp_backend
 from repro.dse.engine import (
-    EVAL_TIMEOUT_ENV,
-    MAX_RETRIES_ENV,
-    WORKERS_ENV,
     validate_eval_timeout,
     validate_max_retries,
     worker_cache_stats,
 )
 from repro.dse.objectives import list_objectives, resolve_objective
-from repro.dse.search import (
-    BUDGET_ENV,
-    OBJECTIVES_ENV,
-    STRATEGY_ENV,
-    resolve_strategy,
-    validate_budget,
-)
-from repro.sim.cycle import PIPELINE_DEPTH_ENV, validate_pipeline_depth
+from repro.dse.search import resolve_strategy, validate_budget
+from repro.sim.cycle import validate_pipeline_depth
 from repro.evaluation import (
     batch_verify,
     fig2,
@@ -151,6 +145,51 @@ def render_cache_report() -> str:
     return "\n".join(lines)
 
 
+def _check_objectives(raw: str) -> str:
+    """Every name goes through the resolution path the explorers use, so a
+    typo fails the flag with the identical ``DSEError``."""
+    names = [name.strip() for name in raw.split(",") if name.strip()]
+    if not names:
+        raise DSEError("--objectives needs at least one objective name")
+    for name in names:
+        resolve_objective(name)
+    return ",".join(names)
+
+
+def _check_strategy(name: str) -> str:
+    resolve_strategy(name)
+    return name
+
+
+#: Flags that pin a default for the whole run: flag -> (variable, parser,
+#: check, error class for an unparsable value).  The checked value is
+#: exported, so DSE worker processes resolve the same default as this
+#: process; a bad value fails the flag instead of surfacing later in a worker.
+_ENV_FLAGS = {
+    "--workers": (config.WORKERS_ENV, int,
+                  lambda n: config.positive_int(n, "--workers", DSEError), DSEError),
+    "--pipeline-depth": (config.PIPELINE_DEPTH_ENV, int, validate_pipeline_depth,
+                         SimulationError),
+    "--max-retries": (config.MAX_RETRIES_ENV, int, validate_max_retries, DSEError),
+    "--eval-timeout": (config.EVAL_TIMEOUT_ENV, float, validate_eval_timeout, DSEError),
+    "--budget": (config.BUDGET_ENV, int, validate_budget, DSEError),
+    "--objectives": (config.OBJECTIVES_ENV, str, _check_objectives, DSEError),
+    "--strategy": (config.STRATEGY_ENV, str, _check_strategy, DSEError),
+}
+
+_VALUE_FLAGS = ("--scale", "--json", "--cache-dir", "--fp-backend", *_ENV_FLAGS)
+
+
+def _export_flag(flag: str, raw: str) -> None:
+    name, parse, check, error = _ENV_FLAGS[flag]
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        kind = "an integer" if parse is int else "a number"
+        raise error(f"{flag} must be {kind}, got {raw!r}") from exc
+    config.export(name, check(value))
+
+
 def main(argv=None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     names = None
@@ -159,88 +198,37 @@ def main(argv=None) -> int:
     args = list(argv)
     while args:
         arg = args.pop(0)
+        value = None
+        if arg in _VALUE_FLAGS:
+            if not args:
+                raise DSEError(f"{arg} needs a value")
+            value = args.pop(0)
         if arg == "--scale":
-            scale = args.pop(0)
+            scale = value
         elif arg == "--json":
-            out_path = args.pop(0)
-        elif arg == "--workers":
-            os.environ[WORKERS_ENV] = args.pop(0)
+            out_path = value
         elif arg == "--cache-dir":
             # Exported so DSE worker processes inherit it, AND configured
             # explicitly so a preceding --no-disk-cache pin is overridden:
             # last flag wins in every process of the run.
-            cache_dir = args.pop(0)
-            os.environ[CACHE_DIR_ENV] = cache_dir
-            configure_store(cache_dir)
+            config.export(config.CACHE_DIR_ENV, value)
+            configure_store(value)
         elif arg == "--no-disk-cache":
-            os.environ.pop(CACHE_DIR_ENV, None)
+            config.export(config.CACHE_DIR_ENV, None)
             configure_store(None)
         elif arg == "--fp-backend":
             # Exported so DSE worker processes inherit it, AND pinned via the
             # API so curves already resolved in this process are not reused
             # with a stale backend default.
-            backend = args.pop(0)
-            os.environ[BACKEND_ENV] = backend
-            configure_fp_backend(backend)
-        elif arg == "--pipeline-depth":
-            # Exported so DSE worker processes inherit the same depth default
-            # as this process.  Validated here: a bad depth should fail the
-            # flag, not surface later inside a worker as a SimulationError.
-            raw = args.pop(0)
-            try:
-                depth = int(raw)
-            except ValueError as exc:
-                raise SimulationError(
-                    f"--pipeline-depth must be an integer, got {raw!r}"
-                ) from exc
-            os.environ[PIPELINE_DEPTH_ENV] = str(validate_pipeline_depth(depth))
-        elif arg == "--max-retries":
-            # Exported so DSE worker processes retry with the same budget as
-            # this process.  Validated here: bad values fail the flag.
-            raw = args.pop(0)
-            try:
-                retries = int(raw)
-            except ValueError as exc:
-                raise DSEError(
-                    f"--max-retries must be a non-negative integer, got {raw!r}"
-                ) from exc
-            os.environ[MAX_RETRIES_ENV] = str(validate_max_retries(retries))
-        elif arg == "--eval-timeout":
-            raw = args.pop(0)
-            try:
-                timeout = float(raw)
-            except ValueError as exc:
-                raise DSEError(
-                    f"--eval-timeout must be a number of seconds, got {raw!r}"
-                ) from exc
-            os.environ[EVAL_TIMEOUT_ENV] = str(validate_eval_timeout(timeout))
-        elif arg == "--objectives":
-            # "help" prints the registry and exits; otherwise every name is
-            # validated here through the same resolution path the explorers
-            # use, so a typo fails the flag with the identical DSEError.
-            raw = args.pop(0)
-            if raw.strip().lower() == "help":
-                print("registered objectives (repro.list_objectives()):")
-                for name, description in list_objectives().items():
-                    print(f"  {name:<20} {description}")
-                return 0
-            names_list = [name.strip() for name in raw.split(",") if name.strip()]
-            if not names_list:
-                raise DSEError("--objectives needs at least one objective name")
-            for objective in names_list:
-                resolve_objective(objective)
-            os.environ[OBJECTIVES_ENV] = ",".join(names_list)
-        elif arg == "--strategy":
-            strategy = args.pop(0)
-            resolve_strategy(strategy)
-            os.environ[STRATEGY_ENV] = strategy
-        elif arg == "--budget":
-            raw = args.pop(0)
-            try:
-                budget = int(raw)
-            except ValueError as exc:
-                raise DSEError(f"--budget must be an integer, got {raw!r}") from exc
-            os.environ[BUDGET_ENV] = str(validate_budget(budget))
+            configure_fp_backend(value)
+            config.export(config.BACKEND_ENV, value)
+        elif arg == "--objectives" and value.strip().lower() == "help":
+            print("registered objectives (repro.list_objectives()):")
+            for name, description in list_objectives().items():
+                print(f"  {name:<20} {description}")
+            return 0
+        elif arg in _ENV_FLAGS:
+            _export_flag(arg, value)
         else:
             names = (names or []) + [arg]
     results = run_all(scale=scale, names=names)

@@ -44,12 +44,8 @@ compile-cache digests -- only benchmark records carry it.
 
 from __future__ import annotations
 
-import os
-
+from repro.config import BACKEND_ENV, env_str
 from repro.errors import FieldError
-
-#: Environment variable selecting the process-default backend.
-BACKEND_ENV = "FINESSE_FP_BACKEND"
 
 #: Default limb width of the Montgomery backend (bits per CIOS word).
 MONTGOMERY_LIMB_BITS = 64
@@ -356,7 +352,7 @@ def resolve_backend(explicit: str | None = None, hint: str | None = None) -> str
         return normalise_backend(explicit)
     if _CONFIGURED is not None:
         return _CONFIGURED
-    env = os.environ.get(BACKEND_ENV, "").strip()
+    env = env_str(BACKEND_ENV)
     if env:
         return normalise_backend(env)
     if hint is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config import positive_int
 from repro.errors import ISAError
 from repro.isa.encoding import EncodingFormat, encode_word
 from repro.isa.instructions import MachineOp
@@ -81,11 +82,8 @@ class AssembledProgram:
         memory scales linearly with the depth; ``depth=1`` is exactly
         :meth:`data_memory_bits`.
         """
-        if isinstance(depth, bool) or not isinstance(depth, int):
-            raise ISAError(f"pipeline depth must be an integer, got {depth!r}")
-        if depth < 1:
-            raise ISAError(f"pipeline depth must be positive, got {depth}")
-        return self.data_memory_bits(word_width) * depth
+        return self.data_memory_bits(word_width) * positive_int(
+            depth, "pipeline depth", ISAError)
 
     # -- encodings -------------------------------------------------------------------
     def encoded_words(self) -> list:

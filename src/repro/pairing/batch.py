@@ -53,6 +53,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 
+from repro.config import positive_int
 from repro.errors import PairingError
 from repro.pairing.ate import as_affine_pair
 from repro.pairing.context import ConcretePairingContext
@@ -256,15 +257,7 @@ def validate_accumulator_count(accumulators) -> int:
     Group counts must be integral (bools are rejected: ``True`` silently
     meaning "one group" would mask caller bugs) and at least 1.
     """
-    if isinstance(accumulators, bool) or not isinstance(accumulators, int):
-        raise PairingError(
-            f"accumulator count must be an integer, got {accumulators!r}"
-        )
-    if accumulators < 1:
-        raise PairingError(
-            f"accumulator count must be at least 1, got {accumulators}"
-        )
-    return accumulators
+    return positive_int(accumulators, "accumulator count", PairingError)
 
 
 def partition_into_groups(items, n_groups: int) -> list:

@@ -28,6 +28,7 @@ elements, so ``compile_pairing(final_exp_mode=...)`` emits the matching kernel.
 
 from __future__ import annotations
 
+from repro.config import member
 from repro.errors import PairingError
 from repro.fields.cyclotomic import cyclotomic_square, power_signed
 from repro.pairing.exponent import FinalExpPlan, signed_digits
@@ -37,11 +38,7 @@ FINAL_EXP_MODES = ("generic", "cyclotomic", "compressed")
 
 
 def validate_final_exp_mode(mode) -> str:
-    if mode not in FINAL_EXP_MODES:
-        raise PairingError(
-            f"final_exp_mode must be one of {FINAL_EXP_MODES}, got {mode!r}"
-        )
-    return mode
+    return member(mode, FINAL_EXP_MODES, "final_exp_mode", PairingError)
 
 
 def easy_part(ctx, f):

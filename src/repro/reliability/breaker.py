@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 
+from repro.config import positive_int
 from repro.errors import ReliabilityError
 
 CLOSED = "closed"
@@ -31,13 +32,7 @@ class CircuitBreaker:
         cooldown_s: float = 1.0,
         clock=time.monotonic,
     ):
-        if isinstance(failure_threshold, bool) or not isinstance(
-            failure_threshold, int
-        ) or failure_threshold < 1:
-            raise ReliabilityError(
-                f"failure_threshold must be a positive integer, "
-                f"got {failure_threshold!r}"
-            )
+        positive_int(failure_threshold, "failure_threshold", ReliabilityError)
         if not cooldown_s >= 0:
             raise ReliabilityError(
                 f"cooldown_s must be non-negative, got {cooldown_s!r}"

@@ -36,6 +36,7 @@ import re
 import time
 from dataclasses import dataclass, replace
 
+from repro.config import FAULTS_ENV, HANG_SECONDS_ENV, env_float, env_str
 from repro.errors import (
     CompilerError,
     InjectedFaultError,
@@ -44,12 +45,9 @@ from repro.errors import (
     WorkerCrashError,
 )
 
-#: Environment variable holding the fault plan (parsed at ``import repro``).
-FAULTS_ENV = "FINESSE_FAULTS"
-
-#: How long a ``hang`` fault sleeps, seconds (overridable via environment so
-#: timeout tests can keep the hang shorter than the test suite's patience).
-HANG_SECONDS_ENV = "FINESSE_FAULT_HANG_S"
+#: How long a ``hang`` fault sleeps, seconds (``FINESSE_FAULT_HANG_S``
+#: overrides it so timeout tests can keep the hang shorter than the test
+#: suite's patience).
 DEFAULT_HANG_SECONDS = 30.0
 
 #: Exit code a ``crash`` fault uses inside a pool worker.  Distinctive on
@@ -207,15 +205,6 @@ class FaultPlan:
         return ";".join(parts)
 
 
-def _hang_seconds() -> float:
-    raw = os.environ.get(HANG_SECONDS_ENV, "").strip()
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_HANG_SECONDS
-    return value if value > 0 else DEFAULT_HANG_SECONDS
-
-
 class FaultInjector:
     """Fires a :class:`FaultPlan` at named fault points, deterministically.
 
@@ -307,7 +296,7 @@ class FaultInjector:
                 os._exit(CRASH_EXIT_CODE)
             raise WorkerCrashError(f"injected fault: worker crash at {point}")
         if mode == "hang":
-            time.sleep(_hang_seconds())
+            time.sleep(env_float(HANG_SECONDS_ENV, DEFAULT_HANG_SECONDS, exclusive=True))
             return data
         raise _ERROR_TYPES[point](f"injected fault at {point}")
 
@@ -365,8 +354,7 @@ def configure_faults_from_env():
     """(Re)install the plan from ``FINESSE_FAULTS``.  Malformed plans raise:
     a typo that silently disabled injection would let a chaos run pass
     vacuously."""
-    raw = os.environ.get(FAULTS_ENV, "").strip()
-    return configure_faults(raw or None)
+    return configure_faults(env_str(FAULTS_ENV) or None)
 
 
 # Environment activation: pool workers inherit FINESSE_FAULTS and run this

@@ -15,6 +15,7 @@ import time
 import zlib
 from dataclasses import dataclass
 
+from repro.config import non_negative_int
 from repro.errors import ReliabilityError, WorkerCrashError
 
 #: Exception types never worth retrying: programming errors (the same call
@@ -32,13 +33,7 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.max_retries, bool) or not isinstance(
-            self.max_retries, int
-        ) or self.max_retries < 0:
-            raise ReliabilityError(
-                f"max_retries must be a non-negative integer, "
-                f"got {self.max_retries!r}"
-            )
+        non_negative_int(self.max_retries, "max_retries", ReliabilityError)
         if not self.base_delay_s >= 0 or not self.max_delay_s >= 0:
             raise ReliabilityError(
                 f"backoff delays must be non-negative, got "

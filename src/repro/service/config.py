@@ -14,20 +14,25 @@ with measured numbers from ``benchmarks/bench_service.py``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
+from repro.config import (
+    BREAKER_COOLDOWN_ENV,
+    BREAKER_THRESHOLD_ENV,
+    DEADLINE_ENV,
+    FUSE_ENV,
+    MAX_BATCH_ENV,
+    QUEUE_BOUND_ENV,
+    SHED_AFTER_ENV,
+    env_choice,
+    env_float,
+    env_int,
+    member,
+    number,
+    positive_int,
+)
 from repro.errors import ServiceError
 from repro.pairing.final_exp import FINAL_EXP_MODES
-
-#: Environment variables read by :meth:`ServiceConfig.from_env`.
-MAX_BATCH_ENV = "FINESSE_SERVICE_MAX_BATCH"
-DEADLINE_ENV = "FINESSE_SERVICE_DEADLINE_MS"
-QUEUE_BOUND_ENV = "FINESSE_SERVICE_QUEUE_BOUND"
-FUSE_ENV = "FINESSE_SERVICE_FUSE"
-BREAKER_THRESHOLD_ENV = "FINESSE_SERVICE_BREAKER_THRESHOLD"
-BREAKER_COOLDOWN_ENV = "FINESSE_SERVICE_BREAKER_COOLDOWN_MS"
-SHED_AFTER_ENV = "FINESSE_SERVICE_SHED_AFTER_MS"
 
 #: Accepted cross-request batching modes (see ``docs/serving.md``).
 FUSE_MODES = ("rlc", "none")
@@ -101,57 +106,16 @@ class ServiceConfig:
     shed_after_ms: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.max_batch, bool) or not isinstance(self.max_batch, int) \
-                or self.max_batch < 1:
-            raise ServiceError(
-                f"max_batch must be a positive integer, got {self.max_batch!r}")
-        if not isinstance(self.deadline_ms, (int, float)) \
-                or isinstance(self.deadline_ms, bool) or self.deadline_ms < 0:
-            raise ServiceError(
-                f"deadline_ms must be a non-negative number, got {self.deadline_ms!r}")
-        if isinstance(self.queue_bound, bool) or not isinstance(self.queue_bound, int) \
-                or self.queue_bound < 1:
-            raise ServiceError(
-                f"queue_bound must be a positive integer, got {self.queue_bound!r}")
-        if self.fuse not in FUSE_MODES:
-            raise ServiceError(f"fuse must be one of {FUSE_MODES}, got {self.fuse!r}")
-        if self.final_exp_mode not in FINAL_EXP_MODES:
-            raise ServiceError(
-                f"final_exp_mode must be one of {FINAL_EXP_MODES}, "
-                f"got {self.final_exp_mode!r}")
-        if isinstance(self.accumulators, bool) or not isinstance(self.accumulators, int) \
-                or self.accumulators < 1:
-            raise ServiceError(
-                f"accumulators must be a positive integer, got {self.accumulators!r}")
-        if isinstance(self.vk_cache_entries, bool) \
-                or not isinstance(self.vk_cache_entries, int) or self.vk_cache_entries < 1:
-            raise ServiceError(
-                f"vk_cache_entries must be a positive integer, "
-                f"got {self.vk_cache_entries!r}")
-        if self.retry_after_ms is not None and (
-                not isinstance(self.retry_after_ms, (int, float))
-                or isinstance(self.retry_after_ms, bool) or self.retry_after_ms < 0):
-            raise ServiceError(
-                f"retry_after_ms must be None or a non-negative number, "
-                f"got {self.retry_after_ms!r}")
-        if isinstance(self.breaker_threshold, bool) \
-                or not isinstance(self.breaker_threshold, int) \
-                or self.breaker_threshold < 1:
-            raise ServiceError(
-                f"breaker_threshold must be a positive integer, "
-                f"got {self.breaker_threshold!r}")
-        if not isinstance(self.breaker_cooldown_ms, (int, float)) \
-                or isinstance(self.breaker_cooldown_ms, bool) \
-                or self.breaker_cooldown_ms < 0:
-            raise ServiceError(
-                f"breaker_cooldown_ms must be a non-negative number, "
-                f"got {self.breaker_cooldown_ms!r}")
-        if self.shed_after_ms is not None and (
-                not isinstance(self.shed_after_ms, (int, float))
-                or isinstance(self.shed_after_ms, bool) or self.shed_after_ms <= 0):
-            raise ServiceError(
-                f"shed_after_ms must be None or a positive number, "
-                f"got {self.shed_after_ms!r}")
+        for name in ("max_batch", "queue_bound", "accumulators",
+                     "vk_cache_entries", "breaker_threshold"):
+            positive_int(getattr(self, name), name, ServiceError)
+        for name in ("deadline_ms", "breaker_cooldown_ms"):
+            number(getattr(self, name), name, ServiceError)
+        number(self.retry_after_ms, "retry_after_ms", ServiceError, optional=True)
+        number(self.shed_after_ms, "shed_after_ms", ServiceError,
+               exclusive=True, optional=True)
+        member(self.fuse, FUSE_MODES, "fuse", ServiceError)
+        member(self.final_exp_mode, FINAL_EXP_MODES, "final_exp_mode", ServiceError)
 
     @property
     def deadline_s(self) -> float:
@@ -169,50 +133,23 @@ class ServiceConfig:
     def from_env(cls, **overrides) -> "ServiceConfig":
         """Config from ``FINESSE_SERVICE_*`` variables; ``overrides`` win.
 
-        Unset or unparseable variables fall back to the dataclass defaults --
-        a malformed environment must not take the service down, it only loses
-        the customisation.
+        Unset, unparseable or out-of-range variables fall back to the
+        dataclass defaults -- a malformed environment must not take the
+        service down, it only loses the customisation (the shared policy of
+        :mod:`repro.config`).  Explicit ``overrides`` are validated like
+        constructor arguments and do raise.
         """
-        env: dict = {}
-        raw = os.environ.get(MAX_BATCH_ENV)
-        if raw is not None:
-            try:
-                env["max_batch"] = int(raw)
-            except ValueError:
-                pass
-        raw = os.environ.get(DEADLINE_ENV)
-        if raw is not None:
-            try:
-                env["deadline_ms"] = float(raw)
-            except ValueError:
-                pass
-        raw = os.environ.get(QUEUE_BOUND_ENV)
-        if raw is not None:
-            try:
-                env["queue_bound"] = int(raw)
-            except ValueError:
-                pass
-        raw = os.environ.get(FUSE_ENV)
-        if raw in FUSE_MODES:
-            env["fuse"] = raw
-        raw = os.environ.get(BREAKER_THRESHOLD_ENV)
-        if raw is not None:
-            try:
-                env["breaker_threshold"] = int(raw)
-            except ValueError:
-                pass
-        raw = os.environ.get(BREAKER_COOLDOWN_ENV)
-        if raw is not None:
-            try:
-                env["breaker_cooldown_ms"] = float(raw)
-            except ValueError:
-                pass
-        raw = os.environ.get(SHED_AFTER_ENV)
-        if raw is not None:
-            try:
-                env["shed_after_ms"] = float(raw)
-            except ValueError:
-                pass
+        env = {
+            "max_batch": env_int(MAX_BATCH_ENV, cls.max_batch),
+            "deadline_ms": env_float(DEADLINE_ENV, cls.deadline_ms),
+            "queue_bound": env_int(QUEUE_BOUND_ENV, cls.queue_bound),
+            "fuse": env_choice(FUSE_ENV, FUSE_MODES, cls.fuse),
+            "breaker_threshold": env_int(BREAKER_THRESHOLD_ENV, cls.breaker_threshold),
+            "breaker_cooldown_ms": env_float(BREAKER_COOLDOWN_ENV,
+                                             cls.breaker_cooldown_ms),
+            "shed_after_ms": env_float(SHED_AFTER_ENV, cls.shed_after_ms,
+                                       exclusive=True),
+        }
         env.update(overrides)
         return cls(**env)
 

@@ -24,6 +24,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from random import Random
 
+from repro.config import non_negative_int, positive_int
 from repro.errors import ServiceError
 from repro.service.metrics import percentile
 
@@ -42,8 +43,7 @@ def arrival_times(n: int, rate: float, distribution: str = "poisson",
     ``burst`` at the same mean rate (best case for batching).  The first
     request arrives at t=0.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ServiceError(f"n must be a non-negative integer, got {n!r}")
+    non_negative_int(n, "n", ServiceError)
     if rate <= 0:
         raise ServiceError(f"rate must be positive, got {rate!r}")
     if distribution == "uniform":
@@ -56,8 +56,7 @@ def arrival_times(n: int, rate: float, distribution: str = "poisson",
             t += rng.expovariate(rate)
         return times
     if distribution == "burst":
-        if isinstance(burst, bool) or not isinstance(burst, int) or burst < 1:
-            raise ServiceError(f"burst must be a positive integer, got {burst!r}")
+        positive_int(burst, "burst", ServiceError)
         return [(i // burst) * (burst / rate) for i in range(n)]
     raise ServiceError(
         f"distribution must be one of {ARRIVAL_DISTRIBUTIONS}, got {distribution!r}")
@@ -98,14 +97,9 @@ class ServiceProfile:
         if self.rate_rps <= 0:
             raise ServiceError(f"rate_rps must be positive, got {self.rate_rps!r}")
         for name in ("max_batch", "queue_bound", "pairs_per_request", "n_requests"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ServiceError(f"{name} must be a positive integer, got {value!r}")
+            positive_int(getattr(self, name), name, ServiceError)
         if self.pipeline_depth is not None:
-            depth = self.pipeline_depth
-            if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-                raise ServiceError(
-                    f"pipeline_depth must be a positive integer or None, got {depth!r}")
+            positive_int(self.pipeline_depth, "pipeline_depth", ServiceError)
         if self.deadline_us < 0:
             raise ServiceError(
                 f"deadline_us must be non-negative, got {self.deadline_us!r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 
+from repro.config import positive_int
 from repro.errors import PairingError, ServiceError
 from repro.pairing.ate import as_affine_pair
 from repro.pairing.batch import G2Precomputation, precompute_g2
@@ -47,10 +48,7 @@ class VerifyingKeyCache:
     """Bounded LRU cache of :class:`G2Precomputation` entries for one curve."""
 
     def __init__(self, curve, max_entries: int = 128, use_naf: bool = True):
-        if isinstance(max_entries, bool) or not isinstance(max_entries, int) \
-                or max_entries < 1:
-            raise ServiceError(
-                f"max_entries must be a positive integer, got {max_entries!r}")
+        positive_int(max_entries, "max_entries", ServiceError)
         self.curve = curve
         self.use_naf = use_naf
         self.max_entries = max_entries

@@ -2,14 +2,12 @@
 
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.cycle import (
-    PIPELINE_DEPTH_ENV,
     CycleAccurateSimulator,
     CycleStats,
     MultiCoreStats,
     PipelineStats,
     assign_lanes_to_cores,
     assign_split_lanes_to_cores,
-    default_pipeline_depth,
     validate_core_count,
     validate_pipeline_depth,
 )
@@ -21,10 +19,8 @@ __all__ = [
     "CycleStats",
     "MultiCoreStats",
     "PipelineStats",
-    "PIPELINE_DEPTH_ENV",
     "assign_lanes_to_cores",
     "assign_split_lanes_to_cores",
-    "default_pipeline_depth",
     "validate_core_count",
     "validate_pipeline_depth",
     "IssueTrace",

@@ -51,20 +51,15 @@ by construction (both walks are the same stream engine).
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.compiler.bankalloc import rebank_for_instance
 from repro.compiler.schedule import ScheduledProgram, unit_of
+from repro.config import positive_int
 from repro.errors import SimulationError
 from repro.hw.model import HardwareModel
 from repro.sim.trace import BUBBLE, INV, LONG, SHORT, IssueTrace
-
-#: Environment variable providing the default cross-batch pipeline depth
-#: (read by :func:`default_pipeline_depth`; exported by the evaluation
-#: runner's ``--pipeline-depth`` flag so DSE worker processes inherit it).
-PIPELINE_DEPTH_ENV = "FINESSE_PIPELINE_DEPTH"
 
 
 @dataclass
@@ -280,13 +275,7 @@ def validate_core_count(n_cores) -> int:
     ``True`` would silently simulate one core and a float would truncate, so
     both are treated as caller bugs rather than coerced.
     """
-    if isinstance(n_cores, bool) or not isinstance(n_cores, int):
-        raise SimulationError(
-            f"core count must be an integer, got {n_cores!r} ({type(n_cores).__name__})"
-        )
-    if n_cores < 1:
-        raise SimulationError(f"core count must be positive, got {n_cores}")
-    return n_cores
+    return positive_int(n_cores, "core count", SimulationError)
 
 
 def validate_pipeline_depth(depth) -> int:
@@ -296,28 +285,7 @@ def validate_pipeline_depth(depth) -> int:
     instance and a float would truncate, so both are treated as caller bugs
     rather than coerced; zero/negative depths have no meaning.
     """
-    if isinstance(depth, bool) or not isinstance(depth, int):
-        raise SimulationError(
-            f"pipeline depth must be an integer, got {depth!r} ({type(depth).__name__})"
-        )
-    if depth < 1:
-        raise SimulationError(f"pipeline depth must be positive, got {depth}")
-    return depth
-
-
-def default_pipeline_depth() -> int:
-    """Depth from ``FINESSE_PIPELINE_DEPTH`` (defaults to 1 = one-shot).
-
-    Mirrors :func:`repro.dse.engine.default_workers`: an unset or unparsable
-    value falls back to the classic one-shot evaluation, and values below 1
-    are clamped rather than raised (the environment is a default, not an API).
-    """
-    raw = os.environ.get(PIPELINE_DEPTH_ENV, "")
-    try:
-        depth = int(raw)
-    except ValueError:
-        return 1
-    return max(1, depth)
+    return positive_int(depth, "pipeline depth", SimulationError)
 
 
 def assign_lanes_to_cores(lane_costs: dict, n_cores: int) -> dict:

@@ -34,6 +34,23 @@ def test_architecture_links_to_dse_guide():
     assert "dse.md" in architecture
 
 
+def test_configuration_reference_lists_exactly_the_registered_variables():
+    """A variable added to ``repro.config`` but not to the reference table
+    (or documented but never registered) fails here."""
+    import re
+
+    from repro.config import ENV_VARS
+
+    page = Path(REPO_ROOT, "docs", "configuration.md").read_text()
+    table = page.split("## The variables", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(FINESSE_[A-Z_]+)` \|", table, flags=re.MULTILINE)
+    assert sorted(documented) == sorted(ENV_VARS)
+    assert len(documented) == len(set(documented))
+    for name in ("README.md", "docs/architecture.md", "docs/serving.md",
+                 "docs/dse.md", "docs/reliability.md"):
+        assert "configuration.md" in Path(REPO_ROOT, name).read_text(), name
+
+
 def test_all_relative_links_resolve():
     failures = {}
     for markdown_file in default_targets():

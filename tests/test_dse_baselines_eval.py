@@ -5,7 +5,8 @@ import pytest
 from repro.baselines.models import FlexiPairModel, IkedaAsicModel
 from repro.baselines.published import FLEXIPAIR_FPGA, IKEDA_ASIC, all_baselines
 from repro.dse.codesign import alu_family_codesign, best_depth
-from repro.dse.explorer import DesignSpaceExplorer, evaluate_design_point
+from repro.dse.engine import ParallelExplorer
+from repro.dse.explorer import evaluate_design_point
 from repro.dse.space import (
     DesignPoint,
     design_points,
@@ -66,7 +67,7 @@ def test_explorer_ranks_points(toy_bn):
     hw = default_model(toy_bn.params.p.bit_length())
     configs = list(named_variant_configs().values())
     points = design_points(configs, [hw])
-    explorer = DesignSpaceExplorer(toy_bn)
+    explorer = ParallelExplorer(toy_bn, workers=1)
     ranked = explorer.explore(points, objective="throughput")
     assert len(ranked) == len(points)
     assert ranked[0].throughput_ops >= ranked[-1].throughput_ops

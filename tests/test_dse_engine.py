@@ -4,12 +4,9 @@ import pytest
 
 from repro.compiler.pipeline import clear_caches, compile_cache_stats
 from repro.dse.codesign import alu_family_codesign
-from repro.dse.engine import ParallelExplorer, default_workers, worker_cache_stats
-from repro.dse.explorer import (
-    DesignSpaceExplorer,
-    evaluate_design_point,
-    resolve_objective,
-)
+from repro.dse.engine import ParallelExplorer, worker_cache_stats
+from repro.dse.explorer import evaluate_design_point
+from repro.dse.objectives import resolve_objective
 from repro.dse.space import design_points, named_variant_configs
 from repro.errors import DSEError
 from repro.hw.presets import figure10_models
@@ -39,10 +36,6 @@ def test_workers1_reproduces_sequential_exactly(toy_bn, toy_points):
     assert engine.last_report is not None
     assert engine.last_report.parallel is False
     assert engine.last_report.points == len(toy_points)
-
-    legacy = DesignSpaceExplorer(toy_bn)
-    assert legacy.explore(toy_points, objective="throughput") == reference_ranked
-    assert legacy.evaluated == reference
 
 
 def test_second_sweep_performs_zero_recompilations(toy_bn, toy_points):
@@ -108,32 +101,21 @@ def test_chunking_is_deterministic_and_exhaustive(toy_bn, toy_points):
     assert [i for chunk in auto for i, _ in chunk] == list(range(len(toy_points)))
 
 
-def test_default_workers_env(monkeypatch):
+def test_default_workers_env(toy_bn, monkeypatch):
     monkeypatch.delenv("FINESSE_DSE_WORKERS", raising=False)
-    assert default_workers() == 1
+    assert ParallelExplorer(toy_bn).workers == 1
     monkeypatch.setenv("FINESSE_DSE_WORKERS", "4")
-    assert default_workers() == 4
+    assert ParallelExplorer(toy_bn).workers == 4
+    assert ParallelExplorer(toy_bn, workers=2).workers == 2     # explicit wins
     monkeypatch.setenv("FINESSE_DSE_WORKERS", "bogus")
-    assert default_workers() == 1
+    assert ParallelExplorer(toy_bn).workers == 1
     monkeypatch.setenv("FINESSE_DSE_WORKERS", "0")
-    assert default_workers() == 1
+    assert ParallelExplorer(toy_bn).workers == 1
 
 
 # ---------------------------------------------------------------------------
-# Batched sweeps: accumulator-mode ranking and entry validation
+# Batched sweeps: accumulator-mode ranking (entry validation: test_eval_spec.py)
 # ---------------------------------------------------------------------------
-
-def test_engine_validates_batched_configuration(toy_bn):
-    for bad in (0, -2, 1.5, True):
-        with pytest.raises(ValueError):
-            ParallelExplorer(toy_bn, workers=1, batch_size=bad)
-    with pytest.raises(ValueError):
-        ParallelExplorer(toy_bn, workers=1, batch_size=2,
-                         split_accumulators="sometimes")
-    # Valid forms construct fine.
-    ParallelExplorer(toy_bn, workers=1, batch_size=2, split_accumulators=False)
-    ParallelExplorer(toy_bn, workers=1, batch_size=None)
-
 
 def test_batched_sweep_ranks_accumulator_modes(toy_bn, toy_points):
     """An auto-mode batched sweep records the winning kernel per point and is

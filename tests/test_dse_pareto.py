@@ -4,20 +4,10 @@ import random
 
 import pytest
 
-from repro.dse.engine import ParallelExplorer
-from repro.dse.explorer import EMPTY_SPACE_MESSAGE, DesignSpaceExplorer
+from repro.config import BUDGET_ENV, OBJECTIVES_ENV, STRATEGY_ENV
+from repro.dse.engine import EMPTY_SPACE_MESSAGE, ParallelExplorer
 from repro.dse.objectives import list_objectives, resolve_objective
-from repro.dse.search import (
-    BUDGET_ENV,
-    OBJECTIVES_ENV,
-    STRATEGY_ENV,
-    default_budget,
-    default_objectives,
-    default_strategy,
-    proxy_design_metrics,
-    resolve_strategy,
-    validate_budget,
-)
+from repro.dse.search import proxy_design_metrics, resolve_strategy, validate_budget
 from repro.dse.space import DesignPoint, design_points, named_variant_configs
 from repro.errors import DSEError
 from repro.evaluation.runner import main as runner_main
@@ -51,10 +41,6 @@ def test_frontier_identical_across_worker_counts(toy_bn, toy_points):
     assert sharded.frontier_scores == sequential.frontier_scores
     assert sharded.labels() == sequential.labels()
     assert sharded.extremes == sequential.extremes
-    legacy = DesignSpaceExplorer(toy_bn).explore_pareto(
-        toy_points, objectives=("throughput", "area"))
-    assert legacy.frontier == sequential.frontier
-    assert legacy.frontier_scores == sequential.frontier_scores
 
 
 def test_frontier_invariant_under_input_permutation(toy_bn, toy_points):
@@ -120,18 +106,14 @@ def test_proxy_metrics_are_deterministic_and_populated(toy_bn, full_points):
 
 
 # ---------------------------------------------------------------------------
-# Error handling: identical messages in both explorers
+# Error handling: identical messages on the scalar and the Pareto path
 # ---------------------------------------------------------------------------
 
 def test_empty_space_raises_identical_dse_error(toy_bn):
     engine = ParallelExplorer(toy_bn, workers=1)
-    legacy = DesignSpaceExplorer(toy_bn)
-    with pytest.raises(DSEError) as parallel_err:
+    with pytest.raises(DSEError) as err:
         engine.best([])
-    with pytest.raises(DSEError) as legacy_err:
-        legacy.best([])
-    assert str(parallel_err.value) == EMPTY_SPACE_MESSAGE
-    assert str(legacy_err.value) == EMPTY_SPACE_MESSAGE
+    assert str(err.value) == EMPTY_SPACE_MESSAGE
     # An explicitly empty pareto sweep reports an empty result, not a crash.
     result = engine.explore_pareto([], objectives=("throughput", "area"))
     assert result.frontier == ()
@@ -139,15 +121,15 @@ def test_empty_space_raises_identical_dse_error(toy_bn):
 
 
 def test_unknown_objective_identical_in_both_explorers(toy_bn, toy_points):
+    """"Both explorers" are the two sweeps: ``explore`` and ``explore_pareto``."""
     engine = ParallelExplorer(toy_bn, workers=1)
-    legacy = DesignSpaceExplorer(toy_bn)
-    with pytest.raises(DSEError) as parallel_err:
+    with pytest.raises(DSEError) as pareto_err:
         engine.explore_pareto(toy_points, objectives=("throughput", "bogus"))
-    with pytest.raises(DSEError) as legacy_err:
-        legacy.explore_pareto(toy_points, objectives=("throughput", "bogus"))
-    assert str(parallel_err.value) == str(legacy_err.value)
-    assert "unknown objective 'bogus'" in str(parallel_err.value)
-    assert "list_objectives" in str(parallel_err.value)
+    with pytest.raises(DSEError) as scalar_err:
+        engine.explore(toy_points, objective="bogus")
+    assert str(pareto_err.value) == str(scalar_err.value)
+    assert "unknown objective 'bogus'" in str(pareto_err.value)
+    assert "list_objectives" in str(pareto_err.value)
 
 
 def test_strategy_and_budget_validation(toy_bn, toy_points):
@@ -175,19 +157,24 @@ def test_list_objectives_registry():
         assert resolve_objective(name).name == name
 
 
-def test_env_defaults(monkeypatch):
-    monkeypatch.delenv(OBJECTIVES_ENV, raising=False)
-    monkeypatch.delenv(STRATEGY_ENV, raising=False)
+def test_env_defaults(toy_bn, toy_points, monkeypatch):
+    """An unset ``budget`` resolves from FINESSE_DSE_BUDGET; explicit wins.
+    (The objectives/strategy variables are read by the pareto_sweep
+    experiment; their env policy rows live in test_config.py.)"""
+    seen = []
+    engine = ParallelExplorer(toy_bn, workers=1)
+
+    def probe(ctx):                   # a strategy that evaluates nothing
+        seen.append(ctx.budget)
+
     monkeypatch.delenv(BUDGET_ENV, raising=False)
-    assert default_objectives() == ("throughput", "area")
-    assert default_strategy() == "exhaustive"
-    assert default_budget() is None
-    monkeypatch.setenv(OBJECTIVES_ENV, "power, energy")
-    monkeypatch.setenv(STRATEGY_ENV, "local")
+    engine.explore_pareto(toy_points, strategy=probe)
     monkeypatch.setenv(BUDGET_ENV, "5")
-    assert default_objectives() == ("power", "energy")
-    assert default_strategy() == "local"
-    assert default_budget() == 5
+    engine.explore_pareto(toy_points, strategy=probe)
+    engine.explore_pareto(toy_points, strategy=probe, budget=2)
+    monkeypatch.setenv(BUDGET_ENV, "0")       # out of range: the default again
+    engine.explore_pareto(toy_points, strategy=probe)
+    assert seen == [None, 5, 2, None]
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,15 @@ import types
 import pytest
 
 from repro import default_model
+from repro.config import PIPELINE_DEPTH_ENV
 from repro.dse.engine import ParallelExplorer
-from repro.dse.explorer import (
-    AUTO_PIPELINE_DEPTHS,
-    OBJECTIVES,
-    _resolve_pipeline_policy,
-    evaluate_design_point,
-)
+from repro.dse.explorer import evaluate_design_point
+from repro.dse.objectives import OBJECTIVES
 from repro.dse.space import design_points, figure2_variant_configs
+from repro.dse.spec import AUTO_PIPELINE_DEPTHS, EvalSpec
 from repro.errors import ServiceError, SimulationError
 from repro.evaluation import runner
 from repro.service import ServiceProfile
-from repro.sim.cycle import PIPELINE_DEPTH_ENV
 
 PROFILE = ServiceProfile(rate_rps=20_000.0, max_batch=4, deadline_us=300.0,
                          queue_bound=32, pairs_per_request=3, n_requests=48,
@@ -44,15 +41,18 @@ def two_points():
 # ---------------------------------------------------------------------------
 
 def test_resolve_pipeline_policy(monkeypatch):
+    def depths(pipeline_depth):
+        return EvalSpec(batch_size=4, pipeline_depth=pipeline_depth).depths
+
     monkeypatch.delenv(PIPELINE_DEPTH_ENV, raising=False)
-    assert _resolve_pipeline_policy(None) == (1,)
-    assert _resolve_pipeline_policy("auto") == AUTO_PIPELINE_DEPTHS
-    assert _resolve_pipeline_policy(3) == (3,)
+    assert depths(None) == (1,)
+    assert depths("auto") == AUTO_PIPELINE_DEPTHS
+    assert depths(3) == (3,)
     monkeypatch.setenv(PIPELINE_DEPTH_ENV, "2")
-    assert _resolve_pipeline_policy(None) == (2,)
-    for bad in (True, 0, 2.5, "x"):
-        with pytest.raises(ValueError):
-            _resolve_pipeline_policy(bad)
+    assert depths(None) == (2,)
+    # The environment default is for batched sweeps; it never makes a
+    # single-pairing evaluation illegal.
+    assert EvalSpec().depths == (1,)
 
 
 def test_explicit_depth_recorded_and_improves(toy_bn, two_points):
@@ -103,18 +103,6 @@ def test_env_default_depth(toy_bn, two_points, monkeypatch):
     assert metrics.pipeline_depth == 2
 
 
-def test_bad_depths_raise_value_error(toy_bn, two_points):
-    for bad in (True, 0, 2.5, "x"):
-        with pytest.raises(ValueError):
-            evaluate_design_point(toy_bn, two_points[0], batch_size=4,
-                                  do_assemble=False, pipeline_depth=bad)
-    # Pipelining is a batched-kernel concept: depth > 1 without a batch is
-    # a contract error, not a silent fallback.
-    with pytest.raises(ValueError):
-        evaluate_design_point(toy_bn, two_points[0], do_assemble=False,
-                              pipeline_depth=2)
-
-
 def test_single_pairing_depth_one_is_fine(toy_bn, two_points):
     metrics = evaluate_design_point(toy_bn, two_points[0], do_assemble=False,
                                     pipeline_depth=1)
@@ -145,15 +133,6 @@ def test_explorer_ranking_deterministic(toy_bn, two_points, workers):
     reranked = again.explore(two_points, "steady_throughput")
     assert [(m.label, m.pipeline_depth, m.steady_throughput_ops) for m in ranked] \
         == [(m.label, m.pipeline_depth, m.steady_throughput_ops) for m in reranked]
-
-
-def test_explorer_validates_depth(toy_bn):
-    with pytest.raises(ValueError):
-        ParallelExplorer(toy_bn, batch_size=4, pipeline_depth=0)
-    with pytest.raises(ValueError):
-        ParallelExplorer(toy_bn, pipeline_depth=2)  # no batch_size
-    # Depth 1 without a batch is the classic evaluation and stays legal.
-    ParallelExplorer(toy_bn, pipeline_depth=1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from repro import default_model
 from repro.dse.engine import ParallelExplorer
-from repro.dse.explorer import OBJECTIVES, evaluate_design_point
+from repro.dse.explorer import evaluate_design_point
+from repro.dse.objectives import OBJECTIVES
 from repro.dse.space import design_points, figure2_variant_configs
 from repro.service import ServiceProfile
 

@@ -12,14 +12,11 @@ import os
 
 import pytest
 
+from repro.config import EVAL_TIMEOUT_ENV, MAX_RETRIES_ENV
 from repro.dse.engine import (
     DEFAULT_MAX_RETRIES,
-    EVAL_TIMEOUT_ENV,
-    MAX_RETRIES_ENV,
     QUARANTINE_AFTER,
     ParallelExplorer,
-    default_eval_timeout,
-    default_max_retries,
     validate_eval_timeout,
     validate_max_retries,
 )
@@ -219,20 +216,21 @@ def test_validate_eval_timeout():
             validate_eval_timeout(bad)
 
 
-def test_env_defaults(monkeypatch):
+def test_env_defaults(toy_bn, monkeypatch):
+    def defaults():
+        explorer = ParallelExplorer(toy_bn, workers=1)
+        return explorer.max_retries, explorer.eval_timeout
+
     monkeypatch.delenv(MAX_RETRIES_ENV, raising=False)
     monkeypatch.delenv(EVAL_TIMEOUT_ENV, raising=False)
-    assert default_max_retries() == DEFAULT_MAX_RETRIES
-    assert default_eval_timeout() is None
+    assert defaults() == (DEFAULT_MAX_RETRIES, None)
     monkeypatch.setenv(MAX_RETRIES_ENV, "5")
     monkeypatch.setenv(EVAL_TIMEOUT_ENV, "2.5")
-    assert default_max_retries() == 5
-    assert default_eval_timeout() == 2.5
+    assert defaults() == (5, 2.5)
     # Garbage in the environment falls back silently (flags validate loudly).
     monkeypatch.setenv(MAX_RETRIES_ENV, "many")
     monkeypatch.setenv(EVAL_TIMEOUT_ENV, "soon")
-    assert default_max_retries() == DEFAULT_MAX_RETRIES
-    assert default_eval_timeout() is None
+    assert defaults() == (DEFAULT_MAX_RETRIES, None)
 
 
 def test_explorer_ctor_validates_knobs(toy_bn):

@@ -24,13 +24,13 @@ import pytest
 from repro.compiler.bankalloc import rebank_for_instance
 from repro.compiler.pipeline import CompilerPipeline, compile_multi_pairing
 from repro.compiler.regalloc import pipelined_register_demand
+from repro.config import PIPELINE_DEPTH_ENV
+from repro.dse.spec import EvalSpec
 from repro.errors import CompilerError, ISAError, SimulationError
 from repro.sim.cycle import (
-    PIPELINE_DEPTH_ENV,
     CycleAccurateSimulator,
     MultiCoreStats,
     PipelineStats,
-    default_pipeline_depth,
     validate_pipeline_depth,
 )
 
@@ -149,6 +149,9 @@ def test_validate_pipeline_depth():
 
 
 def test_default_pipeline_depth_env(monkeypatch):
+    def default_pipeline_depth():
+        return EvalSpec(batch_size=2).pipeline_depth
+
     monkeypatch.delenv(PIPELINE_DEPTH_ENV, raising=False)
     assert default_pipeline_depth() == 1
     monkeypatch.setenv(PIPELINE_DEPTH_ENV, "3")
