@@ -49,9 +49,9 @@ Compile-artifact store (disk tier)
     process-wide store (``FINESSE_CACHE_DIR`` configures it per environment).
 
 Field-arithmetic backends
-    ``active_fp_backend()`` / ``available_fp_backends()`` /
-    ``configure_fp_backend(name)`` -- inspect / enumerate / pin the ``F_p``
-    backend (``python`` | ``montgomery`` | ``gmpy2``; also selectable via
+    ``active_fp_backend()`` / ``available_fp_backends()`` -- inspect /
+    enumerate the ``F_p`` residue types (``python`` | ``gmpy2``; selected per
+    call with ``get_curve(name, fp_backend=...)`` or per process with
     ``FINESSE_FP_BACKEND``).
 
 Hardware models
@@ -109,7 +109,6 @@ from repro.curves.catalog import get_curve, list_curves
 from repro.fields.backends import (
     active_fp_backend,
     available_backends as available_fp_backends,
-    configure_fp_backend,
 )
 from repro.dse.objectives import list_objectives
 from repro.dse.pareto import ParetoResult
@@ -129,7 +128,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, PipelineStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "get_curve",
@@ -147,7 +146,6 @@ __all__ = [
     "configure_store",
     "active_fp_backend",
     "available_fp_backends",
-    "configure_fp_backend",
     "VariantConfig",
     "HardwareModel",
     "list_objectives",

@@ -46,17 +46,6 @@ class CacheStats:
             "hit_rate": round(self.hit_rate, 4),
         }
 
-    def merge(self, other: "CacheStats | dict") -> "CacheStats":
-        """Accumulate another process's counters (used by the parallel explorer)."""
-        if isinstance(other, CacheStats):
-            hits, misses, stores = other.hits, other.misses, other.stores
-        else:
-            hits, misses, stores = other["hits"], other["misses"], other["stores"]
-        self.hits += hits
-        self.misses += misses
-        self.stores += stores
-        return self
-
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
@@ -102,15 +91,6 @@ class CompileCache:
         """
         value = self._entries.get(key, _MISSING)
         return None if value is _MISSING else value
-
-    def lookup(self, key):
-        """Return the cached value or ``None``, counting the hit or miss."""
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return value
 
     def store(self, key, value) -> None:
         self.stats.stores += 1

@@ -289,20 +289,6 @@ class CompilerPipeline:
             return None
         return hw.n_cores
 
-    def run_codegen(self, curve):
-        if self.n_pairs is not None:
-            hw = (self.hw or default_model(curve.params.p.bit_length())).validate()
-            return generate_multi_pairing_ir(
-                curve, self.n_pairs, use_naf=self.use_naf,
-                accumulator_groups=self._accumulator_groups(hw),
-                final_exp_mode=self.final_exp_mode,
-            )
-        return generate_pairing_ir(curve, use_naf=self.use_naf,
-                                   final_exp_mode=self.final_exp_mode)
-
-    def run_lowering(self, curve, hl_module):
-        return lower_module(hl_module, curve.tower.levels, self.variant_config)
-
     def compile(self, curve, include_baseline: bool = False):
         hw = (self.hw or default_model(curve.params.p.bit_length())).validate()
         n_pairs = self.n_pairs

@@ -32,10 +32,9 @@ class CurveSpec:
     ``fp_backend`` is the entry's *default* F_p arithmetic backend hint
     (see :mod:`repro.fields.backends`): the paper-scale curves default to
     ``fast`` (gmpy2 when installed) so they are benchmarkable, the toy test
-    curves to the pure-Python reference.  A ``configure_fp_backend`` pin or
-    the ``FINESSE_FP_BACKEND`` environment variable overrides the hint for a
-    whole process; an explicit ``get_curve(..., fp_backend=...)`` argument
-    overrides everything.
+    curves to the pure-Python reference.  The ``FINESSE_FP_BACKEND``
+    environment variable overrides the hint for a whole process; an explicit
+    ``get_curve(..., fp_backend=...)`` argument overrides everything.
     """
 
     name: str
@@ -286,8 +285,8 @@ def get_curve(name: str, fp_backend: str | None = None) -> PairingCurve:
     """Return the named curve, building and caching it on first use.
 
     ``fp_backend`` overrides the F_p arithmetic backend for this curve
-    (resolution order: this argument, then the ``configure_fp_backend`` pin /
-    ``FINESSE_FP_BACKEND`` environment variable, then the catalog entry's own
+    (resolution order: this argument, then the ``FINESSE_FP_BACKEND``
+    environment variable, then the catalog entry's own
     hint -- paper-scale curves default to the ``fast`` backend).  Curves are
     cached per (name, resolved backend): the same name under two backends
     yields two independent instances with bit-identical parameters.

@@ -266,7 +266,8 @@ class ParallelExplorer:
         self.curve = curve
         self.workers = (env_int(WORKERS_ENV, 1) if workers is None
                         else positive_int(workers, "workers", DSEError))
-        self.chunk_size = chunk_size
+        self.chunk_size = (None if chunk_size is None
+                           else positive_int(chunk_size, "chunk_size", DSEError))
         #: The sweep's evaluation knobs, validated once.
         self.spec = EvalSpec(**knobs)
         self.max_retries = (
@@ -304,15 +305,9 @@ class ParallelExplorer:
         self.close()
 
     # -- internals ---------------------------------------------------------------
-    def _chunks(self, points) -> list:
-        """Split indexed points into contiguous chunks (deterministic)."""
-        return self._chunk_indexed(list(enumerate(points)))
-
     def _chunk_indexed(self, indexed) -> list:
-        if self.chunk_size is not None:
-            size = max(1, self.chunk_size)
-        else:
-            size = max(1, -(-len(indexed) // (4 * self.workers)))
+        """Split indexed points into contiguous chunks (deterministic)."""
+        size = self.chunk_size or max(1, -(-len(indexed) // (4 * self.workers)))
         return [indexed[i:i + size] for i in range(0, len(indexed), size)]
 
     @staticmethod

@@ -13,10 +13,10 @@ in a fresh process is then served from disk with zero recompilations.
 ``--no-disk-cache`` disables the disk tier even when the environment variable
 is set (useful for timing genuinely cold compiles).
 
-``--fp-backend NAME`` pins the F_p arithmetic backend (``python`` |
-``montgomery`` | ``gmpy2`` | ``fast``) for the whole run -- exported as
-``FINESSE_FP_BACKEND`` so DSE worker processes inherit it.  Values are
-identical across backends; only wall-clock time changes.
+``--fp-backend NAME`` selects the F_p residue type (``python`` | ``gmpy2`` |
+``fast``) for the whole run -- exported as ``FINESSE_FP_BACKEND`` so DSE
+worker processes inherit it.  Values are identical across backends; only
+wall-clock time changes.
 
 ``--pipeline-depth N`` pins the cross-batch pipeline depth for the whole run
 -- exported as ``FINESSE_PIPELINE_DEPTH`` so DSE worker processes inherit it
@@ -54,8 +54,8 @@ import time
 from repro import config
 from repro.compiler.pipeline import compile_cache_stats
 from repro.compiler.store import active_store, configure_store
-from repro.errors import DSEError, SimulationError
-from repro.fields.backends import configure_fp_backend
+from repro.errors import DSEError, FieldError, SimulationError
+from repro.fields.backends import normalise_backend
 from repro.dse.engine import (
     validate_eval_timeout,
     validate_max_retries,
@@ -175,9 +175,10 @@ _ENV_FLAGS = {
     "--budget": (config.BUDGET_ENV, int, validate_budget, DSEError),
     "--objectives": (config.OBJECTIVES_ENV, str, _check_objectives, DSEError),
     "--strategy": (config.STRATEGY_ENV, str, _check_strategy, DSEError),
+    "--fp-backend": (config.BACKEND_ENV, str, normalise_backend, FieldError),
 }
 
-_VALUE_FLAGS = ("--scale", "--json", "--cache-dir", "--fp-backend", *_ENV_FLAGS)
+_VALUE_FLAGS = ("--scale", "--json", "--cache-dir", *_ENV_FLAGS)
 
 
 def _export_flag(flag: str, raw: str) -> None:
@@ -216,12 +217,6 @@ def main(argv=None) -> int:
         elif arg == "--no-disk-cache":
             config.export(config.CACHE_DIR_ENV, None)
             configure_store(None)
-        elif arg == "--fp-backend":
-            # Exported so DSE worker processes inherit it, AND pinned via the
-            # API so curves already resolved in this process are not reused
-            # with a stale backend default.
-            configure_fp_backend(value)
-            config.export(config.BACKEND_ENV, value)
         elif arg == "--objectives" and value.strip().lower() == "help":
             print("registered objectives (repro.list_objectives()):")
             for name, description in list_objectives().items():

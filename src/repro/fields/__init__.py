@@ -2,10 +2,8 @@
 
 from repro.fields.backends import (
     BACKEND_ENV,
-    FpOps,
     active_fp_backend,
     available_backends,
-    configure_fp_backend,
     gmpy2_available,
     resolve_backend,
 )
@@ -39,10 +37,8 @@ from repro.fields.cyclotomic import (
 
 __all__ = [
     "BACKEND_ENV",
-    "FpOps",
     "active_fp_backend",
     "available_backends",
-    "configure_fp_backend",
     "gmpy2_available",
     "resolve_backend",
     "CompressedElement",

@@ -14,7 +14,7 @@ classic accelerations apply:
   ``(g1, g2, g4, g5)``; squaring the compressed form needs only 6 twist-field
   squarings, and the dropped ``(g0, g3)`` are recovered on demand by solving
   the unitarity relations -- one twist-field inversion per *batch* of
-  decompressions thanks to Montgomery's simultaneous-inversion trick
+  decompressions thanks to the simultaneous-inversion trick
   (:func:`decompress_batch`).
 
 Everything here is written against the generic element interface (``+``,
@@ -24,10 +24,8 @@ same code runs on concrete :class:`~repro.fields.extension.ExtElement` values
 (the software pairing) and on the compiler's
 :class:`~repro.ir.builder.TraceElement` values (the traced accelerator
 kernel) -- the lock-step mechanism the rest of the pairing package uses.
-Because no element is ever built from raw coefficients here, the pluggable
-F_p backend (:mod:`repro.fields.backends`) is transparent to this module:
-Montgomery-form residues flow through every formula unchanged and convert
-back to canonical integers only at the tower boundary.
+Because no element is ever built from raw coefficients here, the F_p residue
+type (:mod:`repro.fields.backends`) is transparent to this module.
 
 Derivation notes (all verified against generic arithmetic by the test-suite):
 writing ``f = sum_j g_j w^j`` and ``s = w^3`` (so ``s^2 = xi``), the
@@ -135,7 +133,7 @@ def _decompression_system(ctx, comp: CompressedElement):
 
 
 def batch_inverse(values: list) -> list:
-    """Montgomery simultaneous inversion: one inversion for ``len(values)``.
+    """Simultaneous inversion: one inversion for ``len(values)``.
 
     Works on any element type exposing ``*`` and ``inverse()`` (concrete
     field elements and trace elements alike); the caller guarantees every

@@ -67,9 +67,7 @@ class ExtensionField:
 
         Extension arithmetic is written entirely against the element interface
         of its base field, so the backend choice propagates transparently from
-        the :class:`~repro.fields.fp.PrimeField` at the bottom of the tower:
-        coefficients stay in the backend-native representation (e.g. Montgomery
-        residues) across every level and convert lazily at ``to_base_coeffs``.
+        the :class:`~repro.fields.fp.PrimeField` at the bottom of the tower.
         """
         return self.base.backend
 

@@ -1,13 +1,13 @@
 """Base prime field F_p and its elements.
 
-Elements are thin immutable wrappers around a backend-native representation;
-all higher tower levels are built on top of this class by
-:mod:`repro.fields.extension`.  The actual ring/inversion/exponentiation
-arithmetic is delegated to a pluggable backend (:mod:`repro.fields.backends`):
-the pure-Python reference, Montgomery fixed-limb CIOS, or GMP-backed ``mpz``.
-All backends are bit-exact; ``value``/``to_base_coeffs`` always yield the
-canonical integer in ``[0, p)`` regardless of the internal representation, so
-the compiler, the curve catalog and the cache digests never see the backend.
+Elements are thin immutable wrappers around the canonical residue in
+``[0, p)``; all higher tower levels are built on top of this class by
+:mod:`repro.fields.extension`.  Ring operations, inversion and exponentiation
+are plain modular expressions on that residue.  The backend
+(:mod:`repro.fields.backends`) only picks the integer type they run on --
+Python ``int`` or GMP-backed ``mpz`` -- so ``value``/``to_base_coeffs`` yield
+the same integers either way and the compiler, the curve catalog and the cache
+digests never see the backend.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from repro.errors import FieldError
-from repro.fields.backends import get_ops, resolve_backend
+from repro.fields.backends import resolve_backend
 from repro.nt.primes import is_probable_prime
 
 
@@ -26,14 +26,13 @@ class PrimeField:
     treat F_p and its extensions uniformly (``degree``, ``zero``, ``one``,
     ``from_base_coeffs`` ...).
 
-    ``backend`` selects the arithmetic implementation by name (``python`` |
-    ``montgomery`` | ``gmpy2`` | ``fast``); when omitted the process default
-    applies (``configure_fp_backend`` pin, then ``FINESSE_FP_BACKEND``, then
-    ``python``).  Two fields over the same modulus compare equal regardless of
-    backend: the backend is a representation choice, not a semantic one.
+    ``backend`` selects the residue type by name (``python`` | ``gmpy2`` |
+    ``fast``); when omitted the process default applies
+    (``FINESSE_FP_BACKEND``, then ``python``).  Two fields over the same
+    modulus compare equal regardless of backend, and their elements mix freely.
     """
 
-    __slots__ = ("p", "backend", "_ops", "_one", "_zero")
+    __slots__ = ("p", "backend", "_m", "_one", "_zero")
 
     def __init__(self, p: int, backend: str | None = None):
         if not isinstance(p, int) or p < 3 or p % 2 == 0:
@@ -42,7 +41,12 @@ class PrimeField:
             raise FieldError(f"PrimeField modulus {p} is composite; an odd prime is required")
         self.p = p
         self.backend = resolve_backend(explicit=backend)
-        self._ops = get_ops(self.backend, p)
+        if self.backend == "gmpy2":
+            import gmpy2
+
+            self._m = gmpy2.mpz(p)
+        else:
+            self._m = p
         self._zero = None
         self._one = None
 
@@ -70,7 +74,7 @@ class PrimeField:
 
     # -- element constructors ---------------------------------------------------
     def element(self, value: int) -> "FpElement":
-        return FpElement(self, self._ops.encode(value))
+        return FpElement(self, value % self._m)
 
     def __call__(self, value) -> "FpElement":
         if isinstance(value, FpElement):
@@ -102,10 +106,10 @@ class PrimeField:
 class FpElement:
     """An element of F_p.
 
-    ``raw`` is the backend-native representation (a canonical integer for the
-    ``python``/``gmpy2`` backends, a Montgomery residue for ``montgomery``);
-    ``value`` is always the canonical integer.  Constructing elements directly
-    is internal API -- go through ``field(...)`` / ``field.element(...)``.
+    ``raw`` is the canonical residue in ``[0, p)`` as the field's integer type
+    (``int`` or ``mpz``); ``value`` is the same residue as a Python ``int``.
+    Constructing elements directly is internal API -- go through
+    ``field(...)`` / ``field.element(...)``.
     """
 
     __slots__ = ("field", "raw")
@@ -116,36 +120,36 @@ class FpElement:
 
     @property
     def value(self) -> int:
-        """The canonical integer in ``[0, p)`` (decoded from the backend form)."""
-        return int(self.field._ops.decode(self.raw))
+        """The canonical integer in ``[0, p)``."""
+        return int(self.raw)
 
     # -- ring operations ---------------------------------------------------------
     def __add__(self, other: "FpElement") -> "FpElement":
         field = self.field
-        return FpElement(field, field._ops.add(self.raw, other.raw))
+        return FpElement(field, (self.raw + other.raw) % field._m)
 
     def __sub__(self, other: "FpElement") -> "FpElement":
         field = self.field
-        return FpElement(field, field._ops.sub(self.raw, other.raw))
+        return FpElement(field, (self.raw - other.raw) % field._m)
 
     def __mul__(self, other: "FpElement") -> "FpElement":
         if not isinstance(other, FpElement):
             return NotImplemented
         field = self.field
-        return FpElement(field, field._ops.mul(self.raw, other.raw))
+        return FpElement(field, (self.raw * other.raw) % field._m)
 
     def __neg__(self) -> "FpElement":
         field = self.field
-        return FpElement(field, field._ops.neg(self.raw))
+        return FpElement(field, (-self.raw) % field._m)
 
     def square(self) -> "FpElement":
         field = self.field
-        return FpElement(field, field._ops.sqr(self.raw))
+        return FpElement(field, (self.raw * self.raw) % field._m)
 
     def mul_small(self, k: int) -> "FpElement":
         """Multiply by a small (possibly negative) integer constant."""
         field = self.field
-        return FpElement(field, field._ops.mul_small(self.raw, k))
+        return FpElement(field, (self.raw * k) % field._m)
 
     def double(self) -> "FpElement":
         return self.mul_small(2)
@@ -155,16 +159,16 @@ class FpElement:
 
     def inverse(self) -> "FpElement":
         field = self.field
-        if field._ops.is_zero(self.raw):
+        if not self.raw:
             raise FieldError("zero has no inverse")
-        return FpElement(field, field._ops.inv(self.raw))
+        return FpElement(field, pow(self.raw, -1, field._m))
 
     def __pow__(self, exponent: int) -> "FpElement":
         exponent = int(exponent)
         if exponent < 0:
             return self.inverse() ** (-exponent)
         field = self.field
-        return FpElement(field, field._ops.pow_int(self.raw, exponent))
+        return FpElement(field, pow(self.raw, exponent, field._m))
 
     # -- tower-uniform operations -------------------------------------------------
     def frobenius(self, n: int = 1) -> "FpElement":
@@ -176,23 +180,20 @@ class FpElement:
 
     # -- structure ----------------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.field._ops.is_zero(self.raw)
+        return self.raw == 0
 
     def is_one(self) -> bool:
-        return self.field._ops.is_one(self.raw)
+        return self.raw == 1
 
     def to_base_coeffs(self) -> list:
         return [self.value]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FpElement) or other.field != self.field:
-            return False
-        if other.field._ops is self.field._ops:
-            return other.raw == self.raw
-        # Same modulus under different backends: compare canonical values so
-        # that e.g. a Montgomery residue and a plain residue of the same
-        # element are recognised as equal.
-        return other.value == self.value
+        return (
+            isinstance(other, FpElement)
+            and other.field == self.field
+            and other.raw == self.raw
+        )
 
     def __hash__(self) -> int:
         return hash((self.field.p, self.value))

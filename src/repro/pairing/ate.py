@@ -32,10 +32,6 @@ def as_affine_pair(point, role: str = "point"):
     return (point.x, point.y)
 
 
-# Backwards-compatible private alias (pre-1.1 internal name).
-_as_affine_pair = as_affine_pair
-
-
 def optimal_ate_pairing(curve, P, Q, mode: str = "optimized", use_naf: bool = True,
                         final_exp_mode: str = "cyclotomic"):
     """Compute the optimal Ate pairing e(P, Q) on ``curve``.

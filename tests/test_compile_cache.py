@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler.cache import CacheStats, CompileCache
+from repro.compiler.cache import CompileCache
 from repro.compiler.pipeline import clear_caches, compile_cache_stats, compile_pairing
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import default_model, paper_hw1, paper_hw2
@@ -53,10 +53,12 @@ def test_make_key_separates_hw_and_flags():
 
 def test_lookup_store_accounting():
     cache = CompileCache("test")
-    assert cache.lookup("a") is None
+    assert cache.peek("a") is None
+    assert cache.stats.lookups == 0                 # peek never counts
+    assert cache.get_or_compute("a", lambda: 42) == 42
     assert cache.stats.misses == 1 and cache.stats.hits == 0
-    cache.store("a", 42)
-    assert cache.lookup("a") == 42
+    assert cache.peek("a") == 42
+    assert cache.get_or_compute("a", lambda: 43) == 42
     assert cache.stats.hits == 1 and cache.stats.stores == 1
     assert "a" in cache and len(cache) == 1
     assert cache.stats.hit_rate == pytest.approx(0.5)
@@ -76,18 +78,12 @@ def test_get_or_compute_runs_factory_once():
 
 def test_clear_resets_entries_and_stats():
     cache = CompileCache("test")
-    cache.store("a", 1)
-    cache.lookup("a")
+    cache.get_or_compute("a", lambda: 1)
+    cache.get_or_compute("a", lambda: 1)
+    assert cache.stats.lookups == 2 and cache.stats.stores == 1
     cache.clear()
     assert len(cache) == 0
     assert cache.stats.lookups == 0 and cache.stats.stores == 0
-
-
-def test_stats_merge_accepts_stats_and_dicts():
-    stats = CacheStats(hits=1, misses=2, stores=3)
-    stats.merge(CacheStats(hits=10, misses=20, stores=30))
-    stats.merge({"hits": 100, "misses": 200, "stores": 300})
-    assert (stats.hits, stats.misses, stats.stores) == (111, 222, 333)
 
 
 # ---------------------------------------------------------------------------

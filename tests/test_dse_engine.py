@@ -92,13 +92,20 @@ def test_parallel_workers_agree_with_sequential(toy_bn, toy_points):
 
 def test_chunking_is_deterministic_and_exhaustive(toy_bn, toy_points):
     engine = ParallelExplorer(toy_bn, workers=3, chunk_size=2)
-    chunks = engine._chunks(toy_points)
+    indexed = list(enumerate(toy_points))
+    chunks = engine._chunk_indexed(indexed)
     flattened = [index for chunk in chunks for index, _ in chunk]
     assert flattened == list(range(len(toy_points)))
     assert all(len(chunk) <= 2 for chunk in chunks)
     # Default chunking balances across workers without dropping points.
-    auto = ParallelExplorer(toy_bn, workers=2)._chunks(toy_points)
+    auto = ParallelExplorer(toy_bn, workers=2)._chunk_indexed(indexed)
     assert [i for chunk in auto for i, _ in chunk] == list(range(len(toy_points)))
+
+
+@pytest.mark.parametrize("bad", [0, True, 2.5])
+def test_chunk_size_is_validated_at_construction(toy_bn, bad):
+    with pytest.raises(DSEError, match="chunk_size"):
+        ParallelExplorer(toy_bn, workers=2, chunk_size=bad)
 
 
 def test_default_workers_env(toy_bn, monkeypatch):

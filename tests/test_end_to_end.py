@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.compiler.codegen import generate_pairing_ir
 from repro.compiler.pipeline import CompilerPipeline, clear_caches, compile_pairing
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import paper_hw1
+from repro.ir.lowering import lower_module
 from repro.pairing.ate import optimal_ate_pairing
 from repro.sim.functional import FunctionalSimulator
 
@@ -74,11 +76,16 @@ def test_compile_cache_hit(toy_bn):
 
 
 def test_pipeline_stage_access(toy_bn):
-    pipeline = CompilerPipeline(hw=paper_hw1(toy_bn.params.p.bit_length()))
-    hl = pipeline.run_codegen(toy_bn)
+    pipeline = CompilerPipeline(hw=paper_hw1(toy_bn.params.p.bit_length()), do_assemble=False)
+    hl = generate_pairing_ir(toy_bn, use_naf=pipeline.use_naf,
+                             final_exp_mode=pipeline.final_exp_mode)
     assert hl.count_compute_ops() > 100
-    low = pipeline.run_lowering(toy_bn, hl)
+    low = lower_module(hl, toy_bn.tower.levels, pipeline.variant_config)
     assert low.count_compute_ops() > hl.count_compute_ops()
+    # The staged calls are the pipeline's own stages: same op counts.
+    result = pipeline.compile(toy_bn)
+    assert result.hl_instructions == hl.count_compute_ops()
+    assert result.initial_instructions == low.count_compute_ops()
 
 
 def test_clear_caches_does_not_break_recompilation(toy_bn):

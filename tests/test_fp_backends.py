@@ -1,29 +1,28 @@
-"""Pluggable F_p backends: bit-exactness, selection order, Montgomery internals.
+"""F_p residue types: canonical residues, the plain-int oracle, selection order.
 
-Every backend must be a pure *representation* choice: for any catalog modulus
-and any operation, the canonical value it produces equals the pure-Python
-reference's.  These tests sweep the Fp-level ops over every catalog family
-(cheap -- only the family equations are evaluated, not the full curve build),
-check the Montgomery round-trip and CIOS internals at several limb widths,
-exercise the full pairing end-to-end per backend on the toy curves, and pin
-down the selection order (explicit argument > ``configure_fp_backend`` pin >
-``FINESSE_FP_BACKEND`` > catalog hint > python).  gmpy2 coverage skips cleanly
-when the optional package is absent.
+An :class:`FpElement` holds the canonical residue in ``[0, p)`` whatever
+integer type the backend picks, so every operation must equal the plain-``int``
+expression ``(a op b) % p`` -- an external reference even when gmpy2 is absent.
+These tests sweep that property over every catalog prime (cheap -- only the
+family equations are evaluated, not the full curve build) and every available
+backend, check that elements of two backends over one modulus mix, run the
+full pairing end-to-end per non-reference backend on the toy curves, and pin
+down the selection order (explicit argument > ``FINESSE_FP_BACKEND`` > catalog
+hint > python).  gmpy2 coverage skips cleanly when the optional package is
+absent.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.curves.catalog import CURVE_SPECS, get_curve
 from repro.curves.families import get_family
 from repro.errors import FieldError
 from repro.fields.backends import (
     BACKEND_ENV,
-    MontgomeryOps,
     available_backends,
-    configure_fp_backend,
-    get_ops,
     gmpy2_available,
     normalise_backend,
     resolve_backend,
@@ -49,56 +48,59 @@ def _catalog_primes():
 CATALOG_PRIMES = _catalog_primes()
 
 
-@pytest.fixture(autouse=True)
-def _no_backend_pin():
-    """Each test starts and ends without a process-wide backend pin."""
-    configure_fp_backend(None)
-    yield
-    configure_fp_backend(None)
-
-
 # ---------------------------------------------------------------------------
-# Bit-exactness against the python reference, every catalog family
+# Canonical residues against the plain-int oracle, every catalog family
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize(
     "curve_name,p", CATALOG_PRIMES, ids=[name for name, _ in CATALOG_PRIMES]
 )
 def test_backend_bit_exact_on_catalog_prime(backend, curve_name, p):
-    ref = PrimeField(p, backend="python")
-    alt = PrimeField(p, backend=backend)
-    assert alt.backend == backend and ref.backend == "python"
-    assert ref == alt                       # same modulus => same field
+    field, ref = PrimeField(p, backend=backend), PrimeField(p, backend="python")
+    assert field.backend == backend
+    assert field == ref                     # same modulus => same field
 
-    rng = random.Random(p & 0xFFFFFFFF)
-    samples = [0, 1, p - 1] + [rng.randrange(p) for _ in range(5)]
-    for a in samples:
-        b = rng.randrange(1, p)
-        x_r, y_r = ref(a), ref(b)
-        x_a, y_a = alt(a), alt(b)
-        assert x_a.value == x_r.value == a % p
-        assert (x_a + y_a).value == (x_r + y_r).value
-        assert (x_a - y_a).value == (x_r - y_r).value
-        assert (x_a * y_a).value == (x_r * y_r).value
-        assert (-x_a).value == (-x_r).value
-        assert x_a.square().value == x_r.square().value
-        assert x_a.mul_small(3).value == x_r.mul_small(3).value
-        assert x_a.mul_small(-7).value == x_r.mul_small(-7).value
-        assert y_a.inverse().value == y_r.inverse().value
-        exponent = rng.randrange(1 << 64)
-        assert (y_a ** exponent).value == (y_r ** exponent).value
-        assert (y_a ** -3).value == (y_r ** -3).value
-        # Cross-backend equality compares canonical values.
-        assert x_a == x_r and y_a == y_r
-        assert hash(x_a) == hash(x_r)
-    # Square roots agree too (Tonelli-Shanks is derandomised per field).
-    square_a, square_r = alt(samples[-1]).square(), ref(samples[-1]).square()
-    assert field_sqrt(square_a).value == field_sqrt(square_r).value
-    # Predicates see through the representation.
-    assert alt(0).is_zero() and alt(1).is_one() and not alt(1).is_zero()
-    with pytest.raises(FieldError):
-        alt(0).inverse()
+    @given(st.integers(), st.integers(), st.integers(0, (1 << 64) - 1), st.integers(-9, 9))
+    @settings(max_examples=40, deadline=None)
+    def check(a, b, exponent, k):
+        x, y = field(a), field(b)
+        for element in (x, y):
+            assert 0 <= element.raw < p
+            assert element.value == element.raw and isinstance(element.value, int)
+        a, b = a % p, b % p
+        assert x.value == a and x.to_base_coeffs() == [a]
+        assert (x + y).value == (a + b) % p
+        assert (x - y).value == (a - b) % p
+        assert (x * y).value == (a * b) % p
+        assert (-x).value == -a % p
+        assert x.square().value == (a * a) % p
+        assert x.mul_small(k).value == (a * k) % p
+        assert (x ** exponent).value == pow(a, exponent, p)
+        assert x.is_zero() == (a == 0) and x.is_one() == (a == 1)
+        assert x == ref(a) and hash(x) == hash((p, a))
+        if a:
+            assert x.inverse().value == pow(a, -1, p)
+            assert (x ** -3).value == pow(a, -3, p)
+        else:
+            with pytest.raises(FieldError):
+                x.inverse()
+        # Square roots too (Tonelli-Shanks is derandomised per field).
+        root = field_sqrt(x.square()).value
+        assert root in (a, -a % p)
+
+    check()
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_mixed_backend_elements_combine_to_the_right_value(backend):
+    """Two fields over one modulus are one field: their elements mix."""
+    ref, other = PrimeField(10007, "python"), PrimeField(10007, backend)
+    assert ref(5) == other(5)
+    for x, y in ((ref(5), other(5)), (other(5), ref(5))):
+        assert (x + y).value == 10
+        assert (x * y).value == 25
+        assert (x - y).is_zero()
 
 
 @pytest.mark.parametrize("backend", ALT_BACKENDS)
@@ -121,81 +123,32 @@ def test_pairing_bit_exact_across_backends(backend, curve_name):
 
 
 # ---------------------------------------------------------------------------
-# Montgomery internals
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("limb_bits", [16, 32, 64])
-def test_montgomery_round_trip_and_cios(limb_bits):
-    p = dict(CATALOG_PRIMES)["BLS12-381"]
-    ops = MontgomeryOps(p, limb_bits=limb_bits)
-    assert ops.n_limbs == -(-p.bit_length() // limb_bits)
-    # n' satisfies the defining congruence p * (-n') = 1 mod 2^W.
-    assert (ops.p_limbs[0] * ops.n0) % (1 << limb_bits) == (1 << limb_bits) - 1
-    assert ops.decode(ops.r1) == 1          # encode(1) is R mod p
-    rng = random.Random(limb_bits)
-    for _ in range(16):
-        x = rng.randrange(p)
-        raw = ops.encode(x)
-        assert 0 <= raw < p                 # residues stay fully reduced
-        assert ops.decode(raw) == x
-        y = rng.randrange(p)
-        assert ops.decode(ops.mul(ops.encode(x), ops.encode(y))) == (x * y) % p
-
-
-def test_montgomery_residues_stay_lazy_through_the_tower():
-    """Tower ops never leave Montgomery form; decoding happens at the boundary."""
-    curve = get_curve("TOY-BN42", fp_backend="montgomery")
-    fp = curve.tower.fp
-    ops = fp._ops
-    x = fp(12345)
-    assert x.raw == ops.encode(12345) != 12345 % fp.p
-    rng = random.Random(3)
-    value = curve.tower.full_field.random(rng)
-    squared = value.square()
-    # to_base_coeffs decodes at the boundary: canonical ints, not residues.
-    coeffs = squared.to_base_coeffs()
-    assert all(isinstance(c, int) and 0 <= c < fp.p for c in coeffs)
-    # The canonical view matches the python-backend tower bit for bit.
-    ref_field = get_curve("TOY-BN42", fp_backend="python").tower.full_field
-    ref_value = ref_field.from_base_coeffs(value.to_base_coeffs())
-    assert ref_value.square().to_base_coeffs() == squared.to_base_coeffs()
-
-
-# ---------------------------------------------------------------------------
-# Selection order: explicit > pin > env > hint > python
+# Selection order: explicit > env > hint > python
 # ---------------------------------------------------------------------------
 
 def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "montgomery")
-    assert PrimeField(10007).backend == "montgomery"
+    monkeypatch.setenv(BACKEND_ENV, "fast")
+    assert PrimeField(10007).backend == normalise_backend("fast")
     monkeypatch.delenv(BACKEND_ENV)
     assert PrimeField(10007).backend == "python"
 
 
 def test_unknown_backend_rejected(monkeypatch):
-    with pytest.raises(FieldError):
-        PrimeField(10007, backend="fixnum")
-    with pytest.raises(FieldError):
-        configure_fp_backend("fixnum")
-    monkeypatch.setenv(BACKEND_ENV, "fixnum")
-    with pytest.raises(FieldError):
-        PrimeField(10007)
+    known = r"known: \['gmpy2', 'python'\]"
+    for name in ("fixnum", "montgomery"):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        with pytest.raises(FieldError, match=known):
+            PrimeField(10007, backend=name)
+        monkeypatch.setenv(BACKEND_ENV, name)
+        with pytest.raises(FieldError, match=known):
+            PrimeField(10007)
 
 
-def test_api_pin_overrides_env(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "python")
-    assert configure_fp_backend("montgomery") == "montgomery"
-    assert PrimeField(10007).backend == "montgomery"
-    # Dropping the pin falls back to the environment.
-    assert configure_fp_backend(None) == "python"
-    assert PrimeField(10007).backend == "python"
-
-
-def test_explicit_argument_overrides_pin(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    configure_fp_backend("montgomery")
+def test_explicit_argument_overrides_env(monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV, "fixnum")       # never consulted
     assert PrimeField(10007, backend="python").backend == "python"
     assert get_curve("TOY-BN42", fp_backend="python").fp_backend == "python"
+    assert resolve_backend(explicit="python", hint="fast") == "python"
 
 
 def test_catalog_hints(monkeypatch):
@@ -204,27 +157,23 @@ def test_catalog_hints(monkeypatch):
     # Paper-scale entries hint `fast`; toy entries default to the reference.
     assert resolve_backend(hint=CURVE_SPECS["BLS12-381"].fp_backend) == fast
     assert get_curve("TOY-BN42").fp_backend == "python"
-    # A process-wide pin beats the hint.
-    configure_fp_backend("montgomery")
-    assert resolve_backend(hint="fast") == "montgomery"
+    # The environment beats the hint.
+    monkeypatch.setenv(BACKEND_ENV, "python")
+    assert resolve_backend(hint="fast") == "python"
 
 
 def test_fast_pseudo_backend_resolution():
     expected = "gmpy2" if gmpy2_available() else "python"
     assert normalise_backend("fast") == expected
-    assert normalise_backend("MONTGOMERY") == "montgomery"
-
-
-def test_ops_contexts_are_memoised():
-    assert get_ops("python", 10007) is get_ops("python", 10007)
-    assert get_ops("python", 10007) is not get_ops("montgomery", 10007)
+    assert normalise_backend(" PYTHON ") == "python"
 
 
 def test_curves_cached_per_backend():
     a = get_curve("TOY-BN42", fp_backend="python")
     b = get_curve("TOY-BN42", fp_backend="python")
-    c = get_curve("TOY-BN42", fp_backend="montgomery")
-    assert a is b and a is not c
+    assert a is b
+    for backend in ALT_BACKENDS:
+        assert get_curve("TOY-BN42", fp_backend=backend) is not a
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +184,13 @@ def test_curves_cached_per_backend():
 def test_gmpy2_requested_but_missing_raises_cleanly():
     with pytest.raises(FieldError, match="gmpy2"):
         PrimeField(10007, backend="gmpy2")
-    assert "gmpy2" not in available_backends()
+    assert available_backends() == ["python"]
     assert normalise_backend("fast") == "python"
 
 
 @pytest.mark.skipif(not gmpy2_available(), reason="gmpy2 not installed")
 def test_gmpy2_listed_when_available():
-    assert "gmpy2" in available_backends()
+    assert available_backends() == ["python", "gmpy2"]
     assert normalise_backend("fast") == "gmpy2"
     field = PrimeField(10007, backend="gmpy2")
     assert field(123).value == 123 and isinstance(field(123).value, int)

@@ -1,10 +1,18 @@
 """Area, timing, memory, multiplier and technology models."""
 
+import random
+
 import pytest
 
 from repro.hw.area import estimate_area
 from repro.hw.memory import estimate_data_memory, estimate_instruction_memory
-from repro.hw.multiplier import estimate_multiplier, karatsuba_multiplier_count, schoolbook_multiplier_count
+from repro.hw.multiplier import (
+    estimate_multiplier,
+    karatsuba_multiplier_count,
+    limb_count,
+    montgomery_cios,
+    schoolbook_multiplier_count,
+)
 from repro.hw.power import estimate_power
 from repro.hw.presets import default_model
 from repro.hw.technology import TECH_40NM, TECH_65NM, get_node
@@ -21,6 +29,42 @@ def test_multiplier_counts_and_saving():
     assert estimate.basic_multipliers < schoolbook_multiplier_count(16)
     assert 0.2 < estimate.karatsuba_saving < 0.8
     assert estimate.area_mm2 > 0
+
+
+BLS12_381_P = int(
+    "1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab",
+    16,
+)
+
+
+@pytest.mark.parametrize("limb_bits", [8, 16, 32, 64])
+def test_montgomery_round_trip_and_cios(limb_bits):
+    """The CIOS word loop is a * b * R^-1 mod p over the limbs the area model counts."""
+    for p in (10007, BLS12_381_P):
+        n_limbs = limb_count(p.bit_length(), limb_bits)
+        assert n_limbs == -(-p.bit_length() // limb_bits)
+        r = 1 << (limb_bits * n_limbs)
+        r_inv = pow(r, -1, p)
+        rng = random.Random(limb_bits)
+        for _ in range(16):
+            x, y = rng.randrange(p), rng.randrange(p)
+            assert montgomery_cios(x, y, p, limb_bits) == (x * y * r_inv) % p
+            # Into Montgomery form (multiply by R^2), multiply there, and back out.
+            x_m = montgomery_cios(x, r * r % p, p, limb_bits)
+            y_m = montgomery_cios(y, r * r % p, p, limb_bits)
+            assert x_m == x * r % p
+            assert montgomery_cios(x_m, 1, p, limb_bits) == x
+            assert montgomery_cios(montgomery_cios(x_m, y_m, p, limb_bits), 1, p, limb_bits) == x * y % p
+        assert montgomery_cios(p - 1, p - 1, p, limb_bits) == r_inv    # widest operands
+    assert montgomery_cios(3, 4, BLS12_381_P) == montgomery_cios(3, 4, BLS12_381_P, 64)
+    assert estimate_multiplier(381, 38, dsp_width=limb_bits).basic_multipliers == \
+        karatsuba_multiplier_count(limb_count(381, limb_bits))
+
+
+def test_montgomery_cios_rejects_bad_operands():
+    for a, b, p in ((1, 1, 10008), (10007, 1, 10007), (1, -1, 10007), (0, 0, 1)):
+        with pytest.raises(HardwareModelError):
+            montgomery_cios(a, b, p)
 
 
 def test_multiplier_area_grows_subquadratically():
