@@ -128,7 +128,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, PipelineStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "get_curve",

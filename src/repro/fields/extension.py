@@ -2,39 +2,43 @@
 
 Towers of these steps build every field the framework needs (F_p2 ... F_p24),
 following the "finite division lattice" construction the paper's operator kit
-uses.  Concrete arithmetic reuses the operator-variant formulas from
-:mod:`repro.fields.variants` so that the reference semantics and the compiler's
-lowering rules can never diverge.
+uses.
+
+Representation: an :class:`ExtElement` holds one flat tuple of ``field.degree``
+canonical residues in ``[0, p)`` (``int``, or ``mpz`` under the gmpy2 residue
+type), little-endian down the tower -- the coefficient of ``t^i`` occupies the
+``i``-th block of ``base.degree`` residues, exactly the order of
+``to_base_coeffs()``.  Arithmetic is delegated to straight-line kernels on such
+tuples that :mod:`repro.fields.kernels` generates, once per (field, operation)
+and on first use, from the operator-variant formulas of
+:mod:`repro.fields.variants` -- the formulas the compiler's lowering rules
+consume -- so the reference semantics and the hardware mapping cannot diverge.
+``ExtElement.coeffs`` is a derived view (the ``m`` base-field elements) for
+code that inspects the tower structure.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from repro.errors import FieldError
-from repro.fields.variants import (
-    ConcreteStepOps,
-    get_variant,
-)
+from repro.fields.fp import FpElement, require_same_field
+from repro.fields.kernels import build_kernel
+
+
+def _flat(element) -> tuple:
+    """The residues of a tower element of any level (F_p included)."""
+    return element.flat if isinstance(element, ExtElement) else (element.raw,)
+
+
+def _kernel(op: str) -> cached_property:
+    """A field attribute holding the kernel of ``op``, built when first read."""
+    return cached_property(lambda field: build_kernel(field, op))
 
 
 class ExtensionField:
     """One extension step ``base[t]/(t^m - non_residue)``."""
-
-    __slots__ = (
-        "base",
-        "m",
-        "non_residue",
-        "p",
-        "degree",
-        "name",
-        "_ops",
-        "_mul_variant",
-        "_sqr_variant",
-        "_frob_cache",
-        "_one",
-        "_zero",
-    )
 
     def __init__(self, base, m: int, non_residue, name: str | None = None):
         if m not in (2, 3):
@@ -49,12 +53,18 @@ class ExtensionField:
         self.p = base.p
         self.degree = base.degree * m
         self.name = name or f"F_p{self.degree}"
-        self._ops = ConcreteStepOps(non_residue)
-        self._mul_variant = get_variant("mul", m, "karatsuba")
-        self._sqr_variant = get_variant("sqr", m, "complex" if m == 2 else "ch-sqr2")
+        self._m = base._m                  # the modulus in the residue type
+        self._hash = hash(("ExtensionField", m, base, non_residue))
+        #: Lower tower levels by degree: the operands mixed products accept.
+        self._levels = {**getattr(base, "_levels", {}), base.degree: base}
+        zero = self._m - self._m
+        self._zero = ExtElement(self, (zero,) * self.degree)
+        self._one = ExtElement(self, (zero + 1,) + (zero,) * (self.degree - 1))
         self._frob_cache: dict = {}
-        self._one = None
-        self._zero = None
+        self._frobenius_kernels: dict = {}
+
+    def __reduce__(self):
+        return (ExtensionField, (self.base, self.m, self.non_residue, self.name))
 
     # -- structural properties ----------------------------------------------------
     @property
@@ -63,12 +73,7 @@ class ExtensionField:
 
     @property
     def backend(self) -> str:
-        """Name of the F_p backend this tower bottoms out in.
-
-        Extension arithmetic is written entirely against the element interface
-        of its base field, so the backend choice propagates transparently from
-        the :class:`~repro.fields.fp.PrimeField` at the bottom of the tower.
-        """
+        """Name of the F_p backend (residue type) this tower bottoms out in."""
         return self.base.backend
 
     def order(self) -> int:
@@ -85,7 +90,7 @@ class ExtensionField:
         return steps
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, ExtensionField)
             and other.m == self.m
             and other.base == self.base
@@ -93,56 +98,70 @@ class ExtensionField:
         )
 
     def __hash__(self) -> int:
-        return hash(("ExtensionField", self.m, hash(self.base), hash(self.non_residue)))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{self.name}(degree={self.degree}, bits={self.p.bit_length()})"
 
+    # -- kernels on flat residue tuples, generated on first use -----------------------
+    _mul = _kernel("mul")
+    _sqr = _kernel("sqr")
+    _add = _kernel("add")
+    _sub = _kernel("sub")
+    _neg = _kernel("neg")
+    _mul_small = _kernel("mul_small")
+    _mul_by_nonresidue = _kernel("mul_by_nonresidue")
+    _conjugate = _kernel("conjugate")
+    _inverse = _kernel("inverse")
+
+    def _frobenius(self, n: int):
+        kernel = self._frobenius_kernels.get(n)
+        if kernel is None:
+            kernel = self._frobenius_kernels[n] = build_kernel(self, "frobenius", power=n)
+        return kernel
+
     # -- element constructors -------------------------------------------------------
     def element(self, coeffs) -> "ExtElement":
+        """Build an element from its ``m`` coefficients in the base field."""
         coeffs = tuple(coeffs)
         if len(coeffs) != self.m:
             raise FieldError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return ExtElement(self, coeffs)
+        flat: tuple = ()
+        for coeff in coeffs:
+            if coeff.field is not self.base and coeff.field != self.base:
+                raise FieldError(f"coefficients of {self.name} must lie in its base field")
+            flat += _flat(coeff)
+        return ExtElement(self, flat)
 
     def __call__(self, value) -> "ExtElement":
         """Coerce an int, a base-field element or an element of this field."""
         if isinstance(value, ExtElement) and value.field == self:
             return value
-        base_value = self.base(value)
-        zeros = tuple(self.base.zero() for _ in range(self.m - 1))
-        return ExtElement(self, (base_value,) + zeros)
+        head = _flat(self.base(value))
+        return ExtElement(self, head + self._zero.flat[len(head):])
 
     def zero(self) -> "ExtElement":
-        if self._zero is None:
-            self._zero = self(0)
         return self._zero
 
     def one(self) -> "ExtElement":
-        if self._one is None:
-            self._one = self(1)
         return self._one
 
     def gen(self) -> "ExtElement":
         """The adjoined element ``t`` of this step."""
-        coeffs = [self.base.zero() for _ in range(self.m)]
-        coeffs[1] = self.base.one()
-        return ExtElement(self, tuple(coeffs))
+        flat = list(self._zero.flat)
+        flat[self.base.degree] = self._one.flat[0]
+        return ExtElement(self, tuple(flat))
 
     def random(self, rng: random.Random) -> "ExtElement":
-        return ExtElement(self, tuple(self.base.random(rng) for _ in range(self.m)))
+        return self.from_base_coeffs([rng.randrange(self.p) for _ in range(self.degree)])
 
     def from_base_coeffs(self, coeffs) -> "ExtElement":
         """Build an element from a flat little-endian list of ``degree`` F_p integers."""
         coeffs = list(coeffs)
         if len(coeffs) != self.degree:
             raise FieldError(f"expected {self.degree} base coefficients, got {len(coeffs)}")
-        chunk = self.base.degree
-        parts = [
-            self.base.from_base_coeffs(coeffs[i * chunk:(i + 1) * chunk])
-            for i in range(self.m)
-        ]
-        return ExtElement(self, tuple(parts))
+        modulus = self._m
+        return ExtElement(self, tuple(int(c) % modulus for c in coeffs))
 
     # -- Frobenius constants ----------------------------------------------------------
     def frobenius_data(self, n: int) -> list:
@@ -173,54 +192,76 @@ class ExtensionField:
 
 
 class ExtElement:
-    """An element of an :class:`ExtensionField`, stored as a coefficient tuple."""
+    """An element of an :class:`ExtensionField`: ``degree`` residues in ``[0, p)``."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "flat")
 
-    def __init__(self, field: ExtensionField, coeffs: tuple):
+    def __init__(self, field: ExtensionField, flat: tuple):
         self.field = field
-        self.coeffs = coeffs
+        self.flat = flat
+
+    @property
+    def coeffs(self) -> tuple:
+        """The ``m`` coefficients over the base field (a derived view)."""
+        base = self.field.base
+        flat = self.flat
+        if base.degree == 1:
+            return tuple(FpElement(base, c) for c in flat)
+        chunk = base.degree
+        return tuple(ExtElement(base, flat[i:i + chunk]) for i in range(0, len(flat), chunk))
 
     # -- ring operations ----------------------------------------------------------
     def __add__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        field = self.field
+        if other.field is not field:
+            require_same_field(field, other)
+        return ExtElement(field, field._add(self.flat, other.flat))
 
     def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        field = self.field
+        if other.field is not field:
+            require_same_field(field, other)
+        return ExtElement(field, field._sub(self.flat, other.flat))
 
     def __neg__(self) -> "ExtElement":
-        return ExtElement(self.field, tuple(-a for a in self.coeffs))
+        field = self.field
+        return ExtElement(field, field._neg(self.flat))
 
     def __mul__(self, other) -> "ExtElement":
         field = self.field
-        if isinstance(other, ExtElement) and other.field == field:
-            result = field._mul_variant.apply(field._ops, self.coeffs, other.coeffs)
-            return ExtElement(field, tuple(result))
-        # Multiplication by an element of a sub-tower level (including F_p): scale
-        # the coefficients recursively.  This mirrors the paper's IR rule that
-        # ``mul`` accepts mixed fp-like operands whose degrees divide each other.
         other_field = getattr(other, "field", None)
+        if other_field is field or other_field == field:
+            return ExtElement(field, field._mul(self.flat, other.flat))
         if other_field is None:
             return NotImplemented
+        # Multiplication by an element of a sub-tower level (including F_p): scale
+        # the coefficients over that level.  This mirrors the paper's IR rule that
+        # ``mul`` accepts mixed fp-like operands whose degrees divide each other.
         if other_field.characteristic != field.characteristic:
             raise FieldError("cannot multiply elements of different characteristics")
-        if field.degree % other_field.degree != 0 or other_field.degree == field.degree:
+        if other_field.degree > field.degree:
+            return other * self            # the higher level scales by this one
+        if field._levels.get(other_field.degree) != other_field:
             raise FieldError("mixed multiplication requires a sub-tower operand")
-        return ExtElement(field, tuple(c * other for c in self.coeffs))
+        flat = self.flat
+        if other_field.degree == 1:
+            k, modulus = other.raw, field._m
+            return ExtElement(field, tuple([(c * k) % modulus for c in flat]))
+        mul, scalar, chunk = other_field._mul, other.flat, other_field.degree
+        scaled: tuple = ()
+        for i in range(0, field.degree, chunk):
+            scaled += mul(flat[i:i + chunk], scalar)
+        return ExtElement(field, scaled)
 
     __rmul__ = __mul__
 
     def square(self) -> "ExtElement":
         field = self.field
-        result = field._sqr_variant.apply(field._ops, self.coeffs)
-        return ExtElement(field, tuple(result))
+        return ExtElement(field, field._sqr(self.flat))
 
     def mul_small(self, k: int) -> "ExtElement":
-        return ExtElement(self.field, tuple(c.mul_small(k) for c in self.coeffs))
+        field = self.field
+        return ExtElement(field, field._mul_small(self.flat, k))
 
     def double(self) -> "ExtElement":
         return self.mul_small(2)
@@ -231,39 +272,26 @@ class ExtElement:
     def mul_by_nonresidue(self) -> "ExtElement":
         """Multiply by the adjoined element ``t`` (shift coefficients, wrap with xi)."""
         field = self.field
-        coeffs = self.coeffs
-        wrapped = coeffs[-1] * field.non_residue
-        return ExtElement(field, (wrapped,) + coeffs[:-1])
+        return ExtElement(field, field._mul_by_nonresidue(self.flat))
 
     def inverse(self) -> "ExtElement":
         field = self.field
-        xi = field.non_residue
-        if field.m == 2:
-            a0, a1 = self.coeffs
-            norm = a0.square() - (a1.square() * xi)
-            inv_norm = norm.inverse()
-            return ExtElement(field, (a0 * inv_norm, -(a1 * inv_norm)))
-        a0, a1, a2 = self.coeffs
-        c0 = a0.square() - (a1 * a2) * xi
-        c1 = a2.square() * xi - a0 * a1
-        c2 = a1.square() - a0 * a2
-        norm = a0 * c0 + (a2 * c1) * xi + (a1 * c2) * xi
-        inv_norm = norm.inverse()
-        return ExtElement(field, (c0 * inv_norm, c1 * inv_norm, c2 * inv_norm))
+        if not any(self.flat):
+            raise FieldError("zero has no inverse")
+        return ExtElement(field, field._inverse(self.flat))
 
     def __pow__(self, exponent: int) -> "ExtElement":
         exponent = int(exponent)
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one()
-        if exponent == 0:
-            return result
-        base = self
+        field = self.field
+        mul, sqr, base = field._mul, field._sqr, self.flat
+        result = field._one.flat
         for bit in bin(exponent)[2:]:
-            result = result.square()
+            result = sqr(result)
             if bit == "1":
-                result = result * base
-        return result
+                result = mul(result, base)
+        return ExtElement(field, result)
 
     # -- tower-uniform operations ---------------------------------------------------
     def frobenius(self, n: int = 1) -> "ExtElement":
@@ -272,44 +300,34 @@ class ExtElement:
         n = n % field.degree
         if n == 0:
             return self
-        data = field.frobenius_data(n)
-        new_coeffs = [None] * field.m
-        for i, (dest, constant) in enumerate(data):
-            value = self.coeffs[i].frobenius(n)
-            if not constant.is_one():
-                value = value * constant
-            new_coeffs[dest] = value
-        return ExtElement(field, tuple(new_coeffs))
+        return ExtElement(field, field._frobenius(n)(self.flat))
 
     def conjugate(self) -> "ExtElement":
         """Conjugation over the base field (only defined for quadratic steps)."""
-        if self.field.m != 2:
+        field = self.field
+        if field.m != 2:
             raise FieldError("conjugate() requires a quadratic top-level step")
-        a0, a1 = self.coeffs
-        return ExtElement(self.field, (a0, -a1))
+        return ExtElement(field, field._conjugate(self.flat))
 
     # -- structure --------------------------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.flat)
 
     def is_one(self) -> bool:
-        return self.coeffs[0].is_one() and all(c.is_zero() for c in self.coeffs[1:])
+        return self.flat == self.field._one.flat
 
     def to_base_coeffs(self) -> list:
-        flat: list = []
-        for c in self.coeffs:
-            flat.extend(c.to_base_coeffs())
-        return flat
+        return [int(c) for c in self.flat]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtElement)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
+        if not isinstance(other, (ExtElement, FpElement)):
+            return NotImplemented
+        if other.field is not self.field:
+            require_same_field(self.field, other)
+        return other.flat == self.flat
 
     def __hash__(self) -> int:
-        return hash((self.field.degree, tuple(self.to_base_coeffs())))
+        return hash((self.field.degree, tuple(map(int, self.flat))))
 
     def __repr__(self) -> str:
         return f"{self.field.name}({self.to_base_coeffs()})"
@@ -321,15 +339,10 @@ def embed(element, target_field):
     Raises :class:`~repro.errors.FieldError` if ``target_field`` is not an extension
     tower whose chain of base fields contains the element's field.
     """
-    chain = []
-    fld = target_field
-    while isinstance(fld, ExtensionField) and fld != element.field:
-        chain.append(fld)
-        fld = fld.base
-    if fld != element.field:
+    if element.field == target_field:
+        return element
+    levels = getattr(target_field, "_levels", {})
+    if levels.get(element.field.degree) != element.field:
         raise FieldError("element field is not part of the target tower")
-    value = element
-    for step in reversed(chain):
-        zeros = tuple(step.base.zero() for _ in range(step.m - 1))
-        value = ExtElement(step, (value,) + zeros)
-    return value
+    head = _flat(element)
+    return ExtElement(target_field, head + target_field._zero.flat[len(head):])

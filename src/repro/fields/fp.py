@@ -103,6 +103,20 @@ class PrimeField:
         return self.element(int(coeffs[0]))
 
 
+def require_same_field(field, other) -> None:
+    """Raise unless ``other`` is an element of a field equal to ``field``.
+
+    The slow path of ``+`` / ``-`` / ``==`` at every tower level: operands of
+    one field object never get here, equal fields built twice pass, and
+    elements of different levels or moduli fail loudly instead of combining
+    coefficient by coefficient.
+    """
+    if other.field != field:
+        raise FieldError(
+            f"cannot combine an element of {field!r} with one of {other.field!r}"
+        )
+
+
 class FpElement:
     """An element of F_p.
 
@@ -126,10 +140,14 @@ class FpElement:
     # -- ring operations ---------------------------------------------------------
     def __add__(self, other: "FpElement") -> "FpElement":
         field = self.field
+        if other.field is not field:
+            require_same_field(field, other)
         return FpElement(field, (self.raw + other.raw) % field._m)
 
     def __sub__(self, other: "FpElement") -> "FpElement":
         field = self.field
+        if other.field is not field:
+            require_same_field(field, other)
         return FpElement(field, (self.raw - other.raw) % field._m)
 
     def __mul__(self, other: "FpElement") -> "FpElement":
@@ -189,11 +207,13 @@ class FpElement:
         return [self.value]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpElement)
-            and other.field == self.field
-            and other.raw == self.raw
-        )
+        if not isinstance(other, FpElement):
+            # An extension element answers (by raising) through its reflected
+            # ``__eq__``; anything else is simply not equal.
+            return NotImplemented
+        if other.field is not self.field:
+            require_same_field(self.field, other)
+        return other.raw == self.raw
 
     def __hash__(self) -> int:
         return hash((self.field.p, self.value))

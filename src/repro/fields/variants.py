@@ -2,11 +2,16 @@
 
 A *variant* is one concrete formula for a tower-level operation (multiplication or
 squaring of one extension step of degree 2 or 3).  The formulas are written once,
-against a tiny arithmetic adapter (:class:`StepOps`), and are reused by
+against a tiny arithmetic adapter (:class:`StepOps`), and are run through three
+adapters:
 
-* the concrete tower arithmetic (:mod:`repro.fields.extension`),
-* the IR lowering pass of the compiler (the same formula generates IR), and
-* the cost model (a counting adapter tallies M/S/A/B, reproducing Table 3).
+* source-emitting (:mod:`repro.fields.kernels`): the formula, applied
+  recursively down the tower, writes the straight-line residue kernel that
+  concrete tower arithmetic (:mod:`repro.fields.extension`) executes;
+* IR-lowering (:mod:`repro.ir.lowering`): the same formula generates the
+  compiler's F_p-level IR;
+* counting (:class:`CountingStepOps`): tallies M/S/A/B for the cost model,
+  reproducing Table 3.
 
 This is the single-source-of-truth design the paper's abstraction system relies on
 (Figure 4: the same ``map_lowering[op, variant]`` rule drives both the reference
@@ -50,36 +55,6 @@ class StepOps:
 
     def double(self, a):
         return self.muli(2, a)
-
-
-class ConcreteStepOps(StepOps):
-    """Adapter operating on concrete field elements (F_p or a lower tower level)."""
-
-    __slots__ = ("xi",)
-
-    def __init__(self, xi):
-        self.xi = xi
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def sqr(self, a):
-        return a.square()
-
-    def adj(self, a):
-        return a * self.xi
-
-    def muli(self, k, a):
-        return a.mul_small(k)
 
 
 class CountingStepOps(StepOps):

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from repro.curves.catalog import get_curve
 from repro.errors import FieldError
 from repro.fields.fp import PrimeField
+from repro.fields.kernels import build_kernel
 from repro.fields.tower import build_extension
 from repro.fields.variants import (
-    ConcreteStepOps,
+    DEFAULT_VARIANTS,
     VariantConfig,
     get_variant,
     list_variants,
@@ -16,68 +18,60 @@ from repro.fields.variants import (
 
 
 @pytest.fixture(scope="module")
-def quadratic_setup():
-    fp = PrimeField(10007)
-    fp2 = build_extension(fp, 2)
-    return fp2, ConcreteStepOps(fp2.non_residue)
+def quadratic_field():
+    return build_extension(PrimeField(10007), 2)
 
 
 @pytest.fixture(scope="module")
-def cubic_setup():
-    # p = 1 mod 3 so a cubic non-residue exists: use 10009? 10009 % 3 == 1.
-    fp = PrimeField(10009)
-    fp3 = build_extension(fp, 3)
-    return fp3, ConcreteStepOps(fp3.non_residue)
+def cubic_field():
+    # p = 1 mod 3 so a cubic non-residue exists: 10009 % 3 == 1.
+    return build_extension(PrimeField(10009), 3)
 
 
-def _random_tuple(field, degree, rng):
-    return tuple(field.base.random(rng) for _ in range(degree))
+def _kernel(field, op, name):
+    """The concrete kernel of one step compiled from the named variant."""
+    return build_kernel(field, op, variants={**DEFAULT_VARIANTS, (op, field.m): name})
+
+
+def _check_mul_variant(field, name, seed):
+    rng = random.Random(seed)
+    reference = _kernel(field, "mul", "schoolbook")
+    variant = _kernel(field, "mul", name)
+    assert variant.fp_muls == get_variant("mul", field.m, name).cost().mul
+    for _ in range(20):
+        a, b = field.random(rng).flat, field.random(rng).flat
+        assert variant(a, b) == reference(a, b)
+
+
+def _check_sqr_variant(field, name, seed):
+    rng = random.Random(seed)
+    mul = _kernel(field, "mul", "schoolbook")
+    variant = _kernel(field, "sqr", name)
+    cost = get_variant("sqr", field.m, name).cost()
+    assert (variant.fp_muls, variant.fp_sqrs) == (cost.mul, cost.sqr)
+    for _ in range(20):
+        a = field.random(rng).flat
+        assert variant(a) == mul(a, a)
 
 
 @pytest.mark.parametrize("name", ["schoolbook", "karatsuba"])
-def test_mul2_variants_agree(quadratic_setup, name):
-    field, ops = quadratic_setup
-    rng = random.Random(hash(name) & 0xFFFF)
-    reference = get_variant("mul", 2, "schoolbook")
-    variant = get_variant("mul", 2, name)
-    for _ in range(20):
-        a = _random_tuple(field, 2, rng)
-        b = _random_tuple(field, 2, rng)
-        assert variant.apply(ops, a, b) == reference.apply(ops, a, b)
+def test_mul2_variants_agree(quadratic_field, name):
+    _check_mul_variant(quadratic_field, name, hash(name) & 0xFFFF)
 
 
 @pytest.mark.parametrize("name", ["schoolbook", "complex", "karatsuba"])
-def test_sqr2_variants_agree(quadratic_setup, name):
-    field, ops = quadratic_setup
-    rng = random.Random(1 + (hash(name) & 0xFFFF))
-    mul = get_variant("mul", 2, "schoolbook")
-    variant = get_variant("sqr", 2, name)
-    for _ in range(20):
-        a = _random_tuple(field, 2, rng)
-        assert variant.apply(ops, a) == mul.apply(ops, a, a)
+def test_sqr2_variants_agree(quadratic_field, name):
+    _check_sqr_variant(quadratic_field, name, 1 + (hash(name) & 0xFFFF))
 
 
 @pytest.mark.parametrize("name", ["schoolbook", "karatsuba"])
-def test_mul3_variants_agree(cubic_setup, name):
-    field, ops = cubic_setup
-    rng = random.Random(2 + (hash(name) & 0xFFFF))
-    reference = get_variant("mul", 3, "schoolbook")
-    variant = get_variant("mul", 3, name)
-    for _ in range(20):
-        a = _random_tuple(field, 3, rng)
-        b = _random_tuple(field, 3, rng)
-        assert variant.apply(ops, a, b) == reference.apply(ops, a, b)
+def test_mul3_variants_agree(cubic_field, name):
+    _check_mul_variant(cubic_field, name, 2 + (hash(name) & 0xFFFF))
 
 
 @pytest.mark.parametrize("name", ["schoolbook", "ch-sqr1", "ch-sqr2", "ch-sqr3", "complex"])
-def test_sqr3_variants_agree(cubic_setup, name):
-    field, ops = cubic_setup
-    rng = random.Random(3 + (hash(name) & 0xFFFF))
-    mul = get_variant("mul", 3, "schoolbook")
-    variant = get_variant("sqr", 3, name)
-    for _ in range(20):
-        a = _random_tuple(field, 3, rng)
-        assert variant.apply(ops, a) == mul.apply(ops, a, a)
+def test_sqr3_variants_agree(cubic_field, name):
+    _check_sqr_variant(cubic_field, name, 3 + (hash(name) & 0xFFFF))
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +109,31 @@ def test_cost_string_and_weight():
     cost = get_variant("mul", 2, "karatsuba").cost()
     assert "3M" in str(cost)
     assert cost.weighted(mul_weight=1.0, linear_weight=0.0) == 3
+
+
+def _priced_products(field, op) -> tuple:
+    """(F_p products, F_p squarings) of ``op`` at this level, from the cost table alone."""
+    if field.degree == 1:
+        return (1, 0) if op == "mul" else (0, 1)
+    cost = get_variant(op, field.m, DEFAULT_VARIANTS[(op, field.m)]).cost()
+    mul, sqr = _priced_products(field.base, "mul"), _priced_products(field.base, "sqr")
+    return (cost.mul * mul[0] + cost.sqr * sqr[0], cost.mul * mul[1] + cost.sqr * sqr[1])
+
+
+@pytest.mark.parametrize(
+    "curve_name", ["TOY-BN42", "TOY-BLS12-54", "TOY-BLS24-79", "BLS12-381", "BLS24-509"])
+def test_generated_kernels_execute_the_priced_product_count(curve_name):
+    # The concrete path must run the operation count Table 3 prices: the
+    # kernel of every tower level, traced from the default variants.
+    levels = get_curve(curve_name).tower.levels
+    for degree, field in levels.items():
+        if degree == 1:
+            continue
+        for op, kernel in (("mul", field._mul), ("sqr", field._sqr)):
+            assert (kernel.fp_muls, kernel.fp_sqrs) == _priced_products(field, op), (degree, op)
+    if curve_name == "BLS12-381":
+        assert (levels[12]._mul.fp_muls, levels[12]._mul.fp_sqrs) == (54, 0)
+        assert levels[12]._mul.source.count(" % p") == 12      # one reduction per coefficient
 
 
 # ---------------------------------------------------------------------------
