@@ -9,61 +9,49 @@ entry offset and concatenates the preload segment with the text segment).
 
 from __future__ import annotations
 
-from repro.errors import CompilerError
 from repro.compiler.regalloc import RegisterAllocation
 from repro.compiler.schedule import ScheduledProgram
 from repro.isa.encoding import select_encoding
 from repro.isa.instructions import ir_op_to_machine_op
-from repro.isa.program import AssembledProgram, Bundle, MachineInstruction
+from repro.isa.program import AssembledProgram
 
 
 def assemble(schedule: ScheduledProgram, allocation: RegisterAllocation,
              name: str | None = None) -> AssembledProgram:
     module = schedule.module
-    instructions = module.instructions
+    ops, a_col, b_col = module.ops, module.a, module.b
 
     bank_stride = max(allocation.registers_per_bank.values())
     n_banks = schedule.hw.n_banks
+    # Global register index of every value (meaningless where no register
+    # was allocated: slot -1).
+    register = [bank * bank_stride + slot
+                for bank, slot in zip(schedule.banks, allocation.register_of)]
 
-    def global_register(vid: int) -> int:
-        bank, slot = allocation.register_of[vid]
-        return bank * bank_stride + slot
-
-    total_registers = n_banks * bank_stride
-    encoding = select_encoding(total_registers)
-
-    bundles = []
-    for schedule_bundle in schedule.bundles:
-        slots = []
-        for vid in schedule_bundle:
-            instr = instructions[vid]
-            machine_op = ir_op_to_machine_op(instr.op)
-            args = instr.args
-            rd = global_register(vid)
-            rs1 = global_register(args[0]) if len(args) >= 1 else 0
-            rs2 = global_register(args[1]) if len(args) >= 2 else 0
-            if instr.op == "muli":
-                raise CompilerError(
-                    "muli must be strength-reduced before assembly (run the IROpt pipeline)"
-                )
-            slots.append(MachineInstruction(machine_op, rd, rs1, rs2, source=vid))
-        bundles.append(Bundle(slots=slots))
+    order = schedule.flat_order()
+    # ISAError for an op without a machine encoding (e.g. a muli that was not
+    # strength-reduced: run the IROpt pipeline before assembling).
+    opcode_of = {op: ir_op_to_machine_op(op).opcode for op in {ops[vid] for vid in order}}
 
     constant_table = {}
     input_map = {}
     output_map = {}
-    for vid, instr in enumerate(instructions):
-        if instr.op == "const":
-            constant_table[global_register(vid)] = instr.attr
-        elif instr.op == "input":
-            input_map[instr.attr] = global_register(vid)
-        elif instr.op == "output":
-            output_map[instr.attr] = global_register(instr.args[0])
+    for vid, op in enumerate(ops):
+        if op == "const":
+            constant_table[register[vid]] = module.attrs[vid]
+        elif op == "input":
+            input_map[module.attrs[vid]] = register[vid]
+        elif op == "output":
+            output_map[module.attrs[vid]] = register[a_col[vid]]
 
     return AssembledProgram(
         name=name or module.name,
-        encoding=encoding,
-        bundles=bundles,
+        encoding=select_encoding(n_banks * bank_stride),
+        opcodes=[opcode_of[ops[vid]] for vid in order],
+        rd=[register[vid] for vid in order],
+        rs1=[register[a_col[vid]] if a_col[vid] >= 0 else 0 for vid in order],
+        rs2=[register[b_col[vid]] if b_col[vid] >= 0 else 0 for vid in order],
+        bundle_sizes=[len(bundle) for bundle in schedule.bundles],
         constant_table=constant_table,
         input_map=input_map,
         output_map=output_map,

@@ -14,12 +14,13 @@ from repro.ir.module import IRModule
 def allocate_banks(module: IRModule, hw: HardwareModel) -> list:
     """Return ``bank[vid]`` for every instruction of the module."""
     n_banks = max(1, hw.n_banks)
-    banks = [0] * len(module.instructions)
+    banks = [0] * len(module)
     counter = 0
-    for vid, instr in enumerate(module.instructions):
-        if instr.op == "output":
+    for vid, op in enumerate(module.ops):
+        if op == "output":
             # Outputs are aliases of their operand; keep the operand's bank.
-            banks[vid] = banks[instr.args[0]] if instr.args else 0
+            operand = module.a[vid]
+            banks[vid] = banks[operand] if operand >= 0 else 0
             continue
         banks[vid] = counter % n_banks
         counter += 1

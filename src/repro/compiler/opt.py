@@ -7,22 +7,29 @@ code elimination.  Together they also realise the dense-times-sparse
 multiplication optimisation "for free": the structural zeros of the line
 evaluations fold away.
 
-Each pass rebuilds the module in one linear sweep and returns a value remapping,
-keeping the whole optimisation pipeline O(n) for the several-hundred-thousand
-instruction kernels of the largest curves.
+Each pass is one linear sweep over the module's columns that appends the
+rebuilt rows to fresh columns and records ``remap[old vid] = new vid``; no
+per-instruction object is created, which keeps the whole pipeline O(n) with a
+small constant for the several-hundred-thousand instruction kernels of the
+largest curves.  ``remap`` carries one extra trailing ``-1`` so that an absent
+operand (``-1``) maps to itself without a branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 
 from repro.ir.module import IRModule
-from repro.ir.ops import op_info
+from repro.ir.ops import LOW_LEVEL_OPS, op_info
+
+_COMMUTATIVE = frozenset(op for op in LOW_LEVEL_OPS if op_info(op).commutative)
 
 
 @dataclass
 class OptStats:
-    """Instruction counts before/after each pass (reported in Table 7)."""
+    """Compute-op counts (Table 7): ``per_pass`` holds the count after every named
+    pass (``"iteration-1/constfold"`` ...) and whole iteration (``"iteration-1"`` ...)."""
 
     initial: int = 0
     final: int = 0
@@ -35,229 +42,200 @@ class OptStats:
         return 1.0 - self.final / self.initial
 
 
-def _rebuild(module: IRModule, transform) -> IRModule:
-    """Generic single-sweep rebuild; ``transform`` maps (new_module, instr, new_args) -> new vid."""
-    new = IRModule(name=module.name, level=module.level)
-    new.meta = dict(getattr(module, "meta", {}) or {})
-    remap = [0] * len(module.instructions)
-    for vid, instr in enumerate(module.instructions):
-        new_args = tuple(remap[a] for a in instr.args)
-        # Rebuilt instructions keep the source instruction's batch lane and
-        # kernel phase.
-        new.current_lane = instr.lane
-        new.current_phase = instr.phase
-        remap[vid] = transform(new, instr, new_args)
-    new.current_lane = None
-    new.current_phase = None
-    return new
-
-
 def constant_folding(module: IRModule, p: int) -> IRModule:
     """Fold operations whose operands are all compile-time constants."""
-    const_of: dict = {}
-
-    def transform(new, instr, args):
-        op = instr.op
+    # Folding rewrites rows in place (no row appears or disappears), so the
+    # pass patches copies of the columns and value ids do not move.
+    ops, a_col, b_col, attr_col = module.ops[:], module.a[:], module.b[:], module.attrs[:]
+    for vid, (op, a, b) in enumerate(zip(module.ops, a_col, b_col)):
         if op == "const":
-            value = instr.attr % p
-            vid = new.emit("const", (), attr=value)
-            const_of[vid] = value
-            return vid
-        if op in ("input", "output"):
-            return new.emit(op, args, attr=instr.attr)
-        values = [const_of.get(a) for a in args]
-        if values and all(v is not None for v in values):
-            result = _evaluate(op, values, instr.attr, p)
-            if result is not None:
-                vid = new.emit("const", (), attr=result)
-                const_of[vid] = result
-                return vid
-        return new.emit(op, args, attr=instr.attr)
-
-    return _rebuild(module, transform)
+            attr_col[vid] %= p
+        elif (a >= 0 and op != "output" and ops[a] == "const"
+              and (b < 0 or ops[b] == "const")):
+            fold = _FOLD.get(op)
+            value = fold and fold(attr_col[a], attr_col[b], attr_col[vid], p)
+            if value is not None:
+                ops[vid], a_col[vid], b_col[vid], attr_col[vid] = "const", -1, -1, value
+    return module.successor(range(len(ops)), ops, a_col, b_col, attr_col,
+                            module.lanes[:], module.phases[:])
 
 
-def _evaluate(op: str, values: list, attr, p: int):
-    if op == "add":
-        return (values[0] + values[1]) % p
-    if op == "sub":
-        return (values[0] - values[1]) % p
-    if op == "neg":
-        return (-values[0]) % p
-    if op == "dbl":
-        return (2 * values[0]) % p
-    if op == "tpl":
-        return (3 * values[0]) % p
-    if op == "muli":
-        return (attr * values[0]) % p
-    if op == "mul":
-        return (values[0] * values[1]) % p
-    if op == "sqr":
-        return (values[0] * values[0]) % p
-    if op == "inv":
-        return pow(values[0], -1, p) if values[0] else None
-    return None
+#: op -> f(x, y, attr, p): the folded value (``y`` is arbitrary for unary ops).
+_FOLD = {
+    "add": lambda x, y, k, p: (x + y) % p,
+    "sub": lambda x, y, k, p: (x - y) % p,
+    "neg": lambda x, y, k, p: -x % p,
+    "dbl": lambda x, y, k, p: 2 * x % p,
+    "tpl": lambda x, y, k, p: 3 * x % p,
+    "muli": lambda x, y, k, p: k * x % p,
+    "mul": lambda x, y, k, p: x * y % p,
+    "sqr": lambda x, y, k, p: x * x % p,
+    "inv": lambda x, y, k, p: pow(x, -1, p) if x else None,
+}
 
 
 def strength_reduction(module: IRModule, p: int) -> IRModule:
     """Rewrite operations with special constant operands into cheaper linear forms."""
-    const_of: dict = {}
-
-    def transform(new, instr, args):
-        op = instr.op
-        if op == "const":
-            vid = new.emit("const", (), attr=instr.attr)
-            const_of[vid] = instr.attr
-            return vid
-        if op in ("input", "output"):
-            return new.emit(op, args, attr=instr.attr)
-
-        if op in ("add", "sub", "mul"):
-            a, b = args
-            ca, cb = const_of.get(a), const_of.get(b)
-            if op == "add":
-                if ca == 0:
-                    return b
-                if cb == 0:
-                    return a
-                if a == b:
-                    return new.emit("dbl", (a,))
-            elif op == "sub":
-                if cb == 0:
-                    return a
-                if a == b:
-                    vid = new.emit("const", (), attr=0)
-                    const_of[vid] = 0
-                    return vid
-                if ca == 0:
-                    return new.emit("neg", (b,))
-            elif op == "mul":
-                # Normalise so the constant (if any) is cb.
-                if ca is not None and cb is None:
-                    a, b = b, a
-                    ca, cb = cb, ca
-                if cb is not None:
-                    if cb == 0:
-                        vid = new.emit("const", (), attr=0)
-                        const_of[vid] = 0
-                        return vid
-                    if cb == 1:
-                        return a
-                    if cb == 2:
-                        return new.emit("dbl", (a,))
-                    if cb == 3:
-                        return new.emit("tpl", (a,))
-                    if cb == p - 1:
-                        return new.emit("neg", (a,))
-                    if cb == p - 2:
-                        return new.emit("neg", (new.emit("dbl", (a,)),))
-                if a == b:
-                    return new.emit("sqr", (a,))
+    ops, a_col, b_col, attr_col, lane_col, phase_col = [], [], [], [], [], []
+    remap = [0] * len(module) + [-1]
+    zero = ("const", -1, -1, 0)
+    for vid, (op, a, b, attr, lane, phase) in enumerate(zip(
+            module.ops, module.a, module.b, module.attrs, module.lanes, module.phases)):
+        a, b = remap[a], remap[b]
+        ca = attr_col[a] if a >= 0 and ops[a] == "const" else None
+        cb = attr_col[b] if b >= 0 and ops[b] == "const" else None
+        alias = -1
+        if op == "add":
+            if ca == 0:
+                alias = b
+            elif cb == 0:
+                alias = a
+            elif a == b:
+                op, b, attr = "dbl", -1, None
+        elif op == "sub":
+            if cb == 0:
+                alias = a
+            elif a == b:
+                op, a, b, attr = zero
+            elif ca == 0:
+                op, a, b, attr = "neg", b, -1, None
+        elif op == "mul":
+            # x is the operand facing the constant c (if exactly one side is).
+            x, c = (b, ca) if ca is not None and cb is None else (a, cb)
+            if c == 0:
+                op, a, b, attr = zero
+            elif c == 1:
+                alias = x
+            elif c == 2:
+                op, a, b, attr = "dbl", x, -1, None
+            elif c == 3:
+                op, a, b, attr = "tpl", x, -1, None
+            elif c == p - 1:
+                op, a, b, attr = "neg", x, -1, None
+            elif c == p - 2:
+                op, a, b, attr = "neg", len(ops), -1, None
+                ops.append("dbl")
+                a_col.append(x)
+                b_col.append(-1)
+                attr_col.append(None)
+                lane_col.append(lane)
+                phase_col.append(phase)
+            elif a == b:
+                op, b, attr = "sqr", -1, None
         elif op == "sqr":
-            ca = const_of.get(args[0])
             if ca is not None:
-                value = (ca * ca) % p
-                vid = new.emit("const", (), attr=value)
-                const_of[vid] = value
-                return vid
-        elif op in ("dbl", "tpl", "neg"):
-            ca = const_of.get(args[0])
+                op, a, attr = "const", -1, (ca * ca) % p
+        elif op == "dbl" or op == "tpl" or op == "neg":
             if ca is not None:
                 factor = {"dbl": 2, "tpl": 3, "neg": -1}[op]
-                value = (factor * ca) % p
-                vid = new.emit("const", (), attr=value)
-                const_of[vid] = value
-                return vid
+                op, a, attr = "const", -1, (factor * ca) % p
         elif op == "muli":
-            k = instr.attr
-            if k == 0:
-                vid = new.emit("const", (), attr=0)
-                const_of[vid] = 0
-                return vid
-            if k == 1:
-                return args[0]
-            if k == 2:
-                return new.emit("dbl", args)
-            if k == 3:
-                return new.emit("tpl", args)
-        return new.emit(op, args, attr=instr.attr)
-
-    return _rebuild(module, transform)
+            if attr == 0:
+                op, a, b, attr = zero
+            elif attr == 1:
+                alias = a
+            elif attr == 2 or attr == 3:
+                op, attr = ("dbl" if attr == 2 else "tpl"), None
+        if alias >= 0:
+            remap[vid] = alias
+            continue
+        remap[vid] = len(ops)
+        ops.append(op)
+        a_col.append(a)
+        b_col.append(b)
+        attr_col.append(attr)
+        lane_col.append(lane)
+        phase_col.append(phase)
+    return module.successor(remap, ops, a_col, b_col, attr_col, lane_col, phase_col)
 
 
 def global_value_numbering(module: IRModule, p: int) -> IRModule:
     """Reuse identical computations (commutative ops are normalised by operand order)."""
+    n = len(module)
+    lanes, phases = module.lanes[:], module.phases[:]
+    canon = list(range(n)) + [-1]      # the earliest value computing the same thing
+    keep = bytearray(b"\x01") * n
     table: dict = {}
-
-    def transform(new, instr, args):
-        op = instr.op
-        if op in ("input", "output"):
-            return new.emit(op, args, attr=instr.attr)
+    for vid, (op, a, b, attr) in enumerate(zip(module.ops, module.a, module.b, module.attrs)):
+        if op == "input" or op == "output":
+            continue
+        a, b = canon[a], canon[b]
         if op == "const":
-            key = ("const", instr.attr % p)
+            key = (op, attr % p)
+        elif b < a and op in _COMMUTATIVE:
+            key = (op, b, a, attr)
         else:
-            info = op_info(op)
-            ordered = tuple(sorted(args)) if info.commutative else args
-            key = (op, ordered, instr.attr)
-        hit = table.get(key)
-        if hit is not None:
+            key = (op, a, b, attr)
+        hit = table.setdefault(key, vid)
+        if hit != vid:
             # A value shared by two different lanes is no longer private work:
             # whether the lanes are per-pair line streams (shared-accumulator
             # kernels) or whole accumulator groups (split kernels), a
-            # cross-lane/cross-group GVN merge is demoted to the shared lane
-            # so the multi-core partition stays honest -- the value now feeds
-            # two cores, and keeping it on either one would hide that
-            # dependence from the LPT load model (the dependence tracking
-            # keeps the *simulation* correct either way).
-            if new.instructions[hit].lane != instr.lane:
-                new.instructions[hit].lane = None
+            # cross-lane/cross-group GVN merge is demoted to the shared lane so
+            # the multi-core partition stays honest -- the value now feeds two
+            # cores, and keeping it on either one would hide that dependence
+            # from the LPT load model (the dependence tracking keeps the
+            # *simulation* correct either way).
+            if lanes[hit] != lanes[vid]:
+                lanes[hit] = None
             # A value shared by two phases is likewise demoted to untagged so
             # the per-phase telemetry never double-attributes it.
-            if new.instructions[hit].phase != instr.phase:
-                new.instructions[hit].phase = None
-            return hit
-        vid = new.emit(op, args, attr=instr.attr)
-        table[key] = vid
-        return vid
-
-    return _rebuild(module, transform)
+            if phases[hit] != phases[vid]:
+                phases[hit] = None
+            canon[vid] = hit
+            keep[vid] = 0
+    return _compact(module, keep, canon, lanes, phases)
 
 
 def dead_code_elimination(module: IRModule) -> IRModule:
     """Drop instructions that cannot reach an output (inputs are always kept)."""
-    live = [False] * len(module.instructions)
-    for vid, instr in enumerate(module.instructions):
-        if instr.op in ("output", "input"):
-            live[vid] = True
-    for vid in range(len(module.instructions) - 1, -1, -1):
-        if not live[vid]:
-            continue
-        for arg in module.instructions[vid].args:
-            live[arg] = True
+    n = len(module)
+    a_col, b_col = module.a, module.b
+    live = bytearray(n + 1)            # slot n == index -1 absorbs absent operands
+    for vid in module.inputs + module.outputs:
+        live[vid] = 1
+    for vid in range(n - 1, -1, -1):
+        if live[vid]:
+            live[a_col[vid]] = 1
+            live[b_col[vid]] = 1
+    live.pop()
+    return _compact(module, live, range(n + 1), module.lanes, module.phases)
 
-    new = IRModule(name=module.name, level=module.level)
-    new.meta = dict(getattr(module, "meta", {}) or {})
-    remap = [0] * len(module.instructions)
-    for vid, instr in enumerate(module.instructions):
-        if not live[vid]:
-            continue
-        new.current_lane = instr.lane
-        new.current_phase = instr.phase
-        remap[vid] = new.emit(instr.op, tuple(remap[a] for a in instr.args), attr=instr.attr)
-    new.current_lane = None
-    new.current_phase = None
-    return new
+
+def _compact(module: IRModule, keep: bytearray, canon, lanes: list, phases: list) -> IRModule:
+    """Drop the rows whose ``keep`` flag is 0 and renumber the rest.
+
+    An operand ``v`` of a kept row is renamed to the new id of ``canon[v]``
+    (the kept value standing in for it); ``lanes`` / ``phases`` are the tag
+    columns to carry over.
+    """
+    rank = list(accumulate(keep, initial=0))
+    rank[len(keep)] = -1               # canon[-1] == -1: an absent operand stays absent
+    remap = [rank[v] for v in canon]
+    return module.successor(
+        remap, list(compress(module.ops, keep)),
+        [remap[a] for a in compress(module.a, keep)],
+        [remap[b] for b in compress(module.b, keep)],
+        list(compress(module.attrs, keep)), list(compress(lanes, keep)),
+        list(compress(phases, keep)),
+    )
+
+
+_PASSES = (
+    ("constfold", constant_folding),
+    ("strength", strength_reduction),
+    ("gvn", global_value_numbering),
+    ("dce", lambda module, p: dead_code_elimination(module)),
+)
 
 
 def optimize(module: IRModule, p: int, iterations: int = 2) -> tuple:
     """Run the full IROpt pipeline; returns (optimised module, OptStats)."""
-    stats = OptStats(initial=module.count_compute_ops())
-    current = module
+    stats = OptStats(initial=module.compute_ops)
     for i in range(iterations):
-        current = constant_folding(current, p)
-        current = strength_reduction(current, p)
-        current = global_value_numbering(current, p)
-        current = dead_code_elimination(current)
-        stats.per_pass[f"iteration-{i + 1}"] = current.count_compute_ops()
-    stats.final = current.count_compute_ops()
-    return current, stats
+        for name, run in _PASSES:
+            module = run(module, p)
+            stats.per_pass[f"iteration-{i + 1}/{name}"] = module.compute_ops
+        stats.per_pass[f"iteration-{i + 1}"] = module.compute_ops
+    stats.final = module.compute_ops
+    return module, stats

@@ -20,9 +20,8 @@ from repro.compiler.schedule import ScheduledProgram
 class RegisterAllocation:
     """Result of register allocation."""
 
-    register_of: dict          # vid -> (bank, slot)
+    register_of: list          # vid -> slot within bank ``banks[vid]`` (-1 = no register)
     registers_per_bank: dict   # bank -> number of slots used
-    preloaded: dict            # vid -> (bank, slot) subset for const/input values
 
     @property
     def total_registers(self) -> int:
@@ -32,70 +31,63 @@ class RegisterAllocation:
 def allocate_registers(schedule: ScheduledProgram) -> RegisterAllocation:
     module = schedule.module
     banks = schedule.banks
-    instructions = module.instructions
+    a_col, b_col = module.a, module.b
+    n = len(module)
 
     # Issue order: preloads first, then bundles in order.
-    order: list = []
-    for vid, instr in enumerate(instructions):
-        if instr.op in ("const", "input"):
-            order.append(vid)
-    for bundle in schedule.bundles:
-        order.extend(bundle)
+    order = [vid for vid, op in enumerate(module.ops) if op == "const" or op == "input"]
+    n_preloaded = len(order)
+    order += schedule.flat_order()
 
-    position = {vid: idx for idx, vid in enumerate(order)}
-
-    # Last use of every value, in issue order (outputs pin their operand forever).
-    last_use: dict = {vid: position[vid] for vid in order}
-    pinned: set = set()
-    for vid, instr in enumerate(instructions):
-        if instr.op == "output":
-            pinned.add(instr.args[0])
-            continue
-        if vid not in position:
-            continue
-        for arg in instr.args:
-            if arg in position:
-                last_use[arg] = max(last_use[arg], position[vid])
+    # last_use[vid]: position in ``order`` of the last instruction reading the
+    # value; -1 = its register is never released (a value that is not in the
+    # order holds none).  The trailing slot absorbs absent operands (-1).
+    position = [-1] * (n + 1)
+    for idx, vid in enumerate(order):
+        position[vid] = idx
+    last_use = position[:]
+    for idx in range(n_preloaded, len(order)):
+        vid = order[idx]
+        for arg in (a_col[vid], b_col[vid]):
+            if last_use[arg] < idx and position[arg] >= 0:
+                last_use[arg] = idx
+    # Preloaded values stay resident for the whole kernel, and outputs pin
+    # their operand forever.
+    for vid in order[:n_preloaded]:
+        last_use[vid] = -1
+    for vid in module.outputs:
+        last_use[a_col[vid]] = -1
 
     free_slots: dict = {}
     next_slot: dict = {}
-    register_of: dict = {}
-    preloaded: dict = {}
-    # Values whose register frees after a given position.
-    releases: dict = {}
-
-    def allocate(vid: int) -> None:
-        bank = banks[vid]
-        slots = free_slots.setdefault(bank, [])
-        if slots:
-            slot = slots.pop()
-        else:
-            slot = next_slot.get(bank, 0)
-            next_slot[bank] = slot + 1
-        register_of[vid] = (bank, slot)
-
+    register_of = [-1] * n
     for idx, vid in enumerate(order):
-        instr = instructions[vid]
-        allocate(vid)
-        if instr.op in ("const", "input"):
-            preloaded[vid] = register_of[vid]
-            # Preloaded values stay resident for the whole kernel.
+        bank = banks[vid]
+        slots = free_slots.get(bank)
+        if slots:
+            register_of[vid] = slots.pop()
+        else:
+            slot = register_of[vid] = next_slot.get(bank, 0)
+            next_slot[bank] = slot + 1
+        # Free registers of operands whose last use is this instruction.  When
+        # both go, they go in ``set`` iteration order -- for small ints that is
+        # not argument order, and the order slots re-enter the free list
+        # decides every later slot number.
+        a, b = a_col[vid], b_col[vid]
+        if last_use[a] == idx:
+            released = (a,) if b == a or last_use[b] != idx else set((a, b))
+        elif last_use[b] == idx:
+            released = (b,)
+        else:
             continue
-        # Free registers of operands whose last use is this instruction.
-        for arg in set(instr.args):
-            if arg in register_of and arg not in preloaded and arg not in pinned:
-                if last_use.get(arg) == idx:
-                    bank, slot = register_of[arg]
-                    free_slots.setdefault(bank, []).append(slot)
-        releases.setdefault(idx, [])
+        for arg in released:
+            free_slots.setdefault(banks[arg], []).append(register_of[arg])
 
-    registers_per_bank = {bank: count for bank, count in next_slot.items()}
-    if not registers_per_bank:
+    if not next_slot:
         raise CompilerError("register allocation produced no registers")
     return RegisterAllocation(
         register_of=register_of,
-        registers_per_bank=registers_per_bank,
-        preloaded=preloaded,
+        registers_per_bank=next_slot,
     )
 
 

@@ -21,7 +21,7 @@ linear in the program size.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CompilerError
 from repro.hw.model import HardwareModel
@@ -49,6 +49,26 @@ def unit_of(op: str) -> str:
     raise CompilerError(f"op {op!r} has no execution unit (not a schedulable op)")
 
 
+#: Execution unit of every schedulable op; ``.get`` gives ``None`` for the
+#: structural const/input/output rows, which never issue.
+UNIT_OF_OP = {op: unit_of(op) for op in _SCHEDULED_OPS}
+UNITS = ("long", "short", "inv")
+
+
+def unit_columns(module: IRModule, hw: HardwareModel) -> tuple:
+    """Per-value ``(units, latency)`` columns of ``module`` on ``hw``.
+
+    ``units[vid]`` is the execution unit (``None`` = not an issued op) and
+    ``latency[vid]`` the cycles until its result is written back (0 for rows
+    that never issue).  The scheduler and every simulator walk index these
+    instead of classifying the op again at each visit.
+    """
+    units = [UNIT_OF_OP.get(op) for op in module.ops]
+    latency_of = {unit: hw.latency_of_unit(unit) for unit in UNITS}
+    latency_of[None] = 0
+    return units, [latency_of[unit] for unit in units]
+
+
 @dataclass
 class ScheduledProgram:
     """Result of PackSched: an ordered list of issue bundles of IR value ids."""
@@ -57,7 +77,7 @@ class ScheduledProgram:
     hw: HardwareModel
     banks: list
     bundles: list                      # list[list[vid]]
-    issue_cycle: dict                  # vid -> planned issue cycle
+    issue_cycle: list                  # vid -> planned issue cycle (-1 = never issued)
     planned_cycles: int
     affinity_beta: float
 
@@ -72,7 +92,7 @@ class ScheduledProgram:
         walks consume (bundle barriers dissolve into per-core in-order
         streams), and the unit of replay for cross-batch pipelining: instance
         ``k`` of a pipelined execution is this order with every value id
-        offset by ``k * len(module.instructions)``.
+        offset by a per-instance stride.
         """
         return [vid for bundle in self.bundles for vid in bundle]
 
@@ -84,31 +104,14 @@ class ScheduledProgram:
 
 def program_order_schedule(module: IRModule, hw: HardwareModel, banks: list) -> ScheduledProgram:
     """The unscheduled baseline: original program order, one instruction per bundle."""
-    bundles = []
-    issue_cycle = {}
-    for vid, instr in enumerate(module.instructions):
-        if instr.op in _SCHEDULED_OPS:
-            issue_cycle[vid] = len(bundles)
-            bundles.append([vid])
+    bundles = [[vid] for vid, op in enumerate(module.ops) if op in UNIT_OF_OP]
+    issue_cycle = [-1] * len(module)
+    for cycle, (vid,) in enumerate(bundles):
+        issue_cycle[vid] = cycle
     return ScheduledProgram(
         module=module, hw=hw, banks=banks, bundles=bundles, issue_cycle=issue_cycle,
         planned_cycles=len(bundles), affinity_beta=0.0,
     )
-
-
-@dataclass
-class _PendingQueues:
-    long_ready: deque = field(default_factory=deque)
-    short_ready: deque = field(default_factory=deque)
-
-    def push(self, vid: int, unit: str) -> None:
-        if unit == "short":
-            self.short_ready.append(vid)
-        else:
-            self.long_ready.append(vid)
-
-    def __len__(self) -> int:
-        return len(self.long_ready) + len(self.short_ready)
 
 
 def affinity_schedule(
@@ -119,61 +122,67 @@ def affinity_schedule(
     use_affinity: bool = True,
 ) -> ScheduledProgram:
     """List scheduling with issue-slot affinity (Algorithm 2)."""
-    instructions = module.instructions
-    n = len(instructions)
-
-    # Dependency counts and consumer lists, restricted to scheduled (compute) ops.
-    scheduled = [instr.op in _SCHEDULED_OPS for instr in instructions]
-    deps = [0] * n
-    consumers: list = [[] for _ in range(n)]
-    long_count = 0
-    total_count = 0
-    for vid, instr in enumerate(instructions):
-        if not scheduled[vid]:
-            continue
-        total_count += 1
-        if unit_of(instr.op) != "short":
-            long_count += 1
-        unique_args = set(a for a in instr.args if scheduled[a])
-        deps[vid] = len(unique_args)
-        for arg in unique_args:
-            consumers[arg].append(vid)
+    ops, a_col, b_col = module.ops, module.a, module.b
+    n = len(ops)
+    units, latency = unit_columns(module, hw)
+    # Reading a value takes a read port of its bank unless it is an output
+    # alias: scheduled results, constants and inputs all live in registers.
+    readable = [unit is not None or op == "const" or op == "input"
+                for unit, op in zip(units, ops)]
+    total_count = n - units.count(None)
     if total_count == 0:
         raise CompilerError("module has no schedulable instructions")
+    long_fraction = (total_count - units.count("short")) / total_count
 
-    long_fraction = long_count / total_count
-    latency = {vid: hw.latency_of_unit(unit_of(instructions[vid].op)) for vid in range(n) if scheduled[vid]}
+    # Dependency counts and consumer lists, restricted to scheduled (compute) ops.
+    deps = [0] * n
+    consumers: list = [[] for _ in range(n)]
+    for vid, unit in enumerate(units):
+        if unit is None:
+            continue
+        a, b = a_col[vid], b_col[vid]
+        if a >= 0 and units[a] is not None:
+            deps[vid] = 1
+            consumers[a].append(vid)
+        if b >= 0 and b != a and units[b] is not None:
+            deps[vid] += 1
+            consumers[b].append(vid)
 
     # earliest[vid]: the cycle at which every operand has been written back.
     earliest = [0] * n
-    ready_at: dict = {}
-    queues = _PendingQueues()
-    for vid in range(n):
-        if scheduled[vid] and deps[vid] == 0:
-            ready_at.setdefault(0, []).append(vid)
+    # ready_at[c]: values whose last operand lands at cycle c.  Keys are only
+    # ever inserted at >= cycle + 1 and the cycle only advances by one or
+    # jumps to the smallest key, so the current cycle is the only key that can
+    # be due: the hand-off to the queues is a single pop.
+    ready_at: dict = {0: [vid for vid, unit in enumerate(units)
+                          if unit is not None and deps[vid] == 0]}
+    long_ready: deque = deque()
+    short_ready: deque = deque()
 
-    issue_cycle: dict = {}
+    issue_cycle = [-1] * n
     bundles: list = []
-    writeback_busy: dict = {}          # (bank, cycle) -> True (only enforced without FIFO)
+    # Write-back slots taken, keyed ``cycle * bank_span + bank`` (only
+    # enforced without the FIFO).
+    writeback_busy: set = set()
+    bank_span = max(banks, default=0) + 1
     enforce_wb = not hw.has_writeback_fifo
+    issue_width, read_ports = hw.issue_width, hw.bank_read_ports
+    unit_limit = {unit: hw.units_of_kind(unit) for unit in UNITS}
+    units_used = dict.fromkeys(UNITS, 0)
+    reads_per_bank: dict = {}
+    deferred: list = []
 
     period = max(1, hw.long_latency - hw.short_latency)
     long_share = min(1.0, long_fraction + beta)
 
     remaining = total_count
     cycle = 0
-    guard = 0
     while remaining > 0:
-        guard += 1
-        if guard > 50 * total_count + 1000:
-            raise CompilerError("scheduler failed to converge (internal error)")
         # Move instructions whose operands are ready by this cycle into the queues.
-        pending_cycles = [c for c in ready_at if c <= cycle]
-        for c in sorted(pending_cycles):
-            for vid in ready_at.pop(c):
-                queues.push(vid, unit_of(instructions[vid].op))
+        for vid in ready_at.pop(cycle, ()):
+            (short_ready if units[vid] == "short" else long_ready).append(vid)
 
-        if len(queues) == 0:
+        if not long_ready and not short_ready:
             # Idle: jump to the next cycle where something becomes ready.
             if not ready_at:
                 raise CompilerError("deadlock in scheduler: nothing ready, nothing pending")
@@ -181,76 +190,77 @@ def affinity_schedule(
             continue
 
         prefer_long = ((cycle % period) / period) <= long_share if use_affinity else True
-        order = (
-            (queues.long_ready, queues.short_ready)
-            if prefer_long
-            else (queues.short_ready, queues.long_ready)
-        )
+        order = (long_ready, short_ready) if prefer_long else (short_ready, long_ready)
 
         bundle: list = []
-        units_used = {"long": 0, "short": 0, "inv": 0}
-        reads_per_bank: dict = {}
-        writes_this_bundle: set = set()
-        deferred: list = []
+        free_slots = issue_width
+        for unit in UNITS:
+            units_used[unit] = 0
+        reads_per_bank.clear()
 
         for queue in order:
-            while queue and len(bundle) < hw.issue_width:
+            while queue and free_slots:
                 vid = queue.popleft()
-                unit = unit_of(instructions[vid].op)
-                limit = hw.units_of_kind(unit)
-                ok = units_used[unit] < limit
-                # Read-port constraint.
+                unit = units[vid]
+                ok = units_used[unit] < unit_limit[unit]
+                # Read-port constraint: one read per operand on its bank.
                 if ok:
-                    needed: dict = {}
-                    for arg in instructions[vid].args:
-                        if scheduled[arg] or instructions[arg].op in ("const", "input"):
-                            bank = banks[arg]
-                            needed[bank] = needed.get(bank, 0) + 1
-                    ok = all(
-                        reads_per_bank.get(bank, 0) + count <= hw.bank_read_ports
-                        for bank, count in needed.items()
-                    )
+                    a, b = a_col[vid], b_col[vid]
+                    bank_a = banks[a] if a >= 0 and readable[a] else -1
+                    bank_b = banks[b] if b >= 0 and readable[b] else -1
+                    if bank_a == bank_b:
+                        ok = bank_a < 0 or reads_per_bank.get(bank_a, 0) + 2 <= read_ports
+                    else:
+                        ok = ((bank_a < 0 or reads_per_bank.get(bank_a, 0) < read_ports)
+                              and (bank_b < 0 or reads_per_bank.get(bank_b, 0) < read_ports))
                 # Write-back port constraint (Figure 7).
-                wb_key = None
                 if ok and enforce_wb:
-                    wb_cycle = cycle + latency[vid]
-                    wb_key = (banks[vid], wb_cycle)
-                    ok = wb_key not in writeback_busy and wb_key not in writes_this_bundle
+                    wb_key = (cycle + latency[vid]) * bank_span + banks[vid]
+                    ok = wb_key not in writeback_busy
                 if not ok:
                     deferred.append(vid)
                     continue
                 # Issue it.
                 bundle.append(vid)
+                free_slots -= 1
                 units_used[unit] += 1
-                for bank, count in needed.items():
-                    reads_per_bank[bank] = reads_per_bank.get(bank, 0) + count
-                if enforce_wb and wb_key is not None:
-                    writes_this_bundle.add(wb_key)
-            if len(bundle) >= hw.issue_width:
+                if bank_a >= 0:
+                    reads_per_bank[bank_a] = reads_per_bank.get(bank_a, 0) + 1
+                if bank_b >= 0:
+                    reads_per_bank[bank_b] = reads_per_bank.get(bank_b, 0) + 1
+                if enforce_wb:
+                    writeback_busy.add(wb_key)
+            if not free_slots:
                 break
 
-        for vid in deferred:
-            queues.push(vid, unit_of(instructions[vid].op))
+        if deferred:
+            for vid in deferred:
+                (short_ready if units[vid] == "short" else long_ready).append(vid)
+            deferred.clear()
 
         if not bundle:
             cycle += 1
             continue
 
+        next_cycle = cycle + 1
         for vid in bundle:
             issue_cycle[vid] = cycle
-            if enforce_wb:
-                writeback_busy[(banks[vid], cycle + latency[vid])] = True
             finish = cycle + latency[vid]
             for consumer in consumers[vid]:
                 deps[consumer] -= 1
-                earliest[consumer] = max(earliest[consumer], finish)
+                if finish > earliest[consumer]:
+                    earliest[consumer] = finish
                 if deps[consumer] == 0:
-                    ready_at.setdefault(max(earliest[consumer], cycle + 1), []).append(consumer)
+                    due = earliest[consumer] if earliest[consumer] > cycle else next_cycle
+                    if due in ready_at:
+                        ready_at[due].append(consumer)
+                    else:
+                        ready_at[due] = [consumer]
         bundles.append(bundle)
         remaining -= len(bundle)
-        cycle += 1
+        cycle = next_cycle
 
-    last_finish = max(issue_cycle[vid] + latency[vid] for vid in issue_cycle)
+    last_finish = max(issue_cycle[vid] + latency[vid] for bundle in bundles for vid in bundle)
     return ScheduledProgram(
         module=module, hw=hw, banks=banks, bundles=bundles, issue_cycle=issue_cycle,
         planned_cycles=last_finish, affinity_beta=beta if use_affinity else 0.0,

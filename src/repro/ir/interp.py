@@ -16,43 +16,41 @@ def interpret_low_level(module, p: int, inputs: dict) -> dict:
     ``inputs`` maps the attribute of each ``input`` instruction to an integer.
     Returns a dict mapping output attributes to integers.
     """
-    values: list = [None] * len(module.instructions)
+    values: list = []
     outputs: dict = {}
-    for vid, instr in enumerate(module.instructions):
-        op = instr.op
-        args = instr.args
+    for op, a, b, attr in zip(module.ops, module.a, module.b, module.attrs):
+        x = values[a] if a >= 0 else None
         if op == "input":
-            if instr.attr not in inputs:
-                raise SimulationError(f"missing input {instr.attr!r}")
-            values[vid] = inputs[instr.attr] % p
+            if attr not in inputs:
+                raise SimulationError(f"missing input {attr!r}")
+            value = inputs[attr] % p
         elif op == "const":
-            values[vid] = instr.attr % p
+            value = attr % p
         elif op == "output":
-            value = values[args[0]]
-            outputs[instr.attr] = value
-            values[vid] = value
+            value = outputs[attr] = x
         elif op == "add":
-            values[vid] = (values[args[0]] + values[args[1]]) % p
+            value = (x + values[b]) % p
         elif op == "sub":
-            values[vid] = (values[args[0]] - values[args[1]]) % p
+            value = (x - values[b]) % p
         elif op == "neg":
-            values[vid] = (-values[args[0]]) % p
+            value = (-x) % p
         elif op == "dbl":
-            values[vid] = (values[args[0]] * 2) % p
+            value = (x * 2) % p
         elif op == "tpl":
-            values[vid] = (values[args[0]] * 3) % p
+            value = (x * 3) % p
         elif op == "muli":
-            values[vid] = (values[args[0]] * instr.attr) % p
+            value = (x * attr) % p
         elif op == "mul":
-            values[vid] = (values[args[0]] * values[args[1]]) % p
+            value = (x * values[b]) % p
         elif op == "sqr":
-            values[vid] = (values[args[0]] * values[args[0]]) % p
+            value = (x * x) % p
         elif op == "inv":
-            values[vid] = pow(values[args[0]], -1, p)
+            value = pow(x, -1, p)
         elif op in ("cvt", "icv"):
-            values[vid] = values[args[0]]
+            value = x
         else:
             raise IRError(f"cannot interpret low-level op {op!r}")
+        values.append(value)
     return outputs
 
 
@@ -62,7 +60,7 @@ def interpret_high_level(module, levels: dict, inputs: dict) -> dict:
     ``inputs`` maps input attributes to concrete elements; outputs are returned
     as concrete elements keyed by output attribute.
     """
-    values: list = [None] * len(module.instructions)
+    values: list = []
     outputs: dict = {}
 
     def field_of(degree: int):
@@ -71,54 +69,52 @@ def interpret_high_level(module, levels: dict, inputs: dict) -> dict:
         except KeyError as exc:
             raise IRError(f"no tower level of degree {degree}") from exc
 
-    for vid, instr in enumerate(module.instructions):
-        op = instr.op
-        args = instr.args
+    for vid, (op, a, b, attr) in enumerate(zip(module.ops, module.a, module.b, module.attrs)):
+        x = values[a] if a >= 0 else None
         if op == "input":
-            if instr.attr not in inputs:
-                raise SimulationError(f"missing input {instr.attr!r}")
-            values[vid] = inputs[instr.attr]
+            if attr not in inputs:
+                raise SimulationError(f"missing input {attr!r}")
+            value = inputs[attr]
         elif op == "const":
-            values[vid] = instr.attr
+            value = attr
         elif op == "output":
-            outputs[instr.attr] = values[args[0]]
-            values[vid] = values[args[0]]
+            value = outputs[attr] = x
         elif op == "add":
-            values[vid] = values[args[0]] + values[args[1]]
+            value = x + values[b]
         elif op == "sub":
-            values[vid] = values[args[0]] - values[args[1]]
+            value = x - values[b]
         elif op == "neg":
-            values[vid] = -values[args[0]]
+            value = -x
         elif op == "muli":
-            values[vid] = values[args[0]].mul_small(instr.attr)
+            value = x.mul_small(attr)
         elif op == "mul":
-            values[vid] = values[args[0]] * values[args[1]]
+            value = x * values[b]
         elif op == "sqr":
-            values[vid] = values[args[0]].square()
+            value = x.square()
         elif op == "inv":
-            values[vid] = values[args[0]].inverse()
+            value = x.inverse()
         elif op == "conj":
-            values[vid] = values[args[0]].conjugate()
+            value = x.conjugate()
         elif op == "frob":
-            values[vid] = values[args[0]].frobenius(instr.attr)
+            value = x.frobenius(attr)
         elif op == "exp":
-            values[vid] = values[args[0]] ** instr.attr
+            value = x ** attr
         elif op == "adj":
-            values[vid] = values[args[0]].mul_by_nonresidue()
+            value = x.mul_by_nonresidue()
         elif op == "pack":
-            parts = [values[a] for a in args]
-            field = field_of(instr.degree)
+            parts = [values[arg] for arg in attr]
+            field = field_of(module.degrees[vid])
             mid = field.base
             twist = mid.base
             resolved = [twist.zero() if part is None else part for part in parts]
             mid0 = mid.element((resolved[0], resolved[2], resolved[4]))
             mid1 = mid.element((resolved[1], resolved[3], resolved[5]))
-            values[vid] = field.element((mid0, mid1))
+            value = field.element((mid0, mid1))
         elif op == "ext":
-            index = instr.attr
-            mid0, mid1 = values[args[0]].coeffs
-            source = mid0 if index % 2 == 0 else mid1
-            values[vid] = source.coeffs[index // 2]
+            mid0, mid1 = x.coeffs
+            source = mid0 if attr % 2 == 0 else mid1
+            value = source.coeffs[attr // 2]
         else:
             raise IRError(f"cannot interpret high-level op {op!r}")
+        values.append(value)
     return outputs

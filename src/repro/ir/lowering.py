@@ -56,15 +56,14 @@ class _StepAdapter(StepOps):
 class _Lowerer:
     def __init__(self, levels: dict, config: VariantConfig):
         self.low = IRModule(name="lowered", level="low")
+        #: ``emit(op, args, attr=...)``: rows go straight into the module's columns.
+        self.emit = self.low.emit
         self.levels = levels
         self.config = config
         self._const_cache: dict = {}
         self._zero = None
 
     # -- F_p-level emission helpers -------------------------------------------------
-    def emit(self, op: str, args: tuple = (), attr=None) -> int:
-        return self.low.emit(op, args, degree=1, attr=attr)
-
     def const(self, value: int) -> int:
         vid = self._const_cache.get(value)
         if vid is None:
@@ -109,9 +108,7 @@ class _Lowerer:
         if k % 2 == 0:
             return self.emit("dbl", (self._mul_small_scalar(vid, k // 2),))
         if k % 3 == 0:
-            return self.emit("tpl", (vid,)) if k == 3 else self.emit(
-                "tpl", (self._mul_small_scalar(vid, k // 3),)
-            )
+            return self.emit("tpl", (self._mul_small_scalar(vid, k // 3),))
         return self.emit("add", (self._mul_small_scalar(vid, k - 1), vid))
 
     def mul_small_vec(self, a, k: int):
@@ -265,77 +262,70 @@ def lower_module(hl: IRModule, levels: dict, config: VariantConfig | None = None
     # Kernel-level facts (accumulator mode, batch shape) ride along with the
     # lanes: scalarisation changes the instruction granularity, not the
     # kernel's multi-core structure.
-    lowerer.low.meta = dict(getattr(hl, "meta", {}) or {})
-    expansion: list = [None] * len(hl.instructions)
+    lowerer.low.meta = dict(hl.meta)
+    expansion: list = [None] * len(hl)
+    degrees = hl.degrees
 
-    for vid, instr in enumerate(hl.instructions):
-        op = instr.op
-        degree = instr.degree
+    for vid, (op, a_id, b_id, attr) in enumerate(zip(hl.ops, hl.a, hl.b, hl.attrs)):
+        degree = degrees[vid]
         # Every F_p instruction expanded from this high-level op inherits its
         # batch lane and kernel phase, keeping the per-pair partition (and the
         # miller/final-exp telemetry split) visible after scalarisation.
-        lowerer.low.current_lane = instr.lane
-        lowerer.low.current_phase = instr.phase
+        lowerer.low.current_lane = hl.lanes[vid]
+        lowerer.low.current_phase = hl.phases[vid]
+        operand = expansion[a_id] if a_id >= 0 else None
         if op == "input":
             expansion[vid] = tuple(
-                lowerer.emit("input", (), attr=(instr.attr, j)) for j in range(degree)
+                lowerer.emit("input", (), attr=(attr, j)) for j in range(degree)
             )
         elif op == "const":
-            expansion[vid] = lowerer.const_element(instr.attr)
+            expansion[vid] = lowerer.const_element(attr)
         elif op == "output":
-            parts = expansion[instr.args[0]]
-            for j, part in enumerate(parts):
-                lowerer.emit("output", (part,), attr=(instr.attr, j))
-            expansion[vid] = parts
+            for j, part in enumerate(operand):
+                lowerer.emit("output", (part,), attr=(attr, j))
+            expansion[vid] = operand
         elif op == "add":
-            expansion[vid] = lowerer.add_vec(expansion[instr.args[0]], expansion[instr.args[1]])
+            expansion[vid] = lowerer.add_vec(operand, expansion[b_id])
         elif op == "sub":
-            expansion[vid] = lowerer.sub_vec(expansion[instr.args[0]], expansion[instr.args[1]])
+            expansion[vid] = lowerer.sub_vec(operand, expansion[b_id])
         elif op == "neg":
-            expansion[vid] = lowerer.neg_vec(expansion[instr.args[0]])
+            expansion[vid] = lowerer.neg_vec(operand)
         elif op == "muli":
-            expansion[vid] = lowerer.mul_small_vec(expansion[instr.args[0]], instr.attr)
+            expansion[vid] = lowerer.mul_small_vec(operand, attr)
         elif op == "mul":
-            a_id, b_id = instr.args
-            a_parts, b_parts = expansion[a_id], expansion[b_id]
-            a_deg, b_deg = hl.instructions[a_id].degree, hl.instructions[b_id].degree
+            b_parts = expansion[b_id]
+            a_deg, b_deg = degrees[a_id], degrees[b_id]
             if a_deg == b_deg:
-                expansion[vid] = lowerer.mul_rec(lowerer.field_of_degree(a_deg), a_parts, b_parts)
+                expansion[vid] = lowerer.mul_rec(lowerer.field_of_degree(a_deg), operand, b_parts)
             else:
-                big, small = (a_parts, b_parts) if a_deg > b_deg else (b_parts, a_parts)
+                big, small = (operand, b_parts) if a_deg > b_deg else (b_parts, operand)
                 big_deg, small_deg = max(a_deg, b_deg), min(a_deg, b_deg)
                 expansion[vid] = lowerer.mixed_mul(
                     lowerer.field_of_degree(big_deg), big,
                     lowerer.field_of_degree(small_deg), small,
                 )
         elif op == "sqr":
-            expansion[vid] = lowerer.sqr_rec(lowerer.field_of_degree(degree), expansion[instr.args[0]])
+            expansion[vid] = lowerer.sqr_rec(lowerer.field_of_degree(degree), operand)
         elif op == "inv":
-            expansion[vid] = lowerer.inv_rec(lowerer.field_of_degree(degree), expansion[instr.args[0]])
+            expansion[vid] = lowerer.inv_rec(lowerer.field_of_degree(degree), operand)
         elif op == "conj":
             field = lowerer.field_of_degree(degree)
             if not isinstance(field, ExtensionField) or field.m != 2:
                 raise IRError("conj lowering requires a quadratic top-level step")
-            parts = expansion[instr.args[0]]
-            half = len(parts) // 2
-            expansion[vid] = parts[:half] + lowerer.neg_vec(parts[half:])
+            half = len(operand) // 2
+            expansion[vid] = operand[:half] + lowerer.neg_vec(operand[half:])
         elif op == "frob":
-            expansion[vid] = lowerer.frob_rec(
-                lowerer.field_of_degree(degree), expansion[instr.args[0]], instr.attr
-            )
+            expansion[vid] = lowerer.frob_rec(lowerer.field_of_degree(degree), operand, attr)
         elif op == "adj":
             field = lowerer.field_of_degree(degree)
-            parts = expansion[instr.args[0]]
             chunk = field.base.degree
-            wrapped = lowerer.mul_const_rec(field.base, parts[-chunk:], field.non_residue)
-            expansion[vid] = wrapped + parts[:-chunk]
+            wrapped = lowerer.mul_const_rec(field.base, operand[-chunk:], field.non_residue)
+            expansion[vid] = wrapped + operand[:-chunk]
         elif op == "exp":
-            expansion[vid] = lowerer.exp_rec(
-                lowerer.field_of_degree(degree), expansion[instr.args[0]], instr.attr
-            )
+            expansion[vid] = lowerer.exp_rec(lowerer.field_of_degree(degree), operand, attr)
         elif op == "pack":
             # w-power basis: full = (c0 + c2 v + c4 v^2) + (c1 + c3 v + c5 v^2) w.
-            parts = [expansion[arg] for arg in instr.args]
+            parts = [expansion[arg] for arg in attr]
             if len(parts) != 6:
                 raise IRError("pack expects exactly 6 coefficients over the twist field")
             order = (0, 2, 4, 1, 3, 5)
@@ -344,15 +334,12 @@ def lower_module(hl: IRModule, levels: dict, config: VariantConfig | None = None
             # Coefficient selection is pure wiring: slice the producer's
             # expansion at the storage slot of w-power index attr.  The
             # storage layout interleaves even/odd w powers (see "pack").
-            index = instr.attr
-            if not isinstance(index, int) or not 0 <= index < 6:
-                raise IRError(f"ext expects a w-power index in 0..5, got {index!r}")
-            parts = expansion[instr.args[0]]
-            chunk = degree
-            if len(parts) != 6 * chunk:
+            if not isinstance(attr, int) or not 0 <= attr < 6:
+                raise IRError(f"ext expects a w-power index in 0..5, got {attr!r}")
+            if len(operand) != 6 * degree:
                 raise IRError("ext requires a full-field operand over the twist field")
-            slot = index // 2 if index % 2 == 0 else 3 + index // 2
-            expansion[vid] = parts[slot * chunk:(slot + 1) * chunk]
+            slot = attr // 2 if attr % 2 == 0 else 3 + attr // 2
+            expansion[vid] = operand[slot * degree:(slot + 1) * degree]
         else:
             raise IRError(f"cannot lower high-level op {op!r}")
 

@@ -2,7 +2,7 @@
 
 from repro.isa.instructions import MachineOp, OPCODES, ISA_BY_NAME, ir_op_to_machine_op
 from repro.isa.encoding import EncodingFormat, ENCODING_32, ENCODING_64, encode_word, decode_word
-from repro.isa.program import AssembledProgram, Bundle, MachineInstruction
+from repro.isa.program import AssembledProgram, MachineInstruction
 
 __all__ = [
     "MachineOp",
@@ -15,6 +15,5 @@ __all__ = [
     "encode_word",
     "decode_word",
     "AssembledProgram",
-    "Bundle",
     "MachineInstruction",
 ]

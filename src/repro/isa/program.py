@@ -2,24 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 from repro.config import positive_int
 from repro.errors import ISAError
 from repro.isa.encoding import EncodingFormat, encode_word
-from repro.isa.instructions import MachineOp
+from repro.isa.instructions import ISA_BY_NAME, OPCODES, MachineOp
 
 
 @dataclass(frozen=True)
 class MachineInstruction:
-    """One machine operation with resolved register operands."""
+    """Row view of one machine operation with resolved register operands."""
 
     op: MachineOp
     rd: int
     rs1: int = 0
     rs2: int = 0
-    #: Index of the low-level IR instruction this came from (for tracing/debug).
-    source: int | None = None
 
     def render(self) -> str:
         if self.op.operands == 0:
@@ -30,22 +29,23 @@ class MachineInstruction:
 
 
 @dataclass
-class Bundle:
-    """One issue slot: up to ``issue_width`` operations issued in the same cycle."""
-
-    slots: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-
-@dataclass
 class AssembledProgram:
-    """The linked binary for one pairing kernel."""
+    """The linked binary for one pairing kernel.
+
+    The text segment is stored column-wise: row ``i`` of ``opcodes`` / ``rd`` /
+    ``rs1`` / ``rs2`` is the ``i``-th issued operation, and ``bundle_sizes``
+    cuts the rows into VLIW bundles (up to ``issue_width`` operations issued
+    in the same cycle).  :class:`MachineInstruction` views exist only inside
+    :meth:`disassemble`.
+    """
 
     name: str
     encoding: EncodingFormat
-    bundles: list                       # list[Bundle]
+    opcodes: list                       # machine opcode (``MachineOp.opcode``) per operation
+    rd: list                            # destination register per operation
+    rs1: list                           # source registers (0 where the op takes none)
+    rs2: list
+    bundle_sizes: list                  # operations issued together, per bundle
     constant_table: dict                # register -> int preload value
     input_map: dict                     # input attr -> register
     output_map: dict                    # output attr -> register
@@ -56,11 +56,11 @@ class AssembledProgram:
     # -- size metrics --------------------------------------------------------------
     @property
     def instruction_count(self) -> int:
-        return sum(len(bundle) for bundle in self.bundles)
+        return len(self.opcodes)
 
     @property
     def bundle_count(self) -> int:
-        return len(self.bundles)
+        return len(self.bundle_sizes)
 
     @property
     def total_registers(self) -> int:
@@ -88,17 +88,15 @@ class AssembledProgram:
     # -- encodings -------------------------------------------------------------------
     def encoded_words(self) -> list:
         """Flat list of encoded instruction words (bundles padded with NOPs)."""
-        from repro.isa.instructions import ISA_BY_NAME
-
-        nop = ISA_BY_NAME["NOP"]
+        if max(self.bundle_sizes, default=0) > self.issue_width:
+            raise ISAError("bundle exceeds the issue width")
+        nop = encode_word(self.encoding, ISA_BY_NAME["NOP"], 0, 0, 0)
+        rows = zip(self.opcodes, self.rd, self.rs1, self.rs2)
         words = []
-        for bundle in self.bundles:
-            if len(bundle.slots) > self.issue_width:
-                raise ISAError("bundle exceeds the issue width")
-            for instr in bundle.slots:
-                words.append(encode_word(self.encoding, instr.op, instr.rd, instr.rs1, instr.rs2))
-            for _ in range(self.issue_width - len(bundle.slots)):
-                words.append(encode_word(self.encoding, nop, 0, 0, 0))
+        for size in self.bundle_sizes:
+            words.extend(encode_word(self.encoding, OPCODES[code], rd, rs1, rs2)
+                         for code, rd, rs1, rs2 in islice(rows, size))
+            words.extend([nop] * (self.issue_width - size))
         return words
 
     def to_hex(self, limit: int | None = None) -> list:
@@ -109,11 +107,13 @@ class AssembledProgram:
         return [f"{word:0{digits}x}" for word in words]
 
     def disassemble(self, limit: int | None = None) -> str:
+        rows = zip(self.opcodes, self.rd, self.rs1, self.rs2)
         lines = []
-        for cycle, bundle in enumerate(self.bundles):
+        for cycle, size in enumerate(self.bundle_sizes):
             if limit is not None and cycle >= limit:
-                lines.append(f"... ({len(self.bundles) - limit} more bundles)")
+                lines.append(f"... ({self.bundle_count - limit} more bundles)")
                 break
-            rendered = " || ".join(instr.render() for instr in bundle.slots) or "NOP"
+            rendered = " || ".join(MachineInstruction(OPCODES[code], rd, rs1, rs2).render()
+                                   for code, rd, rs1, rs2 in islice(rows, size)) or "NOP"
             lines.append(f"{cycle:8d}: {rendered}")
         return "\n".join(lines)

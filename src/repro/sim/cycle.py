@@ -38,7 +38,7 @@ Cross-batch pipelined execution
 :meth:`CycleAccurateSimulator.run_pipelined` models the *continuously-fed*
 accelerator: ``depth`` renamed instances of the same scheduled batch kernel
 are kept in flight at once.  Instance ``k`` is an instance-tagged replay of
-the scheduled program -- value ids offset by ``k * n_instructions`` and
+the scheduled program -- value ids offset by a per-instance stride and
 register banks rotated by ``k`` (:func:`repro.compiler.bankalloc.rebank_for_instance`)
 -- appended to the same per-core in-order streams, so the cores left idle by
 instance ``k``'s serial tail (the final exponentiation on the shared lane of
@@ -55,7 +55,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.compiler.bankalloc import rebank_for_instance
-from repro.compiler.schedule import ScheduledProgram, unit_of
+from repro.compiler.schedule import UNITS, ScheduledProgram, unit_columns
 from repro.config import positive_int
 from repro.errors import SimulationError
 from repro.hw.model import HardwareModel
@@ -386,34 +386,22 @@ class _PhaseTracker:
         }
 
 
-class _CoreEngine:
+def _issue_constraints(module, hw: HardwareModel) -> tuple:
     """The in-order issue constraint model shared by every simulator walk.
 
-    One engine holds the hardware's itineraries and constraint switches;
-    :meth:`CycleAccurateSimulator.run` drives it in bundle-barrier mode (a
-    VLIW bundle issues atomically) while the stream walk behind
-    ``run_multicore`` / ``run_pipelined`` drives one logical copy per core in
-    greedy in-order mode.  Keeping the latency table, the write-back switch
-    and the unit-limit check here is what guarantees the two walks can never
-    drift apart on the constraint model itself.
+    Returns the per-value ``units`` / ``latency`` columns
+    (:func:`repro.compiler.schedule.unit_columns`), the per-kind unit limits
+    and the write-back switch.  :meth:`CycleAccurateSimulator.run` applies them
+    in bundle-barrier mode (a VLIW bundle issues atomically) while the stream
+    walk behind ``run_multicore`` / ``run_pipelined`` applies them once per
+    core in greedy in-order mode; taking all four from here is what guarantees
+    the two walks can never drift apart on the constraint model itself.
     """
-
-    __slots__ = ("hw", "latency", "enforce_wb")
-
-    def __init__(self, hw: HardwareModel):
-        self.hw = hw
-        self.latency = {
-            "long": hw.long_latency,
-            "short": hw.short_latency,
-            "inv": hw.inv_latency,
-        }
-        #: Write-back bank conflicts are only enforced without the FIFO
-        #: (the Figure 7 conflict).
-        self.enforce_wb = not hw.has_writeback_fifo
-
-    def fits_unit(self, units_used: dict, unit: str) -> bool:
-        """Would one more ``unit`` op this cycle exceed the per-kind limit?"""
-        return units_used[unit] + 1 <= self.hw.units_of_kind(unit)
+    units, latency = unit_columns(module, hw)
+    unit_limit = {unit: hw.units_of_kind(unit) for unit in UNITS}
+    # Write-back bank conflicts are only enforced without the FIFO (the
+    # Figure 7 conflict).
+    return units, latency, unit_limit, not hw.has_writeback_fifo
 
 
 @dataclass
@@ -453,7 +441,7 @@ def _simulate_stream(
 
     ``depth`` renamed instances of the scheduled program are appended to the
     same per-core in-order streams: instance ``k``'s value ids are offset by
-    ``k * n_instructions`` (data dependencies are intra-instance, so the
+    ``k * stride`` (data dependencies are intra-instance, so the
     renaming is a pure replay), and its register banks are rotated by ``k``
     (:func:`repro.compiler.bankalloc.rebank_for_instance`).  Every core is an
     independent in-order pipeline with its own execution units and write-back
@@ -464,13 +452,11 @@ def _simulate_stream(
     by the pipelined walk's phase-occupancy telemetry; the hot multicore path
     skips it).
     """
-    engine = _CoreEngine(hw)
     module = schedule.module
-    instructions = module.instructions
     banks = schedule.banks
-    n_instr = len(instructions)
-    latency_cache = engine.latency
-    enforce_wb = engine.enforce_wb
+    a_col, b_col, lane_col, phase_col = module.a, module.b, module.lanes, module.phases
+    units, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
+    issue_width = hw.issue_width
     phases = _PhaseTracker()
     instance_phases = _PhaseTracker()
 
@@ -478,35 +464,48 @@ def _simulate_stream(
     # preserving relative order (each core stays in-order).
     order = schedule.flat_order()
     lane_costs: dict = {}
-    scheduled = [False] * n_instr
     for vid in order:
-        scheduled[vid] = True
-        lane = instructions[vid].lane
+        lane = lane_col[vid]
         lane_costs[lane] = lane_costs.get(lane, 0) + 1
     # Split-accumulator kernels (module metadata set by the batched
     # codegen and preserved through lowering/IROpt) balance whole
     # accumulator groups with the merge tail excluded from the load
     # model; shared kernels use the classic LPT with the accumulator
     # chain pinned as core-0 load.
-    if getattr(module, "meta", None) and module.meta.get("split_accumulators"):
+    if module.meta.get("split_accumulators"):
         assignment = assign_split_lanes_to_cores(lane_costs, n_cores)
     else:
         assignment = assign_lanes_to_cores(lane_costs, n_cores)
     core_streams: list = [[] for _ in range(n_cores)]
     for vid in order:
-        core_streams[assignment.get(instructions[vid].lane, 0)].append(vid)
+        core_streams[assignment.get(lane_col[vid], 0)].append(vid)
     # Instance k replays the same per-core streams with renamed (offset)
     # value ids and rotated banks; the lane -> core assignment is identical
     # for every instance, so each core's queue is the concatenation of its
     # stream across instances (in-order per instance, instances in order).
+    # Each instance owns ``stride = len(module) + 1`` consecutive global ids:
+    # the extra trailing slot is where an absent operand (-1) of the *next*
+    # instance lands, so operand lookups need no branch.
+    stride = len(module) + 1
     instance_banks = [rebank_for_instance(banks, k, hw.n_banks) for k in range(depth)]
     queues: list = [
-        [k * n_instr + vid for k in range(depth) for vid in stream]
+        [k * stride + vid for k in range(depth) for vid in stream]
         for stream in core_streams
     ]
 
-    ready: dict = {}                  # gid -> cycle its result is available
-    writeback_busy = set()            # (core, bank, cycle)
+    # ready[gid]: cycle the value is available.  Inputs, constants and the
+    # pad slots are preloaded (0: always ready; the continuously-fed model
+    # DMAs the next instance's inputs while the current one runs); a
+    # *scheduled* value holds -1 until it issues -- a consumer that finds -1
+    # has a producer still queued on another core and waits for it.
+    ready = [0] * stride
+    for vid in order:
+        ready[vid] = -1
+    ready *= depth
+    # Write-back slots taken, keyed ``(cycle * bank_span + bank) * n_cores + core``.
+    writeback_busy = set()
+    bank_span = max(max(banks, default=0) + 1, hw.n_banks)   # rotated banks stay < n_banks
+    units_used = dict.fromkeys(UNITS, 0)
     events: list | None = [[] for _ in range(n_cores)] if collect_events else None
 
     heads = [0] * n_cores
@@ -529,52 +528,38 @@ def _simulate_stream(
             head = heads[core]
             if head >= len(queue):
                 continue
-            units_used = {"long": 0, "short": 0, "inv": 0}
+            for unit in UNITS:
+                units_used[unit] = 0
             slots = 0
             stalled = None
-            while head < len(queue) and slots < hw.issue_width:
+            while head < len(queue) and slots < issue_width:
                 gid = queue[head]
-                instance, vid = divmod(gid, n_instr)
-                instr = instructions[vid]
-                unit = unit_of(instr.op)
-                if not engine.fits_unit(units_used, unit):
+                instance, vid = divmod(gid, stride)
+                unit = units[vid]
+                if units_used[unit] >= unit_limit[unit]:
                     stalled = "structural"
                     break
-                base = instance * n_instr
-                operand_wait = 0
-                unissued_producer = False
-                for arg in instr.args:
-                    arg_ready = ready.get(base + arg)
-                    if arg_ready is None:
-                        # Inputs/constants are preloaded (always ready; the
-                        # continuously-fed model DMAs the next instance's
-                        # inputs while the current one runs); a *scheduled*
-                        # producer still queued on another core has no
-                        # write-back time yet -- wait for it.
-                        if scheduled[arg]:
-                            unissued_producer = True
-                            break
-                    elif arg_ready > cycle:
-                        operand_wait = max(operand_wait, arg_ready)
-                if unissued_producer:
+                base = gid - vid
+                ready_a, ready_b = ready[base + a_col[vid]], ready[base + b_col[vid]]
+                if ready_a < 0 or ready_b < 0 or ready_a > cycle or ready_b > cycle:
                     stalled = "data"
+                    if ready_a >= 0 and ready_b >= 0:
+                        next_wakeups.append(max(ready_a, ready_b))
                     break
-                if operand_wait:
-                    stalled = "data"
-                    next_wakeups.append(operand_wait)
-                    break
-                finish = cycle + latency_cache[unit]
-                bank = instance_banks[instance][vid]
-                if enforce_wb and (core, bank, finish) in writeback_busy:
-                    stalled = "writeback"
-                    break
+                finish = cycle + latency[vid]
+                if enforce_wb:
+                    wb_key = (finish * bank_span + instance_banks[instance][vid]) * n_cores + core
+                    if wb_key in writeback_busy:
+                        stalled = "writeback"
+                        break
                 # Issue.
                 ready[gid] = finish
-                phases.record(instr.phase, cycle, finish)
-                if instr.phase is not None:
-                    instance_phases.record((instance, instr.phase), cycle, finish)
+                phase = phase_col[vid]
+                if phase is not None:
+                    phases.record(phase, cycle, finish)
+                    instance_phases.record((instance, phase), cycle, finish)
                 if enforce_wb:
-                    writeback_busy.add((core, bank, finish))
+                    writeback_busy.add(wb_key)
                 if events is not None:
                     events[core].append(cycle)
                 first = instance_first[instance]
@@ -584,7 +569,8 @@ def _simulate_stream(
                     instance_finish[instance] = finish
                 units_used[unit] += 1
                 per_core_issued[core] += 1
-                per_core_finish[core] = max(per_core_finish[core], finish)
+                if finish > per_core_finish[core]:
+                    per_core_finish[core] = finish
                 head += 1
                 slots += 1
             if slots:
@@ -641,18 +627,21 @@ class CycleAccurateSimulator:
     def run(self, schedule: ScheduledProgram) -> CycleStats:
         hw = self.hw or schedule.hw
         module = schedule.module
-        instructions = module.instructions
         banks = schedule.banks
-
-        engine = _CoreEngine(hw)
-        latency_cache = engine.latency
-        enforce_wb = engine.enforce_wb
+        a_col, b_col, phase_col = module.a, module.b, module.phases
+        units, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
         trace_codes = [] if self.record_trace else None
         code_of_unit = {"long": LONG, "short": SHORT, "inv": INV}
         phases = _PhaseTracker()
 
-        ready = {}                  # vid -> cycle its result is available
-        writeback_busy = {}         # (bank, cycle) -> producer vid
+        # ready[vid]: cycle the result is available (0 = preloaded); the
+        # trailing slot is where an absent operand (-1) lands.
+        ready = [0] * (len(module) + 1)
+        # Write-back slots taken, keyed ``cycle * bank_span + bank``.
+        writeback_busy = set()
+        wb_targets = set()
+        bank_span = max(banks, default=0) + 1
+        units_used = dict.fromkeys(UNITS, 0)
 
         cycle = 0
         issued = 0
@@ -665,35 +654,26 @@ class CycleAccurateSimulator:
             # All ops of a VLIW bundle issue together; the bundle waits for the
             # slowest constraint of any of its slots.
             while True:
-                ok = True
                 stall_reason = None
-                units_used = {"long": 0, "short": 0, "inv": 0}
-                wb_targets = set()
+                for unit in UNITS:
+                    units_used[unit] = 0
+                wb_targets.clear()
                 for vid in bundle:
-                    instr = instructions[vid]
-                    unit = unit_of(instr.op)
-                    if not engine.fits_unit(units_used, unit):
-                        ok = False
+                    unit = units[vid]
+                    if units_used[unit] >= unit_limit[unit]:
                         stall_reason = "structural"
                         break
                     units_used[unit] += 1
-                    for arg in instr.args:
-                        arg_ready = ready.get(arg, 0)
-                        if arg_ready > cycle:
-                            ok = False
-                            stall_reason = "data"
-                            break
-                    if not ok:
+                    if ready[a_col[vid]] > cycle or ready[b_col[vid]] > cycle:
+                        stall_reason = "data"
                         break
                     if enforce_wb:
-                        wb_cycle = cycle + latency_cache[unit]
-                        key = (banks[vid], wb_cycle)
+                        key = (cycle + latency[vid]) * bank_span + banks[vid]
                         if key in writeback_busy or key in wb_targets:
-                            ok = False
                             stall_reason = "writeback"
                             break
                         wb_targets.add(key)
-                if ok:
+                if stall_reason is None:
                     break
                 if stall_reason == "data":
                     data_stalls += 1
@@ -705,18 +685,16 @@ class CycleAccurateSimulator:
                     trace_codes.append(BUBBLE)
                 cycle += 1
 
+            writeback_busy |= wb_targets
             bundle_code = BUBBLE
             for vid in bundle:
-                instr = instructions[vid]
-                unit = unit_of(instr.op)
-                finish = cycle + latency_cache[unit]
+                finish = cycle + latency[vid]
                 ready[vid] = finish
-                last_finish = max(last_finish, finish)
-                phases.record(instr.phase, cycle, finish)
-                if enforce_wb:
-                    writeback_busy[(banks[vid], finish)] = vid
+                if finish > last_finish:
+                    last_finish = finish
+                phases.record(phase_col[vid], cycle, finish)
                 issued += 1
-                bundle_code = max(bundle_code, code_of_unit[unit])
+                bundle_code = max(bundle_code, code_of_unit[units[vid]])
             if trace_codes is not None:
                 trace_codes.append(bundle_code)
             cycle += 1

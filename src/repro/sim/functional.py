@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
+from repro.isa.instructions import ISA_BY_NAME
 from repro.isa.program import AssembledProgram
+
+
+_NAME_OF_OPCODE = {op.opcode: name for name, op in ISA_BY_NAME.items()}
 
 
 @dataclass
@@ -30,63 +34,58 @@ class FunctionalSimulator:
 
     # -- helpers -------------------------------------------------------------------
     def _register_count(self) -> int:
-        highest = 0
-        for bundle in self.program.bundles:
-            for instr in bundle.slots:
-                highest = max(highest, instr.rd, instr.rs1, instr.rs2)
-        for reg in self.program.constant_table:
-            highest = max(highest, reg)
-        for reg in self.program.input_map.values():
-            highest = max(highest, reg)
-        for reg in self.program.output_map.values():
-            highest = max(highest, reg)
-        return highest + 1
+        program = self.program
+        return 1 + max(
+            max(column, default=0)
+            for column in (program.rd, program.rs1, program.rs2, program.constant_table,
+                           program.input_map.values(), program.output_map.values())
+        )
 
     def run(self, inputs: dict) -> FunctionalResult:
         """Run the kernel; ``inputs`` maps input attributes to integers."""
         p = self.p
+        program = self.program
         registers = [0] * self._register_count()
-        for reg, value in self.program.constant_table.items():
+        for reg, value in program.constant_table.items():
             registers[reg] = value % p
-        for attr, reg in self.program.input_map.items():
+        for attr, reg in program.input_map.items():
             if attr not in inputs:
                 raise SimulationError(f"missing kernel input {attr!r}")
             registers[reg] = inputs[attr] % p
 
         executed = 0
-        for bundle in self.program.bundles:
-            for instr in bundle.slots:
-                name = instr.op.name
-                a = registers[instr.rs1]
-                b = registers[instr.rs2]
-                if name == "ADD":
-                    value = (a + b) % p
-                elif name == "SUB":
-                    value = (a - b) % p
-                elif name == "NEG":
-                    value = (-a) % p
-                elif name == "DBL":
-                    value = (2 * a) % p
-                elif name == "TPL":
-                    value = (3 * a) % p
-                elif name == "MUL":
-                    value = (a * b) % p
-                elif name == "SQR":
-                    value = (a * a) % p
-                elif name == "INV":
-                    if a == 0:
-                        raise SimulationError("modular inversion of zero")
-                    value = pow(a, -1, p)
-                elif name in ("CVT", "ICV"):
-                    value = a % p
-                elif name == "NOP":
-                    continue
-                elif name == "LDC":
-                    continue
-                else:
-                    raise SimulationError(f"unsupported machine op {name}")
-                registers[instr.rd] = value
-                executed += 1
+        names = map(_NAME_OF_OPCODE.get, program.opcodes)
+        for name, rd, rs1, rs2 in zip(names, program.rd, program.rs1, program.rs2):
+            a = registers[rs1]
+            b = registers[rs2]
+            if name == "ADD":
+                value = (a + b) % p
+            elif name == "SUB":
+                value = (a - b) % p
+            elif name == "NEG":
+                value = (-a) % p
+            elif name == "DBL":
+                value = (2 * a) % p
+            elif name == "TPL":
+                value = (3 * a) % p
+            elif name == "MUL":
+                value = (a * b) % p
+            elif name == "SQR":
+                value = (a * a) % p
+            elif name == "INV":
+                if a == 0:
+                    raise SimulationError("modular inversion of zero")
+                value = pow(a, -1, p)
+            elif name in ("CVT", "ICV"):
+                value = a % p
+            elif name == "NOP":
+                continue
+            elif name == "LDC":
+                continue
+            else:
+                raise SimulationError(f"unsupported machine op {name}")
+            registers[rd] = value
+            executed += 1
 
-        outputs = {attr: registers[reg] for attr, reg in self.program.output_map.items()}
+        outputs = {attr: registers[reg] for attr, reg in program.output_map.items()}
         return FunctionalResult(outputs=outputs, executed=executed, register_file=registers)

@@ -77,6 +77,8 @@ def test_entries_are_namespaced_by_schema_version(store, monkeypatch):
     upgraded = ArtifactStore(store.root)
     assert upgraded.load(KEY_A) is None
     assert upgraded.stats.corrupt == 0          # a clean miss, not corruption
+    # ...and never unpickled into the new classes: the first store prunes it.
+    assert upgraded.store(KEY_B, "artifact") and not store.namespace.exists()
 
 
 def test_entries_are_namespaced_by_code_fingerprint(store, monkeypatch):

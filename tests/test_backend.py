@@ -179,10 +179,15 @@ def test_register_allocation_is_consistent(compiled_toy_bn):
     assert set(allocation.registers_per_bank) <= set(range(hw.n_banks))
     # Far fewer registers than SSA values thanks to liveness-based reuse.
     assert allocation.total_registers < compiled_toy_bn.final_instructions / 10
-    seen = {}
-    for vid, (bank, slot) in allocation.register_of.items():
+    banks = compiled_toy_bn.schedule.banks
+    module = compiled_toy_bn.schedule.module
+    assert len(allocation.register_of) == len(banks) == len(module)
+    for op, bank, slot in zip(module.ops, banks, allocation.register_of):
         assert 0 <= bank < hw.n_banks
-        assert 0 <= slot < allocation.registers_per_bank[bank]
+        if op == "output":
+            assert slot == -1           # an alias of its operand: no register
+        else:
+            assert 0 <= slot < allocation.registers_per_bank[bank]
 
 
 def test_assembled_program_structure(compiled_toy_bn):

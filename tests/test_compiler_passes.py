@@ -1,5 +1,10 @@
 """IROpt passes: folding, strength reduction, GVN, DCE -- and semantics preservation."""
 
+import itertools
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.compiler.opt import (
     constant_folding,
     dead_code_elimination,
@@ -141,3 +146,118 @@ def test_optimized_pairing_kernel_semantics(compiled_toy_bn, toy_bn, rng):
     out_low = interpret_low_level(low, toy_bn.params.p, inputs)
     out_opt = interpret_low_level(opt, toy_bn.params.p, inputs)
     assert out_low == out_opt
+
+
+# ---------------------------------------------------------------------------
+# Differential: random low-level programs through every pass sequence
+# ---------------------------------------------------------------------------
+
+_PASSES = {
+    "constfold": lambda module: constant_folding(module, P),
+    "strength": lambda module: strength_reduction(module, P),
+    "gvn": lambda module: global_value_numbering(module, P),
+    "dce": dead_code_elimination,
+}
+#: Every ordered selection of the four passes (65 sequences, the empty one included).
+_SEQUENCES = [seq for k in range(5) for seq in itertools.permutations(_PASSES, k)]
+_UNARY = ("neg", "dbl", "tpl", "sqr", "inv", "cvt", "icv")
+_BINARY = ("add", "sub", "mul")
+_CONSTANTS = st.sampled_from([0, 1, 2, 3, P - 1, P - 2]) | st.integers(0, 3 * P)
+
+
+@st.composite
+def low_programs(draw):
+    """A valid random F_p program: constants and inputs, tagged compute rows, outputs."""
+    module = IRModule(level="low")
+    # Constants come first: operand draws favour small ids, so the rewrite
+    # rules keyed on special constants fire in most programs.
+    for value in draw(st.lists(_CONSTANTS, max_size=4)):
+        module.emit("const", (), attr=value)
+    for i in range(draw(st.integers(1, 3))):
+        module.emit("input", (), attr=f"x{i}")
+    for _ in range(draw(st.integers(1, 24))):
+        module.current_lane = draw(st.sampled_from([None, 0, 1]))
+        module.current_phase = draw(st.sampled_from([None, "miller", "final_exp"]))
+        earlier = st.integers(0, len(module) - 1)       # operands may repeat
+        op = draw(st.sampled_from(_UNARY + _BINARY + ("const", "muli")))
+        if op == "const":
+            module.emit("const", (), attr=draw(_CONSTANTS))
+        elif op == "muli":
+            module.emit("muli", (draw(earlier),), attr=draw(st.integers(-2, 5)))
+        elif op in _UNARY:
+            module.emit(op, (draw(earlier),))
+        else:
+            module.emit(op, (draw(earlier), draw(earlier)))
+    module.current_lane = module.current_phase = None
+    values = len(module)
+    for j in range(draw(st.integers(1, 3))):
+        module.emit("output", (draw(st.integers(0, values - 1)),), attr=f"out{j}")
+    return module
+
+
+def _columns(module):
+    return (module.ops, module.a, module.b, module.attrs, module.lanes, module.phases)
+
+
+def _reference_outputs(module, inputs):
+    try:
+        return interpret_low_level(module, P, inputs)
+    except ValueError:                   # an inv of zero somewhere: not a program
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_programs(), st.lists(st.integers(0, P - 1), min_size=3, max_size=3))
+def test_every_pass_sequence_preserves_semantics(module, xs):
+    inputs = {f"x{i}": x for i, x in enumerate(xs)}
+    module.validate()
+    expected = _reference_outputs(module, inputs)
+    for sequence in _SEQUENCES:
+        current = module
+        for name in sequence:
+            current = _PASSES[name](current)
+            current.validate()
+            assert current.count_compute_ops() == sum(
+                op not in ("const", "input", "output") for op in current.ops)
+        assert interpret_low_level(current, P, inputs) == expected, sequence
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_programs())
+def test_optimize_leaves_nothing_for_dce(module):
+    optimized, stats = optimize(module, P)
+    assert _columns(dead_code_elimination(optimized)) == _columns(optimized)
+    assert stats.final == optimized.count_compute_ops() == stats.per_pass["iteration-2/dce"]
+    assert list(stats.per_pass) == [
+        f"iteration-{i}{suffix}" for i in (1, 2)
+        for suffix in ("/constfold", "/strength", "/gvn", "/dce", "")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(low_programs())
+def test_gvn_demotes_values_shared_across_lanes_or_phases(module):
+    # Independent value numbering by hash-consing expression keys: rows with
+    # the same key are the ones GVN must merge, in order of first occurrence.
+    number_of: dict = {}
+    groups: dict = {}
+    for vid, (op, a, b, attr) in enumerate(zip(module.ops, module.a, module.b, module.attrs)):
+        operands = [number_of[arg] for arg in (a, b) if arg >= 0]
+        if op in ("input", "output"):
+            key = ("row", vid)
+        elif op == "const":
+            key = ("const", attr % P)
+        else:
+            key = (op, tuple(sorted(operands) if op in ("add", "mul") else operands), attr)
+        number_of[vid] = groups.setdefault(key, (len(groups), []))[0]
+        groups[key][1].append(vid)
+
+    def shared(column, members):
+        tags = {column[vid] for vid in members}
+        return tags.pop() if len(tags) == 1 else None
+
+    merged = global_value_numbering(module, P)
+    members = [rows for _, rows in groups.values()]
+    assert len(merged) == len(members)
+    assert merged.lanes == [shared(module.lanes, rows) for rows in members]
+    assert merged.phases == [shared(module.phases, rows) for rows in members]
+    assert merged.ops == [module.ops[rows[0]] for rows in members]

@@ -1,4 +1,4 @@
-"""Software-path outputs pinned bit for bit.
+"""Software-path outputs and compiled binaries pinned bit for bit.
 
 The digests were recorded on the commit *before* extension elements became
 flat residue tuples with generated kernels (nested ``FpElement`` objects,
@@ -6,15 +6,26 @@ interpreted variant formulas).  Representation and kernel changes must
 reproduce them exactly: the seeded points also pin the RNG consumption order
 of ``field.random`` and the square-root / cofactor paths behind
 ``random_g1`` / ``random_g2``.
+
+The ``KERNEL_DIGESTS`` were recorded on the commit *before* the low-level IR
+became columnar (one ``Instruction`` object per F_p op, ``MachineInstruction``
+/ ``Bundle`` objects in the assembled program): ``tools/kernel_digest.py``
+hashes the encoded words, constant table, I/O maps, per-bank registers and
+cycle statistics, so any change of instruction order, bank, bundle, issue
+cycle or register slot anywhere in the back end moves them.
 """
 
 import hashlib
+import importlib.util
+import os
 import random
 
 import pytest
 
-from repro.compiler.pipeline import compile_pairing
+from repro.compiler.pipeline import compile_multi_pairing, compile_pairing
 from repro.curves.catalog import get_curve
+from repro.dse.space import named_variant_configs
+from repro.hw.presets import default_model, figure10_models
 from repro.pairing.ate import optimal_ate_pairing
 from repro.pairing.batch import multi_pairing
 from repro.pairing.context import ConcretePairingContext
@@ -88,9 +99,61 @@ def test_hard_part_output_is_unchanged(mode):
     assert _digest(hard_part(ctx, f, mode=mode)) == PAIRING_DIGESTS["TOY-BN42"][0]
 
 
+_TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "kernel_digest.py")
+_spec = importlib.util.spec_from_file_location("kernel_digest", _TOOL)
+_kernel_digest_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_kernel_digest_tool)
+kernel_digest = _kernel_digest_tool.kernel_digest
+
+KERNEL_DIGESTS = {
+    "manual/L38-S8-lin1": "51c9e6e73c6ca2cbaabbd4b0615892369532e8db2ec3fb69c27420e8c907be84",
+    "manual/L8-S2-lin1": "8e1fe612bcdf956ad6385cbaaf00b315990db6852c03745a208b3bdf1a51f7d9",
+    "manual/L8-S2-lin2": "766654364557ba9af0b6df2727d1931ef2811b78af057f172cc9fa43407c2825",
+    "all-schoolbook/L38-S8-lin1": "3abca0948509a78c38b23d8e8724435451156619d11f43c52588428bbe6edbfe",
+    "all-schoolbook/L8-S2-lin1": "4217c4e179b4d302b87e65b02ce032e26b672895869f06cdd92a29e1540ac372",
+    "all-schoolbook/L8-S2-lin2": "0f6963e003317587106f4282c58fb477b1e41037f5890e0df211cffa61b56142",
+    "all-karatsuba/L38-S8-lin1": "a1ee29b87236efb34ba807e49750a1061a883a63a3da00a82699c8e5d91519cc",
+    "all-karatsuba/L8-S2-lin1": "9db275b09c71cbf0edaa5b5a7a704b91089b24e3b6153361c93257c4295e13da",
+    "all-karatsuba/L8-S2-lin2": "c9c0c7068d6a6bd72c867b74ba451548bae1b446853bdf27d6859a7690a03b99",
+    "batch4/shared/depth2": "5a922447114af3b3463ccb4940543eb30d61a8e247dbbf812bd4f172b21e5c90",
+    "batch4/split/depth1": "8d8043ce50671a28be3b88b3d1bdc9cad0a37cad6e5e648d40258286d0d82fbb",
+    "bls12-54/generic": "9fd74c129d36e13aad7a12d5742237576b2d053497f9a90fcf50950eb4902bb5",
+    "bls12-54/cyclotomic": "bef3edf38b9773d4ce4e9aa9ad395e734175db1c69324eef7eaec7ac55eec6a7",
+    "bls12-54/compressed": "1f2c5e26c7318ce76c9e5b7d0ba734ede8b49cb52cdca2c1d746b3a1fda5effd",
+    "BLS12-381": "c330fcb599181d8d6317d23812ee4bdeecee0561665287b63d08df3d37635aa6",
+}
+
+
+@pytest.mark.parametrize("variants", sorted(named_variant_configs()))
+@pytest.mark.parametrize("hw_index", range(3))
+def test_toy_bn_kernel_binaries_are_unchanged(variants, hw_index):
+    curve = get_curve("TOY-BN42")
+    hw = figure10_models(curve.params.p.bit_length())[hw_index]
+    result = compile_pairing(curve, hw=hw, variant_config=named_variant_configs()[variants],
+                             use_cache=False)
+    assert kernel_digest(result) == KERNEL_DIGESTS[f"{variants}/{hw.name}"]
+
+
+@pytest.mark.parametrize("accumulators, depth", [("shared", 2), ("split", 1)])
+def test_toy_bn_batch4_kernel_binaries_are_unchanged(accumulators, depth):
+    curve = get_curve("TOY-BN42")
+    hw = default_model(curve.params.p.bit_length()).with_cores(2)
+    result = compile_multi_pairing(curve, 4, hw=hw, use_cache=False, pipeline_depth=depth,
+                                   split_accumulators=accumulators == "split")
+    assert kernel_digest(result) == KERNEL_DIGESTS[f"batch4/{accumulators}/depth{depth}"]
+
+
+@pytest.mark.parametrize("mode", FINAL_EXP_MODES)
+def test_toy_bls12_kernel_binaries_are_unchanged(mode):
+    result = compile_pairing(get_curve("TOY-BLS12-54"), use_cache=False, final_exp_mode=mode)
+    assert kernel_digest(result) == KERNEL_DIGESTS[f"bls12-54/{mode}"]
+
+
 def test_bls12_381_kernel_model_is_unchanged():
     # Lowering reads the tower constants (xi, Frobenius tables) through the
     # derived ``ExtElement.coeffs`` view; a wrong view changes the kernel.
     curve = get_curve("BLS12-381")
     result = compile_pairing(curve, use_cache=False)
     assert (result.cycles, result.imem_bits) == (122139, 3692320)
+    assert kernel_digest(result) == KERNEL_DIGESTS["BLS12-381"]

@@ -213,9 +213,7 @@ def test_rebank_for_instance():
 def test_pipelined_register_demand():
     from repro.compiler.regalloc import RegisterAllocation
 
-    allocation = RegisterAllocation(
-        register_of={}, registers_per_bank={0: 10, 1: 4}, preloaded={}
-    )
+    allocation = RegisterAllocation(register_of=[], registers_per_bank={0: 10, 1: 4})
     assert pipelined_register_demand(allocation, 1, 2) == {0: 10, 1: 4}
     # Depth 2 on 2 banks: instance 1's banks rotate by one, so each bank
     # holds one copy of each original bank's footprint.

@@ -1,0 +1,89 @@
+"""Digest of one cold compile -- the determinism probe behind the golden tests.
+
+Usage::
+
+    python tools/kernel_digest.py CURVE [--hw NAME] [--variants NAME]
+
+Prints ``CURVE HW VARIANTS <sha256>`` for one uncached ``compile_pairing``.
+The digest covers everything a compiled kernel hands to hardware and to the
+evaluation: the encoded instruction words, the constant table, the I/O maps,
+the per-bank register demand and the cycle statistics.  CI runs it twice in
+fresh interpreters under different ``PYTHONHASHSEED`` values and fails if the
+lines differ; ``tests/test_golden_outputs.py`` pins the same digest per
+configuration.
+
+``--hw`` names a preset (``default``, ``HW1``, ``HW2`` or a Figure 10 model
+such as ``L8-S2-lin2``); ``--variants`` one of
+``repro.dse.space.named_variant_configs()``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+try:
+    import repro  # noqa: F401
+except ImportError:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.compiler.pipeline import compile_pairing  # noqa: E402
+from repro.curves.catalog import get_curve  # noqa: E402
+from repro.dse.space import named_variant_configs  # noqa: E402
+from repro.hw.presets import default_model, figure10_models, paper_hw1, paper_hw2  # noqa: E402
+
+
+def kernel_digest(result) -> str:
+    """sha256 over the binary and the statistics of a compile result.
+
+    Works for single and batched kernels; the multi-core and pipelined
+    statistics of a batched kernel are part of the digest when present.
+    """
+    program = result.program
+    parts = [
+        program.encoded_words(),
+        sorted(program.constant_table.items()),
+        sorted(program.input_map.items()),
+        sorted(program.output_map.items()),
+        sorted(program.registers_per_bank.items()),
+        result.cycle_stats.describe(),
+    ]
+    for name in ("multicore_stats", "pipeline_stats"):
+        stats = getattr(result, name, None)
+        if stats is not None:
+            parts.append(stats.describe())
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def hardware_presets(word_width: int) -> dict:
+    models = [paper_hw1(word_width), paper_hw2(word_width)] + figure10_models(word_width)
+    presets = {model.name: model for model in models}
+    presets["default"] = default_model(word_width)
+    return presets
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("curve")
+    parser.add_argument("--hw", default="default")
+    parser.add_argument("--variants", default="all-karatsuba")
+    args = parser.parse_args(argv)
+
+    curve = get_curve(args.curve)
+    presets = hardware_presets(curve.params.p.bit_length())
+    configs = named_variant_configs()
+    if args.hw not in presets:
+        parser.error(f"unknown hardware preset {args.hw!r}; choose from {sorted(presets)}")
+    if args.variants not in configs:
+        parser.error(f"unknown variant config {args.variants!r}; choose from {sorted(configs)}")
+    result = compile_pairing(curve, hw=presets[args.hw],
+                             variant_config=configs[args.variants], use_cache=False)
+    print(args.curve, args.hw, args.variants, kernel_digest(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
