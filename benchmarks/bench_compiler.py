@@ -34,13 +34,12 @@ def test_golden_pairing_latency_bn254(benchmark):
 def test_scheduler_throughput(benchmark):
     """Scheduling throughput on an already-lowered kernel (instructions/second)."""
     from repro.compiler.bankalloc import allocate_banks
-    from repro.compiler.pipeline import _cached_optimized
+    from repro.compiler.pipeline import stage_modules
     from repro.compiler.schedule import affinity_schedule
-    from repro.fields.variants import VariantConfig
     from repro.hw.presets import paper_hw1
 
     curve = get_curve("TOY-BN42" if bench_scale() == "smoke" else "BN254N")
-    module, _ = _cached_optimized(curve, VariantConfig.all_karatsuba(), True)
+    module = stage_modules(curve)[2]
     hw = paper_hw1(curve.params.p.bit_length())
     banks = allocate_banks(module, hw)
     schedule = benchmark.pedantic(affinity_schedule, args=(module, hw, banks), rounds=1, iterations=1)

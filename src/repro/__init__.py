@@ -35,11 +35,18 @@ Pairing (software golden path)
     split-accumulator Miller loop (one independent chain per group).
 
 Compiler
-    ``compile_pairing(curve, hw=None, ...)`` -- compile the single-pairing
-    accelerator kernel (cached by full semantic configuration).
-    ``compile_multi_pairing(curve, n_pairs, hw=None, ...)`` -- compile the
-    batched pairing-product kernel (see its docstring for an example).
-    ``CompilerPipeline`` -- the staged pipeline behind both entry points.
+    ``KernelSpec`` -- the one validated description of a kernel to compile
+    (hardware model, variant config, batch size, accumulator / final-exp /
+    pipeline-depth mode, pipeline flags); every entry point below folds its
+    keywords into one, and ``compile_kernel(curve, spec)`` is where they meet.
+    ``compile_pairing(curve, hw=None, variant_config=None, **knobs)`` --
+    compile the single-pairing accelerator kernel (cached by full semantic
+    configuration).
+    ``compile_multi_pairing(curve, n_pairs, hw=None, variant_config=None,
+    **knobs)`` -- compile the batched pairing-product kernel (see its
+    docstring for an example).  Both return a ``CompileResult`` carrying the
+    resolved spec.
+    ``CompilerPipeline(**knobs)`` -- the uncached staged pipeline for one spec.
     ``compile_cache_stats()`` -- per-stage hit/miss/store counters of the
     two-tier compile cache.
 
@@ -100,7 +107,9 @@ Reliability
 
 from repro.compiler.pipeline import (
     CompilerPipeline,
+    KernelSpec,
     compile_cache_stats,
+    compile_kernel,
     compile_multi_pairing,
     compile_pairing,
 )
@@ -128,7 +137,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, PipelineStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "get_curve",
@@ -138,6 +147,8 @@ __all__ = [
     "precompute_g2",
     "split_batched_miller_loop",
     "CompilerPipeline",
+    "KernelSpec",
+    "compile_kernel",
     "compile_pairing",
     "compile_multi_pairing",
     "compile_cache_stats",

@@ -1,15 +1,18 @@
 """The Finesse compilation pipeline.
 
 Stages (Section 3.5 of the paper): CodeGen -> IROpt -> BankAlloc -> PackSched ->
-RegAlloc -> ASM -> Link, orchestrated by :class:`repro.compiler.pipeline.CompilerPipeline`.
+RegAlloc -> ASM -> Link, run for one :class:`repro.compiler.pipeline.KernelSpec` by
+:func:`repro.compiler.pipeline.compile_kernel`.
 """
 
 from repro.compiler.cache import CacheStats, CompileCache
 from repro.compiler.pipeline import (
     CompilerPipeline,
     CompileResult,
+    KernelSpec,
     clear_caches,
     compile_cache_stats,
+    compile_kernel,
     compile_pairing,
 )
 from repro.compiler.store import (
@@ -23,12 +26,14 @@ from repro.compiler.codegen import generate_pairing_ir, TracingPairingContext
 __all__ = [
     "CompilerPipeline",
     "CompileResult",
+    "KernelSpec",
     "CompileCache",
     "CacheStats",
     "ArtifactStore",
     "StoreStats",
     "active_store",
     "configure_store",
+    "compile_kernel",
     "compile_pairing",
     "compile_cache_stats",
     "clear_caches",

@@ -1,16 +1,23 @@
 """The compilation pipeline: CodeGen -> IROpt -> BankAlloc -> PackSched -> RegAlloc -> ASM -> Link.
 
-``compile_pairing`` is the main entry point used by the evaluation harness; it
-caches every intermediate stage in-process so that design-space sweeps (many
-hardware models over the same curve, many variant configurations over the same
-trace) do not repeat work, which is what keeps the full benchmark suite runnable
-in pure Python.
+*What* is compiled is one value, :class:`KernelSpec`: the keyword entry points
+(``compile_pairing``, ``compile_multi_pairing``, ``pairing_compile_digest``,
+``CompilerPipeline``, ``stage_modules``) fold their keywords into a spec at the
+boundary and meet in ``compile_kernel``; everything below -- the stage caches,
+the result digest, the stage sequence, the :class:`CompileResult` -- carries
+the spec.  A new knob is a new field there plus the line that consumes it.
+
+Every intermediate stage is cached in-process so that design-space sweeps
+(many hardware models over the same curve, many variant configurations over
+the same trace) do not repeat work, which is what keeps the full benchmark
+suite runnable in pure Python.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 
 from repro.compiler.asm import assemble
 from repro.compiler.bankalloc import allocate_banks
@@ -20,7 +27,7 @@ from repro.compiler.codegen import (
     generate_pairing_ir,
     validate_batch_size,
 )
-from repro.compiler.store import StoreStats, active_store
+from repro.compiler.store import ArtifactStore, StoreStats, active_store
 from repro.reliability import faults as _faults
 from repro.compiler.opt import OptStats, optimize
 from repro.compiler.regalloc import allocate_registers, pipelined_register_demand
@@ -44,15 +51,137 @@ from repro.sim.cycle import (
 )
 
 
+@dataclass(frozen=True)
+class KernelSpec:
+    """Which kernel to compile, and how: the one value the compile layer carries.
+
+    ``n_pairs=None`` is the classic single-pairing kernel; an integer is the
+    batched pairing-product kernel of that size, compiled through the *same*
+    stage sequence plus the multi-core simulation on ``hw.n_cores``.
+    ``split_accumulators`` (batched only) traces one independent Miller
+    accumulator chain per hardware core instead of the single shared chain --
+    the kernel itself then depends on ``hw.n_cores``.  ``final_exp_mode`` is
+    the hard-part backend traced into the kernel ("generic" | "cyclotomic" |
+    "compressed"; :data:`repro.pairing.final_exp.FINAL_EXP_MODES`).
+    ``pipeline_depth`` (batched only) additionally scores the kernel as a
+    continuously-fed accelerator with that many batch instances in flight.
+    ``include_baseline`` / ``record_trace`` (single only) add the
+    program-order baseline timing / the per-cycle issue trace.  ``hw=None`` and
+    ``variant_config=None`` mean the curve's default model and all-Karatsuba
+    (:meth:`resolved`).
+
+    Validated once, here, so every entry point fails the same way.  A flag
+    that is not a ``bool`` raises ``CompilerError``: ``bool("shared")`` is
+    true, so truthiness would compile the split kernel, and ``0`` digests
+    apart from ``False``, so it would store one kernel twice.  A bad batch
+    size or a knob set on the kernel kind it does not apply to raise
+    ``CompilerError`` too; an unknown final-exp mode raises ``PairingError``,
+    a bad pipeline depth ``SimulationError``, an invalid hardware model
+    ``HardwareModelError``.
+    """
+
+    hw: HardwareModel | None = None
+    variant_config: VariantConfig | None = None
+    n_pairs: int | None = None
+    split_accumulators: bool = False
+    final_exp_mode: str = "generic"
+    pipeline_depth: int = 1
+    optimize_ir: bool = True
+    do_assemble: bool = True
+    include_baseline: bool = False
+    record_trace: bool = False
+
+    def __post_init__(self):
+        for flag in ("split_accumulators", "optimize_ir", "do_assemble",
+                     "include_baseline", "record_trace"):
+            if not isinstance(getattr(self, flag), bool):
+                raise CompilerError(
+                    f"{flag} must be True or False, got {getattr(self, flag)!r}")
+        if self.hw is not None:
+            self.hw.validate()
+        validate_final_exp_mode(self.final_exp_mode)
+        validate_pipeline_depth(self.pipeline_depth)
+        if self.n_pairs is None:
+            if self.split_accumulators or self.pipeline_depth != 1:
+                raise CompilerError(
+                    "split_accumulators / pipeline_depth apply to batched kernels "
+                    "only (set n_pairs); cross-batch pipelining replays batch "
+                    "instances, not single pairings")
+        else:
+            validate_batch_size(self.n_pairs)
+            if self.include_baseline or self.record_trace:
+                raise CompilerError(
+                    "include_baseline / record_trace apply to the single-pairing "
+                    "kernel only (program-order timing and issue traces are not "
+                    "modelled for batches)")
+
+    def resolved(self, curve) -> "KernelSpec":
+        """This spec with the defaults for ``curve`` filled in (what results carry)."""
+        if self.hw is not None and self.variant_config is not None:
+            return self
+        return replace(self, hw=self.hw or default_model(curve.params.p.bit_length()),
+                       variant_config=self.variant_config or VariantConfig.all_karatsuba())
+
+    @property
+    def accumulator_groups(self) -> int | None:
+        """Group count of the traced kernel (None = shared-accumulator mode);
+        needs a resolved spec."""
+        return self.hw.n_cores if self.split_accumulators else None
+
+    def stage_key(self, curve, *extra) -> tuple:
+        """Key of this kernel's *trace* in the per-process stage caches.
+
+        Split kernels and the three final-exp modes are different traces, so
+        every stage is keyed on the group count and the mode; batched keys
+        carry a leading marker so they can never collide with the
+        single-pairing tuples.  The ``True`` is ``use_naf``.
+        """
+        if self.n_pairs is None:
+            return (curve.name, True, self.final_exp_mode, *extra)
+        return ("multi", curve.name, self.n_pairs, self.accumulator_groups, True,
+                self.final_exp_mode, *extra)
+
+    def digest(self, curve) -> str:
+        """SHA-256 semantic digest: the key of the compiled result in both
+        cache tiers.  The two shapes of the key material are kept byte for
+        byte -- the digests pinned in the tests are how a refactor of this
+        layer shows it describes every kernel as before -- which is why the
+        retired ``use_naf`` / ``use_affinity`` knobs survive here as literals."""
+        spec = self.resolved(curve)
+        flags = dict(optimize_ir=spec.optimize_ir, use_naf=True, use_affinity=True,
+                     do_assemble=spec.do_assemble, final_exp_mode=spec.final_exp_mode)
+        if spec.n_pairs is None:
+            flags.update(include_baseline=spec.include_baseline,
+                         record_trace=spec.record_trace)
+        else:
+            flags.update(
+                kernel="multi_pairing", n_pairs=spec.n_pairs,
+                n_cores=spec.hw.n_cores,   # not part of hw.cache_key(); cycles depend on it
+                split_accumulators=spec.split_accumulators,
+                pipeline_depth=spec.pipeline_depth,  # pipelined scores are distinct artefacts
+            )
+        return CompileCache.make_key(curve.name, spec.variant_config, spec.hw, **flags)
+
+
+_KNOBS = frozenset(f.name for f in fields(KernelSpec))
+
+
 @dataclass
 class CompileResult:
-    """Everything the evaluation harness needs about one compiled kernel."""
+    """Everything the evaluation harness needs about one compiled kernel.
+
+    :attr:`spec` is the resolved :class:`KernelSpec` the kernel was compiled
+    from; its knobs read through under their own names (``result.hw``,
+    ``result.n_pairs``, ``result.final_exp_mode``, ...).  A batched kernel
+    (``n_pairs`` set) computes the fused product ``Pi e(P_i, Q_i)`` with a
+    single final exponentiation: :attr:`multicore_stats` then holds the
+    deterministic ``hw.n_cores``-core simulation (per-pair line-evaluation
+    lanes distributed by the LPT list schedule) and :attr:`cycle_stats` the
+    plain single-core run of the same schedule.
+    """
 
     curve_name: str
-    hw: HardwareModel
-    variant_config: VariantConfig
-    use_naf: bool
-    optimized: bool
+    spec: KernelSpec
     # Instruction counts.
     hl_instructions: int
     initial_instructions: int          # F_p instructions before IROpt ("Init.")
@@ -64,115 +193,57 @@ class CompileResult:
     registers_per_bank: dict
     total_registers: int
     program: object | None             # AssembledProgram (None if assembly skipped)
-    # Baseline (program-order) timing, populated on request.
+    #: Per-bank register demand with ``pipeline_depth`` renamed instances
+    #: resident (sizes the continuously-fed accelerator's data memory; equals
+    #: :attr:`registers_per_bank` at depth 1).
+    pipeline_registers_per_bank: dict
+    # Baseline (program-order) timing, populated on request (single kernel).
     baseline_cycle_stats: CycleStats | None = None
-    #: Hard-part backend traced into the kernel ("generic" | "cyclotomic" |
-    #: "compressed"); see :data:`repro.pairing.final_exp.FINAL_EXP_MODES`.
-    final_exp_mode: str = "generic"
-    # Stage timings in seconds.
-    stage_seconds: dict = field(default_factory=dict)
-
-    @property
-    def cycles(self) -> int:
-        return self.cycle_stats.total_cycles
-
-    @property
-    def ipc(self) -> float:
-        return self.cycle_stats.ipc
-
-    @property
-    def imem_bits(self) -> int:
-        if self.program is not None:
-            return self.program.binary_size_bits()
-        # Without assembly, assume the 32-bit encoding for sizing purposes.
-        return self.schedule.instruction_count * 32
-
-    @property
-    def compile_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
-
-    def describe(self) -> dict:
-        return {
-            "curve": self.curve_name,
-            "hw": self.hw.name,
-            "variants": self.variant_config.name,
-            "hl_instructions": self.hl_instructions,
-            "init_instructions": self.initial_instructions,
-            "opt_instructions": self.final_instructions,
-            "instr_reduction": round(
-                1 - self.final_instructions / self.initial_instructions, 4
-            ) if self.initial_instructions else 0.0,
-            "cycles": self.cycles,
-            "ipc": round(self.ipc, 3),
-            "registers": self.total_registers,
-            "final_exp_mode": self.final_exp_mode,
-            "compile_seconds": round(self.compile_seconds, 2),
-        }
-
-
-@dataclass
-class MultiPairingCompileResult:
-    """Everything the harness needs about one compiled *batched* pairing kernel.
-
-    The kernel computes the fused product ``Pi e(P_i, Q_i)`` with one shared
-    accumulator squaring per Miller iteration and a single final
-    exponentiation; :attr:`multicore_stats` holds the deterministic
-    ``n_cores``-core simulation (per-pair line-evaluation lanes distributed by
-    the LPT list schedule), :attr:`cycle_stats` the plain single-core run of
-    the same schedule.
-    """
-
-    curve_name: str
-    n_pairs: int
-    hw: HardwareModel
-    variant_config: VariantConfig
-    use_naf: bool
-    optimized: bool
-    # Instruction counts.
-    hl_instructions: int
-    initial_instructions: int
-    final_instructions: int
-    opt_stats: OptStats
-    # Backend results.
-    schedule: ScheduledProgram
-    cycle_stats: CycleStats            # single-core reference simulation
-    multicore_stats: MultiCoreStats    # hw.n_cores-core simulation
-    registers_per_bank: dict
-    total_registers: int
-    program: object | None
-    #: Split-accumulator mode: one independent Miller chain per core, merged
-    #: once before the final exponentiation (False = the shared-accumulator
-    #: kernel of PR 3).
-    split_accumulators: bool = False
-    #: Number of independent accumulator chains in the kernel (1 = shared).
-    accumulator_groups: int = 1
-    #: Hard-part backend traced into the kernel ("generic" | "cyclotomic" |
-    #: "compressed").
-    final_exp_mode: str = "generic"
-    #: Cross-batch pipeline depth this kernel was scored at (1 = one-shot).
-    pipeline_depth: int = 1
+    #: The ``hw.n_cores``-core simulation of a batched kernel; None on the
+    #: single-pairing kernel.
+    multicore_stats: MultiCoreStats | None = None
     #: The ``depth``-instance pipelined simulation
     #: (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined`); None
     #: when the kernel was scored one-shot (``pipeline_depth=1``).
     pipeline_stats: PipelineStats | None = None
-    #: Per-bank register demand with ``pipeline_depth`` renamed instances
-    #: resident (sizes the continuously-fed accelerator's data memory; equals
-    #: :attr:`registers_per_bank` at depth 1).
-    pipeline_registers_per_bank: dict = field(default_factory=dict)
+    # Stage timings in seconds.
     stage_seconds: dict = field(default_factory=dict)
+
+    def __getattr__(self, name):
+        # Only reached for names that are not attributes of the result itself.
+        if name in _KNOBS:
+            return getattr(self.spec, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @property
+    def _configured_stats(self):
+        """The simulation on the configured core count."""
+        return self.cycle_stats if self.multicore_stats is None else self.multicore_stats
 
     @property
     def cycles(self) -> int:
-        """Batch latency on the configured core count."""
-        return self.multicore_stats.total_cycles
+        """Kernel latency on the configured core count (the whole fused batch
+        for a batched kernel)."""
+        return self._configured_stats.total_cycles
+
+    @property
+    def ipc(self) -> float:
+        """IPC of the configured simulation, consistent with :attr:`cycles`;
+        the single-core IPC is ``cycle_stats.ipc``."""
+        return self._configured_stats.ipc
 
     @property
     def single_core_cycles(self) -> int:
         return self.cycle_stats.total_cycles
 
     @property
+    def accumulator_groups(self) -> int:
+        """Number of independent accumulator chains in the kernel (1 = shared)."""
+        return self.spec.accumulator_groups or 1
+
+    @property
     def cycles_per_pairing(self) -> float:
-        return self.cycles / self.n_pairs
+        return self.cycles / (self.spec.n_pairs or 1)
 
     @property
     def steady_batch_cycles(self) -> float:
@@ -190,18 +261,13 @@ class MultiPairingCompileResult:
     @property
     def steady_cycles_per_pairing(self) -> float:
         """Steady-state amortised cost per pairing (the throughput figure)."""
-        return self.steady_batch_cycles / self.n_pairs
-
-    @property
-    def ipc(self) -> float:
-        """IPC of the configured (multi-core) simulation, consistent with
-        :attr:`cycles`; the single-core IPC is ``cycle_stats.ipc``."""
-        return self.multicore_stats.ipc
+        return self.steady_batch_cycles / (self.spec.n_pairs or 1)
 
     @property
     def imem_bits(self) -> int:
         if self.program is not None:
             return self.program.binary_size_bits()
+        # Without assembly, assume the 32-bit encoding for sizing purposes.
         return self.schedule.instruction_count * 32
 
     @property
@@ -209,132 +275,73 @@ class MultiPairingCompileResult:
         return sum(self.stage_seconds.values())
 
     def describe(self) -> dict:
+        spec = self.spec
         summary = {
             "curve": self.curve_name,
             "kernel": "multi_pairing",
-            "n_pairs": self.n_pairs,
-            "accumulators": "split" if self.split_accumulators else "shared",
+            "n_pairs": spec.n_pairs,
+            "accumulators": "split" if spec.split_accumulators else "shared",
             "accumulator_groups": self.accumulator_groups,
-            "n_cores": self.multicore_stats.n_cores,
-            "hw": self.hw.name,
-            "variants": self.variant_config.name,
+            "n_cores": spec.hw.n_cores,
+            "hw": spec.hw.name,
+            "variants": spec.variant_config.name,
             "hl_instructions": self.hl_instructions,
             "init_instructions": self.initial_instructions,
             "opt_instructions": self.final_instructions,
+            "instr_reduction": round(self.opt_stats.reduction, 4),
             "cycles": self.cycles,
+            "ipc": round(self.ipc, 3),
             "single_core_cycles": self.single_core_cycles,
             "cycles_per_pairing": round(self.cycles_per_pairing, 1),
             "registers": self.total_registers,
-            "final_exp_mode": self.final_exp_mode,
+            "final_exp_mode": spec.final_exp_mode,
             "compile_seconds": round(self.compile_seconds, 2),
         }
-        if self.pipeline_depth > 1:
-            summary["pipeline_depth"] = self.pipeline_depth
+        # Each kernel kind reports the keys (and order) it always has.
+        for key in (("instr_reduction", "ipc") if spec.n_pairs is not None else
+                    ("kernel", "n_pairs", "accumulators", "accumulator_groups",
+                     "n_cores", "single_core_cycles", "cycles_per_pairing")):
+            del summary[key]
+        if spec.pipeline_depth > 1:
+            summary["pipeline_depth"] = spec.pipeline_depth
             summary["steady_batch_cycles"] = round(self.steady_batch_cycles, 1)
             summary["steady_cycles_per_pairing"] = round(self.steady_cycles_per_pairing, 1)
         return summary
 
 
-class CompilerPipeline:
-    """Configurable pipeline instance (see ``compile_pairing`` for the cached API).
+@contextmanager
+def _timed(timings: dict, stage: str):
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
 
-    ``n_pairs=None`` compiles the classic single-pairing kernel; an integer
-    compiles the batched multi-pairing kernel of that size through the *same*
-    stage sequence (plus the multi-core simulation) and returns a
-    :class:`MultiPairingCompileResult` instead of a :class:`CompileResult`.
-    ``split_accumulators=True`` (batched kernels only) traces one independent
-    Miller accumulator chain per hardware core instead of the single shared
-    chain -- the kernel itself then depends on ``hw.n_cores``.
-    """
 
-    def __init__(
-        self,
-        hw: HardwareModel | None = None,
-        variant_config: VariantConfig | None = None,
-        optimize_ir: bool = True,
-        use_naf: bool = True,
-        use_affinity: bool = True,
-        do_assemble: bool = True,
-        record_trace: bool = False,
-        n_pairs: int | None = None,
-        split_accumulators: bool = False,
-        final_exp_mode: str = "generic",
-        pipeline_depth: int = 1,
-    ):
-        self.hw = hw
-        self.variant_config = variant_config or VariantConfig.all_karatsuba()
-        self.optimize_ir = optimize_ir
-        self.use_naf = use_naf
-        self.use_affinity = use_affinity
-        self.do_assemble = do_assemble
-        self.record_trace = record_trace
-        self.n_pairs = n_pairs
-        if split_accumulators and n_pairs is None:
-            raise CompilerError(
-                "split_accumulators applies to batched kernels only (set n_pairs)"
-            )
-        self.split_accumulators = bool(split_accumulators)
-        self.final_exp_mode = validate_final_exp_mode(final_exp_mode)
-        self.pipeline_depth = validate_pipeline_depth(pipeline_depth)
-        if self.pipeline_depth > 1 and n_pairs is None:
-            raise CompilerError(
-                "pipeline_depth applies to batched kernels only (set n_pairs); "
-                "cross-batch pipelining replays batch instances, not single pairings"
-            )
+def _run_stages(curve, spec: KernelSpec) -> CompileResult:
+    """The stage sequence for one resolved spec, uncached at the result level."""
+    hw, n_pairs, groups = spec.hw, spec.n_pairs, spec.accumulator_groups
+    timings: dict = {}
 
-    # -- individual stages -----------------------------------------------------------
-    def _accumulator_groups(self, hw: HardwareModel) -> int | None:
-        """Group count of the traced kernel (None = shared-accumulator mode)."""
-        if self.n_pairs is None or not self.split_accumulators:
-            return None
-        return hw.n_cores
-
-    def compile(self, curve, include_baseline: bool = False):
-        hw = (self.hw or default_model(curve.params.p.bit_length())).validate()
-        n_pairs = self.n_pairs
-        if include_baseline and n_pairs is not None:
-            raise CompilerError(
-                "baseline (program-order) timing is only supported for the "
-                "single-pairing kernel"
-            )
-        groups = self._accumulator_groups(hw)
-        fe_mode = self.final_exp_mode
-        timings: dict = {}
-
-        start = time.perf_counter()
-        hl_module = _cached_hl_module(curve, self.use_naf, n_pairs, groups, fe_mode)
-        timings["codegen"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        low_module = _cached_low_module(curve, self.variant_config, self.use_naf,
-                                        n_pairs, groups, fe_mode)
-        timings["lowering"] = time.perf_counter() - start
-
-        initial_instructions = low_module.count_compute_ops()
-        start = time.perf_counter()
-        if self.optimize_ir:
-            optimized_module, opt_stats = _cached_optimized(
-                curve, self.variant_config, self.use_naf, n_pairs, groups, fe_mode
-            )
+    with _timed(timings, "codegen"):
+        hl_module = _cached_hl_module(curve, spec)
+    with _timed(timings, "lowering"):
+        low_module = _cached_low_module(curve, spec)
+    initial_instructions = low_module.count_compute_ops()
+    with _timed(timings, "iropt"):
+        if spec.optimize_ir:
+            optimized_module, opt_stats = _cached_optimized(curve, spec)
         else:
             optimized_module, opt_stats = low_module, OptStats(
                 initial=initial_instructions, final=initial_instructions
             )
-        timings["iropt"] = time.perf_counter() - start
-
-        start = time.perf_counter()
+    with _timed(timings, "bankalloc"):
         banks = allocate_banks(optimized_module, hw)
-        timings["bankalloc"] = time.perf_counter() - start
+    with _timed(timings, "packsched"):
+        schedule = affinity_schedule(optimized_module, hw, banks, use_affinity=True)
 
-        start = time.perf_counter()
-        schedule = affinity_schedule(optimized_module, hw, banks, use_affinity=self.use_affinity)
-        timings["packsched"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        simulator = CycleAccurateSimulator(record_trace=self.record_trace)
+    multicore_stats = pipeline_stats = None
+    with _timed(timings, "cyclesim"):
+        simulator = CycleAccurateSimulator(record_trace=spec.record_trace)
         cycle_stats = simulator.run(schedule)
-        multicore_stats = None
-        pipeline_stats = None
         if n_pairs is not None:
             if hw.n_cores > 1:
                 multicore_stats = simulator.run_multicore(schedule, hw.n_cores)
@@ -342,71 +349,55 @@ class CompilerPipeline:
                 # One core degenerates to the classic simulation just done;
                 # skip the redundant second walk and re-label it.
                 multicore_stats = MultiCoreStats.from_single_core(
-                    cycle_stats,
-                    dict.fromkeys(optimized_module.lane_histogram(), 0),
-                )
-            if self.pipeline_depth > 1:
+                    cycle_stats, dict.fromkeys(optimized_module.lane_histogram(), 0))
+            if spec.pipeline_depth > 1:
                 # The continuously-fed score: ``depth`` renamed instances in
                 # flight (depth 1 would just repeat the multicore walk).
-                pipeline_stats = simulator.run_pipelined(
-                    schedule, hw.n_cores, self.pipeline_depth
-                )
-        timings["cyclesim"] = time.perf_counter() - start
-
-        start = time.perf_counter()
+                pipeline_stats = simulator.run_pipelined(schedule, hw.n_cores, spec.pipeline_depth)
+    with _timed(timings, "regalloc"):
         allocation = allocate_registers(schedule)
-        timings["regalloc"] = time.perf_counter() - start
 
-        program = None
-        if self.do_assemble:
-            start = time.perf_counter()
+    program = None
+    if spec.do_assemble:
+        with _timed(timings, "asm+link"):
             suffix = "" if n_pairs is None else f"-x{n_pairs}"
             if groups is not None and groups > 1:
                 suffix += f"-split{groups}"
-            if fe_mode != "generic":
-                suffix += f"-fe-{fe_mode}"
+            if spec.final_exp_mode != "generic":
+                suffix += f"-fe-{spec.final_exp_mode}"
             program = assemble(schedule, allocation, name=f"{curve.name}{suffix}-{hw.name}")
-            timings["asm+link"] = time.perf_counter() - start
 
-        baseline_stats = None
-        if include_baseline:
-            start = time.perf_counter()
+    baseline_stats = None
+    if spec.include_baseline:
+        with _timed(timings, "baseline-sim"):
             base_banks = allocate_banks(low_module, hw)
             base_schedule = program_order_schedule(low_module, hw, base_banks)
-            baseline_stats = CycleAccurateSimulator(record_trace=self.record_trace).run(base_schedule)
-            timings["baseline-sim"] = time.perf_counter() - start
+            baseline_stats = CycleAccurateSimulator(record_trace=spec.record_trace).run(base_schedule)
 
-        common = dict(
-            curve_name=curve.name,
-            hw=hw,
-            variant_config=self.variant_config,
-            use_naf=self.use_naf,
-            optimized=self.optimize_ir,
-            hl_instructions=hl_module.count_compute_ops(),
-            initial_instructions=initial_instructions,
-            final_instructions=optimized_module.count_compute_ops(),
-            opt_stats=opt_stats,
-            schedule=schedule,
-            cycle_stats=cycle_stats,
-            registers_per_bank=dict(allocation.registers_per_bank),
-            total_registers=allocation.total_registers,
-            program=program,
-            final_exp_mode=fe_mode,
-            stage_seconds=timings,
-        )
-        if n_pairs is not None:
-            return MultiPairingCompileResult(
-                n_pairs=n_pairs, multicore_stats=multicore_stats,
-                split_accumulators=self.split_accumulators,
-                accumulator_groups=groups if groups is not None else 1,
-                pipeline_depth=self.pipeline_depth,
-                pipeline_stats=pipeline_stats,
-                pipeline_registers_per_bank=pipelined_register_demand(
-                    allocation, self.pipeline_depth, hw.n_banks
-                ),
-                **common,
-            )
-        return CompileResult(baseline_cycle_stats=baseline_stats, **common)
+    return CompileResult(
+        curve_name=curve.name, spec=spec,
+        hl_instructions=hl_module.count_compute_ops(),
+        initial_instructions=initial_instructions,
+        final_instructions=optimized_module.count_compute_ops(),
+        opt_stats=opt_stats, schedule=schedule, cycle_stats=cycle_stats,
+        registers_per_bank=dict(allocation.registers_per_bank),
+        total_registers=allocation.total_registers, program=program,
+        pipeline_registers_per_bank=pipelined_register_demand(allocation, spec.pipeline_depth, hw.n_banks),
+        baseline_cycle_stats=baseline_stats, multicore_stats=multicore_stats,
+        pipeline_stats=pipeline_stats, stage_seconds=timings,
+    )
+
+
+class CompilerPipeline:
+    """The staged pipeline for one :class:`KernelSpec`, given as keywords and
+    kept on :attr:`spec`; :meth:`compile` runs every stage past the stage
+    caches (see ``compile_kernel`` for the result-cached API)."""
+
+    def __init__(self, **knobs):
+        self.spec = KernelSpec(**knobs)
+
+    def compile(self, curve) -> CompileResult:
+        return _run_stages(curve, self.spec.resolved(curve))
 
 
 # ---------------------------------------------------------------------------
@@ -419,60 +410,40 @@ _OPT_CACHE = CompileCache("iropt")
 _RESULT_CACHE = CompileCache("result")
 
 
-# Batched-kernel (``n_pairs`` set) stage keys share the same instrumented
-# caches, namespaced by a leading marker so they can never collide with the
-# single-pairing tuples.  ``groups`` is the accumulator-group count of the
-# split-accumulator kernel (None = shared accumulator): split kernels are a
-# *different trace*, so every stage is keyed on it.  The same goes for the
-# final-exponentiation mode: "generic"/"cyclotomic"/"compressed" kernels are
-# different traces and never share a stage entry.
-
-def _stage_key(curve, use_naf: bool, n_pairs: int | None,
-               groups: int | None, fe_mode: str, *extra) -> tuple:
-    if n_pairs is None:
-        return (curve.name, use_naf, fe_mode, *extra)
-    return ("multi", curve.name, n_pairs, groups, use_naf, fe_mode, *extra)
-
-
-def _cached_hl_module(curve, use_naf: bool, n_pairs: int | None = None,
-                      groups: int | None = None, fe_mode: str = "generic"):
+def _cached_hl_module(curve, spec: KernelSpec):
     def factory():
-        if n_pairs is None:
-            return generate_pairing_ir(curve, use_naf=use_naf,
-                                       final_exp_mode=fe_mode)
-        return generate_multi_pairing_ir(curve, n_pairs, use_naf=use_naf,
-                                         accumulator_groups=groups,
-                                         final_exp_mode=fe_mode)
+        if spec.n_pairs is None:
+            return generate_pairing_ir(curve, use_naf=True,
+                                       final_exp_mode=spec.final_exp_mode)
+        return generate_multi_pairing_ir(curve, spec.n_pairs, use_naf=True,
+                                         accumulator_groups=spec.accumulator_groups,
+                                         final_exp_mode=spec.final_exp_mode)
 
-    return _HL_CACHE.get_or_compute(
-        _stage_key(curve, use_naf, n_pairs, groups, fe_mode), factory
-    )
+    return _HL_CACHE.get_or_compute(spec.stage_key(curve), factory)
 
 
-def _cached_low_module(curve, config: VariantConfig, use_naf: bool,
-                       n_pairs: int | None = None, groups: int | None = None,
-                       fe_mode: str = "generic"):
-    key = _stage_key(curve, use_naf, n_pairs, groups, fe_mode, config.cache_key())
+def _cached_low_module(curve, spec: KernelSpec):
     return _LOW_CACHE.get_or_compute(
-        key,
-        lambda: lower_module(
-            _cached_hl_module(curve, use_naf, n_pairs, groups, fe_mode),
-            curve.tower.levels, config,
-        ),
+        spec.stage_key(curve, spec.variant_config.cache_key()),
+        lambda: lower_module(_cached_hl_module(curve, spec), curve.tower.levels,
+                             spec.variant_config),
     )
 
 
-def _cached_optimized(curve, config: VariantConfig, use_naf: bool,
-                      n_pairs: int | None = None, groups: int | None = None,
-                      fe_mode: str = "generic"):
-    key = _stage_key(curve, use_naf, n_pairs, groups, fe_mode, config.cache_key())
+def _cached_optimized(curve, spec: KernelSpec):
     return _OPT_CACHE.get_or_compute(
-        key,
-        lambda: optimize(
-            _cached_low_module(curve, config, use_naf, n_pairs, groups, fe_mode),
-            curve.params.p,
-        ),
+        spec.stage_key(curve, spec.variant_config.cache_key()),
+        lambda: optimize(_cached_low_module(curve, spec), curve.params.p),
     )
+
+
+def stage_modules(curve, **knobs) -> tuple:
+    """``(traced, lowered, optimized)`` IR modules of the kernel ``knobs``
+    describe (:class:`KernelSpec` fields), served from the stage caches --
+    the very modules a compile of that kernel is built from."""
+    spec = KernelSpec(**knobs).resolved(curve)
+    return (_cached_hl_module(curve, spec), _cached_low_module(curve, spec),
+            _cached_optimized(curve, spec)[0])
 
 
 def clear_caches(disk: bool = False) -> None:
@@ -502,38 +473,42 @@ def compile_cache_stats() -> dict:
     The ``result`` entry is the one design-space sweeps care about: its miss
     count is exactly the number of full recompilations performed since the
     last :func:`clear_caches` -- a disk hit repopulates the memory tier
-    without counting as a result miss.  When a disk store is active
-    (``FINESSE_CACHE_DIR`` or :func:`repro.compiler.store.configure_store`),
-    its counters appear under the ``disk`` key.
+    without counting as a result miss.  The ``disk`` entry is the active
+    store's counters (``FINESSE_CACHE_DIR`` or
+    :func:`repro.compiler.store.configure_store`).
     """
     stats = {
         cache.name: cache.describe()
         for cache in (_HL_CACHE, _LOW_CACHE, _OPT_CACHE, _RESULT_CACHE)
     }
     store = active_store()
-    if store is not None:
-        # Counters only: this is snapshotted around every worker chunk, so it
-        # must not walk the store's directory tree (use ``store.describe()``
-        # directly for on-disk usage).
-        stats[store.name] = store.counters()
-    else:
-        # No disk tier configured: report zeroed counters under the same key
-        # so runner summaries and --assert-warm scripts never have to
-        # special-case cold configurations (``stats["disk"]`` is always there,
-        # with the full ``StoreStats.snapshot()`` key set).
-        stats["disk"] = dict(StoreStats().snapshot(), name="disk")
+    # Counters only: this is snapshotted around every worker chunk, so it must
+    # not walk the store's directory tree (use ``store.describe()`` directly
+    # for on-disk usage).  With no disk tier configured the same key reports
+    # zeroed counters (the full ``StoreStats.snapshot()`` key set), so runner
+    # summaries and --assert-warm scripts never special-case cold
+    # configurations.
+    stats[ArtifactStore.name] = (
+        store.counters() if store is not None
+        else dict(StoreStats().snapshot(), name=ArtifactStore.name)
+    )
     return stats
 
 
-def _cached_compile(key: str, use_cache: bool, compile_fn):
-    """Two-tier result lookup shared by both kernel entry points.
+def compile_kernel(curve, spec: KernelSpec, use_cache: bool = True) -> CompileResult:
+    """Compile the kernel ``spec`` describes for ``curve``: where every entry
+    point meets.
 
-    Memory, then disk, then a real compile.  The result-cache miss counter is
-    only bumped when a real compile happens, preserving the
-    "misses == recompilations" contract for disk-served sweeps.
+    Two-tier result lookup under ``spec.digest(curve)``: memory, then disk,
+    then a real compile.  The result-cache miss counter is only bumped when a
+    real compile happens, preserving the "misses == recompilations" contract
+    for disk-served sweeps.  ``use_cache=False`` compiles unconditionally and
+    leaves both tiers and their counters alone (the stage caches still serve).
     """
+    spec = spec.resolved(curve)
     store = active_store() if use_cache else None
     if use_cache:
+        key = spec.digest(curve)
         cached = _RESULT_CACHE.peek(key)
         if cached is not None:
             _RESULT_CACHE.stats.hits += 1
@@ -548,7 +523,7 @@ def _cached_compile(key: str, use_cache: bool, compile_fn):
         # Fires only on real compiles: cache hits stay fault-free, so a
         # transient compile fault heals through the evaluate-level retry.
         _faults.ACTIVE.apply("compile")
-    result = compile_fn()
+    result = _run_stages(curve, spec)
     if use_cache:
         _RESULT_CACHE.store(key, result)
         if store is not None:
@@ -556,100 +531,44 @@ def _cached_compile(key: str, use_cache: bool, compile_fn):
     return result
 
 
-def compile_pairing(
-    curve,
-    hw: HardwareModel | None = None,
-    variant_config: VariantConfig | None = None,
-    optimize_ir: bool = True,
-    use_naf: bool = True,
-    use_affinity: bool = True,
-    do_assemble: bool = True,
-    include_baseline: bool = False,
-    record_trace: bool = False,
-    use_cache: bool = True,
-    final_exp_mode: str = "generic",
-) -> CompileResult:
-    """Compile the pairing kernel for ``curve`` (cached by full configuration).
+def compile_pairing(curve, hw: HardwareModel | None = None,
+                    variant_config: VariantConfig | None = None,
+                    use_cache: bool = True, **knobs) -> CompileResult:
+    """Compile the single-pairing kernel for ``curve`` (cached by full configuration).
 
-    ``final_exp_mode`` selects the hard-part backend traced into the kernel
-    ("generic", "cyclotomic" or "compressed"); it is part of the semantic
-    cache digest, so the three kernels never share a cached (or disk-stored)
-    artefact.
+    ``knobs`` are the remaining :class:`KernelSpec` fields that apply to the
+    single kernel (``final_exp_mode``, ``optimize_ir``, ``do_assemble``,
+    ``include_baseline``, ``record_trace``); all of them are part of the
+    semantic cache digest, so e.g. the three final-exp kernels never share a
+    cached (or disk-stored) artefact.
     """
-    variant_config = variant_config or VariantConfig.all_karatsuba()
-    hw_resolved = (hw or default_model(curve.params.p.bit_length())).validate()
-    flags = dict(
-        optimize_ir=optimize_ir, use_naf=use_naf, use_affinity=use_affinity,
-        do_assemble=do_assemble, record_trace=record_trace,
-        final_exp_mode=final_exp_mode,
-    )
-    key = pairing_compile_digest(curve, hw_resolved, variant_config,
-                                 include_baseline=include_baseline, **flags)
-    pipeline = CompilerPipeline(hw=hw_resolved, variant_config=variant_config, **flags)
-    return _cached_compile(
-        key, use_cache, lambda: pipeline.compile(curve, include_baseline=include_baseline)
-    )
+    spec = KernelSpec(hw=hw, variant_config=variant_config, n_pairs=None, **knobs)
+    return compile_kernel(curve, spec, use_cache)
 
 
-def pairing_compile_digest(
-    curve,
-    hw: HardwareModel | None = None,
-    variant_config: VariantConfig | None = None,
-    optimize_ir: bool = True,
-    use_naf: bool = True,
-    use_affinity: bool = True,
-    do_assemble: bool = True,
-    include_baseline: bool = False,
-    record_trace: bool = False,
-    final_exp_mode: str = "generic",
-) -> str:
-    """Semantic cache digest of a :func:`compile_pairing` call, without compiling.
+def pairing_compile_digest(curve, **knobs) -> str:
+    """Semantic cache digest of a compile call with these keywords, without compiling.
 
-    Exactly the key that call would look up, so callers (the cache-seeded
-    search of :mod:`repro.dse.search`) can ask "is this design point already
-    compiled?" before spending a full evaluation on it.
+    Exactly the key that call would look up (``n_pairs`` among the ``knobs``
+    gives the batched kernel's), so callers (the cache-seeded search of
+    :mod:`repro.dse.search`) can ask "is this design point already compiled?"
+    before spending a full evaluation on it.
     """
-    variant_config = variant_config or VariantConfig.all_karatsuba()
-    hw_resolved = (hw or default_model(curve.params.p.bit_length())).validate()
-    final_exp_mode = validate_final_exp_mode(final_exp_mode)
-    return CompileCache.make_key(
-        curve.name,
-        variant_config,
-        hw_resolved,
-        optimize_ir=optimize_ir,
-        use_naf=use_naf,
-        use_affinity=use_affinity,
-        do_assemble=do_assemble,
-        include_baseline=include_baseline,
-        record_trace=record_trace,
-        final_exp_mode=final_exp_mode,
-    )
+    return KernelSpec(**knobs).digest(curve)
 
 
-def is_pairing_compiled(curve, hw=None, variant_config=None, **flags) -> bool:
-    """True when the memory result tier already holds this pairing kernel.
+def is_pairing_compiled(curve, **knobs) -> bool:
+    """True when the memory result tier already holds this kernel.
 
     A pure probe: no counters move, no compilation happens, and the disk tier
     is deliberately not consulted (seeding heuristics want the cheap answer).
     """
-    key = pairing_compile_digest(curve, hw=hw, variant_config=variant_config, **flags)
-    return _RESULT_CACHE.peek(key) is not None
+    return _RESULT_CACHE.peek(pairing_compile_digest(curve, **knobs)) is not None
 
 
-def compile_multi_pairing(
-    curve,
-    n_pairs: int,
-    hw: HardwareModel | None = None,
-    variant_config: VariantConfig | None = None,
-    optimize_ir: bool = True,
-    use_naf: bool = True,
-    use_affinity: bool = True,
-    do_assemble: bool = True,
-    use_cache: bool = True,
-    split_accumulators: bool = False,
-    final_exp_mode: str = "generic",
-    pipeline_depth: int = 1,
-) -> MultiPairingCompileResult:
+def compile_multi_pairing(curve, n_pairs: int, hw: HardwareModel | None = None,
+                          variant_config: VariantConfig | None = None,
+                          use_cache: bool = True, **knobs) -> CompileResult:
     """Compile the batched pairing-product kernel ``Pi e(P_i, Q_i)`` for ``curve``.
 
     The kernel shares one accumulator squaring per Miller iteration and a
@@ -660,7 +579,8 @@ def compile_multi_pairing(
     (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_multicore`).  Results
     flow through the same two-tier (memory -> disk) compile cache as
     :func:`compile_pairing`, with the batch size, core count and accumulator
-    mode part of the semantic digest.
+    mode part of the semantic digest.  ``knobs`` are the remaining
+    :class:`KernelSpec` fields that apply to a batched kernel:
 
     ``split_accumulators=True`` compiles the *split-accumulator* kernel: one
     independent Miller chain per core (``hw.n_cores`` accumulator groups over
@@ -680,6 +600,9 @@ def compile_multi_pairing(
     ~chain-weight/|F_p^{k/6}| per batch that makes the simulated inversion
     fail loudly rather than return a wrong product.
 
+    ``pipeline_depth``, ``optimize_ir`` and ``do_assemble`` as on
+    :class:`KernelSpec`.
+
     Example -- compile a batch-8 kernel on a 4-core model and read the
     figures a design sweep ranks on::
 
@@ -690,36 +613,7 @@ def compile_multi_pairing(
         kernel.cycles                # latency of the whole fused batch
         kernel.cycles_per_pairing    # amortised cost (falls with batch size)
     """
-    n_pairs = validate_batch_size(n_pairs)
-    variant_config = variant_config or VariantConfig.all_karatsuba()
-    hw_resolved = (hw or default_model(curve.params.p.bit_length())).validate()
-    final_exp_mode = validate_final_exp_mode(final_exp_mode)
-    pipeline_depth = validate_pipeline_depth(pipeline_depth)
-    key = CompileCache.make_key(
-        curve.name,
-        variant_config,
-        hw_resolved,
-        kernel="multi_pairing",
-        n_pairs=n_pairs,
-        n_cores=hw_resolved.n_cores,   # not part of hw.cache_key(); cycles depend on it
-        split_accumulators=bool(split_accumulators),
-        optimize_ir=optimize_ir,
-        use_naf=use_naf,
-        use_affinity=use_affinity,
-        do_assemble=do_assemble,
-        final_exp_mode=final_exp_mode,
-        pipeline_depth=pipeline_depth,  # pipelined scores are distinct artefacts
-    )
-    pipeline = CompilerPipeline(
-        hw=hw_resolved,
-        variant_config=variant_config,
-        optimize_ir=optimize_ir,
-        use_naf=use_naf,
-        use_affinity=use_affinity,
-        do_assemble=do_assemble,
-        n_pairs=n_pairs,
-        split_accumulators=split_accumulators,
-        final_exp_mode=final_exp_mode,
-        pipeline_depth=pipeline_depth,
-    )
-    return _cached_compile(key, use_cache, lambda: pipeline.compile(curve))
+    # Checked here too: to the spec, ``n_pairs=None`` means the single kernel.
+    spec = KernelSpec(hw=hw, variant_config=variant_config,
+                      n_pairs=validate_batch_size(n_pairs), **knobs)
+    return compile_kernel(curve, spec, use_cache)

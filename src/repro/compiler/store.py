@@ -65,7 +65,7 @@ from repro.config import CACHE_DIR_ENV, MAX_BYTES_ENV, env_int, env_str
 from repro.reliability import faults as _faults
 
 #: Bump on any incompatible change to the pickled artefact shape.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Default eviction budget: 2 GiB holds thousands of toy-curve kernels and
 #: hundreds of full-size ones while staying inside CI cache quotas.
@@ -146,8 +146,11 @@ class StoreStats:
 class ArtifactStore:
     """Disk tier of the compile cache (see the module docstring for format)."""
 
-    def __init__(self, root, max_bytes: int | None = None, name: str = "disk"):
-        self.name = name
+    #: The key of this tier in ``compile_cache_stats()``; every consumer reads
+    #: the counters under this literal, so it is not configurable.
+    name = "disk"
+
+    def __init__(self, root, max_bytes: int | None = None):
         self.root = Path(root).expanduser()
         self.namespace = self.root / f"v{SCHEMA_VERSION}-{code_fingerprint()[:12]}"
         self.max_bytes = (env_int(MAX_BYTES_ENV, DEFAULT_MAX_BYTES) if max_bytes is None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.pipeline import compile_multi_pairing, compile_pairing
+from repro.compiler.pipeline import KernelSpec, compile_kernel
 from repro.dse.space import DesignPoint
 from repro.dse.spec import EvalSpec
 from repro.hw.area import estimate_area
@@ -124,17 +124,12 @@ def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
     """The one place a design point meets the compiler: the single-pairing
     kernel when ``n_pairs`` is ``None``, else the ``n_pairs``-wide batched
     kernel on the spec's core count."""
-    if n_pairs is None:
-        return compile_pairing(
-            curve, hw=point.hw, variant_config=point.variant_config,
-            do_assemble=spec.do_assemble, final_exp_mode=fe_mode,
-        )
-    return compile_multi_pairing(
-        curve, n_pairs, hw=point.hw.with_cores(spec.n_cores),
-        variant_config=point.variant_config, do_assemble=spec.do_assemble,
+    return compile_kernel(curve, KernelSpec(
+        hw=point.hw if n_pairs is None else point.hw.with_cores(spec.n_cores),
+        variant_config=point.variant_config, n_pairs=n_pairs,
         split_accumulators=accumulator == "split", final_exp_mode=fe_mode,
-        pipeline_depth=depth,
-    )
+        pipeline_depth=depth, do_assemble=spec.do_assemble,
+    ))
 
 
 def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,

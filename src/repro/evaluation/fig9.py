@@ -9,11 +9,10 @@ cycle 10 000, as in the paper, together with occupancy statistics.
 from __future__ import annotations
 
 from repro.compiler.bankalloc import allocate_banks
-from repro.compiler.pipeline import _cached_optimized, compile_pairing
+from repro.compiler.pipeline import compile_pairing, stage_modules
 from repro.compiler.schedule import program_order_schedule
 from repro.curves.catalog import get_curve
 from repro.evaluation.common import hw_for_curve, paper_curve_names
-from repro.fields.variants import VariantConfig
 from repro.sim.cycle import CycleAccurateSimulator
 
 WINDOW_START = 10_000
@@ -22,13 +21,12 @@ WINDOW_LENGTH = 128
 
 def run(scale: str | None = None) -> dict:
     rows = []
-    config = VariantConfig.all_karatsuba()
     for name in paper_curve_names(scale):
         curve = get_curve(name)
         hw = hw_for_curve(curve)
 
         # Before: optimised IR in program order (no scheduling).
-        module, _ = _cached_optimized(curve, config, True)
+        module = stage_modules(curve)[2]
         banks = allocate_banks(module, hw)
         before_schedule = program_order_schedule(module, hw, banks)
         before = CycleAccurateSimulator(record_trace=True).run(before_schedule)

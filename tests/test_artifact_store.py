@@ -288,6 +288,15 @@ def test_disk_hit_is_not_a_recompilation(pipeline_store, toy_bn, hw1_small):
     assert stats["result"]["hits"] == 1 and stats["disk"]["hits"] == 1
 
 
+def test_store_counters_always_report_under_the_disk_key(tmp_path, pipeline_store):
+    """Every consumer reads ``compile_cache_stats()["disk"]``; a store could
+    once be named otherwise, which made the key vanish."""
+    with pytest.raises(TypeError, match="name"):
+        ArtifactStore(tmp_path / "other", name="fast")
+    assert pipeline_store.name == "disk"
+    assert compile_cache_stats()["disk"] == pipeline_store.counters()
+
+
 def test_use_cache_false_bypasses_disk(pipeline_store, toy_bn, hw1_small):
     compile_pairing(toy_bn, hw=hw1_small, use_cache=False)
     stats = compile_cache_stats()["disk"]

@@ -131,12 +131,9 @@ def test_optimize_reports_reduction(toy_bn, rng):
 
 def test_optimized_pairing_kernel_semantics(compiled_toy_bn, toy_bn, rng):
     """The IROpt pipeline must not change the kernel's input/output behaviour."""
-    from repro.compiler.pipeline import _cached_low_module, _cached_optimized
-    from repro.fields.variants import VariantConfig
+    from repro.compiler.pipeline import stage_modules
 
-    config = VariantConfig.all_karatsuba()
-    low = _cached_low_module(toy_bn, config, True)
-    opt, _ = _cached_optimized(toy_bn, config, True)
+    _, low, opt = stage_modules(toy_bn)
     P_point = toy_bn.random_g1(rng)
     Q_point = toy_bn.random_g2(rng)
     inputs = {}

@@ -8,6 +8,7 @@ default.  The three bug reproductions at the bottom fail on the commit before
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -266,3 +267,16 @@ def test_only_repro_config_touches_the_environment():
     assert not offenders, (
         f"read FINESSE_* variables through repro.config, not os.environ: {offenders}")
     assert (SRC / "config.py").exists()
+
+
+def test_no_module_imports_a_private_name_from_the_compile_pipeline():
+    """Stage products are public through ``stage_modules``; nothing in the
+    package reaches into ``repro.compiler.pipeline``'s underscore names."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno} {alias.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.compiler.pipeline"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not offenders, f"use the public pipeline API: {offenders}"

@@ -77,10 +77,10 @@ def test_compile_cache_hit(toy_bn):
 
 def test_pipeline_stage_access(toy_bn):
     pipeline = CompilerPipeline(hw=paper_hw1(toy_bn.params.p.bit_length()), do_assemble=False)
-    hl = generate_pairing_ir(toy_bn, use_naf=pipeline.use_naf,
-                             final_exp_mode=pipeline.final_exp_mode)
+    spec = pipeline.spec.resolved(toy_bn)
+    hl = generate_pairing_ir(toy_bn, use_naf=True, final_exp_mode=spec.final_exp_mode)
     assert hl.count_compute_ops() > 100
-    low = lower_module(hl, toy_bn.tower.levels, pipeline.variant_config)
+    low = lower_module(hl, toy_bn.tower.levels, spec.variant_config)
     assert low.count_compute_ops() > hl.count_compute_ops()
     # The staged calls are the pipeline's own stages: same op counts.
     result = pipeline.compile(toy_bn)

@@ -274,6 +274,7 @@ def test_compiler_pipeline_rejects_depth_without_batch():
         CompilerPipeline(pipeline_depth=2)
     with pytest.raises(SimulationError):
         CompilerPipeline(n_pairs=4, pipeline_depth=0)
+    assert CompilerPipeline(n_pairs=4, pipeline_depth=2).spec.pipeline_depth == 2
 
 
 def test_multicore_stats_unchanged_shape(simulator, bn_batch8_4core):

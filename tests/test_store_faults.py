@@ -22,7 +22,7 @@ def _clean_faults():
 
 @pytest.fixture
 def store(tmp_path):
-    return ArtifactStore(tmp_path / "store", name="test")
+    return ArtifactStore(tmp_path / "store")
 
 
 def _fill(store, n=6):

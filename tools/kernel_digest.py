@@ -4,12 +4,16 @@ Usage::
 
     python tools/kernel_digest.py CURVE [--hw NAME] [--variants NAME]
 
-Prints ``CURVE HW VARIANTS <sha256>`` for one uncached ``compile_pairing``.
-The digest covers everything a compiled kernel hands to hardware and to the
-evaluation: the encoded instruction words, the constant table, the I/O maps,
-the per-bank register demand and the cycle statistics.  CI runs it twice in
-fresh interpreters under different ``PYTHONHASHSEED`` values and fails if the
-lines differ; ``tests/test_golden_outputs.py`` pins the same digest per
+Prints ``CURVE HW VARIANTS <sha256>`` for one uncached compile of the
+single-pairing kernel, then ``CURVE HW VARIANTS batch4-split-2core <sha256>``
+for the batch-4 split-accumulator kernel on two cores of the same model: lane
+-> core assignment, group partitioning and cross-lane GVN demotion are
+dict/set-ordered code the single kernel never executes.  The digest covers
+everything a compiled kernel hands to hardware and to the evaluation: the
+encoded instruction words, the constant table, the I/O maps, the per-bank
+register demand and the cycle (and multi-core) statistics.  CI runs it twice
+in fresh interpreters under different ``PYTHONHASHSEED`` values and fails if
+the lines differ; ``tests/test_golden_outputs.py`` pins the same digests per
 configuration.
 
 ``--hw`` names a preset (``default``, ``HW1``, ``HW2`` or a Figure 10 model
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -30,7 +35,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.compiler.pipeline import compile_pairing  # noqa: E402
+from repro.compiler.pipeline import KernelSpec, compile_kernel  # noqa: E402
 from repro.curves.catalog import get_curve  # noqa: E402
 from repro.dse.space import named_variant_configs  # noqa: E402
 from repro.hw.presets import default_model, figure10_models, paper_hw1, paper_hw2  # noqa: E402
@@ -79,9 +84,11 @@ def main(argv=None) -> int:
         parser.error(f"unknown hardware preset {args.hw!r}; choose from {sorted(presets)}")
     if args.variants not in configs:
         parser.error(f"unknown variant config {args.variants!r}; choose from {sorted(configs)}")
-    result = compile_pairing(curve, hw=presets[args.hw],
-                             variant_config=configs[args.variants], use_cache=False)
-    print(args.curve, args.hw, args.variants, kernel_digest(result))
+    single = KernelSpec(hw=presets[args.hw], variant_config=configs[args.variants])
+    batched = replace(single, hw=single.hw.with_cores(2), n_pairs=4, split_accumulators=True)
+    for label, spec in (((), single), (("batch4-split-2core",), batched)):
+        result = compile_kernel(curve, spec, use_cache=False)
+        print(args.curve, args.hw, args.variants, *label, kernel_digest(result))
     return 0
 
 
