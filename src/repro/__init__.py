@@ -137,7 +137,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, PipelineStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "get_curve",

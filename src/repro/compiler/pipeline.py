@@ -86,14 +86,12 @@ class KernelSpec:
     split_accumulators: bool = False
     final_exp_mode: str = "generic"
     pipeline_depth: int = 1
-    optimize_ir: bool = True
     do_assemble: bool = True
     include_baseline: bool = False
     record_trace: bool = False
 
     def __post_init__(self):
-        for flag in ("split_accumulators", "optimize_ir", "do_assemble",
-                     "include_baseline", "record_trace"):
+        for flag in ("split_accumulators", "do_assemble", "include_baseline", "record_trace"):
             if not isinstance(getattr(self, flag), bool):
                 raise CompilerError(
                     f"{flag} must be True or False, got {getattr(self, flag)!r}")
@@ -146,9 +144,10 @@ class KernelSpec:
         cache tiers.  The two shapes of the key material are kept byte for
         byte -- the digests pinned in the tests are how a refactor of this
         layer shows it describes every kernel as before -- which is why the
-        retired ``use_naf`` / ``use_affinity`` knobs survive here as literals."""
+        retired ``optimize_ir`` / ``use_naf`` / ``use_affinity`` knobs survive
+        here as literals."""
         spec = self.resolved(curve)
-        flags = dict(optimize_ir=spec.optimize_ir, use_naf=True, use_affinity=True,
+        flags = dict(optimize_ir=True, use_naf=True, use_affinity=True,
                      do_assemble=spec.do_assemble, final_exp_mode=spec.final_exp_mode)
         if spec.n_pairs is None:
             flags.update(include_baseline=spec.include_baseline,
@@ -327,12 +326,7 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
         low_module = _cached_low_module(curve, spec)
     initial_instructions = low_module.count_compute_ops()
     with _timed(timings, "iropt"):
-        if spec.optimize_ir:
-            optimized_module, opt_stats = _cached_optimized(curve, spec)
-        else:
-            optimized_module, opt_stats = low_module, OptStats(
-                initial=initial_instructions, final=initial_instructions
-            )
+        optimized_module, opt_stats = _cached_optimized(curve, spec)
     with _timed(timings, "bankalloc"):
         banks = allocate_banks(optimized_module, hw)
     with _timed(timings, "packsched"):
@@ -502,7 +496,11 @@ def compile_kernel(curve, spec: KernelSpec, use_cache: bool = True) -> CompileRe
     Two-tier result lookup under ``spec.digest(curve)``: memory, then disk,
     then a real compile.  The result-cache miss counter is only bumped when a
     real compile happens, preserving the "misses == recompilations" contract
-    for disk-served sweeps.  ``use_cache=False`` compiles unconditionally and
+    for disk-served sweeps.  A hit is the cached object itself unless it was
+    compiled under another ``hw`` / ``variant_config`` *name* (one model under
+    two names digests alike): then it is a copy carrying the requested spec,
+    which replaces it in the memory tier (one more ``stores``; hits and misses
+    count as ever).  ``use_cache=False`` compiles unconditionally and
     leaves both tiers and their counters alone (the stage caches still serve).
     """
     spec = spec.resolved(curve)
@@ -512,12 +510,20 @@ def compile_kernel(curve, spec: KernelSpec, use_cache: bool = True) -> CompileRe
         cached = _RESULT_CACHE.peek(key)
         if cached is not None:
             _RESULT_CACHE.stats.hits += 1
+        elif store is not None:
+            cached = store.load(key)
+            if cached is not None:
+                _RESULT_CACHE.store(key, cached)
+        if cached is not None:
+            # Names are labels, not semantics, so they are not in the digest:
+            # a hit compiled under other names answers with the caller's.  The
+            # relabelled copy takes the memory slot, so one caller's repeated
+            # hits are one object.
+            if (cached.spec.hw.name, cached.spec.variant_config.name) != (
+                    spec.hw.name, spec.variant_config.name):
+                cached = replace(cached, spec=spec)
+                _RESULT_CACHE.store(key, cached)
             return cached
-        if store is not None:
-            loaded = store.load(key)
-            if loaded is not None:
-                _RESULT_CACHE.store(key, loaded)
-                return loaded
         _RESULT_CACHE.stats.misses += 1
     if _faults.ACTIVE is not None:
         # Fires only on real compiles: cache hits stay fault-free, so a
@@ -537,8 +543,8 @@ def compile_pairing(curve, hw: HardwareModel | None = None,
     """Compile the single-pairing kernel for ``curve`` (cached by full configuration).
 
     ``knobs`` are the remaining :class:`KernelSpec` fields that apply to the
-    single kernel (``final_exp_mode``, ``optimize_ir``, ``do_assemble``,
-    ``include_baseline``, ``record_trace``); all of them are part of the
+    single kernel (``final_exp_mode``, ``do_assemble``, ``include_baseline``,
+    ``record_trace``); all of them are part of the
     semantic cache digest, so e.g. the three final-exp kernels never share a
     cached (or disk-stored) artefact.
     """
@@ -600,8 +606,7 @@ def compile_multi_pairing(curve, n_pairs: int, hw: HardwareModel | None = None,
     ~chain-weight/|F_p^{k/6}| per batch that makes the simulated inversion
     fail loudly rather than return a wrong product.
 
-    ``pipeline_depth``, ``optimize_ir`` and ``do_assemble`` as on
-    :class:`KernelSpec`.
+    ``pipeline_depth`` and ``do_assemble`` as on :class:`KernelSpec`.
 
     Example -- compile a batch-8 kernel on a 4-core model and read the
     figures a design sweep ranks on::

@@ -1,25 +1,27 @@
-"""Straight-line residue kernels generated from the operator-variant formulas.
+"""Straight-line residue kernels: the Python leaf of the tower scalariser.
 
 An element of a tower level is a flat tuple of ``degree`` canonical residues
 (:mod:`repro.fields.extension`).  Its arithmetic is one Python function per
-(field, operation), generated here the first time the operation is used: the
-*same* formulas of :mod:`repro.fields.variants` that the compiler lowers to
-F_p-level IR are run recursively down the tower through a source-emitting
-:class:`~repro.fields.variants.StepOps` adapter, and the resulting source is
-``exec``-compiled.  Inside a kernel every value is an unreduced Python integer
--- sums, differences and double-width products are never reduced -- and each
-output coefficient pays exactly one ``% p``, the lazy reduction a hardware
-datapath performs.  Multiplication by a tower constant (the adjunction ``xi``,
-a Frobenius constant) is specialised from the constant's value: zero
-coefficients vanish, ``+-1`` and small integers become sign flips and small
-multiples, the adjoined generator becomes a coefficient rotation with one
-lower-level adjunction, and only a genuinely large residue costs a product.
+(field, operation), generated here the first time the operation is used:
+:class:`~repro.fields.scalarise.TowerScalariser` -- the one recursion that
+applies the formulas of :mod:`repro.fields.variants` down the tower, the same
+one the compiler lowers to F_p-level IR through -- runs over
+:class:`KernelBuilder`, whose F_p-level values are integer expressions, and
+the resulting source is ``exec``-compiled.  Inside a kernel every value is an
+unreduced Python integer -- sums, differences and double-width products are
+never reduced -- and each output coefficient pays exactly one ``% p``, the
+lazy reduction a hardware datapath performs.  A constant residue (a
+coefficient of the adjunction ``xi`` or of a Frobenius constant) is applied as
+the signed integer literal of least magnitude, so ``+-1`` and small values
+become sign flips and small multiples and only a genuinely large residue costs
+a product.
 """
 
 from __future__ import annotations
 
 from repro.errors import FieldError
-from repro.fields.variants import DEFAULT_VARIANTS, StepOps, get_variant
+from repro.fields.scalarise import TowerScalariser
+from repro.fields.variants import DEFAULT_VARIANTS, get_variant
 
 #: Kernel signatures: ``a`` / ``b`` are flat operand tuples, ``k`` an integer.
 _PARAMS = {"mul": ("a", "b"), "add": ("a", "b"), "sub": ("a", "b"), "mul_small": ("a", "k")}
@@ -27,58 +29,25 @@ _PARAMS = {"mul": ("a", "b"), "add": ("a", "b"), "sub": ("a", "b"), "mul_small":
 #: Coefficient-wise kernels, as the expression computed per coefficient.
 _ELEMENTWISE = {"add": "{} + {}", "sub": "{} - {}", "neg": "-{}", "mul_small": "{} * k"}
 
-
-class _SourceStepOps(StepOps):
-    """Adapter emitting source for one extension step.
-
-    Operands are tuples of ``field.base.degree`` node ids of the builder, each
-    an unreduced integer expression.
-    """
-
-    __slots__ = ("builder", "field")
-
-    def __init__(self, builder: "KernelBuilder", field):
-        self.builder = builder
-        self.field = field
-
-    def add(self, a, b):
-        return tuple(map(self.builder.add, a, b))
-
-    def sub(self, a, b):
-        return tuple(map(self.builder.sub, a, b))
-
-    def neg(self, a):
-        return tuple(map(self.builder.neg, a))
-
-    def mul(self, a, b):
-        return self.builder.mul(self.field.base, a, b)
-
-    def sqr(self, a):
-        return self.builder.sqr(self.field.base, a)
-
-    def adj(self, a):
-        return self.builder.mul_const(
-            self.field.base, a, self.field.non_residue.to_base_coeffs())
-
-    def muli(self, k, a):
-        return tuple(self.builder.scale(x, k) for x in a)
+#: Kernels that are one scalariser method of the same name.
+_TOWER_OPS = ("mul", "sqr", "mul_by_nonresidue", "conjugate", "inverse")
 
 
 class KernelBuilder:
-    """Integer expressions in SSA form, rendered once into a Python function.
+    """Integer expressions over F_p ``p`` in SSA form, rendered once into a
+    Python function: the scalariser's leaf (:mod:`repro.fields.scalarise`).
 
     A node is ``(template, operand ids)``; named inputs have no operands.
     :meth:`source` binds a node to a local only when it is used more than
     once, so single-use sums and products nest into one expression.
     """
 
-    def __init__(self, variants: dict | None = None):
-        self.variants = variants or DEFAULT_VARIANTS
+    def __init__(self, p: int):
+        self.p = p
         self.nodes: list = []
         self.fp_muls = 0           # F_p products of two variables
         self.fp_sqrs = 0           # F_p squarings
 
-    # -- F_p-level nodes ---------------------------------------------------------
     def node(self, template: str, *args: int) -> int:
         self.nodes.append((template, args))
         return len(self.nodes) - 1
@@ -90,6 +59,7 @@ class KernelBuilder:
         template, args = self.nodes[x]
         return args[0] if template == "-{}" else None
 
+    # -- the leaf protocol ---------------------------------------------------------
     def add(self, x: int, y: int) -> int:
         negated = self._negated(y)
         if negated is not None:
@@ -106,8 +76,18 @@ class KernelBuilder:
         negated = self._negated(x)
         return self.node("-{}", x) if negated is None else negated
 
+    def mul(self, x: int, y: int) -> int:
+        self.fp_muls += 1
+        return self.node("{} * {}", x, y)
+
+    def sqr(self, x: int) -> int:
+        self.fp_sqrs += 1
+        return self.node("{} * {}", x, x)
+
+    def inv(self, x: int) -> int:
+        return self.node("pow({}, -1, p)", x)
+
     def scale(self, x: int, k: int) -> int:
-        """``x`` times the integer constant ``k``."""
         negated = self._negated(x)
         if negated is not None:
             x, k = negated, -k
@@ -117,91 +97,16 @@ class KernelBuilder:
             return self.neg(x)
         return self.node(f"{{}} * {k}", x)
 
-    def reduce(self, vec) -> tuple:
-        """Canonical residues of ``vec``; inputs pass through, they already are."""
-        return tuple(self.node("{} % p", x) if self.nodes[x][1] else x for x in vec)
+    def mul_residue(self, x: int, value: int) -> int:
+        return self.scale(x, value - self.p if value > self.p // 2 else value)
 
-    # -- recursive tower formulas ----------------------------------------------------
-    @staticmethod
-    def _split(field, vec) -> list:
-        chunk = field.base.degree
-        return [tuple(vec[i:i + chunk]) for i in range(0, len(vec), chunk)]
+    def zero(self) -> int:
+        return self.node("0")
 
-    def _variant(self, op: str, field):
-        return get_variant(op, field.m, self.variants[(op, field.m)])
-
-    def mul(self, field, a, b) -> tuple:
-        if field.degree == 1:
-            self.fp_muls += 1
-            return (self.node("{} * {}", a[0], b[0]),)
-        chunks = self._variant("mul", field).apply(
-            _SourceStepOps(self, field), self._split(field, a), self._split(field, b))
-        return tuple(x for chunk in chunks for x in chunk)
-
-    def sqr(self, field, a) -> tuple:
-        if field.degree == 1:
-            self.fp_sqrs += 1
-            return (self.node("{} * {}", a[0], a[0]),)
-        chunks = self._variant("sqr", field).apply(
-            _SourceStepOps(self, field), self._split(field, a))
-        return tuple(x for chunk in chunks for x in chunk)
-
-    def mul_const(self, field, a, constant) -> tuple:
-        """``a`` times a non-zero constant of ``field`` (its ``to_base_coeffs()``).
-
-        Schoolbook over the constant's non-zero coefficients, wrapping with
-        the step's own adjunction; at F_p the constant is taken as the signed
-        representative of least magnitude.
-        """
-        if field.degree == 1:
-            k = constant[0]
-            return (self.scale(a[0], k - field.p if k > field.p // 2 else k),)
-        base, m = field.base, field.m
-        xi = field.non_residue.to_base_coeffs()
-        coeffs = self._split(field, constant)
-        out: list = [None] * m
-        for i, chunk in enumerate(self._split(field, a)):
-            for j, coeff in enumerate(coeffs):
-                if not any(coeff):
-                    continue
-                term = self.mul_const(base, chunk, coeff)
-                if i + j >= m:
-                    term = self.mul_const(base, term, xi)
-                k = (i + j) % m
-                out[k] = term if out[k] is None else tuple(map(self.add, out[k], term))
-        return tuple(x for chunk in out for x in chunk)
-
-    def frobenius(self, field, a, n: int) -> tuple:
-        if field.degree == 1:
-            return a
-        out: list = [None] * field.m
-        for chunk, (dest, constant) in zip(self._split(field, a), field.frobenius_data(n)):
-            image = self.frobenius(field.base, chunk, n)
-            if not constant.is_one():
-                image = self.mul_const(field.base, image, constant.to_base_coeffs())
-            out[dest] = image
-        return tuple(x for chunk in out for x in chunk)
-
-    def inverse(self, field, a) -> tuple:
-        """Norm-descent inversion; the norm and the result are reduced at each
-        level so operand widths do not compound down and back up the tower."""
-        if field.degree == 1:
-            return (self.node("pow({}, -1, p)", a[0]),)
-        ops = _SourceStepOps(self, field)
-        base = field.base
-        if field.m == 2:
-            a0, a1 = self._split(field, a)
-            norm = ops.sub(ops.sqr(a0), ops.adj(ops.sqr(a1)))
-            inv = self.inverse(base, self.reduce(norm))
-            return self.reduce(ops.mul(a0, inv) + ops.neg(ops.mul(a1, inv)))
-        a0, a1, a2 = self._split(field, a)
-        c0 = ops.sub(ops.sqr(a0), ops.adj(ops.mul(a1, a2)))
-        c1 = ops.sub(ops.adj(ops.sqr(a2)), ops.mul(a0, a1))
-        c2 = ops.sub(ops.sqr(a1), ops.mul(a0, a2))
-        c0, c1, c2 = self.reduce(c0), self.reduce(c1), self.reduce(c2)
-        norm = ops.add(ops.mul(a0, c0), ops.adj(ops.add(ops.mul(a2, c1), ops.mul(a1, c2))))
-        inv = self.inverse(base, self.reduce(norm))
-        return self.reduce(ops.mul(c0, inv) + ops.mul(c1, inv) + ops.mul(c2, inv))
+    def settle(self, x: int) -> int:
+        """One ``% p``; inputs, literals and settled values pass through."""
+        template, args = self.nodes[x]
+        return x if not args or template == "{} % p" else self.node("{} % p", x)
 
     # -- rendering ---------------------------------------------------------------------
     def source(self, name: str, params: tuple, degree: int, outputs) -> str:
@@ -251,32 +156,22 @@ def build_kernel(field, op: str, power: int = 1, variants: dict | None = None):
     table.  ``variants`` maps ``(op, step_degree)`` to a variant name for every
     step of the tower (default: :data:`~repro.fields.variants.DEFAULT_VARIANTS`).
     """
-    builder = KernelBuilder(variants)
+    variants = variants or DEFAULT_VARIANTS
+    builder = KernelBuilder(field.p)
+    tower = TowerScalariser(
+        builder, lambda kind, degree, m: get_variant(kind, m, variants[(kind, m)]))
     degree = field.degree
     params = _PARAMS.get(op, ("a",))
-    a = builder.inputs("a", degree)
-    b = builder.inputs("b", degree) if "b" in params else None
+    operands = [builder.inputs(vector, degree) for vector in params if vector != "k"]
     if op in _ELEMENTWISE:
-        operands = zip(a, b) if b else zip(a)
-        outputs = builder.reduce(builder.node(_ELEMENTWISE[op], *xs) for xs in operands)
-    elif op == "mul":
-        outputs = builder.reduce(builder.mul(field, a, b))
-    elif op == "sqr":
-        outputs = builder.reduce(builder.sqr(field, a))
-    elif op == "mul_by_nonresidue":
-        chunk = field.base.degree
-        wrapped = builder.mul_const(
-            field.base, a[-chunk:], field.non_residue.to_base_coeffs())
-        outputs = builder.reduce(wrapped) + a[:-chunk]
-    elif op == "conjugate":
-        half = degree // 2
-        outputs = a[:half] + builder.reduce(map(builder.neg, a[half:]))
-    elif op == "inverse":
-        outputs = builder.inverse(field, a)
+        outputs = [builder.node(_ELEMENTWISE[op], *xs) for xs in zip(*operands)]
     elif op == "frobenius":
-        outputs = builder.reduce(builder.frobenius(field, a, power))
+        outputs = tower.frobenius(field, *operands, power)
+    elif op in _TOWER_OPS:
+        outputs = getattr(tower, op)(field, *operands)
     else:
         raise FieldError(f"no kernel for operation {op!r}")
+    outputs = tower.settle(outputs)
     name = f"fp{degree}_{op}"
     source = builder.source(name, params, degree, outputs)
     namespace = {"p": field._m}

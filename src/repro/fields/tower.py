@@ -106,6 +106,41 @@ def build_extension(base, m: int, xi=None, name: str | None = None, check: bool 
     return ExtensionField(base, m, xi, name=name)
 
 
+#: The w-power storage layout, stated once: an F_p^k element ``sum_i c_i w^i``
+#: (``c_i`` in F_p^{k/6}) is held as ``(c0 + c2 v + c4 v^2) + (c1 + c3 v +
+#: c5 v^2) w`` with ``v = w^2``, so storage slot ``s`` (a block of ``k/6``
+#: residues of the flat tuple) is the coefficient of ``w^W_STORAGE_ORDER[s]``.
+W_STORAGE_ORDER = (0, 2, 4, 1, 3, 5)
+
+
+def from_w_coeffs(full_field, coeffs) -> ExtElement:
+    """The F_p^k element with the six twist-field coefficients ``coeffs``
+    (w-power basis, index 0..5; ``None`` is a zero coefficient)."""
+    twist = full_field.base.base
+    zero = twist.zero().flat
+    flat: tuple = ()
+    for index in W_STORAGE_ORDER:
+        coeff = coeffs[index]
+        if coeff is None:
+            flat += zero
+        elif coeff.field is twist or coeff.field == twist:
+            flat += coeff.flat
+        else:
+            raise FieldError(f"w-power coefficients of {full_field.name} must lie in {twist.name}")
+    return ExtElement(full_field, flat)
+
+
+def w_coeffs(value) -> list:
+    """The six twist-field coefficients of an F_p^k element (w-power basis,
+    index 0..5): the inverse of :func:`from_w_coeffs`, pure slicing."""
+    twist, flat = value.field.base.base, value.flat
+    chunk = twist.degree
+    coeffs: list = [None] * 6
+    for slot, index in enumerate(W_STORAGE_ORDER):
+        coeffs[index] = ExtElement(twist, flat[slot * chunk:(slot + 1) * chunk])
+    return coeffs
+
+
 @dataclass(frozen=True)
 class PairingTower:
     """All the tower levels a pairing over embedding degree ``k`` needs.

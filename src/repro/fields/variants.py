@@ -2,16 +2,16 @@
 
 A *variant* is one concrete formula for a tower-level operation (multiplication or
 squaring of one extension step of degree 2 or 3).  The formulas are written once,
-against a tiny arithmetic adapter (:class:`StepOps`), and are run through three
-adapters:
+against a tiny arithmetic adapter (:class:`StepOps`), and so is the recursion
+that applies them down the tower (:mod:`repro.fields.scalarise`), which is
+realised by two F_p-level leaves and priced by one counter:
 
-* source-emitting (:mod:`repro.fields.kernels`): the formula, applied
-  recursively down the tower, writes the straight-line residue kernel that
-  concrete tower arithmetic (:mod:`repro.fields.extension`) executes;
-* IR-lowering (:mod:`repro.ir.lowering`): the same formula generates the
-  compiler's F_p-level IR;
-* counting (:class:`CountingStepOps`): tallies M/S/A/B for the cost model,
-  reproducing Table 3.
+* the Python leaf (:mod:`repro.fields.kernels`) writes the straight-line
+  residue kernel that concrete tower arithmetic
+  (:mod:`repro.fields.extension`) executes;
+* the IR leaf (:mod:`repro.ir.lowering`) generates the compiler's F_p-level IR;
+* :class:`CountingStepOps` tallies M/S/A/B for the cost model, reproducing
+  Table 3.
 
 This is the single-source-of-truth design the paper's abstraction system relies on
 (Figure 4: the same ``map_lowering[op, variant]`` rule drives both the reference
@@ -365,17 +365,12 @@ class VariantConfig:
     """Selection of operator variants per absolute extension degree.
 
     The design space of Figure 2 / Figure 10 is spanned by objects of this class:
-    a mapping ``(op, absolute_degree) -> variant name`` plus the coordinate system
-    used for curve points.  Degrees not present fall back to ``DEFAULT_VARIANTS``
-    keyed by the step degree.
+    a mapping ``(op, absolute_degree) -> variant name``.  Degrees not present fall
+    back to ``DEFAULT_VARIANTS`` keyed by the step degree.
     """
 
-    def __init__(self, overrides: dict | None = None, point_style: str = "jacobian",
-                 name: str = "custom"):
+    def __init__(self, overrides: dict | None = None, name: str = "custom"):
         self.overrides = dict(overrides or {})
-        if point_style not in ("jacobian", "projective"):
-            raise FieldError(f"unknown point style {point_style!r}")
-        self.point_style = point_style
         self.name = name
 
     # -- constructors matching the paper's named baselines ----------------------
@@ -435,7 +430,7 @@ class VariantConfig:
     def with_override(self, op: str, absolute_degree: int, name: str) -> "VariantConfig":
         overrides = dict(self.overrides)
         overrides[(op, absolute_degree)] = name
-        config = VariantConfig(overrides, point_style=self.point_style, name=self.name)
+        config = VariantConfig(overrides, name=self.name)
         config._fallback = self._fallback
         return config
 
@@ -443,17 +438,17 @@ class VariantConfig:
         """A JSON-friendly description (used in DSE reports and cache keys)."""
         return {
             "name": self.name,
-            "point_style": self.point_style,
+            "point_style": "jacobian",    # a retired knob, kept so reports and digests do not move
             "overrides": {f"{op}@{deg}": variant for (op, deg), variant in sorted(self.overrides.items())},
             "fallback": {f"{op}@step{deg}": variant for (op, deg), variant in sorted(self._fallback.items())},
         }
 
     def cache_key(self) -> tuple:
         return (
-            self.point_style,
+            "jacobian",                # the retired point_style knob: pinned digests hash it
             tuple(sorted(self.overrides.items())),
             tuple(sorted(self._fallback.items())),
         )
 
     def __repr__(self) -> str:
-        return f"VariantConfig({self.name!r}, point_style={self.point_style!r})"
+        return f"VariantConfig({self.name!r})"

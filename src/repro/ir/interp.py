@@ -8,6 +8,7 @@ oracle.
 from __future__ import annotations
 
 from repro.errors import IRError, SimulationError
+from repro.fields.tower import from_w_coeffs, w_coeffs
 
 
 def interpret_low_level(module, p: int, inputs: dict) -> dict:
@@ -102,18 +103,9 @@ def interpret_high_level(module, levels: dict, inputs: dict) -> dict:
         elif op == "adj":
             value = x.mul_by_nonresidue()
         elif op == "pack":
-            parts = [values[arg] for arg in attr]
-            field = field_of(module.degrees[vid])
-            mid = field.base
-            twist = mid.base
-            resolved = [twist.zero() if part is None else part for part in parts]
-            mid0 = mid.element((resolved[0], resolved[2], resolved[4]))
-            mid1 = mid.element((resolved[1], resolved[3], resolved[5]))
-            value = field.element((mid0, mid1))
+            value = from_w_coeffs(field_of(module.degrees[vid]), [values[arg] for arg in attr])
         elif op == "ext":
-            mid0, mid1 = x.coeffs
-            source = mid0 if attr % 2 == 0 else mid1
-            value = source.coeffs[attr // 2]
+            value = w_coeffs(x)[attr]
         else:
             raise IRError(f"cannot interpret high-level op {op!r}")
         values.append(value)

@@ -11,6 +11,7 @@ the accelerator code and the reference semantics in lock step.
 from __future__ import annotations
 
 from repro.errors import PairingError
+from repro.fields.tower import from_w_coeffs, w_coeffs
 
 
 class PairingContext:
@@ -88,13 +89,7 @@ class ConcretePairingContext(PairingContext):
     def full_from_w_coeffs(self, coeffs):
         if len(coeffs) != 6:
             raise PairingError("expected 6 twist-field coefficients")
-        twist = self._tower.twist_field
-        mid = self._tower.full_field.base
-        full = self._tower.full_field
-        resolved = [twist.zero() if c is None else c for c in coeffs]
-        mid0 = mid.element((resolved[0], resolved[2], resolved[4]))
-        mid1 = mid.element((resolved[1], resolved[3], resolved[5]))
-        return full.element((mid0, mid1))
+        return from_w_coeffs(self._tower.full_field, coeffs)
 
     def twist_frobenius_constants(self, n: int):
         return self.curve.twist_frobenius_constants(n)
@@ -102,12 +97,7 @@ class ConcretePairingContext(PairingContext):
     def full_w_coeffs(self, value):
         if value.field != self._tower.full_field:
             raise PairingError("full_w_coeffs expects an F_p^k element")
-        mid0, mid1 = value.coeffs
-        coeffs = [None] * 6
-        for i in range(3):
-            coeffs[2 * i] = mid0.coeffs[i]
-            coeffs[2 * i + 1] = mid1.coeffs[i]
-        return coeffs
+        return w_coeffs(value)
 
     def twist_xi_value(self):
         return self._tower.twist_xi

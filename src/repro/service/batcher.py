@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.config import number, positive_int
 from repro.errors import (
     DeadlineExceededError,
     ServiceError,
@@ -61,15 +62,10 @@ class DynamicBatcher:
                  queue_bound: int, retry_after_s: float | None = None,
                  shed_after_s: float | None = None,
                  metrics=None):
-        if max_batch < 1:
-            raise ServiceError(f"max_batch must be >= 1, got {max_batch!r}")
-        if deadline_s < 0:
-            raise ServiceError(f"deadline_s must be >= 0, got {deadline_s!r}")
-        if queue_bound < 1:
-            raise ServiceError(f"queue_bound must be >= 1, got {queue_bound!r}")
-        if shed_after_s is not None and not shed_after_s > 0:
-            raise ServiceError(
-                f"shed_after_s must be None or > 0, got {shed_after_s!r}")
+        positive_int(max_batch, "max_batch", ServiceError)
+        number(deadline_s, "deadline_s", ServiceError)
+        positive_int(queue_bound, "queue_bound", ServiceError)
+        number(shed_after_s, "shed_after_s", ServiceError, exclusive=True, optional=True)
         self._flush = flush
         self.max_batch = max_batch
         self.deadline_s = deadline_s

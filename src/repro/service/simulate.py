@@ -24,7 +24,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from random import Random
 
-from repro.config import non_negative_int, positive_int
+from repro.config import non_negative_int, number, positive_int
 from repro.errors import ServiceError
 from repro.service.metrics import percentile
 
@@ -44,8 +44,7 @@ def arrival_times(n: int, rate: float, distribution: str = "poisson",
     request arrives at t=0.
     """
     non_negative_int(n, "n", ServiceError)
-    if rate <= 0:
-        raise ServiceError(f"rate must be positive, got {rate!r}")
+    number(rate, "rate", ServiceError, exclusive=True)
     if distribution == "uniform":
         return [i / rate for i in range(n)]
     if distribution == "poisson":
@@ -94,15 +93,12 @@ class ServiceProfile:
     pipeline_depth: int | None = None
 
     def __post_init__(self):
-        if self.rate_rps <= 0:
-            raise ServiceError(f"rate_rps must be positive, got {self.rate_rps!r}")
+        number(self.rate_rps, "rate_rps", ServiceError, exclusive=True)
         for name in ("max_batch", "queue_bound", "pairs_per_request", "n_requests"):
             positive_int(getattr(self, name), name, ServiceError)
         if self.pipeline_depth is not None:
             positive_int(self.pipeline_depth, "pipeline_depth", ServiceError)
-        if self.deadline_us < 0:
-            raise ServiceError(
-                f"deadline_us must be non-negative, got {self.deadline_us!r}")
+        number(self.deadline_us, "deadline_us", ServiceError)
         if self.arrival not in ARRIVAL_DISTRIBUTIONS:
             raise ServiceError(
                 f"arrival must be one of {ARRIVAL_DISTRIBUTIONS}, got {self.arrival!r}")
@@ -151,12 +147,13 @@ def simulate_batch_queue(arrivals, service_time, *, max_batch: int,
     from whatever has already arrived, then wait until the oldest waiting
     request's ``deadline`` (or until the batch fills) before flushing.
     Arrivals that would exceed ``queue_bound`` waiting requests are rejected,
-    mirroring the live admission check (``None`` = unbounded).
+    mirroring the live admission check (``None`` = unbounded).  The knobs are
+    checked like the live batcher's: what it refuses, its twin refuses.
     """
-    if max_batch < 1:
-        raise ServiceError(f"max_batch must be >= 1, got {max_batch!r}")
-    if deadline < 0:
-        raise ServiceError(f"deadline must be >= 0, got {deadline!r}")
+    positive_int(max_batch, "max_batch", ServiceError)
+    number(deadline, "deadline", ServiceError)
+    if queue_bound is not None:
+        positive_int(queue_bound, "queue_bound", ServiceError)
     arrivals = list(arrivals)
     if any(b < a for a, b in zip(arrivals, arrivals[1:])):
         raise ServiceError("arrival times must be non-decreasing")
@@ -193,9 +190,7 @@ def simulate_batch_queue(arrivals, service_time, *, max_batch: int,
             else:
                 start = flush_at
         batch = [waiting.popleft() for _ in range(min(max_batch, len(waiting)))]
-        duration = service_time(len(batch))
-        if duration < 0:
-            raise ServiceError(f"service_time returned {duration!r} (< 0)")
+        duration = number(service_time(len(batch)), "service_time's result", ServiceError)
         finish = start + duration
         for arrival in batch:
             result.latencies.append(finish - arrival)

@@ -3,6 +3,7 @@ and the two-tier (memory -> disk -> compile) pipeline integration."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -21,6 +22,7 @@ from repro.compiler.store import (
     configure_store,
     reset_store_state,
 )
+from repro.fields.variants import VariantConfig
 
 
 @pytest.fixture
@@ -286,6 +288,29 @@ def test_disk_hit_is_not_a_recompilation(pipeline_store, toy_bn, hw1_small):
     compile_pairing(toy_bn, hw=hw1_small)
     stats = compile_cache_stats()
     assert stats["result"]["hits"] == 1 and stats["disk"]["hits"] == 1
+
+
+def test_a_cache_hit_answers_with_the_callers_labels(pipeline_store, toy_bn, hw1_small):
+    """Names are labels, not semantics, so neither digest carries them -- and
+    ``default_model`` / ``paper_hw1`` / ``figure10_models()[0]`` are one model
+    under three names.  A hit once answered with whoever compiled first."""
+    alpha = compile_pairing(toy_bn, hw=hw1_small)
+    renamed = dataclasses.replace(hw1_small, name="beta")
+    relabelled = VariantConfig({}, name="mine")
+    memory = compile_pairing(toy_bn, hw=renamed, variant_config=relabelled)
+    clear_caches()                                  # memory tier only
+    disk = compile_pairing(toy_bn, hw=renamed, variant_config=relabelled)
+    stats = compile_cache_stats()
+    assert stats["result"]["misses"] == 0 and stats["disk"]["hits"] == 1
+    for hit in (memory, disk):
+        assert (hit.hw.name, hit.variant_config.name) == ("beta", "mine")
+        assert (hit.describe()["hw"], hit.describe()["variants"]) == ("beta", "mine")
+        assert hit.cycles == alpha.cycles
+    assert memory.schedule is alpha.schedule        # relabelled, not recompiled
+    # The first result is untouched, and one caller's repeated hits are one object.
+    assert alpha.describe()["hw"] == hw1_small.name
+    assert compile_pairing(toy_bn, hw=renamed, variant_config=relabelled) is disk
+    assert compile_pairing(toy_bn, hw=hw1_small) is compile_pairing(toy_bn, hw=hw1_small)
 
 
 def test_store_counters_always_report_under_the_disk_key(tmp_path, pipeline_store):

@@ -280,3 +280,24 @@ def test_no_module_imports_a_private_name_from_the_compile_pipeline():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert not offenders, f"use the public pipeline API: {offenders}"
+
+
+def test_the_tower_recursion_is_written_once():
+    """The variant formulas are applied down the tower by
+    ``fields/scalarise.py`` alone: its step adapter and the cost counter are
+    the only ``StepOps``, and nothing else calls ``Variant.apply`` (or reaches
+    past it to ``Variant.func``) -- a third copy of the recursion cannot come
+    back unnoticed."""
+    step_ops, appliers = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "StepOps" for base in node.bases):
+                step_ops.append((name, node.name))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("apply", "func") \
+                    and "ACTIVE" not in ast.unparse(node.func.value):   # the fault injector's apply
+                appliers.add(name)
+    assert step_ops == [("fields/scalarise.py", "_Step"), ("fields/variants.py", "CountingStepOps")]
+    assert appliers == {"fields/scalarise.py", "fields/variants.py"}

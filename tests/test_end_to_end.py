@@ -60,12 +60,6 @@ def test_compile_report_shape(compiled_toy_bn):
     }
 
 
-def test_unoptimized_compile_flow(toy_bn):
-    result = compile_pairing(toy_bn, optimize_ir=False, do_assemble=False, use_cache=False)
-    assert result.final_instructions == result.initial_instructions
-    assert result.opt_stats.reduction == 0.0
-
-
 def test_compile_cache_hit(toy_bn):
     first = compile_pairing(toy_bn)
     second = compile_pairing(toy_bn)

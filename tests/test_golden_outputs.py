@@ -13,6 +13,12 @@ became columnar (one ``Instruction`` object per F_p op, ``MachineInstruction``
 hashes the encoded words, constant table, I/O maps, per-bank registers and
 cycle statistics, so any change of instruction order, bank, bundle, issue
 cycle or register slot anywhere in the back end moves them.
+
+The BLS24 entries (``bls24-79/all-schoolbook``, ``BLS24_LEVEL_DIGESTS``) were
+recorded on the commit *before* the Python-kernel generator and the IR
+lowering became two leaves of one tower recursion: the four-step tower and the
+schoolbook formulas are the paths no other golden walks, and that tower's
+generated kernels are the ones that changed most.
 """
 
 import hashlib
@@ -90,6 +96,26 @@ def test_multi_pairing_batch4_output_is_unchanged(accumulators):
     assert _digest(multi_pairing(curve, pairs, accumulators=accumulators)) == MULTI_DIGEST
 
 
+#: degree -> digests of (inverse, frobenius(1)) of one seeded element per
+#: extension level of TOY-BLS24-79.
+BLS24_LEVEL_DIGESTS = {
+    2: ("fa4120dab766d9b8ebb0b3a2a3b00db2817a80545e4840c51a5bfdcd5a25d918",
+        "d9fcc2268db90cbe1e31504272f403840d1f04188d47d95e7d479ffaf01891cd"),
+    4: ("ae9ff441f0d2260877ade4f060d27ffaae85c922e572a4b6df65ae1962dac603",
+        "90d2f3678e8d4f6bfc7b88f27d7fb9000abd6833fe94999c39e3e948b912dd7b"),
+    12: ("63bf7b367175fda8286a42dd5aaaa69bb741d1aed79d8eff733161c28747ce1c",
+         "5c94e9b6a4840d6e3872a899720dad530af7325d396b42fdd497c74668c951fb"),
+    24: ("f36a4a8a1acb0f0eab7bb2f3b869fb76db07049d41d911ab142f43933791f950",
+         "b99e765c0a37413dd1bcd13063b9edd05f642e98e005c5e243ba576cc80b8a43"),
+}
+
+
+@pytest.mark.parametrize("degree", sorted(BLS24_LEVEL_DIGESTS))
+def test_bls24_tower_inverse_and_frobenius_are_unchanged(degree):
+    x = get_curve("TOY-BLS24-79").tower.level(degree).random(random.Random(SEED))
+    assert (_digest(x.inverse()), _digest(x.frobenius(1))) == BLS24_LEVEL_DIGESTS[degree]
+
+
 @pytest.mark.parametrize("mode", FINAL_EXP_MODES)
 def test_hard_part_output_is_unchanged(mode):
     curve = get_curve("TOY-BN42")
@@ -122,6 +148,7 @@ KERNEL_DIGESTS = {
     "bls12-54/cyclotomic": "bef3edf38b9773d4ce4e9aa9ad395e734175db1c69324eef7eaec7ac55eec6a7",
     "bls12-54/compressed": "1f2c5e26c7318ce76c9e5b7d0ba734ede8b49cb52cdca2c1d746b3a1fda5effd",
     "BLS12-381": "c330fcb599181d8d6317d23812ee4bdeecee0561665287b63d08df3d37635aa6",
+    "bls24-79/all-schoolbook": "e90d65ed14aecc28a27bf2d7bf82e8231e374c71ec5b41028f3c3977e475a998",
 }
 
 
@@ -148,6 +175,12 @@ def test_toy_bn_batch4_kernel_binaries_are_unchanged(accumulators, depth):
 def test_toy_bls12_kernel_binaries_are_unchanged(mode):
     result = compile_pairing(get_curve("TOY-BLS12-54"), use_cache=False, final_exp_mode=mode)
     assert kernel_digest(result) == KERNEL_DIGESTS[f"bls12-54/{mode}"]
+
+
+def test_toy_bls24_schoolbook_kernel_binary_is_unchanged():
+    result = compile_pairing(get_curve("TOY-BLS24-79"), use_cache=False,
+                             variant_config=named_variant_configs()["all-schoolbook"])
+    assert kernel_digest(result) == KERNEL_DIGESTS["bls24-79/all-schoolbook"]
 
 
 def test_bls12_381_kernel_model_is_unchanged():

@@ -50,9 +50,10 @@ ENTRY_POINTS = {
 # ---------------------------------------------------------------------------
 
 def test_the_ten_knobs():
+    """Nine spec fields; ``use_cache`` makes the ten distinct compile keywords."""
     assert FIELDS == {
         "hw", "variant_config", "n_pairs", "split_accumulators", "final_exp_mode",
-        "pipeline_depth", "optimize_ir", "do_assemble", "include_baseline", "record_trace",
+        "pipeline_depth", "do_assemble", "include_baseline", "record_trace",
     }
 
 
@@ -73,7 +74,7 @@ def test_entry_points_accept_exactly_the_spec_fields(toy_bn, name):
     if name in ("compile_pairing", "compile_multi_pairing"):
         del accepted["n_pairs"]         # its own argument: None here, positional there
     entry(toy_bn, *args, **accepted)
-    for unknown in ("use_naf", "use_affinity", "turbo"):
+    for unknown in ("use_naf", "use_affinity", "optimize_ir", "turbo"):
         with pytest.raises(TypeError, match=unknown):
             entry(toy_bn, *args, **{unknown: True})
 
@@ -217,7 +218,7 @@ def test_string_accumulator_mode_no_longer_compiles_the_split_kernel(toy_bn):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("do_assemble", 0), ("optimize_ir", "no"), ("include_baseline", 1),
+    ("do_assemble", 0), ("include_baseline", 1),
     ("record_trace", None), ("split_accumulators", "split"),
 ])
 def test_non_bool_flags_no_longer_mint_a_second_digest(toy_bn, flag, value):

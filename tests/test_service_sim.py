@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import ServiceProfile, arrival_times, percentile, simulate_batch_queue
+from repro.service.batcher import DynamicBatcher
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,8 @@ def test_burst_arrivals_group_back_to_back():
     {"n": 4, "rate": 0.0},
     {"n": 4, "rate": 1.0, "distribution": "bimodal"},
     {"n": 4, "rate": 1.0, "distribution": "burst", "burst": 0},
+    {"n": 3, "rate": float("nan")},           # was [0.0, nan, nan]
+    {"n": 3, "rate": float("inf")},           # was [0.0, 0.0, 0.0]
 ])
 def test_arrival_times_validation(kwargs):
     with pytest.raises(ServiceError):
@@ -133,6 +136,26 @@ def test_simulator_validation():
         simulate_batch_queue([0.0], lambda k: 1.0, max_batch=0, deadline=0.0)
 
 
+@pytest.mark.parametrize("knobs", [
+    {"queue_bound": 0}, {"queue_bound": -1},      # silently rejected every request
+    {"max_batch": 1.5},                           # died with a bare TypeError
+    {"max_batch": True}, {"deadline": float("nan")}, {"deadline": float("inf")},
+])
+def test_the_twin_refuses_the_knobs_the_live_batcher_refuses(knobs):
+    knobs = {"max_batch": 2, "deadline": 0.0, "queue_bound": 4, **knobs}
+    with pytest.raises(ServiceError):
+        simulate_batch_queue([0.0, 0.0], lambda k: 1.0, **knobs)
+    with pytest.raises(ServiceError):
+        DynamicBatcher(lambda items: items, max_batch=knobs["max_batch"],
+                       deadline_s=knobs["deadline"], queue_bound=knobs["queue_bound"])
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), None])
+def test_simulator_rejects_a_non_finite_service_time(duration):
+    with pytest.raises(ServiceError, match="service_time"):     # was NaN percentiles
+        simulate_batch_queue([0.0], lambda k: duration, max_batch=1, deadline=0.0)
+
+
 # ---------------------------------------------------------------------------
 # ServiceProfile
 # ---------------------------------------------------------------------------
@@ -147,3 +170,11 @@ def test_service_profile_defaults_and_validation():
         ServiceProfile(rate_rps=10.0, max_batch=0)
     with pytest.raises(ServiceError):
         ServiceProfile(rate_rps=10.0, arrival="steady")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "fast"])
+def test_service_profile_rejects_non_finite_numbers(bad):
+    with pytest.raises(ServiceError, match="rate_rps"):
+        ServiceProfile(rate_rps=bad)
+    with pytest.raises(ServiceError, match="deadline_us"):
+        ServiceProfile(rate_rps=1.0, deadline_us=bad)

@@ -171,9 +171,13 @@ def test_variant_config_cache_key_and_describe():
     assert description["overrides"] == {"mul@2": "schoolbook"}
 
 
-def test_variant_config_rejects_unknown_point_style():
-    with pytest.raises(FieldError):
-        VariantConfig(point_style="edwards")
+def test_variant_config_has_no_point_style_knob():
+    # It chose no formula yet was part of cache_key(): a "projective" config
+    # compiled and stored a byte-identical kernel under a second digest.
+    with pytest.raises(TypeError, match="point_style"):
+        VariantConfig({}, point_style="projective")
+    assert VariantConfig({}).cache_key()[0] == "jacobian"      # pinned digests hash it
+    assert VariantConfig({}).describe()["point_style"] == "jacobian"
 
 
 def test_schoolbook_below_threshold():
