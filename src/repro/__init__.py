@@ -33,6 +33,9 @@ Pairing (software golden path)
     line coefficients of a fixed G2 point, replayable against any G1 point.
     ``split_batched_miller_loop(ctx, sources, n_groups, ...)`` -- the
     split-accumulator Miller loop (one independent chain per group).
+    All four run -- and every compiled kernel traces -- the one loop of the
+    package, ``repro.pairing.miller.miller_walk``, over one, many or
+    per-group line sources.
 
 Compiler
     ``KernelSpec`` -- the one validated description of a kernel to compile
@@ -137,7 +140,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, PipelineStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "get_curve",

@@ -12,32 +12,18 @@ from __future__ import annotations
 from repro.config import positive_int
 from repro.errors import CompilerError
 from repro.ir.builder import IRBuilder
-from repro.pairing.batch import (
-    LiveSource,
-    batched_miller_loop,
-    partition_into_groups,
-    split_batched_miller_loop,
-)
+from repro.pairing.batch import partition_into_groups, split_batched_miller_loop
 from repro.pairing.context import PairingContext
 from repro.pairing.final_exp import final_exponentiation, validate_final_exp_mode
-from repro.pairing.miller import miller_loop
+from repro.pairing.miller import LivePair, miller_walk
 
 
 class TracingPairingContext(PairingContext):
     """Pairing context whose values are IR trace elements."""
 
     def __init__(self, curve, builder: IRBuilder):
-        self.curve = curve
+        super().__init__(curve)
         self.builder = builder
-        self.family = curve.family.name
-        self.u = curve.params.u
-        self.k = curve.params.k
-        self.p = curve.params.p
-        self.r = curve.params.r
-        self.loop_scalar = curve.family.miller_loop_scalar(curve.params.u)
-        self.twist_type = curve.twist_type
-        self.final_exp_plan = curve.final_exp_plan
-        self._tower = curve.tower
 
     def full_one(self):
         return self.builder.constant(self._tower.full_field.one())
@@ -73,6 +59,60 @@ class TracingPairingContext(PairingContext):
         return self.builder.constant(self._tower.twist_xi)
 
 
+class _TracedPair(LivePair):
+    """One pair of a traced kernel: declares its four inputs and walks its point.
+
+    Everything the pair does on its own (inputs, point updates, line
+    coefficients) is emitted under ``lane``, while the accumulator work the
+    walk performs on the returned coefficients stays where the walk runs --
+    the partition the multi-core scheduler distributes.  ``lane=None`` is the
+    shared lane: the single-pairing kernel.
+    """
+
+    def __init__(self, ctx, lane: int | None, tag: str):
+        self._lane = lane
+        tower = ctx.curve.tower
+        with ctx.builder.lane(lane):
+            with ctx.builder.phase(None):       # inputs belong to no phase
+                x_p = ctx.builder.input(tower.fp, f"xP{tag}")
+                y_p = ctx.builder.input(tower.fp, f"yP{tag}")
+                x_q = ctx.builder.input(tower.twist_field, f"xQ{tag}")
+                y_q = ctx.builder.input(tower.twist_field, f"yQ{tag}")
+            super().__init__(ctx, (x_p, y_p), (x_q, y_q))
+
+    def step(self, kind: str, addend):
+        with self._ctx.builder.lane(self._lane):
+            return super().step(kind, addend)
+
+    def negate(self):
+        with self._ctx.builder.lane(self._lane):
+            super().negate()
+
+
+def _trace_kernel(curve, name: str, meta: dict, pair_lanes: list, groups: int | None,
+                  use_naf: bool, include_final_exp: bool, final_exp_mode: str):
+    """Trace the one Miller walk over ``pair_lanes`` -- ``(input tag, lane)`` per
+    pair -- and the final exponentiation: every kernel shape is this function.
+    ``groups`` runs one walk per accumulator group instead of one over all."""
+    builder = IRBuilder(name)
+    builder.module.meta.update(meta, final_exp_mode=final_exp_mode)
+    ctx = TracingPairingContext(curve, builder)
+    with builder.phase("miller"):
+        sources = [_TracedPair(ctx, lane, tag) for tag, lane in pair_lanes]
+        if groups is None:
+            f = miller_walk(ctx, sources, use_naf)
+        else:
+            # The group chains are stamped through the group_scope hook; only
+            # the cross-group merge stays on the shared lane.
+            f = split_batched_miller_loop(ctx, sources, groups, use_naf=use_naf,
+                                          group_scope=builder.lane)
+    if include_final_exp:
+        with builder.phase("final_exp"):
+            f = final_exponentiation(ctx, f, mode=final_exp_mode)
+    builder.output(f, "result")
+    return builder.module
+
+
 def generate_pairing_ir(curve, use_naf: bool = True, include_final_exp: bool = True,
                         name: str | None = None, final_exp_mode: str = "generic"):
     """Trace the full pairing kernel for ``curve`` into a high-level IR module.
@@ -88,58 +128,8 @@ def generate_pairing_ir(curve, use_naf: bool = True, include_final_exp: bool = T
     """
     validate_final_exp_mode(final_exp_mode)
     suffix = "" if final_exp_mode == "generic" else f"-fe-{final_exp_mode}"
-    builder = IRBuilder(name or f"pairing-{curve.name}{suffix}")
-    builder.module.meta.update(final_exp_mode=final_exp_mode)
-    ctx = TracingPairingContext(curve, builder)
-
-    x_p = builder.input(curve.tower.fp, "xP")
-    y_p = builder.input(curve.tower.fp, "yP")
-    x_q = builder.input(curve.tower.twist_field, "xQ")
-    y_q = builder.input(curve.tower.twist_field, "yQ")
-
-    with builder.phase("miller"):
-        f = miller_loop(ctx, (x_p, y_p), (x_q, y_q), use_naf=use_naf)
-    if include_final_exp:
-        with builder.phase("final_exp"):
-            f = final_exponentiation(ctx, f, mode=final_exp_mode)
-    builder.output(f, "result")
-    return builder.module
-
-
-class _LaneScopedSource:
-    """Wrap a :class:`~repro.pairing.batch.LiveSource` in a builder lane scope.
-
-    Every Miller-loop step the source performs (point update + line
-    coefficients) is emitted under its pair's lane, while the shared
-    accumulator work the caller performs on the returned lines stays on the
-    shared lane -- the partition the multi-core scheduler distributes.
-    """
-
-    __slots__ = ("_builder", "_lane", "_inner")
-
-    def __init__(self, builder: IRBuilder, lane: int, inner: LiveSource):
-        self._builder = builder
-        self._lane = lane
-        self._inner = inner
-
-    def double(self):
-        with self._builder.lane(self._lane):
-            return self._inner.double()
-
-    def add(self, digit: int):
-        with self._builder.lane(self._lane):
-            return self._inner.add(digit)
-
-    def negate(self):
-        with self._builder.lane(self._lane):
-            self._inner.negate()
-
-    def frobenius_add(self, n: int):
-        with self._builder.lane(self._lane):
-            return self._inner.frobenius_add(n)
-
-    def finish(self):
-        self._inner.finish()
+    return _trace_kernel(curve, name or f"pairing-{curve.name}{suffix}", {}, [("", None)],
+                         None, use_naf, include_final_exp, final_exp_mode)
 
 
 def validate_batch_size(n_pairs) -> int:
@@ -156,22 +146,25 @@ def generate_multi_pairing_ir(curve, n_pairs: int, use_naf: bool = True,
 
     The kernel shares one accumulator squaring per Miller iteration and a
     single final exponentiation across all ``n_pairs`` pairs (the Groth16
-    verifier shape), by running the *same*
-    :func:`repro.pairing.batch.batched_miller_loop` the software
-    ``multi_pairing`` executes -- on trace elements instead of field elements.
-    Per-pair line evaluations are tagged with their pair's lane so the
-    multi-core scheduler (:func:`repro.sim.cycle.CycleAccurateSimulator.run_multicore`)
-    can dispatch them across :attr:`~repro.hw.model.HardwareModel.n_cores`.
+    verifier shape), by tracing the *same*
+    :func:`repro.pairing.miller.miller_walk` the software ``multi_pairing``
+    executes -- and the single kernel traces, over one pair -- on trace
+    elements instead of field elements.  Per-pair line evaluations are tagged
+    with their pair's lane so the multi-core scheduler
+    (:func:`repro.sim.cycle.CycleAccurateSimulator.run_multicore`) can dispatch
+    them across :attr:`~repro.hw.model.HardwareModel.n_cores`.
 
     ``accumulator_groups=g`` traces the *split-accumulator* kernel instead
     (:func:`repro.pairing.batch.split_batched_miller_loop`): the pairs are
-    partitioned into ``g`` deterministic contiguous groups, each group runs
-    its own complete accumulator chain -- line evaluations, squarings, sign
-    conjugation and BN Frobenius tail -- under that group's lane tag, and only
-    the final cross-group merge product and the final exponentiation stay on
-    the shared lane.  With one group per core the multi-core schedule has no
-    cross-core serialisation until the merge, at the cost of ``g - 1`` extra
-    squaring chains.
+    partitioned into ``g`` deterministic contiguous groups -- by the same
+    ``partition_into_groups`` the software split accumulator uses, so the
+    compiled kernel reproduces the software grouping exactly -- and each group
+    runs its own complete accumulator chain -- inputs, line evaluations,
+    squarings, sign conjugation and BN Frobenius tail -- under that group's
+    lane tag; only the final cross-group merge product and the final
+    exponentiation stay on the shared lane.  With one group per core the
+    multi-core schedule has no cross-core serialisation until the merge, at
+    the cost of ``g - 1`` extra squaring chains.
 
     Inputs are ``xP{i}``/``yP{i}`` (F_p) and ``xQ{i}``/``yQ{i}`` (twist field)
     for each pair ``i``; the single output is the fused G_T product.
@@ -180,58 +173,22 @@ def generate_multi_pairing_ir(curve, n_pairs: int, use_naf: bool = True,
     validate_final_exp_mode(final_exp_mode)
     if accumulator_groups is not None:
         positive_int(accumulator_groups, "accumulator_groups", CompilerError)
-    split = accumulator_groups is not None and accumulator_groups > 1
     # accumulator_groups=1 degenerates to the shared kernel; don't let the
     # module name claim otherwise.
-    suffix = f"-split{accumulator_groups}" if split else ""
+    groups = accumulator_groups if accumulator_groups not in (None, 1) else None
+    suffix = f"-split{groups}" if groups else ""
     if final_exp_mode != "generic":
         suffix += f"-fe-{final_exp_mode}"
-    builder = IRBuilder(name or f"multi-pairing-{curve.name}-x{n_pairs}{suffix}")
     # The kernel shape rides on the module (and through lowering/IROpt): the
     # multi-core scheduler assigns split-kernel group lanes differently from
     # shared-kernel line lanes (the shared lane is a pure merge tail there).
-    builder.module.meta.update(
-        kernel="multi_pairing",
-        n_pairs=n_pairs,
-        split_accumulators=split,
-        accumulator_groups=accumulator_groups if split else 1,
-        final_exp_mode=final_exp_mode,
-    )
-    ctx = TracingPairingContext(curve, builder)
-
-    with builder.phase("miller"):
-        if accumulator_groups is None or accumulator_groups == 1:
-            sources = []
-            for i in range(n_pairs):
-                with builder.lane(i):
-                    x_p = builder.input(curve.tower.fp, f"xP{i}")
-                    y_p = builder.input(curve.tower.fp, f"yP{i}")
-                    x_q = builder.input(curve.tower.twist_field, f"xQ{i}")
-                    y_q = builder.input(curve.tower.twist_field, f"yQ{i}")
-                    inner = LiveSource(ctx, (x_p, y_p), (x_q, y_q))
-                sources.append(_LaneScopedSource(builder, i, inner))
-            f = batched_miller_loop(ctx, sources, use_naf=use_naf)
-        else:
-            # Split mode: the pair -> group map comes from the same
-            # partition_into_groups the software split accumulator uses, so the
-            # compiled kernel reproduces the software grouping exactly.  A pair's
-            # inputs and point walk live on its *group's* lane; the group chain
-            # work is stamped by split_batched_miller_loop through the
-            # group_scope hook.
-            index_groups = partition_into_groups(range(n_pairs), accumulator_groups)
-            sources = [None] * n_pairs
-            for group, members in enumerate(index_groups):
-                for i in members:
-                    with builder.lane(group):
-                        x_p = builder.input(curve.tower.fp, f"xP{i}")
-                        y_p = builder.input(curve.tower.fp, f"yP{i}")
-                        x_q = builder.input(curve.tower.twist_field, f"xQ{i}")
-                        y_q = builder.input(curve.tower.twist_field, f"yQ{i}")
-                        sources[i] = LiveSource(ctx, (x_p, y_p), (x_q, y_q))
-            f = split_batched_miller_loop(ctx, sources, accumulator_groups,
-                                          use_naf=use_naf, group_scope=builder.lane)
-    if include_final_exp:
-        with builder.phase("final_exp"):
-            f = final_exponentiation(ctx, f, mode=final_exp_mode)
-    builder.output(f, "result")
-    return builder.module
+    meta = dict(kernel="multi_pairing", n_pairs=n_pairs, split_accumulators=groups is not None,
+                accumulator_groups=groups or 1)
+    if groups is None:
+        pair_lanes = [(str(i), i) for i in range(n_pairs)]
+    else:
+        pair_lanes = [(str(i), group)
+                      for group, members in enumerate(partition_into_groups(range(n_pairs), groups))
+                      for i in members]
+    return _trace_kernel(curve, name or f"multi-pairing-{curve.name}-x{n_pairs}{suffix}", meta,
+                         pair_lanes, groups, use_naf, include_final_exp, final_exp_mode)

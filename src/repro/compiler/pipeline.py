@@ -65,10 +65,9 @@ class KernelSpec:
     "compressed"; :data:`repro.pairing.final_exp.FINAL_EXP_MODES`).
     ``pipeline_depth`` (batched only) additionally scores the kernel as a
     continuously-fed accelerator with that many batch instances in flight.
-    ``include_baseline`` / ``record_trace`` (single only) add the
-    program-order baseline timing / the per-cycle issue trace.  ``hw=None`` and
-    ``variant_config=None`` mean the curve's default model and all-Karatsuba
-    (:meth:`resolved`).
+    ``include_baseline`` (single only) adds the program-order baseline timing.
+    ``hw=None`` and ``variant_config=None`` mean the curve's default model and
+    all-Karatsuba (:meth:`resolved`).
 
     Validated once, here, so every entry point fails the same way.  A flag
     that is not a ``bool`` raises ``CompilerError``: ``bool("shared")`` is
@@ -88,10 +87,9 @@ class KernelSpec:
     pipeline_depth: int = 1
     do_assemble: bool = True
     include_baseline: bool = False
-    record_trace: bool = False
 
     def __post_init__(self):
-        for flag in ("split_accumulators", "do_assemble", "include_baseline", "record_trace"):
+        for flag in ("split_accumulators", "do_assemble", "include_baseline"):
             if not isinstance(getattr(self, flag), bool):
                 raise CompilerError(
                     f"{flag} must be True or False, got {getattr(self, flag)!r}")
@@ -107,11 +105,10 @@ class KernelSpec:
                     "instances, not single pairings")
         else:
             validate_batch_size(self.n_pairs)
-            if self.include_baseline or self.record_trace:
+            if self.include_baseline:
                 raise CompilerError(
-                    "include_baseline / record_trace apply to the single-pairing "
-                    "kernel only (program-order timing and issue traces are not "
-                    "modelled for batches)")
+                    "include_baseline applies to the single-pairing kernel only "
+                    "(program-order timing is not modelled for batches)")
 
     def resolved(self, curve) -> "KernelSpec":
         """This spec with the defaults for ``curve`` filled in (what results carry)."""
@@ -144,14 +141,13 @@ class KernelSpec:
         cache tiers.  The two shapes of the key material are kept byte for
         byte -- the digests pinned in the tests are how a refactor of this
         layer shows it describes every kernel as before -- which is why the
-        retired ``optimize_ir`` / ``use_naf`` / ``use_affinity`` knobs survive
-        here as literals."""
+        retired ``optimize_ir`` / ``use_naf`` / ``use_affinity`` / ``record_trace``
+        knobs survive here as literals."""
         spec = self.resolved(curve)
         flags = dict(optimize_ir=True, use_naf=True, use_affinity=True,
                      do_assemble=spec.do_assemble, final_exp_mode=spec.final_exp_mode)
         if spec.n_pairs is None:
-            flags.update(include_baseline=spec.include_baseline,
-                         record_trace=spec.record_trace)
+            flags.update(include_baseline=spec.include_baseline, record_trace=False)
         else:
             flags.update(
                 kernel="multi_pairing", n_pairs=spec.n_pairs,
@@ -334,7 +330,7 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
 
     multicore_stats = pipeline_stats = None
     with _timed(timings, "cyclesim"):
-        simulator = CycleAccurateSimulator(record_trace=spec.record_trace)
+        simulator = CycleAccurateSimulator()
         cycle_stats = simulator.run(schedule)
         if n_pairs is not None:
             if hw.n_cores > 1:
@@ -366,7 +362,7 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
         with _timed(timings, "baseline-sim"):
             base_banks = allocate_banks(low_module, hw)
             base_schedule = program_order_schedule(low_module, hw, base_banks)
-            baseline_stats = CycleAccurateSimulator(record_trace=spec.record_trace).run(base_schedule)
+            baseline_stats = simulator.run(base_schedule)
 
     return CompileResult(
         curve_name=curve.name, spec=spec,
@@ -543,10 +539,9 @@ def compile_pairing(curve, hw: HardwareModel | None = None,
     """Compile the single-pairing kernel for ``curve`` (cached by full configuration).
 
     ``knobs`` are the remaining :class:`KernelSpec` fields that apply to the
-    single kernel (``final_exp_mode``, ``do_assemble``, ``include_baseline``,
-    ``record_trace``); all of them are part of the
-    semantic cache digest, so e.g. the three final-exp kernels never share a
-    cached (or disk-stored) artefact.
+    single kernel (``final_exp_mode``, ``do_assemble``, ``include_baseline``);
+    all of them are part of the semantic cache digest, so e.g. the three
+    final-exp kernels never share a cached (or disk-stored) artefact.
     """
     spec = KernelSpec(hw=hw, variant_config=variant_config, n_pairs=None, **knobs)
     return compile_kernel(curve, spec, use_cache)

@@ -21,6 +21,7 @@ WINDOW_LENGTH = 128
 
 def run(scale: str | None = None) -> dict:
     rows = []
+    tracer = CycleAccurateSimulator(record_trace=True)
     for name in paper_curve_names(scale):
         curve = get_curve(name)
         hw = hw_for_curve(curve)
@@ -28,13 +29,11 @@ def run(scale: str | None = None) -> dict:
         # Before: optimised IR in program order (no scheduling).
         module = stage_modules(curve)[2]
         banks = allocate_banks(module, hw)
-        before_schedule = program_order_schedule(module, hw, banks)
-        before = CycleAccurateSimulator(record_trace=True).run(before_schedule)
+        before = tracer.run(program_order_schedule(module, hw, banks))
 
-        # After: affinity-scheduled program.
-        result = compile_pairing(curve, hw=hw, record_trace=True, do_assemble=False,
-                                 use_cache=False)
-        after = result.cycle_stats
+        # After: the affinity-scheduled program of the compiled kernel.
+        result = compile_pairing(curve, hw=hw, do_assemble=False, use_cache=False)
+        after = tracer.run(result.schedule)
 
         start = min(WINDOW_START, max(0, before.total_cycles - WINDOW_LENGTH))
         rows.append(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.errors import PairingError
 from repro.pairing.context import ConcretePairingContext
-from repro.pairing.final_exp import final_exponentiation
+from repro.pairing.final_exp import final_exponentiation, validate_final_exp_mode
 from repro.pairing.miller import miller_loop
 from repro.pairing.reference import reference_pairing
 
@@ -57,6 +57,10 @@ def optimal_ate_pairing(curve, P, Q, mode: str = "optimized", use_naf: bool = Tr
         is bit-exact with "generic" and strictly cheaper; "compressed" adds
         Karabina compressed squaring chains.
     """
+    # Knobs first: a typo must not hide behind the point-at-infinity early return.
+    if mode not in ("optimized", "reference"):
+        raise PairingError(f"unknown pairing mode {mode!r}")
+    validate_final_exp_mode(final_exp_mode)
     P_affine = as_affine_pair(P, role="P (G1 point)")
     Q_affine = as_affine_pair(Q, role="Q (G2 point)")
     if P_affine is None or Q_affine is None:
@@ -64,9 +68,6 @@ def optimal_ate_pairing(curve, P, Q, mode: str = "optimized", use_naf: bool = Tr
 
     if mode == "reference":
         return reference_pairing(curve, P_affine, Q_affine)
-    if mode != "optimized":
-        raise PairingError(f"unknown pairing mode {mode!r}")
-
     ctx = ConcretePairingContext(curve)
     f = miller_loop(ctx, P_affine, Q_affine, use_naf=use_naf)
     return final_exponentiation(ctx, f, mode=final_exp_mode)

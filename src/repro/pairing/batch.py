@@ -40,12 +40,16 @@ Knobs
 Fixed-Q precomputation
 ----------------------
 Verification workloads pair many fresh G1 points against a *fixed* G2 point
-(verifying keys, generators).  :func:`precompute_g2` walks the Miller loop once
-for such a Q and stores the P-independent line coefficients
-(:func:`repro.pairing.lines.double_step_coeffs`); evaluating against a new P
-then costs two coefficient scalings per step instead of a full curve step.
-Precomputations plug directly into :func:`multi_pairing` in place of Q and can
-be mixed freely with plain points in one product.
+(verifying keys, generators).  :func:`precompute_g2` walks the loop schedule
+once for such a Q and stores each step's line coefficients at the unit point,
+i.e. independent of P; evaluating against a new P then costs two coefficient
+scalings per step instead of a full curve step.  Precomputations plug directly
+into :func:`multi_pairing` in place of Q and can be mixed freely with plain
+points in one product.
+
+Every loop here is :func:`repro.pairing.miller.miller_walk` -- the single
+pairing is the same walk over one live source -- so the shared accumulator,
+the split chains and the replay differ only in which sources they fold.
 """
 
 from __future__ import annotations
@@ -57,29 +61,13 @@ from repro.config import positive_int
 from repro.errors import PairingError
 from repro.pairing.ate import as_affine_pair
 from repro.pairing.context import ConcretePairingContext
-from repro.pairing.final_exp import final_exponentiation
-from repro.pairing.lines import (
-    add_step_coeffs,
-    double_step_coeffs,
-    jacobian_from_affine,
-    negate_affine,
-    negate_jacobian,
-    place_line,
-    twist_point_frobenius,
+from repro.pairing.final_exp import final_exponentiation, validate_final_exp_mode
+from repro.pairing.miller import (
+    LivePair,
+    loop_schedule,
+    miller_walk,
+    require_coordinates_in,
 )
-from repro.pairing.miller import binary_digits, non_adjacent_form
-
-
-def _loop_digits(ctx, use_naf: bool) -> list:
-    """Little-endian digit representation of the absolute loop scalar."""
-    scalar = ctx.loop_scalar
-    if scalar == 0:
-        raise PairingError("degenerate Miller loop scalar")
-    magnitude = abs(scalar)
-    digits = non_adjacent_form(magnitude) if use_naf else binary_digits(magnitude)
-    if digits[-1] != 1:
-        raise PairingError("loop scalar representation must start with digit 1")
-    return digits
 
 
 @dataclass
@@ -99,87 +87,28 @@ class G2Precomputation:
         return len(self.steps)
 
 
-# ---------------------------------------------------------------------------
-# Per-pair line sources
-# ---------------------------------------------------------------------------
-
-class LiveSource:
-    """Walks the Miller loop for one (P, Q) pair, producing placed lines.
-
-    The arithmetic is written against the generic element interface, so a
-    ``LiveSource`` works both on concrete field elements (the software batched
-    pairing) and on the compiler's :class:`~repro.ir.builder.TraceElement`
-    values (the batched accelerator kernel of
-    :func:`repro.compiler.codegen.generate_multi_pairing_ir`).
-    """
-
-    def __init__(self, ctx, P, Q):
-        self._ctx = ctx
-        self._xp, self._yp = P
-        self._q = Q
-        self._neg_q = negate_affine(Q)
-        self._t = jacobian_from_affine(Q)
-
-    def _emit(self, kind, coeffs):
-        c_y, c_x, c_const = coeffs
-        return self._ctx.full_from_w_coeffs(
-            place_line(self._ctx.twist_type, kind, c_y * self._yp, c_x * self._xp, c_const)
-        )
-
-    def double(self):
-        self._t, coeffs = double_step_coeffs(self._t)
-        return self._emit("dbl", coeffs)
-
-    def add(self, digit: int):
-        addend = self._q if digit == 1 else self._neg_q
-        self._t, coeffs = add_step_coeffs(self._t, addend)
-        return self._emit("add", coeffs)
-
-    def negate(self):
-        self._t = negate_jacobian(self._t)
-
-    def frobenius_add(self, n: int):
-        q_n = twist_point_frobenius(self._ctx, self._q, n)
-        if n == 2:
-            q_n = negate_affine(q_n)
-        self._t, coeffs = add_step_coeffs(self._t, q_n)
-        return self._emit("add", coeffs)
-
-    def finish(self):
-        """Live sources have no replay stream to reconcile."""
-
-
 class _PrecomputedSource:
-    """Replays a :class:`G2Precomputation` against one G1 point."""
+    """Replays a :class:`G2Precomputation` against one G1 point: the stored
+    line sources of :func:`repro.pairing.miller.miller_walk`, next to the live
+    :class:`~repro.pairing.miller.LivePair`."""
 
-    def __init__(self, ctx, precomp: G2Precomputation, P):
-        self._ctx = ctx
+    def __init__(self, ctx, precomp: G2Precomputation, P, label: str = ""):
+        require_coordinates_in(ctx.curve.tower.fp, P, f"{label}P (G1 point)")
         self._xp, self._yp = P
         self._steps = precomp.steps
         self._cursor = 0
 
-    def _emit(self, expected_kind):
+    def step(self, expected_kind: str, addend):
         if self._cursor >= len(self._steps):
             raise PairingError("precomputation exhausted (wrong loop schedule)")
         kind, (c_y, c_x, c_const) = self._steps[self._cursor]
         if kind != expected_kind:
             raise PairingError("precomputation out of step with the Miller loop")
         self._cursor += 1
-        return self._ctx.full_from_w_coeffs(
-            place_line(self._ctx.twist_type, kind, c_y * self._yp, c_x * self._xp, c_const)
-        )
-
-    def double(self):
-        return self._emit("dbl")
-
-    def add(self, digit: int):
-        return self._emit("add")
+        return (c_y * self._yp, c_x * self._xp, c_const)
 
     def negate(self):
         pass  # the point trajectory was negated during precomputation
-
-    def frobenius_add(self, n: int):
-        return self._emit("add")
 
     def finish(self):
         """Every precomputed step must have been consumed by the loop.
@@ -225,25 +154,16 @@ def precompute_g2(curve, Q, use_naf: bool = True) -> G2Precomputation:
     q_affine = as_affine_pair(Q, role="Q (G2 point)")
     if q_affine is None:
         raise PairingError("cannot precompute the point at infinity")
-    digits = _loop_digits(ctx, use_naf)
-
-    neg_q = negate_affine(q_affine)
-    T = jacobian_from_affine(q_affine)
+    # The line depends on P only through two scalings: at the unit point the
+    # step's coefficients are the P-independent ones.
+    one = curve.tower.fp.one()
+    source = LivePair(ctx, (one, one), q_affine)
     steps = []
-    for digit in reversed(digits[:-1]):
-        T, coeffs = double_step_coeffs(T)
-        steps.append(("dbl", coeffs))
-        if digit:
-            T, coeffs = add_step_coeffs(T, q_affine if digit == 1 else neg_q)
-            steps.append(("add", coeffs))
-    if ctx.loop_scalar < 0:
-        T = negate_jacobian(T)
-    if ctx.family == "BN":
-        q1 = twist_point_frobenius(ctx, q_affine, 1)
-        q2 = negate_affine(twist_point_frobenius(ctx, q_affine, 2))
-        for q_n in (q1, q2):
-            T, coeffs = add_step_coeffs(T, q_n)
-            steps.append(("add", coeffs))
+    for kind, addend in loop_schedule(ctx, use_naf):
+        if kind == "neg":
+            source.negate()
+        else:
+            steps.append((kind, source.step(kind, addend)))
     return G2Precomputation(curve_name=curve.name, use_naf=use_naf, steps=steps)
 
 
@@ -286,13 +206,12 @@ def split_batched_miller_loop(ctx, sources, n_groups: int, use_naf: bool = True,
     """Split-accumulator Miller loop: one independent chain per group.
 
     Partitions ``sources`` into ``n_groups`` contiguous groups
-    (:func:`partition_into_groups`), runs the full fused chain of
-    :func:`batched_miller_loop` once per non-empty group -- per-group
-    squarings, sign conjugation and BN Frobenius tail -- and multiplies the
-    per-group accumulators once at the end.  The result equals the shared
-    single-accumulator product exactly (field multiplication is exact; the
-    grouped product re-associates the same line factors), while the group
-    chains share no values and can execute concurrently.
+    (:func:`partition_into_groups`), runs the whole walk once per non-empty
+    group -- per-group squarings, sign conjugation and BN Frobenius tail -- and
+    multiplies the per-group accumulators once at the end.  The result equals
+    the shared single-accumulator product exactly (field multiplication is
+    exact; the grouped product re-associates the same line factors), while the
+    group chains share no values and can execute concurrently.
 
     ``group_scope``, when given, is a context-manager factory called with each
     group index around that group's chain; the compiler passes
@@ -306,7 +225,7 @@ def split_batched_miller_loop(ctx, sources, n_groups: int, use_naf: bool = True,
         if not members:
             continue
         with scope(g):
-            partials.append(batched_miller_loop(ctx, members, use_naf=use_naf))
+            partials.append(miller_walk(ctx, members, use_naf))
     if not partials:
         return ctx.full_one()
     # The cross-group merge: g - 1 extension-field multiplications, shared.
@@ -319,14 +238,11 @@ def split_batched_miller_loop(ctx, sources, n_groups: int, use_naf: bool = True,
 def batched_miller_loop(ctx, sources, use_naf: bool = True, accumulators: int = 1):
     """The fused Miller loop: one shared accumulator over many line sources.
 
-    ``F <- F^2 * Pi_i line_i`` per iteration -- the accumulator squaring, the
-    sign conjugation and the BN Frobenius tail are shared; each source only
-    contributes its line evaluations.  Written once against the generic element
-    interface: with a :class:`~repro.pairing.context.ConcretePairingContext`
-    and concrete sources it computes the golden product (pre final
-    exponentiation); with the compiler's tracing context and lane-scoped
-    sources it records the batched accelerator kernel.  This is the same
-    lock-step mechanism :mod:`repro.pairing.miller` uses for single pairings.
+    This is :func:`repro.pairing.miller.miller_walk` over all of ``sources``:
+    with a :class:`~repro.pairing.context.ConcretePairingContext` and concrete
+    sources it computes the golden product (pre final exponentiation); with
+    the compiler's tracing context and lane-scoped sources it records the
+    batched accelerator kernel.
 
     ``accumulators > 1`` switches to the partitioned mode of
     :func:`split_batched_miller_loop`: one independent chain per group of
@@ -334,58 +250,34 @@ def batched_miller_loop(ctx, sources, use_naf: bool = True, accumulators: int = 
     """
     if validate_accumulator_count(accumulators) > 1:
         return split_batched_miller_loop(ctx, sources, accumulators, use_naf=use_naf)
-    digits = _loop_digits(ctx, use_naf)
-    f = ctx.full_one()
-    for digit in reversed(digits[:-1]):
-        f = f.square()
-        for source in sources:
-            f = f * source.double()
-        if digit:
-            for source in sources:
-                f = f * source.add(digit)
-
-    if ctx.loop_scalar < 0:
-        # Pi conj(f_i) = conj(Pi f_i): one shared conjugation.
-        f = f.conjugate()
-        for source in sources:
-            source.negate()
-
-    if ctx.family == "BN":
-        for n in (1, 2):
-            for source in sources:
-                f = f * source.frobenius_add(n)
-
-    for source in sources:
-        source.finish()
-    return f
+    return miller_walk(ctx, sources, use_naf)
 
 
-def _make_sources(ctx, curve, pairs, use_naf: bool) -> list:
+def _make_sources(ctx, pairs, use_naf: bool) -> list:
     sources = []
     for index, pair in enumerate(pairs):
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise PairingError(f"pairs[{index}] must be a (P, Q) pair")
         P, Q = pair
-        p_affine = as_affine_pair(P, role=f"pairs[{index}].P (G1 point)")
+        label = f"pairs[{index}]."
+        p_affine = as_affine_pair(P, role=f"{label}P (G1 point)")
         if isinstance(Q, G2Precomputation):
-            if Q.curve_name != curve.name:
+            if Q.curve_name != ctx.curve.name:
                 raise PairingError(
                     f"pairs[{index}]: precomputation is for curve {Q.curve_name!r}, "
-                    f"not {curve.name!r}"
+                    f"not {ctx.curve.name!r}"
                 )
             if Q.use_naf != use_naf:
                 raise PairingError(
                     f"pairs[{index}]: precomputation digit form (use_naf={Q.use_naf}) "
                     "does not match this call"
                 )
-            if p_affine is None:
-                continue
-            sources.append(_PrecomputedSource(ctx, Q, p_affine))
+            if p_affine is not None:
+                sources.append(_PrecomputedSource(ctx, Q, p_affine, label))
             continue
-        q_affine = as_affine_pair(Q, role=f"pairs[{index}].Q (G2 point)")
-        if p_affine is None or q_affine is None:
-            continue
-        sources.append(LiveSource(ctx, p_affine, q_affine))
+        q_affine = as_affine_pair(Q, role=f"{label}Q (G2 point)")
+        if p_affine is not None and q_affine is not None:
+            sources.append(LivePair(ctx, p_affine, q_affine, label))
     return sources
 
 
@@ -424,6 +316,7 @@ def multi_pairing(curve, pairs, use_naf: bool = True, accumulators: int = 1,
         assert product.is_one()
     """
     accumulators = validate_accumulator_count(accumulators)
+    validate_final_exp_mode(final_exp_mode)     # before the empty-product early return
     try:
         pairs = list(pairs)
     except TypeError as exc:
@@ -431,8 +324,8 @@ def multi_pairing(curve, pairs, use_naf: bool = True, accumulators: int = 1,
             f"pairs must be an iterable of (P, Q) pairs, got {type(pairs).__name__}"
         ) from exc
     ctx = ConcretePairingContext(curve)
-    _loop_digits(ctx, use_naf)              # validate the loop scalar up front
-    sources = _make_sources(ctx, curve, pairs, use_naf)
+    loop_schedule(ctx, use_naf)             # validate the loop scalar up front
+    sources = _make_sources(ctx, pairs, use_naf)
     if not sources:
         # Empty product (no pairs, or every pair degenerate): the GT identity,
         # consistent with optimal_ate_pairing on the point at infinity.

@@ -15,17 +15,21 @@ from repro.fields.tower import from_w_coeffs, w_coeffs
 
 
 class PairingContext:
-    """Interface required by :mod:`repro.pairing.miller` and ``final_exp``."""
+    """Interface required by :mod:`repro.pairing.miller` and ``final_exp``:
+    the curve constants below plus the element factory methods."""
 
-    # Mandatory attributes -------------------------------------------------------
-    family: str          # "BN", "BLS12" or "BLS24"
-    u: int               # curve seed
-    k: int               # embedding degree
-    p: int
-    r: int
-    loop_scalar: int     # 6u + 2 for BN, u for BLS
-    twist_type: str      # "D" or "M"
-    final_exp_plan: object
+    def __init__(self, curve):
+        self.curve = curve
+        self.family = curve.family.name          # "BN", "BLS12" or "BLS24"
+        self.u = curve.params.u                  # curve seed
+        self.k = curve.params.k                  # embedding degree
+        self.p = curve.params.p
+        self.r = curve.params.r
+        # 6u + 2 for BN, u for BLS; read by repro.pairing.miller.loop_schedule alone.
+        self.loop_scalar = curve.family.miller_loop_scalar(curve.params.u)
+        self.twist_type = curve.twist_type       # "D" or "M"
+        self.final_exp_plan = curve.final_exp_plan
+        self._tower = curve.tower
 
     # Field/element factory methods ----------------------------------------------
     def full_one(self):
@@ -67,18 +71,6 @@ class PairingContext:
 
 class ConcretePairingContext(PairingContext):
     """Context backed by a :class:`repro.curves.catalog.PairingCurve`."""
-
-    def __init__(self, curve):
-        self.curve = curve
-        self.family = curve.family.name
-        self.u = curve.params.u
-        self.k = curve.params.k
-        self.p = curve.params.p
-        self.r = curve.params.r
-        self.loop_scalar = curve.family.miller_loop_scalar(curve.params.u)
-        self.twist_type = curve.twist_type
-        self.final_exp_plan = curve.final_exp_plan
-        self._tower = curve.tower
 
     def full_one(self):
         return self._tower.full_field.one()

@@ -35,11 +35,15 @@ def negate_jacobian(point):
     return (x, -y, z)
 
 
-def double_step(ctx, T, P):
+def double_step(T, P):
     """Double ``T`` (Jacobian, twist curve) and evaluate the tangent line at ``P``.
 
-    Returns ``(T2, line)`` where ``line`` is a length-6 list of twist-field
-    coefficients (``None`` marks a structural zero).
+    Returns ``(T2, (c_yp, c_xp, c_const))``: the three non-zero twist-field
+    coefficients of the line, which :func:`place_line` puts into the ``w``-power
+    basis.  The line depends on ``P`` only through the two scalings, so the
+    step evaluated at the unit point ``(1, 1)`` yields the P-independent
+    coefficients a fixed-Q precomputation stores
+    (:func:`repro.pairing.batch.precompute_g2`).
     """
     X, Y, Z = T
     x_p, y_p = P
@@ -60,21 +64,14 @@ def double_step(ctx, T, P):
     c_yp = (Y * Z3cube).double() * y_p       # 2 Y Z^3 * yP
     c_xp = -((E * Z2) * x_p)                 # -3 X^2 Z^2 * xP
     c_const = E * X - B.double()             # 3 X^3 - 2 Y^2
-
-    line = [None] * 6
-    if ctx.twist_type == "D":
-        line[0] = c_yp
-        line[1] = c_xp
-        line[3] = c_const
-    else:
-        line[0] = c_const
-        line[2] = c_xp
-        line[3] = c_yp
-    return (X3, Y3, Z3), line
+    return (X3, Y3, Z3), (c_yp, c_xp, c_const)
 
 
-def add_step(ctx, T, Q, P):
-    """Mixed addition ``T + Q`` (Q affine on the twist) with line evaluation at ``P``."""
+def add_step(T, Q, P):
+    """Mixed addition ``T + Q`` (Q affine on the twist) with line evaluation at ``P``.
+
+    Returns ``(T3, (c_yp, c_xp, c_const))`` like :func:`double_step`.
+    """
     X, Y, Z = T
     x_q, y_q = Q
     x_p, y_p = P
@@ -95,85 +92,15 @@ def add_step(ctx, T, Q, P):
     c_yp = HZ * y_p                    # (scaled) (x_T - x_Q) * yP term
     c_xp = -(theta * x_p)              # (scaled) -(y_T - y_Q) * xP term
     c_const = theta * x_q - HZ * y_q
-
-    line = [None] * 6
-    if ctx.twist_type == "D":
-        line[0] = c_yp
-        line[1] = c_xp
-        line[3] = c_const
-    else:
-        line[1] = c_const
-        line[3] = c_xp
-        line[4] = c_yp
-    return (X3, Y3, Z3), line
-
-
-# ---------------------------------------------------------------------------
-# Coefficient-form steps (batched / precomputed pairing support)
-# ---------------------------------------------------------------------------
-#
-# The line produced by ``double_step``/``add_step`` depends on P only through
-# two scalings: one coefficient is multiplied by ``y_P`` and one by ``x_P``.
-# The functions below produce those P-independent coefficients, which is what
-# makes fixed-Q precomputation (:mod:`repro.pairing.batch`) possible.  They are
-# used only by the concrete (software) batched pairing -- the traced variants
-# above are left untouched so the generated accelerator IR is unchanged.
-
-def double_step_coeffs(T):
-    """Double ``T`` and return ``(T2, (c_y, c_x, c_const))``.
-
-    The concrete line of :func:`double_step` is recovered as
-    ``(c_y * y_P, c_x * x_P, c_const)`` placed by :func:`place_line`.
-    """
-    X, Y, Z = T
-
-    A = X.square()
-    B = Y.square()
-    C = B.square()
-    Z2 = Z.square()
-    D = ((X + B).square() - A - C).double()
-    E = A.triple()
-    F = E.square()
-    X3 = F - D.double()
-    Y3 = E * (D - X3) - C.mul_small(8)
-    Z3 = (Y * Z).double()
-
-    Z3cube = Z2 * Z
-    c_y = (Y * Z3cube).double()
-    c_x = -(E * Z2)
-    c_const = E * X - B.double()
-    return (X3, Y3, Z3), (c_y, c_x, c_const)
-
-
-def add_step_coeffs(T, Q):
-    """Mixed addition ``T + Q`` returning ``(T3, (c_y, c_x, c_const))``."""
-    X, Y, Z = T
-    x_q, y_q = Q
-
-    Z2 = Z.square()
-    U2 = x_q * Z2
-    S2 = (y_q * Z) * Z2
-    H = U2 - X
-    theta = S2 - Y
-    H2 = H.square()
-    H3 = H * H2
-    V = X * H2
-    X3 = theta.square() - H3 - V.double()
-    Y3 = theta * (V - X3) - Y * H3
-    Z3 = Z * H
-
-    HZ = H * Z
-    c_y = HZ
-    c_x = -theta
-    c_const = theta * x_q - HZ * y_q
-    return (X3, Y3, Z3), (c_y, c_x, c_const)
+    return (X3, Y3, Z3), (c_yp, c_xp, c_const)
 
 
 def place_line(twist_type: str, kind: str, c_yp, c_xp, c_const) -> list:
-    """Place already-scaled line coefficients into the 6-slot ``w``-power basis.
+    """Place the coefficients of a step's line into the 6-slot ``w``-power basis.
 
-    ``kind`` is ``"dbl"`` or ``"add"``; the M-type twist uses different slots
-    for the two step kinds (mirroring ``double_step``/``add_step`` above).
+    The one statement of the slot layout (``None`` marks a structural zero).
+    ``kind`` is ``"dbl"`` or ``"add"``: the M-type twist uses different slots
+    for the two step kinds, the D-type twist the same.
     """
     line = [None] * 6
     if twist_type == "D":

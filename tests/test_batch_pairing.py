@@ -251,6 +251,29 @@ def test_multi_pairing_rejects_malformed_pairs(toy_bn, rng):
         multi_pairing(toy_bn, [(P, "not a point")])
 
 
+def test_knobs_are_validated_before_the_empty_product_early_return(toy_bn, rng):
+    """A typo in ``final_exp_mode`` fails on an empty or all-infinity batch
+    exactly as it does on a real pair."""
+    P, Q = toy_bn.random_g1(rng), toy_bn.random_g2(rng)
+    for pairs in ([], [(toy_bn.curve.infinity(), Q)], [(P, Q)]):
+        with pytest.raises(PairingError, match="final_exp_mode"):
+            multi_pairing(toy_bn, pairs, final_exp_mode="nope")
+
+
+def test_wrong_field_points_name_the_pair_and_role(toy_curve, rng):
+    P, Q = toy_curve.random_g1(rng), toy_curve.random_g2(rng)
+    with pytest.raises(PairingError, match=r"pairs\[1\]\.P \(G1 point\)"):
+        multi_pairing(toy_curve, [(P, Q), (Q, P)])
+    with pytest.raises(PairingError, match=r"pairs\[0\]\.Q \(G2 point\)"):
+        multi_pairing(toy_curve, [(P, P)])
+    with pytest.raises(PairingError, match=r"Q \(G2 point\)"):
+        precompute_g2(toy_curve, toy_curve.g1_generator)
+    # Against a precomputation a G2 point in P's place would multiply through
+    # silently (twist-field coefficient times twist-field coordinate).
+    with pytest.raises(PairingError, match=r"pairs\[0\]\.P \(G1 point\)"):
+        multi_pairing(toy_curve, [(Q, precompute_g2(toy_curve, Q))])
+
+
 def test_multi_pairing_rejects_non_iterable_pairs(toy_bn):
     with pytest.raises(PairingError):
         multi_pairing(toy_bn, 42)

@@ -301,3 +301,18 @@ def test_the_tower_recursion_is_written_once():
                 appliers.add(name)
     assert step_ops == [("fields/scalarise.py", "_Step"), ("fields/variants.py", "CountingStepOps")]
     assert appliers == {"fields/scalarise.py", "fields/variants.py"}
+
+
+def test_the_miller_loop_is_walked_in_one_module():
+    """``pairing/miller.py`` alone reads ``loop_scalar`` (``loop_schedule`` turns
+    it into the step list everything else follows); the context assigns it and
+    ``pairing/reference.py`` derives its own from the family -- so a second
+    digit walk cannot come back unnoticed."""
+    readers, writers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "loop_scalar":
+                (readers if isinstance(node.ctx, ast.Load) else writers).add(
+                    str(path.relative_to(SRC)))
+    assert readers == {"pairing/miller.py"}
+    assert writers == {"pairing/context.py"}

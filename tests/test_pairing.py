@@ -5,10 +5,12 @@ import random
 import pytest
 
 from repro.pairing.ate import optimal_ate_pairing
+from repro.pairing.batch import multi_pairing, precompute_g2
 from repro.pairing.context import ConcretePairingContext
 from repro.pairing.exponent import cyclotomic_value, hard_exponent, solve_final_exp_plan
 from repro.pairing.final_exp import easy_part, final_exponentiation, hard_part
 from repro.pairing.miller import binary_digits, miller_loop, non_adjacent_form
+from repro.pairing.reference import reference_pairing
 from repro.errors import PairingError
 
 
@@ -127,6 +129,40 @@ def test_optimized_matches_reference_oracle(toy_curve):
     assert optimized == reference ** curve.final_exp_plan.c
 
 
+@pytest.fixture(scope="module")
+def oracle_pairs_and_product(toy_curve):
+    """Two seeded pairs and their product by the independent textbook oracle."""
+    curve = toy_curve
+    rng = random.Random(59)
+    pairs = [(curve.random_g1(rng), curve.random_g2(rng)) for _ in range(2)]
+    product = curve.gt_one()
+    for P, Q in pairs:
+        product = product * reference_pairing(curve, (P.x, P.y), (Q.x, Q.y))
+    return pairs, product ** curve.final_exp_plan.c
+
+
+@pytest.mark.parametrize("use_naf", [True, False], ids=["naf", "binary"])
+@pytest.mark.parametrize("source", ["single", "live", "precomputed", "split"])
+def test_every_line_source_matches_the_reference_oracle(
+        toy_curve, oracle_pairs_and_product, source, use_naf):
+    """``optimal_ate_pairing`` and ``multi_pairing`` run the same Miller walk, so
+    they cannot vouch for each other: every kind of source, under both digit
+    forms, answers to ``pairing/reference.py`` (which shares none of it)."""
+    curve = toy_curve
+    pairs, expected = oracle_pairs_and_product
+    if source == "single":
+        got = curve.gt_one()
+        for P, Q in pairs:
+            got = got * optimal_ate_pairing(curve, P, Q, use_naf=use_naf)
+    elif source == "precomputed":
+        fixed = [(P, precompute_g2(curve, Q, use_naf=use_naf)) for P, Q in pairs]
+        got = multi_pairing(curve, fixed, use_naf=use_naf)
+    else:
+        got = multi_pairing(curve, pairs, use_naf=use_naf,
+                            accumulators=2 if source == "split" else 1)
+    assert got == expected
+
+
 def test_naf_and_binary_loops_agree(toy_bn, rng):
     curve = toy_bn
     P = curve.random_g1(rng)
@@ -139,6 +175,29 @@ def test_naf_and_binary_loops_agree(toy_bn, rng):
 def test_unknown_mode_rejected(toy_bn, rng):
     with pytest.raises(PairingError):
         optimal_ate_pairing(toy_bn, toy_bn.g1_generator, toy_bn.g2_generator, mode="fast")
+
+
+def test_knobs_are_validated_before_the_infinity_early_return(toy_bn):
+    inf1, Q = toy_bn.curve.infinity(), toy_bn.g2_generator
+    with pytest.raises(PairingError, match="mode"):
+        optimal_ate_pairing(toy_bn, inf1, Q, mode="bogus")
+    with pytest.raises(PairingError, match="final_exp_mode"):
+        optimal_ate_pairing(toy_bn, inf1, Q, final_exp_mode="nope")
+    with pytest.raises(PairingError, match="final_exp_mode"):
+        optimal_ate_pairing(toy_bn, inf1, Q, mode="reference", final_exp_mode="nope")
+    assert optimal_ate_pairing(toy_bn, inf1, Q, mode="reference").is_one()
+
+
+def test_swapped_points_fail_at_the_boundary(toy_curve):
+    """A G2 point where the G1 point goes (and vice versa) is a PairingError
+    naming the role, not a FieldError from inside the first step."""
+    P, Q = toy_curve.g1_generator, toy_curve.g2_generator
+    with pytest.raises(PairingError, match=r"P \(G1 point\)"):
+        optimal_ate_pairing(toy_curve, Q, P)
+    with pytest.raises(PairingError, match=r"Q \(G2 point\)"):
+        optimal_ate_pairing(toy_curve, P, P)
+    with pytest.raises(PairingError, match=r"Q \(G2 point\)"):
+        miller_loop(ConcretePairingContext(toy_curve), (P.x, P.y), (P.x, P.y))
 
 
 def test_miller_loop_accepts_tuples(toy_bn, rng):
