@@ -39,16 +39,17 @@ Pairing (software golden path)
 
 Compiler
     ``KernelSpec`` -- the one validated description of a kernel to compile
-    (hardware model, variant config, batch size, accumulator / final-exp /
-    pipeline-depth mode, pipeline flags); every entry point below folds its
-    keywords into one, and ``compile_kernel(curve, spec)`` is where they meet.
+    (hardware model, variant config, batch size, accumulator / final-exp
+    mode, pipeline flags); every entry point below folds its keywords into
+    one, and ``compile_kernel(curve, spec)`` is where they meet.
     ``compile_pairing(curve, hw=None, variant_config=None, **knobs)`` --
     compile the single-pairing accelerator kernel (cached by full semantic
     configuration).
     ``compile_multi_pairing(curve, n_pairs, hw=None, variant_config=None,
     **knobs)`` -- compile the batched pairing-product kernel (see its
     docstring for an example).  Both return a ``CompileResult`` carrying the
-    resolved spec.
+    resolved spec; a batched one scores itself as a continuously-fed
+    accelerator at any depth with ``result.pipelined(depth)``.
     ``CompilerPipeline(**knobs)`` -- the uncached staged pipeline for one spec.
     ``compile_cache_stats()`` -- per-stage hit/miss/store counters of the
     two-tier compile cache.
@@ -82,9 +83,10 @@ Simulators
     (bit-exact vs the software pairing).
     ``CycleAccurateSimulator`` -- deterministic single- and multi-core cycle
     simulation of a compiled kernel; ``run_pipelined`` additionally models
-    the continuously-fed accelerator (``PipelineStats``: fill/drain cycles
-    and steady-state cycles per batch with several batch instances in
-    flight).
+    the continuously-fed accelerator (several batch instances in flight).
+    ``CycleStats`` -- the one record all three walks answer with (cycles,
+    stall breakdown, per-core columns; fill/drain cycles and steady-state
+    cycles per batch derived from its per-instance columns).
 
 Serving
     ``VerificationService(curve, config=None)`` -- the asyncio verification
@@ -137,10 +139,10 @@ from repro.reliability import (
     configure_faults,
 )
 from repro.service import ServiceConfig, ServiceProfile, VerificationService
-from repro.sim.cycle import CycleAccurateSimulator, PipelineStats
+from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "get_curve",
@@ -169,7 +171,7 @@ __all__ = [
     "paper_hw2",
     "FunctionalSimulator",
     "CycleAccurateSimulator",
-    "PipelineStats",
+    "CycleStats",
     "VerificationService",
     "ServiceConfig",
     "ServiceProfile",

@@ -30,7 +30,7 @@ from repro.compiler.codegen import (
 from repro.compiler.store import ArtifactStore, StoreStats, active_store
 from repro.reliability import faults as _faults
 from repro.compiler.opt import OptStats, optimize
-from repro.compiler.regalloc import allocate_registers, pipelined_register_demand
+from repro.compiler.regalloc import allocate_registers
 from repro.compiler.schedule import (
     ScheduledProgram,
     affinity_schedule,
@@ -42,13 +42,7 @@ from repro.pairing.final_exp import validate_final_exp_mode
 from repro.hw.model import HardwareModel
 from repro.hw.presets import default_model
 from repro.ir.lowering import lower_module
-from repro.sim.cycle import (
-    CycleAccurateSimulator,
-    CycleStats,
-    MultiCoreStats,
-    PipelineStats,
-    validate_pipeline_depth,
-)
+from repro.sim.cycle import CycleAccurateSimulator, CycleStats, validate_pipeline_depth
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,6 @@ class KernelSpec:
     the kernel itself then depends on ``hw.n_cores``.  ``final_exp_mode`` is
     the hard-part backend traced into the kernel ("generic" | "cyclotomic" |
     "compressed"; :data:`repro.pairing.final_exp.FINAL_EXP_MODES`).
-    ``pipeline_depth`` (batched only) additionally scores the kernel as a
-    continuously-fed accelerator with that many batch instances in flight.
     ``include_baseline`` (single only) adds the program-order baseline timing.
     ``hw=None`` and ``variant_config=None`` mean the curve's default model and
     all-Karatsuba (:meth:`resolved`).
@@ -75,8 +67,7 @@ class KernelSpec:
     apart from ``False``, so it would store one kernel twice.  A bad batch
     size or a knob set on the kernel kind it does not apply to raise
     ``CompilerError`` too; an unknown final-exp mode raises ``PairingError``,
-    a bad pipeline depth ``SimulationError``, an invalid hardware model
-    ``HardwareModelError``.
+    an invalid hardware model ``HardwareModelError``.
     """
 
     hw: HardwareModel | None = None
@@ -84,7 +75,6 @@ class KernelSpec:
     n_pairs: int | None = None
     split_accumulators: bool = False
     final_exp_mode: str = "generic"
-    pipeline_depth: int = 1
     do_assemble: bool = True
     include_baseline: bool = False
 
@@ -96,13 +86,10 @@ class KernelSpec:
         if self.hw is not None:
             self.hw.validate()
         validate_final_exp_mode(self.final_exp_mode)
-        validate_pipeline_depth(self.pipeline_depth)
         if self.n_pairs is None:
-            if self.split_accumulators or self.pipeline_depth != 1:
+            if self.split_accumulators:
                 raise CompilerError(
-                    "split_accumulators / pipeline_depth apply to batched kernels "
-                    "only (set n_pairs); cross-batch pipelining replays batch "
-                    "instances, not single pairings")
+                    "split_accumulators applies to batched kernels only (set n_pairs)")
         else:
             validate_batch_size(self.n_pairs)
             if self.include_baseline:
@@ -142,7 +129,7 @@ class KernelSpec:
         byte -- the digests pinned in the tests are how a refactor of this
         layer shows it describes every kernel as before -- which is why the
         retired ``optimize_ir`` / ``use_naf`` / ``use_affinity`` / ``record_trace``
-        knobs survive here as literals."""
+        / ``pipeline_depth`` knobs survive here as literals."""
         spec = self.resolved(curve)
         flags = dict(optimize_ir=True, use_naf=True, use_affinity=True,
                      do_assemble=spec.do_assemble, final_exp_mode=spec.final_exp_mode)
@@ -153,7 +140,7 @@ class KernelSpec:
                 kernel="multi_pairing", n_pairs=spec.n_pairs,
                 n_cores=spec.hw.n_cores,   # not part of hw.cache_key(); cycles depend on it
                 split_accumulators=spec.split_accumulators,
-                pipeline_depth=spec.pipeline_depth,  # pipelined scores are distinct artefacts
+                pipeline_depth=1,
             )
         return CompileCache.make_key(curve.name, spec.variant_config, spec.hw, **flags)
 
@@ -188,19 +175,11 @@ class CompileResult:
     registers_per_bank: dict
     total_registers: int
     program: object | None             # AssembledProgram (None if assembly skipped)
-    #: Per-bank register demand with ``pipeline_depth`` renamed instances
-    #: resident (sizes the continuously-fed accelerator's data memory; equals
-    #: :attr:`registers_per_bank` at depth 1).
-    pipeline_registers_per_bank: dict
     # Baseline (program-order) timing, populated on request (single kernel).
     baseline_cycle_stats: CycleStats | None = None
     #: The ``hw.n_cores``-core simulation of a batched kernel; None on the
     #: single-pairing kernel.
-    multicore_stats: MultiCoreStats | None = None
-    #: The ``depth``-instance pipelined simulation
-    #: (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined`); None
-    #: when the kernel was scored one-shot (``pipeline_depth=1``).
-    pipeline_stats: PipelineStats | None = None
+    multicore_stats: CycleStats | None = None
     # Stage timings in seconds.
     stage_seconds: dict = field(default_factory=dict)
 
@@ -240,23 +219,21 @@ class CompileResult:
     def cycles_per_pairing(self) -> float:
         return self.cycles / (self.spec.n_pairs or 1)
 
-    @property
-    def steady_batch_cycles(self) -> float:
-        """Steady-state cycles per batch instance on a continuously-fed accelerator.
-
-        With a pipelined score (``pipeline_depth > 1``) this is the sustained
-        completion-to-completion gap between in-flight instances; at depth 1
-        it degenerates to the one-shot batch latency, so consumers can rank
-        on it unconditionally.
-        """
-        if self.pipeline_stats is not None:
-            return self.pipeline_stats.steady_cycles_per_batch
-        return float(self.cycles)
-
-    @property
-    def steady_cycles_per_pairing(self) -> float:
-        """Steady-state amortised cost per pairing (the throughput figure)."""
-        return self.steady_batch_cycles / (self.spec.n_pairs or 1)
+    def pipelined(self, depth: int) -> CycleStats:
+        """This batched kernel scored as a continuously-fed accelerator with
+        ``depth`` batch instances in flight (rank on its
+        ``steady_cycles_per_batch``): the one place a depth meets a kernel.
+        A ``run_pipelined`` walk over the compiled schedule, never a recompile
+        -- the depth is no part of the kernel or its digest.  Depth 1 *is*
+        :attr:`multicore_stats`: no second walk, and on one core it stays the
+        bundle walk of the packed schedule."""
+        if self.multicore_stats is None:
+            raise CompilerError(
+                "pipelined() applies to batched kernels only: cross-batch "
+                "pipelining replays batch instances, not single pairings")
+        if validate_pipeline_depth(depth) == 1:
+            return self.multicore_stats
+        return CycleAccurateSimulator().run_pipelined(self.schedule, self.spec.hw.n_cores, depth)
 
     @property
     def imem_bits(self) -> int:
@@ -297,10 +274,6 @@ class CompileResult:
                     ("kernel", "n_pairs", "accumulators", "accumulator_groups",
                      "n_cores", "single_core_cycles", "cycles_per_pairing")):
             del summary[key]
-        if spec.pipeline_depth > 1:
-            summary["pipeline_depth"] = spec.pipeline_depth
-            summary["steady_batch_cycles"] = round(self.steady_batch_cycles, 1)
-            summary["steady_cycles_per_pairing"] = round(self.steady_cycles_per_pairing, 1)
         return summary
 
 
@@ -328,7 +301,7 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
     with _timed(timings, "packsched"):
         schedule = affinity_schedule(optimized_module, hw, banks, use_affinity=True)
 
-    multicore_stats = pipeline_stats = None
+    multicore_stats = None
     with _timed(timings, "cyclesim"):
         simulator = CycleAccurateSimulator()
         cycle_stats = simulator.run(schedule)
@@ -336,14 +309,12 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
             if hw.n_cores > 1:
                 multicore_stats = simulator.run_multicore(schedule, hw.n_cores)
             else:
-                # One core degenerates to the classic simulation just done;
-                # skip the redundant second walk and re-label it.
-                multicore_stats = MultiCoreStats.from_single_core(
-                    cycle_stats, dict.fromkeys(optimized_module.lane_histogram(), 0))
-            if spec.pipeline_depth > 1:
-                # The continuously-fed score: ``depth`` renamed instances in
-                # flight (depth 1 would just repeat the multicore walk).
-                pipeline_stats = simulator.run_pipelined(schedule, hw.n_cores, spec.pipeline_depth)
+                # One core degenerates to the classic simulation just done
+                # (exactly so for single-issue models, and the bundle walk is
+                # the more faithful one for a VLIW-packed schedule): skip the
+                # second walk and re-label it, every lane on core 0.
+                multicore_stats = replace(cycle_stats, lane_assignment=dict.fromkeys(
+                    optimized_module.lane_histogram(), 0))
     with _timed(timings, "regalloc"):
         allocation = allocate_registers(schedule)
 
@@ -372,9 +343,8 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
         opt_stats=opt_stats, schedule=schedule, cycle_stats=cycle_stats,
         registers_per_bank=dict(allocation.registers_per_bank),
         total_registers=allocation.total_registers, program=program,
-        pipeline_registers_per_bank=pipelined_register_demand(allocation, spec.pipeline_depth, hw.n_banks),
         baseline_cycle_stats=baseline_stats, multicore_stats=multicore_stats,
-        pipeline_stats=pipeline_stats, stage_seconds=timings,
+        stage_seconds=timings,
     )
 
 
@@ -601,7 +571,8 @@ def compile_multi_pairing(curve, n_pairs: int, hw: HardwareModel | None = None,
     ~chain-weight/|F_p^{k/6}| per batch that makes the simulated inversion
     fail loudly rather than return a wrong product.
 
-    ``pipeline_depth`` and ``do_assemble`` as on :class:`KernelSpec`.
+    ``do_assemble`` as on :class:`KernelSpec`; the cross-batch pipeline depth
+    is no compile knob -- ask the result (:meth:`CompileResult.pipelined`).
 
     Example -- compile a batch-8 kernel on a 4-core model and read the
     figures a design sweep ranks on::

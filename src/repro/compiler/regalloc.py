@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import positive_int
 from repro.errors import CompilerError
 from repro.compiler.schedule import ScheduledProgram
 
@@ -89,25 +88,3 @@ def allocate_registers(schedule: ScheduledProgram) -> RegisterAllocation:
         register_of=register_of,
         registers_per_bank=next_slot,
     )
-
-
-def pipelined_register_demand(allocation: RegisterAllocation, depth: int, n_banks: int) -> dict:
-    """Per-bank register demand with ``depth`` renamed instances resident.
-
-    Each pipeline instance carries the full register footprint of one kernel
-    (its inputs are DMA'd in while the previous instance runs, so live ranges
-    do not shrink), with its banks rotated by the instance index exactly as
-    :func:`repro.compiler.bankalloc.rebank_for_instance` rotates the bank map
-    the simulator replays.  The result sizes the data memory a
-    continuously-fed accelerator needs; at ``depth=1`` it is exactly
-    ``allocation.registers_per_bank``.
-    """
-    positive_int(depth, "pipeline depth", CompilerError)
-    n_banks = max(1, n_banks)
-    demand: dict = {}
-    for instance in range(depth):
-        offset = instance % n_banks
-        for bank, count in allocation.registers_per_bank.items():
-            target = (bank + offset) % n_banks
-            demand[target] = demand.get(target, 0) + count
-    return {bank: demand[bank] for bank in sorted(demand)}

@@ -65,7 +65,7 @@ from repro.config import CACHE_DIR_ENV, MAX_BYTES_ENV, env_int, env_str
 from repro.reliability import faults as _faults
 
 #: Bump on any incompatible change to the pickled artefact shape.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Default eviction budget: 2 GiB holds thousands of toy-curve kernels and
 #: hundreds of full-size ones while staying inside CI cache quotas.

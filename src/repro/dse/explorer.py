@@ -120,7 +120,7 @@ class DesignMetrics:
 
 
 def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
-                    accumulator: str, fe_mode: str, depth: int = 1):
+                    accumulator: str, fe_mode: str):
     """The one place a design point meets the compiler: the single-pairing
     kernel when ``n_pairs`` is ``None``, else the ``n_pairs``-wide batched
     kernel on the spec's core count."""
@@ -128,7 +128,7 @@ def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
         hw=point.hw if n_pairs is None else point.hw.with_cores(spec.n_cores),
         variant_config=point.variant_config, n_pairs=n_pairs,
         split_accumulators=accumulator == "split", final_exp_mode=fe_mode,
-        pipeline_depth=depth, do_assemble=spec.do_assemble,
+        do_assemble=spec.do_assemble,
     ))
 
 
@@ -165,8 +165,8 @@ def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
     def batch_cycles(n_requests: int) -> float:
         return _compile_kernel(
             curve, point, spec, profile.pairs_per_request * n_requests,
-            accumulator, fe_mode, depth,
-        ).steady_batch_cycles
+            accumulator, fe_mode,
+        ).pipelined(depth).steady_cycles_per_batch
 
     one = batch_cycles(1)
     if profile.max_batch == 1:
@@ -293,17 +293,15 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec) -> DesignMetrics:
         # pairings per second of one such multi-core accelerator.
         throughput = batch * 1e6 / latency_us
         cycles_per_pairing = result.cycles_per_pairing
-        # Depth ladder: the winning kernel is re-scored as a continuously-fed
-        # pipeline at each candidate depth; the depth with the lowest
-        # steady-state cycles per pairing wins (ties to the shallowest depth
-        # -- less resident state for free).
-        scored = {
-            d: result if d == 1 else _compile_kernel(
-                curve, point, spec, batch, accumulator, fe_mode, d)
-            for d in spec.depths
-        }
-        depth = min(scored, key=lambda d: (scored[d].steady_cycles_per_pairing, d))
-        steady_cycles_per_pairing = scored[depth].steady_cycles_per_pairing
+        # Depth ladder: the winning kernel's schedule is walked again as a
+        # continuously-fed pipeline at each candidate depth (depth 1 is the
+        # score it already carries); the depth with the lowest steady-state
+        # cycles per pairing wins (ties to the shallowest depth -- less
+        # resident state for free).
+        scored = {d: result.pipelined(d).steady_cycles_per_batch / batch
+                  for d in spec.depths}
+        depth = min(scored, key=lambda d: (scored[d], d))
+        steady_cycles_per_pairing = scored[depth]
         steady_throughput = freq * 1e6 / steady_cycles_per_pairing
     area = estimate_area(point.hw, result.imem_bits, result.total_registers,
                          n_cores=spec.n_cores, technology=spec.technology)

@@ -18,10 +18,10 @@ shows three wins separately:
   before the final exponentiation -- at the price of one extra squaring chain
   per core.
 
-The shared kernel is compiled once per batch size and re-simulated per core
-count.  The split kernel's *trace* depends on its group count, so it is
-compiled once per (batch size, core count > 1) pair; on one core it
-degenerates to the shared kernel and the shared numbers are reported.
+Which kernel stands behind a cell is decided in one place,
+:func:`_cell_kernels`: the shared kernel is compiled once per batch size and
+re-simulated per core count; the split kernel is compiled once per (batch
+size, core count > 1) pair, and on one core the shared numbers are reported.
 
 The ``final_exp`` section additionally compiles the largest batch once per
 final-exponentiation mode (``generic`` | ``cyclotomic`` | ``compressed``,
@@ -66,6 +66,34 @@ def _batches(scale: str) -> tuple:
     return (1, 2, 4, 8)
 
 
+def _cell_kernels(curve, hw, batch: int, **knobs) -> dict:
+    """``(accumulator mode, core count) -> compiled kernel`` for one table.
+
+    The shared kernel is compiled once and re-walked per core count.  The
+    split kernel's *trace* depends on its group count, so it is compiled per
+    core count > 1; on one core it has a single accumulator group and the
+    split cell *is* the shared one.  (The compile cache makes asking again
+    for another table free.)
+    """
+    shared = compile_multi_pairing(curve, batch, hw=hw, do_assemble=False, **knobs)
+    kernels = {}
+    for n_cores in CORE_COUNTS:
+        kernels["shared", n_cores] = shared
+        kernels["split", n_cores] = shared if n_cores == 1 else compile_multi_pairing(
+            curve, batch, hw=hw.with_cores(n_cores), do_assemble=False,
+            split_accumulators=True, **knobs)
+    return kernels
+
+
+def _one_shot_stats(simulator, compiled, n_cores: int):
+    """One-shot walk of a cell's kernel on ``n_cores``: the simulation the
+    result already carries when it was compiled for that core count, else a
+    fresh multi-core walk of its schedule."""
+    if compiled.hw.n_cores == n_cores:
+        return compiled.multicore_stats
+    return simulator.run_multicore(compiled.schedule, n_cores)
+
+
 def _cell(total_cycles: int, batch: int, base_cycles: int) -> dict:
     return {
         "cycles": total_cycles,
@@ -91,22 +119,11 @@ def _final_exp_table(curve, hw, simulator, batch: int) -> dict:
     """Cycles and final-exp share per (fe mode, accumulator mode, core count)."""
     modes: dict = {}
     for fe_mode in FINAL_EXP_MODES:
-        cells: dict = {"shared": {}, "split": {}}
-        shared = compile_multi_pairing(curve, batch, hw=hw, do_assemble=False,
-                                       final_exp_mode=fe_mode)
-        for n_cores in CORE_COUNTS:
-            if n_cores == 1:
-                shared_stats = shared.multicore_stats
-                split_stats = shared_stats
-            else:
-                shared_stats = simulator.run_multicore(shared.schedule, n_cores)
-                split = compile_multi_pairing(
-                    curve, batch, hw=hw.with_cores(n_cores), do_assemble=False,
-                    split_accumulators=True, final_exp_mode=fe_mode,
-                )
-                split_stats = split.multicore_stats
-            cells["shared"][f"c{n_cores}"] = _fe_cell(shared_stats, batch)
-            cells["split"][f"c{n_cores}"] = _fe_cell(split_stats, batch)
+        cells: dict = {mode: {} for mode in MODES}
+        for (acc_mode, n_cores), compiled in _cell_kernels(
+                curve, hw, batch, final_exp_mode=fe_mode).items():
+            cells[acc_mode][f"c{n_cores}"] = _fe_cell(
+                _one_shot_stats(simulator, compiled, n_cores), batch)
         modes[fe_mode] = cells
     return {"batch": batch, "modes": modes}
 
@@ -126,30 +143,17 @@ def _pipeline_cell(stats, batch: int) -> dict:
 def _pipeline_table(curve, hw, simulator, batch: int) -> dict:
     """Steady-state figures per (accumulator mode, core count, pipeline depth).
 
-    The kernels are the same ones the main table compiled (the compile cache
-    makes the reuse free); only the pipelined *simulation* is new.  On one
-    core -- and for the shared kernel at any core count -- the split cell
-    reuses the shared compile exactly as the main table does.
+    The kernels are the same ones the main table compiled; only the pipelined
+    *simulation* is new.
     """
-    shared = compile_multi_pairing(curve, batch, hw=hw, do_assemble=False)
-    modes: dict = {}
-    for acc_mode in MODES:
-        cells: dict = {}
-        for n_cores in CORE_COUNTS:
-            if acc_mode == "split" and n_cores > 1:
-                compiled = compile_multi_pairing(
-                    curve, batch, hw=hw.with_cores(n_cores), do_assemble=False,
-                    split_accumulators=True,
-                )
-            else:
-                compiled = shared
-            cells[f"c{n_cores}"] = {
-                f"d{depth}": _pipeline_cell(
-                    simulator.run_pipelined(compiled.schedule, n_cores, depth), batch
-                )
-                for depth in PIPELINE_DEPTHS
-            }
-        modes[acc_mode] = cells
+    modes: dict = {mode: {} for mode in MODES}
+    for (acc_mode, n_cores), compiled in _cell_kernels(curve, hw, batch).items():
+        modes[acc_mode][f"c{n_cores}"] = {
+            f"d{depth}": _pipeline_cell(
+                simulator.run_pipelined(compiled.schedule, n_cores, depth), batch
+            )
+            for depth in PIPELINE_DEPTHS
+        }
     return {"batch": batch, "depths": list(PIPELINE_DEPTHS), "modes": modes}
 
 
@@ -161,36 +165,17 @@ def run(scale: str | None = None) -> dict:
 
     rows = []
     for batch in _batches(scale):
-        shared = compile_multi_pairing(curve, batch, hw=hw, do_assemble=False)
-        modes: dict = {"shared": {}, "split": {}}
+        kernels = _cell_kernels(curve, hw, batch)
+        modes: dict = {mode: {} for mode in MODES}
         base_cycles = None
-        for n_cores in CORE_COUNTS:
-            # The compiled result already carries the 1-core simulation; only
-            # the larger core counts need a fresh multi-core walk.
-            if n_cores == 1:
-                shared_stats = shared.multicore_stats
-            else:
-                shared_stats = simulator.run_multicore(shared.schedule, n_cores)
+        for (acc_mode, n_cores), compiled in kernels.items():
+            total_cycles = _one_shot_stats(simulator, compiled, n_cores).total_cycles
             if base_cycles is None:
-                base_cycles = shared_stats.total_cycles
-            modes["shared"][f"c{n_cores}"] = _cell(
-                shared_stats.total_cycles, batch, base_cycles
-            )
-            if n_cores == 1:
-                # One accumulator group: the split kernel *is* the shared one.
-                split_stats = shared_stats
-            else:
-                split = compile_multi_pairing(
-                    curve, batch, hw=hw.with_cores(n_cores),
-                    do_assemble=False, split_accumulators=True,
-                )
-                split_stats = split.multicore_stats
-            modes["split"][f"c{n_cores}"] = _cell(
-                split_stats.total_cycles, batch, base_cycles
-            )
+                base_cycles = total_cycles          # shared kernel on one core
+            modes[acc_mode][f"c{n_cores}"] = _cell(total_cycles, batch, base_cycles)
         rows.append({
             "batch": batch,
-            "instructions": shared.final_instructions,
+            "instructions": kernels["shared", 1].final_instructions,
             "cores": modes["shared"],       # legacy layout: shared-mode cells
             "modes": modes,
         })

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from repro.config import positive_int
 from repro.errors import ISAError
 from repro.isa.encoding import EncodingFormat, encode_word
 from repro.isa.instructions import ISA_BY_NAME, OPCODES, MachineOp
@@ -73,17 +72,6 @@ class AssembledProgram:
     def data_memory_bits(self, word_width: int) -> int:
         """Size of the register banks in bits for a given field width."""
         return self.total_registers * word_width
-
-    def pipelined_data_memory_bits(self, word_width: int, depth: int = 1) -> int:
-        """Register-bank bits with ``depth`` pipelined kernel instances resident.
-
-        Cross-batch pipelining renames each in-flight instance into its own
-        copy of the register file (banks rotated, ids offset), so the data
-        memory scales linearly with the depth; ``depth=1`` is exactly
-        :meth:`data_memory_bits`.
-        """
-        return self.data_memory_bits(word_width) * positive_int(
-            depth, "pipeline depth", ISAError)
 
     # -- encodings -------------------------------------------------------------------
     def encoded_words(self) -> list:

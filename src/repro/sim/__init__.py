@@ -4,8 +4,6 @@ from repro.sim.functional import FunctionalSimulator
 from repro.sim.cycle import (
     CycleAccurateSimulator,
     CycleStats,
-    MultiCoreStats,
-    PipelineStats,
     assign_lanes_to_cores,
     assign_split_lanes_to_cores,
     validate_core_count,
@@ -17,8 +15,6 @@ __all__ = [
     "FunctionalSimulator",
     "CycleAccurateSimulator",
     "CycleStats",
-    "MultiCoreStats",
-    "PipelineStats",
     "assign_lanes_to_cores",
     "assign_split_lanes_to_cores",
     "validate_core_count",

@@ -42,11 +42,11 @@ the scheduled program -- value ids offset by a per-instance stride and
 register banks rotated by ``k`` (:func:`repro.compiler.bankalloc.rebank_for_instance`)
 -- appended to the same per-core in-order streams, so the cores left idle by
 instance ``k``'s serial tail (the final exponentiation on the shared lane of
-core 0) immediately start instance ``k+1``'s Miller lanes.  The resulting
-:class:`PipelineStats` reports fill/drain cycles and the *steady-state* cycles
-per batch instance -- the sustained-throughput figure the DSE and service
-layers rank on -- and ``depth=1`` is bit-identical to :meth:`run_multicore`
-by construction (both walks are the same stream engine).
+core 0) immediately start instance ``k+1``'s Miller lanes.  The walk's
+fill/drain cycles and *steady-state* cycles per batch instance -- the
+sustained-throughput figure the DSE and service layers rank on -- are read off
+the same :class:`CycleStats` every walk answers with, and ``depth=1`` is
+:meth:`run_multicore` bit for bit (both walks are the one stream engine).
 """
 
 from __future__ import annotations
@@ -64,155 +64,59 @@ from repro.sim.trace import BUBBLE, INV, LONG, SHORT, IssueTrace
 
 @dataclass
 class CycleStats:
-    """Output of one cycle-accurate simulation."""
+    """Output of one simulator walk -- :meth:`CycleAccurateSimulator.run`,
+    ``run_multicore`` and ``run_pipelined`` all answer with this record.
 
-    total_cycles: int
-    instructions: int
-    stall_cycles: int
-    data_stalls: int
-    writeback_stalls: int
-    structural_stalls: int
-    ipc: float
-    trace: IssueTrace | None = None
-    per_unit: dict = field(default_factory=dict)
-    #: Per-kernel-phase telemetry keyed by the instruction ``phase`` tag
-    #: ("miller", "final_exp"): instruction count, first issue cycle, last
-    #: write-back cycle and the spanned cycle count.  Untagged instructions
-    #: (phase ``None``) are not attributed.
-    phase_stats: dict = field(default_factory=dict)
-
-    def describe(self) -> dict:
-        summary = {
-            "cycles": self.total_cycles,
-            "instructions": self.instructions,
-            "ipc": round(self.ipc, 4),
-            "stall_cycles": self.stall_cycles,
-            "data_stalls": self.data_stalls,
-            "writeback_stalls": self.writeback_stalls,
-            "structural_stalls": self.structural_stalls,
-        }
-        if self.phase_stats:
-            summary["phases"] = {name: dict(stats) for name, stats in self.phase_stats.items()}
-        return summary
-
-
-@dataclass
-class MultiCoreStats:
-    """Output of one multi-core batched simulation."""
-
-    total_cycles: int
-    n_cores: int
-    instructions: int
-    stall_cycles: int
-    data_stalls: int
-    writeback_stalls: int
-    structural_stalls: int
-    per_core_cycles: list              # finish cycle of each core's last result
-    per_core_instructions: list
-    lane_assignment: dict              # lane (None = shared) -> core index
-    #: Per-kernel-phase telemetry (same layout as ``CycleStats.phase_stats``),
-    #: aggregated across all cores.
-    phase_stats: dict = field(default_factory=dict)
-
-    @property
-    def ipc(self) -> float:
-        if not self.total_cycles:
-            return 0.0
-        return self.instructions / self.total_cycles
-
-    @classmethod
-    def from_single_core(cls, stats: "CycleStats", lane_assignment: dict) -> "MultiCoreStats":
-        """Degenerate one-core stats derived from a classic simulation.
-
-        On one core the multi-core model reduces to :meth:`CycleAccurateSimulator.run`
-        (exactly so for single-issue models, and ``run`` is the more faithful
-        simulation of a VLIW-packed schedule), so a redundant second
-        simulation can be skipped and the classic result re-labelled.
-        """
-        return cls(
-            total_cycles=stats.total_cycles,
-            n_cores=1,
-            instructions=stats.instructions,
-            stall_cycles=stats.stall_cycles,
-            data_stalls=stats.data_stalls,
-            writeback_stalls=stats.writeback_stalls,
-            structural_stalls=stats.structural_stalls,
-            per_core_cycles=[stats.total_cycles],
-            per_core_instructions=[stats.instructions],
-            lane_assignment=lane_assignment,
-            phase_stats={name: dict(entry) for name, entry in stats.phase_stats.items()},
-        )
-
-    def describe(self) -> dict:
-        summary = {
-            "cycles": self.total_cycles,
-            "n_cores": self.n_cores,
-            "instructions": self.instructions,
-            "ipc": round(self.ipc, 4),
-            "stall_cycles": self.stall_cycles,
-            "data_stalls": self.data_stalls,
-            "writeback_stalls": self.writeback_stalls,
-            "structural_stalls": self.structural_stalls,
-            "per_core_cycles": list(self.per_core_cycles),
-            "per_core_instructions": list(self.per_core_instructions),
-        }
-        if self.phase_stats:
-            summary["phases"] = {name: dict(stats) for name, stats in self.phase_stats.items()}
-        return summary
-
-
-@dataclass
-class PipelineStats:
-    """Output of one cross-batch pipelined simulation (:meth:`CycleAccurateSimulator.run_pipelined`).
-
-    ``depth`` batch instances of the same scheduled kernel were kept in flight;
-    the counters aggregate all of them.  The throughput figure consumers rank
-    on is :attr:`steady_cycles_per_batch`: the average completion-to-completion
-    gap between consecutive instances once the pipeline is past its fill
-    transient (``(finish of last instance - finish of first) / (depth - 1)``;
-    at ``depth=1`` it degenerates to the one-shot batch latency).
+    ``depth`` instances of the scheduled kernel were kept in flight (one,
+    except under ``run_pipelined``) and the counters aggregate all of them.
+    Every number is stored once: the totals, ``n_cores``, ``depth`` and the
+    pipeline figures are properties over the per-core and per-instance columns.
     """
 
     total_cycles: int
-    n_cores: int
-    depth: int
-    instructions: int
-    stall_cycles: int
     data_stalls: int
     writeback_stalls: int
     structural_stalls: int
     per_core_cycles: list              # finish cycle of each core's last result
     per_core_instructions: list
-    lane_assignment: dict              # lane (None = shared) -> core index
-    #: Completion cycle of the first instance: the pipeline's fill time.
-    fill_cycles: int
-    #: Cycles spent after the last instance began issuing: the drain tail a
-    #: continuously-fed accelerator would overlap with further instances.
-    drain_cycles: int
-    #: Steady-state cycles per batch instance (sustained throughput figure).
-    steady_cycles_per_batch: float
     #: Completion cycle of every instance, in instance order (strictly
     #: increasing: each core replays the instances in order).
     instance_cycles: list
     #: First issue cycle of every instance, in instance order.
     instance_start_cycles: list
-    #: Aggregate per-phase telemetry across all instances (same layout as
-    #: ``CycleStats.phase_stats``).
+    #: Per-kernel-phase telemetry keyed by the instruction ``phase`` tag
+    #: ("miller", "final_exp") over all cores and instances: instruction count,
+    #: first issue cycle, last write-back cycle and the spanned cycle count.
+    #: Untagged instructions (phase ``None``) are not attributed.
     phase_stats: dict = field(default_factory=dict)
-    #: Per-phase core occupancy: for each phase, the issue activity of *every*
-    #: core (any phase, any instance) inside that phase's aggregate
-    #: [first_issue, last_finish) span -- ``core_issues`` per core,
-    #: ``busy_cores`` (cores with at least one issue in the span) and the
-    #: average issue slots used per span cycle.  This is where cross-batch
-    #: overlap shows up: at depth 1 a shared kernel's final exponentiation
-    #: keeps one core busy; at depth >= 2 the other cores run the next
-    #: instance's Miller lanes inside the same span.
-    phase_occupancy: dict = field(default_factory=dict)
     #: ``(instance, phase) -> {"instructions", "first_issue", "last_finish",
     #: "cycles"}`` spans, so overlap between instance ``i``'s final
     #: exponentiation and instance ``i+1``'s Miller phase is directly
     #: assertable.
     instance_phase_spans: dict = field(default_factory=dict)
+    #: lane (None = shared) -> core index; ``None`` from the bundle walk of
+    #: :meth:`CycleAccurateSimulator.run`, which knows no lanes.
+    lane_assignment: dict | None = None
+    trace: IssueTrace | None = None
+    #: Sorted issue cycles of every core, kept by ``run_pipelined`` only (the
+    #: hot one-shot walks skip them); what :attr:`phase_occupancy` reads.
+    core_issue_cycles: list | None = None
+
+    @property
+    def n_cores(self) -> int:
+        return len(self.per_core_cycles)
+
+    @property
+    def depth(self) -> int:
+        return len(self.instance_cycles)
+
+    @property
+    def instructions(self) -> int:
+        return sum(self.per_core_instructions)
+
+    @property
+    def stall_cycles(self) -> int:
+        return self.data_stalls + self.writeback_stalls + self.structural_stalls
 
     @property
     def ipc(self) -> float:
@@ -220,52 +124,94 @@ class PipelineStats:
             return 0.0
         return self.instructions / self.total_cycles
 
-    def as_multicore(self) -> MultiCoreStats:
-        """The multi-core view of this walk (drops the pipeline telemetry).
+    @property
+    def fill_cycles(self) -> int:
+        """Completion cycle of the first instance: the pipeline's fill time."""
+        return self.instance_cycles[0]
 
-        At ``depth=1`` this is bit-identical to
-        :meth:`CycleAccurateSimulator.run_multicore` on the same schedule --
-        both walks are the same stream engine -- which is the degenerate-case
-        contract the property tests pin down.
+    @property
+    def drain_cycles(self) -> int:
+        """Cycles spent after the last instance began issuing: the drain tail a
+        continuously-fed accelerator would overlap with further instances."""
+        return self.total_cycles - self.instance_start_cycles[-1]
+
+    @property
+    def steady_cycles_per_batch(self) -> float:
+        """Steady-state cycles per batch instance -- the throughput figure
+        consumers rank on: the average completion-to-completion gap between
+        consecutive instances once the pipeline is past its fill transient
+        (``(finish of last instance - finish of first) / (depth - 1)``; at
+        depth 1 it degenerates to the one-shot batch latency)."""
+        if self.depth > 1:
+            return (self.instance_cycles[-1] - self.fill_cycles) / (self.depth - 1)
+        return float(self.total_cycles)
+
+    @property
+    def phase_occupancy(self) -> dict:
+        """Per-phase core occupancy (empty unless the issue cycles were kept).
+
+        For each phase, the issue activity of *every* core (any phase, any
+        instance) inside that phase's aggregate [first_issue, last_finish)
+        span -- ``core_issues`` per core, ``busy_cores`` (cores with at least
+        one issue in the span) and the average issue slots used per span
+        cycle.  This is where cross-batch overlap shows up: at depth 1 a
+        shared kernel's final exponentiation keeps one core busy; at depth
+        >= 2 the other cores run the next instance's Miller lanes inside the
+        same span.
         """
-        return MultiCoreStats(
-            total_cycles=self.total_cycles,
-            n_cores=self.n_cores,
+        occupancy: dict = {}
+        if self.core_issue_cycles is None:
+            return occupancy
+        for phase, entry in self.phase_stats.items():
+            first = entry["first_issue"]
+            last = entry["last_finish"]
+            core_issues = [
+                bisect_left(cycles, last) - bisect_left(cycles, first)
+                for cycles in self.core_issue_cycles
+            ]
+            span = max(1, last - first)
+            occupancy[phase] = {
+                "first_issue": first,
+                "last_finish": last,
+                "core_issues": core_issues,
+                "busy_cores": sum(1 for count in core_issues if count),
+                "issue_slots_per_cycle": round(sum(core_issues) / span, 4),
+            }
+        return occupancy
+
+    def describe(self) -> dict:
+        """The keys the walk has data for, in one order: the core columns when
+        lanes were dispatched, the pipeline figures when issue cycles were kept."""
+        dispatched = self.lane_assignment is not None
+        pipelined = self.core_issue_cycles is not None
+        summary = {"cycles": self.total_cycles}
+        if dispatched:
+            summary["n_cores"] = self.n_cores
+        if pipelined:
+            summary["depth"] = self.depth
+        summary.update(
             instructions=self.instructions,
+            ipc=round(self.ipc, 4),
             stall_cycles=self.stall_cycles,
             data_stalls=self.data_stalls,
             writeback_stalls=self.writeback_stalls,
             structural_stalls=self.structural_stalls,
-            per_core_cycles=list(self.per_core_cycles),
-            per_core_instructions=list(self.per_core_instructions),
-            lane_assignment=dict(self.lane_assignment),
-            phase_stats={name: dict(entry) for name, entry in self.phase_stats.items()},
         )
-
-    def describe(self) -> dict:
-        summary = {
-            "cycles": self.total_cycles,
-            "n_cores": self.n_cores,
-            "depth": self.depth,
-            "instructions": self.instructions,
-            "ipc": round(self.ipc, 4),
-            "stall_cycles": self.stall_cycles,
-            "data_stalls": self.data_stalls,
-            "writeback_stalls": self.writeback_stalls,
-            "structural_stalls": self.structural_stalls,
-            "per_core_cycles": list(self.per_core_cycles),
-            "per_core_instructions": list(self.per_core_instructions),
-            "fill_cycles": self.fill_cycles,
-            "drain_cycles": self.drain_cycles,
-            "steady_cycles_per_batch": round(self.steady_cycles_per_batch, 1),
-            "instance_cycles": list(self.instance_cycles),
-        }
+        if dispatched:
+            summary["per_core_cycles"] = list(self.per_core_cycles)
+            summary["per_core_instructions"] = list(self.per_core_instructions)
+        if pipelined:
+            summary.update(
+                fill_cycles=self.fill_cycles,
+                drain_cycles=self.drain_cycles,
+                steady_cycles_per_batch=round(self.steady_cycles_per_batch, 1),
+                instance_cycles=list(self.instance_cycles),
+            )
         if self.phase_stats:
             summary["phases"] = {name: dict(stats) for name, stats in self.phase_stats.items()}
-        if self.phase_occupancy:
-            summary["phase_occupancy"] = {
-                name: dict(entry) for name, entry in self.phase_occupancy.items()
-            }
+        occupancy = self.phase_occupancy
+        if occupancy:
+            summary["phase_occupancy"] = occupancy
         return summary
 
 
@@ -279,12 +225,7 @@ def validate_core_count(n_cores) -> int:
 
 
 def validate_pipeline_depth(depth) -> int:
-    """Pipeline depths must be integral (bools rejected) and at least 1.
-
-    Mirrors :func:`validate_core_count`: ``True`` would silently simulate one
-    instance and a float would truncate, so both are treated as caller bugs
-    rather than coerced; zero/negative depths have no meaning.
-    """
+    """Pipeline depths likewise: integral (bools rejected) and at least 1."""
     return positive_int(depth, "pipeline depth", SimulationError)
 
 
@@ -404,39 +345,13 @@ def _issue_constraints(module, hw: HardwareModel) -> tuple:
     return units, latency, unit_limit, not hw.has_writeback_fifo
 
 
-@dataclass
-class _StreamOutcome:
-    """Raw counters of one stream walk (shared by multicore and pipelined)."""
-
-    total_cycles: int
-    per_core_finish: list
-    per_core_issued: list
-    data_stalls: int
-    writeback_stalls: int
-    structural_stalls: int
-    lane_assignment: dict
-    phase_stats: dict
-    instance_finish: list              # completion cycle per instance
-    instance_first_issue: list         # first issue cycle per instance
-    instance_phase_spans: dict         # (instance, phase) -> span summary
-    core_issue_cycles: list | None     # per-core sorted issue cycles (events)
-
-    @property
-    def stall_cycles(self) -> int:
-        return self.data_stalls + self.writeback_stalls + self.structural_stalls
-
-    @property
-    def instructions(self) -> int:
-        return sum(self.per_core_issued)
-
-
 def _simulate_stream(
     schedule: ScheduledProgram,
     hw: HardwareModel,
     n_cores: int,
     depth: int,
     collect_events: bool = False,
-) -> _StreamOutcome:
+) -> CycleStats:
     """The per-core in-order stream engine behind ``run_multicore``/``run_pipelined``.
 
     ``depth`` renamed instances of the scheduled program are appended to the
@@ -446,11 +361,8 @@ def _simulate_stream(
     (:func:`repro.compiler.bankalloc.rebank_for_instance`).  Every core is an
     independent in-order pipeline with its own execution units and write-back
     port constraints; operand readiness is global.  ``depth=1`` *is* the
-    multi-core walk -- same loop, same counters, bit for bit.
-
-    ``collect_events`` additionally records every issue cycle per core (used
-    by the pipelined walk's phase-occupancy telemetry; the hot multicore path
-    skips it).
+    multi-core walk -- same loop, same counters, bit for bit.  ``collect_events``
+    keeps every issue cycle per core (:attr:`CycleStats.core_issue_cycles`).
     """
     module = schedule.module
     banks = schedule.banks
@@ -562,8 +474,7 @@ def _simulate_stream(
                     writeback_busy.add(wb_key)
                 if events is not None:
                     events[core].append(cycle)
-                first = instance_first[instance]
-                if first is None or cycle < first:
+                if instance_first[instance] is None:
                     instance_first[instance] = cycle
                 if finish > instance_finish[instance]:
                     instance_finish[instance] = finish
@@ -600,19 +511,18 @@ def _simulate_stream(
         else:
             cycle += 1
 
-    total_cycles = max([cycle] + per_core_finish)
-    return _StreamOutcome(
-        total_cycles=total_cycles,
-        per_core_finish=per_core_finish,
-        per_core_issued=per_core_issued,
+    return CycleStats(
+        total_cycles=max([cycle] + per_core_finish),
         data_stalls=data_stalls,
         writeback_stalls=writeback_stalls,
         structural_stalls=structural_stalls,
-        lane_assignment=assignment,
+        per_core_cycles=per_core_finish,
+        per_core_instructions=per_core_issued,
+        instance_cycles=instance_finish,
+        instance_start_cycles=[first or 0 for first in instance_first],
         phase_stats=phases.summary(),
-        instance_finish=instance_finish,
-        instance_first_issue=[first or 0 for first in instance_first],
         instance_phase_spans=instance_phases.summary(),
+        lane_assignment=assignment,
         core_issue_cycles=events,
     )
 
@@ -699,125 +609,62 @@ class CycleAccurateSimulator:
                 trace_codes.append(bundle_code)
             cycle += 1
 
+        # One core, one instance: the per-core and per-instance columns carry
+        # the totals, and the instance's phase spans are the phase spans.
         total_cycles = max(cycle, last_finish)
-        stall_cycles = data_stalls + writeback_stalls + structural_stalls
-        ipc = issued / total_cycles if total_cycles else 0.0
-        per_unit = {"long": hw.long_latency, "short": hw.short_latency}
+        phase_stats = phases.summary()
+        # The first issue cycle is read back off the first value's write-back
+        # (``ready = issue + latency``); the loop above pays nothing for it.
+        first = next((vid for bundle in schedule.bundles for vid in bundle), None)
         return CycleStats(
             total_cycles=total_cycles,
-            instructions=issued,
-            stall_cycles=stall_cycles,
             data_stalls=data_stalls,
             writeback_stalls=writeback_stalls,
             structural_stalls=structural_stalls,
-            ipc=ipc,
+            per_core_cycles=[total_cycles],
+            per_core_instructions=[issued],
+            instance_cycles=[total_cycles],
+            instance_start_cycles=[0 if first is None else ready[first] - latency[first]],
+            phase_stats=phase_stats,
+            instance_phase_spans={(0, phase): dict(span) for phase, span in phase_stats.items()},
             trace=IssueTrace(trace_codes) if trace_codes is not None else None,
-            per_unit=per_unit,
-            phase_stats=phases.summary(),
         )
 
-    def run_multicore(self, schedule: ScheduledProgram, n_cores: int | None = None) -> MultiCoreStats:
+    def run_multicore(self, schedule: ScheduledProgram, n_cores: int | None = None) -> CycleStats:
         """Simulate a batched (lane-tagged) kernel on ``n_cores`` replicated cores.
 
         Each lane's instruction stream is dispatched to one core by the
-        deterministic list schedule of :func:`assign_lanes_to_cores`; shared
-        work (lane ``None``) runs on core 0.  Every core is an independent
-        in-order pipeline with its own execution units, register banks and
-        write-back port constraints; operand readiness is global, so a shared
-        accumulator update waits for the line evaluation it consumes no matter
-        which core produced it.  With ``n_cores=1`` and a single-issue model
-        this degenerates to exactly the single-core simulation of :meth:`run`
-        -- total cycles and stall counters alike (skipped idle windows are
+        deterministic list schedule of :func:`assign_lanes_to_cores` (shared
+        work, lane ``None``, runs on core 0) and the cores are walked by the
+        stream engine: operand readiness is global, so a shared accumulator
+        update waits for the line evaluation it consumes no matter which core
+        produced it.  With ``n_cores=1`` and a single-issue model this
+        degenerates to exactly the single-core simulation of :meth:`run` --
+        total cycles and stall counters alike (skipped idle windows are
         charged one bubble per stalled core per cycle).
         """
         hw = self.hw or schedule.hw
-        if n_cores is None:
-            n_cores = hw.n_cores
-        n_cores = validate_core_count(n_cores)
-        outcome = _simulate_stream(schedule, hw, n_cores, depth=1)
-        return MultiCoreStats(
-            total_cycles=outcome.total_cycles,
-            n_cores=n_cores,
-            instructions=outcome.instructions,
-            stall_cycles=outcome.stall_cycles,
-            data_stalls=outcome.data_stalls,
-            writeback_stalls=outcome.writeback_stalls,
-            structural_stalls=outcome.structural_stalls,
-            per_core_cycles=outcome.per_core_finish,
-            per_core_instructions=outcome.per_core_issued,
-            lane_assignment=outcome.lane_assignment,
-            phase_stats=outcome.phase_stats,
-        )
+        n_cores = validate_core_count(hw.n_cores if n_cores is None else n_cores)
+        return _simulate_stream(schedule, hw, n_cores, depth=1)
 
     def run_pipelined(
         self,
         schedule: ScheduledProgram,
         n_cores: int | None = None,
         depth: int = 1,
-    ) -> PipelineStats:
+    ) -> CycleStats:
         """Simulate ``depth`` instances of a batched kernel kept in flight.
 
-        The continuously-fed accelerator model: instance ``k`` is a renamed
-        replay of the scheduled program (value ids offset, banks rotated by
-        :func:`repro.compiler.bankalloc.rebank_for_instance`) appended to the
-        same per-core in-order streams, so cores left idle by instance
-        ``k``'s serial final-exponentiation tail start instance ``k+1``'s
-        Miller lanes immediately.  ``depth=1`` is bit-identical to
-        :meth:`run_multicore` (same stream engine); deeper pipelines trade
-        fill/drain transients for a lower steady-state cycles-per-batch --
-        the figure :attr:`PipelineStats.steady_cycles_per_batch` reports and
-        the DSE ``"steady_throughput"`` objective ranks on.
+        The continuously-fed accelerator model of the module docstring: cores
+        left idle by instance ``k``'s serial final-exponentiation tail start
+        instance ``k+1``'s Miller lanes immediately.  ``depth=1`` is
+        :meth:`run_multicore` plus the kept issue cycles (same stream engine);
+        deeper pipelines trade fill/drain transients for a lower steady-state
+        cycles-per-batch -- the figure
+        :attr:`CycleStats.steady_cycles_per_batch` reports and the DSE
+        ``"steady_throughput"`` objective ranks on.
         """
         hw = self.hw or schedule.hw
-        if n_cores is None:
-            n_cores = hw.n_cores
-        n_cores = validate_core_count(n_cores)
+        n_cores = validate_core_count(hw.n_cores if n_cores is None else n_cores)
         depth = validate_pipeline_depth(depth)
-        outcome = _simulate_stream(schedule, hw, n_cores, depth, collect_events=True)
-
-        fill = outcome.instance_finish[0]
-        if depth > 1:
-            steady = (outcome.instance_finish[-1] - fill) / (depth - 1)
-        else:
-            steady = float(outcome.total_cycles)
-        drain = outcome.total_cycles - outcome.instance_first_issue[-1]
-
-        occupancy: dict = {}
-        core_events = outcome.core_issue_cycles or []
-        for phase, entry in outcome.phase_stats.items():
-            first = entry["first_issue"]
-            last = entry["last_finish"]
-            core_issues = [
-                bisect_left(cycles, last) - bisect_left(cycles, first)
-                for cycles in core_events
-            ]
-            span = max(1, last - first)
-            occupancy[phase] = {
-                "first_issue": first,
-                "last_finish": last,
-                "core_issues": core_issues,
-                "busy_cores": sum(1 for count in core_issues if count),
-                "issue_slots_per_cycle": round(sum(core_issues) / span, 4),
-            }
-
-        return PipelineStats(
-            total_cycles=outcome.total_cycles,
-            n_cores=n_cores,
-            depth=depth,
-            instructions=outcome.instructions,
-            stall_cycles=outcome.stall_cycles,
-            data_stalls=outcome.data_stalls,
-            writeback_stalls=outcome.writeback_stalls,
-            structural_stalls=outcome.structural_stalls,
-            per_core_cycles=outcome.per_core_finish,
-            per_core_instructions=outcome.per_core_issued,
-            lane_assignment=outcome.lane_assignment,
-            fill_cycles=fill,
-            drain_cycles=drain,
-            steady_cycles_per_batch=steady,
-            instance_cycles=outcome.instance_finish,
-            instance_start_cycles=outcome.instance_first_issue,
-            phase_stats=outcome.phase_stats,
-            phase_occupancy=occupancy,
-            instance_phase_spans=outcome.instance_phase_spans,
-        )
+        return _simulate_stream(schedule, hw, n_cores, depth, collect_events=True)

@@ -316,3 +316,24 @@ def test_the_miller_loop_is_walked_in_one_module():
                     str(path.relative_to(SRC)))
     assert readers == {"pairing/miller.py"}
     assert writers == {"pairing/context.py"}
+
+
+def test_one_cycle_record_and_no_depth_in_the_compile_layer():
+    """``sim/cycle.py`` answers every walk with one record, and the pipeline
+    depth is an argument of the simulation: under ``compiler/`` the identifier
+    survives only as the literal that keeps the batched digests byte-identical
+    (``hw/multiplier.py``'s field of that name is the multiplier's stage count)."""
+    records = [
+        node.name for node in ast.walk(ast.parse((SRC / "sim/cycle.py").read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)]
+    assert records == ["CycleStats"]
+    uses = []
+    for path in sorted((SRC / "compiler").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "pipeline_depth" in [getattr(node, field, None) for field in ("id", "attr", "arg")]:
+                uses.append((path.name, ast.unparse(node)))
+    assert uses == [("pipeline.py", "pipeline_depth=1")]
+    digest, = [node for node in ast.walk(ast.parse((SRC / "compiler/pipeline.py").read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "digest"]
+    assert "pipeline_depth=1" in ast.unparse(digest)

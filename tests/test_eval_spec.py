@@ -1,7 +1,7 @@
 """EvalSpec: the one validated bundle of evaluation knobs.
 
-The goldens here (compile digests, a batched-kernel key, the metrics of one
-fully-"auto" evaluation) were captured at the commit *before* the knobs were
+The goldens here (compile digests, the metrics of one fully-"auto"
+evaluation) were captured at the commit *before* the knobs were
 folded into ``EvalSpec``; they pin the refactor's invariants: same digests
 (so stores written earlier still serve), same winners and tie-breaks.  The
 all-"auto" metrics were re-recorded when the batched kernels moved onto the
@@ -16,7 +16,7 @@ import pickle
 import pytest
 
 from repro.compiler import pipeline
-from repro.compiler.pipeline import compile_multi_pairing, pairing_compile_digest
+from repro.compiler.pipeline import pairing_compile_digest
 from repro.config import PIPELINE_DEPTH_ENV
 from repro.dse.engine import ParallelExplorer
 from repro.dse.explorer import evaluate_design_point
@@ -52,15 +52,6 @@ def test_compile_pairing_is_keyed_by_pairing_compile_digest(toy_bn):
     key = pairing_compile_digest(toy_bn, final_exp_mode="cyclotomic",
                                  do_assemble=False)
     assert pipeline._RESULT_CACHE.peek(key) is result
-
-
-def test_multi_pairing_key_is_unchanged(toy_bn, point):
-    """Batch 4, 2 cores, split accumulators, depth 2."""
-    result = compile_multi_pairing(toy_bn, 4, hw=point.hw.with_cores(2),
-                                   split_accumulators=True, pipeline_depth=2)
-    assert pipeline._RESULT_CACHE.peek(
-        "db473ef61586463f028de6ef8d5e642e552725db42f97046d412542d93ad97e1"
-    ) is result
 
 
 # ---------------------------------------------------------------------------

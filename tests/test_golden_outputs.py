@@ -174,9 +174,9 @@ def test_toy_bn_kernel_binaries_are_unchanged(variants, hw_index):
 def test_toy_bn_batch4_kernel_binaries_are_unchanged(accumulators, depth):
     curve = get_curve("TOY-BN42")
     hw = default_model(curve.params.p.bit_length()).with_cores(2)
-    result = compile_multi_pairing(curve, 4, hw=hw, use_cache=False, pipeline_depth=depth,
+    result = compile_multi_pairing(curve, 4, hw=hw, use_cache=False,
                                    split_accumulators=accumulators == "split")
-    assert kernel_digest(result) == KERNEL_DIGESTS[f"batch4/{accumulators}/depth{depth}"]
+    assert kernel_digest(result, depth=depth) == KERNEL_DIGESTS[f"batch4/{accumulators}/depth{depth}"]
 
 
 @pytest.mark.parametrize("mode", FINAL_EXP_MODES)

@@ -51,11 +51,11 @@ ENTRY_POINTS = {
 # (1) Declared once
 # ---------------------------------------------------------------------------
 
-def test_the_nine_knobs():
-    """Eight spec fields; ``use_cache`` makes the nine distinct compile keywords."""
+def test_the_eight_knobs():
+    """Seven spec fields; ``use_cache`` makes the eight distinct compile keywords."""
     assert FIELDS == {
         "hw", "variant_config", "n_pairs", "split_accumulators", "final_exp_mode",
-        "pipeline_depth", "do_assemble", "include_baseline",
+        "do_assemble", "include_baseline",
     }
 
 
@@ -76,7 +76,8 @@ def test_entry_points_accept_exactly_the_spec_fields(toy_bn, name):
     if name in ("compile_pairing", "compile_multi_pairing"):
         del accepted["n_pairs"]         # its own argument: None here, positional there
     entry(toy_bn, *args, **accepted)
-    for unknown in ("use_naf", "use_affinity", "optimize_ir", "record_trace", "turbo"):
+    for unknown in ("use_naf", "use_affinity", "optimize_ir", "record_trace",
+                    "pipeline_depth", "turbo"):
         with pytest.raises(TypeError, match=unknown):
             entry(toy_bn, *args, **{unknown: True})
 
@@ -91,8 +92,8 @@ def test_compile_pairing_is_the_single_kernel_only(toy_bn):
 # ---------------------------------------------------------------------------
 
 def test_batched_digests_are_unchanged(toy_bn, hw1_small):
-    """Both shapes of the batched key material, beyond the depth-2 key pinned
-    in test_eval_spec: batch 4 shared on 1 core, batch 4 split on 2 cores."""
+    """Both shapes of the batched key material (the literal ``pipeline_depth=1``
+    stays in it): batch 4 shared on 1 core, batch 4 split on 2 cores."""
     assert pairing_compile_digest(toy_bn, hw=hw1_small.with_cores(1), n_pairs=4) == (
         "0318e02501b34993cec993357ad8e5dc56c00e03ff18d1f54653f391dfeb3807")
     split = compile_multi_pairing(toy_bn, 4, hw=hw1_small.with_cores(2),
@@ -124,10 +125,6 @@ def test_describe_keys_are_unchanged(toy_bn, hw1_small):
         "opt_instructions": 47329, "cycles": 38130, "single_core_cycles": 49290,
         "cycles_per_pairing": 9532.5, "registers": 692, "final_exp_mode": "generic",
         "compile_seconds": None}
-    deep = compile_multi_pairing(toy_bn, 4, hw=hw, split_accumulators=True,
-                                 pipeline_depth=2)
-    assert list(deep.describe()) == batched_keys + [
-        "pipeline_depth", "steady_batch_cycles", "steady_cycles_per_pairing"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +147,9 @@ def test_result_carries_the_resolved_spec(toy_bn):
     assert single.spec.variant_config.cache_key() == VariantConfig.all_karatsuba().cache_key()
     assert single.spec.do_assemble is False and single.program is None
     assert single.hw is single.spec.hw and single.n_pairs is None
-    assert single.multicore_stats is None and single.pipeline_stats is None
+    assert single.multicore_stats is None
     assert single.cycles == single.cycle_stats.total_cycles == single.single_core_cycles
-    assert single.cycles_per_pairing == single.steady_batch_cycles == float(single.cycles)
+    assert single.cycles_per_pairing == float(single.cycles)
     assert single.accumulator_groups == 1
     with pytest.raises(AttributeError, match="use_naf"):
         single.use_naf
@@ -160,19 +157,20 @@ def test_result_carries_the_resolved_spec(toy_bn):
 
 def test_batched_result_round_trips_through_the_store(tmp_path, toy_bn, hw1_small):
     hw = hw1_small.with_cores(2)
-    result = compile_multi_pairing(toy_bn, 4, hw=hw, split_accumulators=True,
-                                   pipeline_depth=2)
+    result = compile_multi_pairing(toy_bn, 4, hw=hw, split_accumulators=True)
     store = ArtifactStore(tmp_path / "store")
-    key = pairing_compile_digest(toy_bn, hw=hw, n_pairs=4, split_accumulators=True,
-                                 pipeline_depth=2)
+    key = pairing_compile_digest(toy_bn, hw=hw, n_pairs=4, split_accumulators=True)
     assert store.store(key, result)
     loaded = store.load(key)
     assert loaded is not result and type(loaded) is type(result)
     assert loaded.cycles == result.cycles == result.multicore_stats.total_cycles
-    assert loaded.steady_batch_cycles == result.steady_batch_cycles
-    assert loaded.steady_batch_cycles == loaded.pipeline_stats.steady_cycles_per_batch
+    assert loaded.multicore_stats == result.multicore_stats
+    # The depth is asked of the kernel, not stored with it: the reloaded
+    # schedule walks to the very same pipelined score.
+    assert loaded.pipelined(2) == result.pipelined(2)
+    assert loaded.pipelined(2).steady_cycles_per_batch < loaded.cycles
     assert loaded.hw == result.hw and loaded.hw.n_cores == 2
-    assert (loaded.n_pairs, loaded.split_accumulators, loaded.pipeline_depth) == (4, True, 2)
+    assert (loaded.n_pairs, loaded.split_accumulators) == (4, True)
     assert loaded.describe() == result.describe()
 
 
@@ -182,8 +180,8 @@ def test_batched_result_round_trips_through_the_store(tmp_path, toy_bn, hw1_smal
 
 def test_spec_is_a_value(toy_bn, hw1_small):
     config = VariantConfig.all_karatsuba()
-    spec = KernelSpec(hw=hw1_small, variant_config=config, n_pairs=4, pipeline_depth=2)
-    twin = KernelSpec(hw=hw1_small, variant_config=config, n_pairs=4, pipeline_depth=2)
+    spec = KernelSpec(hw=hw1_small, variant_config=config, n_pairs=4, final_exp_mode="cyclotomic")
+    twin = KernelSpec(hw=hw1_small, variant_config=config, n_pairs=4, final_exp_mode="cyclotomic")
     assert spec == twin and hash(spec) == hash(twin)
     assert spec != dataclasses.replace(spec, n_pairs=3)
     assert pickle.loads(pickle.dumps(spec)).digest(toy_bn) == spec.digest(toy_bn)
@@ -238,8 +236,8 @@ def test_batch_size_is_validated_on_every_entry(toy_bn, bad):
 def test_knobs_are_refused_on_the_wrong_kernel_kind(toy_bn):
     with pytest.raises(CompilerError):
         compile_pairing(toy_bn, split_accumulators=True)
-    with pytest.raises(CompilerError):
-        compile_pairing(toy_bn, pipeline_depth=2)
+    with pytest.raises(CompilerError, match="not single pairings"):
+        compile_pairing(toy_bn).pipelined(2)
     with pytest.raises(CompilerError):
         compile_multi_pairing(toy_bn, 2, include_baseline=True)
 
@@ -247,10 +245,10 @@ def test_knobs_are_refused_on_the_wrong_kernel_kind(toy_bn):
 def test_existing_checks_keep_their_exception_classes(toy_bn):
     with pytest.raises(PairingError):
         KernelSpec(final_exp_mode="turbo")
-    with pytest.raises(SimulationError):
-        KernelSpec(n_pairs=4, pipeline_depth=0)
-    with pytest.raises(SimulationError):
-        KernelSpec(n_pairs=4, pipeline_depth=True)
+    batched = compile_multi_pairing(toy_bn, 2, do_assemble=False)
+    for bad_depth in (0, True):
+        with pytest.raises(SimulationError):
+            batched.pipelined(bad_depth)
     with pytest.raises(CompilerError):
         compile_multi_pairing(toy_bn, None)
     with pytest.raises(HardwareModelError):

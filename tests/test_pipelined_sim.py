@@ -12,27 +12,30 @@ Covers the tentpole contracts of ``run_pipelined``:
   per pairing drop strictly below the one-shot figure, and the per-phase
   occupancy / per-instance phase spans show instance ``i+1``'s Miller lanes
   overlapping instance ``i``'s final exponentiation;
-* the compile layer threads ``pipeline_depth`` end to end: distinct cache
-  digests per depth, ``steady_*`` figures on the result, pipelined register
-  demand and data-memory sizing, loud failures on bad depths.
+* the depth is an argument of the walk, not a knob of the compile: a compiled
+  batched kernel answers ``result.pipelined(depth)`` with exactly the direct
+  ``run_pipelined`` walk of its schedule, depth 1 with the one-shot simulation
+  it already carries (the bundle walk on one core of a VLIW model).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.compiler.bankalloc import rebank_for_instance
-from repro.compiler.pipeline import CompilerPipeline, compile_multi_pairing
-from repro.compiler.regalloc import pipelined_register_demand
+from repro.compiler.pipeline import compile_multi_pairing
 from repro.config import PIPELINE_DEPTH_ENV
+from repro.dse.explorer import evaluate_design_point
+from repro.dse.space import DesignPoint
 from repro.dse.spec import EvalSpec
-from repro.errors import CompilerError, ISAError, SimulationError
-from repro.sim.cycle import (
-    CycleAccurateSimulator,
-    MultiCoreStats,
-    PipelineStats,
-    validate_pipeline_depth,
-)
+from repro.errors import SimulationError
+from repro.fields.variants import VariantConfig
+from repro.hw.presets import figure10_models
+from repro.sim.cycle import CycleAccurateSimulator, CycleStats, validate_pipeline_depth
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +73,11 @@ def test_depth1_reproduces_multicore_toy_bn(simulator, toy_bn, batch, split, n_c
     multicore = simulator.run_multicore(compiled.schedule, n_cores)
     pipelined = simulator.run_pipelined(compiled.schedule, n_cores, depth=1)
     # Dataclass equality covers every field: cycles, the full stall
-    # breakdown, per-core figures, lane assignment and phase_stats.
-    assert pipelined.as_multicore() == multicore
-    assert pipelined.depth == 1
+    # breakdown, per-core and per-instance columns, lane assignment and
+    # phase_stats; the kept issue cycles are all the pipelined walk adds.
+    assert dataclasses.replace(pipelined, core_issue_cycles=None) == multicore
+    assert multicore.core_issue_cycles is None and multicore.phase_occupancy == {}
+    assert pipelined.depth == multicore.depth == 1
     assert pipelined.fill_cycles == multicore.total_cycles
     assert pipelined.steady_cycles_per_batch == float(multicore.total_cycles)
     assert pipelined.instance_cycles == [multicore.total_cycles]
@@ -83,16 +88,35 @@ def test_depth1_reproduces_multicore_all_curves(simulator, toy_curve):
     for n_cores in (1, 3):
         multicore = simulator.run_multicore(compiled.schedule, n_cores)
         pipelined = simulator.run_pipelined(compiled.schedule, n_cores, depth=1)
-        assert pipelined.as_multicore() == multicore
+        assert dataclasses.replace(pipelined, core_issue_cycles=None) == multicore
 
 
 def test_pipelined_deterministic(simulator, bn_batch8_4core):
     for mode in ("shared", "split"):
-        schedule = bn_batch8_4core[mode].schedule
+        result = bn_batch8_4core[mode]
         for depth in (1, 2, 3):
-            first = simulator.run_pipelined(schedule, 4, depth)
-            again = simulator.run_pipelined(schedule, 4, depth)
+            first = simulator.run_pipelined(result.schedule, 4, depth)
+            again = simulator.run_pipelined(result.schedule, 4, depth)
             assert first == again
+            # The result's own answer is that walk -- except at depth 1,
+            # which is the one-shot simulation it already carries.
+            if depth > 1:
+                assert result.pipelined(depth) == first
+        assert result.pipelined(1) is result.multicore_stats
+
+
+def test_one_vliw_core_keeps_the_bundle_walk_at_depth_1(toy_bn):
+    """Regression: on one core of a VLIW model the depth-1 steady-state figure
+    is the bundle walk of the packed schedule (what ``cycles`` reports), not
+    the one-core stream walk (20 680 / 23 206 cycles here)."""
+    point = DesignPoint(VariantConfig.all_karatsuba(),
+                        figure10_models(toy_bn.params.p.bit_length())[2])
+    metrics = evaluate_design_point(toy_bn, point, batch_size=4, n_cores=1)
+    assert metrics.steady_cycles_per_pairing == metrics.cycles_per_pairing == 5220.0
+    generic = evaluate_design_point(toy_bn, point, batch_size=4, n_cores=1,
+                                    final_exp_mode="generic")
+    assert generic.cycles == 23483
+    assert generic.steady_cycles_per_pairing == generic.cycles_per_pairing == 5870.75
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +194,7 @@ def test_run_pipelined_rejects_bad_depth(simulator, bn_batch8_4core):
 
 
 def test_multicore_describe_has_stall_breakdown(simulator, bn_batch8_4core):
-    """Regression: MultiCoreStats.describe() used to omit the stall breakdown."""
+    """Regression: the multi-core describe() used to omit the stall breakdown."""
     stats = simulator.run_multicore(bn_batch8_4core["shared"].schedule, 4)
     summary = stats.describe()
     for key in ("data_stalls", "writeback_stalls", "structural_stalls"):
@@ -210,77 +234,12 @@ def test_rebank_for_instance():
     assert rebank_for_instance([0, 0], 1, 1) == [0, 0]
 
 
-def test_pipelined_register_demand():
-    from repro.compiler.regalloc import RegisterAllocation
-
-    allocation = RegisterAllocation(register_of=[], registers_per_bank={0: 10, 1: 4})
-    assert pipelined_register_demand(allocation, 1, 2) == {0: 10, 1: 4}
-    # Depth 2 on 2 banks: instance 1's banks rotate by one, so each bank
-    # holds one copy of each original bank's footprint.
-    assert pipelined_register_demand(allocation, 2, 2) == {0: 14, 1: 14}
-    assert pipelined_register_demand(allocation, 3, 2) == {0: 24, 1: 18}
-    for bad in (True, 0, 1.5):
-        with pytest.raises(CompilerError):
-            pipelined_register_demand(allocation, bad, 2)
-
-
-def test_pipelined_data_memory_bits(toy_bn):
-    compiled = compile_multi_pairing(toy_bn, 2)
-    program = compiled.program
-    base = program.data_memory_bits(64)
-    assert program.pipelined_data_memory_bits(64, 1) == base
-    assert program.pipelined_data_memory_bits(64, 3) == 3 * base
-    for bad in (True, 0, 2.0):
-        with pytest.raises(ISAError):
-            program.pipelined_data_memory_bits(64, bad)
-
-
-# ---------------------------------------------------------------------------
-# Compile-layer threading
-# ---------------------------------------------------------------------------
-
-def test_compile_pipeline_depth_end_to_end(toy_bn):
-    from repro.hw.presets import paper_hw1
-
-    hw = paper_hw1(toy_bn.params.p.bit_length()).with_cores(4)
-    one_shot = compile_multi_pairing(toy_bn, 8, hw=hw, do_assemble=False)
-    deep = compile_multi_pairing(toy_bn, 8, hw=hw, do_assemble=False, pipeline_depth=2)
-    # Distinct digests: the two scores never alias in the two-tier cache,
-    # while a repeated call is a pure cache hit.
-    assert compile_multi_pairing(toy_bn, 8, hw=hw, do_assemble=False,
-                                 pipeline_depth=2) is deep
-    assert deep is not one_shot
-    assert one_shot.pipeline_depth == 1 and one_shot.pipeline_stats is None
-    assert one_shot.steady_batch_cycles == float(one_shot.cycles)
-    assert isinstance(deep.pipeline_stats, PipelineStats)
-    assert deep.pipeline_depth == 2
-    assert deep.steady_batch_cycles == deep.pipeline_stats.steady_cycles_per_batch
-    assert deep.steady_cycles_per_pairing == deep.steady_batch_cycles / 8
-    assert deep.steady_cycles_per_pairing < one_shot.cycles_per_pairing
-    # The one-shot figures are depth-invariant (same schedule, same kernel).
-    assert deep.cycles == one_shot.cycles
-    summary = deep.describe()
-    assert summary["pipeline_depth"] == 2
-    assert summary["steady_cycles_per_pairing"] == round(deep.steady_cycles_per_pairing, 1)
-    assert "pipeline_depth" not in one_shot.describe()
-    # Pipelined register demand scales with the resident instances.
-    assert (sum(deep.pipeline_registers_per_bank.values())
-            == 2 * sum(one_shot.pipeline_registers_per_bank.values()))
-    assert one_shot.pipeline_registers_per_bank == one_shot.registers_per_bank
-
-
-def test_compiler_pipeline_rejects_depth_without_batch():
-    with pytest.raises(CompilerError):
-        CompilerPipeline(pipeline_depth=2)
-    with pytest.raises(SimulationError):
-        CompilerPipeline(n_pairs=4, pipeline_depth=0)
-    assert CompilerPipeline(n_pairs=4, pipeline_depth=2).spec.pipeline_depth == 2
-
-
 def test_multicore_stats_unchanged_shape(simulator, bn_batch8_4core):
-    """The refactor must not change MultiCoreStats' public shape."""
-    stats = simulator.run_multicore(bn_batch8_4core["split"].schedule, 4)
-    assert isinstance(stats, MultiCoreStats)
+    """The multi-core walk's public shape, on the one record."""
+    schedule = bn_batch8_4core["split"].schedule
+    stats = simulator.run_multicore(schedule, 4)
+    for walk in (stats, simulator.run(schedule), simulator.run_pipelined(schedule, 4, 2)):
+        assert type(walk) is CycleStats
     assert stats.n_cores == 4
     assert len(stats.per_core_cycles) == 4
     assert sum(stats.per_core_instructions) == stats.instructions
@@ -295,6 +254,12 @@ def test_batch_verify_pipeline_table_structure():
     from repro.evaluation import batch_verify
 
     result = batch_verify.run("smoke")
+    # Every leaf of the smoke run (269, the 117 cycle cells among them),
+    # recorded before the three tables came to pick their kernels in one helper.
+    portable = {key: value for key, value in result.items() if key != "fp_backend"}
+    assert hashlib.sha256(
+        json.dumps(portable, sort_keys=True, default=str).encode()
+    ).hexdigest() == "f8bac07a73aa864415c3d0031816f542a183305930a7c8cc282dd911d169b7fa"
     pipe = result["pipeline"]
     assert pipe["depths"] == list(batch_verify.PIPELINE_DEPTHS)
     assert set(pipe["modes"]) == set(batch_verify.MODES)

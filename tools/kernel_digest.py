@@ -8,12 +8,15 @@ Prints ``CURVE HW VARIANTS <sha256>`` for one uncached compile of the
 single-pairing kernel, then ``CURVE HW VARIANTS batch4-split-2core <sha256>``
 for the batch-4 split-accumulator kernel on two cores of the same model: lane
 -> core assignment, group partitioning and cross-lane GVN demotion are
-dict/set-ordered code the single kernel never executes.  The digest covers
-everything a compiled kernel hands to hardware and to the evaluation: the
-encoded instruction words, the constant table, the I/O maps, the per-bank
-register demand and the cycle (and multi-core) statistics.  CI runs it twice
-in fresh interpreters under different ``PYTHONHASHSEED`` values and fails if
-the lines differ; ``tests/test_golden_outputs.py`` pins the same digests per
+dict/set-ordered code the single kernel never executes.  A third line,
+``batch4-shared-2core-depth2``, scores the shared batch-4 kernel with two
+instances in flight, so the instance-renaming walk (rotated banks, the strided
+``ready`` array) is covered too.  The digest covers everything a compiled
+kernel hands to hardware and to the evaluation: the encoded instruction words,
+the constant table, the I/O maps, the per-bank register demand and the cycle
+(multi-core, and at ``depth > 1`` pipelined) statistics.  CI runs it twice in
+fresh interpreters under different ``PYTHONHASHSEED`` values and fails if the
+lines differ; ``tests/test_golden_outputs.py`` pins the same digests per
 configuration.
 
 ``--hw`` names a preset (``default``, ``HW1``, ``HW2`` or a Figure 10 model
@@ -41,11 +44,12 @@ from repro.dse.space import named_variant_configs  # noqa: E402
 from repro.hw.presets import default_model, figure10_models, paper_hw1, paper_hw2  # noqa: E402
 
 
-def kernel_digest(result) -> str:
+def kernel_digest(result, depth: int = 1) -> str:
     """sha256 over the binary and the statistics of a compile result.
 
-    Works for single and batched kernels; the multi-core and pipelined
-    statistics of a batched kernel are part of the digest when present.
+    Works for single and batched kernels; the multi-core statistics of a
+    batched kernel are part of the digest, and with ``depth > 1`` so are those
+    of its ``depth``-instance pipelined walk.
     """
     program = result.program
     parts = [
@@ -56,10 +60,10 @@ def kernel_digest(result) -> str:
         sorted(program.registers_per_bank.items()),
         result.cycle_stats.describe(),
     ]
-    for name in ("multicore_stats", "pipeline_stats"):
-        stats = getattr(result, name, None)
-        if stats is not None:
-            parts.append(stats.describe())
+    if result.multicore_stats is not None:
+        parts.append(result.multicore_stats.describe())
+    if depth > 1:
+        parts.append(result.pipelined(depth).describe())
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
@@ -85,10 +89,12 @@ def main(argv=None) -> int:
     if args.variants not in configs:
         parser.error(f"unknown variant config {args.variants!r}; choose from {sorted(configs)}")
     single = KernelSpec(hw=presets[args.hw], variant_config=configs[args.variants])
-    batched = replace(single, hw=single.hw.with_cores(2), n_pairs=4, split_accumulators=True)
-    for label, spec in (((), single), (("batch4-split-2core",), batched)):
+    shared = replace(single, hw=single.hw.with_cores(2), n_pairs=4)
+    split = replace(shared, split_accumulators=True)
+    for label, spec, depth in (((), single, 1), (("batch4-split-2core",), split, 1),
+                               (("batch4-shared-2core-depth2",), shared, 2)):
         result = compile_kernel(curve, spec, use_cache=False)
-        print(args.curve, args.hw, args.variants, *label, kernel_digest(result))
+        print(args.curve, args.hw, args.variants, *label, kernel_digest(result, depth))
     return 0
 
 
