@@ -101,6 +101,9 @@ class PairingCurve:
     seed_origin: str
     toy: bool = False
     _frob_consts: dict = field(default_factory=dict, repr=False)
+    #: Compiled pairing formulas; filled and keyed by
+    #: :meth:`repro.pairing.context.ConcretePairingContext.run_formula`.
+    formula_kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- convenience accessors -------------------------------------------------
     @property

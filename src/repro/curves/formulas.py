@@ -1,14 +1,18 @@
-"""Branch-free point-operation formulas (the paper's PA/PD operator variants).
+"""Branch-free point-operation formulas in Jacobian coordinates (the paper's
+PA/PD operator variants), ``(X, Y, Z)`` with ``x = X/Z^2``, ``y = Y/Z^3``.
 
-Two coordinate systems are provided, matching Table 5's G2 variants:
-
-* Jacobian coordinates ``(X, Y, Z)`` with ``x = X/Z^2``, ``y = Y/Z^3``;
-* homogeneous projective coordinates ``(X, Y, Z)`` with ``x = X/Z``, ``y = Y/Z``.
-
-The formulas assume a short-Weierstrass curve with ``a = 0`` (all BN/BLS curves)
-and no exceptional cases (valid inside the Miller loop where the involved points
-never coincide or vanish).  They operate through the plain element interface so
-they work on concrete field elements and on the compiler's tracing values.
+They are the input of the scalar-multiplication kernels:
+:meth:`repro.curves.model.AffinePoint.scalar_mul` compiles
+:func:`jacobian_double`, :func:`jacobian_add_mixed` and :func:`jacobian_add`
+once per (field, curve coefficient ``a``) with
+:func:`repro.fields.kernels.build_formula_kernel` and runs its ladder on raw
+residues.  The formulas hold on any short-Weierstrass curve but know no
+exceptional case: a doubling answers ``Z = 0`` for a point of order two or the
+point at infinity, an addition answers ``Z = 0`` whenever its operands share
+an ``x`` (equal or opposite points) or one of them is at infinity, and it is
+the caller that must look -- the ladder does, on settled values.  They operate
+through the plain element interface, so they run on concrete field elements
+and on the kernel generator's symbolic ones alike.
 """
 
 from __future__ import annotations
@@ -16,18 +20,15 @@ from __future__ import annotations
 from repro.errors import CurveError
 
 
-# ---------------------------------------------------------------------------
-# Jacobian coordinates
-# ---------------------------------------------------------------------------
-
-def jacobian_double(point):
-    """Point doubling in Jacobian coordinates (a = 0)."""
+def jacobian_double(point, a):
+    """Point doubling on ``y^2 = x^3 + a x + b``; a constant ``a = 0`` folds
+    its term away when the formula is compiled."""
     X, Y, Z = point
     A = X.square()
     B = Y.square()
     C = B.square()
     D = ((X + B).square() - A - C).double()
-    E = A.triple()
+    E = A.triple() + Z.square().square() * a
     F = E.square()
     X3 = F - D.double()
     Y3 = E * (D - X3) - C.mul_small(8)
@@ -53,6 +54,27 @@ def jacobian_add_mixed(point, affine):
     return (X3, Y3, Z3)
 
 
+def jacobian_add(point, other):
+    """General addition of two Jacobian points (distinct, neither at infinity)."""
+    X1, Y1, Z1 = point
+    X2, Y2, Z2 = other
+    Z1Z1 = Z1.square()
+    Z2Z2 = Z2.square()
+    U1 = X1 * Z2Z2
+    U2 = X2 * Z1Z1
+    S1 = (Y1 * Z2) * Z2Z2
+    S2 = (Y2 * Z1) * Z1Z1
+    H = U2 - U1
+    R = S2 - S1
+    H2 = H.square()
+    H3 = H * H2
+    V = U1 * H2
+    X3 = R.square() - H3 - V.double()
+    Y3 = R * (V - X3) - S1 * H3
+    Z3 = (Z1 * Z2) * H
+    return (X3, Y3, Z3)
+
+
 def jacobian_to_affine(point):
     X, Y, Z = point
     if Z.is_zero():
@@ -63,58 +85,5 @@ def jacobian_to_affine(point):
 
 
 def affine_to_jacobian(affine):
-    x, y = affine
-    return (x, y, x.field.one())
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous projective coordinates
-# ---------------------------------------------------------------------------
-
-def projective_double(point, b_coeff=None):
-    """Doubling in homogeneous projective coordinates for ``y^2 z = x^3 + b z^3``.
-
-    Derived directly from the affine tangent rule with denominators cleared
-    (``b_coeff`` is accepted for interface symmetry but not needed when a = 0).
-    """
-    X, Y, Z = point
-    W = X.square().triple()              # 3 X^2
-    S = (Y * Z).double()                 # 2 Y Z
-    S2 = S.square()
-    S3 = S2 * S
-    XS2 = X * S2
-    H = W.square() * Z - XS2.double()
-    X3 = H * S
-    Y3 = W * (XS2 - H) - Y * S3
-    Z3 = S3 * Z
-    return (X3, Y3, Z3)
-
-
-def projective_add_mixed(point, affine, b_coeff):
-    """Mixed addition in homogeneous projective coordinates (generic chord rule)."""
-    X1, Y1, Z1 = point
-    x2, y2 = affine
-    # u = y2 Z1 - Y1, v = x2 Z1 - X1 (chord slope numerators).
-    u = y2 * Z1 - Y1
-    v = x2 * Z1 - X1
-    vv = v.square()
-    vvv = vv * v
-    R = vv * X1
-    A = u.square() * Z1 - vvv - R.double()
-    X3 = v * A
-    Y3 = u * (R - A) - vvv * Y1
-    Z3 = vvv * Z1
-    return (X3, Y3, Z3)
-
-
-def projective_to_affine(point):
-    X, Y, Z = point
-    if Z.is_zero():
-        raise CurveError("point at infinity has no affine form")
-    z_inv = Z.inverse()
-    return (X * z_inv, Y * z_inv)
-
-
-def affine_to_projective(affine):
     x, y = affine
     return (x, y, x.field.one())

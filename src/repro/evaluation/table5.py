@@ -19,6 +19,8 @@ def run(scale: str | None = None) -> dict:
         for op in ("mul", "sqr"):
             names = [v.name for v in list_variants(op, step_degree)]
             rows.append({"group": group, "operation": op, "variants": names})
+    # Transcribed from the paper's Table 5, not an inventory of this repo: the
+    # point formulas here are Jacobian only (repro.curves.formulas).
     rows.append({"group": "G2", "operation": "PA/PD", "variants": ["jacobian", "projective"]})
     return {"experiment": "table5", "rows": rows}
 

@@ -45,7 +45,21 @@ linear system used for decompression:
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import FieldError
+
+
+def context_formula(formula):
+    """Run ``formula(ctx, *operands)`` through its context's
+    ``run_formula``: the tracing context executes it as written, the concrete
+    one answers with the F_p^k-level kernel compiled from it.  The formula
+    itself stays reachable as ``.formula``."""
+    @functools.wraps(formula)
+    def run(ctx, *operands):
+        return ctx.run_formula(formula, ctx, *operands)
+    run.formula = formula
+    return run
 
 
 class CompressedElement:
@@ -63,6 +77,7 @@ class CompressedElement:
         return (self.g1, self.g2, self.g4, self.g5)
 
 
+@context_formula
 def cyclotomic_square(ctx, f):
     """Square a cyclotomic-subgroup element with the Granger-Scott formulas.
 
@@ -105,8 +120,12 @@ def compress(ctx, f) -> CompressedElement:
 
 def compressed_square(ctx, comp: CompressedElement) -> CompressedElement:
     """One squaring in compressed form: 6 twist-field squarings."""
+    return CompressedElement(*_compressed_square(ctx, *comp.coords()))
+
+
+@context_formula
+def _compressed_square(ctx, g1, g2, g4, g5):
     xi = ctx.twist_xi_value()
-    g1, g2, g4, g5 = comp.coords()
 
     c1 = g1.square()
     c4 = g4.square()
@@ -119,7 +138,7 @@ def compressed_square(ctx, comp: CompressedElement) -> CompressedElement:
     h2 = (c1 + c4 * xi).triple() - g2.double()
     h4 = (b2 + b5 * xi).triple() - g4.double()
     h5 = t5.triple() + g5.double()
-    return CompressedElement(h1, h2, h4, h5)
+    return (h1, h2, h4, h5)
 
 
 def _decompression_system(ctx, comp: CompressedElement):

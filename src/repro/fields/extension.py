@@ -27,11 +27,6 @@ from repro.fields.fp import FpElement, require_same_field
 from repro.fields.kernels import build_kernel
 
 
-def _flat(element) -> tuple:
-    """The residues of a tower element of any level (F_p included)."""
-    return element.flat if isinstance(element, ExtElement) else (element.raw,)
-
-
 def _kernel(op: str) -> cached_property:
     """A field attribute holding the kernel of ``op``, built when first read."""
     return cached_property(lambda field: build_kernel(field, op))
@@ -62,6 +57,7 @@ class ExtensionField:
         self._one = ExtElement(self, (zero + 1,) + (zero,) * (self.degree - 1))
         self._frob_cache: dict = {}
         self._frobenius_kernels: dict = {}
+        self._formula_kernels: dict = {}   # filled by repro.curves.model
 
     def __reduce__(self):
         return (ExtensionField, (self.base, self.m, self.non_residue, self.name))
@@ -130,14 +126,14 @@ class ExtensionField:
         for coeff in coeffs:
             if coeff.field is not self.base and coeff.field != self.base:
                 raise FieldError(f"coefficients of {self.name} must lie in its base field")
-            flat += _flat(coeff)
+            flat += coeff.flat
         return ExtElement(self, flat)
 
     def __call__(self, value) -> "ExtElement":
         """Coerce an int, a base-field element or an element of this field."""
         if isinstance(value, ExtElement) and value.field == self:
             return value
-        head = _flat(self.base(value))
+        head = self.base(value).flat
         return ExtElement(self, head + self._zero.flat[len(head):])
 
     def zero(self) -> "ExtElement":
@@ -154,6 +150,10 @@ class ExtensionField:
 
     def random(self, rng: random.Random) -> "ExtElement":
         return self.from_base_coeffs([rng.randrange(self.p) for _ in range(self.degree)])
+
+    def from_flat(self, flat: tuple) -> "ExtElement":
+        """The element holding the canonical residues ``flat``, unchecked."""
+        return ExtElement(self, flat)
 
     def from_base_coeffs(self, coeffs) -> "ExtElement":
         """Build an element from a flat little-endian list of ``degree`` F_p integers."""
@@ -344,5 +344,5 @@ def embed(element, target_field):
     levels = getattr(target_field, "_levels", {})
     if levels.get(element.field.degree) != element.field:
         raise FieldError("element field is not part of the target tower")
-    head = _flat(element)
+    head = element.flat
     return ExtElement(target_field, head + target_field._zero.flat[len(head):])

@@ -32,7 +32,7 @@ class PrimeField:
     modulus compare equal regardless of backend, and their elements mix freely.
     """
 
-    __slots__ = ("p", "backend", "_m", "_one", "_zero")
+    __slots__ = ("p", "backend", "_m", "_one", "_zero", "_formula_kernels")
 
     def __init__(self, p: int, backend: str | None = None):
         if not isinstance(p, int) or p < 3 or p % 2 == 0:
@@ -49,6 +49,10 @@ class PrimeField:
             self._m = p
         self._zero = None
         self._one = None
+        self._formula_kernels: dict = {}   # filled by repro.curves.model
+
+    def __reduce__(self):
+        return (PrimeField, (self.p, self.backend))   # the compiled kernels stay behind
 
     # -- structural properties -------------------------------------------------
     @property
@@ -96,6 +100,10 @@ class PrimeField:
     def random(self, rng: random.Random) -> "FpElement":
         return self.element(rng.randrange(self.p))
 
+    def from_flat(self, flat: tuple) -> "FpElement":
+        """The element holding the canonical residues ``flat``, unchecked."""
+        return FpElement(self, flat[0])
+
     def from_base_coeffs(self, coeffs) -> "FpElement":
         """Build an element from its flat F_p coefficient list (length 1)."""
         if len(coeffs) != 1:
@@ -136,6 +144,11 @@ class FpElement:
     def value(self) -> int:
         """The canonical integer in ``[0, p)``."""
         return int(self.raw)
+
+    @property
+    def flat(self) -> tuple:
+        """The residues as every tower level holds them: a tuple of ``degree``."""
+        return (self.raw,)
 
     # -- ring operations ---------------------------------------------------------
     def __add__(self, other: "FpElement") -> "FpElement":

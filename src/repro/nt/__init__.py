@@ -1,6 +1,7 @@
-"""Number-theory helpers: primality, modular square roots, symbols."""
+"""Number-theory helpers: primality, modular square roots, symbols, recoding."""
 
 from repro.nt.primes import is_probable_prime, next_probable_prime
+from repro.nt.recoding import signed_windows
 from repro.nt.residues import jacobi_symbol, legendre_symbol, sqrt_mod_prime, is_square_mod_prime
 
 __all__ = [
@@ -10,4 +11,5 @@ __all__ = [
     "legendre_symbol",
     "sqrt_mod_prime",
     "is_square_mod_prime",
+    "signed_windows",
 ]

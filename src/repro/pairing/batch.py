@@ -105,7 +105,7 @@ class _PrecomputedSource:
         if kind != expected_kind:
             raise PairingError("precomputation out of step with the Miller loop")
         self._cursor += 1
-        return (c_y * self._yp, c_x * self._xp, c_const)
+        return (c_y, c_x, c_const, self._xp, self._yp)     # scaled inside the line product
 
     def negate(self):
         pass  # the point trajectory was negated during precomputation

@@ -11,7 +11,8 @@ the accelerator code and the reference semantics in lock step.
 from __future__ import annotations
 
 from repro.errors import PairingError
-from repro.fields.tower import from_w_coeffs, w_coeffs
+from repro.fields.kernels import build_formula_kernel, map_leaves
+from repro.fields.tower import W_STORAGE_ORDER, from_w_coeffs, w_coeffs
 
 
 class PairingContext:
@@ -68,6 +69,44 @@ class PairingContext:
         """The sextic non-residue xi (with w^6 = xi) as a twist-field value."""
         raise NotImplementedError
 
+    def run_formula(self, formula, *args):
+        """Evaluate one straight-line formula of this package (a Miller step, a
+        line product, a cyclotomic squaring) on ``args``.
+
+        The one seam between a formula and its realisations: run as written it
+        executes element by element -- which is what records the IR under the
+        tracing context -- and :class:`ConcretePairingContext` answers with the
+        kernel compiled from it.  A formula that needs the hooks above takes
+        the context among its arguments.
+        """
+        return formula(*args)
+
+
+class SymbolicPairingContext(PairingContext):
+    """The structural hooks on :class:`~repro.fields.kernels.SymbolicElement`
+    values, as pure slicing: the context a formula sees while its kernel is
+    being built."""
+
+    def full_from_w_coeffs(self, coeffs):
+        some = next(coeff for coeff in coeffs if coeff is not None)
+        vec: tuple = ()
+        for index in W_STORAGE_ORDER:
+            vec += (some.zero() if coeffs[index] is None else coeffs[index]).vec
+        return some.like(self._tower.full_field, vec)
+
+    def full_w_coeffs(self, value):
+        if value.field != self._tower.full_field:
+            raise PairingError("full_w_coeffs expects an F_p^k element")
+        twist = self._tower.twist_field
+        chunk = twist.degree
+        coeffs: list = [None] * 6
+        for slot, index in enumerate(W_STORAGE_ORDER):
+            coeffs[index] = value.like(twist, value.vec[slot * chunk:(slot + 1) * chunk])
+        return coeffs
+
+    def twist_xi_value(self):
+        return self._tower.twist_xi
+
 
 class ConcretePairingContext(PairingContext):
     """Context backed by a :class:`repro.curves.catalog.PairingCurve`."""
@@ -93,3 +132,20 @@ class ConcretePairingContext(PairingContext):
 
     def twist_xi_value(self):
         return self._tower.twist_xi
+
+    def run_formula(self, formula, *args):
+        """The kernel compiled from ``formula`` for arguments like these, on
+        ``args``.  Kernels are generated on first use and kept on the curve (a
+        context lives for one call) by formula, string arguments and operand
+        fields -- operands inside tuples are checked by the kernel itself.
+        Filling is idempotent, so two threads may both build."""
+        key = (formula, *[getattr(arg, "field", arg if isinstance(arg, str) else None)
+                          for arg in args])
+        kernel = self.curve.formula_kernels.get(key)
+        if kernel is None:
+            symbolic = SymbolicPairingContext(self.curve)
+            fields = map_leaves(
+                lambda arg: symbolic if arg is self else getattr(arg, "field", arg), args)
+            kernel = self.curve.formula_kernels[key] = build_formula_kernel(
+                formula, fields, formula.__name__)
+        return kernel.on_elements(*args)

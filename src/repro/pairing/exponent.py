@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from repro.curves.families import CurveFamily, FamilyParams
 from repro.errors import PairingError
+from repro.nt.recoding import signed_windows
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +130,7 @@ def signed_digits(value: int) -> tuple:
     """
     if value < 1:
         raise PairingError("signed-digit recoding requires a positive magnitude")
-    digits = []
-    while value:
-        if value & 1:
-            digit = 2 - (value % 4)
-            value -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        value >>= 1
-    return tuple(digits)
+    return tuple(signed_windows(value, 2))
 
 
 #: Upper bound on the bit-length of seed/coefficient exponentiation chains.

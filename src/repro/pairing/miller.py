@@ -93,14 +93,15 @@ class LivePair:
 
     def step(self, kind: str, addend):
         if kind == "dbl":
-            self._t, coeffs = double_step(self._t, self._p)
+            self._t, coeffs = self._ctx.run_formula(double_step, self._t, self._p)
             return coeffs
         if addend not in self._addends:
             # The BN tail: both Frobenius points, before the first tail addition.
             q = self._addends[1]
             self._addends["pi1"] = twist_point_frobenius(self._ctx, q, 1)
             self._addends["pi2"] = negate_affine(twist_point_frobenius(self._ctx, q, 2))
-        self._t, coeffs = add_step(self._t, self._addends[addend], self._p)
+        self._t, coeffs = self._ctx.run_formula(
+            add_step, self._t, self._addends[addend], self._p)
         return coeffs
 
     def negate(self):
@@ -108,6 +109,19 @@ class LivePair:
 
     def finish(self):
         """A live source has no replay stream to reconcile."""
+
+
+def times_line(ctx, kind: str, f, c_yp, c_xp, c_const, x_p=None, y_p=None):
+    """``f`` times the line of one step, placed in the ``w``-power basis.
+
+    A replayed line (:func:`repro.pairing.batch.precompute_g2`) arrives at the
+    unit point, with the coordinates of ``P`` it is still to be evaluated at.
+    Compiled, the product knows the line's zero slots: one kernel per twist
+    type and step kind.
+    """
+    if x_p is not None:
+        c_yp, c_xp = c_yp * y_p, c_xp * x_p
+    return f * ctx.full_from_w_coeffs(place_line(ctx.twist_type, kind, c_yp, c_xp, c_const))
 
 
 def miller_walk(ctx, sources, use_naf: bool = True):
@@ -136,7 +150,7 @@ def miller_walk(ctx, sources, use_naf: bool = True):
         if kind == "dbl":
             f = f.square()
         for line in lines:
-            f = f * ctx.full_from_w_coeffs(place_line(ctx.twist_type, kind, *line))
+            f = ctx.run_formula(times_line, ctx, kind, f, *line)
     for source in sources:
         source.finish()
     return f

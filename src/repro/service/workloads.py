@@ -34,7 +34,9 @@ def hash_to_g1(curve, message: bytes):
     The domain is SHA-256 over ``message || counter``; candidate x-coordinates
     are lifted until one lands on the curve and survives cofactor clearing.
     Deterministic per (curve, message) -- the signer and the verifier must
-    agree on the point.
+    agree on the point.  This is **not** RFC 9380 hash-to-curve: it is
+    variable-time in the message, has no domain-separation tag and matches no
+    standard suite -- synthetic traffic for this repo's own curves only.
     """
     counter = 0
     while True:

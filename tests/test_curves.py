@@ -1,23 +1,28 @@
 """Curve families, parameter search, point arithmetic, catalog construction."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.curves.catalog import CURVE_SPECS, PAPER_CURVES, get_curve, list_curves
 from repro.curves.families import BLS12_FAMILY, BLS24_FAMILY, BN_FAMILY, get_family
 from repro.curves.formulas import (
     affine_to_jacobian,
-    affine_to_projective,
+    jacobian_add,
     jacobian_add_mixed,
     jacobian_double,
     jacobian_to_affine,
-    projective_add_mixed,
-    projective_double,
-    projective_to_affine,
 )
+from repro.curves.model import WINDOW, EllipticCurve
 from repro.curves.orders import cm_y, curve_order, frobenius_trace, sextic_twist_orders
 from repro.curves.search import find_seed
 from repro.curves.security import estimate_security_bits
 from repro.errors import CurveError
+from repro.fields.fp import PrimeField
+from repro.nt.recoding import signed_windows
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +133,143 @@ def test_lift_x_roundtrip(toy_bn, rng):
     assert lifted in (P, -P)
 
 
-@pytest.mark.parametrize("system", ["jacobian", "projective"])
+@pytest.mark.parametrize("system", ["jacobian"])     # the one coordinate system left (1.18.0)
 def test_formulas_match_affine(toy_bn, rng, system):
     curve = toy_bn.twist_curve
     P = curve.random_point(rng)
     Q = curve.random_point(rng)
-    if system == "jacobian":
-        to, fro, dbl, add = affine_to_jacobian, jacobian_to_affine, jacobian_double, jacobian_add_mixed
-        doubled = fro(dbl(to((P.x, P.y))))
-        added = fro(add(to((P.x, P.y)), (Q.x, Q.y)))
-    else:
-        to, fro = affine_to_projective, projective_to_affine
-        doubled = fro(projective_double(to((P.x, P.y)), curve.b))
-        added = fro(projective_add_mixed(to((P.x, P.y)), (Q.x, Q.y), curve.b))
-    assert doubled == (P.double().x, P.double().y)
+    to, fro = affine_to_jacobian, jacobian_to_affine
+    assert fro(jacobian_double(to((P.x, P.y)), curve.a)) == (P.double().x, P.double().y)
     expected = P + Q
-    assert added == (expected.x, expected.y)
+    assert fro(jacobian_add_mixed(to((P.x, P.y)), (Q.x, Q.y))) == (expected.x, expected.y)
+    # The general addition, on operands that are not in affine form.
+    twice = jacobian_double(to((Q.x, Q.y)), curve.a)
+    expected = P.double() + Q.double()
+    assert fro(jacobian_add(jacobian_double(to((P.x, P.y)), curve.a), twice)) == (
+        expected.x, expected.y)
+
+
+# ---------------------------------------------------------------------------
+# Scalar multiplication: the Jacobian window ladder against the affine loop
+# ---------------------------------------------------------------------------
+
+def affine_scalar_mul(point, scalar: int):
+    """Double-and-add over the complete affine law: ``scalar_mul`` until PR 21."""
+    if scalar < 0:
+        return affine_scalar_mul(-point, -scalar)
+    result, addend = point.curve.infinity(), point
+    while scalar:
+        if scalar & 1:
+            result = result + addend
+        addend = addend.double()
+        scalar >>= 1
+    return result
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_scalar_mul_matches_the_affine_loop(toy_curve, group, data):
+    generator = getattr(toy_curve, f"{group}_generator")
+    r = toy_curve.r
+    scalar = data.draw(st.integers(-2 * r, 2 * r))
+    assert generator.scalar_mul(scalar) == affine_scalar_mul(generator, scalar)
+    # Any point of the subgroup, not the generator alone.
+    point = affine_scalar_mul(generator, data.draw(st.integers(1, r - 1)))
+    assert point.scalar_mul(scalar) == affine_scalar_mul(point, scalar)
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_scalar_mul_named_cases(toy_curve, group):
+    generator = getattr(toy_curve, f"{group}_generator")
+    r = toy_curve.r
+    edges = {0, 1, -1, r, r - 1, r + 1, -r, 2 * r, 2 * r - 1, 2 * r + 1}
+    for bits in range(1, 2 * WINDOW + 3):                 # around every window boundary
+        edges |= {(1 << bits) - 1, 1 << bits, (1 << bits) + 1, r - (1 << bits), r + (1 << bits)}
+    for scalar in sorted(edges):
+        assert generator.scalar_mul(scalar) == affine_scalar_mul(generator, scalar), scalar
+        assert generator.scalar_mul(-scalar) == affine_scalar_mul(generator, -scalar), -scalar
+    assert generator.scalar_mul(r).is_infinity() and generator.scalar_mul(0).is_infinity()
+    infinity = generator.curve.infinity()
+    assert infinity.scalar_mul(5).is_infinity() and infinity.scalar_mul(-r).is_infinity()
+    assert generator * 3 == 3 * generator == generator + generator + generator
+
+
+def test_signed_windows_recode_the_scalar():
+    assert signed_windows(0, 4) == [] and signed_windows(7, 2) == [-1, 0, 0, 1]
+    for width in (2, 3, 4, 5):
+        for scalar in list(range(1, 600)) + [2**61 - 1, 2**64 + 12345]:
+            digits = signed_windows(scalar, width)
+            assert sum(digit << i for i, digit in enumerate(digits)) == scalar
+            assert all(digit == 0 or (digit % 2 and abs(digit) < 1 << (width - 1))
+                       for digit in digits)
+            for i, digit in enumerate(digits):
+                if digit:
+                    assert not any(digits[i + 1:i + width])
+
+
+def test_scalar_mul_on_every_small_order_point(toy_bls12):
+    """E(F_p) of TOY-BLS12-54 has cofactor 103 788 = 2^2 * 3^3 * 31^2: points
+    of order 2, 3, 6, 9 and 18 exist (the 2-part is Z2 x Z2, so none of order
+    4), and their tables of odd multiples collide or pass through infinity."""
+    curve, rng = toy_bls12.curve, random.Random(0x0DD)
+    order = toy_bls12.cofactor_g1 * toy_bls12.r
+    assert toy_bls12.cofactor_g1 == 103788 == 2**2 * 3**3 * 31**2
+    found: dict = {}
+    for _ in range(40):
+        # Clear everything but the 2- and 3-parts, then walk the multiples.
+        small = affine_scalar_mul(curve.random_point(rng), order // 108)
+        multiples = [small]
+        while not multiples[-1].is_infinity():
+            multiples.append(multiples[-1] + small)
+        n = len(multiples)                                 # the order of ``small``
+        for j, multiple in enumerate(multiples[:-1], start=1):
+            found.setdefault(n // math.gcd(n, j), set()).add(multiple)
+    assert set(found) == {2, 3, 6, 9, 18}
+    assert len(found[2]) == 3                              # the whole 2-torsion: Z2 x Z2
+    for points in found.values():
+        for point in points:
+            for scalar in range(-40, 41):
+                assert point.scalar_mul(scalar) == affine_scalar_mul(point, scalar), scalar
+            assert point.scalar_mul(order + 1) == point
+
+
+def test_scalar_mul_on_a_curve_with_a_nonzero_a():
+    """``y^2 = x^3 + 5 x + 7`` over F_67, a cyclic group of order 70 = 2 * 5 * 7,
+    exhaustively: every point (orders 1, 2, 5, 7, ... 70) times every scalar of
+    a period and a window either way."""
+    p = 67
+    curve = EllipticCurve(PrimeField(p), 5, 7)
+    points = [curve.infinity()] + [
+        curve.point(x, y) for x in range(p) for y in range(p)
+        if (y * y - (x**3 + 5 * x + 7)) % p == 0]
+    order = len(points)
+    assert order == 70 and not curve.a.is_zero()
+    for point in points:
+        for scalar in range(-order - 2**WINDOW, order + 2**WINDOW + 1):
+            assert point.scalar_mul(scalar) == affine_scalar_mul(point, scalar), (point, scalar)
+    assert sum(1 for point in points if point.scalar_mul(2).is_infinity()) == 2
+
+
+@pytest.mark.parametrize("scalar", [2.7, Fraction(3, 1), "3", None, 3 + 0j])
+def test_scalar_must_be_an_integer(toy_bn, scalar):
+    point = toy_bn.g1_generator
+    with pytest.raises(CurveError, match=type(scalar).__name__):
+        point.scalar_mul(scalar)
+    with pytest.raises(CurveError):
+        point * scalar
+    with pytest.raises(CurveError):
+        scalar * point
+
+
+def test_integer_like_scalars_are_accepted(toy_bn):
+    class Index:
+        def __index__(self):
+            return 5
+
+    point = toy_bn.g1_generator
+    assert point.scalar_mul(Index()) == point.scalar_mul(5)
+    assert point.scalar_mul(True) == point and point.scalar_mul(False).is_infinity()
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,15 @@ instances in flight, so the instance-renaming walk (rotated banks, the strided
 ``ready`` array) is covered too.  The digest covers everything a compiled
 kernel hands to hardware and to the evaluation: the encoded instruction words,
 the constant table, the I/O maps, the per-bank register demand and the cycle
-(multi-core, and at ``depth > 1`` pipelined) statistics.  CI runs it twice in
-fresh interpreters under different ``PYTHONHASHSEED`` values and fails if the
-lines differ; ``tests/test_golden_outputs.py`` pins the same digests per
-configuration.
+(multi-core, and at ``depth > 1`` pipelined) statistics.  A last line,
+``CURVE python-kernels <sha256>``, covers the *software* side's generated
+code: the name-sorted source of every formula kernel the curve's pairing
+(Miller steps, line products, cyclotomic and compressed squarings) and both
+groups' scalar-multiplication ladders run -- node table, use counts, zero
+folding and constant specialisation are list- and dict-ordered code too.  CI
+runs the tool twice in fresh interpreters under different ``PYTHONHASHSEED``
+values and fails if the lines differ; ``tests/test_golden_outputs.py`` pins
+the compile digests per configuration.
 
 ``--hw`` names a preset (``default``, ``HW1``, ``HW2`` or a Figure 10 model
 such as ``L8-S2-lin2``); ``--variants`` one of
@@ -40,8 +45,10 @@ except ImportError:
 
 from repro.compiler.pipeline import KernelSpec, compile_kernel  # noqa: E402
 from repro.curves.catalog import get_curve  # noqa: E402
+from repro.curves.model import ladder_kernels  # noqa: E402
 from repro.dse.space import named_variant_configs  # noqa: E402
 from repro.hw.presets import default_model, figure10_models, paper_hw1, paper_hw2  # noqa: E402
+from repro.pairing.batch import multi_pairing, precompute_g2  # noqa: E402
 
 
 def kernel_digest(result, depth: int = 1) -> str:
@@ -65,6 +72,18 @@ def kernel_digest(result, depth: int = 1) -> str:
     if depth > 1:
         parts.append(result.pipelined(depth).describe())
     return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def python_kernels_digest(curve) -> str:
+    """sha256 over the source of every formula kernel the software pairing and
+    the two scalar-multiplication ladders of ``curve`` run."""
+    g1, g2 = curve.g1_generator, curve.g2_generator
+    for mode in ("cyclotomic", "compressed"):              # a live and a replayed pair
+        multi_pairing(curve, [(g1, g2), (g1, precompute_g2(curve, g2))], final_exp_mode=mode)
+    kernels = [*curve.formula_kernels.values(),
+               *ladder_kernels(curve.curve), *ladder_kernels(curve.twist_curve)]
+    sources = sorted((kernel.__name__, kernel.source) for kernel in kernels)
+    return hashlib.sha256(repr(sources).encode()).hexdigest()
 
 
 def hardware_presets(word_width: int) -> dict:
@@ -95,6 +114,7 @@ def main(argv=None) -> int:
                                (("batch4-shared-2core-depth2",), shared, 2)):
         result = compile_kernel(curve, spec, use_cache=False)
         print(args.curve, args.hw, args.variants, *label, kernel_digest(result, depth))
+    print(args.curve, "python-kernels", python_kernels_digest(curve))
     return 0
 
 
