@@ -9,13 +9,22 @@ This example builds a synthetic instance of that equation (choosing exponents so
 that it holds by construction), verifies it with the golden pairing, then
 re-verifies it with the batched ``multi_pairing`` API -- one shared Miller
 accumulator and a single final exponentiation for the whole product, with the
-fixed verifying-key G2 points precomputed -- and finally counts what the
-verification costs on the compiled accelerator.
+fixed verifying-key G2 points precomputed --, checks four proofs of one circuit
+with ONE product whose pairs are coalesced by G2 point (``combine_products``,
+the algebra of the verification service's fused batch), and finally counts
+what the verification costs on the compiled accelerator.
 """
 
 import random
 
-from repro import compile_pairing, get_curve, multi_pairing, optimal_ate_pairing, precompute_g2
+from repro import (
+    combine_products,
+    compile_pairing,
+    get_curve,
+    multi_pairing,
+    optimal_ate_pairing,
+    precompute_g2,
+)
 from repro.hw.timing import frequency_mhz
 
 
@@ -61,6 +70,26 @@ def main() -> int:
         curve, [(-g1.scalar_mul(a + 1), B), (alpha_g1, beta_pre), (C, delta_pre)]
     ).is_one()
     print("forged proof correctly rejected")
+
+    # Four proofs of this circuit, one product.  Each proof's product is raised
+    # to a secret random coefficient (the first to 1) so that errors cannot
+    # cancel across proofs, and pairs that share a G2 point become one:
+    # e(c1*alpha, beta) * e(c2*alpha, beta) ... = e((c1 + c2 + ...)*alpha, beta).
+    def proof_pairs(forge: bool = False) -> list:
+        c_i, a_i = rng.randrange(2, r), rng.randrange(2, r)
+        b_i = ((alpha * beta + c_i * delta) * pow(a_i, -1, r)) % r
+        return [(-g1.scalar_mul(a_i + 1 if forge else a_i), g2.scalar_mul(b_i)),
+                (alpha_g1, beta_pre), (g1.scalar_mul(c_i), delta_pre)]
+
+    proofs = [proof_pairs() for _ in range(4)]
+    coefficients = [1] + [rng.randrange(1, min(r, 1 << 128)) for _ in proofs[1:]]
+    fused = combine_products(curve, proofs, coefficients)
+    assert multi_pairing(curve, fused).is_one()
+    print(f"four proofs, one product: {sum(map(len, proofs))} pairs \u2192 "
+          f"{len(fused)} Miller sources, accepted")
+    proofs[2] = proof_pairs(forge=True)
+    assert not multi_pairing(curve, combine_products(curve, proofs, coefficients)).is_one()
+    print("a batch holding one forgery is rejected (each proof is then checked on its own)")
 
     # Cost of the three pairings on the accelerator.
     result = compile_pairing(curve)

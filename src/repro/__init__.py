@@ -33,6 +33,10 @@ Pairing (software golden path)
     line coefficients of a fixed G2 point, replayable against any G1 point.
     ``split_batched_miller_loop(ctx, sources, n_groups, ...)`` -- the
     split-accumulator Miller loop (one independent chain per group).
+    ``combine_products(curve, products, coefficients)`` -- a batch verifier's
+    algebra: the pairs of ``Pi_j product_j ** c_j`` with every group of pairs
+    that share a G2 point coalesced into one (``e(Sum c_i P_i, Q)``, one
+    ``EllipticCurve.multi_scalar_mul`` per group).
     All four run -- and every compiled kernel traces -- the one loop of the
     package, ``repro.pairing.miller.miller_walk``, over one, many or
     per-group line sources.
@@ -130,7 +134,7 @@ from repro.fields.variants import VariantConfig
 from repro.hw.model import HardwareModel
 from repro.hw.presets import default_model, paper_hw1, paper_hw2
 from repro.pairing.ate import optimal_ate_pairing
-from repro.pairing.batch import multi_pairing, precompute_g2, split_batched_miller_loop
+from repro.pairing.batch import combine_products, multi_pairing, precompute_g2, split_batched_miller_loop
 from repro.reliability import (
     CircuitBreaker,
     FaultPlan,
@@ -142,7 +146,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "get_curve",
@@ -150,6 +154,7 @@ __all__ = [
     "optimal_ate_pairing",
     "multi_pairing",
     "precompute_g2",
+    "combine_products",
     "split_batched_miller_loop",
     "CompilerPipeline",
     "KernelSpec",

@@ -1,4 +1,6 @@
-"""Pairing-friendly curves: families, parameter search, catalog, groups."""
+"""Pairing-friendly curves: families, parameter search, catalog, groups (the
+complete affine law and one ladder, ``EllipticCurve.multi_scalar_mul``, whose
+one-term call is ``AffinePoint.scalar_mul``)."""
 
 from repro.curves.catalog import PAPER_CURVES, PairingCurve, get_curve, list_curves
 from repro.curves.families import (

@@ -2,7 +2,7 @@
 PA/PD operator variants), ``(X, Y, Z)`` with ``x = X/Z^2``, ``y = Y/Z^3``.
 
 They are the input of the scalar-multiplication kernels:
-:meth:`repro.curves.model.AffinePoint.scalar_mul` compiles
+:meth:`repro.curves.model.EllipticCurve.multi_scalar_mul` compiles
 :func:`jacobian_double`, :func:`jacobian_add_mixed` and :func:`jacobian_add`
 once per (field, curve coefficient ``a``) with
 :func:`repro.fields.kernels.build_formula_kernel` and runs its ladder on raw

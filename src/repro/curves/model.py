@@ -1,10 +1,12 @@
 """Short-Weierstrass elliptic curves over arbitrary finite fields.
 
 This is the reference ("golden") group arithmetic: affine coordinates with full
-special-case handling.  Scalar multiplication alone leaves them: it runs the
-branch-free Jacobian formulas of :mod:`repro.curves.formulas`, compiled into
-kernels on raw residues, and hands every exceptional case back to the complete
-affine law below.
+special-case handling.  Scalar multiplication alone leaves them: its one
+ladder, :meth:`EllipticCurve.multi_scalar_mul` (of which
+:meth:`AffinePoint.scalar_mul` is the one-term call), runs the branch-free
+Jacobian formulas of :mod:`repro.curves.formulas`, compiled into kernels on raw
+residues, and hands every exceptional case back to the complete affine law
+below.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from repro.fields.kernels import build_formula_kernel
 from repro.fields.sqrt import field_sqrt, is_field_square
 from repro.nt.recoding import signed_windows
 
-#: Width of the signed-window recoding :meth:`AffinePoint.scalar_mul` walks
-#: (:func:`repro.nt.recoding.signed_windows`): ``2**(WINDOW - 2)`` odd
-#: multiples are tabulated, one addition is paid per ``WINDOW + 1`` doublings
-#: on average.  Chosen by measurement on 255-bit scalars over BLS12-381 (3, 4
-#: and 5 read within 3 % of each other, in G1 and in G2).
+#: Width of the signed-window recoding :meth:`EllipticCurve.multi_scalar_mul`
+#: walks (:func:`repro.nt.recoding.signed_windows`): per term ``2**(WINDOW - 2)``
+#: odd multiples are tabulated and one addition is paid per ``WINDOW + 1``
+#: doublings on average.  Chosen by measurement over BLS12-381's G1, on 255-bit
+#: scalars and on the service's 128-bit ones, for 1, 4 and 8 terms (128 bits at
+#: reference speed: 0.88, 1.65 and 2.6 ms, against 0.92, 3.6 and 7.0 ms for as
+#: many one-term walks): 4 read fastest or within 1 % of it in every cell, 3
+#: and 5 up to 8 % and 11 % slower.
 WINDOW = 4
 
 
@@ -107,6 +112,93 @@ class EllipticCurve:
                 return point
         raise CurveError("failed to sample a random curve point")
 
+    # -- scalar multiplication --------------------------------------------------
+    def multi_scalar_mul(self, points, scalars) -> "AffinePoint":
+        """``sum(scalar * point)`` for any integers: one interleaved (Straus)
+        signed-window ladder in Jacobian coordinates on raw residues
+        (:func:`ladder_kernels`).  Every term has its own digit row and table
+        of odd multiples; the doubling chain, as long as the longest row, is
+        shared, and so are the two inversions -- one for all the tables, one
+        at the end.  No order is assumed of any point.
+
+        The Jacobian formulas know no exceptional case, so every one is looked
+        for on the settled ``Z`` they answer with -- ``Z = 0`` is the point at
+        infinity, or an addition whose operands shared an ``x`` -- and resolved
+        by the complete affine law (``+`` / :meth:`AffinePoint.double`).
+        """
+        points, scalars = list(points), list(scalars)
+        if len(points) != len(scalars):
+            raise CurveError(f"{len(points)} points for {len(scalars)} scalars")
+        field = self.field
+        double, add_mixed, add = ladder_kernels(self)
+        one = field.one().flat
+        infinity = (one, one, field.zero().flat)           # Z = 0, whatever X and Y
+
+        def affine(T) -> "AffinePoint":
+            if not any(T[2]):
+                return self.infinity()
+            return AffinePoint(self, *jacobian_to_affine([field.from_flat(c) for c in T]))
+
+        def jacobian(point) -> tuple:
+            return infinity if point.is_infinity() else (point.x.flat, point.y.flat, one)
+
+        # Per term: its digits, and the odd multiples P, 3P, ... up to the
+        # largest of them -- ``table`` in affine form, ``odd`` still Jacobian.
+        terms = []
+        for point, scalar in zip(points, scalars):
+            try:
+                scalar = operator.index(scalar)
+            except TypeError:
+                raise CurveError(
+                    f"a scalar must be an integer, got {type(scalar).__name__}") from None
+            if point.curve != self:
+                raise CurveError("points lie on different curves")
+            if scalar < 0:
+                point, scalar = -point, -scalar
+            if scalar == 0 or point.is_infinity():
+                continue
+            digits = signed_windows(scalar, WINDOW)
+            table, odd = [point], [jacobian(point)]
+            twice = double(odd[0])
+            for _ in range(max(map(abs, digits)) // 2):
+                odd.append(add(odd[-1], twice))
+            if not all(any(Z) for _, _, Z in odd + [twice]):
+                # A point of small order: some multiple met itself, its
+                # negative or infinity on the way up.
+                step = point.double()
+                for _ in odd[1:]:
+                    table.append(table[-1] + step)
+                odd = []
+            terms.append((digits, table, odd[1:]))
+        # One shared inversion brings every table to affine form; the terms
+        # draw their inverses from it in the order they put their Z in.
+        inverses = iter(batch_inverse(
+            [field.from_flat(Z) for _, _, odd in terms for _, _, Z in odd]))
+        rows = [[] for _ in range(max((len(digits) for digits, _, _ in terms), default=0))]
+        for digits, table, odd in terms:
+            for X, Y, _ in odd:
+                z_inv = next(inverses)
+                z_inv2 = z_inv.square()
+                table.append(AffinePoint(self, field.from_flat(X) * z_inv2,
+                                         field.from_flat(Y) * (z_inv2 * z_inv)))
+            addends = {}             # by signed digit; an odd multiple at infinity adds nothing
+            for index, multiple in enumerate(table):
+                if not multiple.is_infinity():
+                    addends[2 * index + 1] = (multiple.x.flat, multiple.y.flat)
+                    addends[-2 * index - 1] = (multiple.x.flat, (-multiple.y).flat)
+            for position, digit in enumerate(digits):
+                if digit in addends:
+                    rows[position].append(addends[digit])
+        T = infinity
+        for row in reversed(rows):
+            T = double(T)
+            for addend in row:
+                total = add_mixed(T, addend)
+                if not any(total[2]):       # T at infinity, or the same x: T = +-addend
+                    total = jacobian(affine(T) + AffinePoint(self, *map(field.from_flat, addend)))
+                T = total
+        return affine(T)
+
 
 class AffinePoint:
     """An affine point; ``x is None`` encodes the point at infinity."""
@@ -168,74 +260,9 @@ class AffinePoint:
         return AffinePoint(self.curve, x3, y3)
 
     def scalar_mul(self, scalar: int) -> "AffinePoint":
-        """``scalar * self`` for any integer: a signed-window ladder in Jacobian
-        coordinates on raw residues (:func:`ladder_kernels`), one inversion
-        for the table of odd multiples and one at the end.
-
-        The Jacobian formulas know no exceptional case, so every one is looked
-        for on the settled ``Z`` they answer with -- ``Z = 0`` is the point at
-        infinity, or an addition whose operands shared an ``x`` -- and resolved
-        by the complete affine law (``+`` / :meth:`double`).
-        """
-        try:
-            scalar = operator.index(scalar)
-        except TypeError:
-            raise CurveError(
-                f"a scalar must be an integer, got {type(scalar).__name__}") from None
-        if scalar < 0:
-            return (-self).scalar_mul(-scalar)
-        curve = self.curve
-        if scalar == 0 or self.is_infinity():
-            return curve.infinity()
-        field = curve.field
-        double, add_mixed, add = ladder_kernels(curve)
-        one = field.one().flat
-        infinity = (one, one, field.zero().flat)           # Z = 0, whatever X and Y
-
-        def affine(T) -> "AffinePoint":
-            if not any(T[2]):
-                return curve.infinity()
-            return AffinePoint(curve, *jacobian_to_affine([field.from_flat(c) for c in T]))
-
-        def jacobian(point) -> tuple:
-            return infinity if point.is_infinity() else (point.x.flat, point.y.flat, one)
-
-        digits = signed_windows(scalar, WINDOW)
-        # The odd multiples P, 3P, ... up to the largest digit, brought to
-        # affine form with one shared inversion.
-        table = [self]
-        if (count := max(map(abs, digits)) // 2) > 0:
-            odd = [jacobian(self)]
-            twice = double(odd[0])
-            for _ in range(count):
-                odd.append(add(odd[-1], twice))
-            if all(any(Z) for _, _, Z in odd + [twice]):
-                inverses = batch_inverse([field.from_flat(Z) for _, _, Z in odd[1:]])
-                for (X, Y, _), z_inv in zip(odd[1:], inverses):
-                    z_inv2 = z_inv.square()
-                    table.append(AffinePoint(curve, field.from_flat(X) * z_inv2,
-                                             field.from_flat(Y) * (z_inv2 * z_inv)))
-            else:
-                # A point of small order: some multiple met itself, its
-                # negative or infinity on the way up.
-                step = self.double()
-                for _ in range(count):
-                    table.append(table[-1] + step)
-        addends = {}                 # by signed digit; an odd multiple at infinity adds nothing
-        for index, multiple in enumerate(table):
-            if not multiple.is_infinity():
-                addends[2 * index + 1] = (multiple.x.flat, multiple.y.flat)
-                addends[-2 * index - 1] = (multiple.x.flat, (-multiple.y).flat)
-        T = infinity
-        for digit in reversed(digits):
-            T = double(T)
-            addend = addends.get(digit)
-            if addend is not None:
-                total = add_mixed(T, addend)
-                if not any(total[2]):       # T at infinity, or the same x: T = +-addend
-                    total = jacobian(affine(T) + AffinePoint(curve, *map(field.from_flat, addend)))
-                T = total
-        return affine(T)
+        """``scalar * self`` for any integer: the one-term walk of
+        :meth:`EllipticCurve.multi_scalar_mul`, the only ladder there is."""
+        return self.curve.multi_scalar_mul([self], [scalar])
 
     def __mul__(self, scalar: int) -> "AffinePoint":
         return self.scalar_mul(scalar)

@@ -1,10 +1,12 @@
 """Optimal Ate pairing: Miller loop, final exponentiation, reference implementation,
-and the batched multi-pairing used by pairing-product verifiers."""
+the batched multi-pairing used by pairing-product verifiers, and the algebra
+that coalesces many such products into one (``combine_products``)."""
 
 from repro.pairing.ate import optimal_ate_pairing
 from repro.pairing.batch import (
     G2Precomputation,
     batched_miller_loop,
+    combine_products,
     multi_pairing,
     partition_into_groups,
     precompute_g2,
@@ -21,6 +23,7 @@ __all__ = [
     "optimal_ate_pairing",
     "multi_pairing",
     "precompute_g2",
+    "combine_products",
     "batched_miller_loop",
     "split_batched_miller_loop",
     "partition_into_groups",

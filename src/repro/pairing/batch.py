@@ -47,6 +47,10 @@ scalings per step instead of a full curve step.  Precomputations plug directly
 into :func:`multi_pairing` in place of Q and can be mixed freely with plain
 points in one product.
 
+Many products whose pairs sit on few distinct G2 points -- a batch verifier's
+input -- are first coalesced to one pair per G2 point by
+:func:`combine_products`, on the G1 side.
+
 Every loop here is :func:`repro.pairing.miller.miller_walk` -- the single
 pairing is the same walk over one live source -- so the shared accumulator,
 the split chains and the replay differ only in which sources they fold.
@@ -333,3 +337,50 @@ def multi_pairing(curve, pairs, use_naf: bool = True, accumulators: int = 1,
 
     f = batched_miller_loop(ctx, sources, use_naf=use_naf, accumulators=accumulators)
     return final_exponentiation(ctx, f, mode=final_exp_mode)
+
+
+# ---------------------------------------------------------------------------
+# Combining products: a batch verifier's algebra, on the G1 side
+# ---------------------------------------------------------------------------
+
+def combine_products(curve, products, coefficients) -> list:
+    """Pairs whose :func:`multi_pairing` value is
+    ``Pi_j multi_pairing(products[j]) ** coefficients[j]``, exactly.
+
+    Pairs are grouped by G2 operand -- the same :class:`G2Precomputation`
+    object (what a verifying-key cache hands every request of one key; equal
+    content in two objects is not looked for) or an equal G2 point -- and a
+    group becomes one pair: ``e(Sum_i c_i P_i, Q)``, its G1 point computed by
+    one :meth:`~repro.curves.model.EllipticCurve.multi_scalar_mul` (none when
+    the group is a single pair of coefficient 1).  Coefficients of equal G1
+    points are added first, as plain integers of any sign: no order is assumed
+    of any point.  A group that sums to infinity contributes nothing; the
+    others come out in order of first appearance.
+
+    Both identities are bilinearity, which holds for ``P`` in ``E(F_p)`` and
+    ``Q`` in G2; neither this function nor :func:`multi_pairing` checks
+    subgroup membership.  G1 operands must be affine points (they are
+    scaled), not ``(x, y)`` tuples.
+    """
+    products, coefficients = list(products), list(coefficients)
+    if len(products) != len(coefficients):
+        raise PairingError(
+            f"{len(products)} products for {len(coefficients)} coefficients")
+    groups: dict = {}       # G2 operand -> (Q, {P: summed coefficient}); dicts keep first appearance
+    for index, (product, coefficient) in enumerate(zip(products, coefficients)):
+        for P, Q in product:
+            if not hasattr(P, "scalar_mul"):
+                raise PairingError(
+                    f"products[{index}]: a G1 operand must be an affine point to be "
+                    f"scaled, got {type(P).__name__}")
+            _, terms = groups.setdefault(id(Q) if isinstance(Q, G2Precomputation) else Q, (Q, {}))
+            terms[P] = terms.get(P, 0) + coefficient
+    pairs = []
+    for Q, terms in groups.values():
+        if list(terms.values()) == [1]:
+            P, = terms
+        else:
+            P = curve.curve.multi_scalar_mul(terms.keys(), terms.values())
+        if not P.is_infinity():
+            pairs.append((P, Q))
+    return pairs

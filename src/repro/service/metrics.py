@@ -65,6 +65,11 @@ class ServiceMetrics:
     #: Fused attempts that failed (exception or fused-check mismatch) and fell
     #: back to exact per-request verification.
     fused_failures: int = 0
+    #: Pairs handed to fused attempts, and the Miller sources they were
+    #: coalesced into (one per distinct G2 point): 24 / 12 for a batch of 8
+    #: Groth16 requests over two circuits.
+    fused_pairs: int = 0
+    fused_sources: int = 0
     #: Batches verified exactly per-request because the breaker was open.
     breaker_exact_batches: int = 0
     #: Closed/half-open -> open breaker transitions.
@@ -99,8 +104,10 @@ class ServiceMetrics:
         self.latencies_s.append(latency_s)
         self._trim(self.latencies_s)
 
-    def record_fused(self, ok: bool) -> None:
+    def record_fused(self, ok: bool, pairs: int, sources: int) -> None:
         self.fused_batches += 1
+        self.fused_pairs += pairs
+        self.fused_sources += sources
         if not ok:
             self.fused_failures += 1
 
@@ -162,6 +169,8 @@ class ServiceMetrics:
             "reliability": {
                 "fused_batches": self.fused_batches,
                 "fused_failures": self.fused_failures,
+                "fused_pairs": self.fused_pairs,
+                "fused_sources": self.fused_sources,
                 "breaker_exact_batches": self.breaker_exact_batches,
                 "breaker_trips": self.breaker_trips,
                 "breaker_probes": self.breaker_probes,

@@ -20,23 +20,35 @@ The fused batch check
 ---------------------
 Each request *j* is an independent "product is one" check
 ``Pi_i e(P_ji, Q_ji) == 1``.  Under the default ``fuse="rlc"`` policy the
-batch draws fresh random coefficients ``r_j`` (with ``r_0 = 1``) and checks
+batch draws fresh secret coefficients ``c_j`` below ``min(r, 2**128)`` (with
+``c_0 = 1``) and checks
 
-    Pi_j Pi_i e(r_j * P_ji, Q_ji)  ==  1
+    Pi_j (Pi_i e(P_ji, Q_ji)) ** c_j  ==  1
 
--- one shared Miller accumulator and ONE final exponentiation for the whole
-batch, with the scaling applied on the cheap G1 side so cached G2
-precomputations still replay.  If every request is valid the fused product is
-1 and all requests are accepted.  If the fused check fails, the service falls
-back to verifying every request of the batch individually with the exact
-unbatched product, so every rejection (and every acceptance on a failing
-batch) is attributed exactly -- honest and forged traffic both receive
-verdicts identical to per-request ``multi_pairing`` verification.  The only
-deviation from the unbatched semantics is the standard random-linear-
-combination one: inputs crafted so their errors cancel *against the service's
-secret per-batch randomness* pass with probability at most
-``(batch - 1) / r``.  ``fuse="none"`` disables fusion (exact per-request
-products inside the batch) for measurement or for the paranoid.
+as a batch verifier does (:func:`repro.pairing.batch.combine_products`): the
+scaling is applied on the cheap G1 side, and pairs that share a G2 point --
+every request of one verifying key is handed the same cached precomputation
+-- become ONE Miller source, ``e(Sum_j c_j P_j, Q)``, their G1 point computed
+by one interleaved multi-scalar ladder.  A batch of 8 Groth16 requests over
+two circuits walks 12 sources, not 24 (8 live ``B`` points, and ``beta`` and
+``delta`` of each circuit once); 8 BLS signatures of 4 signers walk 5, not
+16.  If every request is valid the fused product is 1 and all requests are
+accepted.  If the fused check fails, the service falls back to verifying
+every request of the batch individually with the exact unbatched product, so
+every rejection (and every acceptance on a failing batch) is attributed
+exactly -- honest and forged traffic both receive verdicts identical to
+per-request ``multi_pairing`` verification.  ``fuse="none"`` disables fusion
+(exact per-request products inside the batch) for measurement or for the
+paranoid.
+
+What is assumed.  The only deviation from the unbatched semantics is the
+standard random-linear-combination one: inputs crafted so their errors cancel
+*against the service's secret per-batch randomness* pass with probability at
+most ``(batch - 1) / min(r, 2**128)``.  Scaling and coalescing both rest on
+bilinearity, i.e. on ``P`` in ``E(F_p)`` and ``Q`` in G2: neither the fused
+nor the exact path runs ``curve.is_in_g1`` / ``is_in_g2`` -- callers own
+subgroup checks -- and because no order is assumed of a ``P``, sums of
+coefficients are never reduced mod ``r``.
 
 Degrading gracefully
 --------------------
@@ -56,7 +68,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ServiceError
-from repro.pairing.batch import multi_pairing
+from repro.pairing.batch import combine_products, multi_pairing
 from repro.reliability import faults as _faults
 from repro.reliability.breaker import CircuitBreaker
 from repro.service.batcher import DynamicBatcher
@@ -70,6 +82,11 @@ from repro.service.workloads import (
     Groth16VerifyingKey,
     build_request_pairs,
 )
+
+#: Bit length of the random-linear-combination coefficients: the fused check
+#: is unsound with probability at most ``(batch - 1) / min(r, 2**RLC_BITS)``,
+#: and its G1 ladders are this long instead of ``r``'s 255 bits.
+RLC_BITS = 128
 
 
 class _PreparedRequest:
@@ -219,36 +236,32 @@ class VerificationService:
             # Breaker open: fused attempts are suspended for the cooldown.
             self.metrics.record_breaker_exact()
             return self._verify_each(batch)
+        pairs = sources = 0
         try:
             if _faults.ACTIVE is not None:
                 _faults.ACTIVE.apply("service.verify_batch")
-            # Random linear combination: scale each request's G1 points by a
+            # Random linear combination: raise each request's product to a
             # fresh secret coefficient (the first is 1 -- scaling every
-            # request is unnecessary for soundness), fuse into one product.
-            coefficients = [1] + [self._rng.randrange(1, self.curve.r)
-                                  for _ in batch[1:]]
-            fused = []
-            for coefficient, prepared in zip(coefficients, batch):
-                for P, Q in prepared.pairs:
-                    fused.append(
-                        (P if coefficient == 1 else P.scalar_mul(coefficient), Q))
+            # request is unnecessary for soundness) and fuse into one product,
+            # one Miller source per distinct G2 point.
+            coefficients = [1] + [
+                self._rng.randrange(1, min(self.curve.r, 1 << RLC_BITS)) for _ in batch[1:]]
+            fused = combine_products(
+                self.curve, [prepared.pairs for prepared in batch], coefficients)
+            pairs, sources = sum(len(prepared.pairs) for prepared in batch), len(fused)
             fused_ok = self._product_is_one(fused)
         except Exception:  # noqa: BLE001 - fused path is optional, fall back
-            self.breaker.record_failure()
-            self.metrics.record_fused(ok=False)
-            self.metrics.sync_breaker(self.breaker)
-            return self._verify_each(batch)
+            fused_ok = False
+        # A failed fused product counts as a breaker failure like an exception
+        # does: a traffic mix that keeps failing fused checks pays fused work +
+        # fallback on every batch, and tripping to exact-only is the cheaper
+        # steady state.
         if fused_ok:
             self.breaker.record_success()
-            self.metrics.record_fused(ok=True)
-            self.metrics.sync_breaker(self.breaker)
-            return [True] * len(batch)
-        # The fused product failed: at least one request is invalid.  Attribute
-        # exactly by re-verifying each request with the unbatched product.
-        # This counts as a breaker failure too: a traffic mix that keeps
-        # failing fused checks pays fused work + fallback on every batch, and
-        # tripping to exact-only is the cheaper steady state.
-        self.breaker.record_failure()
-        self.metrics.record_fused(ok=False)
+        else:
+            self.breaker.record_failure()
+        self.metrics.record_fused(fused_ok, pairs, sources)
         self.metrics.sync_breaker(self.breaker)
-        return self._verify_each(batch)
+        # On failure at least one request is invalid (or the fused path
+        # broke): attribute exactly, each request by its unbatched product.
+        return [True] * len(batch) if fused_ok else self._verify_each(batch)

@@ -1,18 +1,22 @@
 """Batched multi-pairing: product agreement, precomputation, input validation,
-and the split-accumulator partition mode."""
+the split-accumulator partition mode, and combining products by G2 operand."""
 
 import random
 
 import pytest
 
-from repro.errors import PairingError
+from repro.curves.catalog import get_curve
+from repro.errors import CurveError, PairingError
 from repro.pairing.ate import optimal_ate_pairing
 from repro.pairing.batch import (
     G2Precomputation,
+    combine_products,
     multi_pairing,
     partition_into_groups,
     precompute_g2,
 )
+from repro.service import VerifyingKeyCache, make_bls_requests, make_groth16_requests
+from repro.service.workloads import build_request_pairs
 
 
 def _random_pairs(curve, count, seed):
@@ -351,3 +355,126 @@ def test_optimal_ate_pairing_rejects_malformed_tuples(toy_bn, rng):
         optimal_ate_pairing(toy_bn, (1, 2), Q)
     with pytest.raises(PairingError):
         optimal_ate_pairing(toy_bn, object(), Q)
+
+
+# ---------------------------------------------------------------------------
+# combine_products: a batch verifier's algebra, value-exact
+# ---------------------------------------------------------------------------
+
+def _power_product(curve, products, coefficients):
+    expected = curve.gt_one()
+    for product, coefficient in zip(products, coefficients):
+        expected = expected * multi_pairing(curve, product) ** coefficient
+    return expected
+
+
+def _groth16_shaped_products(curve, count, seed, circuits=2):
+    """``count`` arbitrary (not valid) 3-pair products over ``circuits`` keys:
+    a live ``B`` each, ``alpha`` against the key's shared ``beta``
+    precomputation, a fresh ``C`` against its shared ``delta`` one."""
+    rng = random.Random(seed)
+    keys = [(curve.random_g1(rng), precompute_g2(curve, curve.random_g2(rng)),
+             precompute_g2(curve, curve.random_g2(rng))) for _ in range(circuits)]
+    products = []
+    for index in range(count):
+        alpha, beta, delta = keys[index % circuits]
+        products.append([(curve.random_g1(rng), curve.random_g2(rng)),
+                         (alpha, beta), (curve.random_g1(rng), delta)])
+    return products
+
+
+@pytest.mark.parametrize("accumulators", [1, 2])
+@pytest.mark.parametrize("final_exp_mode", ["generic", "cyclotomic", "compressed"])
+def test_combined_products_equal_the_product_of_powers(toy_curve, final_exp_mode, accumulators):
+    curve, rng = toy_curve, random.Random(139)
+    products = _groth16_shaped_products(curve, 4, seed=137)
+    for coefficients in ([1, 1, 1, 1],
+                         [1] + [rng.randrange(1, curve.r) for _ in range(3)],
+                         [0, 1, -1, -rng.randrange(curve.r, 1 << 70)],   # no order assumed
+                         [0, 0, 0, 0]):
+        combined = combine_products(curve, products, coefficients)
+        assert multi_pairing(curve, combined, accumulators=accumulators,
+                             final_exp_mode=final_exp_mode) == \
+            _power_product(curve, products, coefficients), coefficients
+    assert combine_products(curve, products, [0, 0, 0, 0]) == []
+    assert combine_products(curve, [], []) == []
+
+
+def test_pairs_are_grouped_by_g2_operand_in_order_of_first_appearance(toy_bn):
+    curve, rng = toy_bn, random.Random(149)
+    P = [curve.random_g1(rng) for _ in range(6)]
+    Q, other = curve.random_g2(rng), curve.random_g2(rng)
+    shared, same_content = precompute_g2(curve, other), precompute_g2(curve, other)
+    equal_q = Q.scalar_mul(1)                              # an equal point, another object
+    assert equal_q is not Q and shared is not same_content
+    products = [[(P[0], Q), (P[1], shared)],
+                [(P[2], same_content), (P[3], equal_q)],
+                [(P[4], shared), (P[5], other)]]
+    coefficients = [1, 5, -7]
+    combined = combine_products(curve, products, coefficients)
+    # The live Q and its equal merge; the two precomputation objects do not
+    # (identity, not content), and neither merges with the live point they hold.
+    assert [q for _, q in combined] == [Q, shared, same_content, other]
+    assert combined[0][0] == P[0] + P[3].scalar_mul(5)
+    assert combined[1][0] == P[1] + P[4].scalar_mul(-7)
+    assert multi_pairing(curve, combined) == _power_product(curve, products, coefficients)
+    # A single pair of coefficient 1 is handed through untouched.
+    assert combine_products(curve, [[(P[0], Q)]], [1])[0][0] is P[0]
+
+
+def test_coefficients_of_equal_g1_points_are_added(toy_bn):
+    """``alpha`` of one verifying key is the same point in every request: its
+    group is one term whose scalar is the plain sum of the coefficients."""
+    curve, rng = toy_bn, random.Random(151)
+    alpha, beta = curve.random_g1(rng), precompute_g2(curve, curve.random_g2(rng))
+    products = [[(alpha, beta)], [(alpha.scalar_mul(1), beta)], [(alpha, beta)]]
+    coefficients = [1, curve.r - 1, 2 * curve.r + 3]
+    (combined, q), = combine_products(curve, products, coefficients)
+    assert q is beta and combined == alpha.scalar_mul(sum(coefficients))
+    assert multi_pairing(curve, [(combined, q)]) == _power_product(curve, products, coefficients)
+
+
+def test_a_group_cancelling_to_infinity_contributes_nothing(toy_bn):
+    curve, rng = toy_bn, random.Random(157)
+    C, A = curve.random_g1(rng), curve.random_g1(rng)
+    delta, B = precompute_g2(curve, curve.random_g2(rng)), curve.random_g2(rng)
+    products = [[(A, B), (C, delta)], [(-C, delta)]]
+    combined = combine_products(curve, products, [9, 9])
+    assert [q for _, q in combined] == [B]                 # C and -C, equal coefficients
+    assert multi_pairing(curve, combined) == _power_product(curve, products, [9, 9])
+    assert combine_products(curve, products, [9, 8])[1][0] == C
+
+
+def test_service_shaped_batches_walk_one_source_per_g2_point(toy_bn):
+    curve, rng = toy_bn, random.Random(163)
+    for make, pairs, sources in [(make_groth16_requests, 24, 12), (make_bls_requests, 16, 5)]:
+        cache = VerifyingKeyCache(curve)
+        products = [build_request_pairs(request, curve, cache)
+                    for request, _ in make(curve, 8, seed=167)]
+        coefficients = [1] + [rng.randrange(1, curve.r) for _ in products[1:]]
+        combined = combine_products(curve, products, coefficients)
+        assert (sum(map(len, products)), len(combined)) == (pairs, sources)
+        assert multi_pairing(curve, combined).is_one()     # valid requests, whatever the coefficients
+        assert multi_pairing(curve, combined) == _power_product(curve, products, coefficients)
+
+
+def test_combine_products_rejects_what_it_cannot_scale(toy_bn, toy_bls12, rng):
+    (P, Q), = _random_pairs(toy_bn, 1, seed=173)
+    with pytest.raises(PairingError, match="2 products for 1 coefficients"):
+        combine_products(toy_bn, [[(P, Q)], [(P, Q)]], [1])
+    with pytest.raises(PairingError, match=r"products\[1\].*tuple"):
+        combine_products(toy_bn, [[(P, Q)], [((P.x, P.y), Q)]], [1, 2])
+    with pytest.raises(CurveError, match="different curves"):
+        combine_products(toy_bn, [[(toy_bls12.random_g1(rng), Q)]], [2])
+    with pytest.raises(CurveError, match="float"):
+        combine_products(toy_bn, [[(P, Q)]], [2.0])
+
+
+@pytest.mark.slow
+def test_combined_products_equal_the_product_of_powers_on_bls12_381():
+    curve, rng = get_curve("BLS12-381"), random.Random(179)
+    products = _groth16_shaped_products(curve, 3, seed=181, circuits=1)
+    coefficients = [1, rng.randrange(1, 1 << 128), -rng.randrange(curve.r, 1 << 260)]
+    combined = combine_products(curve, products, coefficients)
+    assert len(combined) == 5                              # 3 live, beta, delta
+    assert multi_pairing(curve, combined) == _power_product(curve, products, coefficients)

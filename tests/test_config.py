@@ -318,6 +318,23 @@ def test_the_miller_loop_is_walked_in_one_module():
     assert writers == {"pairing/context.py"}
 
 
+def test_one_ladder_walks_signed_window_digits():
+    """Under ``curves/``, ``signed_windows`` recodes a scalar and
+    ``ladder_kernels`` is fetched in one function each, the same one:
+    ``scalar_mul`` is its one-term call, so a second ladder (a one-term loop
+    kept "for speed") cannot come back unnoticed."""
+    callers = {"signed_windows": [], "ladder_kernels": []}
+    for path in sorted((SRC / "curves").rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                            and node.func.id in callers:
+                        callers[node.func.id].append((path.name, function.name))
+    assert callers == {"signed_windows": [("model.py", "multi_scalar_mul")],
+                       "ladder_kernels": [("model.py", "multi_scalar_mul")]}
+
+
 def test_one_cycle_record_and_no_depth_in_the_compile_layer():
     """``sim/cycle.py`` answers every walk with one record, and the pipeline
     depth is an argument of the simulation: under ``compiler/`` the identifier

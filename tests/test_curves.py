@@ -273,6 +273,122 @@ def test_integer_like_scalars_are_accepted(toy_bn):
 
 
 # ---------------------------------------------------------------------------
+# Multi-scalar multiplication: the interleaved walk of the same ladder against
+# the sum of its one-term walks' reference, the affine loop
+# ---------------------------------------------------------------------------
+
+def affine_multi_scalar_mul(curve, points, scalars):
+    total = curve.infinity()
+    for point, scalar in zip(points, scalars):
+        total = total + affine_scalar_mul(point, scalar)
+    return total
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_multi_scalar_mul_matches_the_sum_of_affine_loops(toy_curve, group, data):
+    generator = getattr(toy_curve, f"{group}_generator")
+    curve, r = generator.curve, toy_curve.r
+    scalars = data.draw(st.lists(st.integers(-2 * r, 2 * r), max_size=6))
+    points = [affine_scalar_mul(generator, data.draw(st.integers(0, r - 1)))   # 0: infinity
+              for _ in scalars]
+    assert curve.multi_scalar_mul(points, scalars) == \
+        affine_multi_scalar_mul(curve, points, scalars)
+    # Iterables that can be walked once are enough.
+    assert curve.multi_scalar_mul(iter(points), iter(scalars)) == \
+        affine_multi_scalar_mul(curve, points, scalars)
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_multi_scalar_mul_named_cases(toy_curve, group):
+    P = getattr(toy_curve, f"{group}_generator")
+    curve, r = P.curve, toy_curve.r
+    Q, infinity = affine_scalar_mul(P, 0xBEEF), curve.infinity()
+    long = (1 << 254) + 0x5DEECE66D                       # 255 bits beside one
+    cases = {
+        "empty sum": ([], []),
+        "all-zero scalars": ([P, Q], [0, 0]),
+        "infinity among the points": ([P, infinity, Q], [5, 7, -3]),
+        "only infinity": ([infinity], [9]),
+        "P twice": ([P, P], [r - 2, r - 2]),
+        "P twice, different scalars": ([P, Q, P], [3, 11, 1 << 20]),
+        "P and -P, equal scalars": ([P, -P], [12345, 12345]),
+        "P and -P around a generic term": ([P, Q, -P], [r - 1, 77, r - 1]),
+        "P and -P, opposite scalars": ([P, -P], [9, -9]),
+        "one bit beside 255": ([P, Q], [1, long]),
+        "255 bits beside one": ([P, Q], [long, 1]),
+        "negative beside positive": ([P, Q], [-long, long]),
+        "multiples of the order": ([P, Q], [r, -2 * r]),
+        "the sum is infinity at the end": ([P, Q], [0xBEEF, -1]),
+    }
+    for name, (points, scalars) in cases.items():
+        assert curve.multi_scalar_mul(points, scalars) == \
+            affine_multi_scalar_mul(curve, points, scalars), name
+    assert curve.multi_scalar_mul([], []).is_infinity()
+    assert curve.multi_scalar_mul([P, -P], [12345, 12345]).is_infinity()
+    assert curve.multi_scalar_mul([P], [7]) == P.scalar_mul(7)
+
+
+def test_multi_scalar_mul_with_every_small_order_point(toy_bls12):
+    """Every point of order 2, 3, 6, 9 and 18 of TOY-BLS12-54's ``E(F_p)`` (see
+    ``test_scalar_mul_on_every_small_order_point``) as one term beside a
+    generic one: its table falls back to the affine law while its
+    neighbour's is normalised by the shared inversion."""
+    curve, rng = toy_bls12.curve, random.Random(0x0DD)
+    order = toy_bls12.cofactor_g1 * toy_bls12.r
+    torsion = {curve.infinity()}                           # Z2 x Z2 x Z9 x Z3, grown a generator at a time
+    while len(torsion) < 108:
+        small = affine_scalar_mul(curve.random_point(rng), order // 108)
+        multiple = small
+        while not multiple.is_infinity():
+            torsion |= {point + multiple for point in torsion}
+            multiple = multiple + small
+    small_points = [point for point in torsion if not point.is_infinity()]
+    assert len(small_points) == 107 and all(
+        affine_scalar_mul(point, 18).is_infinity() for point in small_points)
+    generic = toy_bls12.g1_generator
+    for small in small_points:
+        for s, t in [(1, 1), (7, 1000003), (-5, 18), (36, -9), (toy_bls12.r, 11)]:
+            for points in ([small, generic], [generic, small], [small, generic, small]):
+                scalars = [s, t, s + 1][:len(points)]
+                assert curve.multi_scalar_mul(points, scalars) == \
+                    affine_multi_scalar_mul(curve, points, scalars), (small, s, t)
+
+
+def test_multi_scalar_mul_on_a_curve_with_a_nonzero_a():
+    """The curve of ``test_scalar_mul_on_a_curve_with_a_nonzero_a``: every pair
+    of its 70 points -- equal, opposite, of order two, at infinity -- under
+    scalars that make their walks meet."""
+    p = 67
+    curve = EllipticCurve(PrimeField(p), 5, 7)
+    points = [curve.infinity()] + [
+        curve.point(x, y) for x in range(p) for y in range(p)
+        if (y * y - (x**3 + 5 * x + 7)) % p == 0]
+    multiples = {(index, s): affine_scalar_mul(point, s)
+                 for index, point in enumerate(points) for s in (1, 3, 23, -9, 70)}
+    for i, first in enumerate(points):
+        for j, second in enumerate(points):
+            for s, t in [(1, 1), (3, -9), (23, 3), (-9, 70), (70, 23)]:
+                assert curve.multi_scalar_mul([first, second], [s, t]) == \
+                    multiples[i, s] + multiples[j, t], (first, second, s, t)
+
+
+def test_multi_scalar_mul_rejects_what_it_cannot_sum(toy_bn, toy_bls12):
+    curve, P = toy_bn.curve, toy_bn.g1_generator
+    with pytest.raises(CurveError, match="different curves"):
+        curve.multi_scalar_mul([P, toy_bls12.g1_generator], [1, 2])
+    with pytest.raises(CurveError, match="different curves"):
+        curve.multi_scalar_mul([P, toy_bn.g2_generator], [1, 2])
+    with pytest.raises(CurveError, match="different curves"):     # even for a skipped term
+        curve.multi_scalar_mul([P, toy_bls12.curve.infinity()], [1, 0])
+    with pytest.raises(CurveError, match="float"):
+        curve.multi_scalar_mul([P, P], [1, 2.0])
+    with pytest.raises(CurveError, match="2 points for 1 scalars"):
+        curve.multi_scalar_mul([P, P], [1])
+
+
+# ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
 

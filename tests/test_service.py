@@ -10,7 +10,11 @@ verdicts are bit-identical to unbatched ``multi_pairing`` verification.
 from __future__ import annotations
 
 import asyncio
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -234,15 +238,21 @@ def test_batcher_flush_errors_propagate_to_callers():
 # The service itself (real pairings on the toy curve)
 # ---------------------------------------------------------------------------
 
-def _serve_all(curve, traffic, config):
-    """Run every (request, expected) pair through one service instance."""
+def _serve_with_metrics(curve, traffic, config, seed=7):
+    """Run every (request, expected) pair through one service instance; the
+    verdicts and the ``reliability`` block of its snapshot."""
     async def scenario():
         async with VerificationService(curve, config,
-                                       rng=random.Random(7)) as service:
+                                       rng=random.Random(seed)) as service:
             futures = [service.submit(request) for request, _ in traffic]
-            return await asyncio.wait_for(asyncio.gather(*futures), timeout=60.0)
+            verdicts = await asyncio.wait_for(asyncio.gather(*futures), timeout=60.0)
+            return verdicts, service.metrics.snapshot()["reliability"]
 
     return asyncio.run(scenario())
+
+
+def _serve_all(curve, traffic, config):
+    return _serve_with_metrics(curve, traffic, config)[0]
 
 
 def test_service_routes_verdicts_exactly(toy_bn):
@@ -338,3 +348,90 @@ def test_service_rejects_unsupported_request(toy_bn):
                 service.submit(object())
 
     asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# The coalesced fused batch: soundness, attribution, determinism
+# ---------------------------------------------------------------------------
+
+def test_cancelling_forgeries_are_both_rejected(toy_bn):
+    """Two requests of one circuit carrying ``C + D`` and ``C - D``: each is
+    invalid, and the errors cancel in the coalesced ``delta`` group whenever the
+    two coefficients are equal -- so they must not be."""
+    (first, _), (second, _) = make_groth16_requests(toy_bn, 2, seed=21, n_circuits=1)
+    D = toy_bn.g1_generator.scalar_mul(0xD1FF)
+    traffic = [(replace(request, proof=replace(request.proof, c=request.proof.c + shift)), False)
+               for request, shift in ((first, D), (second, -D))]
+    cache = VerifyingKeyCache(toy_bn)
+    pairs = [build_request_pairs(request, toy_bn, cache) for request, _ in traffic]
+    assert not any(multi_pairing(toy_bn, product).is_one() for product in pairs)
+    assert multi_pairing(toy_bn, pairs[0] + pairs[1]).is_one()      # unit coefficients: fooled
+    config = ServiceConfig(max_batch=2, deadline_ms=50.0)
+    for seed in range(20):
+        verdicts, reliability = _serve_with_metrics(toy_bn, traffic, config, seed)
+        assert verdicts == [False, False], seed
+        assert (reliability["fused_batches"], reliability["fused_failures"]) == (1, 1)
+
+
+def test_a_forgery_inside_a_coalesced_batch_is_attributed_exactly(toy_bn):
+    traffic = make_groth16_requests(toy_bn, 8, seed=23, forge_fraction=1 / 8)
+    config = ServiceConfig(max_batch=8, deadline_ms=50.0)
+    verdicts, reliability = _serve_with_metrics(toy_bn, traffic, config, seed=3)
+    assert verdicts == [expected for _, expected in traffic] == [True] * 7 + [False]
+    assert reliability["fused_failures"] == 1
+    assert (reliability["fused_pairs"], reliability["fused_sources"]) == (24, 12)
+
+
+def test_the_coalescing_is_visible_in_the_snapshot(toy_bn):
+    config = ServiceConfig(max_batch=8, deadline_ms=50.0)
+    for make, pairs, sources in [(make_groth16_requests, 24, 12), (make_bls_requests, 16, 5)]:
+        traffic = make(toy_bn, 16, seed=25)                # two full batches
+        verdicts, reliability = _serve_with_metrics(toy_bn, traffic, config, seed=5)
+        assert verdicts == [True] * 16
+        assert reliability["fused_batches"] == 2 and reliability["fused_failures"] == 0
+        assert (reliability["fused_pairs"], reliability["fused_sources"]) == \
+            (2 * pairs, 2 * sources)
+
+
+def test_fused_and_exact_agree_on_a_mixed_stream(toy_bn):
+    groth16 = make_groth16_requests(toy_bn, 8, seed=27, forge_fraction=0.25)
+    bls = make_bls_requests(toy_bn, 8, seed=28, forge_fraction=0.25)
+    traffic = [entry for pair in zip(groth16, bls) for entry in pair]
+    assert len(traffic) == 16
+    fused = _serve_all(toy_bn, traffic, ServiceConfig(max_batch=8, deadline_ms=50.0))
+    exact = _serve_all(toy_bn, traffic,
+                       ServiceConfig(max_batch=8, deadline_ms=50.0, fuse="none"))
+    assert fused == exact == [expected for _, expected in traffic]
+
+
+_FUSED_SOURCES_SCRIPT = """
+import asyncio, random
+import repro
+from repro.service import (ServiceConfig, VerificationService, make_bls_requests,
+                           make_groth16_requests)
+
+curve = repro.get_curve("TOY-BN42")
+traffic = make_groth16_requests(curve, 8, seed=31) + make_bls_requests(curve, 8, seed=32)
+
+async def scenario():
+    config = ServiceConfig(max_batch=16, deadline_ms=50.0)
+    async with VerificationService(curve, config, rng=random.Random(9)) as service:
+        verdicts = await asyncio.gather(*(service.submit(request) for request, _ in traffic))
+        reliability = service.metrics.snapshot()["reliability"]
+        print(verdicts.count(True), reliability["fused_pairs"], reliability["fused_sources"])
+
+asyncio.run(scenario())
+"""
+
+
+def test_the_same_rng_coalesces_alike_under_either_hash_seed():
+    """Groups are keyed by ``id`` and by point hashes; their order is dict
+    insertion, so nothing a batch does may depend on the hash seed."""
+    lines = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        lines.add(subprocess.run([sys.executable, "-c", _FUSED_SOURCES_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 timeout=120).stdout)
+    assert lines == {"16 40 17\n"}                         # 24 + 16 pairs -> 12 + 5 sources
