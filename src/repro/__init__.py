@@ -59,7 +59,8 @@ Compiler
     two-tier compile cache.
 
 Compile-artifact store (disk tier)
-    ``ArtifactStore`` -- content-addressed on-disk kernel store.
+    ``ArtifactStore`` -- content-addressed on-disk kernel store (a hit loads
+    the kernel's recorded facts; its schedule and program on first use).
     ``active_store()`` / ``configure_store(path)`` -- inspect / pin the
     process-wide store (``FINESSE_CACHE_DIR`` configures it per environment).
 
@@ -146,7 +147,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "get_curve",

@@ -2,7 +2,7 @@
 
 Stages (Section 3.5 of the paper): CodeGen -> IROpt -> BankAlloc -> PackSched ->
 RegAlloc -> ASM -> Link, run for one :class:`repro.compiler.pipeline.KernelSpec` by
-:func:`repro.compiler.pipeline.compile_kernel`.
+:func:`repro.compiler.pipeline.compile_kernel` (``cached_kernel`` is its lookup half).
 """
 
 from repro.compiler.cache import CacheStats, CompileCache
@@ -10,6 +10,7 @@ from repro.compiler.pipeline import (
     CompilerPipeline,
     CompileResult,
     KernelSpec,
+    cached_kernel,
     clear_caches,
     compile_cache_stats,
     compile_kernel,
@@ -34,6 +35,7 @@ __all__ = [
     "active_store",
     "configure_store",
     "compile_kernel",
+    "cached_kernel",
     "compile_pairing",
     "compile_cache_stats",
     "clear_caches",

@@ -27,7 +27,7 @@ from repro.compiler.codegen import (
     generate_pairing_ir,
     validate_batch_size,
 )
-from repro.compiler.store import ArtifactStore, StoreStats, active_store
+from repro.compiler.store import ArtifactStore, Deferred, StoreStats, active_store
 from repro.reliability import faults as _faults
 from repro.compiler.opt import OptStats, optimize
 from repro.compiler.regalloc import allocate_registers
@@ -160,6 +160,12 @@ class CompileResult:
     deterministic ``hw.n_cores``-core simulation (per-pair line-evaluation
     lanes distributed by the LPT list schedule) and :attr:`cycle_stats` the
     plain single-core run of the same schedule.
+
+    :attr:`schedule` and :attr:`program` -- all but ~1 kB of a result -- live
+    in :attr:`bulk`, which a store entry defers: a result served from disk
+    unpickles both, once, when either is first read.  What a design point is
+    priced from (:attr:`cycles`, :attr:`ipc`, :attr:`imem_bits`, the registers,
+    :meth:`describe`, depth-1 :meth:`pipelined`) is recorded and never does.
     """
 
     curve_name: str
@@ -170,11 +176,13 @@ class CompileResult:
     final_instructions: int            # F_p instructions after IROpt ("Opt.")
     opt_stats: OptStats
     # Backend results.
-    schedule: ScheduledProgram
     cycle_stats: CycleStats
     registers_per_bank: dict
     total_registers: int
-    program: object | None             # AssembledProgram (None if assembly skipped)
+    #: The assembled binary's size; without assembly, 32 bits an instruction.
+    imem_bits: int
+    #: ``(schedule, program)``; shared by relabelled copies of the result.
+    bulk: Deferred
     # Baseline (program-order) timing, populated on request (single kernel).
     baseline_cycle_stats: CycleStats | None = None
     #: The ``hw.n_cores``-core simulation of a batched kernel; None on the
@@ -188,6 +196,15 @@ class CompileResult:
         if name in _KNOBS:
             return getattr(self.spec, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @property
+    def schedule(self) -> ScheduledProgram:
+        return self.bulk.get()[0]
+
+    @property
+    def program(self):
+        """The ``AssembledProgram`` (None if assembly was skipped)."""
+        return self.bulk.get()[1]
 
     @property
     def _configured_stats(self):
@@ -234,13 +251,6 @@ class CompileResult:
         if validate_pipeline_depth(depth) == 1:
             return self.multicore_stats
         return CycleAccurateSimulator().run_pipelined(self.schedule, self.spec.hw.n_cores, depth)
-
-    @property
-    def imem_bits(self) -> int:
-        if self.program is not None:
-            return self.program.binary_size_bits()
-        # Without assembly, assume the 32-bit encoding for sizing purposes.
-        return self.schedule.instruction_count * 32
 
     @property
     def compile_seconds(self) -> float:
@@ -340,9 +350,12 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
         hl_instructions=hl_module.count_compute_ops(),
         initial_instructions=initial_instructions,
         final_instructions=optimized_module.count_compute_ops(),
-        opt_stats=opt_stats, schedule=schedule, cycle_stats=cycle_stats,
+        opt_stats=opt_stats, cycle_stats=cycle_stats,
         registers_per_bank=dict(allocation.registers_per_bank),
-        total_registers=allocation.total_registers, program=program,
+        total_registers=allocation.total_registers,
+        imem_bits=(schedule.instruction_count * 32 if program is None
+                   else program.binary_size_bits()),
+        bulk=Deferred((schedule, program)),
         baseline_cycle_stats=baseline_stats, multicore_stats=multicore_stats,
         stage_seconds=timings,
     )
@@ -455,40 +468,62 @@ def compile_cache_stats() -> dict:
     return stats
 
 
+def _lookup(key: str, spec: KernelSpec, store) -> CompileResult | None:
+    """The two-tier result lookup under ``key``: memory, then ``store``.
+
+    A hit counts on the tier that answered, and a disk hit repopulates the
+    memory tier.  Names are labels, not semantics, so they are not in the
+    digest: a hit compiled under another ``hw`` / ``variant_config`` *name*
+    answers as a copy carrying the caller's spec, which shares the
+    :attr:`~CompileResult.bulk` and takes the memory slot (one more
+    ``stores``), so one caller's repeated hits are one object.
+    """
+    cached = _RESULT_CACHE.peek(key)
+    if cached is not None:
+        _RESULT_CACHE.stats.hits += 1
+    elif store is not None:
+        cached = store.load(key)
+        if cached is not None:
+            _RESULT_CACHE.store(key, cached)
+    if cached is not None and (cached.spec.hw.name, cached.spec.variant_config.name) != (
+            spec.hw.name, spec.variant_config.name):
+        cached = replace(cached, spec=spec)
+        _RESULT_CACHE.store(key, cached)
+    return cached
+
+
+def cached_kernel(curve, spec: KernelSpec) -> CompileResult | None:
+    """The lookup half of :func:`compile_kernel`: its answer when a cache tier
+    holds the kernel, else ``None`` (the exploration engine answers cached
+    points in the parent and dispatches the rest).
+
+    The disk tier is asked only for an entry that exists: finding nothing
+    moves no counter -- that miss belongs to whoever compiles the kernel.
+    """
+    spec = spec.resolved(curve)
+    key, store = spec.digest(curve), active_store()
+    if key not in _RESULT_CACHE and (store is None or key not in store):
+        return None
+    return _lookup(key, spec, store)
+
+
 def compile_kernel(curve, spec: KernelSpec, use_cache: bool = True) -> CompileResult:
     """Compile the kernel ``spec`` describes for ``curve``: where every entry
     point meets.
 
-    Two-tier result lookup under ``spec.digest(curve)``: memory, then disk,
-    then a real compile.  The result-cache miss counter is only bumped when a
-    real compile happens, preserving the "misses == recompilations" contract
-    for disk-served sweeps.  A hit is the cached object itself unless it was
-    compiled under another ``hw`` / ``variant_config`` *name* (one model under
-    two names digests alike): then it is a copy carrying the requested spec,
-    which replaces it in the memory tier (one more ``stores``; hits and misses
-    count as ever).  ``use_cache=False`` compiles unconditionally and
-    leaves both tiers and their counters alone (the stage caches still serve).
+    Two-tier result lookup under ``spec.digest(curve)`` (:func:`_lookup`):
+    memory, then disk, then a real compile.  The result-cache miss counter is
+    only bumped when a real compile happens, preserving the "misses ==
+    recompilations" contract for disk-served sweeps.  ``use_cache=False``
+    compiles unconditionally and leaves both tiers and their counters alone
+    (the stage caches still serve).
     """
     spec = spec.resolved(curve)
     store = active_store() if use_cache else None
     if use_cache:
         key = spec.digest(curve)
-        cached = _RESULT_CACHE.peek(key)
+        cached = _lookup(key, spec, store)
         if cached is not None:
-            _RESULT_CACHE.stats.hits += 1
-        elif store is not None:
-            cached = store.load(key)
-            if cached is not None:
-                _RESULT_CACHE.store(key, cached)
-        if cached is not None:
-            # Names are labels, not semantics, so they are not in the digest:
-            # a hit compiled under other names answers with the caller's.  The
-            # relabelled copy takes the memory slot, so one caller's repeated
-            # hits are one object.
-            if (cached.spec.hw.name, cached.spec.variant_config.name) != (
-                    spec.hw.name, spec.variant_config.name):
-                cached = replace(cached, spec=spec)
-                _RESULT_CACHE.store(key, cached)
             return cached
         _RESULT_CACHE.stats.misses += 1
     if _faults.ACTIVE is not None:

@@ -13,9 +13,9 @@ where ``key`` is the same SHA-256 semantic digest produced by
 :meth:`CompileCache.make_key`.  The directory name is a namespace with two
 self-invalidation axes:
 
-* :data:`SCHEMA_VERSION` is bumped by hand whenever the serialised shape of
-  :class:`CompileResult` (or the stage products it carries) changes
-  incompatibly, making stale formats invisible without migration logic;
+* :data:`SCHEMA_VERSION` is bumped by hand whenever the file format below
+  changes incompatibly, making stale formats invisible without migration
+  logic;
 * the *fingerprint* is a digest of the ``repro`` package sources
   (:func:`code_fingerprint`), so artefacts compiled by an older compiler are
   never served after a code change -- compile keys describe the *input*
@@ -27,10 +27,19 @@ Abandoned namespaces are garbage-collected before live entries whenever the
 store goes over budget.
 
 Each file is a 64-hex-character SHA-256 digest of the payload, a newline, and
-the payload itself: a zlib-compressed pickle of ``{"schema", "key", "value"}``.
-The digest header turns truncation and bit-rot into *misses* (the entry is
-dropped and rewritten) rather than crashes; the embedded key defends against
-renamed or misplaced files.
+the payload: ``<head length, four bytes big-endian> <head> <bulk>``.  The
+*head* is a zlib-compressed pickle of ``{"schema", "key", "value"}`` without
+the value's :class:`Deferred` part (a value may carry one); the *bulk* is that
+part's own compressed pickle, empty for a plain value.
+:meth:`ArtifactStore.load` verifies the one digest over both sections and
+unpickles the head only: the bulk's verified bytes wait inside the value's
+``Deferred`` for their first reader (a
+:class:`~repro.compiler.pipeline.CompileResult` defers its schedule and
+program, all but ~1 kB of a ~1 MB entry).  Truncation and bit-rot in either
+section are thus load-time *misses* (the entry is dropped and rewritten), never
+crashes or late failures; the embedded key defends against renamed or misplaced
+files.  The pickled classes need no version of their own: the fingerprint
+covers the sources that define them.
 
 Concurrency
 -----------
@@ -53,6 +62,7 @@ the scanner is never an error.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import os
 import pickle
@@ -64,14 +74,19 @@ from pathlib import Path
 from repro.config import CACHE_DIR_ENV, MAX_BYTES_ENV, env_int, env_str
 from repro.reliability import faults as _faults
 
-#: Bump on any incompatible change to the pickled artefact shape.
-SCHEMA_VERSION = 6
+#: Bump on any incompatible change to the entry format.
+SCHEMA_VERSION = 7
 
 #: Default eviction budget: 2 GiB holds thousands of toy-curve kernels and
 #: hundreds of full-size ones while staying inside CI cache quotas.
 DEFAULT_MAX_BYTES = 2 * 1024 ** 3
 
 _PICKLE_PROTOCOL = 4                   # stable across CPython 3.10-3.12
+#: zlib level of both sections.  On a TOY-BN42 kernel entry levels 6 / 3 / 1
+#: compress in 43 / 18 / 12.5 ms to 310 / 315 / 322 kB and all decompress in
+#: 4.2 ms, next to 7 ms of pickling: level 1 more than halves a store write
+#: (BLS12-381: 266 -> 91 ms) for +4.5 % bytes (docs/performance.md, 1.20.0).
+_ZLIB_LEVEL = 1
 _SUFFIX = ".art"
 _TMP_COUNTER = itertools.count()
 
@@ -102,6 +117,48 @@ def code_fingerprint() -> str:
             digest.update(b"\0")
         _CODE_FINGERPRINT = digest.hexdigest()
     return _CODE_FINGERPRINT
+
+
+class Deferred:
+    """The part of a stored value (one at most) that is unpickled on first use.
+
+    A loaded one holds the entry's verified compressed bytes until :meth:`get`;
+    copies of the value share it, and so its one materialisation.  Pickled
+    anywhere else it travels in the state it is in.
+    """
+
+    def __init__(self, value, packed: bytes | None = None):
+        self._value, self._packed = value, packed
+
+    @property
+    def materialised(self) -> bool:
+        return self._packed is None
+
+    def get(self):
+        if self._packed is not None:
+            self._value = pickle.loads(zlib.decompress(self._packed))
+            self._packed = None
+        return self._value
+
+    def packed(self) -> bytes:
+        """The bulk section: a loaded entry's own bytes until first use."""
+        if self._packed is not None:
+            return self._packed
+        return zlib.compress(pickle.dumps(self._value, _PICKLE_PROTOCOL), _ZLIB_LEVEL)
+
+
+class _HeadPickler(pickle.Pickler):
+    """Pickles a value without its :class:`Deferred` part, which it keeps."""
+
+    deferred = None
+
+    def persistent_id(self, obj):
+        if not isinstance(obj, Deferred):
+            return None
+        if self.deferred not in (None, obj):
+            raise ValueError("a stored value may carry one deferred part")
+        self.deferred = obj
+        return "bulk"
 
 
 @dataclass
@@ -188,10 +245,12 @@ class ArtifactStore:
     # -- serialisation -----------------------------------------------------------
     @staticmethod
     def _serialize(key: str, value) -> bytes:
-        payload = zlib.compress(
-            pickle.dumps({"schema": SCHEMA_VERSION, "key": key, "value": value},
-                         protocol=_PICKLE_PROTOCOL)
-        )
+        buffer = io.BytesIO()
+        pickler = _HeadPickler(buffer, protocol=_PICKLE_PROTOCOL)
+        pickler.dump({"schema": SCHEMA_VERSION, "key": key, "value": value})
+        head = zlib.compress(buffer.getvalue(), _ZLIB_LEVEL)
+        bulk = b"" if pickler.deferred is None else pickler.deferred.packed()
+        payload = len(head).to_bytes(4, "big") + head + bulk
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         return digest + b"\n" + payload
 
@@ -203,7 +262,11 @@ class ArtifactStore:
             raise ValueError("malformed artifact header")
         if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
             raise ValueError("artifact payload digest mismatch")
-        record = pickle.loads(zlib.decompress(payload))
+        bulk_start = 4 + int.from_bytes(payload[:4], "big")
+        unpickler = pickle.Unpickler(io.BytesIO(zlib.decompress(payload[4:bulk_start])))
+        deferred = Deferred(None, payload[bulk_start:])     # still packed
+        unpickler.persistent_load = lambda pid: deferred
+        record = unpickler.load()
         if not isinstance(record, dict) or record.get("schema") != SCHEMA_VERSION:
             raise ValueError("artifact schema mismatch")
         if record.get("key") != key:

@@ -47,7 +47,7 @@ same design points performs zero recompilations.  After every sweep the engine
 stores that sweep's per-stage cache counters (local delta plus all worker
 deltas) in ``last_report.cache_stats``.
 
-Two mechanisms extend that guarantee across process boundaries:
+Three mechanisms extend that guarantee across process boundaries:
 
 * **Dedup at dispatch** -- before sharding, points are grouped by their
   semantic compile identity (variant-config and hardware cache keys), only the
@@ -60,6 +60,10 @@ Two mechanisms extend that guarantee across process boundaries:
   disk-backed artifact store, so sweeps in *fresh* processes (new CLI runs,
   later CI jobs) are served from disk instead of recompiling; the shared
   ``disk`` counters surface in ``last_report.cache_stats``.
+* **Cached points are answered before dispatch** -- a distinct point whose
+  kernels are all in the memory or disk tier is priced by the parent from the
+  recorded facts (``last_report.cached_points``); only the rest is chunked, so
+  a fully warm ``workers=N`` sweep builds no pool at all (``chunks == 0``).
 
 Worker processes reconstruct the curve from its catalog name (curve objects
 hold deeply nested field towers that are expensive to ship), so multi-process
@@ -77,7 +81,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from repro.compiler.pipeline import compile_cache_stats, is_pairing_compiled
+from repro.compiler.pipeline import cached_kernel, compile_cache_stats, is_pairing_compiled
 from repro.config import (
     BUDGET_ENV,
     EVAL_TIMEOUT_ENV,
@@ -90,7 +94,7 @@ from repro.config import (
     positive_int,
 )
 from repro.curves.catalog import CURVE_SPECS
-from repro.dse.explorer import _evaluate_spec
+from repro.dse.explorer import KernelNotCached, _evaluate_spec
 from repro.dse.objectives import resolve_objective, resolve_objectives
 from repro.dse.pareto import ParetoResult, pareto_result
 from repro.dse.spec import EvalSpec
@@ -138,18 +142,24 @@ class ExplorationReport:
 
     points: int
     workers: int
+    #: Chunks dispatched to the pool (0 on a sweep the cache tiers answered).
     chunks: int
     objective: str
-    parallel: bool
-    #: Semantically distinct design points in the sweep (= dispatched points
-    #: on the parallel path; duplicates are filled from their representative).
+    #: Semantically distinct design points (duplicates are filled from theirs).
     distinct_points: int = 0
+    #: Distinct points the parent answered from a cache tier without dispatch.
+    cached_points: int = 0
     #: Merged compile-cache statistics (this process plus every worker).
     cache_stats: dict = field(default_factory=dict)
     #: Points quarantined by this sweep (crashed workers, timeouts).
     failed: int = 0
     #: Recovery counters of this sweep (``ReliabilityStats.snapshot()``).
     reliability: dict = field(default_factory=dict)
+
+    @property
+    def parallel(self) -> bool:
+        """A pool evaluated at least one point."""
+        return self.chunks > 0
 
     def describe(self) -> dict:
         result_stats = self.cache_stats.get("result", {})
@@ -164,6 +174,8 @@ class ExplorationReport:
             "compile_hits": result_stats.get("hits", 0),
             "compile_misses": result_stats.get("misses", 0),
         }
+        if self.cached_points:
+            summary["cached_points"] = self.cached_points
         if disk_stats:
             summary["disk_hits"] = disk_stats.get("hits", 0)
             summary["disk_misses"] = disk_stats.get("misses", 0)
@@ -501,20 +513,31 @@ class ParallelExplorer:
                     break
 
     def _evaluate_parallel(self, points):
-        """Fan chunks out to a process pool; reassemble in submission order.
+        """Answer cached points here, fan the rest out to a process pool in
+        chunks; reassemble in submission order.
 
-        Returns ``(metrics, chunks, worker_stats, distinct_count)`` or ``None``
-        when the pool cannot be used (non-catalog curve, restricted
-        environment), in which case the caller falls back to the sequential
-        path.  Worker deaths and timeouts are healed along the way: dead
-        workers' chunks are resubmitted point-by-point and repeat offenders
-        are quarantined (their slots stay ``None``).
+        Returns ``(metrics, chunks, worker_stats, distinct_count,
+        cached_count)`` or ``None`` when the pool cannot be used (non-catalog
+        curve, restricted environment), in which case the caller falls back to
+        the sequential path.  Worker deaths and timeouts are healed along the
+        way: dead workers' chunks are resubmitted point-by-point and repeat
+        offenders are quarantined (their slots stay ``None``).
         """
         if self.curve.name not in CURVE_SPECS or self._pool_unavailable:
             return None
         indexed, duplicates = self._dedup_points(points)
-        chunks = self._chunk_indexed(indexed)
         slots: list = [None] * len(points)
+        # A point whose kernels the memory or disk tier holds costs a lookup,
+        # so the parent answers it before anything is chunked (no evaluation
+        # is traversed: ``worker.evaluate`` does not fire); a failed or corrupt
+        # read is a miss.  The pool sees real work only -- none means no pool.
+        misses = []
+        for index, point in indexed:
+            try:
+                slots[index] = _evaluate_spec(self.curve, point, self.spec, cached_kernel)
+            except KernelNotCached:
+                misses.append((index, point))
+        chunks = self._chunk_indexed(misses)
         worker_stats: list = []
         failed_by_index: dict = {}
         try:
@@ -542,7 +565,7 @@ class ParallelExplorer:
                 self.failures.append(
                     replace(rep_failure, label=points[index].display_label)
                 )
-        return slots, chunks, worker_stats, len(indexed)
+        return slots, chunks, worker_stats, len(indexed), len(indexed) - len(misses)
 
     @staticmethod
     def _merge_cache_stats(local_delta, worker_stats) -> dict:
@@ -559,7 +582,7 @@ class ParallelExplorer:
         """Evaluate one batch of points (parallel when possible).
 
         The shared path under :meth:`explore` and :meth:`explore_pareto`:
-        returns ``(metrics, parallel, n_chunks, distinct)`` with metrics in
+        returns ``(metrics, n_chunks, distinct, cached)`` with metrics in
         submission order, appending worker cache deltas to
         ``worker_stats_acc`` and the process-lifetime totals.
         """
@@ -567,16 +590,16 @@ class ParallelExplorer:
         if self.workers > 1 and len(points) > 1:
             parallel_result = self._evaluate_parallel(points)
         if parallel_result is None:
-            return (self._evaluate_sequential(points), False, 0,
-                    len(self._dedup_points(points)[0]))
-        slots, chunks, worker_stats, distinct = parallel_result
+            return (self._evaluate_sequential(points), 0,
+                    len(self._dedup_points(points)[0]), 0)
+        slots, chunks, worker_stats, distinct, cached = parallel_result
         worker_stats_acc.extend(worker_stats)
         for stats in worker_stats:
             for name, counters in stats.items():
                 entry = _WORKER_TOTALS.setdefault(name, dict.fromkeys(_COUNTERS, 0))
                 for counter in _COUNTERS:
                     entry[counter] += counters.get(counter, 0)
-        return slots, True, len(chunks), distinct
+        return slots, len(chunks), distinct, cached
 
     @staticmethod
     def _canonical_distinct(points) -> list:
@@ -615,17 +638,17 @@ class ParallelExplorer:
         self.reliability.reset()
         stats_before = compile_cache_stats()
         worker_stats: list = []
-        self.evaluated, parallel, n_chunks, distinct = self._evaluate_batch(
+        self.evaluated, n_chunks, distinct, cached = self._evaluate_batch(
             points, worker_stats)
         local_delta = _stats_delta(compile_cache_stats(), stats_before)
         self.last_report = ExplorationReport(
             points=len(points),
             distinct_points=distinct,
+            cached_points=cached,
             workers=self.workers,
             chunks=n_chunks,
             objective=objective if isinstance(objective, str) else getattr(
                 objective, "__name__", "custom"),
-            parallel=parallel,
             cache_stats=self._merge_cache_stats(local_delta, worker_stats),
             failed=len(self.failures),
             reliability=self.reliability.snapshot(),
@@ -669,20 +692,19 @@ class ParallelExplorer:
             self.evaluated = []
             self.last_report = ExplorationReport(
                 points=0, workers=self.workers, chunks=0,
-                objective="+".join(result.objectives), parallel=False)
+                objective="+".join(result.objectives))
             return result
         stats_before = compile_cache_stats()
         worker_stats: list = []
         evaluated_metrics: list = []
-        ran_parallel = False
-        chunk_total = 0
+        chunk_total = cached_total = 0
 
         def evaluate(indices):
-            nonlocal ran_parallel, chunk_total
+            nonlocal chunk_total, cached_total
             batch = [distinct[i] for i in indices]
-            metrics, parallel, n_chunks, _ = self._evaluate_batch(batch, worker_stats)
-            ran_parallel = ran_parallel or parallel
+            metrics, n_chunks, _, cached = self._evaluate_batch(batch, worker_stats)
             chunk_total += n_chunks
+            cached_total += cached
             # Quarantined points surface as None slots: the frontier is built
             # from the survivors, and strategies skip the holes.
             evaluated_metrics.extend(m for m in metrics if m is not None)
@@ -714,10 +736,10 @@ class ParallelExplorer:
         self.last_report = ExplorationReport(
             points=len(points),
             distinct_points=len(distinct),
+            cached_points=cached_total,
             workers=self.workers,
             chunks=chunk_total,
             objective="+".join(result.objectives),
-            parallel=ran_parallel,
             cache_stats=self._merge_cache_stats(local_delta, worker_stats),
             failed=len(self.failures),
             reliability=self.reliability.snapshot(),

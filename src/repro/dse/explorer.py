@@ -119,21 +119,30 @@ class DesignMetrics:
         return summary
 
 
+class KernelNotCached(LookupError):
+    """A design point needs a kernel that no cache tier holds."""
+
+
 def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
-                    accumulator: str, fe_mode: str):
+                    accumulator: str, fe_mode: str, fetch):
     """The one place a design point meets the compiler: the single-pairing
     kernel when ``n_pairs`` is ``None``, else the ``n_pairs``-wide batched
-    kernel on the spec's core count."""
-    return compile_kernel(curve, KernelSpec(
+    kernel on the spec's core count.  ``fetch`` is ``compile_kernel``, or
+    ``cached_kernel`` for an evaluation that may only look kernels up: its
+    first miss ends it with :class:`KernelNotCached`."""
+    kernel = fetch(curve, KernelSpec(
         hw=point.hw if n_pairs is None else point.hw.with_cores(spec.n_cores),
         variant_config=point.variant_config, n_pairs=n_pairs,
         split_accumulators=accumulator == "split", final_exp_mode=fe_mode,
         do_assemble=spec.do_assemble,
     ))
+    if kernel is None:
+        raise KernelNotCached(point.display_label)
+    return kernel
 
 
 def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
-                           fe_mode, depth) -> dict:
+                           fe_mode, depth, fetch) -> dict:
     """End-to-end service figures of one design under a traffic profile.
 
     The design point's batched kernel is compiled at one-request and
@@ -165,7 +174,7 @@ def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
     def batch_cycles(n_requests: int) -> float:
         return _compile_kernel(
             curve, point, spec, profile.pairs_per_request * n_requests,
-            accumulator, fe_mode,
+            accumulator, fe_mode, fetch,
         ).pipelined(depth).steady_cycles_per_batch
 
     one = batch_cycles(1)
@@ -259,9 +268,11 @@ def evaluate_design_point(curve, point: DesignPoint, **knobs) -> DesignMetrics:
     return _evaluate_spec(curve, point, EvalSpec(**knobs))
 
 
-def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec) -> DesignMetrics:
+def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
+                   fetch=compile_kernel) -> DesignMetrics:
     """:func:`evaluate_design_point` below the keyword boundary (what the
-    exploration engine and its pool workers call with their one spec)."""
+    exploration engine and its pool workers call with their one spec;
+    ``fetch``: see :func:`_compile_kernel`)."""
     freq = frequency_mhz(point.hw.word_width, point.hw.long_latency, spec.technology)
     batch = spec.batch_size
     # Every (accumulator x final-exp) kernel variant the policies admit;
@@ -269,7 +280,7 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec) -> DesignMetrics:
     # kernel, then the declaration order of FINAL_EXP_MODES.
     variants = {
         (accumulator, fe_mode): _compile_kernel(curve, point, spec, batch,
-                                                accumulator, fe_mode)
+                                                accumulator, fe_mode, fetch)
         for fe_mode in spec.final_exp_modes
         for accumulator in spec.accumulator_modes
     }
@@ -317,7 +328,7 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec) -> DesignMetrics:
     service_fields = {}
     if spec.service_profile is not None:
         service_fields = _service_level_metrics(
-            curve, point, spec, freq, accumulator, fe_mode, depth)
+            curve, point, spec, freq, accumulator, fe_mode, depth, fetch)
     return DesignMetrics(
         label=point.display_label,
         curve=curve.name,

@@ -41,6 +41,20 @@ def _hermetic_disk_cache():
     reset_store_state()
 
 
+@pytest.fixture(autouse=True)
+def _hermetic_store_state():
+    """No test leaves its store configuration to the next one.
+
+    An explicit ``configure_store(...)`` -- ``None`` included -- outranks
+    ``FINESSE_CACHE_DIR`` until it is reset, so one forgotten reset silently
+    moved the disk tier of every later test that set the variable.
+    """
+    yield
+    from repro.compiler.store import reset_store_state
+
+    reset_store_state()
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _hermetic_faults():
     """Keep the suite hermetic w.r.t. fault injection.

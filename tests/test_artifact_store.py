@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -14,15 +15,26 @@ import time
 import pytest
 
 import repro.compiler.store as store_mod
-from repro.compiler.pipeline import clear_caches, compile_cache_stats, compile_pairing
+from repro.compiler.pipeline import (
+    clear_caches,
+    compile_cache_stats,
+    compile_multi_pairing,
+    compile_pairing,
+)
 from repro.compiler.store import (
     CACHE_DIR_ENV,
     ArtifactStore,
+    Deferred,
     active_store,
     configure_store,
     reset_store_state,
 )
+from repro.curves.catalog import get_curve
 from repro.fields.variants import VariantConfig
+from repro.hw.presets import figure10_models
+from repro.pairing.ate import optimal_ate_pairing
+from repro.sim.cycle import CycleAccurateSimulator
+from repro.sim.functional import FunctionalSimulator
 
 
 @pytest.fixture
@@ -69,6 +81,166 @@ def test_round_trip_compile_result(store, toy_bn, hw1_small):
     assert loaded.cycles == result.cycles
     assert loaded.describe() == result.describe()
     assert loaded.schedule.instruction_count == result.schedule.instruction_count
+
+
+# ---------------------------------------------------------------------------
+# Facts first: the head answers, the bulk waits for its first reader
+# ---------------------------------------------------------------------------
+
+KEY_C = "cc" + "2" * 62
+
+
+@pytest.fixture(scope="module")
+def compiled(toy_bn, hw1_small):
+    return compile_pairing(toy_bn, hw=hw1_small, use_cache=False)
+
+
+def _head(result) -> dict:
+    """Every field but the bulk (a ``VariantConfig`` compares by identity, so
+    it is taken apart)."""
+    head = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+            if f.name != "bulk"}
+    variants = result.spec.variant_config
+    head["spec"] = (dataclasses.replace(result.spec, variant_config=None),
+                    variants.name, variants.cache_key())
+    return head
+
+
+def assert_same_kernel(got, expected):
+    """Every field of a result, ``schedule`` and ``program`` included (an
+    ``IRModule`` compares by identity, so its columns are compared)."""
+    assert _head(got) == _head(expected)
+    for name in (f.name for f in dataclasses.fields(expected.schedule)):
+        mine, theirs = getattr(got.schedule, name), getattr(expected.schedule, name)
+        assert (vars(mine) == vars(theirs)) if name == "module" else (mine == theirs)
+    assert got.program == expected.program
+
+
+def test_loaded_result_answers_from_the_head_alone(store, compiled):
+    store.store(KEY_C, compiled)
+    loaded = store.load(KEY_C)
+    assert not loaded.bulk.materialised
+    assert (loaded.cycles, loaded.ipc, loaded.imem_bits, loaded.total_registers) == (
+        compiled.cycles, compiled.ipc, compiled.imem_bits, compiled.total_registers)
+    assert loaded.describe() == compiled.describe()
+    assert _head(loaded) == _head(compiled)
+    assert not loaded.bulk.materialised         # none of the above read the bulk
+    # One read materialises both, once.
+    schedule = loaded.schedule
+    assert loaded.bulk.materialised
+    assert loaded.schedule is schedule and loaded.program is loaded.program
+    assert_same_kernel(loaded, compiled)
+
+
+def test_loaded_program_computes_the_software_pairing(store, compiled, toy_bn, rng):
+    store.store(KEY_C, compiled)
+    P, Q = toy_bn.random_g1(rng), toy_bn.random_g2(rng)
+    inputs = {(name, j): coeff
+              for name, value in (("xP", P.x), ("yP", P.y), ("xQ", Q.x), ("yQ", Q.y))
+              for j, coeff in enumerate(value.to_base_coeffs())}
+    outputs = FunctionalSimulator(store.load(KEY_C).program, toy_bn.params.p).run(inputs).outputs
+    assert [outputs[("result", j)] for j in range(toy_bn.params.k)] == (
+        optimal_ate_pairing(toy_bn, P, Q).to_base_coeffs())
+
+
+def test_loaded_schedule_drives_every_walk_to_the_compiled_figures(store, toy_bn, hw1_small):
+    hw = hw1_small.with_cores(2)
+    compiled = compile_multi_pairing(toy_bn, 2, hw=hw, do_assemble=False, use_cache=False)
+    store.store(KEY_C, compiled)
+    loaded = store.load(KEY_C)
+    assert loaded.pipelined(1) == compiled.multicore_stats
+    assert not loaded.bulk.materialised         # depth 1 is a recorded fact
+    assert loaded.pipelined(2) == compiled.pipelined(2)
+    assert loaded.bulk.materialised             # deeper is a walk over the schedule
+    simulator = CycleAccurateSimulator()
+    assert simulator.run(loaded.schedule) == compiled.cycle_stats
+    assert simulator.run_multicore(loaded.schedule, 2) == compiled.multicore_stats
+
+
+@pytest.mark.slow
+def test_paper_curve_kernel_round_trips_in_every_field(store):
+    compiled = compile_pairing(get_curve("BLS12-381"), use_cache=False)
+    store.store(KEY_C, compiled)
+    loaded = store.load(KEY_C)
+    assert (loaded.cycles, loaded.imem_bits) == (122139, 3692320)
+    assert not loaded.bulk.materialised
+    assert_same_kernel(loaded, compiled)
+
+
+def test_imem_bits_is_a_recorded_fact(toy_bn):
+    # A VLIW model: the binary stores NOP slots, so the two sizings differ.
+    vliw = figure10_models(toy_bn.params.p.bit_length())[2]
+    assembled = compile_pairing(toy_bn, hw=vliw, use_cache=False)
+    bare = compile_pairing(toy_bn, hw=vliw, do_assemble=False, use_cache=False)
+    assert bare.program is None
+    assert assembled.imem_bits == assembled.program.binary_size_bits()
+    assert bare.imem_bits == bare.schedule.instruction_count * 32 != assembled.imem_bits
+
+
+def _section_offsets(blob: bytes) -> tuple:
+    """``(first head byte, first bulk byte)`` of an entry file."""
+    start = blob.index(b"\n") + 1 + 4
+    return start, start + int.from_bytes(blob[start - 4:start], "big")
+
+
+@pytest.mark.parametrize("damage", ["head", "bulk", "truncated", "key", "schema"])
+def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatch):
+    """Never a result whose first ``schedule`` read fails later."""
+    store.store(KEY_C, compiled)
+    path = store._path(KEY_C)
+    blob = bytearray(path.read_bytes())
+    head, bulk = _section_offsets(blob)
+    assert head < bulk < len(blob) - 1000       # a small head, then the bulk
+    if damage == "head":
+        blob[(head + bulk) // 2] ^= 0x01
+    elif damage == "bulk":
+        blob[(bulk + len(blob)) // 2] ^= 0x01
+    elif damage == "truncated":
+        del blob[-1000:]
+    elif damage == "key":                       # a valid entry under another name
+        blob = ArtifactStore._serialize(KEY_A, compiled)
+    else:                                       # a valid entry of another format
+        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", store_mod.SCHEMA_VERSION - 1)
+        blob = ArtifactStore._serialize(KEY_C, compiled)
+        monkeypatch.undo()
+    path.write_bytes(bytes(blob))
+    assert store.load(KEY_C) is None
+    assert store.stats.corrupt == 1 and store.stats.misses == 1
+    assert not path.exists()
+
+
+def test_two_entries_keep_their_own_bulk(store, compiled, toy_bn, hw2_small):
+    other = compile_pairing(toy_bn, hw=hw2_small, use_cache=False)
+    store.store(KEY_A, compiled)
+    store.store(KEY_B, other)
+    loaded, loaded_other = store.load(KEY_A), store.load(KEY_B)
+    assert_same_kernel(loaded_other, other)
+    assert_same_kernel(loaded, compiled)
+    assert loaded.schedule.hw == compiled.hw != loaded_other.schedule.hw
+
+
+def test_unmaterialised_result_is_stored_and_pickled_as_it_is(store, compiled, tmp_path):
+    store.store(KEY_C, compiled)
+    loaded = store.load(KEY_C)
+    elsewhere = ArtifactStore(tmp_path / "elsewhere")
+    assert store.store(KEY_A, loaded) and elsewhere.store(KEY_B, loaded)
+    copies = [store.load(KEY_A), elsewhere.load(KEY_B), pickle.loads(pickle.dumps(loaded))]
+    assert not loaded.bulk.materialised         # written out without being read
+    for copy in copies:
+        assert not copy.bulk.materialised
+        assert_same_kernel(copy, compiled)
+    # A materialised one pickles too (and arrives materialised).
+    assert_same_kernel(pickle.loads(pickle.dumps(copies[0])), compiled)
+
+
+def test_a_value_carries_one_deferred_part(store):
+    part = Deferred([1, 2, 3])
+    assert store.store(KEY_A, {"part": part, "again": part, "rest": "head"})
+    loaded = store.load(KEY_A)
+    assert loaded["rest"] == "head" and not loaded["part"].materialised
+    assert loaded["part"].get() == loaded["again"].get() == [1, 2, 3]
+    assert store.store(KEY_B, [Deferred(1), Deferred(2)]) is False
+    assert store.stats.errors == 1 and KEY_B not in store
 
 
 def test_entries_are_namespaced_by_schema_version(store, monkeypatch):
@@ -241,6 +413,31 @@ def test_concurrent_writers_converge_to_one_valid_entry(tmp_path):
     assert leftovers == []
 
 
+def _store_deferred_worker(root, key, tag):
+    store = ArtifactStore(root)
+    for _ in range(20):
+        store.store(key, {"tag": tag, "bulk": Deferred([tag] * 500)})
+    return True
+
+
+def test_concurrent_writers_never_mix_one_head_with_another_bulk(tmp_path):
+    """Both sections of an entry are one write of one writer."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    root = str(tmp_path / "cache")
+    try:
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            list(pool.map(_store_deferred_worker, [root] * 2, [KEY_A] * 2, ["p1", "p2"]))
+    except (OSError, PermissionError, BrokenProcessPool):
+        pytest.skip("process pools unavailable in this environment")
+    store = ArtifactStore(root)
+    value = store.load(KEY_A)
+    assert value["tag"] in ("p1", "p2") and not value["bulk"].materialised
+    assert value["bulk"].get() == [value["tag"]] * 500
+    assert len(store) == 1 and not list(store.namespace.rglob(".*.tmp"))
+
+
 # ---------------------------------------------------------------------------
 # Activation: environment variable, explicit configuration
 # ---------------------------------------------------------------------------
@@ -313,6 +510,19 @@ def test_a_cache_hit_answers_with_the_callers_labels(pipeline_store, toy_bn, hw1
     assert compile_pairing(toy_bn, hw=hw1_small) is compile_pairing(toy_bn, hw=hw1_small)
 
 
+def test_a_relabelled_hit_stays_lazy_and_shares_the_bulk(pipeline_store, toy_bn, hw1_small):
+    compiled = compile_pairing(toy_bn, hw=hw1_small)
+    clear_caches()                                  # memory tier only
+    renamed = dataclasses.replace(hw1_small, name="beta")
+    disk = compile_pairing(toy_bn, hw=renamed)       # disk hit, relabelled at once
+    memory = compile_pairing(toy_bn, hw=hw1_small)   # memory hit, relabelled back
+    assert (disk.hw.name, memory.hw.name) == ("beta", hw1_small.name)
+    assert compile_cache_stats()["disk"]["hits"] == 1
+    assert memory.bulk is disk.bulk and not disk.bulk.materialised
+    assert memory.schedule is disk.schedule          # one materialisation for both
+    assert_same_kernel(memory, compiled)
+
+
 def test_store_counters_always_report_under_the_disk_key(tmp_path, pipeline_store):
     """Every consumer reads ``compile_cache_stats()["disk"]``; a store could
     once be named otherwise, which made the key vanish."""
@@ -350,6 +560,7 @@ def test_clear_caches_resets_store_counters_and_optionally_disk(
 _SWEEP_SCRIPT = """
 import json, sys
 from repro.compiler.pipeline import compile_cache_stats, compile_pairing
+from repro.curves.catalog import get_curve
 from repro.curves.catalog import get_curve
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import paper_hw1, paper_hw2

@@ -117,13 +117,16 @@ def test_disk_counters_present_without_a_store(toy_bn, hw1_small):
     Runner summaries and --assert-warm scripts index the ``disk`` key
     unconditionally; a cold configuration must yield zeros, not a KeyError.
     """
-    from repro.compiler.store import active_store, configure_store
+    from repro.compiler.store import active_store, configure_store, reset_store_state
 
     configure_store(None)
-    assert active_store() is None
-    clear_caches()
-    compile_pairing(toy_bn, hw=hw1_small)
-    stats = compile_cache_stats()
+    try:
+        assert active_store() is None
+        clear_caches()
+        compile_pairing(toy_bn, hw=hw1_small)
+        stats = compile_cache_stats()
+    finally:
+        reset_store_state()
     # Full StoreStats.snapshot() key set, all zeroed: code indexing any
     # counter behaves identically on cold and warm configurations.
     for counter in ("hits", "misses", "stores", "corrupt", "evictions", "errors"):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.compiler.pipeline import clear_caches, compile_cache_stats
+from repro.compiler.pipeline import (
+    clear_caches,
+    compile_cache_stats,
+    pairing_compile_digest,
+)
+from repro.compiler.store import CACHE_DIR_ENV, active_store, reset_store_state
 from repro.dse.codesign import alu_family_codesign
 from repro.dse.engine import ParallelExplorer, worker_cache_stats
 from repro.dse.explorer import evaluate_design_point
@@ -74,6 +79,9 @@ def test_objective_handling_matches_legacy(toy_bn, toy_points):
 
 def test_parallel_workers_agree_with_sequential(toy_bn, toy_points):
     sequential = ParallelExplorer(toy_bn, workers=1).explore(toy_points)
+    # The parent answers what its memory tier holds: empty it, so that the
+    # pool is still what this test exercises.
+    clear_caches()
     with ParallelExplorer(toy_bn, workers=2, chunk_size=2) as parallel:
         ranked = parallel.explore(toy_points)
         # Deterministic merge: identical metrics and identical ranking regardless
@@ -183,3 +191,128 @@ def test_cold_parallel_sweep_compiles_each_distinct_point_once(toy_bn, toy_point
     assert engine.evaluated[: len(toy_points)] == [
         evaluate_design_point(toy_bn, point) for point in toy_points
     ]
+
+
+# ---------------------------------------------------------------------------
+# Warm sweeps: the parent answers cached points before it builds a pool
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def sweep_store(tmp_path, monkeypatch):
+    """An empty disk tier that pool workers see too (they inherit the variable)."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "store"))
+    reset_store_state()
+    clear_caches()
+    return active_store()
+
+
+def _sweep(curve, points, workers, **knobs):
+    with ParallelExplorer(curve, workers=workers, **knobs) as explorer:
+        ranked = explorer.explore(points, "efficiency")
+        if workers > 1 and explorer._pool_unavailable:
+            pytest.skip("process pools unavailable in this environment")
+        return ranked, explorer
+
+
+def _entry(store, curve, point, **knobs):
+    knobs.setdefault("final_exp_mode", "cyclotomic")
+    return store._path(pairing_compile_digest(
+        curve, hw=point.hw, variant_config=point.variant_config, **knobs))
+
+
+def test_cold_parallel_sweep_counts_as_before(toy_bn, toy_points, sweep_store):
+    """The parent's lookups find nothing and count nothing: every miss and
+    every store is the worker's that compiled the point."""
+    n = len(toy_points)
+    _, explorer = _sweep(toy_bn, toy_points, 2)
+    report = explorer.last_report
+    assert (report.cached_points, report.parallel) == (0, True)
+    assert "cached_points" not in report.describe()
+    assert report.cache_stats["result"]["misses"] == n
+    assert (report.cache_stats["disk"]["misses"], report.cache_stats["disk"]["stores"],
+            report.cache_stats["disk"]["hits"]) == (n, n, 0)
+    assert sweep_store.stats.misses == 0        # none of them the parent's
+
+
+def test_warm_parallel_sweep_forks_nothing(toy_bn, toy_points, sweep_store):
+    n = len(toy_points)
+    sequential, _ = _sweep(toy_bn, toy_points, 1)
+    clear_caches()                              # memory tier only
+    ranked, explorer = _sweep(toy_bn, toy_points, 2)
+    report = explorer.last_report
+    assert explorer._pool is None               # never created, not merely closed
+    assert (report.chunks, report.parallel, report.distinct_points) == (0, False, n)
+    assert report.cached_points == report.describe()["cached_points"] == n
+    assert report.cache_stats["result"]["misses"] == 0
+    assert report.cache_stats["disk"]["hits"] == n
+    assert ranked == sequential
+    # What the parent answered it now holds: the next sweep is memory hits,
+    # and duplicates of a cached representative are filled from it.
+    _, explorer = _sweep(toy_bn, toy_points + toy_points[:3], 2)
+    report = explorer.last_report
+    assert explorer.evaluated[n:] == explorer.evaluated[:3]
+    assert (report.cached_points, report.distinct_points, report.chunks) == (n, n, 0)
+    assert report.cache_stats["result"]["hits"] == n
+    assert report.cache_stats["disk"]["hits"] == 0
+
+
+def test_mixed_sweep_dispatches_only_what_is_missing(toy_bn, toy_points, sweep_store):
+    n = len(toy_points)
+    sequential, reference = _sweep(toy_bn, toy_points, 1)
+    for point in toy_points[::2]:               # every other point: slots interleave
+        _entry(sweep_store, toy_bn, point).unlink()
+    clear_caches()
+    ranked, explorer = _sweep(toy_bn, toy_points, 2, chunk_size=1)
+    report = explorer.last_report
+    missing = len(toy_points[::2])
+    assert (report.cached_points, report.chunks) == (n - missing, missing)
+    assert report.cache_stats["result"]["misses"] == missing
+    assert report.cache_stats["disk"]["hits"] == n - missing
+    assert ranked == sequential
+    assert explorer.evaluated == reference.evaluated        # every answer in its own slot
+
+
+def test_a_point_is_cached_only_when_all_its_kernels_are(toy_bn, toy_points, sweep_store):
+    """``final_exp_mode="auto"`` scores three kernels per point: with the last
+    one evicted the parent must hand the point to a worker, not price it from
+    the first two."""
+    points = toy_points[:3]
+    sequential, _ = _sweep(toy_bn, points, 1, final_exp_mode="auto")
+    _entry(sweep_store, toy_bn, points[1], final_exp_mode="compressed").unlink()
+    clear_caches()
+    ranked, explorer = _sweep(toy_bn, points, 2, final_exp_mode="auto")
+    report = explorer.last_report
+    assert (report.cached_points, report.chunks) == (2, 1)
+    assert report.cache_stats["result"]["misses"] == 1
+    assert ranked == sequential
+
+
+def test_corrupt_entry_read_by_the_parent_is_dispatched(toy_bn, toy_points, sweep_store):
+    sequential, _ = _sweep(toy_bn, toy_points, 1)
+    path = _entry(sweep_store, toy_bn, toy_points[2])
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+    clear_caches()
+    ranked, explorer = _sweep(toy_bn, toy_points, 2)
+    report = explorer.last_report
+    assert sweep_store.stats.corrupt == 1       # the parent's own read
+    assert (report.cached_points, report.chunks) == (len(toy_points) - 1, 1)
+    assert report.cache_stats["result"]["misses"] == 1      # recompiled by a worker
+    assert ranked == sequential
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "successive_halving", "local"])
+def test_pareto_is_one_result_for_any_workers_and_cache_state(
+        toy_bn, toy_points, sweep_store, strategy):
+    results = []
+    for workers in (1, 2):
+        clear_caches(disk=True)
+        for _ in ("cold", "warm"):
+            clear_caches()                      # memory tier only
+            with ParallelExplorer(toy_bn, workers=workers) as explorer:
+                results.append(explorer.explore_pareto(
+                    toy_points, ("throughput", "area"), strategy=strategy))
+        assert explorer.last_report.cache_stats["result"]["misses"] == 0
+        assert explorer.last_report.chunks == 0
+    assert results.count(results[0]) == 4

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.compiler.pipeline import clear_caches
 from repro.config import EVAL_TIMEOUT_ENV, MAX_RETRIES_ENV
 from repro.dse.engine import (
     DEFAULT_MAX_RETRIES,
@@ -187,6 +188,10 @@ def test_eval_timeout_recovers_hung_worker(
     # Activate in this process too: forked pool workers inherit the parent's
     # injector (they do not re-import repro), spawned ones re-read the env.
     configure_faults_from_env()
+    # The ``baseline`` fixture left every kernel in the parent's memory tier,
+    # and the parent answers cached points itself: empty it, so that the pool
+    # (and the hang inside it) is still what this test exercises.
+    clear_caches()
     with ParallelExplorer(toy_bn, workers=2, eval_timeout=10.0) as explorer:
         ranked = explorer.explore(toy_points, objective="throughput")
         assert explorer.reliability.eval_timeouts >= 1
@@ -274,7 +279,6 @@ def test_parallel_crash_plus_store_corruption_bit_identical(
         toy_bn, toy_points, baseline, tmp_path, monkeypatch):
     """Acceptance bar: one worker crash + one torn store write at workers=4,
     rankings and frontiers still bit-identical to the fault-free run."""
-    from repro.compiler.pipeline import clear_caches
     from repro.compiler.store import configure_store, reset_store_state
     from repro.reliability.faults import configure_faults_from_env
 

@@ -499,7 +499,7 @@ def test_multi_and_single_kernels_share_no_result_entry(toy_bn):
 
 
 def test_multi_pairing_round_trips_through_disk_store(toy_bn, tmp_path):
-    from repro.compiler.store import configure_store
+    from repro.compiler.store import configure_store, reset_store_state
 
     hw = paper_hw1(toy_bn.params.p.bit_length()).with_cores(4)
     try:
@@ -518,5 +518,5 @@ def test_multi_pairing_round_trips_through_disk_store(toy_bn, tmp_path):
         assert second.multicore_stats == first.multicore_stats
         assert second.describe() == first.describe()
     finally:
-        configure_store(None)
+        reset_store_state()
         clear_caches()

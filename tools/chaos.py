@@ -160,14 +160,16 @@ class Chaos:
                 clear_caches()
                 result = _sweep(self.curve, self.points, workers=workers)
                 _set_faults(None)
-                # Corruption counters live in the store's own stats.  Pool
-                # workers hit the store in their own processes, so only the
-                # sequential leg is guaranteed to see the faults fire here.
+                # Corruption counters live in the store's own stats, and both
+                # legs see the faults fire here: the parent answers cached
+                # points itself, so at any worker count the cold pass's reads
+                # (its own garbage, the workers' torn entries) are the
+                # parent's -- what it cannot verify it dispatches.
                 snap = store.stats.snapshot()
                 counters = dict(result["counters"])
                 counters["store_corrupt"] = snap["corrupt"]
                 counters["store_write_errors"] = snap["errors"]
-                fired = workers > 1 or (snap["corrupt"] + snap["errors"]) >= 1
+                fired = (snap["corrupt"] + snap["errors"]) >= 1
                 ok = (warm["ranked"] == self.clean["ranked"]
                       and result["ranked"] == self.clean["ranked"]
                       and result["frontier"] == self.clean["frontier"]
