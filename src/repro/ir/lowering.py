@@ -5,8 +5,11 @@ operation on an extension-field value is scalarised into F_p operations by
 :class:`~repro.fields.scalarise.TowerScalariser` -- the one recursion that
 applies the operator-variant formulas selected by a
 :class:`~repro.fields.variants.VariantConfig` down the tower, shared with the
-Python kernels of :mod:`repro.fields.kernels` -- running over the IR leaf
-below, whose F_p-level values are row ids of the module being built.
+Python kernels of :mod:`repro.fields.kernels` -- running over the IR leaves
+below.  The recursion runs once per *kind* of tower operation, over a
+recording leaf whose F_p-level values are references (:class:`_Template`);
+every use of that kind splices the recorded rows into the module being built
+with its operands renamed (:meth:`_Lowerer.instantiate`).
 Frobenius maps become multiplications by the precomputed constant tables,
 adjunctions become constant multiplications, and syntactic zeros stay
 syntactic so the later data-flow optimisations recover the paper's
@@ -14,6 +17,8 @@ dense-times-sparse savings.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from repro.errors import IRError
 from repro.fields.scalarise import TowerScalariser
@@ -50,6 +55,23 @@ class _Lowerer:
 
     def const_element(self, element) -> tuple:
         return tuple(self.const(int(c)) for c in element.to_base_coeffs())
+
+    def instantiate(self, template: "_Template", operands: list) -> tuple:
+        """The values of ``template``'s operation on ``operands`` (the values
+        of its operands, concatenated), its rows spliced into the module.
+
+        A constant is a row of the pool, not of the template: the first
+        instantiation to meet a value emits it where the recursion asked for
+        it, and from then on an instantiation is pure column extension.
+        """
+        low, lookup, start = self.low, list(operands), 0
+        ops, a, b = template.ops, template.a, template.b
+        for position, value in template.consts:
+            lookup += low.splice(ops[start:position], a[start:position], b[start:position], lookup)
+            lookup.append(self.const(value))
+            start = position + 1
+        lookup += low.splice(ops[start:], a[start:], b[start:], lookup)
+        return tuple([lookup[ref] for ref in template.result])
 
     # -- the leaf protocol ------------------------------------------------------------
     def add(self, x: int, y: int) -> int:
@@ -105,6 +127,42 @@ class _Lowerer:
         return self.mul(x, self.const(value))
 
 
+class _Template(_Lowerer):
+    """The recording leaf: one kind of tower operation, scalarised once.
+
+    The leaf rules are :class:`_Lowerer`'s; only where a row goes differs.  A
+    value is a reference into the list an instantiation renames through --
+    the ``width`` operand values, then one entry per recorded row -- and a
+    constant holds a row's place (``consts``: position and value) for the
+    pool's row, wherever that is.
+    """
+
+    def __init__(self, p: int, variant_for, method: str, field, widths: tuple, extra: tuple):
+        self.p = p
+        self.width = sum(widths)
+        self.ops: list = []
+        self.a: list = []
+        self.b: list = []
+        self.consts: list = []
+        self._const_cache: dict = {}
+        slots = iter(range(self.width))
+        self.result = getattr(TowerScalariser(self, variant_for), method)(
+            field, *(tuple(islice(slots, width)) for width in widths), *extra)
+
+    def emit(self, op: str, args: tuple) -> int:
+        self.ops.append(op)
+        self.a.append(args[0])
+        self.b.append(args[1] if len(args) == 2 else -1)
+        return self.width + len(self.ops) - 1
+
+    def const(self, value: int) -> int:
+        ref = self._const_cache.get(value)
+        if ref is None:
+            self.consts.append((len(self.ops), value))
+            ref = self._const_cache[value] = self.emit("const", (-1,))
+        return ref
+
+
 #: High-level ops that are one scalariser method on (field of the result, operand).
 _TOWER_OPS = {"sqr": "sqr", "inv": "inverse", "adj": "mul_by_nonresidue", "conj": "conjugate"}
 
@@ -118,8 +176,8 @@ def lower_module(hl: IRModule, levels: dict, config: VariantConfig | None = None
     """
     config = config or VariantConfig.all_karatsuba()
     leaf = _Lowerer(next(iter(levels.values())).p)
-    tower = TowerScalariser(leaf, config.variant_for)
     low, emit = leaf.low, leaf.emit
+    templates: dict = {}
     # Kernel-level facts (accumulator mode, batch shape) ride along with the
     # lanes: scalarisation changes the instruction granularity, not the
     # kernel's multi-core structure.
@@ -132,6 +190,17 @@ def lower_module(hl: IRModule, levels: dict, config: VariantConfig | None = None
             return levels[degree]
         except KeyError as exc:
             raise IRError(f"no tower level of degree {degree} available for lowering") from exc
+
+    def tower(method: str, field, *operands, extra: tuple = ()) -> tuple:
+        """``TowerScalariser.<method>(field, *operands, *extra)`` on the
+        module: recorded at the first call of its kind, spliced at every one."""
+        widths = tuple(map(len, operands))
+        key = (method, field.degree, widths, extra)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _Template(
+                leaf.p, config.variant_for, method, field, widths, extra)
+        return leaf.instantiate(template, [value for operand in operands for value in operand])
 
     for vid, (op, a_id, b_id, attr) in enumerate(zip(hl.ops, hl.a, hl.b, hl.attrs)):
         degree = degrees[vid]
@@ -161,23 +230,23 @@ def lower_module(hl: IRModule, levels: dict, config: VariantConfig | None = None
             y = expansion[b_id]
             if len(x) < len(y):
                 x, y = y, x
-            out = tower.mul_sublevel(field_of(len(y)), x, y)
+            out = tower("mul_sublevel", field_of(len(y)), x, y)
         elif op in _TOWER_OPS:
             field = field_of(degree)
             if op == "conj" and getattr(field, "m", None) != 2:
                 raise IRError("conj lowering requires a quadratic top-level step")
-            out = getattr(tower, _TOWER_OPS[op])(field, x)
+            out = tower(_TOWER_OPS[op], field, x)
         elif op == "frob":
-            out = tower.frobenius(field_of(degree), x, attr)
+            out = tower("frobenius", field_of(degree), x, extra=(attr,))
         elif op == "exp":
             if attr < 0:
                 raise IRError("exp lowering requires a non-negative exponent")
             field = field_of(degree)
             out = x if attr else leaf.const_element(field.one())
             for bit in bin(attr)[3:]:
-                out = tower.sqr(field, out)
+                out = tower("sqr", field, out)
                 if bit == "1":
-                    out = tower.mul(field, out, x)
+                    out = tower("mul", field, out, x)
         elif op == "pack":
             parts = [expansion[arg] for arg in attr]
             if len(parts) != 6:

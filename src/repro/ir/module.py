@@ -110,6 +110,29 @@ class IRModule:
             self.compute_ops += 1
         return vid
 
+    def splice(self, ops: list, a: list, b: list, lookup: list) -> range:
+        """Append a block of F_p compute rows (no ``input`` / ``output`` /
+        ``const``, no attribute) and return their value ids.
+
+        ``a`` / ``b`` index the caller's renaming: ``lookup`` (value ids of
+        this module), then the block's own rows; ``-1`` stays "no operand".
+        Every row is stamped with the current lane and phase.  Column
+        extension: what ``emit`` does row by row, for a block recorded
+        elsewhere (a lowering template).
+        """
+        first, count = len(self.ops), len(ops)
+        ids = range(first, first + count)
+        rename = [*lookup, *ids, -1].__getitem__
+        self.ops += ops
+        self.a.extend(map(rename, a))
+        self.b.extend(map(rename, b))
+        self.attrs += [None] * count
+        self.lanes += [self.current_lane] * count
+        self.phases += [self.current_phase] * count
+        self.degrees += [1] * count
+        self.compute_ops += count
+        return ids
+
     def successor(self, remap: list, ops: list, a: list, b: list, attrs: list,
                   lanes: list, phases: list) -> "IRModule":
         """The module an IROpt pass rebuilt from this one, adopting its columns.

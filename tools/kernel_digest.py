@@ -14,7 +14,12 @@ instances in flight, so the instance-renaming walk (rotated banks, the strided
 ``ready`` array) is covered too.  The digest covers everything a compiled
 kernel hands to hardware and to the evaluation: the encoded instruction words,
 the constant table, the I/O maps, the per-bank register demand and the cycle
-(multi-core, and at ``depth > 1`` pipelined) statistics.  A last line,
+(multi-core, and at ``depth > 1`` pipelined) statistics.  A fourth line,
+``CURVE VARIANTS lowered <sha256>``, hashes the lowered module of the single
+kernel on its own (columns, I/O rows, compute-op count, kernel facts) -- the
+digest ``tests/test_cold_compile.py`` pins per configuration -- so the lowering
+templates and their dict-keyed table are covered without a back end in
+between.  A last line,
 ``CURVE python-kernels <sha256>``, covers the *software* side's generated
 code: the name-sorted source of every formula kernel the curve's pairing
 (Miller steps, line products, cyclotomic and compressed squarings) and both
@@ -43,7 +48,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.compiler.pipeline import KernelSpec, compile_kernel  # noqa: E402
+from repro.compiler.pipeline import KernelSpec, compile_kernel, stage_modules  # noqa: E402
 from repro.curves.catalog import get_curve  # noqa: E402
 from repro.curves.model import ladder_kernels  # noqa: E402
 from repro.dse.space import named_variant_configs  # noqa: E402
@@ -71,6 +76,15 @@ def kernel_digest(result, depth: int = 1) -> str:
         parts.append(result.multicore_stats.describe())
     if depth > 1:
         parts.append(result.pipelined(depth).describe())
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def lowered_digest(module) -> str:
+    """sha256 over everything a lowered module is: its seven columns, the
+    input / output row lists, the compute-op count and the kernel facts."""
+    parts = [module.ops, module.a, module.b, module.attrs, module.lanes, module.phases,
+             module.degrees, module.inputs, module.outputs, module.compute_ops,
+             sorted(module.meta.items())]
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
@@ -114,6 +128,8 @@ def main(argv=None) -> int:
                                (("batch4-shared-2core-depth2",), shared, 2)):
         result = compile_kernel(curve, spec, use_cache=False)
         print(args.curve, args.hw, args.variants, *label, kernel_digest(result, depth))
+    lowered = stage_modules(curve, hw=single.hw, variant_config=single.variant_config)[1]
+    print(args.curve, args.variants, "lowered", lowered_digest(lowered))
     print(args.curve, "python-kernels", python_kernels_digest(curve))
     return 0
 
