@@ -147,7 +147,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "get_curve",

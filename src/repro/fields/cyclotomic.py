@@ -54,11 +54,17 @@ def context_formula(formula):
     """Run ``formula(ctx, *operands)`` through its context's
     ``run_formula``: the tracing context executes it as written, the concrete
     one answers with the F_p^k-level kernel compiled from it.  The formula
-    itself stays reachable as ``.formula``."""
+    itself stays reachable as ``.formula``; ``.repeat(ctx, times, *operands)``
+    is the n-times form (``run_formula_times``) of a formula whose result
+    has its operands' shape."""
     @functools.wraps(formula)
     def run(ctx, *operands):
         return ctx.run_formula(formula, ctx, *operands)
+
+    def repeat(ctx, times, *operands):
+        return ctx.run_formula_times(times, formula, ctx, *operands)
     run.formula = formula
+    run.repeat = repeat
     return run
 
 
@@ -141,14 +147,23 @@ def _compressed_square(ctx, g1, g2, g4, g5):
     return (h1, h2, h4, h5)
 
 
-def _decompression_system(ctx, comp: CompressedElement):
+@context_formula
+def _decompression_system(ctx, g1, g2, g4, g5):
     """Right-hand sides and determinant of the (g0, g3) linear system."""
     xi = ctx.twist_xi_value()
-    g1, g2, g4, g5 = comp.coords()
     rhs_a = g1.square() - g4.square() * xi          # 2 g2 g0 - 2 xi g5 g3
     rhs_b = g5.square() * xi - g2.square()          # 2 g4 g0 - 2 g1  g3
     det = (g4 * g5 * xi - g1 * g2).mul_small(4)
     return rhs_a, rhs_b, det
+
+
+@context_formula
+def _decompression_solve(ctx, g1, g2, g4, g5, rhs_a, rhs_b, det_inv):
+    """(g0, g3) by Cramer's rule, and the full element they complete."""
+    xi = ctx.twist_xi_value()
+    g0 = ((g5 * rhs_b) * xi - g1 * rhs_a).mul_small(2) * det_inv
+    g3 = (g2 * rhs_b - g4 * rhs_a).mul_small(2) * det_inv
+    return ctx.full_from_w_coeffs([g0, g1, g2, g3, g4, g5])
 
 
 def batch_inverse(values: list) -> list:
@@ -185,8 +200,7 @@ def decompress_batch(ctx, comps: list) -> list:
     """
     if not comps:
         return []
-    xi = ctx.twist_xi_value()
-    systems = [_decompression_system(ctx, comp) for comp in comps]
+    systems = [_decompression_system(ctx, *comp.coords()) for comp in comps]
     dets = [det for _, _, det in systems]
     for det in dets:
         # Concrete elements expose is_zero(); trace elements cannot branch on
@@ -198,13 +212,8 @@ def decompress_batch(ctx, comps: list) -> list:
                 "use the Granger-Scott path for this element"
             )
     det_invs = batch_inverse(dets)
-    fulls = []
-    for comp, (rhs_a, rhs_b, _), det_inv in zip(comps, systems, det_invs):
-        g1, g2, g4, g5 = comp.coords()
-        g0 = ((g5 * rhs_b) * xi - g1 * rhs_a).mul_small(2) * det_inv
-        g3 = (g2 * rhs_b - g4 * rhs_a).mul_small(2) * det_inv
-        fulls.append(ctx.full_from_w_coeffs([g0, g1, g2, g3, g4, g5]))
-    return fulls
+    return [_decompression_solve(ctx, *comp.coords(), rhs_a, rhs_b, det_inv)
+            for comp, (rhs_a, rhs_b, _), det_inv in zip(comps, systems, det_invs)]
 
 
 #: Minimum squaring-chain length for which the compressed form pays for its
@@ -220,7 +229,8 @@ def power_signed(ctx, value, digits, mode: str = "cyclotomic"):
     :class:`~repro.pairing.exponent.FinalExpPlan`.  Negative digits multiply
     by the conjugate (the free cyclotomic inverse).  ``mode`` selects the
     squaring backend: ``"cyclotomic"`` squares with
-    :func:`cyclotomic_square`; ``"compressed"`` additionally runs long chains
+    :func:`cyclotomic_square`, one n-times call (``.repeat``) per run of
+    squarings between two multiplies; ``"compressed"`` additionally runs long chains
     through Karabina compressed squarings with one batched decompression at
     the multiply positions (falling back to the Granger-Scott chain for short
     exponents or degenerate concrete inputs).
@@ -234,14 +244,21 @@ def power_signed(ctx, value, digits, mode: str = "cyclotomic"):
             pass                                   # zero determinant: GS fallback
     conjugated = None
     result = value
+    run = 0                                        # squarings since the last multiply
     for digit in reversed(digits[:-1]):
-        result = cyclotomic_square(ctx, result)
+        run += 1
+        if not digit:
+            continue
+        result = cyclotomic_square.repeat(ctx, run, result)
+        run = 0
         if digit == 1:
             result = result * value
-        elif digit == -1:
+        else:
             if conjugated is None:
                 conjugated = value.conjugate()
             result = result * conjugated
+    if run:
+        result = cyclotomic_square.repeat(ctx, run, result)
     return result
 
 
@@ -249,19 +266,19 @@ def _power_compressed(ctx, value, digits):
     """Karabina chain: compressed squares, one batched decompression, product.
 
     ``value ** m = prod_i (value ** 2^i) ** d_i``: the whole squaring ladder
-    runs in compressed form, only the positions with a non-zero digit are
-    decompressed (sharing one inversion), and the decompressed powers are
-    multiplied together -- conjugated where the digit is negative.
+    runs in compressed form -- one n-times call per run up to the next
+    position with a non-zero digit -- only those positions are decompressed
+    (sharing one inversion), and the decompressed powers are multiplied
+    together, conjugated where the digit is negative.
     """
-    top = len(digits) - 1
-    comp = compress(ctx, value)
-    needed_positions = []
+    needed_positions = [position for position in range(1, len(digits)) if digits[position]]
+    coords = compress(ctx, value).coords()
     needed_comps = []
-    for position in range(1, top + 1):
-        comp = compressed_square(ctx, comp)
-        if digits[position]:
-            needed_positions.append(position)
-            needed_comps.append(comp)
+    previous = 0
+    for position in needed_positions:
+        coords = _compressed_square.repeat(ctx, position - previous, *coords)
+        needed_comps.append(CompressedElement(*coords))
+        previous = position
     fulls = dict(zip(needed_positions, decompress_batch(ctx, needed_comps)))
     if digits[0]:
         fulls[0] = value

@@ -349,7 +349,12 @@ def build_formula_kernel(formula, operand_fields, name: str):
     of every element in its place (what stands where a non-field argument stood
     is ignored) and returns the formula's result the same way.  Its
     ``on_elements`` takes and returns the elements themselves, checking their
-    fields: the formula's drop-in replacement.
+    fields: the formula's drop-in replacement.  When the result has the
+    shape of the element operands (one element per operand, field for field:
+    a squaring), ``repeat_on_elements(times, *args)`` applies the formula
+    ``times`` times, each result taking the operands' place -- unpacked and
+    checked once, the kernel run ``times`` times on raw residues, re-wrapped
+    once; otherwise it is ``None``.
     """
     fields = [leaf for leaf in _leaves(operand_fields) if hasattr(leaf, "degree")]
     builder = KernelBuilder(fields[0].p)
@@ -371,19 +376,41 @@ def build_formula_kernel(formula, operand_fields, name: str):
     outputs = map_leaves(lambda element: tower.settle(element.vec), result)
     kernel = builder.compile(name, params, outputs, fields[0]._m)
 
-    # The same call on elements: unpack, check the fields, run, re-wrap.
+    # The same call on elements: unpack, check the fields, run, re-wrap.  The
+    # repeated call feeds result r<i> back where operand e<i> stood.
     ins, outs = _numbered("e", args, is_operand), _numbered("r", result)
     signature = ", ".join(param for param, _ in params)
-    source = "\n".join([
-        f"def on_elements({signature}):",
+    results = _leaves(result)
+    head = [
         f"    {_display(ins, str)} = ({signature},)",
         f"    if ({''.join(f'e{i}.field, ' for i in range(len(fields)))}) != fields:",
         f"        raise FieldError('{name} takes operands of ' + repr(fields))",
-        f"    {_display(outs, str)} = kernel{_display(ins, lambda e: 'None' if e == '_' else e + '.flat')}",
-        f"    return {_display(outs, lambda r: f'w{r[1:]}({r})')}",
+    ]
+    rewrap = f"    return {_display(outs, lambda r: f'w{r[1:]}({r})')}"
+
+    def call(operand) -> str:
+        """The kernel call with ``operand(e<i>)`` where operand ``i`` stood."""
+        return f"{_display(outs, str)} = kernel" + _display(
+            ins, lambda e: "None" if e == "_" else operand(e))
+
+    source = "\n".join([
+        f"def on_elements({signature}):", *head,
+        f"    {call(lambda e: e + '.flat')}",
+        rewrap,
     ]) + "\n"
+    repeatable = [element.field for element in results] == fields
+    if repeatable:
+        carried = ", ".join(f"r{i}" for i in range(len(results)))
+        source += "\n".join([
+            f"def repeat_on_elements(times, {signature}):", *head,
+            f"    ({carried},) = ({''.join(f'e{i}.flat, ' for i in range(len(fields)))})",
+            "    for _ in range(times):",
+            f"        {call(lambda e: 'r' + e[1:])}",
+            rewrap,
+        ]) + "\n"
     namespace = {"kernel": kernel, "fields": tuple(fields), "FieldError": FieldError,
-                 **{f"w{i}": element.field.from_flat for i, element in enumerate(_leaves(result))}}
+                 **{f"w{i}": element.field.from_flat for i, element in enumerate(results)}}
     exec(compile(source, f"<kernel {name} on elements>", "exec"), namespace)
     kernel.on_elements = namespace["on_elements"]
+    kernel.repeat_on_elements = namespace["repeat_on_elements"] if repeatable else None
     return kernel

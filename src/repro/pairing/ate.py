@@ -33,7 +33,7 @@ def as_affine_pair(point, role: str = "point"):
 
 
 def optimal_ate_pairing(curve, P, Q, mode: str = "optimized", use_naf: bool = True,
-                        final_exp_mode: str = "cyclotomic"):
+                        final_exp_mode: str = "compressed"):
     """Compute the optimal Ate pairing e(P, Q) on ``curve``.
 
     Parameters
@@ -53,9 +53,11 @@ def optimal_ate_pairing(curve, P, Q, mode: str = "optimized", use_naf: bool = Tr
         Use the NAF form of the loop scalar (optimised mode only).
     final_exp_mode:
         Hard-part backend (:data:`repro.pairing.final_exp.FINAL_EXP_MODES`).
-        The default "cyclotomic" (Granger-Scott squarings + NAF seed chains)
-        is bit-exact with "generic" and strictly cheaper; "compressed" adds
-        Karabina compressed squaring chains.
+        All three return the same value.  The default "compressed" runs the
+        long squaring runs of the hard part as Karabina compressed squarings
+        (decompressed in one batch per chain, falling back to Granger-Scott
+        squarings on a zero determinant); "cyclotomic" squares with
+        Granger-Scott throughout; "generic" is plain square-and-multiply.
     """
     # Knobs first: a typo must not hide behind the point-at-infinity early return.
     if mode not in ("optimized", "reference"):

@@ -286,7 +286,7 @@ def _make_sources(ctx, pairs, use_naf: bool) -> list:
 
 
 def multi_pairing(curve, pairs, use_naf: bool = True, accumulators: int = 1,
-                  final_exp_mode: str = "cyclotomic"):
+                  final_exp_mode: str = "compressed"):
     """Compute the pairing product ``Pi e(P_i, Q_i)`` with one shared pipeline.
 
     Equivalent to the product of :func:`repro.pairing.ate.optimal_ate_pairing`
@@ -304,9 +304,9 @@ def multi_pairing(curve, pairs, use_naf: bool = True, accumulators: int = 1,
 
     ``final_exp_mode`` selects the hard-part backend of the single final
     exponentiation ("generic" | "cyclotomic" | "compressed"); all three
-    return the identical product (the software "compressed" path falls back
-    to Granger-Scott squarings on the measure-zero degenerate Karabina
-    determinants), the default "cyclotomic" fast path is strictly cheaper.
+    return the identical product.  The default "compressed" is the fastest in
+    software: Karabina squaring runs, one batched decompression per chain,
+    and Granger-Scott squarings where a Karabina determinant is zero.
 
     Example -- a pairing-product equation check (the Groth16/BLS verifier
     shape), with the fixed G2 point precomputed::

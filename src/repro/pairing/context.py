@@ -81,6 +81,20 @@ class PairingContext:
         """
         return formula(*args)
 
+    def run_formula_times(self, times: int, formula, *args):
+        """``formula`` applied ``times >= 1`` times in a row, each result
+        taking the place of the element operands -- the n-times form of
+        :meth:`run_formula` for a formula whose result has its operands' shape
+        (a squaring run).  Here it is :meth:`run_formula` ``times`` times, so
+        tracing records the formula ``times`` times as written;
+        :class:`ConcretePairingContext` unwraps once, runs the kernel
+        ``times`` times on raw residues and wraps once."""
+        for _ in range(times):
+            result = self.run_formula(formula, *args)
+            outs = iter(result if isinstance(result, tuple) else (result,))
+            args = map_leaves(lambda arg: next(outs) if hasattr(arg, "field") else arg, args)
+        return result
+
 
 class SymbolicPairingContext(PairingContext):
     """The structural hooks on :class:`~repro.fields.kernels.SymbolicElement`
@@ -133,12 +147,12 @@ class ConcretePairingContext(PairingContext):
     def twist_xi_value(self):
         return self._tower.twist_xi
 
-    def run_formula(self, formula, *args):
-        """The kernel compiled from ``formula`` for arguments like these, on
-        ``args``.  Kernels are generated on first use and kept on the curve (a
-        context lives for one call) by formula, string arguments and operand
-        fields -- operands inside tuples are checked by the kernel itself.
-        Filling is idempotent, so two threads may both build."""
+    def _kernel(self, formula, args):
+        """The kernel compiled from ``formula`` for arguments like ``args``.
+        Kernels are generated on first use and kept on the curve (a context
+        lives for one call) by formula, string arguments and operand fields --
+        operands inside tuples are checked by the kernel itself.  Filling is
+        idempotent, so two threads may both build."""
         key = (formula, *[getattr(arg, "field", arg if isinstance(arg, str) else None)
                           for arg in args])
         kernel = self.curve.formula_kernels.get(key)
@@ -148,4 +162,17 @@ class ConcretePairingContext(PairingContext):
                 lambda arg: symbolic if arg is self else getattr(arg, "field", arg), args)
             kernel = self.curve.formula_kernels[key] = build_formula_kernel(
                 formula, fields, formula.__name__)
-        return kernel.on_elements(*args)
+        return kernel
+
+    def run_formula(self, formula, *args):
+        """The kernel compiled from ``formula``, on ``args``."""
+        return self._kernel(formula, args).on_elements(*args)
+
+    def run_formula_times(self, times: int, formula, *args):
+        """The kernel compiled from ``formula``, ``times`` times in a row on
+        raw residues: one unwrap, one field check, one re-wrap."""
+        repeat = self._kernel(formula, args).repeat_on_elements
+        if repeat is None:
+            raise PairingError(
+                f"{formula.__name__} does not return its operands' shape; it cannot be repeated")
+        return repeat(times, *args)

@@ -20,10 +20,16 @@ the hard part can swap its squaring backend (:mod:`repro.fields.cyclotomic`):
 ``"compressed"``
     As ``"cyclotomic"``, with long squaring runs additionally executed in
     Karabina compressed form and decompressed in one batch per chain via
-    Montgomery simultaneous inversion.
+    Montgomery simultaneous inversion (Granger-Scott again where a
+    determinant is zero).
 
 All three modes run unchanged on concrete elements and on the compiler's trace
 elements, so ``compile_pairing(final_exp_mode=...)`` emits the matching kernel.
+In software, where every squaring run is one n-times kernel call
+(``PairingContext.run_formula_times``), ``"compressed"`` is the fastest and
+the default of ``optimal_ate_pairing`` and ``multi_pairing``; compiled kernels
+keep their own defaults (``KernelSpec`` ``"generic"``, ``EvalSpec``
+``"cyclotomic"``).  ``hard_part`` itself defaults to ``"generic"``.
 """
 
 from __future__ import annotations

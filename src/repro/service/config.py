@@ -32,7 +32,6 @@ from repro.config import (
     positive_int,
 )
 from repro.errors import ServiceError
-from repro.pairing.final_exp import FINAL_EXP_MODES
 
 #: Accepted cross-request batching modes (see ``docs/serving.md``).
 FUSE_MODES = ("rlc", "none")
@@ -65,7 +64,7 @@ class ServiceConfig:
         rejected requests are always attributed exactly.  ``"none"`` verifies
         each request's product individually inside the batch (still one
         executor trip; useful for measuring the fusion win in isolation).
-    ``use_naf`` / ``accumulators`` / ``final_exp_mode``
+    ``use_naf`` / ``accumulators``
         Passed through to :func:`repro.multi_pairing` for every service-path
         product (and to :func:`repro.precompute_g2` for cached keys).
     ``vk_cache_entries``
@@ -98,7 +97,6 @@ class ServiceConfig:
     fuse: str = "rlc"
     use_naf: bool = True
     accumulators: int = 1
-    final_exp_mode: str = "cyclotomic"
     vk_cache_entries: int = 128
     retry_after_ms: float | None = None
     breaker_threshold: int = 3
@@ -115,7 +113,6 @@ class ServiceConfig:
         number(self.shed_after_ms, "shed_after_ms", ServiceError,
                exclusive=True, optional=True)
         member(self.fuse, FUSE_MODES, "fuse", ServiceError)
-        member(self.final_exp_mode, FINAL_EXP_MODES, "final_exp_mode", ServiceError)
 
     @property
     def deadline_s(self) -> float:

@@ -25,12 +25,13 @@ def percentile(values, q: float) -> float:
 
     The empirical inverse CDF: the smallest element with at least ``q``% of
     the sample at or below it.  Returns ``0.0`` for an empty sample so metric
-    snapshots never divide by (or crash on) "no traffic yet".
+    snapshots never divide by (or crash on) "no traffic yet"; an out-of-range
+    ``q`` raises ``ValueError`` whatever the sample.
     """
+    if not 0 <= q <= 100:                       # also refuses NaN
+        raise ValueError(f"percentile must be in [0, 100], got {q!r}")
     if not values:
         return 0.0
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {q!r}")
     ordered = sorted(values)
     rank = max(1, ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]

@@ -209,7 +209,6 @@ class VerificationService:
             self.curve, pairs,
             use_naf=self.config.use_naf,
             accumulators=self.config.accumulators,
-            final_exp_mode=self.config.final_exp_mode,
         ).is_one()
 
     def _verify_each(self, batch) -> list:

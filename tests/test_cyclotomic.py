@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.errors import FieldError, PairingError
+from repro.fields import cyclotomic
 from repro.fields.cyclotomic import (
     batch_inverse,
     compress,
@@ -205,21 +206,64 @@ def test_multi_pairing_final_exp_modes_agree(toy_bn):
 
     rng = random.Random(0xC1C19)
     pairs = [(toy_bn.random_g1(rng), toy_bn.random_g2(rng)) for _ in range(3)]
-    default = multi_pairing(toy_bn, pairs)                      # cyclotomic default
+    default = multi_pairing(toy_bn, pairs)                      # compressed default
     for mode in FINAL_EXP_MODES:
         assert multi_pairing(toy_bn, pairs, final_exp_mode=mode) == default
 
 
-def test_optimal_ate_final_exp_modes_agree(toy_curve):
+def _three_modes_agree(curve, seed):
+    """``optimal_ate_pairing`` and a ``multi_pairing`` over one live and one
+    replayed pair return one value under every final-exp mode, and the
+    defaults are the ``"compressed"`` value."""
     from repro.pairing.ate import optimal_ate_pairing
+    from repro.pairing.batch import multi_pairing, precompute_g2
 
-    rng = random.Random(0xC1C20)
-    P = toy_curve.random_g1(rng)
-    Q = toy_curve.random_g2(rng)
-    default = optimal_ate_pairing(toy_curve, P, Q)              # cyclotomic default
-    assert toy_curve.is_valid_gt(default)
-    for mode in FINAL_EXP_MODES:
-        assert optimal_ate_pairing(toy_curve, P, Q, final_exp_mode=mode) == default
+    rng = random.Random(seed)
+    P, Q = curve.random_g1(rng), curve.random_g2(rng)
+    R, S = curve.random_g1(rng), curve.random_g2(rng)
+    pairs = [(P, Q), (R, precompute_g2(curve, S))]
+    singles = {mode: optimal_ate_pairing(curve, P, Q, final_exp_mode=mode)
+               for mode in FINAL_EXP_MODES}
+    products = {mode: multi_pairing(curve, pairs, final_exp_mode=mode)
+                for mode in FINAL_EXP_MODES}
+    assert len({tuple(value.flat) for value in singles.values()}) == 1
+    assert len({tuple(value.flat) for value in products.values()}) == 1
+    assert curve.is_valid_gt(singles["generic"])
+    assert optimal_ate_pairing(curve, P, Q) == singles["compressed"]
+    assert multi_pairing(curve, pairs) == products["compressed"]
+    assert products["generic"] == singles["generic"] * optimal_ate_pairing(curve, R, S)
+
+
+def test_optimal_ate_final_exp_modes_agree(toy_curve):
+    _three_modes_agree(toy_curve, seed=0xC1C20)
+
+
+@pytest.mark.parametrize("curve_name", ["BN254N", "BLS12-381"])
+def test_optimal_ate_final_exp_modes_agree_on_paper_curves(curve_name):
+    from repro.curves.catalog import get_curve
+
+    _three_modes_agree(get_curve(curve_name), seed=0xC1C23)
+
+
+def test_hard_part_of_the_identity_takes_the_zero_determinant_fallback(toy_curve, monkeypatch):
+    """The identity compresses to zeros: every Karabina determinant vanishes,
+    the kernelised decompression refuses, and the Granger-Scott fallback
+    still returns one."""
+    ctx = ConcretePairingContext(toy_curve)
+    one = toy_curve.tower.full_field.one()
+    _, _, det = cyclotomic._decompression_system(ctx, *compress(ctx, one).coords())
+    assert det.is_zero()
+    refused = []
+
+    def recording(ctx, comps):
+        try:
+            return decompress_batch(ctx, comps)
+        except FieldError:
+            refused.append(len(comps))
+            raise
+    monkeypatch.setattr(cyclotomic, "decompress_batch", recording)
+    assert hard_part(ctx, one, mode="compressed").is_one()
+    assert refused                                  # the fallback was taken
 
 
 # ---------------------------------------------------------------------------

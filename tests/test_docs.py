@@ -51,6 +51,23 @@ def test_configuration_reference_lists_exactly_the_registered_variables():
         assert "configuration.md" in Path(REPO_ROOT, name).read_text(), name
 
 
+def test_kernel_spec_knob_table_matches_the_dataclass():
+    """The knob table in architecture.md names every ``KernelSpec`` field, in
+    order, and opens each default cell with the field's default value."""
+    import ast
+    import dataclasses
+    import re
+
+    from repro.compiler.pipeline import KernelSpec
+
+    page = Path(REPO_ROOT, "docs", "architecture.md").read_text()
+    table = page.split("| knob | default | set to a non-default value by |", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)`", table.split("\n\n", 1)[0], flags=re.MULTILINE)
+    fields = dataclasses.fields(KernelSpec)
+    assert [name for name, _ in rows] == [field.name for field in fields]
+    assert [ast.literal_eval(default) for _, default in rows] == [field.default for field in fields]
+
+
 def test_all_relative_links_resolve():
     failures = {}
     for markdown_file in default_targets():

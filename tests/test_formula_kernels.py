@@ -35,6 +35,7 @@ from repro.pairing.context import (
     PairingContext,
     SymbolicPairingContext,
 )
+from repro.pairing.final_exp import easy_part
 from repro.pairing.lines import add_step, double_step
 from repro.pairing.miller import times_line
 
@@ -59,6 +60,9 @@ def _pairing_cases(curve) -> list:
         ("add_step", add_step, (point, affine, (fp, fp))),
         ("cyclotomic_square", cyclotomic_square.formula, ("ctx", full)),
         ("compressed_square", cyclotomic._compressed_square.formula, ("ctx",) + (twist,) * 4),
+        ("decompression_system", cyclotomic._decompression_system.formula,
+         ("ctx",) + (twist,) * 4),
+        ("decompression_solve", cyclotomic._decompression_solve.formula, ("ctx",) + (twist,) * 7),
     ]
     for kind in ("dbl", "add"):
         cases.append((f"times_line[{kind}]", times_line, ("ctx", kind, full) + (twist,) * 3))
@@ -144,6 +148,82 @@ def test_the_public_squarings_run_the_kernels(toy_curve):
 
 
 # ---------------------------------------------------------------------------
+# The n-times form: one unwrap, n kernel runs, one re-wrap
+# ---------------------------------------------------------------------------
+
+REPEAT_TIMES = (1, 2, 32)
+
+
+def _squaring_cases(curve) -> list:
+    """``(formula, operand fields)`` of the two squarings run in runs."""
+    tower = curve.tower
+    return [(cyclotomic_square, ("ctx", tower.full_field)),
+            (cyclotomic._compressed_square, ("ctx",) + (tower.twist_field,) * 4)]
+
+
+def _applied(formula, ctx, operands: tuple, times: int):
+    """``formula`` run ``times`` times as written, each result the next operands."""
+    for _ in range(times):
+        result = formula(ctx, *operands)
+        operands = result if isinstance(result, tuple) else (result,)
+    return result
+
+
+def _check_repeat(curve, data):
+    kernel_ctx, reference_ctx = ConcretePairingContext(curve), ElementwiseContext(curve)
+    for wrapped, shape in _squaring_cases(curve):
+        args = _draw(data, shape, kernel_ctx, curve.p)
+        for times in REPEAT_TIMES:
+            expected = _applied(wrapped.formula, reference_ctx, args[1:], times)
+            label = f"{wrapped.__name__} x{times}"
+            assert kernel_ctx.run_formula_times(times, wrapped.formula, *args) == expected, label
+            assert wrapped.repeat(kernel_ctx, times, *args[1:]) == expected, label
+            # The default form -- what the tracing context runs -- agrees too.
+            assert PairingContext.run_formula_times(
+                reference_ctx, times, wrapped.formula, reference_ctx, *args[1:]) == expected, label
+
+
+@pytest.mark.parametrize("curve_name", TOY_CURVES)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_the_n_times_call_equals_the_formula_run_n_times(curve_name, data):
+    _check_repeat(get_curve(curve_name), data)
+
+
+@pytest.mark.parametrize("curve_name", PAPER_CURVES)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_the_n_times_call_equals_the_formula_run_n_times_on_paper_curves(curve_name, data):
+    _check_repeat(get_curve(curve_name), data)
+
+
+def test_the_n_times_call_runs_one_kernel_n_times(toy_bn, toy_bls12):
+    """The per-iteration products are the pinned kernel's: the n-times entry
+    calls that one kernel ``n`` times.  An operand of another tower fails
+    loudly, and a formula whose result is not its operands' shape has no
+    n-times form."""
+    ctx = ConcretePairingContext(toy_bn)
+    f = easy_part(ctx, toy_bn.tower.full_field.random(random.Random(5)))
+    cyclotomic_square(ctx, f)
+    kernel = toy_bn.formula_kernels[(cyclotomic_square.formula, None, toy_bn.tower.full_field)]
+    namespace = kernel.repeat_on_elements.__globals__
+    calls = []
+    namespace["kernel"] = lambda *args: calls.append(1) or kernel(*args)
+    try:
+        value = cyclotomic_square.repeat(ctx, 32, f)
+    finally:
+        namespace["kernel"] = kernel
+    assert len(calls) == 32 and kernel.fp_muls == SQUARING_PRODUCT_COUNTS[12]["cyclotomic_square"][0]
+    assert value == f ** (2 ** 32)
+    with pytest.raises(PairingError, match="F_p\\^k"):
+        cyclotomic_square.repeat(ctx, 2, toy_bls12.tower.full_field.one())
+    twist = toy_bn.tower.twist_field
+    with pytest.raises(PairingError, match="cannot be repeated"):
+        ctx.run_formula_times(2, cyclotomic._decompression_system.formula, ctx,
+                              *[twist.one()] * 4)
+
+
+# ---------------------------------------------------------------------------
 # Executed F_p products: the numbers an op-count table reads
 # ---------------------------------------------------------------------------
 
@@ -161,6 +241,16 @@ PRODUCT_COUNTS = {
                      "times_line[dbl]": (117, 0), "times_line[add]": (126, 0)},
 }
 
+#: The hard part's kernels, by embedding degree: F_p products per iteration
+#: of the two squarings (an n-times call executes n iterations), and per
+#: element of the Karabina decompression (the (g0, g3) system and its solve).
+SQUARING_PRODUCT_COUNTS = {
+    12: {"cyclotomic_square": (18, 0), "compressed_square": (12, 0),
+         "decompression_system": (14, 0), "decompression_solve": (18, 0)},
+    24: {"cyclotomic_square": (54, 0), "compressed_square": (36, 0),
+         "decompression_system": (42, 0), "decompression_solve": (54, 0)},
+}
+
 
 @pytest.mark.parametrize("curve_name", sorted(PRODUCT_COUNTS))
 def test_kernels_execute_the_pinned_product_counts(curve_name):
@@ -172,6 +262,8 @@ def test_kernels_execute_the_pinned_product_counts(curve_name):
         counts[label] = (kernel.fp_muls, kernel.fp_sqrs)
     pinned = PRODUCT_COUNTS[curve_name]
     assert {label: counts[label] for label in pinned} == pinned
+    squarings = SQUARING_PRODUCT_COUNTS[curve.k]
+    assert {label: counts[label] for label in squarings} == squarings
     # A replayed line pays its two F_p scalings inside the same kernel; the
     # dense product all of them specialise is the tower's.
     scalings = 2 * curve.tower.twist_field.degree

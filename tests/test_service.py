@@ -58,7 +58,6 @@ def test_config_defaults_and_overrides():
     {"deadline_ms": -1.0},
     {"queue_bound": 0},
     {"fuse": "xor"},
-    {"final_exp_mode": "nonsense"},
     {"accumulators": 0},
     {"vk_cache_entries": 0},
     {"retry_after_ms": -2.0},

@@ -27,6 +27,13 @@ def test_percentile_rejects_out_of_range():
         percentile([1.0], 101)
 
 
+@pytest.mark.parametrize("q", [150, -1, float("nan")])
+def test_percentile_checks_q_before_the_empty_sample_shortcut(q):
+    """An empty sample used to answer ``0.0`` before ``q`` was looked at."""
+    with pytest.raises(ValueError):
+        percentile([], q)
+
+
 # ---------------------------------------------------------------------------
 # Arrival processes
 # ---------------------------------------------------------------------------
