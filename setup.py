@@ -9,7 +9,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.22.0",
+    version="1.23.0",
     description=(
         "Finesse reproduction: agile software/hardware co-design framework for "
         "pairing-based cryptography (Python functional model)"
@@ -21,7 +21,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     extras_require={
-        "dev": ["pytest", "pytest-benchmark", "hypothesis"],
+        "dev": ["pytest", "hypothesis"],
         # Optional fast F_p backend (repro.fields.backends); auto-detected at
         # import, selectable via FINESSE_FP_BACKEND=gmpy2.  Never a hard
         # dependency: everything runs (slower) on the pure-Python backend.

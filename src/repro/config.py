@@ -41,8 +41,6 @@ BUDGET_ENV = "FINESSE_DSE_BUDGET"
 # -- fault injection (repro.reliability.faults) -------------------------------
 FAULTS_ENV = "FINESSE_FAULTS"
 HANG_SECONDS_ENV = "FINESSE_FAULT_HANG_S"
-# -- evaluation harness (repro.evaluation.common) -----------------------------
-SCALE_ENV = "FINESSE_BENCH_SCALE"
 # -- verification service (repro.service.config) ------------------------------
 MAX_BATCH_ENV = "FINESSE_SERVICE_MAX_BATCH"
 DEADLINE_ENV = "FINESSE_SERVICE_DEADLINE_MS"
@@ -59,7 +57,7 @@ ENV_VARS = (
     CACHE_DIR_ENV, MAX_BYTES_ENV, BACKEND_ENV, PIPELINE_DEPTH_ENV,
     WORKERS_ENV, MAX_RETRIES_ENV, EVAL_TIMEOUT_ENV,
     OBJECTIVES_ENV, STRATEGY_ENV, BUDGET_ENV,
-    FAULTS_ENV, HANG_SECONDS_ENV, SCALE_ENV,
+    FAULTS_ENV, HANG_SECONDS_ENV,
     MAX_BATCH_ENV, DEADLINE_ENV, QUEUE_BOUND_ENV, FUSE_ENV,
     BREAKER_THRESHOLD_ENV, BREAKER_COOLDOWN_ENV, SHED_AFTER_ENV,
 )

@@ -95,7 +95,7 @@ from repro.config import (
 )
 from repro.curves.catalog import CURVE_SPECS
 from repro.dse.explorer import KernelNotCached, _evaluate_spec
-from repro.dse.objectives import resolve_objective, resolve_objectives
+from repro.dse.objectives import objective_name, resolve_objective, resolve_objectives
 from repro.dse.pareto import ParetoResult, pareto_result
 from repro.dse.spec import EvalSpec
 from repro.errors import DSEError, WorkerCrashError
@@ -647,8 +647,7 @@ class ParallelExplorer:
             cached_points=cached,
             workers=self.workers,
             chunks=n_chunks,
-            objective=objective if isinstance(objective, str) else getattr(
-                objective, "__name__", "custom"),
+            objective=objective_name(objective),
             cache_stats=self._merge_cache_stats(local_delta, worker_stats),
             failed=len(self.failures),
             reliability=self.reliability.snapshot(),

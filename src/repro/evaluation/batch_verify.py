@@ -27,8 +27,7 @@ The ``final_exp`` section additionally compiles the largest batch once per
 final-exponentiation mode (``generic`` | ``cyclotomic`` | ``compressed``,
 see :mod:`repro.fields.cyclotomic`) in both accumulator modes and records the
 total cycles plus the final-exp phase share from the per-phase simulator
-telemetry -- the cells ``compare_bench.py`` guards so a regression in the
-cyclotomic fast path fails CI like any other cycle regression.
+telemetry.
 
 The ``pipeline`` section re-simulates the largest batch as a *continuously
 fed* accelerator (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined`):
@@ -37,15 +36,17 @@ flight and the steady-state cycles per pairing recorded per depth.  Depth 1
 is the one-shot kernel (bit-identical to ``run_multicore``); deeper pipelines
 overlap one instance's serial final-exponentiation tail with the next
 instance's Miller lanes, and the ``final_exp_busy_cores`` occupancy column
-makes that overlap visible.  The ``cycles``/``fill_cycles``/``drain_cycles``
-leaves are guarded by ``compare_bench.py`` like every other cycle figure.
+makes that overlap visible.
+
+``tests/test_pipelined_sim.py`` pins the smoke-scale result by hash and
+asserts the table's acceptance bars.
 """
 
 from __future__ import annotations
 
 from repro.compiler.pipeline import compile_multi_pairing
 from repro.curves.catalog import get_curve
-from repro.evaluation.common import bench_scale, codesign_curve_name
+from repro.evaluation.common import DEFAULT_SCALE, codesign_curve_name
 from repro.hw.presets import paper_hw1
 from repro.pairing.final_exp import FINAL_EXP_MODES
 from repro.sim.cycle import CycleAccurateSimulator
@@ -158,7 +159,7 @@ def _pipeline_table(curve, hw, simulator, batch: int) -> dict:
 
 
 def run(scale: str | None = None) -> dict:
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     curve = get_curve(codesign_curve_name("smoke" if scale != "full" else scale))
     hw = paper_hw1(curve.params.p.bit_length())
     simulator = CycleAccurateSimulator()
@@ -176,17 +177,12 @@ def run(scale: str | None = None) -> dict:
         rows.append({
             "batch": batch,
             "instructions": kernels["shared", 1].final_instructions,
-            "cores": modes["shared"],       # legacy layout: shared-mode cells
             "modes": modes,
         })
 
     return {
         "experiment": "batch_verify",
         "curve": curve.name,
-        # Benchmark records carry the backend so paper-curve and toy-curve
-        # rows are never compared across backends; the compile-cache digests
-        # deliberately do NOT include it (values are backend-invariant).
-        "fp_backend": curve.fp_backend,
         "hw": hw.name,
         "core_counts": list(CORE_COUNTS),
         "modes": list(MODES),
@@ -212,35 +208,31 @@ def render(result: dict) -> str:
     lines = [f"Batched verify -- {result['curve']} on {result['hw']} "
              f"(cycles [cycles/pairing] per core count)"]
     for row in result["rows"]:
-        # Pre-1.4 payloads carry only the shared-mode "cores" cells.
-        row_modes = row.get("modes", {"shared": row["cores"]})
-        for mode in result.get("modes", ("shared",)):
+        for mode in result["modes"]:
             cells = ", ".join(
                 f"{label}={entry['cycles']} [{entry['cycles_per_pairing']:.0f}]"
-                for label, entry in row_modes[mode].items()
+                for label, entry in row["modes"][mode].items()
             )
             lines.append(f"  batch={row['batch']:<2} {mode:<6} {cells}")
-    fe = result.get("final_exp")
-    if fe:
-        lines.append(f"Final-exp modes at batch={fe['batch']} "
-                     "(cycles [final-exp share]):")
-        for fe_mode, cells in fe["modes"].items():
-            for acc_mode in ("shared", "split"):
-                row = ", ".join(
-                    f"{label}={entry['cycles']} [{entry['final_exp_share']:.0%}]"
-                    for label, entry in cells[acc_mode].items()
-                )
-                lines.append(f"  {fe_mode:<11} {acc_mode:<6} {row}")
-    pipe = result.get("pipeline")
-    if pipe:
-        lines.append(f"Pipelined execution at batch={pipe['batch']} "
-                     "(steady cycles/pairing per depth [final-exp busy cores]):")
-        for acc_mode, cells in pipe["modes"].items():
-            for core_label, depths in cells.items():
-                row = ", ".join(
-                    f"{depth_label}={entry['steady_cycles_per_pairing']:.0f} "
-                    f"[{entry['final_exp_busy_cores']}]"
-                    for depth_label, entry in depths.items()
-                )
-                lines.append(f"  {acc_mode:<6} {core_label:<3} {row}")
+    fe = result["final_exp"]
+    lines.append(f"Final-exp modes at batch={fe['batch']} "
+                 "(cycles [final-exp share]):")
+    for fe_mode, cells in fe["modes"].items():
+        for acc_mode in MODES:
+            row = ", ".join(
+                f"{label}={entry['cycles']} [{entry['final_exp_share']:.0%}]"
+                for label, entry in cells[acc_mode].items()
+            )
+            lines.append(f"  {fe_mode:<11} {acc_mode:<6} {row}")
+    pipe = result["pipeline"]
+    lines.append(f"Pipelined execution at batch={pipe['batch']} "
+                 "(steady cycles/pairing per depth [final-exp busy cores]):")
+    for acc_mode, cells in pipe["modes"].items():
+        for core_label, depths in cells.items():
+            row = ", ".join(
+                f"{depth_label}={entry['steady_cycles_per_pairing']:.0f} "
+                f"[{entry['final_exp_busy_cores']}]"
+                for depth_label, entry in depths.items()
+            )
+            lines.append(f"  {acc_mode:<6} {core_label:<3} {row}")
     return "\n".join(lines)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from repro.config import SCALE_ENV, env_choice
 from repro.curves.catalog import PAPER_CURVES, get_curve
 from repro.hw.presets import paper_hw1, paper_hw2
 from repro.hw.timing import frequency_mhz
+
+#: Experiment scale when none is given: "full", "reduced" or "smoke"
+#: (``python -m repro.evaluation.runner --scale`` picks another).
+DEFAULT_SCALE = "reduced"
 
 #: Ratio between our 40 nm ASIC frequency model and the Virtex-7 implementation
 #: (matches Table 6: 769 MHz ASIC vs 153.8 MHz FPGA for the same design).
@@ -13,11 +16,6 @@ FPGA_FREQUENCY_RATIO = 5.0
 #: Virtex-7 slice count per mm^2 of 40 nm ASIC area (calibrated on Table 6's
 #: 13 928 slices for the 1-core BN254N design).
 FPGA_SLICES_PER_MM2 = 7_870.0
-
-
-def bench_scale(default: str = "reduced") -> str:
-    """Benchmark scale: "full", "reduced" or "smoke" (see DESIGN.md)."""
-    return env_choice(SCALE_ENV, ("full", "reduced", "smoke"), default)
 
 
 def paper_curve_names(scale: str | None = None) -> list:
@@ -28,7 +26,7 @@ def paper_curve_names(scale: str | None = None) -> list:
     BLS24-509, whose kernels take minutes each to recompile; ``smoke`` uses the
     toy curves only.
     """
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     if scale == "smoke":
         return ["TOY-BN42", "TOY-BLS12-54", "TOY-BLS24-79"]
     if scale == "reduced":
@@ -38,14 +36,14 @@ def paper_curve_names(scale: str | None = None) -> list:
 
 def dse_curve_name(scale: str | None = None) -> str:
     """Curve used for the BLS24 design-space studies (Figure 2 / Figure 10)."""
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     if scale == "full":
         return "BLS24-509"
     return "TOY-BLS24-79"
 
 
 def codesign_curve_name(scale: str | None = None) -> str:
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     if scale == "smoke":
         return "TOY-BN42"
     return "BN254N"

@@ -12,13 +12,13 @@ from __future__ import annotations
 from repro.curves.catalog import get_curve
 from repro.dse.engine import ParallelExplorer
 from repro.dse.space import DesignPoint, named_variant_configs, variant_combinations
-from repro.evaluation.common import bench_scale, dse_curve_name
+from repro.evaluation.common import DEFAULT_SCALE, dse_curve_name
 from repro.hw.presets import figure10_models
 
 
 def run(scale: str | None = None, exhaustive: bool | None = None,
         workers: int | None = None) -> dict:
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     curve = get_curve(dse_curve_name(scale))
     width = curve.params.p.bit_length()
     hw_models = figure10_models(width)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.compiler.pipeline import compile_pairing
 from repro.curves.catalog import get_curve
-from repro.evaluation.common import bench_scale, hw_for_curve
+from repro.evaluation.common import DEFAULT_SCALE, hw_for_curve
 from repro.hw.area import estimate_area
 from repro.hw.timing import frequency_mhz
 
@@ -13,7 +13,7 @@ LAYOUT_FREQUENCY_BONUS = 1.083
 
 
 def run(scale: str | None = None) -> dict:
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     curve = get_curve("TOY-BN42" if scale == "smoke" else "BN254N")
     hw = hw_for_curve(curve)
     result = compile_pairing(curve, hw=hw)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from repro.compiler.pipeline import compile_pairing
 from repro.curves.catalog import get_curve
-from repro.evaluation.common import bench_scale, hw_for_curve
+from repro.evaluation.common import DEFAULT_SCALE, hw_for_curve
 from repro.hw.area import estimate_area
 
 
 def run(scale: str | None = None) -> dict:
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     curve = get_curve("TOY-BN42" if scale == "smoke" else "BN254N")
     hw = hw_for_curve(curve)
     result = compile_pairing(curve, hw=hw)

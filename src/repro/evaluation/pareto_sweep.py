@@ -4,19 +4,19 @@ Runs the Figure 10 toy design space (the named variant configurations crossed
 with the representative pipeline configurations) through
 :meth:`repro.dse.engine.ParallelExplorer.explore_pareto` once per search
 strategy and records, per strategy: the frontier itself (with per-point
-``cycles`` cells so ``compare_bench.py`` guards frontier membership), how many
-points were pushed through the full tool-chain, the summed cycles of those
-evaluations (``total_evaluated_cycles`` -- a guarded cycle leaf, so a strategy
-silently evaluating more or different points fails CI), the sweep wall-clock,
-and whether the strategy recovered the exhaustive frontier.
+``cycles``), how many points were pushed through the full tool-chain, the
+summed cycles of those evaluations (``total_evaluated_cycles``, which pins
+down *which* points the strategy evaluated), the sweep wall-clock, and whether
+the strategy recovered the exhaustive frontier.
 
 Knobs come from the environment, set by the evaluation runner's flags:
 ``FINESSE_DSE_OBJECTIVES`` (``--objectives``), ``FINESSE_DSE_STRATEGY``
 (``--strategy``: restricts the run to the exhaustive baseline plus that one
 strategy) and ``FINESSE_DSE_BUDGET`` (``--budget``).  The guided strategies'
 contract -- recover the exhaustive frontier while evaluating at most half the
-space -- is asserted by ``benchmarks/bench_dse.py`` and the test suite on top
-of exactly this experiment.
+space -- is asserted by ``tests/test_dse_pareto.py`` on the same toy space;
+the explorer's wall-clock is measured by the ledger's two DSE workloads
+(``python benchmarks/ledger/run.py --seconds 1 --out ledger-out``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.curves.catalog import get_curve
 from repro.dse.engine import ParallelExplorer
 from repro.dse.search import DEFAULT_OBJECTIVES
 from repro.dse.space import design_points, named_variant_configs
-from repro.evaluation.common import bench_scale, dse_curve_name
+from repro.evaluation.common import DEFAULT_SCALE, dse_curve_name
 from repro.hw.presets import figure10_models
 
 #: Search strategies compared by the sweep, exhaustive (the ground truth)
@@ -43,7 +43,7 @@ def toy_design_points(curve) -> list:
 
 
 def _frontier_row(metrics) -> dict:
-    """One frontier table row; ``cycles`` is the guarded membership cell."""
+    """One frontier table row."""
     return {
         "label": metrics.label,
         "cycles": metrics.cycles,
@@ -57,7 +57,7 @@ def _frontier_row(metrics) -> dict:
 
 
 def run(scale: str | None = None) -> dict:
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     curve = get_curve(dse_curve_name(scale))
     points = toy_design_points(curve)
     names = env_str(OBJECTIVES_ENV).split(",")
@@ -83,9 +83,6 @@ def run(scale: str | None = None) -> dict:
             "evaluated_points": pareto.evaluated,
             "total_points": pareto.total_points,
             "evaluated_fraction": round(pareto.evaluated / pareto.total_points, 3),
-            # Guarded cycle leaf: the summed cycles of every fully-evaluated
-            # point pin down *which* points the strategy evaluated, so a
-            # quietly changed promotion set fails compare_bench.py.
             "total_evaluated_cycles": sum(m.cycles for m in explorer.evaluated),
             "wall_s": round(wall_s, 3),
             "frontier_size": len(pareto.frontier),

@@ -7,7 +7,7 @@ from repro.baselines.published import FLEXIPAIR_FPGA, IKEDA_ASIC
 from repro.compiler.pipeline import compile_pairing
 from repro.curves.catalog import get_curve
 from repro.evaluation.common import (
-    bench_scale,
+    DEFAULT_SCALE,
     fpga_frequency_mhz,
     fpga_slices,
     hw_for_curve,
@@ -82,7 +82,7 @@ def _our_rows(curve) -> list:
 
 
 def run(scale: str | None = None) -> dict:
-    scale = scale or bench_scale()
+    scale = scale or DEFAULT_SCALE
     curve = get_curve("TOY-BN42" if scale == "smoke" else "BN254N")
     rows = [FLEXIPAIR_FPGA.describe(), IKEDA_ASIC.describe()]
     ours = _our_rows(curve)

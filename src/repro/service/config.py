@@ -8,8 +8,9 @@ mirroring how ``FINESSE_DSE_WORKERS`` / ``FINESSE_CACHE_DIR`` configure the
 exploration engine and the artifact store; explicit constructor arguments
 always win over the environment.
 
-See ``docs/serving.md`` for the operator guide (what each knob trades off,
-with measured numbers from ``benchmarks/bench_service.py``).
+See ``docs/serving.md`` for the operator guide: what each knob trades off,
+with numbers measured by the ledger's service workloads
+(``python benchmarks/ledger/run.py --seconds 1 --out ledger-out``).
 """
 
 from __future__ import annotations

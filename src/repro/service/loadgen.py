@@ -19,8 +19,9 @@ Run it from the command line against a toy curve::
 
     python -m repro.service.loadgen --rate 60 --requests 48 --max-batch 8
 
-``benchmarks/bench_service.py`` wraps :func:`run_load` to produce the
-batched-vs-unbatched throughput comparison that CI guards.
+The service's throughput and latency are measured by the ledger's two
+service workloads (``python benchmarks/ledger/run.py --seconds 1 --out
+ledger-out``), which drive it with their own closed and paced loops.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from repro.dse.space import DesignPoint
 from repro.dse.spec import EvalSpec
 from repro.errors import DSEError, ReliabilityError, ServiceError, SimulationError
 from repro.evaluation import runner
-from repro.evaluation.common import bench_scale
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import paper_hw1
 from repro.reliability import faults
@@ -98,8 +97,6 @@ POLICY = [
     (config.SHED_AFTER_ENV, _service_attr("shed_after_ms"), None, "40", 40.0,
      ["soon", "0", "-1", "nan"]),
     (config.FUSE_ENV, _service_attr("fuse"), "rlc", "none", "none", ["sometimes"]),
-    (config.SCALE_ENV, lambda curve, tmp_path, monkeypatch: bench_scale(),
-     "reduced", "SMOKE", "smoke", ["huge"]),
 ]
 
 

@@ -11,7 +11,7 @@ from repro.compiler.store import CACHE_DIR_ENV, active_store, reset_store_state
 from repro.dse.codesign import alu_family_codesign
 from repro.dse.engine import ParallelExplorer, worker_cache_stats
 from repro.dse.explorer import evaluate_design_point
-from repro.dse.objectives import resolve_objective
+from repro.dse.objectives import OBJECTIVES, resolve_objective
 from repro.dse.space import design_points, named_variant_configs
 from repro.errors import DSEError
 from repro.hw.presets import figure10_models
@@ -70,7 +70,11 @@ def test_objective_handling_matches_legacy(toy_bn, toy_points):
         engine.best([], objective="throughput")
     by_callable = engine.explore(toy_points, objective=lambda m: -m.cycles)
     assert by_callable[0].cycles == min(m.cycles for m in engine.evaluated)
-    assert engine.last_report.objective in ("<lambda>", "custom")
+    assert engine.last_report.objective == "<lambda>"
+    # A registry Objective passed directly reports its registry name, as the
+    # Pareto sweep does.
+    engine.explore(toy_points, objective=OBJECTIVES["efficiency"])
+    assert engine.last_report.objective == "efficiency"
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,12 @@ def test_guided_strategy_recovers_frontier_within_budget(toy_bn, full_points, st
     engine = ParallelExplorer(toy_bn, workers=1, do_assemble=False)
     exhaustive = engine.explore_pareto(full_points, objectives=("throughput", "area"))
     assert exhaustive.evaluated == exhaustive.total_points == len(full_points)
+    # A real trade-off, with power axes populated and varying along it, so
+    # power / energy / throughput_per_watt are rankable.
+    assert len(exhaustive.frontier) >= 2
+    assert all(m.power_mw > 0 and m.energy_per_pairing_uj > 0 and m.throughput_per_watt > 0
+               for m in exhaustive.frontier)
+    assert len({m.power_mw for m in exhaustive.frontier}) > 1
 
     guided = engine.explore_pareto(full_points, objectives=("throughput", "area"),
                                    strategy=strategy)

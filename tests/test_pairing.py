@@ -214,11 +214,12 @@ def test_miller_loop_accepts_tuples(toy_bn, rng):
 def test_full_size_pairing_bilinearity():
     from repro.curves.catalog import get_curve
 
-    curve = get_curve("BN254N")
-    rng = random.Random(53)
-    P = curve.random_g1(rng)
-    Q = curve.random_g2(rng)
-    base = optimal_ate_pairing(curve, P, Q)
-    a = rng.randrange(2, 2**64)
-    assert optimal_ate_pairing(curve, P.scalar_mul(a), Q) == base ** a
-    assert curve.is_valid_gt(base)
+    for name in ("BN254N", "BLS12-381"):
+        curve = get_curve(name)
+        rng = random.Random(53)
+        P = curve.random_g1(rng)
+        Q = curve.random_g2(rng)
+        base = optimal_ate_pairing(curve, P, Q)
+        a, b = rng.randrange(2, 2**64), rng.randrange(2, 2**64)
+        assert optimal_ate_pairing(curve, P.scalar_mul(a), Q.scalar_mul(b)) == base ** (a * b)
+        assert curve.is_valid_gt(base)

@@ -254,12 +254,38 @@ def test_batch_verify_pipeline_table_structure():
     from repro.evaluation import batch_verify
 
     result = batch_verify.run("smoke")
-    # Every leaf of the smoke run (269, the 117 cycle cells among them),
-    # recorded before the three tables came to pick their kernels in one helper.
-    portable = {key: value for key, value in result.items() if key != "fp_backend"}
+    # Every leaf of the smoke run, the 117 cycle cells among them.
     assert hashlib.sha256(
-        json.dumps(portable, sort_keys=True, default=str).encode()
-    ).hexdigest() == "f8bac07a73aa864415c3d0031816f542a183305930a7c8cc282dd911d169b7fa"
+        json.dumps(result, sort_keys=True, default=str).encode()
+    ).hexdigest() == "1022e1d4a2e12ba530106f44f396554fe40f4a8cb50c6bbbae2907f2a62772d2"
+    rows = {row["batch"]: row for row in result["rows"]}
+    assert max(rows) >= 4
+    big = rows[max(rows)]["modes"]
+    # Core scaling at the largest batch, in both accumulator modes; split
+    # accumulators beat the shared chain on 4 cores and are the shared kernel
+    # on one.
+    for acc_mode in batch_verify.MODES:
+        assert big[acc_mode]["c4"]["cycles"] < big[acc_mode]["c1"]["cycles"]
+    assert big["split"]["c4"]["cycles"] < big["shared"]["c4"]["cycles"]
+    assert big["split"]["c1"]["cycles"] == big["shared"]["c1"]["cycles"]
+    # Batch amortisation: cycles per pairing fall strictly with the batch.
+    for acc_mode in batch_verify.MODES:
+        for n_cores in batch_verify.CORE_COUNTS:
+            per_pairing = [rows[batch]["modes"][acc_mode][f"c{n_cores}"]["cycles_per_pairing"]
+                           for batch in sorted(rows)]
+            assert per_pairing == sorted(per_pairing, reverse=True)
+            assert per_pairing[-1] < per_pairing[0]
+    # Cyclotomic final exp cuts the final-exp phase by >= 20 % against
+    # generic, compressed beats generic, and both lower the batch total.
+    fe = result["final_exp"]["modes"]
+    for acc_mode in batch_verify.MODES:
+        for n_cores in batch_verify.CORE_COUNTS:
+            generic, cyclo, compressed = (fe[mode][acc_mode][f"c{n_cores}"] for mode in (
+                "generic", "cyclotomic", "compressed"))
+            assert cyclo["final_exp_cycles"] <= 0.8 * generic["final_exp_cycles"]
+            assert compressed["final_exp_cycles"] < generic["final_exp_cycles"]
+            assert cyclo["cycles"] < generic["cycles"]
+            assert compressed["cycles"] < generic["cycles"]
     pipe = result["pipeline"]
     assert pipe["depths"] == list(batch_verify.PIPELINE_DEPTHS)
     assert set(pipe["modes"]) == set(batch_verify.MODES)
@@ -271,15 +297,16 @@ def test_batch_verify_pipeline_table_structure():
                 assert cell["cycles"] > 0
                 assert cell["fill_cycles"] > 0
                 assert cell["steady_cycles_per_pairing"] > 0
-    # Depth 1 mirrors the main table's one-shot cells.
-    rows = {row["batch"]: row for row in result["rows"]}
-    big = rows[pipe["batch"]]["modes"]
-    for acc_mode in batch_verify.MODES:
-        assert (pipe["modes"][acc_mode]["c4"]["d1"]["cycles"]
-                == big[acc_mode]["c4"]["cycles"])
-    # And the steady-state win is recorded where the bench asserts it.
+    # Depth 1 mirrors the main table's one-shot cells; depth 2 cuts the
+    # steady state and depth 4 never gives it back.
+    assert pipe["batch"] == max(rows)
     for acc_mode in batch_verify.MODES:
         cells = pipe["modes"][acc_mode]["c4"]
-        assert (cells["d2"]["steady_cycles_per_pairing"]
-                < cells["d1"]["steady_cycles_per_pairing"])
+        assert cells["d1"]["cycles"] == big[acc_mode]["c4"]["cycles"]
+        steady = [cells[f"d{depth}"]["steady_cycles_per_pairing"] for depth in (1, 2, 4)]
+        assert steady[1] < steady[0] and steady[2] <= steady[1]
+    # The overlap shows in the occupancy: at depth 4 other cores issue during
+    # the final-exp span, which a one-shot run never does.
+    assert pipe["modes"]["split"]["c4"]["d4"]["final_exp_busy_cores"] > 1
+    assert pipe["modes"]["split"]["c4"]["d1"]["final_exp_busy_cores"] == 1
     assert "Pipelined execution" in batch_verify.render(result)

@@ -35,6 +35,7 @@ from repro.service.config import (
     MAX_BATCH_ENV,
     QUEUE_BOUND_ENV,
 )
+from repro.service.loadgen import run_load
 from repro.service.workloads import build_request_pairs
 
 
@@ -401,6 +402,21 @@ def test_fused_and_exact_agree_on_a_mixed_stream(toy_bn):
     exact = _serve_all(toy_bn, traffic,
                        ServiceConfig(max_batch=8, deadline_ms=50.0, fuse="none"))
     assert fused == exact == [expected for _, expected in traffic]
+
+
+def test_loadgen_checks_every_verdict_and_batches_fill_at_saturation(toy_bn):
+    """``run_load`` offered far more than the service's capacity: every
+    verdict, forgeries included, matches its expected outcome, nothing is
+    rejected, and batches coalesce."""
+    async def scenario():
+        config = ServiceConfig(max_batch=8, deadline_ms=20.0)
+        async with VerificationService(toy_bn, config) as service:
+            return await run_load(service, rate_rps=1e5, n_requests=16, seed=5,
+                                  forge_fraction=0.25)
+
+    report = asyncio.run(scenario())
+    assert (report["completed"], report["rejected"], report["mismatches"]) == (16, 0, 0)
+    assert report["service"]["mean_batch_size"] > 2.0
 
 
 _FUSED_SOURCES_SCRIPT = """
