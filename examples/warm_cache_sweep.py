@@ -9,9 +9,12 @@ twice to see the effect::
     python examples/warm_cache_sweep.py --cache-dir .finesse-cache     # cold: compiles
     python examples/warm_cache_sweep.py --cache-dir .finesse-cache     # warm: disk hits
 
-CI uses the second invocation with ``--assert-warm``, which fails unless the
-sweep was fully served from the store (``disk_hits > 0`` and zero
-recompilations) -- the warm-path guarantee this repository advertises.
+CI uses the second invocation with ``--assert-warm`` at one and at two
+workers (``FINESSE_DSE_WORKERS``), which fails unless the sweep was fully
+served from the store (``disk_hits > 0``, zero recompilations, and every
+distinct point answered from a cache tier by the parent:
+``cached_points == distinct_points``) -- the warm-path guarantee this
+repository advertises, at any worker count.
 """
 
 from __future__ import annotations
@@ -72,12 +75,16 @@ def main() -> int:
     print(f"this sweep: {recompilations} recompilation(s), {disk_hits} disk hit(s)")
 
     if assert_warm:
-        if recompilations != 0 or disk_hits == 0:
-            print("FAIL: expected a warm sweep (zero recompilations, disk_hits > 0); "
-                  f"got {recompilations} recompilation(s) and {disk_hits} disk hit(s)",
+        if (recompilations != 0 or disk_hits == 0
+                or report.cached_points != report.distinct_points):
+            print("FAIL: expected a warm sweep (zero recompilations, disk_hits > 0, "
+                  "every distinct point cached); got "
+                  f"{recompilations} recompilation(s), {disk_hits} disk hit(s) and "
+                  f"{report.cached_points} of {report.distinct_points} points cached",
                   file=sys.stderr)
             return 1
-        print(f"warm path verified: {disk_hits} disk hit(s), zero recompilations")
+        print(f"warm path verified: {disk_hits} disk hit(s), zero recompilations, "
+              f"{report.cached_points} cached point(s)")
     else:
         # Surface the full per-stage view on the populating run.
         print("process cache stats:", {name: s.get("hits", 0) for name, s in stats.items()})

@@ -576,20 +576,10 @@ def pairing_compile_digest(curve, **knobs) -> str:
     """Semantic cache digest of a compile call with these keywords, without compiling.
 
     Exactly the key that call would look up (``n_pairs`` among the ``knobs``
-    gives the batched kernel's), so callers (the cache-seeded search of
-    :mod:`repro.dse.search`) can ask "is this design point already compiled?"
-    before spending a full evaluation on it.
+    gives the batched kernel's), and the file name its artefact has in the
+    disk tier (``ArtifactStore`` entries are keyed by it).
     """
     return KernelSpec(**knobs).digest(curve)
-
-
-def is_pairing_compiled(curve, **knobs) -> bool:
-    """True when the memory result tier already holds this kernel.
-
-    A pure probe: no counters move, no compilation happens, and the disk tier
-    is deliberately not consulted (seeding heuristics want the cheap answer).
-    """
-    return _RESULT_CACHE.peek(pairing_compile_digest(curve, **knobs)) is not None
 
 
 def compile_multi_pairing(curve, n_pairs: int, hw: HardwareModel | None = None,

@@ -5,27 +5,37 @@ design point -- is embarrassingly parallel: no point depends on any other.  The
 :class:`ParallelExplorer` exploits that by sharding a design space across a
 ``ProcessPoolExecutor`` while keeping the result stream fully deterministic.
 
+One path
+--------
+Every sweep, at any worker count, runs the same steps: deduplicate the points
+by compile identity, let the parent answer every point whose kernels a cache
+tier holds, hand the misses to one supervisor, fill duplicates from their
+representatives and build the report.  The only fork is who runs a miss: a
+process pool when there is more than one worker, more than one point, a
+catalog curve and a pool that can be created; this process otherwise, through
+the same supervisor on an inline executor.  Rankings, frontiers and
+``evaluated`` lists are therefore identical for any worker count and any cache
+state.
+
 Knobs
 -----
 ``workers``
-    Number of worker processes.  ``workers=1`` (the default) runs the classic
-    in-process loop and is *bit-identical* to the historical sequential
-    explorer; ``workers=N`` shards the space into chunks, evaluates them in
-    parallel and merges results back into submission order before ranking, so
-    the ranked output is independent of worker count and scheduling.  The
-    default can be set globally with the ``FINESSE_DSE_WORKERS`` environment
-    variable (used by the evaluation runner's ``--workers`` flag).
+    Number of worker processes.  ``workers=1`` (the default) runs the misses
+    in process; ``workers=N`` shards them into chunks, evaluates them in
+    parallel and merges results back into submission order before ranking.
+    The default can be set globally with the ``FINESSE_DSE_WORKERS``
+    environment variable (used by the evaluation runner's ``--workers`` flag).
 ``chunk_size``
     Points per dispatched work unit.  Defaults to a balanced
-    ``ceil(len(points) / (4 * workers))`` so stragglers (large kernels) do not
+    ``ceil(len(misses) / (4 * workers))`` so stragglers (large kernels) do not
     serialise the sweep.
 ``max_retries`` / ``eval_timeout``
     Failure handling: the per-point retry budget for transient evaluation
     failures (``FINESSE_DSE_MAX_RETRIES``, default 2; crash recovery is
     separate) and the per-point evaluation timeout in seconds
     (``FINESSE_DSE_EVAL_TIMEOUT``, default off).  The timeout is enforced on
-    the parallel path only -- a chunk of k points gets ``k * eval_timeout``;
-    sequential evaluation cannot be preempted.
+    the pool only -- a chunk of k points gets ``k * eval_timeout``; in-process
+    evaluation cannot be preempted.
 evaluation knobs
     Every other keyword (``n_cores``, ``technology``, ``do_assemble``,
     ``batch_size``, ``split_accumulators``, ``final_exp_mode``,
@@ -35,53 +45,52 @@ evaluation knobs
     into one validated spec at construction -- a bad batch size or policy
     raises there, not halfway through a sharded sweep inside a worker -- and
     ships that spec verbatim to every worker, so sharded sweeps score
-    identically to sequential ones.
+    identically to in-process ones.
 
 Caching
 -------
-Every evaluation funnels through :func:`repro.compiler.pipeline.compile_pairing`
-and therefore through the content-addressed compile cache
-(:mod:`repro.compiler.cache`): identical (curve, variant config, hw model)
-combinations compile exactly once per process, and a repeated sweep over the
-same design points performs zero recompilations.  After every sweep the engine
-stores that sweep's per-stage cache counters (local delta plus all worker
-deltas) in ``last_report.cache_stats``.
+Every evaluation funnels through :func:`repro.compiler.pipeline.compile_kernel`
+and therefore through the content-addressed compile cache: identical (curve,
+variant config, hw model) combinations compile exactly once per process, and a
+repeated sweep over the same design points performs zero recompilations.
+After every sweep the engine stores that sweep's per-stage cache counters
+(this process's delta plus every pool chunk's delta) in
+``last_report.cache_stats``.
 
 Three mechanisms extend that guarantee across process boundaries:
 
-* **Dedup at dispatch** -- before sharding, points are grouped by their
-  semantic compile identity (variant-config and hardware cache keys), only the
-  first occurrence of each identity is dispatched, and duplicate slots are
-  filled from the representative's metrics (relabelled per point).  A cold
-  ``workers=N`` sweep therefore compiles each *distinct* point exactly once
-  across the whole pool, no matter how chunks land on workers.
+* **Dedup** -- points are grouped by their semantic compile identity
+  (variant-config and hardware cache keys), only the first occurrence of each
+  identity is evaluated, and duplicate slots are filled from the
+  representative's metrics (relabelled per point).  A cold ``workers=N`` sweep
+  therefore compiles each *distinct* point exactly once across the whole pool,
+  no matter how chunks land on workers.
 * **Disk tier** -- when ``FINESSE_CACHE_DIR`` is exported (see
   :mod:`repro.compiler.store`), every worker inherits it and shares one
   disk-backed artifact store, so sweeps in *fresh* processes (new CLI runs,
   later CI jobs) are served from disk instead of recompiling; the shared
   ``disk`` counters surface in ``last_report.cache_stats``.
-* **Cached points are answered before dispatch** -- a distinct point whose
-  kernels are all in the memory or disk tier is priced by the parent from the
-  recorded facts (``last_report.cached_points``); only the rest is chunked, so
-  a fully warm ``workers=N`` sweep builds no pool at all (``chunks == 0``).
+* **Cached points are answered by the parent** -- a distinct point whose
+  kernels are all in the memory or disk tier is priced from the recorded
+  facts (``last_report.cached_points``); only the rest is evaluated, so a
+  fully warm ``workers=N`` sweep builds no pool at all (``chunks == 0``).
 
 Worker processes reconstruct the curve from its catalog name (curve objects
-hold deeply nested field towers that are expensive to ship), so multi-process
-exploration is only attempted for catalog curves; anything else, or an
-environment in which process pools cannot be created, falls back to the
-sequential path transparently.
+hold deeply nested field towers that are expensive to ship), so the pool is
+only used for catalog curves; anything else, or an environment in which
+process pools cannot be created, runs its misses in process.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from repro.compiler.pipeline import cached_kernel, compile_cache_stats, is_pairing_compiled
+from repro.compiler.pipeline import cached_kernel, compile_cache_stats
 from repro.config import (
     BUDGET_ENV,
     EVAL_TIMEOUT_ENV,
@@ -107,13 +116,13 @@ from repro.reliability.stats import FailedPoint, ReliabilityStats
 #: fault without materially delaying a genuinely broken sweep.
 DEFAULT_MAX_RETRIES = 2
 
-#: A design point whose evaluation crashes its worker this many times is
-#: quarantined (recorded in ``ParallelExplorer.failures``) instead of being
-#: retried forever.
+#: A design point whose evaluation crashes its worker (or, in process, raises
+#: :class:`WorkerCrashError`) this many times is quarantined (recorded in
+#: ``ParallelExplorer.failures``) instead of being retried forever.
 QUARANTINE_AFTER = 2
 
 #: How long the pool-creation probe waits for the first worker to answer
-#: before the pool is declared unavailable (sequential fallback).
+#: before the pool is declared unavailable (misses then run in process).
 _POOL_PROBE_TIMEOUT_S = 60.0
 
 #: Error raised by ``best()`` when the sweep produced no rankable metrics --
@@ -142,14 +151,15 @@ class ExplorationReport:
 
     points: int
     workers: int
-    #: Chunks dispatched to the pool (0 on a sweep the cache tiers answered).
+    #: Chunks dispatched to the pool (0 on a sweep run in process or answered
+    #: by the cache tiers).
     chunks: int
     objective: str
     #: Semantically distinct design points (duplicates are filled from theirs).
     distinct_points: int = 0
-    #: Distinct points the parent answered from a cache tier without dispatch.
+    #: Distinct points the parent answered from a cache tier.
     cached_points: int = 0
-    #: Merged compile-cache statistics (this process plus every worker).
+    #: Merged compile-cache statistics (this process plus every pool chunk).
     cache_stats: dict = field(default_factory=dict)
     #: Points quarantined by this sweep (crashed workers, timeouts).
     failed: int = 0
@@ -208,6 +218,14 @@ def _stats_delta(after: dict, before: dict) -> dict:
     }
 
 
+def _accumulate(totals: dict, stats: dict) -> None:
+    """Add one per-stage counter delta into ``totals``, in place."""
+    for name, counters in stats.items():
+        entry = totals.setdefault(name, dict.fromkeys(_COUNTERS, 0))
+        for counter in _COUNTERS:
+            entry[counter] = entry.get(counter, 0) + counters.get(counter, 0)
+
+
 def _evaluate_point_resilient(curve, point, spec, policy, counters):
     """Evaluate one point with retry/backoff; wrap persistent failures.
 
@@ -247,18 +265,20 @@ def _evaluate_point_resilient(curve, point, spec, policy, counters):
         ) from exc
 
 
-def _evaluate_chunk(curve_name, chunk, spec, max_retries):
-    """Worker entry point: evaluate one chunk of (index, point) pairs.
+def _evaluate_chunk(curve, chunk, spec, max_retries):
+    """Evaluate one chunk of (index, point) pairs: the unit of work a miss is.
 
-    Runs in a separate process; the curve is rebuilt (or found pre-built when
-    the pool forks) from the catalog.  The compile-cache counter *delta* of the
-    chunk is returned alongside the metrics -- a delta, because one pool worker
-    may serve several chunks and its cumulative counters would double-count --
-    plus this chunk's retry counters for the parent's ``ReliabilityStats``.
+    ``curve`` is the curve itself in process and its catalog name in a pool
+    worker, which rebuilds it (or finds it pre-built when the pool forks).
+    The compile-cache counter *delta* of the chunk is returned alongside the
+    metrics -- a delta, because one pool worker may serve several chunks and
+    its cumulative counters would double-count -- plus this chunk's retry
+    counters for the parent's ``ReliabilityStats``.
     """
-    from repro.curves.catalog import get_curve
+    if isinstance(curve, str):
+        from repro.curves.catalog import get_curve
 
-    curve = get_curve(curve_name)
+        curve = get_curve(curve)
     policy = RetryPolicy(max_retries=max_retries)
     counters: dict = {}
     before = compile_cache_stats()
@@ -267,6 +287,36 @@ def _evaluate_chunk(curve_name, chunk, spec, max_retries):
         for index, point in chunk
     ]
     return evaluated, _stats_delta(compile_cache_stats(), before), counters
+
+
+class _InlineExecutor:
+    """The pool's ``submit`` in this process: the call runs on the spot and
+    comes back as a completed future, so one supervisor serves both sides."""
+
+    @staticmethod
+    def submit(fn, *args) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+_INLINE = _InlineExecutor()
+
+
+@dataclass
+class _Tally:
+    """What one sweep's batches add up to, for its :class:`ExplorationReport`."""
+
+    stats_before: dict
+    #: Cache-counter deltas of the pool's chunks (in-process work is already
+    #: in this process's own delta).
+    worker_stats: list = field(default_factory=list)
+    chunks: int = 0
+    distinct: int = 0
+    cached: int = 0
 
 
 class ParallelExplorer:
@@ -290,7 +340,6 @@ class ParallelExplorer:
             env_float(EVAL_TIMEOUT_ENV, None, exclusive=True)
             if eval_timeout is None else validate_eval_timeout(eval_timeout)
         )
-        self.retry_policy = RetryPolicy(max_retries=self.max_retries)
         #: Metrics of the last sweep, in submission order (mirrors the points
         #: list; quarantined points leave a ``None`` slot).
         self.evaluated: list = []
@@ -327,8 +376,8 @@ class ParallelExplorer:
         """Group points by semantic compile identity (first occurrence wins).
 
         Returns ``(indexed, duplicates)``: the ``(index, point)`` pairs to
-        dispatch, and ``(index, representative_index)`` pairs whose metrics can
-        be derived from an already-dispatched twin.  Identity is the same
+        evaluate, and ``(index, representative_index)`` pairs whose metrics
+        can be derived from an already-evaluated twin.  Identity is the same
         material the compile cache keys on -- the variant-config and hardware
         cache keys -- so two points with different display names but identical
         content still share one compilation.
@@ -357,50 +406,18 @@ class ParallelExplorer:
         failed_by_index[index] = failure
         self.reliability.points_quarantined += 1
 
-    def _evaluate_point_local(self, index, point, failed_by_index) -> object:
-        """In-process evaluation with the same healing contract as the pool.
-
-        Simulated crashes (:class:`WorkerCrashError`) are retried once and
-        quarantined on the second strike, mirroring the pool supervisor, so
-        ``workers=1`` chaos runs exercise identical semantics.
-        """
-        counters: dict = {}
-        crashes = 0
-        while True:
-            try:
-                metrics = _evaluate_point_resilient(
-                    self.curve, point, self.spec, self.retry_policy, counters,
-                )
-            except WorkerCrashError as exc:
-                crashes += 1
-                self.reliability.worker_crashes += 1
-                if crashes >= QUARANTINE_AFTER:
-                    self._quarantine(index, point, "crash", crashes, exc,
-                                     failed_by_index)
-                    metrics = None
-                else:
-                    continue
-            self.reliability.merge_counters(counters)
-            return metrics
-
-    def _evaluate_sequential(self, points) -> list:
-        failed_by_index: dict = {}
-        return [
-            self._evaluate_point_local(index, point, failed_by_index)
-            for index, point in enumerate(points)
-        ]
-
-    def _submit_chunk(self, pool, chunk):
-        return pool.submit(_evaluate_chunk, self.curve.name, chunk, self.spec,
-                           self.max_retries)
+    def _submit_chunk(self, executor, chunk):
+        curve = self.curve if executor is _INLINE else self.curve.name
+        return executor.submit(_evaluate_chunk, curve, chunk, self.spec,
+                               self.max_retries)
 
     def _ensure_pool(self):
         if self._pool is None:
             pool = ProcessPoolExecutor(max_workers=self.workers)
             # Probe: a worker must actually start and answer.  Restricted
-            # sandboxes fail *here* -- which must mean "fall back to
-            # sequential", never "enter crash recovery" -- so from this point
-            # on a broken pool is evidence of a genuine worker death.
+            # sandboxes fail *here* -- which must mean "run in process",
+            # never "enter crash recovery" -- so from this point on a broken
+            # pool is evidence of a genuine worker death.
             pool.submit(os.getpid).result(timeout=_POOL_PROBE_TIMEOUT_S)
             self._pool = pool
         return self._pool
@@ -424,14 +441,20 @@ class ParallelExplorer:
         return self.eval_timeout * max(1, len(chunk))
 
     def _harvest(self, payload, slots, worker_stats):
+        """Slot a chunk's metrics and count its cache work once: a pool chunk's
+        delta joins ``worker_stats`` and the process-lifetime worker totals;
+        an in-process chunk (``worker_stats`` is ``None``) is already in this
+        process's own delta."""
         evaluated, stats, counters = payload
         for index, metrics in evaluated:
             slots[index] = metrics
-        worker_stats.append(stats)
+        if worker_stats is not None:
+            worker_stats.append(stats)
+            _accumulate(_WORKER_TOTALS, stats)
         self.reliability.merge_counters(counters)
 
     def _dispatch_round(self, chunks, slots, worker_stats):
-        """Submit every chunk; harvest results; survive worker deaths.
+        """Submit every chunk to the pool; harvest results; survive worker deaths.
 
         Returns the ``(index, point)`` pairs of chunks that did not complete
         because a worker crashed or timed out -- the caller re-runs those in
@@ -457,7 +480,7 @@ class ParallelExplorer:
                     continue
                 try:
                     payload = future.result(timeout=self._chunk_timeout(chunk))
-                except BrokenProcessPool:
+                except (BrokenProcessPool, WorkerCrashError):
                     broken = True
                     self.reliability.worker_crashes += 1
                     survivors.append(chunk)
@@ -478,25 +501,27 @@ class ParallelExplorer:
             self.reliability.chunks_resubmitted += len(survivors)
         return [pair for chunk in survivors for pair in chunk]
 
-    def _isolate_points(self, pairs, slots, worker_stats, failed_by_index):
-        """Re-run crash-suspect points one at a time; quarantine repeaters.
+    def _isolate_points(self, pairs, slots, worker_stats, failed_by_index,
+                        inline: bool):
+        """Run points one at a time; quarantine repeat crashers: the supervisor.
 
-        A chunk only lands here after its worker died, so each of its points
-        is individually re-submitted: innocent bystanders complete, and the
-        point that actually kills workers is identified and -- after
-        ``QUARANTINE_AFTER`` strikes -- recorded as failed rather than
-        retried forever.
+        In process every miss runs here directly; in the pool a chunk only
+        lands here after its worker died, so each of its points is
+        individually re-submitted: innocent bystanders complete, and the point
+        that actually kills workers is identified.  Either way a crash (or, in
+        the pool, a timeout) is a strike, and ``QUARANTINE_AFTER`` strikes
+        record the point as failed rather than retrying it forever.
         """
-        self.reliability.points_isolated += len(pairs)
         for index, point in pairs:
             strikes = 0
             while True:
-                pool = self._ensure_pool()
-                future = self._submit_chunk(pool, [(index, point)])
+                executor = _INLINE if inline else self._ensure_pool()
+                future = self._submit_chunk(executor, [(index, point)])
                 try:
                     payload = future.result(timeout=self._chunk_timeout([point]))
-                except (BrokenProcessPool, FuturesTimeout) as exc:
-                    self._kill_pool()
+                except (BrokenProcessPool, WorkerCrashError, FuturesTimeout) as exc:
+                    if not inline:
+                        self._kill_pool()
                     strikes += 1
                     if isinstance(exc, FuturesTimeout):
                         kind = "timeout"
@@ -509,50 +534,82 @@ class ParallelExplorer:
                                          failed_by_index)
                         break
                 else:
-                    self._harvest(payload, slots, worker_stats)
+                    self._harvest(payload, slots, None if inline else worker_stats)
                     break
 
-    def _evaluate_parallel(self, points):
-        """Answer cached points here, fan the rest out to a process pool in
-        chunks; reassemble in submission order.
+    def _run_misses(self, misses, slots, failed_by_index, use_pool, tally):
+        """Evaluate the points no cache tier answered, in the pool or in process.
 
-        Returns ``(metrics, chunks, worker_stats, distinct_count,
-        cached_count)`` or ``None`` when the pool cannot be used (non-catalog
-        curve, restricted environment), in which case the caller falls back to
-        the sequential path.  Worker deaths and timeouts are healed along the
-        way: dead workers' chunks are resubmitted point-by-point and repeat
-        offenders are quarantined (their slots stay ``None``).
+        Pool deaths and timeouts are healed along the way: dead workers'
+        chunks are resubmitted point by point and repeat offenders are
+        quarantined (their slots stay ``None``).  A pool that cannot be
+        created (restricted sandbox, no ``/dev/shm``) is remembered, and what
+        it left undone runs in process, now and on every later sweep.
         """
-        if self.curve.name not in CURVE_SPECS or self._pool_unavailable:
-            return None
+        if use_pool and not self._pool_unavailable:
+            chunks = self._chunk_indexed(misses)
+            try:
+                pending = self._dispatch_round(chunks, slots, tally.worker_stats)
+                tally.chunks += len(chunks)
+                self.reliability.points_isolated += len(pending)
+                self._isolate_points(pending, slots, tally.worker_stats,
+                                     failed_by_index, inline=False)
+                return
+            except (OSError, ImportError, FuturesTimeout, BrokenProcessPool):
+                self._pool_unavailable = True
+                self._kill_pool()
+                misses = [(index, point) for index, point in misses
+                          if slots[index] is None and index not in failed_by_index]
+        self._isolate_points(misses, slots, None, failed_by_index, inline=True)
+
+    def _begin_sweep(self) -> _Tally:
+        self.failures = []
+        self.reliability.reset()
+        return _Tally(stats_before=compile_cache_stats())
+
+    def _report(self, tally, points, distinct, objective) -> ExplorationReport:
+        """The sweep's bookkeeping: this process's cache delta plus the pool's."""
+        merged = _stats_delta(compile_cache_stats(), tally.stats_before)
+        for stats in tally.worker_stats:
+            _accumulate(merged, stats)
+        return ExplorationReport(
+            points=points,
+            distinct_points=distinct,
+            cached_points=tally.cached,
+            workers=self.workers,
+            chunks=tally.chunks,
+            objective=objective,
+            cache_stats=merged,
+            failed=len(self.failures),
+            reliability=self.reliability.snapshot(),
+        )
+
+    def _evaluate_batch(self, points, tally) -> list:
+        """The one evaluation path under :meth:`explore` and :meth:`explore_pareto`.
+
+        Dedup by compile identity, answer cached points here, hand the misses
+        to the supervisor, fill duplicates from their representatives.
+        Returns the metrics in submission order; chunk, distinct- and
+        cached-point counts and pool cache deltas accumulate on ``tally``.
+        """
+        use_pool = (self.workers > 1 and len(points) > 1
+                    and self.curve.name in CURVE_SPECS)
         indexed, duplicates = self._dedup_points(points)
         slots: list = [None] * len(points)
         # A point whose kernels the memory or disk tier holds costs a lookup,
-        # so the parent answers it before anything is chunked (no evaluation
-        # is traversed: ``worker.evaluate`` does not fire); a failed or corrupt
-        # read is a miss.  The pool sees real work only -- none means no pool.
+        # so the parent answers it (no evaluation is traversed:
+        # ``worker.evaluate`` does not fire); a failed or corrupt read is a
+        # miss.  Only misses are evaluated -- none means no pool.
         misses = []
         for index, point in indexed:
             try:
                 slots[index] = _evaluate_spec(self.curve, point, self.spec, cached_kernel)
             except KernelNotCached:
                 misses.append((index, point))
-        chunks = self._chunk_indexed(misses)
-        worker_stats: list = []
+        tally.distinct += len(indexed)
+        tally.cached += len(indexed) - len(misses)
         failed_by_index: dict = {}
-        try:
-            pending = self._dispatch_round(chunks, slots, worker_stats)
-            if pending:
-                self._isolate_points(pending, slots, worker_stats, failed_by_index)
-        except (OSError, PermissionError, ImportError, FuturesTimeout,
-                BrokenProcessPool):
-            # Process pools need /dev/shm semaphores and fork/spawn rights;
-            # sandboxed CI runners sometimes deny both (the creation probe
-            # fails).  Remember the failure and serve every subsequent sweep
-            # sequentially.
-            self._pool_unavailable = True
-            self._kill_pool()
-            return None
+        self._run_misses(misses, slots, failed_by_index, use_pool, tally)
         for index, representative in duplicates:
             rep_metrics = slots[representative]
             if rep_metrics is not None:
@@ -565,41 +622,7 @@ class ParallelExplorer:
                 self.failures.append(
                     replace(rep_failure, label=points[index].display_label)
                 )
-        return slots, chunks, worker_stats, len(indexed), len(indexed) - len(misses)
-
-    @staticmethod
-    def _merge_cache_stats(local_delta, worker_stats) -> dict:
-        """This sweep's counters: local delta plus every worker chunk delta."""
-        merged = {name: dict(stats) for name, stats in local_delta.items()}
-        for stats in worker_stats:
-            for name, counters in stats.items():
-                entry = merged.setdefault(name, dict.fromkeys(_COUNTERS, 0))
-                for counter in _COUNTERS:
-                    entry[counter] = entry.get(counter, 0) + counters.get(counter, 0)
-        return merged
-
-    def _evaluate_batch(self, points, worker_stats_acc):
-        """Evaluate one batch of points (parallel when possible).
-
-        The shared path under :meth:`explore` and :meth:`explore_pareto`:
-        returns ``(metrics, n_chunks, distinct, cached)`` with metrics in
-        submission order, appending worker cache deltas to
-        ``worker_stats_acc`` and the process-lifetime totals.
-        """
-        parallel_result = None
-        if self.workers > 1 and len(points) > 1:
-            parallel_result = self._evaluate_parallel(points)
-        if parallel_result is None:
-            return (self._evaluate_sequential(points), 0,
-                    len(self._dedup_points(points)[0]), 0)
-        slots, chunks, worker_stats, distinct, cached = parallel_result
-        worker_stats_acc.extend(worker_stats)
-        for stats in worker_stats:
-            for name, counters in stats.items():
-                entry = _WORKER_TOTALS.setdefault(name, dict.fromkeys(_COUNTERS, 0))
-                for counter in _COUNTERS:
-                    entry[counter] += counters.get(counter, 0)
-        return slots, len(chunks), distinct, cached
+        return slots
 
     @staticmethod
     def _canonical_distinct(points) -> list:
@@ -634,24 +657,10 @@ class ParallelExplorer:
         """
         score = resolve_objective(objective)
         points = list(points)
-        self.failures = []
-        self.reliability.reset()
-        stats_before = compile_cache_stats()
-        worker_stats: list = []
-        self.evaluated, n_chunks, distinct, cached = self._evaluate_batch(
-            points, worker_stats)
-        local_delta = _stats_delta(compile_cache_stats(), stats_before)
-        self.last_report = ExplorationReport(
-            points=len(points),
-            distinct_points=distinct,
-            cached_points=cached,
-            workers=self.workers,
-            chunks=n_chunks,
-            objective=objective_name(objective),
-            cache_stats=self._merge_cache_stats(local_delta, worker_stats),
-            failed=len(self.failures),
-            reliability=self.reliability.snapshot(),
-        )
+        tally = self._begin_sweep()
+        self.evaluated = self._evaluate_batch(points, tally)
+        self.last_report = self._report(tally, len(points), tally.distinct,
+                                        objective_name(objective))
         ranked = [m for m in self.evaluated if m is not None]
         return sorted(ranked, key=lambda m: (-score(m), m.label))
 
@@ -666,12 +675,13 @@ class ParallelExplorer:
         evaluations of the guided strategies (``None`` = half the space).
 
         The returned :class:`~repro.dse.pareto.ParetoResult` is bit-identical
-        for any worker count and any input point order: the space is
-        deduplicated and canonically ordered before the strategy sees it, and
-        strategies themselves only order candidates by canonical keys.
-        ``self.evaluated`` retains the actually-evaluated metrics and
-        ``self.last_report`` the sweep's bookkeeping (``distinct_points`` is
-        the deduplicated space, ``points`` the raw input count).
+        for any worker count, any cache state and any input point order: the
+        space is deduplicated and canonically ordered before the strategy sees
+        it, and strategies themselves only order candidates by canonical keys
+        and the scores of what they evaluated.  ``self.evaluated`` retains the
+        actually-evaluated metrics and ``self.last_report`` the sweep's
+        bookkeeping (``distinct_points`` is the deduplicated space, ``points``
+        the raw input count).
         """
         from repro.dse.search import SearchContext, resolve_strategy, validate_budget
 
@@ -680,69 +690,29 @@ class ParallelExplorer:
         budget = validate_budget(
             budget if budget is not None else env_int(BUDGET_ENV, None))
         points = list(points)
-        self.failures = []
-        self.reliability.reset()
+        tally = self._begin_sweep()
         distinct = self._canonical_distinct(points)
-        strategy_name = strategy if isinstance(strategy, str) else getattr(
-            strategy, "__name__", "custom")
-        if not distinct:
-            result = pareto_result([], scorers, evaluated=0, total_points=0,
-                                   strategy=strategy_name)
-            self.evaluated = []
-            self.last_report = ExplorationReport(
-                points=0, workers=self.workers, chunks=0,
-                objective="+".join(result.objectives))
-            return result
-        stats_before = compile_cache_stats()
-        worker_stats: list = []
         evaluated_metrics: list = []
-        chunk_total = cached_total = 0
 
         def evaluate(indices):
-            nonlocal chunk_total, cached_total
-            batch = [distinct[i] for i in indices]
-            metrics, n_chunks, _, cached = self._evaluate_batch(batch, worker_stats)
-            chunk_total += n_chunks
-            cached_total += cached
+            metrics = self._evaluate_batch([distinct[i] for i in indices], tally)
             # Quarantined points surface as None slots: the frontier is built
             # from the survivors, and strategies skip the holes.
             evaluated_metrics.extend(m for m in metrics if m is not None)
             return metrics
 
-        def is_cached(index):
-            point = distinct[index]
-            if self.spec.batch_size is not None:
-                return False
-            return any(
-                is_pairing_compiled(self.curve, hw=point.hw,
-                                    variant_config=point.variant_config,
-                                    do_assemble=self.spec.do_assemble,
-                                    final_exp_mode=mode)
-                for mode in self.spec.final_exp_modes
-            )
-
-        ctx = SearchContext(
-            curve=self.curve, points=distinct, scorers=scorers, budget=budget,
-            evaluate=evaluate, is_cached=is_cached, spec=self.spec,
-        )
-        run(ctx)
-        local_delta = _stats_delta(compile_cache_stats(), stats_before)
+        if distinct:
+            run(SearchContext(curve=self.curve, points=distinct, scorers=scorers,
+                              budget=budget, evaluate=evaluate, spec=self.spec))
+        strategy_name = strategy if isinstance(strategy, str) else getattr(
+            strategy, "__name__", "custom")
         result = pareto_result(
             evaluated_metrics, scorers, evaluated=len(evaluated_metrics),
             total_points=len(distinct), strategy=strategy_name,
         )
         self.evaluated = evaluated_metrics
-        self.last_report = ExplorationReport(
-            points=len(points),
-            distinct_points=len(distinct),
-            cached_points=cached_total,
-            workers=self.workers,
-            chunks=chunk_total,
-            objective="+".join(result.objectives),
-            cache_stats=self._merge_cache_stats(local_delta, worker_stats),
-            failed=len(self.failures),
-            reliability=self.reliability.snapshot(),
-        )
+        self.last_report = self._report(tally, len(points), len(distinct),
+                                        "+".join(result.objectives))
         return result
 
     def best(self, points, objective="throughput"):

@@ -15,17 +15,17 @@ for a hard cap on full evaluations:
     by proxy Pareto rank and crowding, and push only the survivors through the
     real tool-chain.  Evaluates ``min(budget, max(1, n // 2))`` points.
 ``local``
-    Cache-seeded local search: seed with the proxy front plus any point whose
-    pairing kernel is *already sitting in the in-process compile cache* (free
-    to re-evaluate), then repeatedly evaluate the unexplored neighbours of the
-    current real frontier -- points sharing a variant config or a hardware
-    model with a frontier member -- until the budget runs out or no neighbour
-    is left.
+    Proxy-seeded local search: seed with the proxy Pareto front, then
+    repeatedly evaluate the unexplored neighbours of the current real
+    frontier -- points sharing a variant config or a hardware model with a
+    frontier member -- until the budget runs out or no neighbour is left.
 
 Every strategy is deterministic: candidate sets are ordered by canonical point
-keys (never submission order), so the frontier a strategy returns is a pure
+keys (never submission order) and by the scores of what was evaluated, never by
+what a cache happens to hold, so the frontier a strategy returns is a pure
 function of the design-point *set* and the budget -- independent of worker
-count and enumeration order, matching the ``explore_pareto`` contract.
+count, cache state and enumeration order, matching the ``explore_pareto``
+contract.
 
 ``explore_pareto`` resolves an unset budget from ``FINESSE_DSE_BUDGET`` (the
 evaluation runner's ``--budget`` flag); see ``docs/configuration.md``.
@@ -163,10 +163,8 @@ class SearchContext:
     ``points`` is the *deduplicated, canonically ordered* design space;
     ``evaluate(indices)`` pushes those points through the real tool-chain
     (sharded across the explorer's workers) and returns their metrics;
-    ``is_cached(index)`` probes the in-process compile cache without
-    compiling; ``spec`` is the sweep's evaluation knobs (the proxy prices
-    the same core count and technology).  Strategies must request each index
-    at most once.
+    ``spec`` is the sweep's evaluation knobs (the proxy prices the same core
+    count and technology).  Strategies must request each index at most once.
     """
 
     curve: object
@@ -174,7 +172,6 @@ class SearchContext:
     scorers: tuple
     budget: int | None
     evaluate: object  # list[int] -> list[DesignMetrics]
-    is_cached: object  # int -> bool
     spec: EvalSpec
     _proxies: list = field(default_factory=list)
 
@@ -231,15 +228,15 @@ def successive_halving(ctx: SearchContext) -> None:
 
 
 def local_search(ctx: SearchContext) -> None:
-    """Cache-seeded local search around the evolving real frontier.
+    """Proxy-seeded local search around the evolving real frontier.
 
-    Seeds are the proxy Pareto front plus every already-compiled point, capped
-    by the budget; each round evaluates the unexplored neighbours (shared
-    variant config or shared hardware model) of the current real frontier,
-    best proxy rank first, until the budget is exhausted or no neighbour
-    remains.  The proxy front alone seeds every variant-config/hardware
-    "row and column" the analytic model finds promising, so the neighbourhood
-    moves can reach any point the proxy mis-ranked.
+    Seeds are the proxy Pareto front, capped by the budget; each round
+    evaluates the unexplored neighbours (shared variant config or shared
+    hardware model) of the current real frontier, best proxy rank first,
+    until the budget is exhausted or no neighbour remains.  The proxy front
+    seeds every variant-config/hardware "row and column" the analytic model
+    finds promising, so the neighbourhood moves can reach any point the proxy
+    mis-ranked.
     """
     from repro.dse.pareto import pareto_front
 
@@ -249,7 +246,7 @@ def local_search(ctx: SearchContext) -> None:
     proxy_front = set(non_dominated_sort(proxy_scores)[0])
     rank_of = {index: position for position, index in enumerate(ranking)}
 
-    seeds = [i for i in ranking if i in proxy_front or ctx.is_cached(i)][:budget]
+    seeds = [i for i in ranking if i in proxy_front][:budget]
     evaluated: dict = {}
     for index, metrics in zip(sorted(seeds), ctx.evaluate(sorted(seeds))):
         evaluated[index] = metrics

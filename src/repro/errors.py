@@ -79,8 +79,8 @@ class WorkerCrashError(ReliabilityError):
     """A worker died (or, in-process, simulated dying) mid-evaluation.
 
     Raised in lieu of ``os._exit`` when a ``crash`` fault fires outside a
-    multiprocessing worker, so sequential runs exercise the same recovery
-    paths the process pool does.  Never retried by the in-worker retry loop:
-    crash handling belongs to the pool supervisor, which counts crashes
-    toward quarantine.
+    multiprocessing worker, so in-process runs exercise the same recovery
+    path the process pool does.  Never retried by the in-worker retry loop:
+    crash handling belongs to the exploration engine's supervisor, which
+    counts a crash as a strike toward quarantine on either side.
     """

@@ -14,8 +14,8 @@ hard part is then ``prod_i frob^i(f^{lambda_i(u)})`` where each ``f^{lambda_i(u)
 only needs powers ``f^{u^j}`` (a handful of exponentiations by the small seed) and
 tiny integer exponents -- the same cost shape as the hand-optimised chains the
 paper assumes.  The decomposition is validated exactly against the integer
-exponent, and a numeric base-p fallback keeps correctness if no small polynomial
-decomposition exists.
+exponent; a family for which no ``c`` gives integral digits is refused (every
+catalog curve has one).
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ MAX_CHAIN_BITS = 512
 class FinalExpPlan:
     """Evaluation plan for the hard part of the final exponentiation.
 
-    ``mode`` is "poly" (small polynomial digits in the seed ``u``) or "numeric"
-    (big-integer base-p digits).  The plan computes ``f ** (c * Phi_k(p)/r)``.
+    Small polynomial digits in the seed ``u``: the plan computes
+    ``f ** (c * Phi_k(p)/r)`` as ``prod_i frob^i(f^{lambda_i(u)})``.
 
     The plan's shape is validated eagerly at construction (malformed plans
     used to surface only as silent fallbacks or crashes deep inside
@@ -155,42 +155,34 @@ class FinalExpPlan:
     """
 
     c: int
-    mode: str
-    #: poly mode: lambda_coeffs[i][j] is the coefficient of u^j in lambda_i(x).
-    lambda_coeffs: tuple | None
-    #: numeric mode: digits[i] is the base-p digit multiplying p^i.
-    digits: tuple | None
+    #: lambda_coeffs[i][j] is the coefficient of u^j in lambda_i(x).
+    lambda_coeffs: tuple
     u: int
     p: int
-    #: NAF chain of ``abs(u)`` (poly mode; empty tuple otherwise).
+    #: NAF chain of ``abs(u)``.
     seed_chain: tuple = field(init=False, repr=False, compare=False, default=())
     #: NAF chains of every distinct non-zero ``abs(coeff)`` in the plan.
     small_chains: dict = field(init=False, repr=False, compare=False,
                                default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in ("poly", "numeric"):
-            raise PairingError(f"unknown final-exponentiation plan mode {self.mode!r}")
         if not isinstance(self.p, int) or self.p < 2:
             raise PairingError("final-exponentiation plan needs a prime p >= 2")
         if not isinstance(self.c, int) or self.c < 1:
             raise PairingError("final-exponentiation plan cofactor c must be >= 1")
-        if self.mode == "poly":
-            self._validate_poly()
-            object.__setattr__(self, "seed_chain", signed_digits(abs(self.u)))
-            chains = {}
-            for row in self.lambda_coeffs:
-                for coeff in row:
-                    magnitude = abs(coeff)
-                    if magnitude and magnitude not in chains:
-                        chains[magnitude] = signed_digits(magnitude)
-            object.__setattr__(self, "small_chains", chains)
-        else:
-            self._validate_numeric()
+        self._validate()
+        object.__setattr__(self, "seed_chain", signed_digits(abs(self.u)))
+        chains = {}
+        for row in self.lambda_coeffs:
+            for coeff in row:
+                magnitude = abs(coeff)
+                if magnitude and magnitude not in chains:
+                    chains[magnitude] = signed_digits(magnitude)
+        object.__setattr__(self, "small_chains", chains)
 
-    def _validate_poly(self):
+    def _validate(self):
         if not isinstance(self.u, int) or self.u == 0:
-            raise PairingError("poly-mode plan requires a non-zero integer seed")
+            raise PairingError("final-exponentiation plan requires a non-zero integer seed")
         if abs(self.u).bit_length() > MAX_CHAIN_BITS:
             raise PairingError(
                 f"seed magnitude exceeds {MAX_CHAIN_BITS} bits; refusing the "
@@ -198,7 +190,8 @@ class FinalExpPlan:
             )
         rows = self.lambda_coeffs
         if not isinstance(rows, tuple) or not rows:
-            raise PairingError("poly-mode plan requires a non-empty lambda_coeffs tuple")
+            raise PairingError("final-exponentiation plan requires a non-empty "
+                               "lambda_coeffs tuple")
         any_nonzero = False
         for row in rows:
             if not isinstance(row, tuple):
@@ -213,47 +206,23 @@ class FinalExpPlan:
                     )
                 any_nonzero = any_nonzero or coeff != 0
         if not any_nonzero:
-            raise PairingError("poly-mode plan has no non-zero lambda coefficient")
-        # max_u_degree >= 0 is implied by the non-empty rows checked above; an
-        # all-empty-row plan would evaluate to nothing, so reject it too.
-        if self.max_u_degree < 0 or all(len(row) == 0 for row in rows):
-            raise PairingError("poly-mode plan has empty coefficient rows")
-
-    def _validate_numeric(self):
-        digits = self.digits
-        if not isinstance(digits, tuple) or not digits:
-            raise PairingError("numeric-mode plan requires a non-empty digits tuple")
-        any_nonzero = False
-        for digit in digits:
-            if not isinstance(digit, int) or isinstance(digit, bool):
-                raise PairingError("numeric digits must be plain integers")
-            if digit < 0 or digit >= self.p:
-                raise PairingError("numeric digits must lie in [0, p)")
-            any_nonzero = any_nonzero or digit != 0
-        if not any_nonzero:
-            raise PairingError("numeric-mode plan realises the zero exponent")
+            raise PairingError("final-exponentiation plan has no non-zero lambda coefficient")
 
     @property
     def max_u_degree(self) -> int:
-        if self.mode != "poly":
-            return 0
-        return max((len(row) - 1 for row in self.lambda_coeffs), default=0)
+        return max(len(row) - 1 for row in self.lambda_coeffs)
 
     @property
     def frobenius_terms(self) -> int:
-        if self.mode == "poly":
-            return len(self.lambda_coeffs)
-        return len(self.digits)
+        return len(self.lambda_coeffs)
 
     def exponent(self) -> int:
         """The integer exponent this plan realises (for validation)."""
-        if self.mode == "poly":
-            total = 0
-            for i, row in enumerate(self.lambda_coeffs):
-                lam = sum(coeff * self.u**j for j, coeff in enumerate(row))
-                total += lam * self.p**i
-            return total
-        return sum(digit * self.p**i for i, digit in enumerate(self.digits))
+        total = 0
+        for i, row in enumerate(self.lambda_coeffs):
+            lam = sum(coeff * self.u**j for j, coeff in enumerate(row))
+            total += lam * self.p**i
+        return total
 
 
 def _base_p_polynomial_digits(e_poly: list, p_poly: list) -> list:
@@ -269,8 +238,9 @@ def _base_p_polynomial_digits(e_poly: list, p_poly: list) -> list:
 def solve_final_exp_plan(family: CurveFamily, params: FamilyParams) -> FinalExpPlan:
     """Derive the hard-part plan for a concrete curve of ``family``.
 
-    Tries the polynomial decomposition first; validates it exactly; falls back to
-    numeric base-p digits (always correct, more expensive to evaluate).
+    Tries ``c`` = 1, 2, 3, 6 in turn and returns the first polynomial
+    decomposition that validates exactly; raises :class:`PairingError` when
+    none does.
     """
     target = hard_exponent(params)
     p_poly = [Fraction(c, family.poly_denominator) for c in family.p_coeffs]
@@ -288,32 +258,13 @@ def solve_final_exp_plan(family: CurveFamily, params: FamilyParams) -> FinalExpP
         if all(coeff.denominator == 1 for digit in digits for coeff in digit):
             lambda_coeffs = tuple(tuple(int(coeff) for coeff in digit) for digit in digits)
             try:
-                plan = FinalExpPlan(
-                    c=c,
-                    mode="poly",
-                    lambda_coeffs=lambda_coeffs,
-                    digits=None,
-                    u=params.u,
-                    p=params.p,
-                )
+                plan = FinalExpPlan(c=c, lambda_coeffs=lambda_coeffs,
+                                    u=params.u, p=params.p)
             except PairingError:
-                # Shape-invalid candidate (e.g. degenerate coefficients):
-                # keep searching; the numeric fallback is always available.
+                # Shape-invalid candidate (e.g. degenerate coefficients).
                 continue
             if plan.exponent() == c * target:
                 return plan
-
-    # Fallback: numeric base-p digits of the exact exponent.
-    digits = []
-    value = target
-    while value:
-        digits.append(value % params.p)
-        value //= params.p
-    return FinalExpPlan(
-        c=1,
-        mode="numeric",
-        lambda_coeffs=None,
-        digits=tuple(digits),
-        u=params.u,
-        p=params.p,
-    )
+    raise PairingError(
+        f"no polynomial hard-part decomposition with c in (1, 2, 3, 6) for "
+        f"family {family.name}")

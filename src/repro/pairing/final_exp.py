@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from repro.config import member
 from repro.errors import PairingError
-from repro.fields.cyclotomic import cyclotomic_square, power_signed
+from repro.fields.cyclotomic import power_signed
 from repro.pairing.exponent import FinalExpPlan, signed_digits
 
 #: Supported hard-part evaluation modes.
@@ -117,12 +117,6 @@ def hard_part(ctx, f, plan: FinalExpPlan | None = None, mode: str = "generic"):
         raise PairingError(
             f"hard_part requires a FinalExpPlan, got {type(plan).__name__}"
         )
-    if plan.mode == "poly":
-        return _hard_part_poly(ctx, f, plan, mode)
-    return _hard_part_numeric(ctx, f, plan, mode)
-
-
-def _hard_part_poly(ctx, f, plan: FinalExpPlan, mode: str):
     # Powers of f by u^j, j = 0 .. max degree (g[0] = f).
     seed_powers = [f]
     for _ in range(plan.max_u_degree):
@@ -141,29 +135,6 @@ def _hard_part_poly(ctx, f, plan: FinalExpPlan, mode: str):
         if i:
             term = term.frobenius(i)
         result = term if result is None else result * term
-    if result is None:
-        raise PairingError("empty final exponentiation plan")
-    return result
-
-
-def _hard_part_numeric(ctx, f, plan: FinalExpPlan, mode: str):
-    # Shared square-and-multiply over the base-p digits: one squaring per bit of p,
-    # multiplying in frob^i(f) whenever digit i has that bit set.  The squarings
-    # sit in the cyclotomic subgroup, so the fast modes use Granger-Scott
-    # squarings here too (the interleaved multiplies rule out compressed runs).
-    frobs = [f]
-    for i in range(1, len(plan.digits)):
-        frobs.append(f.frobenius(i))
-    bit_length = max(digit.bit_length() for digit in plan.digits)
-    result = None
-    for bit_index in range(bit_length - 1, -1, -1):
-        if result is not None:
-            result = result.square() if mode == "generic" else cyclotomic_square(ctx, result)
-        for i, digit in enumerate(plan.digits):
-            if (digit >> bit_index) & 1:
-                result = frobs[i] if result is None else result * frobs[i]
-    if result is None:
-        raise PairingError("zero hard-part exponent")
     return result
 
 

@@ -61,10 +61,10 @@ INFINITE = 10**9
 #: (truncate/torn/garbage/flip) transform the bytes passing through the
 #: point; the others raise (or, for ``crash``/``hang``, kill or stall).
 #: ``worker.evaluate`` is traversed where a design point is evaluated for real
-#: (the sequential path or a pool worker), never by the exploration engine's
-#: parent-side answer from a cache tier; ``store.read`` fires in those
-#: parent-side lookups too, where a fault is a miss: the point is dispatched
-#: and its kernel recompiled.
+#: (a miss, in process or in a pool worker, at any worker count), never by
+#: the exploration engine's parent-side answer from a cache tier;
+#: ``store.read`` fires in those parent-side lookups too, where a fault is a
+#: miss: the point is evaluated and its kernel recompiled.
 FAULT_POINTS = {
     "store.read": ("truncate", "torn", "garbage", "flip", "error"),
     "store.write": ("truncate", "torn", "garbage", "flip", "enospc", "error"),

@@ -65,9 +65,6 @@ class ServiceConfig:
         rejected requests are always attributed exactly.  ``"none"`` verifies
         each request's product individually inside the batch (still one
         executor trip; useful for measuring the fusion win in isolation).
-    ``use_naf`` / ``accumulators``
-        Passed through to :func:`repro.multi_pairing` for every service-path
-        product (and to :func:`repro.precompute_g2` for cached keys).
     ``vk_cache_entries``
         LRU capacity of the verifying-key precomputation cache
         (:class:`repro.service.vkcache.VerifyingKeyCache`).
@@ -96,8 +93,6 @@ class ServiceConfig:
     deadline_ms: float = 20.0
     queue_bound: int = 256
     fuse: str = "rlc"
-    use_naf: bool = True
-    accumulators: int = 1
     vk_cache_entries: int = 128
     retry_after_ms: float | None = None
     breaker_threshold: int = 3
@@ -105,8 +100,8 @@ class ServiceConfig:
     shed_after_ms: float | None = None
 
     def __post_init__(self):
-        for name in ("max_batch", "queue_bound", "accumulators",
-                     "vk_cache_entries", "breaker_threshold"):
+        for name in ("max_batch", "queue_bound", "vk_cache_entries",
+                     "breaker_threshold"):
             positive_int(getattr(self, name), name, ServiceError)
         for name in ("deadline_ms", "breaker_cooldown_ms"):
             number(getattr(self, name), name, ServiceError)

@@ -119,8 +119,7 @@ class VerificationService:
         self.config = config if config is not None else ServiceConfig.from_env()
         self.metrics = ServiceMetrics()
         self.vk_cache = VerifyingKeyCache(
-            curve, max_entries=self.config.vk_cache_entries,
-            use_naf=self.config.use_naf)
+            curve, max_entries=self.config.vk_cache_entries)
         self._rng = rng if rng is not None else random.SystemRandom()
         #: Circuit breaker on the fused RLC path: repeated fused-batch
         #: failures trip it and every batch is verified exactly per-request
@@ -205,11 +204,7 @@ class VerificationService:
         return await loop.run_in_executor(self._executor, self._verify_batch, batch)
 
     def _product_is_one(self, pairs) -> bool:
-        return multi_pairing(
-            self.curve, pairs,
-            use_naf=self.config.use_naf,
-            accumulators=self.config.accumulators,
-        ).is_one()
+        return multi_pairing(self.curve, pairs).is_one()
 
     def _verify_each(self, batch) -> list:
         """Exact per-request verdicts; a failing request carries its exception.

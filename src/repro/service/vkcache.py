@@ -5,8 +5,8 @@ points: Groth16 verifying keys (beta, delta), BLS public keys and the G2
 generator.  :func:`repro.pairing.batch.precompute_g2` walks the Miller loop
 once for such a point; this cache stores those walks keyed the same way the
 compile artifact store keys kernels -- a SHA-256 digest of the full semantic
-content (curve, digit form, point coordinates), so two structurally equal
-points hit the same entry no matter which object identity carried them.
+content (curve, point coordinates), so two structurally equal points hit the
+same entry no matter which object identity carried them.
 
 Eviction is LRU by last use under a fixed entry budget, and ``stats()``
 exposes hit/miss/eviction counters in the same shape as
@@ -25,19 +25,20 @@ from repro.pairing.ate import as_affine_pair
 from repro.pairing.batch import G2Precomputation, precompute_g2
 
 
-def g2_point_digest(curve, Q, use_naf: bool = True) -> str:
+def g2_point_digest(curve, Q) -> str:
     """SHA-256 content digest of a G2 point's precomputation identity.
 
     Keyed like the artifact store: every input that changes the precomputed
-    line coefficients -- the curve, the loop-scalar digit form and the affine
-    coordinates -- is hashed; nothing else is.  Infinity has no precomputation
-    (``precompute_g2`` rejects it) and is rejected here for the same reason.
+    line coefficients -- the curve and the affine coordinates (the service
+    walks the signed-digit loop only) -- is hashed; nothing else is.  Infinity
+    has no precomputation (``precompute_g2`` rejects it) and is rejected here
+    for the same reason.
     """
     affine = as_affine_pair(Q, role="Q (G2 point)")
     if affine is None:
         raise PairingError("the point at infinity has no precomputation digest")
     x, y = affine
-    material = [curve.name.encode(), b"naf" if use_naf else b"bin"]
+    material = [curve.name.encode()]
     for coord in (x, y):
         for coeff in coord.to_base_coeffs():
             material.append(int(coeff).to_bytes((int(coeff).bit_length() + 8) // 8, "big"))
@@ -47,10 +48,9 @@ def g2_point_digest(curve, Q, use_naf: bool = True) -> str:
 class VerifyingKeyCache:
     """Bounded LRU cache of :class:`G2Precomputation` entries for one curve."""
 
-    def __init__(self, curve, max_entries: int = 128, use_naf: bool = True):
+    def __init__(self, curve, max_entries: int = 128):
         positive_int(max_entries, "max_entries", ServiceError)
         self.curve = curve
-        self.use_naf = use_naf
         self.max_entries = max_entries
         self._entries: OrderedDict = OrderedDict()
         self.hits = 0
@@ -62,14 +62,14 @@ class VerifyingKeyCache:
 
     def get(self, Q) -> G2Precomputation:
         """The precomputation of ``Q``, computed at most once per content digest."""
-        key = g2_point_digest(self.curve, Q, self.use_naf)
+        key = g2_point_digest(self.curve, Q)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
             self._entries.move_to_end(key)
             return entry
         self.misses += 1
-        entry = precompute_g2(self.curve, Q, use_naf=self.use_naf)
+        entry = precompute_g2(self.curve, Q)
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

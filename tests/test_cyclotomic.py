@@ -185,22 +185,6 @@ def test_hard_part_rejects_unknown_mode(toy_bn):
         hard_part(ctx, f, plan="not-a-plan")
 
 
-def test_numeric_plan_modes_bit_exact(toy_bn):
-    """The numeric base-p fallback also runs on Granger-Scott squarings."""
-    ctx, (f,) = _subgroup_elements(toy_bn, 1, seed=0xC1C18)
-    exact = toy_bn.final_exp_plan.exponent() // toy_bn.final_exp_plan.c
-    digits = []
-    value = exact
-    while value:
-        digits.append(value % toy_bn.params.p)
-        value //= toy_bn.params.p
-    numeric = FinalExpPlan(c=1, mode="numeric", lambda_coeffs=None,
-                           digits=tuple(digits), u=toy_bn.params.u, p=toy_bn.params.p)
-    generic = hard_part(ctx, f, plan=numeric, mode="generic")
-    assert hard_part(ctx, f, plan=numeric, mode="cyclotomic") == generic
-    assert hard_part(ctx, f, plan=numeric, mode="compressed") == generic
-
-
 def test_multi_pairing_final_exp_modes_agree(toy_bn):
     from repro.pairing.batch import multi_pairing
 
@@ -270,42 +254,26 @@ def test_hard_part_of_the_identity_takes_the_zero_determinant_fallback(toy_curve
 # FinalExpPlan validation (shape checked at construction, not evaluation)
 # ---------------------------------------------------------------------------
 
-def test_plan_rejects_unknown_mode():
-    with pytest.raises(PairingError):
-        FinalExpPlan(c=1, mode="magic", lambda_coeffs=((1,),), digits=None, u=3, p=7)
-
-
 def test_plan_rejects_zero_seed():
     with pytest.raises(PairingError):
-        FinalExpPlan(c=1, mode="poly", lambda_coeffs=((1,),), digits=None, u=0, p=7)
+        FinalExpPlan(c=1, lambda_coeffs=((1,),), u=0, p=7)
 
 
 def test_plan_rejects_huge_seed_and_coefficients():
     with pytest.raises(PairingError):
-        FinalExpPlan(c=1, mode="poly", lambda_coeffs=((1,),), digits=None,
-                     u=1 << 600, p=7)
+        FinalExpPlan(c=1, lambda_coeffs=((1,),), u=1 << 600, p=7)
     with pytest.raises(PairingError):
-        FinalExpPlan(c=1, mode="poly", lambda_coeffs=((1 << 600,),), digits=None,
-                     u=3, p=7)
+        FinalExpPlan(c=1, lambda_coeffs=((1 << 600,),), u=3, p=7)
 
 
 def test_plan_rejects_malformed_poly_shapes():
-    for bad_rows in ((), ((0,), (0, 0)), (("x",),), ((True,),), [[1]]):
+    for bad_rows in ((), ((0,), (0, 0)), (("x",),), ((True,),), [[1]], None):
         with pytest.raises(PairingError):
-            FinalExpPlan(c=1, mode="poly", lambda_coeffs=bad_rows, digits=None,
-                         u=3, p=7)
-
-
-def test_plan_rejects_malformed_numeric_digits():
-    for bad_digits in ((), (0, 0), (-1,), (9,), ("3",), None):
-        with pytest.raises(PairingError):
-            FinalExpPlan(c=1, mode="numeric", lambda_coeffs=None,
-                         digits=bad_digits, u=3, p=7)
+            FinalExpPlan(c=1, lambda_coeffs=bad_rows, u=3, p=7)
 
 
 def test_plan_caches_recoded_chains(toy_curve):
     plan = toy_curve.final_exp_plan
-    assert plan.mode == "poly"
     assert plan.seed_chain == signed_digits(abs(plan.u))
     magnitudes = {abs(c) for row in plan.lambda_coeffs for c in row if c}
     assert set(plan.small_chains) == magnitudes

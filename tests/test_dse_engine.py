@@ -258,6 +258,15 @@ def test_warm_parallel_sweep_forks_nothing(toy_bn, toy_points, sweep_store):
     assert (report.cached_points, report.distinct_points, report.chunks) == (n, n, 0)
     assert report.cache_stats["result"]["hits"] == n
     assert report.cache_stats["disk"]["hits"] == 0
+    # One path at either worker count: the same warm sweep, duplicates
+    # included, reports the same bookkeeping in process and with a pool.
+    described = {}
+    for workers in (1, 2):
+        clear_caches()                          # memory tier only
+        _, explorer = _sweep(toy_bn, toy_points + toy_points[:3], workers)
+        described[workers] = dict(explorer.last_report.describe(), workers=None)
+    assert described[1] == described[2]
+    assert described[1]["cached_points"] == described[1]["distinct_points"] == n
 
 
 def test_mixed_sweep_dispatches_only_what_is_missing(toy_bn, toy_points, sweep_store):

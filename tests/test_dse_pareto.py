@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.compiler.pipeline import clear_caches
 from repro.config import BUDGET_ENV, OBJECTIVES_ENV, STRATEGY_ENV
 from repro.dse.engine import EMPTY_SPACE_MESSAGE, ParallelExplorer
 from repro.dse.objectives import list_objectives, resolve_objective
@@ -98,6 +99,20 @@ def test_guided_strategy_recovers_frontier_within_budget(toy_bn, full_points, st
     tight = engine.explore_pareto(full_points, objectives=("throughput", "area"),
                                   strategy=strategy, budget=3)
     assert tight.evaluated <= 3
+
+
+def test_local_search_ignores_what_the_process_compiled_earlier(toy_bn, full_points):
+    """The seeds are the proxy front, never the memory tier: an unrelated
+    earlier sweep does not move the frontier."""
+    engine = ParallelExplorer(toy_bn, workers=1)
+    clear_caches()
+    cold = engine.explore_pareto(full_points, ("throughput", "area"),
+                                 strategy="local", budget=7)
+    clear_caches()
+    engine.explore(full_points[-4:])
+    after = engine.explore_pareto(full_points, ("throughput", "area"),
+                                  strategy="local", budget=7)
+    assert after == cold
 
 
 def test_proxy_metrics_are_deterministic_and_populated(toy_bn, full_points):

@@ -58,6 +58,10 @@ def _ranked_key(ranked):
 # ---------------------------------------------------------------------------
 
 def test_transient_eval_faults_heal_bit_identical(toy_bn, toy_points, baseline):
+    # The ``baseline`` fixture left every kernel in the memory tier, and the
+    # parent answers cached points without traversing ``worker.evaluate``:
+    # each fault test here empties the tier first, so the faults still fire.
+    clear_caches()
     configure_faults(FaultPlan.parse("worker.evaluate:error@1*2"))
     with ParallelExplorer(toy_bn, workers=1) as explorer:
         ranked = explorer.explore(toy_points, objective="throughput")
@@ -82,6 +86,7 @@ def test_transient_store_corruption_heals_bit_identical(
 
 
 def test_sequential_crash_heals_on_retry(toy_bn, toy_points, baseline):
+    clear_caches()
     configure_faults(FaultPlan.parse("worker.evaluate:crash@1*1"))
     with ParallelExplorer(toy_bn, workers=1) as explorer:
         ranked = explorer.explore(toy_points, objective="throughput")
@@ -95,6 +100,7 @@ def test_sequential_crash_heals_on_retry(toy_bn, toy_points, baseline):
 # ---------------------------------------------------------------------------
 
 def test_repeat_crasher_is_quarantined(toy_bn, toy_points, baseline):
+    clear_caches()
     configure_faults(
         FaultPlan.parse(f"worker.evaluate:crash@1*{QUARANTINE_AFTER}"))
     with ParallelExplorer(toy_bn, workers=1) as explorer:
@@ -116,6 +122,7 @@ def test_persistent_error_raises_labelled_dse_error(toy_bn, toy_points):
     # diagnosable failure: after the retry budget it propagates as a DSEError
     # naming the design point, with the original exception chained and its
     # worker-side traceback embedded in the message (satellite 1).
+    clear_caches()
     configure_faults(FaultPlan.parse("worker.evaluate:error@1*inf"))
     with ParallelExplorer(toy_bn, workers=1, max_retries=1) as explorer:
         with pytest.raises(DSEError) as exc_info:
@@ -149,6 +156,7 @@ def test_wrapped_dse_error_chains_cause(toy_bn, toy_points):
 def test_pareto_frontier_identical_under_healed_faults(toy_bn, toy_points):
     with ParallelExplorer(toy_bn, workers=1) as explorer:
         clean = explorer.explore_pareto(toy_points, ("throughput", "area"))
+    clear_caches()
     configure_faults(FaultPlan.parse("worker.evaluate:error@2*2"))
     with ParallelExplorer(toy_bn, workers=1) as explorer:
         faulted = explorer.explore_pareto(toy_points, ("throughput", "area"))
@@ -159,6 +167,7 @@ def test_pareto_frontier_identical_under_healed_faults(toy_bn, toy_points):
 
 
 def test_pareto_survives_quarantined_point(toy_bn, toy_points):
+    clear_caches()
     configure_faults(
         FaultPlan.parse(f"worker.evaluate:crash@1*{QUARANTINE_AFTER}"))
     with ParallelExplorer(toy_bn, workers=1) as explorer:

@@ -24,7 +24,6 @@ from repro.compiler.pipeline import (
     compile_kernel,
     compile_multi_pairing,
     compile_pairing,
-    is_pairing_compiled,
     pairing_compile_digest,
     stage_modules,
 )
@@ -41,7 +40,6 @@ ENTRY_POINTS = {
     "compile_pairing": (compile_pairing, ()),
     "compile_multi_pairing": (compile_multi_pairing, (2,)),
     "pairing_compile_digest": (pairing_compile_digest, ()),
-    "is_pairing_compiled": (is_pairing_compiled, ()),
     "stage_modules": (stage_modules, ()),
     "CompilerPipeline": (lambda curve, **knobs: CompilerPipeline(**knobs), ()),
 }
@@ -60,8 +58,8 @@ def test_the_eight_knobs():
 
 
 @pytest.mark.parametrize("fn", [compile_pairing, compile_multi_pairing,
-                                pairing_compile_digest, is_pairing_compiled,
-                                stage_modules, CompilerPipeline])
+                                pairing_compile_digest, stage_modules,
+                                CompilerPipeline])
 def test_entry_points_name_no_knob_but_the_positional_ones(fn):
     params = inspect.signature(fn).parameters
     assert params["knobs"].kind is inspect.Parameter.VAR_KEYWORD

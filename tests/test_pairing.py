@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.curves.catalog import CURVE_SPECS
+from repro.curves.families import get_family
 from repro.pairing.ate import optimal_ate_pairing
 from repro.pairing.batch import multi_pairing, precompute_g2
 from repro.pairing.context import ConcretePairingContext
@@ -39,11 +41,13 @@ def test_digit_helpers_reject_negative():
 # Final-exponentiation plans
 # ---------------------------------------------------------------------------
 
-def test_final_exp_plan_poly_mode(toy_curve):
-    plan = toy_curve.final_exp_plan
-    assert plan.mode == "poly"
-    target = hard_exponent(toy_curve.params)
-    assert plan.exponent() == plan.c * target
+@pytest.mark.parametrize("name", sorted(CURVE_SPECS))
+def test_final_exp_plan_poly_mode(name):
+    """Every catalog curve has a polynomial hard-part decomposition."""
+    family = get_family(CURVE_SPECS[name].family)
+    params = family.instantiate(CURVE_SPECS[name].u)
+    plan = solve_final_exp_plan(family, params)
+    assert plan.exponent() == plan.c * hard_exponent(params)
     assert plan.c in (1, 2, 3, 6)
     assert plan.frobenius_terms <= 8
     assert plan.max_u_degree <= 10
@@ -59,8 +63,7 @@ def test_cyclotomic_value(toy_bn):
 
 def test_solve_plan_matches_catalog(toy_bn):
     plan = solve_final_exp_plan(toy_bn.family, toy_bn.params)
-    assert plan.mode == toy_bn.final_exp_plan.mode
-    assert plan.exponent() == toy_bn.final_exp_plan.exponent()
+    assert plan == toy_bn.final_exp_plan
 
 
 def test_easy_part_lands_in_cyclotomic_subgroup(toy_curve, rng):

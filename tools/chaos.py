@@ -7,7 +7,8 @@ Three storms, all driven through the public ``FINESSE_FAULTS`` grammar:
 * **store corruption** -- torn writes and garbage reads against a dedicated
   on-disk artifact store while a sweep compiles through it;
 * **worker crash** -- a pool worker killed mid-chunk (``os._exit``) at
-  ``--workers`` parallelism, plus the sequential crash-retry path;
+  ``--workers`` parallelism, plus the same supervisor run in process
+  (``workers=1``);
 * **fused-batch failure** -- the verification service's fused RLC path made
   to blow up until the circuit breaker trips to exact per-request checks.
 
