@@ -111,8 +111,9 @@ Reliability
     fault-injection framework (``FINESSE_FAULTS`` grammar); inert unless
     configured.  ``RetryPolicy`` -- exponential backoff with full jitter.
     ``CircuitBreaker`` -- the closed/open/half-open breaker guarding the
-    service's fused batch path.  ``ReliabilityStats`` -- the DSE engine's
-    recovery counters.  See ``docs/reliability.md``.
+    service's fused batch path.  The DSE engine's recovery counters are
+    ``ParallelExplorer.reliability``, a ``repro.obs.Counters`` like every
+    other host-side tally.  See ``docs/reliability.md``.
 """
 
 from repro.compiler.pipeline import (
@@ -139,7 +140,6 @@ from repro.pairing.batch import combine_products, multi_pairing, precompute_g2, 
 from repro.reliability import (
     CircuitBreaker,
     FaultPlan,
-    ReliabilityStats,
     RetryPolicy,
     configure_faults,
 )
@@ -147,7 +147,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "get_curve",
@@ -185,6 +185,5 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "CircuitBreaker",
-    "ReliabilityStats",
     "__version__",
 ]

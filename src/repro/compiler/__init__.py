@@ -5,7 +5,7 @@ RegAlloc -> ASM -> Link, run for one :class:`repro.compiler.pipeline.KernelSpec`
 :func:`repro.compiler.pipeline.compile_kernel` (``cached_kernel`` is its lookup half).
 """
 
-from repro.compiler.cache import CacheStats, CompileCache
+from repro.compiler.cache import CompileCache
 from repro.compiler.pipeline import (
     CompilerPipeline,
     CompileResult,
@@ -18,7 +18,6 @@ from repro.compiler.pipeline import (
 )
 from repro.compiler.store import (
     ArtifactStore,
-    StoreStats,
     active_store,
     configure_store,
 )
@@ -29,9 +28,7 @@ __all__ = [
     "CompileResult",
     "KernelSpec",
     "CompileCache",
-    "CacheStats",
     "ArtifactStore",
-    "StoreStats",
     "active_store",
     "configure_store",
     "compile_kernel",

@@ -9,8 +9,8 @@ design points that describe the same computation therefore share one entry even
 when they were constructed independently, while any difference in a variant
 override or a hardware parameter produces a different digest.
 
-The cache keeps running statistics (:class:`CacheStats`) so that design-space
-sweeps can assert reuse: a second sweep over the same design points must be
+The cache keeps running counters (:class:`repro.obs.Counters`) so that
+design-space sweeps can assert reuse: a second sweep over the same design points must be
 served entirely from cache (zero recompilations), which is what keeps the
 ``evaluation/fig*``/``table*`` scripts and the parallel explorer
 (:mod:`repro.dse.engine`) fast enough for production-scale spaces.
@@ -19,38 +19,8 @@ served entirely from cache (zero recompilations), which is what keeps the
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
-
-@dataclass
-class CacheStats:
-    """Running hit/miss counters of one :class:`CompileCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
+from repro.obs import Counters
 
 _MISSING = object()
 
@@ -67,7 +37,7 @@ class CompileCache:
     def __init__(self, name: str = "compile"):
         self.name = name
         self._entries: dict = {}
-        self.stats = CacheStats()
+        self.stats = Counters("hits", "misses", "stores")
 
     # -- keying ------------------------------------------------------------------
     @staticmethod

@@ -28,7 +28,7 @@ from repro.compiler.codegen import (
     generate_pairing_ir,
     validate_batch_size,
 )
-from repro.compiler.store import ArtifactStore, Deferred, StoreStats, active_store
+from repro.compiler.store import ArtifactStore, Deferred, active_store, store_counters
 from repro.reliability import faults as _faults
 from repro.compiler.opt import OptStats, optimize
 from repro.compiler.regalloc import allocate_registers
@@ -401,6 +401,7 @@ _HL_CACHE = CompileCache("codegen")
 _LOW_CACHE = CompileCache("lowering")
 _OPT_CACHE = CompileCache("iropt")
 _RESULT_CACHE = CompileCache("result")
+_CACHES = (_HL_CACHE, _LOW_CACHE, _OPT_CACHE, _RESULT_CACHE)
 
 
 def _cached_hl_module(curve, spec: KernelSpec):
@@ -449,13 +450,11 @@ def clear_caches(disk: bool = False) -> None:
     cold path on demand; the default keeps persisted artefacts, which is the
     whole point of the disk tier.
     """
-    _HL_CACHE.clear()
-    _LOW_CACHE.clear()
-    _OPT_CACHE.clear()
-    _RESULT_CACHE.clear()
+    for cache in _CACHES:
+        cache.clear()
     store = active_store()
     if store is not None:
-        store.reset_stats()
+        store.stats.reset()
         if disk:
             store.clear()
 
@@ -470,22 +469,28 @@ def compile_cache_stats() -> dict:
     store's counters (``FINESSE_CACHE_DIR`` or
     :func:`repro.compiler.store.configure_store`).
     """
-    stats = {
-        cache.name: cache.describe()
-        for cache in (_HL_CACHE, _LOW_CACHE, _OPT_CACHE, _RESULT_CACHE)
-    }
+    stats = {cache.name: cache.describe() for cache in _CACHES}
     store = active_store()
-    # Counters only: this is snapshotted around every worker chunk, so it must
-    # not walk the store's directory tree (use ``store.describe()`` directly
-    # for on-disk usage).  With no disk tier configured the same key reports
-    # zeroed counters (the full ``StoreStats.snapshot()`` key set), so runner
-    # summaries and --assert-warm scripts never special-case cold
-    # configurations.
+    # Counters only: no walk of the store's directory tree (use
+    # ``store.describe()`` directly for on-disk usage).  With no disk tier
+    # configured the same key reports zeroed counters (the full store key
+    # set), so runner summaries and --assert-warm scripts never special-case
+    # cold configurations.
     stats[ArtifactStore.name] = (
         store.counters() if store is not None
-        else dict(StoreStats().snapshot(), name=ArtifactStore.name)
+        else dict(store_counters().snapshot(), name=ArtifactStore.name)
     )
     return stats
+
+
+def cache_counters() -> dict:
+    """The live :class:`~repro.obs.Counters` of every tier, keyed as in
+    :func:`compile_cache_stats` (a zeroed set for ``disk`` when no store is
+    active) -- what the exploration engine takes deltas of."""
+    counters = {cache.name: cache.stats for cache in _CACHES}
+    store = active_store()
+    counters[ArtifactStore.name] = store.stats if store is not None else store_counters()
+    return counters
 
 
 def _lookup(key: str, spec: KernelSpec, store) -> CompileResult | None:

@@ -68,10 +68,10 @@ import os
 import pickle
 import time
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.config import CACHE_DIR_ENV, MAX_BYTES_ENV, env_int, env_str
+from repro.obs import Counters
 from repro.reliability import faults as _faults
 
 #: Bump on any incompatible change to the entry format.
@@ -161,43 +161,11 @@ class _HeadPickler(pickle.Pickler):
         return "bulk"
 
 
-@dataclass
-class StoreStats:
-    """Running counters of one :class:`ArtifactStore`."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0                   # corrupt/truncated entries dropped (also misses)
-    evictions: int = 0
-    errors: int = 0                    # failed writes (serialisation, ENOSPC, ...)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "evictions": self.evictions,
-            "errors": self.errors,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt = 0
-        self.evictions = 0
-        self.errors = 0
+def store_counters() -> Counters:
+    """The counters of one :class:`ArtifactStore` (zeroed)."""
+    # ``corrupt``: corrupt/truncated entries dropped (also misses);
+    # ``errors``: failed writes (serialisation, ENOSPC, ...).
+    return Counters("hits", "misses", "stores", "corrupt", "evictions", "errors")
 
 
 class ArtifactStore:
@@ -212,7 +180,7 @@ class ArtifactStore:
         self.namespace = self.root / f"v{SCHEMA_VERSION}-{code_fingerprint()[:12]}"
         self.max_bytes = (env_int(MAX_BYTES_ENV, DEFAULT_MAX_BYTES) if max_bytes is None
                           else max(1, int(max_bytes)))
-        self.stats = StoreStats()
+        self.stats = store_counters()
         # Running estimate of the root's total size, so stores do not pay a
         # full directory walk each; measured on first use, corrected by gc().
         self._bytes_estimate: int | None = None
@@ -428,16 +396,12 @@ class ArtifactStore:
         self._bytes_estimate = None
         return removed
 
-    def reset_stats(self) -> None:
-        self.stats.reset()
-
     def counters(self) -> dict:
         """Counter-only snapshot: no filesystem access.
 
         This is what :func:`repro.compiler.pipeline.compile_cache_stats`
-        publishes -- it is snapshotted around every worker chunk, so it must
-        stay O(1); :meth:`describe` adds the on-disk usage (two directory
-        walks) for end-of-run reports.
+        publishes, so it stays O(1); :meth:`describe` adds the on-disk usage
+        (two directory walks) for end-of-run reports.
         """
         summary = self.stats.snapshot()
         summary["name"] = self.name

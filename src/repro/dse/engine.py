@@ -90,7 +90,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from repro.compiler.pipeline import cached_kernel, compile_cache_stats
+from repro.compiler.pipeline import cache_counters, cached_kernel
 from repro.config import (
     BUDGET_ENV,
     EVAL_TIMEOUT_ENV,
@@ -108,9 +108,10 @@ from repro.dse.objectives import objective_name, resolve_objective, resolve_obje
 from repro.dse.pareto import ParetoResult, pareto_result
 from repro.dse.spec import EvalSpec
 from repro.errors import DSEError, WorkerCrashError
+from repro.obs import Counters
 from repro.reliability import faults as _faults
 from repro.reliability.retry import RetryPolicy, call_with_retries
-from repro.reliability.stats import FailedPoint, ReliabilityStats
+from repro.reliability.stats import FailedPoint
 
 #: Default retry budget: two retries heal every single- or double-transient
 #: fault without materially delaying a genuinely broken sweep.
@@ -163,7 +164,7 @@ class ExplorationReport:
     cache_stats: dict = field(default_factory=dict)
     #: Points quarantined by this sweep (crashed workers, timeouts).
     failed: int = 0
-    #: Recovery counters of this sweep (``ReliabilityStats.snapshot()``).
+    #: Recovery counters of this sweep (``explorer.reliability.snapshot()``).
     reliability: dict = field(default_factory=dict)
 
     @property
@@ -195,38 +196,39 @@ class ExplorationReport:
         return summary
 
 
-_COUNTERS = ("hits", "misses", "stores")
-
 #: Process-lifetime totals of the compile work done *inside worker pools*
-#: (the parent's ``compile_cache_stats`` cannot see it).
+#: (the parent's ``compile_cache_stats`` cannot see it), one
+#: :class:`~repro.obs.Counters` per cache tier.
 _WORKER_TOTALS: dict = {}
 
 
 def worker_cache_stats() -> dict:
-    """Accumulated per-stage cache counters of every worker sweep so far."""
-    return {name: dict(stats) for name, stats in _WORKER_TOTALS.items()}
+    """Accumulated per-tier cache counters of every worker sweep so far."""
+    return {name: counters.delta() for name, counters in _WORKER_TOTALS.items()}
 
 
-def _stats_delta(after: dict, before: dict) -> dict:
-    """Per-stage counter difference between two ``compile_cache_stats`` snapshots."""
-    return {
-        name: {
-            counter: stats.get(counter, 0) - before.get(name, {}).get(counter, 0)
-            for counter in _COUNTERS
-        }
-        for name, stats in after.items()
-    }
+def _reliability_counters() -> Counters:
+    """Every recovery action a sweep takes, counted."""
+    return Counters("retries", "backoff_s", "worker_crashes", "eval_timeouts",
+                    "chunks_resubmitted", "points_isolated", "points_quarantined",
+                    floats=("backoff_s",))
 
 
-def _accumulate(totals: dict, stats: dict) -> None:
-    """Add one per-stage counter delta into ``totals``, in place."""
-    for name, counters in stats.items():
-        entry = totals.setdefault(name, dict.fromkeys(_COUNTERS, 0))
-        for counter in _COUNTERS:
-            entry[counter] = entry.get(counter, 0) + counters.get(counter, 0)
+def _tier_delta(before: dict | None = None) -> dict:
+    """Per-tier cache counter change since ``before``, an earlier
+    ``_tier_delta()``; without one, the counts themselves."""
+    before = before or {}
+    return {name: counters.delta(before.get(name))
+            for name, counters in cache_counters().items()}
 
 
-def _evaluate_point_resilient(curve, point, spec, policy, counters):
+def _merge_tiers(totals: dict, delta: dict) -> None:
+    """Add a per-tier delta into ``totals`` (tier name -> ``Counters``)."""
+    for name, counts in delta.items():
+        totals.setdefault(name, Counters(*counts)).merge(counts)
+
+
+def _evaluate_point_resilient(curve, point, spec, policy, reliability):
     """Evaluate one point with retry/backoff; wrap persistent failures.
 
     Transient errors (injected faults, flaky I/O...) are retried up to the
@@ -247,8 +249,8 @@ def _evaluate_point_resilient(curve, point, spec, policy, counters):
 
     def on_retry(attempt_no, exc, delay):
         attempts["n"] += 1
-        counters["retries"] = counters.get("retries", 0) + 1
-        counters["backoff_s"] = counters.get("backoff_s", 0.0) + delay
+        reliability.retries += 1
+        reliability.backoff_s += delay
 
     try:
         return call_with_retries(attempt, policy, label=label, on_retry=on_retry)
@@ -270,23 +272,25 @@ def _evaluate_chunk(curve, chunk, spec, max_retries):
 
     ``curve`` is the curve itself in process and its catalog name in a pool
     worker, which rebuilds it (or finds it pre-built when the pool forks).
-    The compile-cache counter *delta* of the chunk is returned alongside the
-    metrics -- a delta, because one pool worker may serve several chunks and
-    its cumulative counters would double-count -- plus this chunk's retry
-    counters for the parent's ``ReliabilityStats``.
+    Returns ``(metrics, delta)``: one counter delta of every cache tier plus
+    the chunk's recovery counters under ``"reliability"`` -- a delta, because
+    one pool worker may serve several chunks and its cumulative counters
+    would double-count.
     """
     if isinstance(curve, str):
         from repro.curves.catalog import get_curve
 
         curve = get_curve(curve)
     policy = RetryPolicy(max_retries=max_retries)
-    counters: dict = {}
-    before = compile_cache_stats()
+    reliability = _reliability_counters()
+    before = _tier_delta()
     evaluated = [
-        (index, _evaluate_point_resilient(curve, point, spec, policy, counters))
+        (index, _evaluate_point_resilient(curve, point, spec, policy, reliability))
         for index, point in chunk
     ]
-    return evaluated, _stats_delta(compile_cache_stats(), before), counters
+    delta = _tier_delta(before)
+    delta["reliability"] = reliability.delta()
+    return evaluated, delta
 
 
 class _InlineExecutor:
@@ -310,7 +314,8 @@ _INLINE = _InlineExecutor()
 class _Tally:
     """What one sweep's batches add up to, for its :class:`ExplorationReport`."""
 
-    stats_before: dict
+    #: This process's cache counters when the sweep began.
+    before: dict
     #: Cache-counter deltas of the pool's chunks (in-process work is already
     #: in this process's own delta).
     worker_stats: list = field(default_factory=list)
@@ -346,7 +351,7 @@ class ParallelExplorer:
         #: :class:`FailedPoint` records of the last sweep's quarantined points.
         self.failures: list = []
         #: Recovery counters of the last sweep.
-        self.reliability = ReliabilityStats()
+        self.reliability = _reliability_counters()
         self.last_report: ExplorationReport | None = None
         # The pool is created lazily and reused across sweeps so worker-side
         # compile caches stay warm; ``close()`` (or the context manager) frees it.
@@ -441,17 +446,18 @@ class ParallelExplorer:
         return self.eval_timeout * max(1, len(chunk))
 
     def _harvest(self, payload, slots, worker_stats):
-        """Slot a chunk's metrics and count its cache work once: a pool chunk's
-        delta joins ``worker_stats`` and the process-lifetime worker totals;
-        an in-process chunk (``worker_stats`` is ``None``) is already in this
+        """Slot a chunk's metrics and count its work once: its recovery
+        counters join the sweep's; a pool chunk's cache delta joins
+        ``worker_stats`` and the process-lifetime worker totals, while an
+        in-process chunk's (``worker_stats`` is ``None``) is already in this
         process's own delta."""
-        evaluated, stats, counters = payload
+        evaluated, delta = payload
         for index, metrics in evaluated:
             slots[index] = metrics
+        self.reliability.merge(delta.pop("reliability"))
         if worker_stats is not None:
-            worker_stats.append(stats)
-            _accumulate(_WORKER_TOTALS, stats)
-        self.reliability.merge_counters(counters)
+            worker_stats.append(delta)
+            _merge_tiers(_WORKER_TOTALS, delta)
 
     def _dispatch_round(self, chunks, slots, worker_stats):
         """Submit every chunk to the pool; harvest results; survive worker deaths.
@@ -565,13 +571,13 @@ class ParallelExplorer:
     def _begin_sweep(self) -> _Tally:
         self.failures = []
         self.reliability.reset()
-        return _Tally(stats_before=compile_cache_stats())
+        return _Tally(before=_tier_delta())
 
     def _report(self, tally, points, distinct, objective) -> ExplorationReport:
         """The sweep's bookkeeping: this process's cache delta plus the pool's."""
-        merged = _stats_delta(compile_cache_stats(), tally.stats_before)
-        for stats in tally.worker_stats:
-            _accumulate(merged, stats)
+        merged: dict = {}
+        for delta in (_tier_delta(tally.before), *tally.worker_stats):
+            _merge_tiers(merged, delta)
         return ExplorationReport(
             points=points,
             distinct_points=distinct,
@@ -579,7 +585,7 @@ class ParallelExplorer:
             workers=self.workers,
             chunks=tally.chunks,
             objective=objective,
-            cache_stats=merged,
+            cache_stats={name: counters.delta() for name, counters in merged.items()},
             failed=len(self.failures),
             reliability=self.reliability.snapshot(),
         )

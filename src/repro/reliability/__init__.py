@@ -16,7 +16,7 @@ from repro.reliability.faults import (
     configure_faults_from_env,
 )
 from repro.reliability.retry import RetryPolicy, call_with_retries
-from repro.reliability.stats import FailedPoint, ReliabilityStats
+from repro.reliability.stats import FailedPoint
 
 __all__ = [
     "CLOSED",
@@ -29,7 +29,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "ReliabilityStats",
     "RetryPolicy",
     "call_with_retries",
     "configure_faults",

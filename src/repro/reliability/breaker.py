@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-from repro.config import positive_int
+from repro.config import number, positive_int
 from repro.errors import ReliabilityError
 
 CLOSED = "closed"
@@ -33,10 +33,7 @@ class CircuitBreaker:
         clock=time.monotonic,
     ):
         positive_int(failure_threshold, "failure_threshold", ReliabilityError)
-        if not cooldown_s >= 0:
-            raise ReliabilityError(
-                f"cooldown_s must be non-negative, got {cooldown_s!r}"
-            )
+        number(cooldown_s, "cooldown_s", ReliabilityError)
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
         self._clock = clock

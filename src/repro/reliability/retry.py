@@ -15,7 +15,7 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from repro.config import non_negative_int
+from repro.config import non_negative_int, number
 from repro.errors import ReliabilityError, WorkerCrashError
 
 #: Exception types never worth retrying: programming errors (the same call
@@ -34,11 +34,8 @@ class RetryPolicy:
 
     def __post_init__(self):
         non_negative_int(self.max_retries, "max_retries", ReliabilityError)
-        if not self.base_delay_s >= 0 or not self.max_delay_s >= 0:
-            raise ReliabilityError(
-                f"backoff delays must be non-negative, got "
-                f"base={self.base_delay_s!r} max={self.max_delay_s!r}"
-            )
+        number(self.base_delay_s, "base_delay_s", ReliabilityError)
+        number(self.max_delay_s, "max_delay_s", ReliabilityError)
 
     def rng(self, label: str = "") -> random.Random:
         """Deterministic jitter source for one labelled call."""

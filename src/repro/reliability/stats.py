@@ -1,15 +1,15 @@
-"""Reliability accounting: every retry/crash/quarantine event is counted.
+"""Reliability accounting: the record of a design point a sweep gave up on.
 
-The ISSUE's contract is that degradation is *observable*: a sweep that
-healed around a crashed worker must say so, not silently match the
-fault-free run.  :class:`ReliabilityStats` is merged into
-``ExplorationReport`` and :class:`FailedPoint` records every quarantined
-design point with the error that condemned it.
+Degradation is *observable*: a sweep that healed around a crashed worker
+must say so, not silently match the fault-free run.  Its recovery actions
+are counted in ``ParallelExplorer.reliability`` (a
+:class:`~repro.obs.Counters`) and :class:`FailedPoint` records every
+quarantined design point with the error that condemned it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -28,43 +28,3 @@ class FailedPoint:
             "attempts": self.attempts,
             "error": self.error,
         }
-
-
-@dataclass
-class ReliabilityStats:
-    """Counters for every recovery action a sweep took."""
-
-    retries: int = 0
-    backoff_s: float = 0.0
-    worker_crashes: int = 0
-    eval_timeouts: int = 0
-    chunks_resubmitted: int = 0
-    points_isolated: int = 0
-    points_quarantined: int = 0
-
-    def merge_counters(self, counters: dict):
-        """Fold a worker's ``{"retries": n, "backoff_s": x}`` delta in."""
-        if not counters:
-            return
-        for name in ("retries", "worker_crashes", "eval_timeouts"):
-            if name in counters:
-                setattr(self, name, getattr(self, name) + counters[name])
-        if "backoff_s" in counters:
-            self.backoff_s += counters["backoff_s"]
-
-    def snapshot(self) -> dict:
-        return {
-            f.name: (
-                round(getattr(self, f.name), 4)
-                if f.name == "backoff_s" else getattr(self, f.name)
-            )
-            for f in fields(self)
-        }
-
-    def reset(self):
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-
-    def any(self) -> bool:
-        """Did the sweep take any recovery action at all?"""
-        return any(getattr(self, f.name) for f in fields(self))

@@ -117,7 +117,7 @@ class DynamicBatcher:
         loop = asyncio.get_running_loop()
         if self._queue.qsize() >= self.queue_bound:
             if self.metrics is not None:
-                self.metrics.record_rejection()
+                self.metrics.rejected += 1
             raise ServiceOverloadedError(
                 f"queue full ({self.queue_bound} requests waiting)",
                 retry_after_s=self.estimate_retry_after_s(),
@@ -210,7 +210,7 @@ class DynamicBatcher:
         if not stale:
             return batch
         if self.metrics is not None:
-            self.metrics.record_shed(len(stale))
+            self.metrics.shed += len(stale)
         self._settle(stale, error=DeadlineExceededError(
             f"request shed: waited longer than {self.shed_after_s * 1e3:.0f} ms",
             retry_after_s=self.estimate_retry_after_s(),
@@ -234,7 +234,7 @@ class DynamicBatcher:
                 if not failed:
                     self.metrics.record_result(now - pending.arrival, now)
                 elif count_failures:
-                    self.metrics.record_failed_request()
+                    self.metrics.failed_requests += 1
             self._outstanding -= 1
         if not self._outstanding:
             self._idle.set()

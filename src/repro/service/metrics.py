@@ -6,7 +6,7 @@ them into the figures an operator tunes against: queue depth, the batch-size
 histogram (how well the coalescing policy is filling batches), request latency
 percentiles (p50/p95/p99) and sustained verifications per second.
 
-Everything is plain counters and lists: the service is single-event-loop and
+Everything is counters and plain lists: the service is single-event-loop and
 flushes batches from one consumer task, so no locking is needed.  Latency
 percentiles use the nearest-rank method (:func:`percentile`), the same
 definition the virtual-time model in :mod:`repro.service.simulate` reports, so
@@ -16,8 +16,9 @@ measured and modelled numbers are directly comparable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import ceil
+
+from repro.obs import Counters
 
 
 def percentile(values, q: float) -> float:
@@ -37,59 +38,45 @@ def percentile(values, q: float) -> float:
     return ordered[rank - 1]
 
 
-@dataclass
-class ServiceMetrics:
+class ServiceMetrics(Counters):
     """Event counters of one :class:`~repro.service.service.VerificationService`.
 
-    ``latencies_s`` keeps one admit-to-result latency per completed request
-    and ``batch_sizes`` one entry per flushed batch; both are bounded by
-    ``max_samples`` (oldest half dropped on overflow) so a long-lived service
-    cannot grow without bound.
+    A :class:`~repro.obs.Counters` whose tallies the batcher and the service
+    bump in place: ``admitted``, ``completed``, ``rejected``, ``batches``,
+    ``busy_s`` (summed batch service time, for drain-rate estimates) and the
+    reliability counters of docs/reliability.md -- ``fused_batches`` tried on
+    the fused RLC path, ``fused_failures`` among them that fell back to exact
+    checks, the ``fused_pairs`` handed to them and the ``fused_sources`` they
+    were coalesced into (one per distinct G2 point: 24 / 12 for 8 Groth16
+    requests over two circuits), ``breaker_exact_batches`` checked exactly
+    while ``breaker`` was open, ``shed`` and ``failed_requests``.  Trips and
+    probes are counted by the breaker alone; :meth:`snapshot` reads them there.
+
+    ``latencies_s`` keeps one admit-to-result latency per completed request,
+    ``batch_sizes`` one entry per flushed batch and ``depth_samples`` the
+    queue depth at every flush; each is bounded by ``max_samples`` (oldest
+    half dropped on overflow) so a long-lived service cannot grow without
+    bound.
     """
 
-    max_samples: int = 100_000
-    admitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-    batches: int = 0
-    #: Sum of batch wall-clock service times (seconds), for drain-rate estimates.
-    busy_s: float = 0.0
-    latencies_s: list = field(default_factory=list)
-    batch_sizes: list = field(default_factory=list)
-    #: Queue depth sampled at every flush (admitted-but-unserved requests).
-    depth_samples: list = field(default_factory=list)
-    first_admit_t: float | None = None
-    last_done_t: float | None = None
-    # -- reliability counters (see docs/reliability.md) ------------------------
-    #: Batches attempted on the fused RLC path.
-    fused_batches: int = 0
-    #: Fused attempts that failed (exception or fused-check mismatch) and fell
-    #: back to exact per-request verification.
-    fused_failures: int = 0
-    #: Pairs handed to fused attempts, and the Miller sources they were
-    #: coalesced into (one per distinct G2 point): 24 / 12 for a batch of 8
-    #: Groth16 requests over two circuits.
-    fused_pairs: int = 0
-    fused_sources: int = 0
-    #: Batches verified exactly per-request because the breaker was open.
-    breaker_exact_batches: int = 0
-    #: Closed/half-open -> open breaker transitions.
-    breaker_trips: int = 0
-    #: Half-open probe batches admitted.
-    breaker_probes: int = 0
-    #: Requests shed for exceeding the shedding deadline.
-    shed: int = 0
-    #: Requests settled with an exception (malformed input, injected fault...).
-    failed_requests: int = 0
+    def __init__(self, breaker, max_samples: int = 100_000):
+        super().__init__(
+            "admitted", "completed", "rejected", "batches", "busy_s",
+            "fused_batches", "fused_failures", "fused_pairs", "fused_sources",
+            "breaker_exact_batches", "shed", "failed_requests", floats=("busy_s",))
+        self.breaker = breaker
+        self.max_samples = max_samples
+        self.latencies_s: list = []
+        self.batch_sizes: list = []
+        self.depth_samples: list = []
+        self.first_admit_t: float | None = None
+        self.last_done_t: float | None = None
 
     # -- recording ---------------------------------------------------------------
     def record_admit(self, now: float) -> None:
         self.admitted += 1
         if self.first_admit_t is None:
             self.first_admit_t = now
-
-    def record_rejection(self) -> None:
-        self.rejected += 1
 
     def record_batch(self, size: int, service_s: float, depth_after: int) -> None:
         self.batches += 1
@@ -111,20 +98,6 @@ class ServiceMetrics:
         self.fused_sources += sources
         if not ok:
             self.fused_failures += 1
-
-    def record_breaker_exact(self) -> None:
-        self.breaker_exact_batches += 1
-
-    def record_shed(self, count: int = 1) -> None:
-        self.shed += count
-
-    def record_failed_request(self) -> None:
-        self.failed_requests += 1
-
-    def sync_breaker(self, breaker) -> None:
-        """Mirror the breaker's trip/probe totals into the snapshot source."""
-        self.breaker_trips = breaker.trips
-        self.breaker_probes = breaker.probes
 
     def _trim(self, samples: list) -> None:
         if len(samples) > self.max_samples:
@@ -173,8 +146,8 @@ class ServiceMetrics:
                 "fused_pairs": self.fused_pairs,
                 "fused_sources": self.fused_sources,
                 "breaker_exact_batches": self.breaker_exact_batches,
-                "breaker_trips": self.breaker_trips,
-                "breaker_probes": self.breaker_probes,
+                "breaker_trips": self.breaker.trips,
+                "breaker_probes": self.breaker.probes,
                 "shed": self.shed,
                 "failed_requests": self.failed_requests,
             },

@@ -117,7 +117,6 @@ class VerificationService:
     def __init__(self, curve, config: ServiceConfig | None = None, *, rng=None):
         self.curve = curve
         self.config = config if config is not None else ServiceConfig.from_env()
-        self.metrics = ServiceMetrics()
         self.vk_cache = VerifyingKeyCache(
             curve, max_entries=self.config.vk_cache_entries)
         self._rng = rng if rng is not None else random.SystemRandom()
@@ -129,6 +128,7 @@ class VerificationService:
             failure_threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s,
         )
+        self.metrics = ServiceMetrics(self.breaker)
         self._batcher = DynamicBatcher(
             self._flush,
             max_batch=self.config.max_batch,
@@ -228,7 +228,7 @@ class VerificationService:
             return self._verify_each(batch)
         if not self.breaker.allow():
             # Breaker open: fused attempts are suspended for the cooldown.
-            self.metrics.record_breaker_exact()
+            self.metrics.breaker_exact_batches += 1
             return self._verify_each(batch)
         pairs = sources = 0
         try:
@@ -255,7 +255,6 @@ class VerificationService:
         else:
             self.breaker.record_failure()
         self.metrics.record_fused(fused_ok, pairs, sources)
-        self.metrics.sync_breaker(self.breaker)
         # On failure at least one request is invalid (or the fused path
         # broke): attribute exactly, each request by its unbatched product.
         return [True] * len(batch) if fused_ok else self._verify_each(batch)

@@ -8,10 +8,8 @@ compile artifact store keys kernels -- a SHA-256 digest of the full semantic
 content (curve, point coordinates), so two structurally equal points hit the
 same entry no matter which object identity carried them.
 
-Eviction is LRU by last use under a fixed entry budget, and ``stats()``
-exposes hit/miss/eviction counters in the same shape as
-``repro.compile_cache_stats()`` so runner summaries can print both side by
-side.
+Eviction is LRU by last use under a fixed entry budget; ``stats()`` reports
+the hit/miss/eviction counters and the number of entries held.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from collections import OrderedDict
 
 from repro.config import positive_int
 from repro.errors import PairingError, ServiceError
+from repro.obs import Counters
 from repro.pairing.ate import as_affine_pair
 from repro.pairing.batch import G2Precomputation, precompute_g2
 
@@ -53,9 +52,7 @@ class VerifyingKeyCache:
         self.curve = curve
         self.max_entries = max_entries
         self._entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.counters = Counters("hits", "misses", "evictions")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -65,21 +62,17 @@ class VerifyingKeyCache:
         key = g2_point_digest(self.curve, Q)
         entry = self._entries.get(key)
         if entry is not None:
-            self.hits += 1
+            self.counters.hits += 1
             self._entries.move_to_end(key)
             return entry
-        self.misses += 1
+        self.counters.misses += 1
         entry = precompute_g2(self.curve, Q)
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self.counters.evictions += 1
         return entry
 
     def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-        }
+        """The counts (no derived rate) and the number of entries held."""
+        return dict(self.counters.delta(), entries=len(self._entries))

@@ -1,7 +1,5 @@
 """Compile cache: content addressing, hit/miss accounting, collision resistance."""
 
-import pytest
-
 from repro.compiler.cache import CompileCache
 from repro.compiler.pipeline import clear_caches, compile_cache_stats, compile_pairing
 from repro.fields.variants import VariantConfig
@@ -54,14 +52,14 @@ def test_make_key_separates_hw_and_flags():
 def test_lookup_store_accounting():
     cache = CompileCache("test")
     assert cache.peek("a") is None
-    assert cache.stats.lookups == 0                 # peek never counts
+    assert cache.stats.hits + cache.stats.misses == 0       # peek never counts
     assert cache.get_or_compute("a", lambda: 42) == 42
     assert cache.stats.misses == 1 and cache.stats.hits == 0
     assert cache.peek("a") == 42
     assert cache.get_or_compute("a", lambda: 43) == 42
     assert cache.stats.hits == 1 and cache.stats.stores == 1
     assert "a" in cache and len(cache) == 1
-    assert cache.stats.hit_rate == pytest.approx(0.5)
+    assert cache.stats.snapshot()["hit_rate"] == 0.5
     described = cache.describe()
     assert described["name"] == "test" and described["entries"] == 1
 
@@ -80,10 +78,10 @@ def test_clear_resets_entries_and_stats():
     cache = CompileCache("test")
     cache.get_or_compute("a", lambda: 1)
     cache.get_or_compute("a", lambda: 1)
-    assert cache.stats.lookups == 2 and cache.stats.stores == 1
+    assert cache.stats.hits + cache.stats.misses == 2 and cache.stats.stores == 1
     cache.clear()
     assert len(cache) == 0
-    assert cache.stats.lookups == 0 and cache.stats.stores == 0
+    assert cache.stats.snapshot() == {"hits": 0, "misses": 0, "stores": 0, "hit_rate": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +125,7 @@ def test_disk_counters_present_without_a_store(toy_bn, hw1_small):
         stats = compile_cache_stats()
     finally:
         reset_store_state()
-    # Full StoreStats.snapshot() key set, all zeroed: code indexing any
+    # The store's full counter key set, all zeroed: code indexing any
     # counter behaves identically on cold and warm configurations.
     for counter in ("hits", "misses", "stores", "corrupt", "evictions", "errors"):
         assert stats["disk"][counter] == 0

@@ -15,6 +15,8 @@ from repro.dse.objectives import OBJECTIVES, resolve_objective
 from repro.dse.space import design_points, named_variant_configs
 from repro.errors import DSEError
 from repro.hw.presets import figure10_models
+from repro.reliability import configure_faults
+from repro.reliability.faults import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +315,25 @@ def test_corrupt_entry_read_by_the_parent_is_dispatched(toy_bn, toy_points, swee
     assert (report.cached_points, report.chunks) == (len(toy_points) - 1, 1)
     assert report.cache_stats["result"]["misses"] == 1      # recompiled by a worker
     assert ranked == sequential
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_report_carries_every_store_counter(toy_bn, toy_points, sweep_store, workers):
+    """The report's ``disk`` entry is the store's whole counter set, pool
+    workers' counts included: two garbage reads are two ``corrupt``."""
+    _sweep(toy_bn, toy_points, 1)
+    clear_caches()
+    configure_faults(FaultPlan.parse("store.read:garbage@1*2"))
+    try:
+        _, explorer = _sweep(toy_bn, toy_points, workers)
+    finally:
+        configure_faults(None)
+    disk = explorer.last_report.cache_stats["disk"]
+    assert list(disk) == ["hits", "misses", "stores", "corrupt", "evictions", "errors"]
+    assert (disk["corrupt"], disk["evictions"], disk["errors"]) == (2, 0, 0)
+    # The parent drops both entries and dispatches their points; whoever
+    # compiles them finds nothing on disk (two more misses) and stores both.
+    assert (disk["hits"], disk["misses"], disk["stores"]) == (len(toy_points) - 2, 4, 2)
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "successive_halving", "local"])

@@ -1,6 +1,7 @@
 """Reliability primitives: fault plans, retry/backoff, circuit breaker."""
 
 import os
+import pickle
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.errors import (
     ServiceError,
     WorkerCrashError,
 )
+from repro.obs import Counters
 from repro.reliability import (
     CLOSED,
     HALF_OPEN,
@@ -19,7 +21,6 @@ from repro.reliability import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    ReliabilityStats,
     RetryPolicy,
     call_with_retries,
     configure_faults,
@@ -205,8 +206,11 @@ def test_retry_policy_validation():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ReliabilityError):
         RetryPolicy(max_retries=True)
-    with pytest.raises(ReliabilityError):
-        RetryPolicy(base_delay_s=-0.1)
+    for delays in ({"base_delay_s": -0.1}, {"base_delay_s": True},
+                   {"base_delay_s": float("inf")}, {"max_delay_s": float("nan")},
+                   {"max_delay_s": True}, {"max_delay_s": float("inf")}):
+        with pytest.raises(ReliabilityError):
+            RetryPolicy(**delays)
 
 
 def test_backoff_is_full_jitter_within_cap():
@@ -327,26 +331,45 @@ def test_breaker_success_resets_failure_streak():
 def test_breaker_validation():
     with pytest.raises(ReliabilityError):
         CircuitBreaker(failure_threshold=0)
-    with pytest.raises(ReliabilityError):
-        CircuitBreaker(cooldown_s=-1.0)
+    for cooldown in (-1.0, True, float("inf"), float("nan"), "1"):
+        with pytest.raises(ReliabilityError):
+            CircuitBreaker(cooldown_s=cooldown)
 
 
 # ---------------------------------------------------------------------------
-# ReliabilityStats
+# Recovery counters (repro.obs.Counters)
 # ---------------------------------------------------------------------------
 
 def test_reliability_stats_merge_snapshot_reset():
-    stats = ReliabilityStats()
-    assert not stats.any()
-    stats.merge_counters({"retries": 2, "backoff_s": 0.5})
+    stats = Counters("retries", "backoff_s", "worker_crashes", floats=("backoff_s",))
+    assert not any(stats.snapshot().values())
+    assert stats.snapshot()["backoff_s"] == 0.0
+    stats.merge({"retries": 2, "backoff_s": 0.5})
     stats.worker_crashes += 1
     snap = stats.snapshot()
     assert snap["retries"] == 2
     assert snap["backoff_s"] == 0.5
     assert snap["worker_crashes"] == 1
-    assert stats.any()
+    assert any(stats.snapshot().values())
+    # A delta is exact and plain (it crosses the process pool); merging one
+    # from a peer adds it, and an undeclared counter is refused.
+    peer = Counters("retries", "backoff_s", "worker_crashes", floats=("backoff_s",))
+    before = peer.delta()
+    peer.retries += 1
+    peer.backoff_s += 1 / 3
+    delta = pickle.loads(pickle.dumps(peer.delta(before)))
+    assert delta == {"retries": 1, "backoff_s": 1 / 3, "worker_crashes": 0}
+    stats.merge(delta)
+    assert stats.snapshot() == {"retries": 3, "backoff_s": 0.8333, "worker_crashes": 1}
+    with pytest.raises(AttributeError):
+        stats.merge({"typo": 1})
     stats.reset()
-    assert not stats.any()
+    assert not any(stats.snapshot().values())
+    # ``hit_rate`` is derived wherever hits and misses are counted.
+    cache = Counters("hits", "misses")
+    assert cache.snapshot() == {"hits": 0, "misses": 0, "hit_rate": 0.0}
+    cache.hits, cache.misses = 2, 1
+    assert cache.snapshot()["hit_rate"] == 0.6667
 
 
 def test_fault_spec_validation_direct():

@@ -40,6 +40,7 @@ from repro.curves.catalog import get_curve  # noqa: E402
 from repro.dse.engine import ParallelExplorer  # noqa: E402
 from repro.dse.space import design_points, named_variant_configs  # noqa: E402
 from repro.hw.presets import figure10_models  # noqa: E402
+from repro.obs import Counters  # noqa: E402
 from repro.reliability.faults import FAULTS_ENV, configure_faults, configure_faults_from_env  # noqa: E402
 from repro.service import ServiceConfig, VerificationService  # noqa: E402
 from repro.service.workloads import make_bls_requests, make_groth16_requests  # noqa: E402
@@ -77,19 +78,22 @@ def _sweep(curve, points, workers, **explorer_kwargs):
         ranked = explorer.explore(points, objective="throughput")
         # Each explore* call resets the explorer's reliability counters and
         # failure list; fold both sweeps' numbers together for the report.
-        explore_counters = explorer.reliability.snapshot()
+        explore_report = explorer.last_report
         explore_failures = [f.describe() for f in explorer.failures]
         pareto = explorer.explore_pareto(points, ("throughput", "area"))
-        counters = {
-            key: round(value + explore_counters.get(key, 0), 4)
-            for key, value in explorer.reliability.snapshot().items()
-        }
+        reports = (explore_report, explorer.last_report)
         failures = explore_failures + [f.describe() for f in explorer.failures]
+    counters = Counters(*explore_report.reliability)
+    disk = Counters(*explore_report.cache_stats["disk"])
+    for report in reports:
+        counters.merge(report.reliability)
+        disk.merge(report.cache_stats["disk"])
     return {
         "ranked": _ranked_key(ranked),
         "frontier": list(pareto.labels()),
         "frontier_scores": list(pareto.frontier_scores),
-        "counters": counters,
+        "counters": counters.snapshot(),
+        "disk": disk.snapshot(),
         "failures": failures,
     }
 
@@ -161,16 +165,11 @@ class Chaos:
                 clear_caches()
                 result = _sweep(self.curve, self.points, workers=workers)
                 _set_faults(None)
-                # Corruption counters live in the store's own stats, and both
-                # legs see the faults fire here: the parent answers cached
-                # points itself, so at any worker count the cold pass's reads
-                # (its own garbage, the workers' torn entries) are the
-                # parent's -- what it cannot verify it dispatches.
-                snap = store.stats.snapshot()
+                disk = result["disk"]
                 counters = dict(result["counters"])
-                counters["store_corrupt"] = snap["corrupt"]
-                counters["store_write_errors"] = snap["errors"]
-                fired = (snap["corrupt"] + snap["errors"]) >= 1
+                counters["store_corrupt"] = disk["corrupt"]
+                counters["store_write_errors"] = disk["errors"]
+                fired = (disk["corrupt"] + disk["errors"]) >= 1
                 ok = (warm["ranked"] == self.clean["ranked"]
                       and result["ranked"] == self.clean["ranked"]
                       and result["frontier"] == self.clean["frontier"]
