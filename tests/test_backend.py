@@ -217,6 +217,18 @@ def test_functional_simulator_rejects_missing_inputs(compiled_toy_bn, toy_bn):
 # Cycle-accurate simulator micro-behaviour
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("hw_name", ["paper-default", "HW1", "HW2"]
+                         + [model.name for model in figure10_models()])
+def test_planned_cycles_equal_bundle_walk(toy_bn, hw_name):
+    # PackSched plans with the constraint model the bundle walk replays, so a
+    # schedule never stalls in the walk: the two cycle counts are one number.
+    width = toy_bn.params.p.bit_length()
+    models = [default_model(width), paper_hw1(width), paper_hw2(width)] + figure10_models(width)
+    hw = next(model for model in models if model.name == hw_name)
+    schedule = compile_pairing(toy_bn, hw=hw).schedule
+    assert schedule.planned_cycles == CycleAccurateSimulator().run(schedule).total_cycles
+
+
 def test_cycle_sim_dependent_latency():
     module = IRModule(level="low")
     x = module.emit("input", (), attr="x")

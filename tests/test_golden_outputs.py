@@ -45,6 +45,7 @@ from repro.pairing.batch import multi_pairing
 from repro.pairing.context import ConcretePairingContext
 from repro.pairing.final_exp import FINAL_EXP_MODES, easy_part, hard_part
 from repro.pairing.miller import miller_loop
+from repro.sim.cycle import CycleAccurateSimulator
 
 SEED = 0x601D
 
@@ -189,6 +190,48 @@ def test_toy_bls24_schoolbook_kernel_binary_is_unchanged():
     result = compile_pairing(get_curve("TOY-BLS24-79"), use_cache=False,
                              variant_config=named_variant_configs()["all-schoolbook"])
     assert kernel_digest(result) == KERNEL_DIGESTS["bls24-79/all-schoolbook"]
+
+
+#: Single-pairing kernels whose scheduling paths no ``KERNEL_DIGESTS`` entry
+#: reaches: the 4- and 6-issue queue scans of PackSched and the single-issue
+#: write-back FIFO model (``tools/kernel_digest.py TOY-BN42 --hw NAME``, first
+#: line).
+SCHEDULER_PATH_DIGESTS = {
+    "L8-S2-lin4": "472464000ffd1cefbd9374d1992fcb5e814baefa01a28bd7b847dccb61802dbf",
+    "L8-S2-lin6": "1ac05ed34f41eb17f46ca37f6d9b29243cd7d512bba70e6d7b390878f055652c",
+    "HW2": "a63e23209f1a88ad0ee86b5c124df75b071d6184d28bfcc300462bebdb027b42",
+}
+
+#: sha256 over the ``record_trace=True`` issue-trace codes and the
+#: ``instance_start_cycles`` of the bundle walk, which ``kernel_digest`` does
+#: not hash (TOY-BN42, all-karatsuba).
+ISSUE_TRACE_DIGESTS = {
+    "default": "fb0cafd09d5369bd08bc744533d919e0716fdb294e16ed8b92d899600cf09cf0",
+    "L8-S2-lin4": "bf29d95250cb64308e0d1cc8d5e91d44005126d2dffac0af3030bd58c9c110a6",
+}
+
+
+def _toy_bn_preset(name):
+    curve = get_curve("TOY-BN42")
+    return curve, _kernel_digest_tool.hardware_presets(curve.params.p.bit_length())[name]
+
+
+@pytest.mark.parametrize("hw_name", sorted(SCHEDULER_PATH_DIGESTS))
+def test_toy_bn_scheduler_path_kernel_binaries_are_unchanged(hw_name):
+    curve, hw = _toy_bn_preset(hw_name)
+    result = compile_pairing(curve, hw=hw, variant_config=named_variant_configs()["all-karatsuba"],
+                             use_cache=False)
+    assert kernel_digest(result) == SCHEDULER_PATH_DIGESTS[hw_name]
+
+
+@pytest.mark.parametrize("hw_name", sorted(ISSUE_TRACE_DIGESTS))
+def test_toy_bn_issue_trace_is_unchanged(hw_name):
+    curve, hw = _toy_bn_preset(hw_name)
+    schedule = compile_pairing(curve, hw=hw,
+                               variant_config=named_variant_configs()["all-karatsuba"]).schedule
+    stats = CycleAccurateSimulator(record_trace=True).run(schedule)
+    digest = hashlib.sha256(repr([stats.trace.codes, stats.instance_start_cycles]).encode())
+    assert digest.hexdigest() == ISSUE_TRACE_DIGESTS[hw_name]
 
 
 def test_bls12_381_kernel_model_is_unchanged():
