@@ -14,8 +14,14 @@ issue slots when the hardware model is multi-issue) subject to:
   issued where their write-back would collide with an older Long instruction.
 
 The paper's dynamic-programming pack search is approximated greedily in affinity
-order, which preserves the optimisation's effect while keeping the scheduler
-linear in the program size.
+order, which preserves the optimisation's effect.  A cycle pops the ops it
+issues and the ops it refuses.  The scan of a queue stops once every op left
+in it needs a unit that is exhausted for the cycle, so a refused op is one that
+loses a read or write-back port, or one scanned before its unit ran out.  The
+work is O(ops + cycles + refusals), and one cycle refuses at most the length
+of its ready queues, so the bound is not linear in the worst case.  On
+BLS12-381 a scan pops 1.45 ops per issued op on the default model and 2.1 on
+``L8-S2-lin2``.
 """
 
 from __future__ import annotations
@@ -52,21 +58,24 @@ def unit_of(op: str) -> str:
 #: Execution unit of every schedulable op; ``.get`` gives ``None`` for the
 #: structural const/input/output rows, which never issue.
 UNIT_OF_OP = {op: unit_of(op) for op in _SCHEDULED_OPS}
+#: The unit kinds; a *unit code* is an index into this tuple.
 UNITS = ("long", "short", "inv")
+_LONG, _SHORT, _INV = range(len(UNITS))
+_CODE_OF_OP = {op: UNITS.index(unit) for op, unit in UNIT_OF_OP.items()}
 
 
 def unit_columns(module: IRModule, hw: HardwareModel) -> tuple:
-    """Per-value ``(units, latency)`` columns of ``module`` on ``hw``.
+    """Per-value ``(codes, latency)`` columns of ``module`` on ``hw``.
 
-    ``units[vid]`` is the execution unit (``None`` = not an issued op) and
-    ``latency[vid]`` the cycles until its result is written back (0 for rows
-    that never issue).  The scheduler and every simulator walk index these
-    instead of classifying the op again at each visit.
+    ``codes[vid]`` is the unit code of the value's execution unit (its index
+    in :data:`UNITS`; ``-1`` = not an issued op) and ``latency[vid]`` the
+    cycles until its result is written back (0 for rows that never issue).
+    The scheduler and every simulator walk index these instead of classifying
+    the op again at each visit.
     """
-    units = [UNIT_OF_OP.get(op) for op in module.ops]
-    latency_of = {unit: hw.latency_of_unit(unit) for unit in UNITS}
-    latency_of[None] = 0
-    return units, [latency_of[unit] for unit in units]
+    codes = [_CODE_OF_OP.get(op, -1) for op in module.ops]
+    latency_of = [hw.latency_of_unit(unit) for unit in UNITS] + [0]
+    return codes, [latency_of[code] for code in codes]
 
 
 @dataclass
@@ -121,30 +130,47 @@ def affinity_schedule(
     beta: float = 0.05,
     use_affinity: bool = True,
 ) -> ScheduledProgram:
-    """List scheduling with issue-slot affinity (Algorithm 2)."""
+    """List scheduling with issue-slot affinity (Algorithm 2).
+
+    ``hw`` is validated first: the scan below relies on a validated model's
+    guarantee that an empty bundle accepts any op its write-back port does.
+    """
+    hw.validate()
     ops, a_col, b_col = module.ops, module.a, module.b
     n = len(ops)
-    units, latency = unit_columns(module, hw)
-    # Reading a value takes a read port of its bank unless it is an output
-    # alias: scheduled results, constants and inputs all live in registers.
-    readable = [unit is not None or op == "const" or op == "input"
-                for unit, op in zip(units, ops)]
-    total_count = n - units.count(None)
+    codes, latency = unit_columns(module, hw)
+    total_count = n - codes.count(-1)
     if total_count == 0:
         raise CompilerError("module has no schedulable instructions")
-    long_fraction = (total_count - units.count("short")) / total_count
+    long_fraction = (total_count - codes.count(_SHORT)) / total_count
 
+    # Per-value columns, computed once.  Reading a value takes a read port of
+    # its bank unless it is an output alias (scheduled results, constants and
+    # inputs all live in registers); ``read_a`` / ``read_b`` hold the bank
+    # each operand reads, -1 for none (the trailing pad absorbs an absent
+    # operand).
+    read_bank = [bank if code >= 0 or op == "const" or op == "input" else -1
+                 for bank, code, op in zip(banks, codes, ops)]
+    read_bank.append(-1)
+    read_a = [read_bank[a] for a in a_col]
+    read_b = [read_bank[b] for b in b_col]
+    # Write-back slots taken are keyed ``cycle * bank_span + bank``, so an op
+    # issued at ``cycle`` claims ``cycle * bank_span + wb_offset[vid]`` (only
+    # enforced without the FIFO).
+    bank_span = max(banks, default=0) + 1
+    enforce_wb = not hw.has_writeback_fifo
+    wb_offset = [lat * bank_span + bank for lat, bank in zip(latency, banks)] if enforce_wb else None
     # Dependency counts and consumer lists, restricted to scheduled (compute) ops.
     deps = [0] * n
     consumers: list = [[] for _ in range(n)]
-    for vid, unit in enumerate(units):
-        if unit is None:
+    for vid, code in enumerate(codes):
+        if code < 0:
             continue
         a, b = a_col[vid], b_col[vid]
-        if a >= 0 and units[a] is not None:
+        if a >= 0 and codes[a] >= 0:
             deps[vid] = 1
             consumers[a].append(vid)
-        if b >= 0 and b != a and units[b] is not None:
+        if b >= 0 and b != a and codes[b] >= 0:
             deps[vid] += 1
             consumers[b].append(vid)
 
@@ -154,33 +180,39 @@ def affinity_schedule(
     # ever inserted at >= cycle + 1 and the cycle only advances by one or
     # jumps to the smallest key, so the current cycle is the only key that can
     # be due: the hand-off to the queues is a single pop.
-    ready_at: dict = {0: [vid for vid, unit in enumerate(units)
-                          if unit is not None and deps[vid] == 0]}
+    ready_at: dict = {0: [vid for vid, code in enumerate(codes) if code >= 0 and deps[vid] == 0]}
+    # Short ops queue on their own; long and inv ops share the other queue,
+    # which holds ``inv_queued`` inv ops.
     long_ready: deque = deque()
     short_ready: deque = deque()
+    inv_queued = 0
 
     issue_cycle = [-1] * n
     bundles: list = []
-    # Write-back slots taken, keyed ``cycle * bank_span + bank`` (only
-    # enforced without the FIFO).
     writeback_busy: set = set()
-    bank_span = max(banks, default=0) + 1
-    enforce_wb = not hw.has_writeback_fifo
     issue_width, read_ports = hw.issue_width, hw.bank_read_ports
-    unit_limit = {unit: hw.units_of_kind(unit) for unit in UNITS}
-    units_used = dict.fromkeys(UNITS, 0)
-    reads_per_bank: dict = {}
-    deferred: list = []
+    unit_limit = [hw.units_of_kind(unit) for unit in UNITS]
+    long_limit, inv_limit = unit_limit[_LONG], unit_limit[_INV]
 
-    period = max(1, hw.long_latency - hw.short_latency)
+    # Which queue a cycle scans first, by ``cycle % period``.
+    period = max(1, hw.long_latency - hw.short_latency) if use_affinity else 1
     long_share = min(1.0, long_fraction + beta)
+    orders = [(long_ready, short_ready) if not use_affinity or phase / period <= long_share
+              else (short_ready, long_ready) for phase in range(period)]
 
     remaining = total_count
+    last_finish = 0
     cycle = 0
     while remaining > 0:
         # Move instructions whose operands are ready by this cycle into the queues.
         for vid in ready_at.pop(cycle, ()):
-            (short_ready if units[vid] == "short" else long_ready).append(vid)
+            code = codes[vid]
+            if code == _SHORT:
+                short_ready.append(vid)
+            else:
+                long_ready.append(vid)
+                if code == _INV:
+                    inv_queued += 1
 
         if not long_ready and not short_ready:
             # Idle: jump to the next cycle where something becomes ready.
@@ -189,78 +221,90 @@ def affinity_schedule(
             cycle = min(ready_at)
             continue
 
-        prefer_long = ((cycle % period) / period) <= long_share if use_affinity else True
-        order = (long_ready, short_ready) if prefer_long else (short_ready, long_ready)
-
         bundle: list = []
         free_slots = issue_width
-        for unit in UNITS:
-            units_used[unit] = 0
-        reads_per_bank.clear()
+        units_used = [0, 0, 0]
+        reads_per_bank: dict = {}
+        wb_base = cycle * bank_span
+        next_cycle = cycle + 1
 
-        for queue in order:
-            while queue and free_slots:
+        for queue in orders[cycle % period]:
+            refused: list = []
+            while queue:
                 vid = queue.popleft()
-                unit = units[vid]
-                ok = units_used[unit] < unit_limit[unit]
-                # Read-port constraint: one read per operand on its bank.
-                if ok:
-                    a, b = a_col[vid], b_col[vid]
-                    bank_a = banks[a] if a >= 0 and readable[a] else -1
-                    bank_b = banks[b] if b >= 0 and readable[b] else -1
+                code = codes[vid]
+                # An empty bundle has every unit and both read ports of every
+                # bank free, so only a later candidate can be refused by them.
+                if bundle:
+                    if units_used[code] >= unit_limit[code]:
+                        refused.append(vid)
+                        continue
+                    # Read-port constraint: one read per operand on its bank.
+                    bank_a, bank_b = read_a[vid], read_b[vid]
                     if bank_a == bank_b:
-                        ok = bank_a < 0 or reads_per_bank.get(bank_a, 0) + 2 <= read_ports
-                    else:
-                        ok = ((bank_a < 0 or reads_per_bank.get(bank_a, 0) < read_ports)
-                              and (bank_b < 0 or reads_per_bank.get(bank_b, 0) < read_ports))
+                        if bank_a >= 0 and reads_per_bank.get(bank_a, 0) + 2 > read_ports:
+                            refused.append(vid)
+                            continue
+                    elif ((bank_a >= 0 and reads_per_bank.get(bank_a, 0) >= read_ports)
+                          or (bank_b >= 0 and reads_per_bank.get(bank_b, 0) >= read_ports)):
+                        refused.append(vid)
+                        continue
                 # Write-back port constraint (Figure 7).
-                if ok and enforce_wb:
-                    wb_key = (cycle + latency[vid]) * bank_span + banks[vid]
-                    ok = wb_key not in writeback_busy
-                if not ok:
-                    deferred.append(vid)
-                    continue
-                # Issue it.
+                if enforce_wb:
+                    wb_key = wb_base + wb_offset[vid]
+                    if wb_key in writeback_busy:
+                        refused.append(vid)
+                        continue
+                    writeback_busy.add(wb_key)
+                # Issue it, and hand its consumers their write-back cycle.
                 bundle.append(vid)
+                issue_cycle[vid] = cycle
+                finish = cycle + latency[vid]
+                if finish > last_finish:
+                    last_finish = finish
+                for consumer in consumers[vid]:
+                    deps[consumer] -= 1
+                    if finish > earliest[consumer]:
+                        earliest[consumer] = finish
+                    if deps[consumer] == 0:
+                        due = earliest[consumer] if earliest[consumer] > cycle else next_cycle
+                        if due in ready_at:
+                            ready_at[due].append(consumer)
+                        else:
+                            ready_at[due] = [consumer]
+                if code == _INV:
+                    inv_queued -= 1
                 free_slots -= 1
-                units_used[unit] += 1
+                if not free_slots:
+                    break
+                # Account what the next candidate of this bundle competes for.
+                units_used[code] += 1
+                bank_a, bank_b = read_a[vid], read_b[vid]
                 if bank_a >= 0:
                     reads_per_bank[bank_a] = reads_per_bank.get(bank_a, 0) + 1
                 if bank_b >= 0:
                     reads_per_bank[bank_b] = reads_per_bank.get(bank_b, 0) + 1
-                if enforce_wb:
-                    writeback_busy.add(wb_key)
+                # Every op left in this queue is refused once the units it can
+                # use are exhausted: stop popping them.
+                if units_used[code] >= unit_limit[code] and (
+                        code == _SHORT or (units_used[_LONG] >= long_limit
+                                           and (units_used[_INV] >= inv_limit or not inv_queued))):
+                    break
+            if refused:
+                # The full scan's order: refused ops rotate behind the ones
+                # left unscanned only when the bundle is full.
+                if free_slots and queue:
+                    queue.extendleft(reversed(refused))
+                else:
+                    queue.extend(refused)
             if not free_slots:
                 break
 
-        if deferred:
-            for vid in deferred:
-                (short_ready if units[vid] == "short" else long_ready).append(vid)
-            deferred.clear()
-
-        if not bundle:
-            cycle += 1
-            continue
-
-        next_cycle = cycle + 1
-        for vid in bundle:
-            issue_cycle[vid] = cycle
-            finish = cycle + latency[vid]
-            for consumer in consumers[vid]:
-                deps[consumer] -= 1
-                if finish > earliest[consumer]:
-                    earliest[consumer] = finish
-                if deps[consumer] == 0:
-                    due = earliest[consumer] if earliest[consumer] > cycle else next_cycle
-                    if due in ready_at:
-                        ready_at[due].append(consumer)
-                    else:
-                        ready_at[due] = [consumer]
-        bundles.append(bundle)
-        remaining -= len(bundle)
+        if bundle:
+            bundles.append(bundle)
+            remaining -= len(bundle)
         cycle = next_cycle
 
-    last_finish = max(issue_cycle[vid] + latency[vid] for bundle in bundles for vid in bundle)
     return ScheduledProgram(
         module=module, hw=hw, banks=banks, bundles=bundles, issue_cycle=issue_cycle,
         planned_cycles=last_finish, affinity_beta=beta if use_affinity else 0.0,

@@ -294,55 +294,40 @@ def assign_split_lanes_to_cores(lane_costs: dict, n_cores: int) -> dict:
     return assignment
 
 
-class _PhaseTracker:
-    """Accumulates per-phase instruction counts and issue/write-back spans."""
+def _phase_summary(entries: dict) -> dict:
+    """Per-phase ``[count, first_issue, last_finish]`` accumulators as the
+    :attr:`CycleStats.phase_stats` / ``instance_phase_spans`` records.
 
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: dict = {}
-
-    def record(self, phase, issue_cycle: int, finish_cycle: int) -> None:
-        if phase is None:
-            return
-        entry = self.entries.get(phase)
-        if entry is None:
-            self.entries[phase] = [1, issue_cycle, finish_cycle]
-            return
-        entry[0] += 1
-        if issue_cycle < entry[1]:
-            entry[1] = issue_cycle
-        if finish_cycle > entry[2]:
-            entry[2] = finish_cycle
-
-    def summary(self) -> dict:
-        return {
-            phase: {
-                "instructions": count,
-                "first_issue": first,
-                "last_finish": last,
-                "cycles": last - first,
-            }
-            for phase, (count, first, last) in self.entries.items()
+    The walks fill the accumulators inline: their cycle never decreases, so
+    the first issue recorded for a key is its earliest.
+    """
+    return {
+        key: {
+            "instructions": count,
+            "first_issue": first,
+            "last_finish": last,
+            "cycles": last - first,
         }
+        for key, (count, first, last) in entries.items()
+    }
 
 
 def _issue_constraints(module, hw: HardwareModel) -> tuple:
     """The in-order issue constraint model shared by every simulator walk.
 
-    Returns the per-value ``units`` / ``latency`` columns
-    (:func:`repro.compiler.schedule.unit_columns`), the per-kind unit limits
-    and the write-back switch.  :meth:`CycleAccurateSimulator.run` applies them
+    Returns the per-value unit ``codes`` / ``latency`` columns
+    (:func:`repro.compiler.schedule.unit_columns`), the unit limits indexed by
+    unit code and the write-back switch.  :meth:`CycleAccurateSimulator.run` applies them
     in bundle-barrier mode (a VLIW bundle issues atomically) while the stream
     walk behind ``run_multicore`` / ``run_pipelined`` applies them once per
     core in greedy in-order mode; taking all four from here is what guarantees
     the two walks can never drift apart on the constraint model itself.
     """
-    units, latency = unit_columns(module, hw)
-    unit_limit = {unit: hw.units_of_kind(unit) for unit in UNITS}
+    codes, latency = unit_columns(module, hw)
+    unit_limit = [hw.units_of_kind(unit) for unit in UNITS]
     # Write-back bank conflicts are only enforced without the FIFO (the
     # Figure 7 conflict).
-    return units, latency, unit_limit, not hw.has_writeback_fifo
+    return codes, latency, unit_limit, not hw.has_writeback_fifo
 
 
 def _simulate_stream(
@@ -367,10 +352,11 @@ def _simulate_stream(
     module = schedule.module
     banks = schedule.banks
     a_col, b_col, lane_col, phase_col = module.a, module.b, module.lanes, module.phases
-    units, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
+    codes, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
     issue_width = hw.issue_width
-    phases = _PhaseTracker()
-    instance_phases = _PhaseTracker()
+    # phase -> and (instance, phase) -> [count, first_issue, last_finish].
+    phases: dict = {}
+    instance_phases: dict = {}
 
     # Flatten the scheduled issue order, then split it per core while
     # preserving relative order (each core stays in-order).
@@ -417,7 +403,6 @@ def _simulate_stream(
     # Write-back slots taken, keyed ``(cycle * bank_span + bank) * n_cores + core``.
     writeback_busy = set()
     bank_span = max(max(banks, default=0) + 1, hw.n_banks)   # rotated banks stay < n_banks
-    units_used = dict.fromkeys(UNITS, 0)
     events: list | None = [[] for _ in range(n_cores)] if collect_events else None
 
     heads = [0] * n_cores
@@ -440,15 +425,14 @@ def _simulate_stream(
             head = heads[core]
             if head >= len(queue):
                 continue
-            for unit in UNITS:
-                units_used[unit] = 0
+            units_used = [0, 0, 0]
             slots = 0
             stalled = None
             while head < len(queue) and slots < issue_width:
                 gid = queue[head]
                 instance, vid = divmod(gid, stride)
-                unit = units[vid]
-                if units_used[unit] >= unit_limit[unit]:
+                code = codes[vid]
+                if units_used[code] >= unit_limit[code]:
                     stalled = "structural"
                     break
                 base = gid - vid
@@ -456,7 +440,7 @@ def _simulate_stream(
                 if ready_a < 0 or ready_b < 0 or ready_a > cycle or ready_b > cycle:
                     stalled = "data"
                     if ready_a >= 0 and ready_b >= 0:
-                        next_wakeups.append(max(ready_a, ready_b))
+                        next_wakeups.append(ready_a if ready_a > ready_b else ready_b)
                     break
                 finish = cycle + latency[vid]
                 if enforce_wb:
@@ -468,8 +452,20 @@ def _simulate_stream(
                 ready[gid] = finish
                 phase = phase_col[vid]
                 if phase is not None:
-                    phases.record(phase, cycle, finish)
-                    instance_phases.record((instance, phase), cycle, finish)
+                    entry = phases.get(phase)
+                    if entry is None:
+                        phases[phase] = [1, cycle, finish]
+                    else:
+                        entry[0] += 1
+                        if finish > entry[2]:
+                            entry[2] = finish
+                    entry = instance_phases.get((instance, phase))
+                    if entry is None:
+                        instance_phases[instance, phase] = [1, cycle, finish]
+                    else:
+                        entry[0] += 1
+                        if finish > entry[2]:
+                            entry[2] = finish
                 if enforce_wb:
                     writeback_busy.add(wb_key)
                 if events is not None:
@@ -478,7 +474,7 @@ def _simulate_stream(
                     instance_first[instance] = cycle
                 if finish > instance_finish[instance]:
                     instance_finish[instance] = finish
-                units_used[unit] += 1
+                units_used[code] += 1
                 per_core_issued[core] += 1
                 if finish > per_core_finish[core]:
                     per_core_finish[core] = finish
@@ -520,8 +516,8 @@ def _simulate_stream(
         per_core_instructions=per_core_issued,
         instance_cycles=instance_finish,
         instance_start_cycles=[first or 0 for first in instance_first],
-        phase_stats=phases.summary(),
-        instance_phase_spans=instance_phases.summary(),
+        phase_stats=_phase_summary(phases),
+        instance_phase_spans=_phase_summary(instance_phases),
         lane_assignment=assignment,
         core_issue_cycles=events,
     )
@@ -539,19 +535,20 @@ class CycleAccurateSimulator:
         module = schedule.module
         banks = schedule.banks
         a_col, b_col, phase_col = module.a, module.b, module.phases
-        units, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
-        trace_codes = [] if self.record_trace else None
-        code_of_unit = {"long": LONG, "short": SHORT, "inv": INV}
-        phases = _PhaseTracker()
+        codes, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
+        trace_codes = trace_of = None
+        if self.record_trace:
+            trace_codes = []
+            trace_of_unit = {"long": LONG, "short": SHORT, "inv": INV}
+            trace_of = [trace_of_unit[UNITS[code]] for code in codes].__getitem__
+        phases: dict = {}
 
         # ready[vid]: cycle the result is available (0 = preloaded); the
         # trailing slot is where an absent operand (-1) lands.
         ready = [0] * (len(module) + 1)
         # Write-back slots taken, keyed ``cycle * bank_span + bank``.
         writeback_busy = set()
-        wb_targets = set()
         bank_span = max(banks, default=0) + 1
-        units_used = dict.fromkeys(UNITS, 0)
 
         cycle = 0
         issued = 0
@@ -564,55 +561,52 @@ class CycleAccurateSimulator:
             # All ops of a VLIW bundle issue together; the bundle waits for the
             # slowest constraint of any of its slots.
             while True:
-                stall_reason = None
-                for unit in UNITS:
-                    units_used[unit] = 0
-                wb_targets.clear()
+                units_used = [0, 0, 0]
+                wb_targets = []
                 for vid in bundle:
-                    unit = units[vid]
-                    if units_used[unit] >= unit_limit[unit]:
-                        stall_reason = "structural"
+                    code = codes[vid]
+                    if units_used[code] >= unit_limit[code]:
+                        structural_stalls += 1
                         break
-                    units_used[unit] += 1
+                    units_used[code] += 1
                     if ready[a_col[vid]] > cycle or ready[b_col[vid]] > cycle:
-                        stall_reason = "data"
+                        data_stalls += 1
                         break
                     if enforce_wb:
                         key = (cycle + latency[vid]) * bank_span + banks[vid]
                         if key in writeback_busy or key in wb_targets:
-                            stall_reason = "writeback"
+                            writeback_stalls += 1
                             break
-                        wb_targets.add(key)
-                if stall_reason is None:
-                    break
-                if stall_reason == "data":
-                    data_stalls += 1
-                elif stall_reason == "writeback":
-                    writeback_stalls += 1
+                        wb_targets.append(key)
                 else:
-                    structural_stalls += 1
+                    break
                 if trace_codes is not None:
                     trace_codes.append(BUBBLE)
                 cycle += 1
 
-            writeback_busy |= wb_targets
-            bundle_code = BUBBLE
+            writeback_busy.update(wb_targets)
             for vid in bundle:
-                finish = cycle + latency[vid]
-                ready[vid] = finish
+                finish = ready[vid] = cycle + latency[vid]
                 if finish > last_finish:
                     last_finish = finish
-                phases.record(phase_col[vid], cycle, finish)
-                issued += 1
-                bundle_code = max(bundle_code, code_of_unit[units[vid]])
+                phase = phase_col[vid]
+                if phase is not None:
+                    entry = phases.get(phase)
+                    if entry is None:
+                        phases[phase] = [1, cycle, finish]
+                    else:
+                        entry[0] += 1
+                        if finish > entry[2]:
+                            entry[2] = finish
+            issued += len(bundle)
             if trace_codes is not None:
-                trace_codes.append(bundle_code)
+                trace_codes.append(max(map(trace_of, bundle), default=BUBBLE))
             cycle += 1
 
         # One core, one instance: the per-core and per-instance columns carry
         # the totals, and the instance's phase spans are the phase spans.
         total_cycles = max(cycle, last_finish)
-        phase_stats = phases.summary()
+        phase_stats = _phase_summary(phases)
         # The first issue cycle is read back off the first value's write-back
         # (``ready = issue + latency``); the loop above pays nothing for it.
         first = next((vid for bundle in schedule.bundles for vid in bundle), None)
