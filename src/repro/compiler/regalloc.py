@@ -39,17 +39,15 @@ def allocate_registers(schedule: ScheduledProgram) -> RegisterAllocation:
     order += schedule.flat_order()
 
     # last_use[vid]: position in ``order`` of the last instruction reading the
-    # value; -1 = its register is never released (a value that is not in the
-    # order holds none).  The trailing slot absorbs absent operands (-1).
-    position = [-1] * (n + 1)
-    for idx, vid in enumerate(order):
-        position[vid] = idx
-    last_use = position[:]
+    # value; -1 = its register is never released.  The order is walked
+    # forward and every operand is defined earlier in it, so the last write
+    # wins.  The trailing slot absorbs absent operands (-1).
+    last_use = [-1] * (n + 1)
     for idx in range(n_preloaded, len(order)):
         vid = order[idx]
-        for arg in (a_col[vid], b_col[vid]):
-            if last_use[arg] < idx and position[arg] >= 0:
-                last_use[arg] = idx
+        last_use[a_col[vid]] = idx
+        last_use[b_col[vid]] = idx
+    last_use[n] = -1
     # Preloaded values stay resident for the whole kernel, and outputs pin
     # their operand forever.
     for vid in order[:n_preloaded]:

@@ -536,11 +536,8 @@ class CycleAccurateSimulator:
         banks = schedule.banks
         a_col, b_col, phase_col = module.a, module.b, module.phases
         codes, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
-        trace_codes = trace_of = None
-        if self.record_trace:
-            trace_codes = []
-            trace_of_unit = {"long": LONG, "short": SHORT, "inv": INV}
-            trace_of = [trace_of_unit[UNITS[code]] for code in codes].__getitem__
+        trace_codes = [] if self.record_trace else None
+        trace_of_unit = [{"long": LONG, "short": SHORT, "inv": INV}[unit] for unit in UNITS]
         phases: dict = {}
 
         # ready[vid]: cycle the result is available (0 = preloaded); the
@@ -600,7 +597,8 @@ class CycleAccurateSimulator:
                             entry[2] = finish
             issued += len(bundle)
             if trace_codes is not None:
-                trace_codes.append(max(map(trace_of, bundle), default=BUBBLE))
+                trace_codes.append(max((trace_of_unit[codes[vid]] for vid in bundle),
+                                       default=BUBBLE))
             cycle += 1
 
         # One core, one instance: the per-core and per-instance columns carry

@@ -161,6 +161,21 @@ def test_vliw_schedule_packs_multiple_ops(toy_bn):
     assert result.ipc > 1.0
 
 
+def test_vliw_bundle_pairs_an_inv_with_a_long_op():
+    # The mul exhausts the one mmul unit, but the inv queued behind it in the
+    # same ready queue has a unit of its own: the scan must still reach it.
+    module = IRModule(level="low")
+    x = module.emit("input", (), attr="x")
+    y = module.emit("input", (), attr="y")
+    product = module.emit("mul", (x, x))
+    inverse = module.emit("inv", (y,))
+    module.emit("output", (product,), attr="product")
+    module.emit("output", (inverse,), attr="inverse")
+    hw = figure10_models(64)[2]          # L8-S2-lin2: two issue slots
+    banks = [0, 1, 0, 1, 0, 1]
+    assert affinity_schedule(module, hw, banks).bundles == [[product, inverse]]
+
+
 def test_program_order_schedule_matches_instruction_count(compiled_toy_bn):
     module = compiled_toy_bn.schedule.module
     hw = compiled_toy_bn.hw
