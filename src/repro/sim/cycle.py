@@ -317,11 +317,12 @@ def _issue_constraints(module, hw: HardwareModel) -> tuple:
 
     Returns the per-value unit ``codes`` / ``latency`` columns
     (:func:`repro.compiler.schedule.unit_columns`), the unit limits indexed by
-    unit code and the write-back switch.  :meth:`CycleAccurateSimulator.run` applies them
-    in bundle-barrier mode (a VLIW bundle issues atomically) while the stream
-    walk behind ``run_multicore`` / ``run_pipelined`` applies them once per
-    core in greedy in-order mode; taking all four from here is what guarantees
-    the two walks can never drift apart on the constraint model itself.
+    unit code and the write-back switch.  :meth:`CycleAccurateSimulator.run`
+    applies them in bundle-barrier mode (a VLIW bundle issues atomically)
+    while the stream walk behind ``run_multicore`` / ``run_pipelined`` applies
+    them once per core in greedy in-order mode; taking all four from here is
+    what guarantees the two walks can never drift apart on the constraint
+    model itself.
     """
     codes, latency = unit_columns(module, hw)
     unit_limit = [hw.units_of_kind(unit) for unit in UNITS]
@@ -354,7 +355,7 @@ def _simulate_stream(
     a_col, b_col, lane_col, phase_col = module.a, module.b, module.lanes, module.phases
     codes, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
     issue_width = hw.issue_width
-    # phase -> and (instance, phase) -> [count, first_issue, last_finish].
+    # [count, first_issue, last_finish] per phase and per (instance, phase).
     phases: dict = {}
     instance_phases: dict = {}
 
