@@ -2,21 +2,26 @@
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.opt import (
+    OptStats,
     constant_folding,
     dead_code_elimination,
     global_value_numbering,
     optimize,
     strength_reduction,
 )
+from repro.curves.catalog import get_curve
 from repro.fields.variants import VariantConfig
+from repro.hw.presets import default_model
 from repro.ir.builder import IRBuilder
 from repro.ir.interp import interpret_low_level
 from repro.ir.lowering import lower_module
 from repro.ir.module import IRModule
+from repro.pairing.final_exp import FINAL_EXP_MODES
 
 P = 10007
 
@@ -258,3 +263,138 @@ def test_gvn_demotes_values_shared_across_lanes_or_phases(module):
     assert merged.lanes == [shared(module.lanes, rows) for rows in members]
     assert merged.phases == [shared(module.phases, rows) for rows in members]
     assert merged.ops == [module.ops[rows[0]] for rows in members]
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: optimize == (constfold -> strength -> gvn -> dce) x 2
+# ---------------------------------------------------------------------------
+
+def _composed(module, p):
+    """The fixed IROpt schedule built from the four public passes."""
+    stats = OptStats(initial=module.compute_ops)
+    passes = (("constfold", constant_folding), ("strength", strength_reduction),
+              ("gvn", global_value_numbering),
+              ("dce", lambda m, p: dead_code_elimination(m)))
+    for i in (1, 2):
+        for name, run in passes:
+            module = run(module, p)
+            stats.per_pass[f"iteration-{i}/{name}"] = module.compute_ops
+        stats.per_pass[f"iteration-{i}"] = module.compute_ops
+    stats.final = module.compute_ops
+    return module, stats
+
+
+def _everything(module, stats):
+    return (module.ops, module.a, module.b, module.attrs, module.lanes, module.phases,
+            module.degrees, module.inputs, module.outputs, module.compute_ops,
+            module.meta, module.name, module.level,
+            stats.initial, stats.final, list(stats.per_pass.items()))
+
+
+def _assert_matches_composed(module, p):
+    got = optimize(module, p)
+    assert _everything(*got) == _everything(*_composed(module, p))
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(low_programs())
+def test_optimize_equals_composed_passes(module):
+    _assert_matches_composed(module, P)
+
+
+_SHAPES = [
+    *({"final_exp_mode": mode} for mode in FINAL_EXP_MODES),
+    {"n_pairs": 4},
+    {"n_pairs": 4, "split_accumulators": True, "cores": 2},
+]
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=lambda shape: "-".join(map(str, shape.values())))
+@pytest.mark.parametrize("name", ["TOY-BN42", "TOY-BLS12-54", "TOY-BLS24-79"])
+def test_optimize_equals_composed_passes_on_kernels(name, shape):
+    from repro.compiler.pipeline import stage_modules
+
+    curve = get_curve(name)
+    knobs = dict(shape)
+    cores = knobs.pop("cores", 1)
+    hw = default_model(curve.params.p.bit_length()).with_cores(cores)
+    _, low, _ = stage_modules(curve, hw=hw, **knobs)
+    _assert_matches_composed(low, curve.params.p)
+
+
+def _program(rows):
+    """A module from ``(name, op, operand names, attr, lane, phase)`` rows; the
+    names index the rows emitted so far."""
+    module, ids = IRModule(level="low"), {}
+    for name, op, args, attr, lane, phase in rows:
+        module.current_lane, module.current_phase = lane, phase
+        ids[name] = module.emit(op, tuple(ids[arg] for arg in args), attr=attr)
+    return module
+
+
+def _equal_after_gvn(tail=()):
+    """``t = sub(add(x, y), add(y, x))``: only iteration 1's GVN makes the
+    operands equal, so only iteration 2 folds ``t`` to 0."""
+    return [
+        ("x", "input", (), "x", None, None),
+        ("y", "input", (), "y", None, None),
+        ("two", "const", (), 2, None, None),
+        ("s", "add", ("x", "y"), None, 0, "miller"),
+        ("r", "add", ("y", "x"), None, 0, "miller"),
+        ("t", "sub", ("s", "r"), None, 0, "miller"),
+        *tail,
+    ]
+
+
+def _zero_in_iteration_two(module):
+    optimized, stats = _assert_matches_composed(module, P)
+    assert stats.per_pass["iteration-2/strength"] < stats.per_pass["iteration-1"]
+    return optimized, stats
+
+
+def test_second_iteration_folds_operands_gvn_made_equal():
+    module = _program(_equal_after_gvn([("out", "output", ("t",), "out", None, None)]))
+    optimized, _ = _zero_in_iteration_two(module)
+    assert interpret_low_level(optimized, P, {"x": 3, "y": 5}) == {"out": 0}
+    assert optimized.compute_ops == 0
+
+
+#: ``mul(x, t + 2)`` becomes ``dbl(x)`` in iteration 2, where an existing
+#: ``dbl(x)`` on another lane and phase sits earlier, later or is dead.
+_DBL = ("d", "dbl", ("x",), None, 1, "final_exp")
+_MUL = [("u", "add", ("t", "two"), None, 0, "miller"),
+        ("m", "mul", ("x", "u"), None, 0, "miller"),
+        ("out", "output", ("m",), "out", None, None)]
+
+
+@pytest.mark.parametrize("where", ["earlier", "later", "dead"])
+def test_second_iteration_merges_a_new_dbl_with_an_existing_one(where):
+    keep = [("out-d", "output", ("d",), "out-d", None, None)]
+    tail = {"earlier": [_DBL, *_MUL, *keep], "later": [*_MUL, _DBL, *keep],
+            "dead": [_DBL, *_MUL]}[where]
+    rows = _equal_after_gvn(tail)
+    optimized, _ = _zero_in_iteration_two(_program(rows))
+    assert optimized.op_histogram().get("dbl") == 1
+    assert optimized.op_histogram().get("mul") is None
+    expected = {"out": 6} if where == "dead" else {"out": 6, "out-d": 6}
+    assert interpret_low_level(optimized, P, {"x": 3, "y": 5}) == expected
+    shared = where != "dead"
+    dbl = optimized.ops.index("dbl")
+    assert optimized.lanes[dbl] == (None if shared else 0)
+    assert optimized.phases[dbl] == (None if shared else "miller")
+
+
+@pytest.mark.parametrize("earlier_dbl", [False, True])
+def test_mul_by_p_minus_two_becomes_neg_of_dbl(earlier_dbl):
+    rows = [("x", "input", (), "x", None, None),
+            ("c", "const", (), P - 2, None, None),
+            *([_DBL, ("out-d", "output", ("d",), "out-d", None, None)] if earlier_dbl else []),
+            ("m", "mul", ("x", "c"), None, 0, "miller"),
+            ("out", "output", ("m",), "out", None, None)]
+    optimized, stats = _assert_matches_composed(_program(rows), P)
+    assert optimized.op_histogram().get("dbl") == 1
+    assert optimized.op_histogram().get("neg") == 1
+    assert stats.per_pass["iteration-1/strength"] == stats.initial + 1
+    outputs = interpret_low_level(optimized, P, {"x": 3})
+    assert outputs["out"] == -6 % P
