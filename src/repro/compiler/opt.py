@@ -7,11 +7,16 @@ code elimination.  Together they also realise the dense-times-sparse
 multiplication optimisation "for free": the structural zeros of the line
 evaluations fold away.
 
-Each pass is one linear sweep over the module's columns that appends the
-rebuilt rows to fresh columns and records ``remap[old vid] = new vid``; no
-per-instruction object is created, which keeps the whole pipeline O(n) with a
-small constant for the several-hundred-thousand instruction kernels of the
-largest curves.  ``remap`` carries one extra trailing ``-1`` so that an absent
+Each rule (:func:`_folded`, :func:`_reduced`, :func:`_key` / :func:`_merge`,
+:func:`_live`) is written once and shared by the four public passes, each one
+linear sweep that rebuilds the module's columns, and :func:`optimize`, which
+computes their fixed schedule ``(constfold -> strength -> gvn -> dce) x 2`` in
+two sweeps over one id space and one final compaction.  Iteration 1 folds,
+reduces and value-numbers every row in place on copies of the columns, each
+pass with its own view of the rows before it; dead code elimination is a
+backward liveness walk.  It leaves for iteration 2 only the rows whose
+operands became constant or equal after they were reduced, and what changing
+those changes.  Per-row lists carry one trailing slot so that an absent
 operand (``-1``) maps to itself without a branch.
 """
 
@@ -24,6 +29,8 @@ from repro.ir.module import IRModule
 from repro.ir.ops import LOW_LEVEL_OPS, op_info
 
 _COMMUTATIVE = frozenset(op for op in LOW_LEVEL_OPS if op_info(op).commutative)
+_NEG_DBL = "neg(dbl)"                  # mul(x, p - 2): neg of a dbl(x) row put in before it
+_ZERO = ("const", -1, -1, 0)
 
 
 @dataclass
@@ -42,24 +49,6 @@ class OptStats:
         return 1.0 - self.final / self.initial
 
 
-def constant_folding(module: IRModule, p: int) -> IRModule:
-    """Fold operations whose operands are all compile-time constants."""
-    # Folding rewrites rows in place (no row appears or disappears), so the
-    # pass patches copies of the columns and value ids do not move.
-    ops, a_col, b_col, attr_col = module.ops[:], module.a[:], module.b[:], module.attrs[:]
-    for vid, (op, a, b) in enumerate(zip(module.ops, a_col, b_col)):
-        if op == "const":
-            attr_col[vid] %= p
-        elif (a >= 0 and op != "output" and ops[a] == "const"
-              and (b < 0 or ops[b] == "const")):
-            fold = _FOLD.get(op)
-            value = fold and fold(attr_col[a], attr_col[b], attr_col[vid], p)
-            if value is not None:
-                ops[vid], a_col[vid], b_col[vid], attr_col[vid] = "const", -1, -1, value
-    return module.successor(range(len(ops)), ops, a_col, b_col, attr_col,
-                            module.lanes[:], module.phases[:])
-
-
 #: op -> f(x, y, attr, p): the folded value (``y`` is arbitrary for unary ops).
 _FOLD = {
     "add": lambda x, y, k, p: (x + y) % p,
@@ -74,79 +63,125 @@ _FOLD = {
 }
 
 
+def _folded(op, a, b, attr, value, p):
+    """The constant row ``op(a, b)`` folds to, or None if it stays
+    (``value[v]``: row v's folded constant, None if it has none)."""
+    if op == "const":
+        return attr % p
+    fold = _FOLD.get(op)
+    if fold and value[a] is not None and (b < 0 or value[b] is not None):
+        return fold(value[a], value[b], attr, p)
+    return None
+
+
+def constant_folding(module: IRModule, p: int) -> IRModule:
+    """Fold operations whose operands are all compile-time constants."""
+    # Folding rewrites rows in place (no row appears or disappears), so the
+    # pass patches copies of the columns and value ids do not move.
+    ops, a_col, b_col, attr_col = module.ops[:], module.a[:], module.b[:], module.attrs[:]
+    value = [None] * (len(ops) + 1)
+    for vid, (op, a, b, attr) in enumerate(zip(module.ops, module.a, module.b, module.attrs)):
+        folded = value[vid] = _folded(op, a, b, attr, value, p)
+        if folded is not None:
+            ops[vid], a_col[vid], b_col[vid], attr_col[vid] = "const", -1, -1, folded
+    return module.successor(range(len(ops)), ops, a_col, b_col, attr_col,
+                            module.lanes[:], module.phases[:])
+
+
+def _reduced(op, a, b, attr, ca, cb, p):
+    """Strength reduction of row ``op(a, b)`` whose operands hold the constants
+    ``ca`` / ``cb`` (None: not a constant): the operand it aliases (an int),
+    the rewritten row ``(op, a, b, attr)``, or None if it stays."""
+    if op == "add":
+        if ca == 0:
+            return b
+        if cb == 0:
+            return a
+        if a == b:
+            return ("dbl", a, -1, None)
+    elif op == "sub":
+        if cb == 0:
+            return a
+        if a == b:
+            return _ZERO
+        if ca == 0:
+            return ("neg", b, -1, None)
+    elif op == "mul":
+        # x is the operand facing the constant c (if exactly one side is).
+        x, c = (b, ca) if ca is not None and cb is None else (a, cb)
+        if c == 0:
+            return _ZERO
+        if c == 1:
+            return x
+        unary = {p - 2: _NEG_DBL, p - 1: "neg", 3: "tpl", 2: "dbl"}.get(c)   # later keys win
+        if unary:
+            return (unary, x, -1, None)
+        if a == b:
+            return ("sqr", a, -1, None)
+    elif op == "sqr" or op == "dbl" or op == "tpl" or op == "neg":
+        if ca is not None:
+            return ("const", -1, -1, _FOLD[op](ca, None, attr, p))
+    elif op == "muli":
+        if attr == 0:
+            return _ZERO
+        if attr == 1:
+            return a
+        if attr == 2 or attr == 3:
+            return ("dbl" if attr == 2 else "tpl", a, b, None)
+    return None
+
+
 def strength_reduction(module: IRModule, p: int) -> IRModule:
     """Rewrite operations with special constant operands into cheaper linear forms."""
-    ops, a_col, b_col, attr_col, lane_col, phase_col = [], [], [], [], [], []
+    ops, a_col, b_col, attr_col, lane_col, phase_col = columns = ([], [], [], [], [], [])
     remap = [0] * len(module) + [-1]
-    zero = ("const", -1, -1, 0)
     for vid, (op, a, b, attr, lane, phase) in enumerate(zip(
             module.ops, module.a, module.b, module.attrs, module.lanes, module.phases)):
         a, b = remap[a], remap[b]
-        ca = attr_col[a] if a >= 0 and ops[a] == "const" else None
-        cb = attr_col[b] if b >= 0 and ops[b] == "const" else None
-        alias = -1
-        if op == "add":
-            if ca == 0:
-                alias = b
-            elif cb == 0:
-                alias = a
-            elif a == b:
-                op, b, attr = "dbl", -1, None
-        elif op == "sub":
-            if cb == 0:
-                alias = a
-            elif a == b:
-                op, a, b, attr = zero
-            elif ca == 0:
-                op, a, b, attr = "neg", b, -1, None
-        elif op == "mul":
-            # x is the operand facing the constant c (if exactly one side is).
-            x, c = (b, ca) if ca is not None and cb is None else (a, cb)
-            if c == 0:
-                op, a, b, attr = zero
-            elif c == 1:
-                alias = x
-            elif c == 2:
-                op, a, b, attr = "dbl", x, -1, None
-            elif c == 3:
-                op, a, b, attr = "tpl", x, -1, None
-            elif c == p - 1:
-                op, a, b, attr = "neg", x, -1, None
-            elif c == p - 2:
-                op, a, b, attr = "neg", len(ops), -1, None
-                ops.append("dbl")
-                a_col.append(x)
-                b_col.append(-1)
-                attr_col.append(None)
-                lane_col.append(lane)
-                phase_col.append(phase)
-            elif a == b:
-                op, b, attr = "sqr", -1, None
-        elif op == "sqr":
-            if ca is not None:
-                op, a, attr = "const", -1, (ca * ca) % p
-        elif op == "dbl" or op == "tpl" or op == "neg":
-            if ca is not None:
-                factor = {"dbl": 2, "tpl": 3, "neg": -1}[op]
-                op, a, attr = "const", -1, (factor * ca) % p
-        elif op == "muli":
-            if attr == 0:
-                op, a, b, attr = zero
-            elif attr == 1:
-                alias = a
-            elif attr == 2 or attr == 3:
-                op, attr = ("dbl" if attr == 2 else "tpl"), None
-        if alias >= 0:
-            remap[vid] = alias
+        row = _reduced(op, a, b, attr, attr_col[a] if a >= 0 and ops[a] == "const" else None,
+                       attr_col[b] if b >= 0 and ops[b] == "const" else None, p)
+        if type(row) is int:
+            remap[vid] = row
             continue
+        if row is not None:
+            op, a, b, attr = row
+            if op is _NEG_DBL:
+                for column, item in zip(columns, ("dbl", a, -1, None, lane, phase)):
+                    column.append(item)
+                op, a = "neg", len(ops) - 1
         remap[vid] = len(ops)
-        ops.append(op)
-        a_col.append(a)
-        b_col.append(b)
-        attr_col.append(attr)
-        lane_col.append(lane)
-        phase_col.append(phase)
+        for column, item in zip(columns, (op, a, b, attr, lane, phase)):
+            column.append(item)
     return module.successor(remap, ops, a_col, b_col, attr_col, lane_col, phase_col)
+
+
+def _key(op, a, b, attr, p):
+    """GVN's key of row ``op(a, b)``: rows with equal keys compute the same value."""
+    if op == "const":
+        return (op, attr % p)
+    if b < a and op in _COMMUTATIVE:
+        return (op, b, a, attr)
+    return (op, a, b, attr)
+
+
+def _merge(canon, lanes, phases, hit, vid):
+    """Let value ``hit`` stand in for the identical value ``vid``.
+
+    A value shared by two different lanes is no longer private work: whether
+    the lanes are per-pair line streams (shared-accumulator kernels) or whole
+    accumulator groups (split kernels), a cross-lane/cross-group GVN merge is
+    demoted to the shared lane so the multi-core partition stays honest -- the
+    value now feeds two cores, and keeping it on either one would hide that
+    dependence from the LPT load model (the dependence tracking keeps the
+    *simulation* correct either way).  A value shared by two phases is
+    likewise demoted to untagged so the per-phase telemetry never
+    double-attributes it.
+    """
+    canon[vid] = hit
+    if lanes[hit] != lanes[vid]:
+        lanes[hit] = None
+    if phases[hit] != phases[vid]:
+        phases[hit] = None
 
 
 def global_value_numbering(module: IRModule, p: int) -> IRModule:
@@ -159,83 +194,157 @@ def global_value_numbering(module: IRModule, p: int) -> IRModule:
     for vid, (op, a, b, attr) in enumerate(zip(module.ops, module.a, module.b, module.attrs)):
         if op == "input" or op == "output":
             continue
-        a, b = canon[a], canon[b]
-        if op == "const":
-            key = (op, attr % p)
-        elif b < a and op in _COMMUTATIVE:
-            key = (op, b, a, attr)
-        else:
-            key = (op, a, b, attr)
-        hit = table.setdefault(key, vid)
+        hit = table.setdefault(_key(op, canon[a], canon[b], attr, p), vid)
         if hit != vid:
-            # A value shared by two different lanes is no longer private work:
-            # whether the lanes are per-pair line streams (shared-accumulator
-            # kernels) or whole accumulator groups (split kernels), a
-            # cross-lane/cross-group GVN merge is demoted to the shared lane so
-            # the multi-core partition stays honest -- the value now feeds two
-            # cores, and keeping it on either one would hide that dependence
-            # from the LPT load model (the dependence tracking keeps the
-            # *simulation* correct either way).
-            if lanes[hit] != lanes[vid]:
-                lanes[hit] = None
-            # A value shared by two phases is likewise demoted to untagged so
-            # the per-phase telemetry never double-attributes it.
-            if phases[hit] != phases[vid]:
-                phases[hit] = None
-            canon[vid] = hit
+            _merge(canon, lanes, phases, hit, vid)
             keep[vid] = 0
-    return _compact(module, keep, canon, lanes, phases)
+    return _compact(module, keep, canon,
+                    (module.ops, module.a, module.b, module.attrs, lanes, phases))
+
+
+def _live(module: IRModule, order, a_col: list, b_col: list) -> bytearray:
+    """Rows that reach an output (inputs are always kept), walking ``order`` (each
+    row after its operands) backwards; the trailing slot absorbs absent operands."""
+    live = bytearray(len(a_col) + 1)
+    for vid in module.inputs + module.outputs:
+        live[vid] = 1
+    for vid in reversed(order):
+        if live[vid]:
+            live[a_col[vid]] = live[b_col[vid]] = 1
+    return live
 
 
 def dead_code_elimination(module: IRModule) -> IRModule:
     """Drop instructions that cannot reach an output (inputs are always kept)."""
     n = len(module)
-    a_col, b_col = module.a, module.b
-    live = bytearray(n + 1)            # slot n == index -1 absorbs absent operands
-    for vid in module.inputs + module.outputs:
-        live[vid] = 1
-    for vid in range(n - 1, -1, -1):
-        if live[vid]:
-            live[a_col[vid]] = 1
-            live[b_col[vid]] = 1
+    live = _live(module, range(n), module.a, module.b)
     live.pop()
-    return _compact(module, live, range(n + 1), module.lanes, module.phases)
+    return _compact(module, live, range(n + 1), (module.ops, module.a, module.b,
+                                                 module.attrs, module.lanes, module.phases))
 
 
-def _compact(module: IRModule, keep: bytearray, canon, lanes: list, phases: list) -> IRModule:
-    """Drop the rows whose ``keep`` flag is 0 and renumber the rest.
-
-    An operand ``v`` of a kept row is renamed to the new id of ``canon[v]``
-    (the kept value standing in for it); ``lanes`` / ``phases`` are the tag
-    columns to carry over.
-    """
+def _compact(module: IRModule, keep: bytearray, canon, columns: tuple) -> IRModule:
+    """Drop the rows of ``columns`` (ops, a, b, attrs, lanes, phases) whose ``keep``
+    flag is 0 and rename operand ``v`` of the rest to the new id of row ``canon[v]``
+    (the kept value standing in for it; ``canon[-1] == len(keep)``: absent stays absent)."""
     rank = list(accumulate(keep, initial=0))
-    rank[len(keep)] = -1               # canon[-1] == -1: an absent operand stays absent
+    rank[len(keep)] = -1
     remap = [rank[v] for v in canon]
-    return module.successor(
-        remap, list(compress(module.ops, keep)),
-        [remap[a] for a in compress(module.a, keep)],
-        [remap[b] for b in compress(module.b, keep)],
-        list(compress(module.attrs, keep)), list(compress(lanes, keep)),
-        list(compress(phases, keep)),
-    )
+    ops, a_col, b_col, attrs, lanes, phases = (list(compress(column, keep)) for column in columns)
+    return module.successor(remap, ops, [remap[a] for a in a_col], [remap[b] for b in b_col],
+                            attrs, lanes, phases)
 
 
-_PASSES = (
-    ("constfold", constant_folding),
-    ("strength", strength_reduction),
-    ("gvn", global_value_numbering),
-    ("dce", lambda module, p: dead_code_elimination(module)),
-)
+def optimize(module: IRModule, p: int) -> tuple:
+    """Run the full IROpt pipeline; returns (optimised module, OptStats), both
+    equal to those of the four passes run twice in order."""
+    n = len(module)
+    ops, a_col, b_col, attrs = module.ops[:], module.a[:], module.b[:], module.attrs[:]
+    lanes, phases = module.lanes[:], module.phases[:]
+    value = [None] * (n + 1)           # constant folding: the row's folded constant
+    const = [None] * (n + 1)           # strength reduction: the row's constant
+    alias = list(range(n)) + [-1]      # strength reduction: the row standing in for it
+    canon = list(range(n)) + [-1]      # GVN: the first row computing the same value
+    anchor: dict = {}                  # inserted dbl(x) row -> the neg row it feeds
+    seeds, removed = [], [0, 0, 0]     # rows iteration 2 must visit; rows folded, reduced, merged
 
+    def position(v):                   # an inserted row sits just before its neg
+        return 2 * v + 1 if v < n else 2 * anchor[v]
 
-def optimize(module: IRModule, p: int, iterations: int = 2) -> tuple:
-    """Run the full IROpt pipeline; returns (optimised module, OptStats)."""
+    def visit(vid, op, a, b, attr, renumber, reduce=True):
+        if reduce and (op == "const" or value[a] is not None):
+            folded = _folded(op, a, b, attr, value, p)
+            if folded is not None:
+                value[vid] = folded
+                removed[0] += op != "const"
+                op, a, b, attr = "const", -1, -1, folded
+        a, b = alias[a], alias[b]
+        if reduce and (const[a] is not None or const[b] is not None or a == b or op == "muli"):
+            row = _reduced(op, a, b, attr, const[a], const[b], p)
+            if type(row) is int:
+                alias[vid], canon[vid] = row, canon[row]
+                removed[1] += 1
+                return
+            if row is not None:
+                op, a, b, attr = row
+                removed[1] += (op == "const") - (op is _NEG_DBL)
+            if op is _NEG_DBL:         # number a dbl(x) row put in just before
+                d = len(ops)
+                anchor[d] = vid
+                for column, item in zip((ops, a_col, b_col, attrs, lanes, phases),
+                                        ("dbl", a, -1, None, lanes[vid], phases[vid])):
+                    column.append(item)
+                for state, item in zip((value, const, alias, canon), (None, None, d, d)):
+                    state.insert(-1, item)
+                visit(d, "dbl", a, -1, None, renumber, reduce=False)
+                op, a = "neg", d
+        a, b = canon[a], canon[b]
+        if op == "const":
+            const[vid] = attr
+        if op != "input" and op != "output":
+            hit = renumber(_key(op, a, b, attr, p), vid)
+            if hit != vid:
+                _merge(canon, lanes, phases, hit, vid)
+                removed[2] += op != "const"
+                return
+            if a == b >= 0 or (const[a] is not None and (b < 0 or const[b] is not None)):
+                seeds.append(vid)
+        ops[vid], a_col[vid], b_col[vid], attrs[vid] = op, a, b, attr
+
     stats = OptStats(initial=module.compute_ops)
-    for i in range(iterations):
-        for name, run in _PASSES:
-            module = run(module, p)
-            stats.per_pass[f"iteration-{i + 1}/{name}"] = module.compute_ops
-        stats.per_pass[f"iteration-{i + 1}"] = module.compute_ops
-    stats.final = module.compute_ops
-    return module, stats
+    table: dict = {}
+    for vid, (op, a, b, attr) in enumerate(zip(module.ops, module.a, module.b, module.attrs)):
+        visit(vid, op, a, b, attr, table.setdefault)
+    order = sorted(range(len(ops)), key=position) if anchor else range(n)
+    live = _live(module, order, a_col, b_col)
+    count = _tally(stats, 1, module, module.compute_ops, removed, list(compress(ops, live)))
+
+    # Iteration 2.  A row changes only if it is a seed or an operand changed,
+    # and two unchanged rows never share a key, so a changed row's key is
+    # looked up among the changes first, then in iteration 1's table, where a
+    # hit counts if it is live and unchanged: an earlier one absorbs the row,
+    # a later one is flagged to merge into the row when the scan reaches it.
+    def renumber(key, vid):
+        hit = changed.get(key)
+        if hit is None:
+            hit = table.get(key, vid)
+            if hit == vid or not live[hit] or flag[hit]:
+                hit = vid
+            elif position(hit) > position(vid):
+                flag[hit], hit = 1, vid
+            changed[key] = hit
+        return hit
+
+    removed[:], value[:] = [0, 0, 0], const
+    changed, flag, touched = {}, bytearray(len(ops)), bytearray(len(ops) + 1)
+    for vid in seeds:
+        flag[vid] = 1
+    start = order.index(min(seeds, key=position)) if seeds else len(order)
+    for vid in order[start:]:
+        if (flag[vid] or touched[a_col[vid]] or touched[b_col[vid]]) and live[vid]:
+            flag[vid] = 1
+            row = (ops[vid], a_col[vid], b_col[vid], attrs[vid])
+            visit(vid, *row, renumber)
+            touched[vid] = canon[vid] != vid or row != (ops[vid], a_col[vid], b_col[vid], attrs[vid])
+
+    order = sorted(range(len(ops)), key=position) if anchor else order
+    live = _live(module, order, a_col, b_col)
+    live.pop()
+    columns, where = (ops, a_col, b_col, attrs, lanes, phases), range(len(ops) + 1)
+    if anchor:                         # lay the rows out in position order
+        where = sorted(range(len(ops)), key=order.__getitem__) + [len(ops)]
+        columns = [list(map(column.__getitem__, order)) for column in columns]
+        live = bytearray(map(live.__getitem__, order))
+    optimized = _compact(module, live, where, columns)
+    stats.final = _tally(stats, 2, module, count, removed, optimized.ops)
+    return optimized, stats
+
+
+def _tally(stats: OptStats, i: int, module: IRModule, count: int, removed: list, kept: list) -> int:
+    """Record iteration ``i``'s counts: ``removed`` per pass, then the ``kept`` rows."""
+    for name, gone in zip(("constfold", "strength", "gvn"), removed):
+        count -= gone
+        stats.per_pass[f"iteration-{i}/{name}"] = count
+    count = len(kept) - kept.count("const") - len(module.inputs) - len(module.outputs)
+    stats.per_pass[f"iteration-{i}/dce"] = stats.per_pass[f"iteration-{i}"] = count
+    return count

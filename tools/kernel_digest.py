@@ -19,7 +19,10 @@ the constant table, the I/O maps, the per-bank register demand and the cycle
 kernel on its own (columns, I/O rows, compute-op count, kernel facts) -- the
 digest ``tests/test_cold_compile.py`` pins per configuration -- so the lowering
 templates and their dict-keyed table are covered without a back end in
-between.  A last line,
+between.  A fifth line, ``CURVE VARIANTS optimized <sha256>``, hashes the IROpt
+module built from it the same way, plus every ``OptStats.per_pass`` count: GVN's
+dict-keyed table and the second iteration's revisit bookkeeping, again without
+a back end.  A last line,
 ``CURVE python-kernels <sha256>``, covers the *software* side's generated
 code: the name-sorted source of every formula kernel the curve's pairing
 (Miller steps, line products, cyclotomic and compressed squarings) and both
@@ -48,6 +51,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.compiler.opt import optimize  # noqa: E402
 from repro.compiler.pipeline import KernelSpec, compile_kernel, stage_modules  # noqa: E402
 from repro.curves.catalog import get_curve  # noqa: E402
 from repro.curves.model import ladder_kernels  # noqa: E402
@@ -79,12 +83,13 @@ def kernel_digest(result, depth: int = 1) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def lowered_digest(module) -> str:
+def lowered_digest(module, *extra) -> str:
     """sha256 over everything a lowered module is: its seven columns, the
-    input / output row lists, the compute-op count and the kernel facts."""
+    input / output row lists, the compute-op count and the kernel facts
+    (followed by ``extra``)."""
     parts = [module.ops, module.a, module.b, module.attrs, module.lanes, module.phases,
              module.degrees, module.inputs, module.outputs, module.compute_ops,
-             sorted(module.meta.items())]
+             sorted(module.meta.items()), *extra]
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
@@ -130,6 +135,9 @@ def main(argv=None) -> int:
         print(args.curve, args.hw, args.variants, *label, kernel_digest(result, depth))
     lowered = stage_modules(curve, hw=single.hw, variant_config=single.variant_config)[1]
     print(args.curve, args.variants, "lowered", lowered_digest(lowered))
+    optimized, stats = optimize(lowered, curve.params.p)
+    print(args.curve, args.variants, "optimized",
+          lowered_digest(optimized, list(stats.per_pass.items())))
     print(args.curve, "python-kernels", python_kernels_digest(curve))
     return 0
 
