@@ -167,15 +167,11 @@ def _key(op, a, b, attr, p):
 def _merge(canon, lanes, phases, hit, vid):
     """Let value ``hit`` stand in for the identical value ``vid``.
 
-    A value shared by two different lanes is no longer private work: whether
-    the lanes are per-pair line streams (shared-accumulator kernels) or whole
-    accumulator groups (split kernels), a cross-lane/cross-group GVN merge is
-    demoted to the shared lane so the multi-core partition stays honest -- the
-    value now feeds two cores, and keeping it on either one would hide that
-    dependence from the LPT load model (the dependence tracking keeps the
-    *simulation* correct either way).  A value shared by two phases is
-    likewise demoted to untagged so the per-phase telemetry never
-    double-attributes it.
+    A value shared by two lanes (per-pair line streams or whole accumulator
+    groups) is demoted to the shared lane: it now feeds two cores, and keeping
+    it on either would hide that dependence from the LPT load model (dependence
+    tracking keeps the *simulation* correct either way).  A value shared by two
+    phases is demoted to untagged so per-phase telemetry never counts it twice.
     """
     canon[vid] = hit
     if lanes[hit] != lanes[vid]:
@@ -204,13 +200,14 @@ def global_value_numbering(module: IRModule, p: int) -> IRModule:
 
 def _live(module: IRModule, order, a_col: list, b_col: list) -> bytearray:
     """Rows that reach an output (inputs are always kept), walking ``order`` (each
-    row after its operands) backwards; the trailing slot absorbs absent operands."""
+    row after its operands) backwards; a trailing slot absorbs absent operands."""
     live = bytearray(len(a_col) + 1)
     for vid in module.inputs + module.outputs:
         live[vid] = 1
     for vid in reversed(order):
         if live[vid]:
             live[a_col[vid]] = live[b_col[vid]] = 1
+    live.pop()
     return live
 
 
@@ -218,7 +215,6 @@ def dead_code_elimination(module: IRModule) -> IRModule:
     """Drop instructions that cannot reach an output (inputs are always kept)."""
     n = len(module)
     live = _live(module, range(n), module.a, module.b)
-    live.pop()
     return _compact(module, live, range(n + 1), (module.ops, module.a, module.b,
                                                  module.attrs, module.lanes, module.phases))
 
@@ -251,15 +247,15 @@ def optimize(module: IRModule, p: int) -> tuple:
     def position(v):                   # an inserted row sits just before its neg
         return 2 * v + 1 if v < n else 2 * anchor[v]
 
-    def visit(vid, op, a, b, attr, renumber, reduce=True):
-        if reduce and (op == "const" or value[a] is not None):
+    def visit(vid, op, a, b, attr, renumber):
+        if op == "const" or value[a] is not None:
             folded = _folded(op, a, b, attr, value, p)
             if folded is not None:
                 value[vid] = folded
                 removed[0] += op != "const"
                 op, a, b, attr = "const", -1, -1, folded
         a, b = alias[a], alias[b]
-        if reduce and (const[a] is not None or const[b] is not None or a == b or op == "muli"):
+        if const[a] is not None or const[b] is not None or a == b or op == "muli":
             row = _reduced(op, a, b, attr, const[a], const[b], p)
             if type(row) is int:
                 alias[vid], canon[vid] = row, canon[row]
@@ -276,8 +272,11 @@ def optimize(module: IRModule, p: int) -> tuple:
                     column.append(item)
                 for state, item in zip((value, const, alias, canon), (None, None, d, d)):
                     state.insert(-1, item)
-                visit(d, "dbl", a, -1, None, renumber, reduce=False)
+                number(d, "dbl", a, -1, None, renumber)
                 op, a = "neg", d
+        number(vid, op, a, b, attr, renumber)
+
+    def number(vid, op, a, b, attr, renumber):
         a, b = canon[a], canon[b]
         if op == "const":
             const[vid] = attr
@@ -319,17 +318,16 @@ def optimize(module: IRModule, p: int) -> tuple:
     changed, flag, touched = {}, bytearray(len(ops)), bytearray(len(ops) + 1)
     for vid in seeds:
         flag[vid] = 1
-    start = order.index(min(seeds, key=position)) if seeds else len(order)
-    for vid in order[start:]:
+    for vid in order:
         if (flag[vid] or touched[a_col[vid]] or touched[b_col[vid]]) and live[vid]:
             flag[vid] = 1
             row = (ops[vid], a_col[vid], b_col[vid], attrs[vid])
             visit(vid, *row, renumber)
             touched[vid] = canon[vid] != vid or row != (ops[vid], a_col[vid], b_col[vid], attrs[vid])
 
+    table.clear()
     order = sorted(range(len(ops)), key=position) if anchor else order
     live = _live(module, order, a_col, b_col)
-    live.pop()
     columns, where = (ops, a_col, b_col, attrs, lanes, phases), range(len(ops) + 1)
     if anchor:                         # lay the rows out in position order
         where = sorted(range(len(ops)), key=order.__getitem__) + [len(ops)]

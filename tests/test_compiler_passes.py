@@ -398,3 +398,21 @@ def test_mul_by_p_minus_two_becomes_neg_of_dbl(earlier_dbl):
     assert stats.per_pass["iteration-1/strength"] == stats.initial + 1
     outputs = interpret_low_level(optimized, P, {"x": 3})
     assert outputs["out"] == -6 % P
+
+
+def test_optimize_leaves_no_reference_cycle(toy_bn):
+    """A compile runs with the collector paused: a cycle through optimize's
+    working state would keep its column copies and GVN table alive."""
+    import gc
+
+    from repro.compiler.pipeline import stage_modules
+
+    _, low, _ = stage_modules(toy_bn)
+    gc.collect()
+    gc.disable()
+    try:
+        optimize(low, toy_bn.params.p)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
