@@ -222,7 +222,8 @@ def dead_code_elimination(module: IRModule) -> IRModule:
 def _compact(module: IRModule, keep: bytearray, canon, columns: tuple) -> IRModule:
     """Drop the rows of ``columns`` (ops, a, b, attrs, lanes, phases) whose ``keep``
     flag is 0 and rename operand ``v`` of the rest to the new id of row ``canon[v]``
-    (the kept value standing in for it; ``canon[-1] == len(keep)``: absent stays absent)."""
+    (the kept value standing in for it; ``canon[-1]``, ``-1`` or ``len(keep)``, keeps
+    an absent operand absent)."""
     rank = list(accumulate(keep, initial=0))
     rank[len(keep)] = -1
     remap = [rank[v] for v in canon]
