@@ -11,6 +11,8 @@ single kernel's Miller walk (cycles 33 060 -> 33 280, same winners).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -23,7 +25,7 @@ from repro.dse.explorer import evaluate_design_point
 from repro.dse.space import DesignPoint
 from repro.dse.spec import EvalSpec
 from repro.fields.variants import VariantConfig
-from repro.hw.presets import paper_hw1
+from repro.hw.presets import figure10_models, paper_hw1
 from repro.hw.technology import TECH_40NM
 from repro.service import ServiceProfile
 
@@ -135,7 +137,7 @@ def test_unknown_knob_is_a_type_error(toy_bn, point):
 def test_all_auto_evaluation_matches_the_pre_refactor_metrics(toy_bn, point):
     metrics = evaluate_design_point(
         toy_bn, point, n_cores=2, batch_size=4, split_accumulators="auto",
-        final_exp_mode="auto", pipeline_depth="auto")
+        final_exp_mode="auto", pipeline_depth=1)
     assert dataclasses.asdict(metrics) == {
         "label": "all-karatsuba/HW1",
         "curve": "TOY-BN42",
@@ -152,15 +154,71 @@ def test_all_auto_evaluation_matches_the_pre_refactor_metrics(toy_bn, point):
         "cycles_per_pairing": 8320.0,
         "accumulator_mode": "split",
         "final_exp_mode": "cyclotomic",
-        "pipeline_depth": 2,
-        "steady_cycles_per_pairing": 8273.25,
-        "steady_throughput_ops": 138143.06053114135,
+        "pipeline_depth": 1,
+        "steady_cycles_per_pairing": 8320.0,
+        "steady_throughput_ops": 137366.8360023155,
         "service_p50_us": 0.0,
         "service_p95_us": 0.0,
         "service_p99_us": 0.0,
         "service_vps": 0.0,
         "service_rejected": 0,
         "power_mw": 0.8809930721119377,
-        "energy_per_pairing_uj": 0.006377396509999408,
-        "throughput_per_watt": 156803798.92202955,
+        "energy_per_pairing_uj": 0.006413433531344402,
+        "throughput_per_watt": 155922719.8836155,
     }
+
+
+# ---------------------------------------------------------------------------
+# (4) The metrics grid: every field of every evaluation kind, exactly
+# ---------------------------------------------------------------------------
+
+GRID_PROFILE = ServiceProfile(rate_rps=20_000.0, max_batch=4, deadline_us=300.0,
+                              queue_bound=32, pairs_per_request=3, n_requests=48,
+                              arrival="poisson", seed=1)
+
+GRID_EVALUATIONS = {
+    "single": {},
+    "batch4-1core": dict(batch_size=4, n_cores=1),
+    "batch4-2core": dict(batch_size=4, n_cores=2),
+    "batch4-4core": dict(batch_size=4, n_cores=4),
+    "batch4-4core-fe-auto": dict(batch_size=4, n_cores=4, final_exp_mode="auto"),
+    "batch4-2core-service": dict(batch_size=4, n_cores=2, service_profile=GRID_PROFILE),
+}
+
+#: sha256 of ``json.dumps(dataclasses.asdict(metrics))`` (floats by repr, so
+#: exact), TOY-BN42, all-Karatsuba.
+GRID_DIGESTS = {
+    ("HW1", "single"): "0015385280a706ec23638d688b9042334f0c01d7dee52fefb04345c3ac74bb08",
+    ("HW1", "batch4-1core"): "4c5ad129370a858f1ddc8e8753614ab895feafb79efba3526b304804f1dcc1bf",
+    ("HW1", "batch4-2core"): "38790f0739d657258a453782c8989c4319c1d649b9ceb6b6c0c01de6d7901c4c",
+    ("HW1", "batch4-4core"): "1b2deba6659cf09f3e9349c93a3ba7f8b0b83b45e65fd70b608305aad5eee203",
+    ("HW1", "batch4-4core-fe-auto"):
+        "1b2deba6659cf09f3e9349c93a3ba7f8b0b83b45e65fd70b608305aad5eee203",
+    ("HW1", "batch4-2core-service"):
+        "30193e10cc64a1612e1faf4b8be4287277c56425cc082362a065876c530f913c",
+    ("L8-S2-lin6", "single"): "1f9f1c65ae68cfb78afa0ba4a358e7edec0cb96f4ad8c945b402ba1276df6338",
+    ("L8-S2-lin6", "batch4-1core"):
+        "d0bde78376cde800d134e51f0672a3dc2d9b43bd233cf8a1cda8edc27cf2078a",
+    ("L8-S2-lin6", "batch4-2core"):
+        "67692d08d09648e7eb10305b4a36392173a7f6420e5151c907443943a24b2736",
+    ("L8-S2-lin6", "batch4-4core"):
+        "eafe2f5b3090fb571f2b627de6c712bf1b337fb28b91fd6f7b4c11306f8547c6",
+    ("L8-S2-lin6", "batch4-4core-fe-auto"):
+        "eafe2f5b3090fb571f2b627de6c712bf1b337fb28b91fd6f7b4c11306f8547c6",
+    ("L8-S2-lin6", "batch4-2core-service"):
+        "707743c80544237fe295278bf5ce618b1381ce767a77d2a52431d02f348ee368",
+}
+
+
+@pytest.mark.parametrize("hw_name, evaluation", sorted(GRID_DIGESTS),
+                         ids=["/".join(key) for key in sorted(GRID_DIGESTS)])
+def test_design_metrics_grid_is_unchanged(toy_bn, hw_name, evaluation):
+    bits = toy_bn.params.p.bit_length()
+    hw = {model.name: model for model in [paper_hw1(bits), *figure10_models(bits)]}[hw_name]
+    metrics = evaluate_design_point(toy_bn, DesignPoint(VariantConfig.all_karatsuba(), hw),
+                                    **GRID_EVALUATIONS[evaluation])
+    fields = dataclasses.asdict(metrics)
+    for retired in ("pipeline_depth", "steady_cycles_per_pairing", "steady_throughput_ops"):
+        fields.pop(retired, None)
+    assert hashlib.sha256(json.dumps(fields).encode()).hexdigest() == \
+        GRID_DIGESTS[hw_name, evaluation], fields

@@ -31,6 +31,7 @@ from repro.compiler.store import ArtifactStore
 from repro.errors import CompilerError, HardwareModelError, PairingError, SimulationError
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import default_model
+from repro.sim.cycle import CycleAccurateSimulator
 
 FIELDS = {f.name for f in dataclasses.fields(KernelSpec)}
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(KernelSpec)}
@@ -163,10 +164,12 @@ def test_batched_result_round_trips_through_the_store(tmp_path, toy_bn, hw1_smal
     assert loaded is not result and type(loaded) is type(result)
     assert loaded.cycles == result.cycles == result.multicore_stats.total_cycles
     assert loaded.multicore_stats == result.multicore_stats
-    # The depth is asked of the kernel, not stored with it: the reloaded
-    # schedule walks to the very same pipelined score.
-    assert loaded.pipelined(2) == result.pipelined(2)
-    assert loaded.pipelined(2).steady_cycles_per_batch < loaded.cycles
+    # A depth is no part of the kernel: the reloaded schedule walks to the
+    # very same pipelined score as the original's.
+    simulator = CycleAccurateSimulator()
+    deep = simulator.run_pipelined(loaded.schedule, 2, 2)
+    assert deep == simulator.run_pipelined(result.schedule, 2, 2)
+    assert deep.steady_cycles_per_batch < loaded.cycles
     assert loaded.hw == result.hw and loaded.hw.n_cores == 2
     assert (loaded.n_pairs, loaded.split_accumulators) == (4, True)
     assert loaded.describe() == result.describe()
