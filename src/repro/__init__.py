@@ -44,7 +44,7 @@ Pairing (software golden path)
 Compiler
     ``KernelSpec`` -- the one validated description of a kernel to compile
     (hardware model, variant config, batch size, accumulator / final-exp
-    mode, pipeline flags); every entry point below folds its keywords into
+    mode, ``do_assemble``); every entry point below folds its keywords into
     one, and ``compile_kernel(curve, spec)`` is where they meet.
     ``compile_pairing(curve, hw=None, variant_config=None, **knobs)`` --
     compile the single-pairing accelerator kernel (cached by full semantic
@@ -52,8 +52,7 @@ Compiler
     ``compile_multi_pairing(curve, n_pairs, hw=None, variant_config=None,
     **knobs)`` -- compile the batched pairing-product kernel (see its
     docstring for an example).  Both return a ``CompileResult`` carrying the
-    resolved spec; a batched one scores itself as a continuously-fed
-    accelerator at any depth with ``result.pipelined(depth)``.
+    resolved spec.
     ``CompilerPipeline(**knobs)`` -- the uncached staged pipeline for one spec.
     ``compile_cache_stats()`` -- per-stage hit/miss/store counters of the
     two-tier compile cache.
@@ -147,7 +146,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.27.0"
+__version__ = "1.28.0"
 
 __all__ = [
     "get_curve",

@@ -32,18 +32,14 @@ from repro.compiler.store import ArtifactStore, Deferred, active_store, store_co
 from repro.reliability import faults as _faults
 from repro.compiler.opt import OptStats, optimize
 from repro.compiler.regalloc import allocate_registers
-from repro.compiler.schedule import (
-    ScheduledProgram,
-    affinity_schedule,
-    program_order_schedule,
-)
+from repro.compiler.schedule import ScheduledProgram, affinity_schedule
 from repro.errors import CompilerError
 from repro.fields.variants import VariantConfig
 from repro.pairing.final_exp import validate_final_exp_mode
 from repro.hw.model import HardwareModel
 from repro.hw.presets import default_model
 from repro.ir.lowering import lower_module
-from repro.sim.cycle import CycleAccurateSimulator, CycleStats, validate_pipeline_depth
+from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,6 @@ class KernelSpec:
     the kernel itself then depends on ``hw.n_cores``.  ``final_exp_mode`` is
     the hard-part backend traced into the kernel ("generic" | "cyclotomic" |
     "compressed"; :data:`repro.pairing.final_exp.FINAL_EXP_MODES`).
-    ``include_baseline`` (single only) adds the program-order baseline timing.
     ``hw=None`` and ``variant_config=None`` mean the curve's default model and
     all-Karatsuba (:meth:`resolved`).
 
@@ -77,10 +72,9 @@ class KernelSpec:
     split_accumulators: bool = False
     final_exp_mode: str = "generic"
     do_assemble: bool = True
-    include_baseline: bool = False
 
     def __post_init__(self):
-        for flag in ("split_accumulators", "do_assemble", "include_baseline"):
+        for flag in ("split_accumulators", "do_assemble"):
             if not isinstance(getattr(self, flag), bool):
                 raise CompilerError(
                     f"{flag} must be True or False, got {getattr(self, flag)!r}")
@@ -93,10 +87,6 @@ class KernelSpec:
                     "split_accumulators applies to batched kernels only (set n_pairs)")
         else:
             validate_batch_size(self.n_pairs)
-            if self.include_baseline:
-                raise CompilerError(
-                    "include_baseline applies to the single-pairing kernel only "
-                    "(program-order timing is not modelled for batches)")
 
     def resolved(self, curve) -> "KernelSpec":
         """This spec with the defaults for ``curve`` filled in (what results carry)."""
@@ -130,12 +120,12 @@ class KernelSpec:
         byte -- the digests pinned in the tests are how a refactor of this
         layer shows it describes every kernel as before -- which is why the
         retired ``optimize_ir`` / ``use_naf`` / ``use_affinity`` / ``record_trace``
-        / ``pipeline_depth`` knobs survive here as literals."""
+        / ``include_baseline`` / ``pipeline_depth`` knobs survive here as literals."""
         spec = self.resolved(curve)
         flags = dict(optimize_ir=True, use_naf=True, use_affinity=True,
                      do_assemble=spec.do_assemble, final_exp_mode=spec.final_exp_mode)
         if spec.n_pairs is None:
-            flags.update(include_baseline=spec.include_baseline, record_trace=False)
+            flags.update(include_baseline=False, record_trace=False)
         else:
             flags.update(
                 kernel="multi_pairing", n_pairs=spec.n_pairs,
@@ -166,7 +156,7 @@ class CompileResult:
     in :attr:`bulk`, which a store entry defers: a result served from disk
     unpickles both, once, when either is first read.  What a design point is
     priced from (:attr:`cycles`, :attr:`ipc`, :attr:`imem_bits`, the registers,
-    :meth:`describe`, depth-1 :meth:`pipelined`) is recorded and never does.
+    :meth:`describe`) is recorded and never does.
     """
 
     curve_name: str
@@ -184,8 +174,6 @@ class CompileResult:
     imem_bits: int
     #: ``(schedule, program)``; shared by relabelled copies of the result.
     bulk: Deferred
-    # Baseline (program-order) timing, populated on request (single kernel).
-    baseline_cycle_stats: CycleStats | None = None
     #: The ``hw.n_cores``-core simulation of a batched kernel; None on the
     #: single-pairing kernel.
     multicore_stats: CycleStats | None = None
@@ -236,22 +224,6 @@ class CompileResult:
     @property
     def cycles_per_pairing(self) -> float:
         return self.cycles / (self.spec.n_pairs or 1)
-
-    def pipelined(self, depth: int) -> CycleStats:
-        """This batched kernel scored as a continuously-fed accelerator with
-        ``depth`` batch instances in flight (rank on its
-        ``steady_cycles_per_batch``): the one place a depth meets a kernel.
-        A ``run_pipelined`` walk over the compiled schedule, never a recompile
-        -- the depth is no part of the kernel or its digest.  Depth 1 *is*
-        :attr:`multicore_stats`: no second walk, and on one core it stays the
-        bundle walk of the packed schedule."""
-        if self.multicore_stats is None:
-            raise CompilerError(
-                "pipelined() applies to batched kernels only: cross-batch "
-                "pipelining replays batch instances, not single pairings")
-        if validate_pipeline_depth(depth) == 1:
-            return self.multicore_stats
-        return CycleAccurateSimulator().run_pipelined(self.schedule, self.spec.hw.n_cores, depth)
 
     @property
     def compile_seconds(self) -> float:
@@ -358,13 +330,6 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
                 suffix += f"-fe-{spec.final_exp_mode}"
             program = assemble(schedule, allocation, name=f"{curve.name}{suffix}-{hw.name}")
 
-    baseline_stats = None
-    if spec.include_baseline:
-        with _timed(timings, "baseline-sim"):
-            base_banks = allocate_banks(low_module, hw)
-            base_schedule = program_order_schedule(low_module, hw, base_banks)
-            baseline_stats = simulator.run(base_schedule)
-
     return CompileResult(
         curve_name=curve.name, spec=spec,
         hl_instructions=hl_module.count_compute_ops(),
@@ -376,7 +341,7 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
         imem_bits=(schedule.instruction_count * 32 if program is None
                    else program.binary_size_bits()),
         bulk=Deferred((schedule, program)),
-        baseline_cycle_stats=baseline_stats, multicore_stats=multicore_stats,
+        multicore_stats=multicore_stats,
         stage_seconds=timings,
     )
 
@@ -569,7 +534,7 @@ def compile_pairing(curve, hw: HardwareModel | None = None,
     """Compile the single-pairing kernel for ``curve`` (cached by full configuration).
 
     ``knobs`` are the remaining :class:`KernelSpec` fields that apply to the
-    single kernel (``final_exp_mode``, ``do_assemble``, ``include_baseline``);
+    single kernel (``final_exp_mode``, ``do_assemble``);
     all of them are part of the semantic cache digest, so e.g. the three
     final-exp kernels never share a cached (or disk-stored) artefact.
     """
@@ -621,8 +586,9 @@ def compile_multi_pairing(curve, n_pairs: int, hw: HardwareModel | None = None,
     ~chain-weight/|F_p^{k/6}| per batch that makes the simulated inversion
     fail loudly rather than return a wrong product.
 
-    ``do_assemble`` as on :class:`KernelSpec`; the cross-batch pipeline depth
-    is no compile knob -- ask the result (:meth:`CompileResult.pipelined`).
+    ``do_assemble`` as on :class:`KernelSpec`.  The cross-batch pipeline
+    depth is no compile knob: walk the result's schedule
+    (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined`).
 
     Example -- compile a batch-8 kernel on a 4-core model and read the
     figures a design sweep ranks on::

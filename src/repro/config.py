@@ -29,8 +29,6 @@ CACHE_DIR_ENV = "FINESSE_CACHE_DIR"
 MAX_BYTES_ENV = "FINESSE_CACHE_MAX_BYTES"
 # -- field arithmetic (repro.fields.backends) ---------------------------------
 BACKEND_ENV = "FINESSE_FP_BACKEND"
-# -- simulator / design evaluation (repro.dse.spec) ---------------------------
-PIPELINE_DEPTH_ENV = "FINESSE_PIPELINE_DEPTH"
 # -- exploration engine (repro.dse.engine, repro.evaluation.pareto_sweep) -----
 WORKERS_ENV = "FINESSE_DSE_WORKERS"
 MAX_RETRIES_ENV = "FINESSE_DSE_MAX_RETRIES"
@@ -54,7 +52,7 @@ SHED_AFTER_ENV = "FINESSE_SERVICE_SHED_AFTER_MS"
 #: name, so a new variable cannot be consumed without being registered here
 #: (and, through ``tests/test_docs.py``, documented).
 ENV_VARS = (
-    CACHE_DIR_ENV, MAX_BYTES_ENV, BACKEND_ENV, PIPELINE_DEPTH_ENV,
+    CACHE_DIR_ENV, MAX_BYTES_ENV, BACKEND_ENV,
     WORKERS_ENV, MAX_RETRIES_ENV, EVAL_TIMEOUT_ENV,
     OBJECTIVES_ENV, STRATEGY_ENV, BUDGET_ENV,
     FAULTS_ENV, HANG_SECONDS_ENV,

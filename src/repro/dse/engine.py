@@ -39,7 +39,7 @@ Knobs
 evaluation knobs
     Every other keyword (``n_cores``, ``technology``, ``do_assemble``,
     ``batch_size``, ``split_accumulators``, ``final_exp_mode``,
-    ``service_profile``, the cross-batch depth...) is a field of
+    ``service_profile``) is a field of
     :class:`repro.dse.spec.EvalSpec`, documented on
     :func:`repro.dse.explorer.evaluate_design_point`; the explorer folds them
     into one validated spec at construction -- a bad batch size or policy

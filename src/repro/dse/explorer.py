@@ -52,17 +52,6 @@ class DesignMetrics:
     cycles_per_pairing: float = 0.0
     accumulator_mode: str = "shared"
     final_exp_mode: str = "generic"
-    #: Cross-batch pipeline depth the point was scored at (1 = one-shot;
-    #: under the ``"auto"`` policy, the depth with the lowest steady-state
-    #: cycles per pairing).
-    pipeline_depth: int = 1
-    #: Steady-state amortised cycles per pairing of the continuously-fed
-    #: accelerator at :attr:`pipeline_depth` (equals ``cycles_per_pairing``
-    #: at depth 1).
-    steady_cycles_per_pairing: float = 0.0
-    #: Sustained pairings/sec at steady state (the ``"steady_throughput"``
-    #: objective ranks on this; equals ``throughput_ops`` at depth 1).
-    steady_throughput_ops: float = 0.0
     #: End-to-end service figures (populated only when the point was evaluated
     #: with a ``service_profile``): request latency percentiles in µs and the
     #: sustained verifications/sec of the modelled dynamic-batching service
@@ -75,7 +64,7 @@ class DesignMetrics:
     #: Power figures from :mod:`repro.hw.power` (dynamic + leakage at the
     #: sweep's technology node, with the dynamic part scaled by the scoring
     #: kernel's issue-slot utilisation).  ``energy_per_pairing_uj`` amortises
-    #: the draw over the steady-state per-pairing time, and
+    #: the draw over the per-pairing time, and
     #: ``throughput_per_watt`` is the rankable energy-efficiency axis.
     power_mw: float = 0.0
     energy_per_pairing_uj: float = 0.0
@@ -97,13 +86,6 @@ class DesignMetrics:
             "cycles_per_pairing": round(self.cycles_per_pairing or self.cycles, 1),
             "accumulator_mode": self.accumulator_mode,
             "final_exp_mode": self.final_exp_mode,
-            "pipeline_depth": self.pipeline_depth,
-            "steady_cycles_per_pairing": round(
-                self.steady_cycles_per_pairing or self.cycles_per_pairing or self.cycles, 1
-            ),
-            "steady_throughput_ops": round(
-                self.steady_throughput_ops or self.throughput_ops, 1
-            ),
             "power_mw": round(self.power_mw, 2),
             "energy_per_pairing_uj": round(self.energy_per_pairing_uj, 3),
             "throughput_per_watt": round(self.throughput_per_watt, 1),
@@ -142,7 +124,7 @@ def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
 
 
 def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
-                           fe_mode, depth, fetch) -> dict:
+                           fe_mode, fetch) -> dict:
     """End-to-end service figures of one design under a traffic profile.
 
     The design point's batched kernel is compiled at one-request and
@@ -154,28 +136,20 @@ def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
     is faithful and costs two (cached) compilations per point.  The kernel
     latencies feed the deterministic virtual-time replay of the dynamic
     batcher (:func:`repro.service.simulate.simulate_batch_queue`) against the
-    profile's seeded arrival trace.
-
-    Service times come from the *steady-state* cycles per batch of the
-    continuously-fed accelerator at ``depth`` (the profile's own
-    ``pipeline_depth`` field overrides the scoring depth when set): a service
-    keeps the accelerator fed back-to-back, so the sustained
-    completion-to-completion gap -- not the one-shot fill-included latency --
-    is the time each flushed batch occupies the device.  At depth 1 the two
-    figures coincide and the model reduces to the classic one.
+    profile's seeded arrival trace: each flushed batch occupies the device
+    for its kernel's cycles.
     """
     from repro.service.simulate import arrival_times, simulate_batch_queue
 
     profile = spec.service_profile
     if spec.n_cores == 1:
         accumulator = "shared"      # the split kernel degenerates on one core
-    depth = profile.pipeline_depth or depth
 
     def batch_cycles(n_requests: int) -> float:
-        return _compile_kernel(
+        return float(_compile_kernel(
             curve, point, spec, profile.pairs_per_request * n_requests,
             accumulator, fe_mode, fetch,
-        ).pipelined(depth).steady_cycles_per_batch
+        ).cycles)
 
     one = batch_cycles(1)
     if profile.max_batch == 1:
@@ -235,35 +209,19 @@ def evaluate_design_point(curve, point: DesignPoint, **knobs) -> DesignMetrics:
     percentiles, sustained verifications/sec, rejections) are populated so
     the ``"service_throughput"`` / ``"service_p99"`` objectives can rank
     designs by end-to-end serving behaviour instead of raw kernel cycles.
-    The service-time model runs at the point's scored pipeline depth (or the
-    profile's own ``pipeline_depth`` override), so the percentiles reflect a
-    continuously-fed accelerator.
 
-    ``pipeline_depth`` scores the batched kernel as a *continuously-fed*
-    accelerator keeping that many batch instances in flight
-    (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined`): an
-    integer forces one depth, ``"auto"`` scores the
-    :data:`~repro.dse.spec.AUTO_PIPELINE_DEPTHS` ladder and records whichever
-    depth minimises the steady-state cycles per pairing, and ``None`` (the
-    default) defers to the ``FINESSE_PIPELINE_DEPTH`` environment default
-    (depth 1 when unset -- the classic one-shot score).  The chosen depth and its steady-state
-    figures land in :attr:`DesignMetrics.pipeline_depth`,
-    :attr:`DesignMetrics.steady_cycles_per_pairing` and
-    :attr:`DesignMetrics.steady_throughput_ops` (the ``"steady_throughput"``
-    objective).  The one-shot figures (``cycles``, ``latency_us``,
-    ``throughput_ops``) always describe the depth-1 kernel, so pipelined and
-    classic rankings stay comparable.
+    A point is scored one batch at a time.  Keeping several batch instances
+    in flight (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined`)
+    holds that many register files, which the area model does not price, so
+    it is no axis here.
 
     ``knobs`` are the fields of :class:`repro.dse.spec.EvalSpec`, with its
     defaults: ``n_cores=1``, ``technology=TECH_40NM``, ``do_assemble=True``,
     ``batch_size=None``, ``split_accumulators="auto"``,
-    ``final_exp_mode="cyclotomic"``, ``service_profile=None``,
-    ``pipeline_depth=None``.  Degenerate inputs fail loudly at entry: a
-    non-positive or non-integral ``batch_size`` or ``n_cores`` raises
-    ``ValueError`` instead of compiling a nonsense kernel or reporting a
-    nonsense throughput, and a pipeline depth other than 1 without a
-    ``batch_size`` is refused (cross-batch pipelining replays *batch*
-    instances).
+    ``final_exp_mode="cyclotomic"``, ``service_profile=None``.  Degenerate
+    inputs fail loudly at entry: a non-positive or non-integral
+    ``batch_size`` or ``n_cores`` raises ``ValueError`` instead of compiling
+    a nonsense kernel or reporting a nonsense throughput.
     """
     return _evaluate_spec(curve, point, EvalSpec(**knobs))
 
@@ -294,41 +252,30 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
     if batch is None:
         throughput = spec.n_cores * 1e6 / latency_us
         cycles_per_pairing = float(result.cycles)
-        # No batch to pipeline: the steady-state figures degenerate to the
-        # one-shot ones at depth 1.
-        depth = 1
-        steady_cycles_per_pairing = cycles_per_pairing
-        steady_throughput = throughput
+        pairings_per_s = throughput
     else:
         # The multi-core simulation already models the cores; throughput is
         # pairings per second of one such multi-core accelerator.
         throughput = batch * 1e6 / latency_us
         cycles_per_pairing = result.cycles_per_pairing
-        # Depth ladder: the winning kernel's schedule is walked again as a
-        # continuously-fed pipeline at each candidate depth (depth 1 is the
-        # score it already carries); the depth with the lowest steady-state
-        # cycles per pairing wins (ties to the shallowest depth -- less
-        # resident state for free).
-        scored = {d: result.pipelined(d).steady_cycles_per_batch / batch
-                  for d in spec.depths}
-        depth = min(scored, key=lambda d: (scored[d], d))
-        steady_cycles_per_pairing = scored[depth]
-        steady_throughput = freq * 1e6 / steady_cycles_per_pairing
+        # The same rate from the per-pairing time: throughput/W divides this
+        # one, which differs from ``throughput`` in the last bit.
+        pairings_per_s = freq * 1e6 / cycles_per_pairing
     area = estimate_area(point.hw, result.imem_bits, result.total_registers,
                          n_cores=spec.n_cores, technology=spec.technology)
     # Power prices the same design the area model measured: dynamic power
     # scales with the scoring kernel's issue-slot utilisation, energy amortises
-    # the draw over the steady-state per-pairing time, and throughput/W is the
+    # the draw over the per-pairing time, and throughput/W is the
     # rankable energy-efficiency axis (the "power"/"energy"/
     # "throughput_per_watt" objectives).
     power = estimate_power(point.hw, area, freq,
                            activity=result.ipc / max(1, point.hw.issue_width),
                            technology=spec.technology)
-    energy_uj = (power.total_mw / 1e3) * (steady_cycles_per_pairing / freq)
+    energy_uj = (power.total_mw / 1e3) * (cycles_per_pairing / freq)
     service_fields = {}
     if spec.service_profile is not None:
         service_fields = _service_level_metrics(
-            curve, point, spec, freq, accumulator, fe_mode, depth, fetch)
+            curve, point, spec, freq, accumulator, fe_mode, fetch)
     return DesignMetrics(
         label=point.display_label,
         curve=curve.name,
@@ -345,11 +292,8 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
         cycles_per_pairing=cycles_per_pairing,
         accumulator_mode=accumulator,
         final_exp_mode=fe_mode,
-        pipeline_depth=depth,
-        steady_cycles_per_pairing=steady_cycles_per_pairing,
-        steady_throughput_ops=steady_throughput,
         power_mw=power.total_mw,
         energy_per_pairing_uj=energy_uj,
-        throughput_per_watt=steady_throughput / (power.total_mw / 1e3),
+        throughput_per_watt=pairings_per_s / (power.total_mw / 1e3),
         **service_fields,
     )

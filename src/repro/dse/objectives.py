@@ -57,9 +57,6 @@ def _registry() -> dict:
         Objective("service_p99",
                   "p99 service latency in microseconds, lower is better (needs a service_profile)",
                   lambda m: -m.service_p99_us),
-        Objective("steady_throughput",
-                  "steady-state pairings/s of the continuously-fed pipelined accelerator",
-                  lambda m: m.steady_throughput_ops or m.throughput_ops),
     ]
     return {objective.name: objective for objective in objectives}
 

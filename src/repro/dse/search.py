@@ -144,8 +144,6 @@ def proxy_design_metrics(curve, point, n_cores: int = 1, technology=TECH_40NM):
         throughput_per_mm2=throughput / area.total_mm2,
         registers=registers,
         cycles_per_pairing=cycles,
-        steady_cycles_per_pairing=cycles,
-        steady_throughput_ops=throughput,
         power_mw=power.total_mw,
         energy_per_pairing_uj=(power.total_mw / 1e3) * (cycles / freq),
         throughput_per_watt=throughput / (power.total_mw / 1e3),

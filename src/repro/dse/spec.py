@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import PIPELINE_DEPTH_ENV, env_int, member, positive_int
+from repro.config import member, positive_int
 from repro.hw.technology import TECH_40NM, TechnologyNode
 from repro.pairing.final_exp import FINAL_EXP_MODES
 
@@ -22,11 +22,6 @@ ACCUMULATOR_POLICIES = ("auto", "shared", "split")
 #: concrete kernel modes plus "auto" (compile all three, score the winner).
 FINAL_EXP_POLICIES = ("auto",) + FINAL_EXP_MODES
 
-#: Depths the ``pipeline_depth="auto"`` policy scores (the steady-state
-#: figure converges quickly with depth, so a shallow ladder suffices; the
-#: winner is the lowest depth achieving the best steady cycles-per-pairing).
-AUTO_PIPELINE_DEPTHS = (1, 2, 4)
-
 
 @dataclass(frozen=True)
 class EvalSpec:
@@ -34,14 +29,11 @@ class EvalSpec:
     each knob means.
 
     Validated once, here: bools, floats and non-positive values for
-    ``n_cores`` / ``batch_size`` / ``pipeline_depth``, unknown accumulator or
-    final-exp policies, and a pipeline depth other than 1 without a
-    ``batch_size`` all raise ``ValueError``.  Two spellings are normalised so
-    equal evaluations compare (and hash) equal: a boolean
-    ``split_accumulators`` becomes ``"split"`` / ``"shared"``, and
-    ``pipeline_depth=None`` becomes the ``FINESSE_PIPELINE_DEPTH`` default
-    (1 when unset or unbatched).  Frozen, hashable and picklable, so one spec
-    is shipped to every pool worker unchanged.
+    ``n_cores`` / ``batch_size`` and unknown accumulator or final-exp policies
+    all raise ``ValueError``.  A boolean ``split_accumulators`` is normalised
+    to ``"split"`` / ``"shared"``, so equal evaluations compare (and hash)
+    equal.  Frozen, hashable and picklable, so one spec is shipped to every
+    pool worker unchanged.
     """
 
     n_cores: int = 1
@@ -51,7 +43,6 @@ class EvalSpec:
     split_accumulators: str = "auto"
     final_exp_mode: str = "cyclotomic"
     service_profile: object = None
-    pipeline_depth: int | str | None = None
 
     def __post_init__(self):
         positive_int(self.n_cores, "n_cores")
@@ -63,17 +54,6 @@ class EvalSpec:
                                "split" if self.split_accumulators else "shared")
         member(self.split_accumulators, ACCUMULATOR_POLICIES, "split_accumulators")
         member(self.final_exp_mode, FINAL_EXP_POLICIES, "final_exp_mode")
-        if self.pipeline_depth is None:
-            object.__setattr__(
-                self, "pipeline_depth",
-                1 if self.batch_size is None else env_int(PIPELINE_DEPTH_ENV, 1))
-        elif self.pipeline_depth != "auto":
-            positive_int(self.pipeline_depth, "pipeline_depth")
-        if self.batch_size is None and self.pipeline_depth != 1:
-            raise ValueError(
-                "pipeline_depth applies to batched evaluations only (set batch_size); "
-                f"got pipeline_depth={self.pipeline_depth!r}"
-            )
 
     @property
     def accumulator_modes(self) -> tuple:
@@ -91,10 +71,3 @@ class EvalSpec:
         if self.final_exp_mode == "auto":
             return FINAL_EXP_MODES
         return (self.final_exp_mode,)
-
-    @property
-    def depths(self) -> tuple:
-        """Pipeline depths to score the winning kernel at ("auto" = the ladder)."""
-        if self.pipeline_depth == "auto":
-            return AUTO_PIPELINE_DEPTHS
-        return (self.pipeline_depth,)

@@ -18,12 +18,6 @@ is set (useful for timing genuinely cold compiles).
 worker processes inherit it.  Values are identical across backends; only
 wall-clock time changes.
 
-``--pipeline-depth N`` pins the cross-batch pipeline depth for the whole run
--- exported as ``FINESSE_PIPELINE_DEPTH`` so DSE worker processes inherit it
-(the default every ``pipeline_depth=None`` evaluation resolves to).  ``N``
-must be a positive integer; bools, floats and zero are rejected at the flag,
-mirroring ``validate_core_count``.
-
 ``--max-retries N`` / ``--eval-timeout SECONDS`` configure the exploration
 engine's failure handling for the whole run -- exported as
 ``FINESSE_DSE_MAX_RETRIES`` / ``FINESSE_DSE_EVAL_TIMEOUT`` so DSE worker
@@ -54,7 +48,7 @@ import time
 from repro import config
 from repro.compiler.pipeline import compile_cache_stats
 from repro.compiler.store import active_store, configure_store
-from repro.errors import DSEError, FieldError, SimulationError
+from repro.errors import DSEError, FieldError
 from repro.fields.backends import normalise_backend
 from repro.dse.engine import (
     validate_eval_timeout,
@@ -63,7 +57,6 @@ from repro.dse.engine import (
 )
 from repro.dse.objectives import list_objectives, resolve_objective
 from repro.dse.search import resolve_strategy, validate_budget
-from repro.sim.cycle import validate_pipeline_depth
 from repro.evaluation import (
     batch_verify,
     fig2,
@@ -168,8 +161,6 @@ def _check_strategy(name: str) -> str:
 _ENV_FLAGS = {
     "--workers": (config.WORKERS_ENV, int,
                   lambda n: config.positive_int(n, "--workers", DSEError), DSEError),
-    "--pipeline-depth": (config.PIPELINE_DEPTH_ENV, int, validate_pipeline_depth,
-                         SimulationError),
     "--max-retries": (config.MAX_RETRIES_ENV, int, validate_max_retries, DSEError),
     "--eval-timeout": (config.EVAL_TIMEOUT_ENV, float, validate_eval_timeout, DSEError),
     "--budget": (config.BUDGET_ENV, int, validate_budget, DSEError),

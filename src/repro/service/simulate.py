@@ -72,14 +72,6 @@ class ServiceProfile:
     ``pairs_per_request`` is the pairing-product width of one request (3 for
     the Groth16 shape, 2 for BLS); the remaining knobs mirror
     :class:`repro.service.config.ServiceConfig`.
-
-    ``pipeline_depth`` pins the cross-batch pipeline depth of the modelled
-    accelerator: per-batch service times then come from the steady-state
-    cycles of :meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined` at
-    that depth (a continuously-fed device's sustained batch-to-batch gap)
-    instead of the one-shot batch latency.  ``None`` -- the default --
-    inherits whatever depth the design evaluation scored the point at, so
-    service figures and kernel figures always describe the same machine.
     """
 
     rate_rps: float
@@ -90,14 +82,11 @@ class ServiceProfile:
     n_requests: int = 256
     arrival: str = "poisson"
     seed: int = 1
-    pipeline_depth: int | None = None
 
     def __post_init__(self):
         number(self.rate_rps, "rate_rps", ServiceError, exclusive=True)
         for name in ("max_batch", "queue_bound", "pairs_per_request", "n_requests"):
             positive_int(getattr(self, name), name, ServiceError)
-        if self.pipeline_depth is not None:
-            positive_int(self.pipeline_depth, "pipeline_depth", ServiceError)
         number(self.deadline_us, "deadline_us", ServiceError)
         if self.arrival not in ARRIVAL_DISTRIBUTIONS:
             raise ServiceError(

@@ -654,8 +654,9 @@ class CycleAccurateSimulator:
         :meth:`run_multicore` plus the kept issue cycles (same stream engine);
         deeper pipelines trade fill/drain transients for a lower steady-state
         cycles-per-batch -- the figure
-        :attr:`CycleStats.steady_cycles_per_batch` reports and the DSE
-        ``"steady_throughput"`` objective ranks on.
+        :attr:`CycleStats.steady_cycles_per_batch` reports.  The design
+        evaluation does not rank on it: the area model prices one register
+        file, and ``depth`` instances keep ``depth`` of them resident.
         """
         hw = self.hw or schedule.hw
         n_cores = validate_core_count(hw.n_cores if n_cores is None else n_cores)

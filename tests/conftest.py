@@ -110,6 +110,19 @@ def compiled_toy_bn(toy_bn):
     """One compiled toy-BN kernel shared by the backend tests."""
     from repro.compiler.pipeline import compile_pairing
 
-    return compile_pairing(
-        toy_bn, hw=paper_hw1(toy_bn.params.p.bit_length()), include_baseline=True
-    )
+    return compile_pairing(toy_bn, hw=paper_hw1(toy_bn.params.p.bit_length()))
+
+
+@pytest.fixture(scope="session")
+def baseline_toy_bn(compiled_toy_bn, toy_bn):
+    """The program-order walk of the same kernel's lowered module (Table 7's
+    "IPC init")."""
+    from repro.compiler.bankalloc import allocate_banks
+    from repro.compiler.pipeline import stage_modules
+    from repro.compiler.schedule import program_order_schedule
+    from repro.sim.cycle import CycleAccurateSimulator
+
+    hw = compiled_toy_bn.hw
+    lowered = stage_modules(toy_bn, hw=hw)[1]
+    return CycleAccurateSimulator().run(
+        program_order_schedule(lowered, hw, allocate_banks(lowered, hw)))

@@ -118,8 +118,8 @@ def test_scheduler_respects_dependencies():
     assert stats.ipc <= 0.2
 
 
-def test_scheduling_beats_program_order(compiled_toy_bn):
-    baseline = compiled_toy_bn.baseline_cycle_stats
+def test_scheduling_beats_program_order(compiled_toy_bn, baseline_toy_bn):
+    baseline = baseline_toy_bn
     scheduled = compiled_toy_bn.cycle_stats
     assert scheduled.total_cycles < baseline.total_cycles
     assert scheduled.ipc > 2 * baseline.ipc

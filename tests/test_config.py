@@ -23,8 +23,7 @@ from repro.dse.engine import (
     validate_eval_timeout,
 )
 from repro.dse.space import DesignPoint
-from repro.dse.spec import EvalSpec
-from repro.errors import DSEError, ReliabilityError, ServiceError, SimulationError
+from repro.errors import DSEError, FieldError, ReliabilityError, ServiceError
 from repro.evaluation import runner
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import paper_hw1
@@ -72,9 +71,6 @@ POLICY = [
     (config.MAX_BYTES_ENV,
      lambda curve, tmp_path, monkeypatch: ArtifactStore(tmp_path).max_bytes,
      DEFAULT_MAX_BYTES, "4096", 4096, ["lots", "1.5", "0", "-7"]),
-    (config.PIPELINE_DEPTH_ENV,
-     lambda curve, tmp_path, monkeypatch: EvalSpec(batch_size=2).pipeline_depth,
-     1, "3", 3, ["deep", "2.5", "0", "-4"]),
     (config.WORKERS_ENV, _explorer_attr("workers"), 1, "4", 4,
      ["bogus", "2.9", "0", "-1"]),
     (config.MAX_RETRIES_ENV, _explorer_attr("max_retries"), DEFAULT_MAX_RETRIES,
@@ -120,7 +116,6 @@ def test_policy_table_covers_every_numeric_and_choice_variable():
 
 
 def test_only_the_name_valued_variables_raise(monkeypatch):
-    from repro.errors import FieldError
     from repro.fields.backends import resolve_backend
 
     monkeypatch.setenv(config.BACKEND_ENV, "fixnum")
@@ -239,10 +234,10 @@ def test_runner_flag_without_a_value_names_the_flag(flag, monkeypatch):
 
 
 def test_runner_flag_table_keeps_each_flags_error_class(monkeypatch):
-    monkeypatch.setenv(config.PIPELINE_DEPTH_ENV, "1")  # registers restoration
+    monkeypatch.setenv(config.BACKEND_ENV, "python")  # registers restoration
     monkeypatch.setattr(runner, "run_all", lambda **kwargs: {})
-    with pytest.raises(SimulationError, match="--pipeline-depth must be an integer"):
-        runner.main(["--pipeline-depth", "deep"])
+    with pytest.raises(FieldError):
+        runner.main(["--fp-backend", "abacus"])
     with pytest.raises(DSEError, match="--eval-timeout must be a number"):
         runner.main(["--eval-timeout", "soon"])
     with pytest.raises(DSEError):
@@ -351,3 +346,17 @@ def test_one_cycle_record_and_no_depth_in_the_compile_layer():
     digest, = [node for node in ast.walk(ast.parse((SRC / "compiler/pipeline.py").read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "digest"]
     assert "pipeline_depth=1" in ast.unparse(digest)
+
+
+def test_no_depth_axis_in_the_evaluation_layer():
+    """A design point is scored one batch at a time: the depth knob, its
+    environment variable, flag and objective are gone from the layers that
+    evaluate, rank and serve."""
+    paths = [*sorted((SRC / "dse").rglob("*.py")), *sorted((SRC / "service").rglob("*.py")),
+             SRC / "config.py", SRC / "evaluation" / "runner.py"]
+    offenders = [
+        f"{path.relative_to(SRC)}: {word}" for path in paths
+        for word in ("pipeline_depth", "steady_throughput", "PIPELINE_DEPTH",
+                     "pipeline-depth")
+        if word in path.read_text()]
+    assert not offenders

@@ -68,6 +68,53 @@ def test_kernel_spec_knob_table_matches_the_dataclass():
     assert [ast.literal_eval(default) for _, default in rows] == [field.default for field in fields]
 
 
+
+def test_readme_kernel_spec_knob_list_matches_the_dataclass():
+    import dataclasses
+    import re
+
+    from repro.compiler.pipeline import KernelSpec
+
+    readme = Path(REPO_ROOT, "README.md").read_text()
+    listed = re.search(r"`repro\.KernelSpec` \(([^)]*)\)", readme).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [field.name for field in dataclasses.fields(KernelSpec)]
+
+
+def test_evaluate_design_point_docstring_lists_the_eval_spec_defaults():
+    """The docstring's ``name=default`` list is ``EvalSpec``'s fields, in
+    order, each with its default."""
+    import ast
+    import dataclasses
+    import re
+
+    from repro.dse.explorer import evaluate_design_point
+    from repro.dse.spec import EvalSpec
+    from repro.hw import technology
+
+    doc = evaluate_design_point.__doc__
+    listed = doc.split("with its\n    defaults:", 1)[1].split("\n\n", 1)[0]
+    pairs = re.findall(r"``(\w+)=([^`]+)``", listed)
+
+    def value(text):
+        try:
+            return ast.literal_eval(text)
+        except ValueError:          # a named constant, e.g. TECH_40NM
+            return getattr(technology, text)
+
+    fields = dataclasses.fields(EvalSpec)
+    assert [name for name, _ in pairs] == [field.name for field in fields]
+    assert [value(text) for _, text in pairs] == [field.default for field in fields]
+
+
+def test_dse_objective_table_matches_the_registry():
+    import re
+
+    from repro.dse.objectives import OBJECTIVES
+
+    page = Path(REPO_ROOT, "docs", "dse.md").read_text()
+    table = page.split("| objective | score | direction |", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE) == list(OBJECTIVES)
+
 def test_all_relative_links_resolve():
     failures = {}
     for markdown_file in default_targets():

@@ -19,7 +19,6 @@ import pytest
 
 from repro.compiler import pipeline
 from repro.compiler.pipeline import pairing_compile_digest
-from repro.config import PIPELINE_DEPTH_ENV
 from repro.dse.engine import ParallelExplorer
 from repro.dse.explorer import evaluate_design_point
 from repro.dse.space import DesignPoint
@@ -62,10 +61,8 @@ def test_compile_pairing_is_keyed_by_pairing_compile_digest(toy_bn):
 
 def test_spec_is_a_value():
     profile = ServiceProfile(rate_rps=1000.0)
-    spec = EvalSpec(n_cores=2, batch_size=4, service_profile=profile,
-                    pipeline_depth="auto")
-    twin = EvalSpec(n_cores=2, batch_size=4, service_profile=profile,
-                    pipeline_depth="auto")
+    spec = EvalSpec(n_cores=2, batch_size=4, service_profile=profile)
+    twin = EvalSpec(n_cores=2, batch_size=4, service_profile=profile)
     assert spec == twin and hash(spec) == hash(twin)
     assert spec != dataclasses.replace(spec, n_cores=4)
     assert pickle.loads(pickle.dumps(spec)) == spec
@@ -74,17 +71,16 @@ def test_spec_is_a_value():
         spec.n_cores = 3
 
 
-def test_spec_defaults_and_normalisation(monkeypatch):
-    monkeypatch.setenv(PIPELINE_DEPTH_ENV, "2")
+def test_spec_defaults_and_normalisation():
     spec = EvalSpec()
-    assert (spec.n_cores, spec.technology, spec.do_assemble, spec.batch_size,
-            spec.split_accumulators, spec.final_exp_mode, spec.service_profile,
-            spec.pipeline_depth) == (1, TECH_40NM, True, None, "auto",
-                                     "cyclotomic", None, 1)
-    # Booleans spell forced accumulator modes; None is the environment default
-    # for batched sweeps -- equal evaluations compare equal.
+    assert [field.name for field in dataclasses.fields(EvalSpec)] == [
+        "n_cores", "technology", "do_assemble", "batch_size",
+        "split_accumulators", "final_exp_mode", "service_profile"]
+    assert tuple(getattr(spec, field.name) for field in dataclasses.fields(spec)) == (
+        1, TECH_40NM, True, None, "auto", "cyclotomic", None)
+    # Booleans spell forced accumulator modes -- equal evaluations compare equal.
     assert EvalSpec(batch_size=2, split_accumulators=True) == \
-        EvalSpec(batch_size=2, split_accumulators="split", pipeline_depth=2)
+        EvalSpec(batch_size=2, split_accumulators="split")
     assert EvalSpec(split_accumulators=False).split_accumulators == "shared"
     # What the policies enumerate.
     assert EvalSpec(batch_size=2).accumulator_modes == ("shared",)
@@ -93,33 +89,29 @@ def test_spec_defaults_and_normalisation(monkeypatch):
     assert EvalSpec(final_exp_mode="auto").final_exp_modes == (
         "generic", "cyclotomic", "compressed")
     assert EvalSpec(final_exp_mode="generic").final_exp_modes == ("generic",)
-    # Depth 1 without a batch is the classic evaluation and stays legal.
-    assert EvalSpec(pipeline_depth=1).depths == (1,)
 
 
 REJECTED = [
     {"n_cores": True}, {"n_cores": 1.5}, {"n_cores": 0}, {"n_cores": -1},
     {"batch_size": True}, {"batch_size": 2.5}, {"batch_size": 0}, {"batch_size": -4},
-    {"batch_size": 4, "pipeline_depth": True},
-    {"batch_size": 4, "pipeline_depth": 2.5},
-    {"batch_size": 4, "pipeline_depth": 0},
-    {"batch_size": 4, "pipeline_depth": "x"},
     {"batch_size": 2, "split_accumulators": "sometimes"},
     {"split_accumulators": 2},
     {"final_exp_mode": "sometimes"},
     {"final_exp_mode": None},
-    {"pipeline_depth": 2},          # depth != 1 needs a batch
-    {"pipeline_depth": "auto"},
 ]
 
+#: Keywords that are no ``EvalSpec`` field: a ``TypeError`` at every boundary.
+RETIRED = [{"pipeline_depth": 2}, {"pipeline_depth": "auto"}]
 
-@pytest.mark.parametrize("knobs", REJECTED, ids=lambda knobs: repr(knobs))
+
+@pytest.mark.parametrize("knobs", REJECTED + RETIRED, ids=lambda knobs: repr(knobs))
 def test_bad_knobs_are_rejected_at_every_boundary(toy_bn, point, knobs):
-    with pytest.raises(ValueError):
+    error = TypeError if knobs in RETIRED else ValueError
+    with pytest.raises(error):
         EvalSpec(**knobs)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         evaluate_design_point(toy_bn, point, **knobs)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         ParallelExplorer(toy_bn, workers=1, **knobs)
 
 
@@ -137,7 +129,7 @@ def test_unknown_knob_is_a_type_error(toy_bn, point):
 def test_all_auto_evaluation_matches_the_pre_refactor_metrics(toy_bn, point):
     metrics = evaluate_design_point(
         toy_bn, point, n_cores=2, batch_size=4, split_accumulators="auto",
-        final_exp_mode="auto", pipeline_depth=1)
+        final_exp_mode="auto")
     assert dataclasses.asdict(metrics) == {
         "label": "all-karatsuba/HW1",
         "curve": "TOY-BN42",
@@ -154,9 +146,6 @@ def test_all_auto_evaluation_matches_the_pre_refactor_metrics(toy_bn, point):
         "cycles_per_pairing": 8320.0,
         "accumulator_mode": "split",
         "final_exp_mode": "cyclotomic",
-        "pipeline_depth": 1,
-        "steady_cycles_per_pairing": 8320.0,
-        "steady_throughput_ops": 137366.8360023155,
         "service_p50_us": 0.0,
         "service_p95_us": 0.0,
         "service_p99_us": 0.0,
@@ -218,7 +207,5 @@ def test_design_metrics_grid_is_unchanged(toy_bn, hw_name, evaluation):
     metrics = evaluate_design_point(toy_bn, DesignPoint(VariantConfig.all_karatsuba(), hw),
                                     **GRID_EVALUATIONS[evaluation])
     fields = dataclasses.asdict(metrics)
-    for retired in ("pipeline_depth", "steady_cycles_per_pairing", "steady_throughput_ops"):
-        fields.pop(retired, None)
     assert hashlib.sha256(json.dumps(fields).encode()).hexdigest() == \
         GRID_DIGESTS[hw_name, evaluation], fields

@@ -51,10 +51,10 @@ ENTRY_POINTS = {
 # ---------------------------------------------------------------------------
 
 def test_the_eight_knobs():
-    """Seven spec fields; ``use_cache`` makes the eight distinct compile keywords."""
+    """Six spec fields; ``use_cache`` makes seven distinct compile keywords."""
     assert FIELDS == {
         "hw", "variant_config", "n_pairs", "split_accumulators", "final_exp_mode",
-        "do_assemble", "include_baseline",
+        "do_assemble",
     }
 
 
@@ -76,7 +76,7 @@ def test_entry_points_accept_exactly_the_spec_fields(toy_bn, name):
         del accepted["n_pairs"]         # its own argument: None here, positional there
     entry(toy_bn, *args, **accepted)
     for unknown in ("use_naf", "use_affinity", "optimize_ir", "record_trace",
-                    "pipeline_depth", "turbo"):
+                    "pipeline_depth", "include_baseline", "turbo"):
         with pytest.raises(TypeError, match=unknown):
             entry(toy_bn, *args, **{unknown: True})
 
@@ -219,7 +219,7 @@ def test_string_accumulator_mode_no_longer_compiles_the_split_kernel(toy_bn):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("do_assemble", 0), ("include_baseline", 1), ("split_accumulators", "split"),
+    ("do_assemble", 0), ("split_accumulators", "split"),
 ])
 def test_non_bool_flags_no_longer_mint_a_second_digest(toy_bn, flag, value):
     with pytest.raises(CompilerError, match=flag):
@@ -237,10 +237,6 @@ def test_batch_size_is_validated_on_every_entry(toy_bn, bad):
 def test_knobs_are_refused_on_the_wrong_kernel_kind(toy_bn):
     with pytest.raises(CompilerError):
         compile_pairing(toy_bn, split_accumulators=True)
-    with pytest.raises(CompilerError, match="not single pairings"):
-        compile_pairing(toy_bn).pipelined(2)
-    with pytest.raises(CompilerError):
-        compile_multi_pairing(toy_bn, 2, include_baseline=True)
 
 
 def test_existing_checks_keep_their_exception_classes(toy_bn):
@@ -249,7 +245,7 @@ def test_existing_checks_keep_their_exception_classes(toy_bn):
     batched = compile_multi_pairing(toy_bn, 2, do_assemble=False)
     for bad_depth in (0, True):
         with pytest.raises(SimulationError):
-            batched.pipelined(bad_depth)
+            CycleAccurateSimulator().run_pipelined(batched.schedule, 2, bad_depth)
     with pytest.raises(CompilerError):
         compile_multi_pairing(toy_bn, None)
     with pytest.raises(HardwareModelError):

@@ -12,10 +12,9 @@ Covers the tentpole contracts of ``run_pipelined``:
   per pairing drop strictly below the one-shot figure, and the per-phase
   occupancy / per-instance phase spans show instance ``i+1``'s Miller lanes
   overlapping instance ``i``'s final exponentiation;
-* the depth is an argument of the walk, not a knob of the compile: a compiled
-  batched kernel answers ``result.pipelined(depth)`` with exactly the direct
-  ``run_pipelined`` walk of its schedule, depth 1 with the one-shot simulation
-  it already carries (the bundle walk on one core of a VLIW model).
+* the depth is an argument of the walk, not a knob of the compile or of
+  the design evaluation, which prices a batch at the one-shot simulation the
+  kernel carries (the bundle walk on one core of a VLIW model).
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ import pytest
 
 from repro.compiler.bankalloc import rebank_for_instance
 from repro.compiler.pipeline import compile_multi_pairing
-from repro.config import PIPELINE_DEPTH_ENV
 from repro.dse.explorer import evaluate_design_point
 from repro.dse.space import DesignPoint
-from repro.dse.spec import EvalSpec
 from repro.errors import SimulationError
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import figure10_models
@@ -98,25 +95,22 @@ def test_pipelined_deterministic(simulator, bn_batch8_4core):
             first = simulator.run_pipelined(result.schedule, 4, depth)
             again = simulator.run_pipelined(result.schedule, 4, depth)
             assert first == again
-            # The result's own answer is that walk -- except at depth 1,
-            # which is the one-shot simulation it already carries.
-            if depth > 1:
-                assert result.pipelined(depth) == first
-        assert result.pipelined(1) is result.multicore_stats
 
 
 def test_one_vliw_core_keeps_the_bundle_walk_at_depth_1(toy_bn):
-    """Regression: on one core of a VLIW model the depth-1 steady-state figure
-    is the bundle walk of the packed schedule (what ``cycles`` reports), not
-    the one-core stream walk (20 680 / 23 206 cycles here)."""
+    """Regression: on one core of a VLIW model the per-pairing figure a point
+    is priced at is the bundle walk of the packed schedule (what ``cycles``
+    reports), not the one-core stream walk (20 680 / 23 206 cycles here)."""
     point = DesignPoint(VariantConfig.all_karatsuba(),
                         figure10_models(toy_bn.params.p.bit_length())[2])
     metrics = evaluate_design_point(toy_bn, point, batch_size=4, n_cores=1)
-    assert metrics.steady_cycles_per_pairing == metrics.cycles_per_pairing == 5220.0
+    assert metrics.cycles == 20880 and metrics.cycles_per_pairing == 5220.0
+    assert metrics.energy_per_pairing_uj == pytest.approx(
+        metrics.power_mw / 1e3 * 5220.0 / metrics.frequency_mhz, rel=1e-12)
     generic = evaluate_design_point(toy_bn, point, batch_size=4, n_cores=1,
                                     final_exp_mode="generic")
     assert generic.cycles == 23483
-    assert generic.steady_cycles_per_pairing == generic.cycles_per_pairing == 5870.75
+    assert generic.cycles_per_pairing == 5870.75
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +164,6 @@ def test_validate_pipeline_depth():
     for bad in (True, False, 0, -2, 2.0, "2", None):
         with pytest.raises(SimulationError):
             validate_pipeline_depth(bad)
-
-
-def test_default_pipeline_depth_env(monkeypatch):
-    def default_pipeline_depth():
-        return EvalSpec(batch_size=2).pipeline_depth
-
-    monkeypatch.delenv(PIPELINE_DEPTH_ENV, raising=False)
-    assert default_pipeline_depth() == 1
-    monkeypatch.setenv(PIPELINE_DEPTH_ENV, "3")
-    assert default_pipeline_depth() == 3
-    monkeypatch.setenv(PIPELINE_DEPTH_ENV, "not-a-number")
-    assert default_pipeline_depth() == 1
-    monkeypatch.setenv(PIPELINE_DEPTH_ENV, "-4")
-    assert default_pipeline_depth() == 1
 
 
 def test_run_pipelined_rejects_bad_depth(simulator, bn_batch8_4core):

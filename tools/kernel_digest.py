@@ -58,6 +58,7 @@ from repro.curves.model import ladder_kernels  # noqa: E402
 from repro.dse.space import named_variant_configs  # noqa: E402
 from repro.hw.presets import default_model, figure10_models, paper_hw1, paper_hw2  # noqa: E402
 from repro.pairing.batch import multi_pairing, precompute_g2  # noqa: E402
+from repro.sim.cycle import CycleAccurateSimulator  # noqa: E402
 
 
 def kernel_digest(result, depth: int = 1) -> str:
@@ -79,7 +80,8 @@ def kernel_digest(result, depth: int = 1) -> str:
     if result.multicore_stats is not None:
         parts.append(result.multicore_stats.describe())
     if depth > 1:
-        parts.append(result.pipelined(depth).describe())
+        parts.append(CycleAccurateSimulator().run_pipelined(
+            result.schedule, result.hw.n_cores, depth).describe())
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
