@@ -258,8 +258,9 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
         # pairings per second of one such multi-core accelerator.
         throughput = batch * 1e6 / latency_us
         cycles_per_pairing = result.cycles_per_pairing
-        # The same rate from the per-pairing time: throughput/W divides this
-        # one, which differs from ``throughput`` in the last bit.
+        # The same rate from the per-pairing time.  Throughput/W is priced
+        # from this form, which can differ from ``throughput`` in the last
+        # bit; the pinned metrics are recorded with it.
         pairings_per_s = freq * 1e6 / cycles_per_pairing
     area = estimate_area(point.hw, result.imem_bits, result.total_registers,
                          n_cores=spec.n_cores, technology=spec.technology)
