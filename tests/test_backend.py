@@ -1,5 +1,7 @@
 """Backend: bank allocation, scheduling, register allocation, assembly, simulators."""
 
+import hashlib
+
 import pytest
 
 from repro.compiler.bankalloc import allocate_banks
@@ -232,6 +234,21 @@ def test_functional_simulator_rejects_missing_inputs(compiled_toy_bn, toy_bn):
 # Cycle-accurate simulator micro-behaviour
 # ---------------------------------------------------------------------------
 
+#: sha256 of ``repr((issue order, bundle sizes, planned_cycles))`` of the TOY-BN42
+#: single-pairing schedule on each preset: the schedule itself, not only what
+#: the encoded words and the walks make of it.
+SCHEDULE_DIGESTS = {
+    "paper-default": "8b77911ef9cceb165a7efd07821c64999d86e50cac583bc67d32b3f0d45e2971",
+    "HW1": "8b77911ef9cceb165a7efd07821c64999d86e50cac583bc67d32b3f0d45e2971",
+    "HW2": "2e70c0ad2a9ff796a113be64dfb0eb5257ec9ecf56486c419f80bac46a6b67be",
+    "L38-S8-lin1": "8b77911ef9cceb165a7efd07821c64999d86e50cac583bc67d32b3f0d45e2971",
+    "L8-S2-lin1": "0ee181fbeb6403be977cdb482a61b30914cb1bbb2242e46331b9c89c312b505f",
+    "L8-S2-lin2": "e18bc3182d5a4b81fc1cdaf4a5c5f89638469401de53c3b04d5c5ab0520cb55c",
+    "L8-S2-lin4": "1694c585052b73c4dcd7dbac7cf2d2bd08f560b17926c0eeb406c0a69bcc8ae3",
+    "L8-S2-lin6": "cdec4ec4160ae7e3c4b2749aa6a0cfb4402a26d70f26d8acf8d69d602b1849ec",
+}
+
+
 @pytest.mark.parametrize("hw_name", ["paper-default", "HW1", "HW2"]
                          + [model.name for model in figure10_models()])
 def test_planned_cycles_equal_bundle_walk(toy_bn, hw_name):
@@ -242,6 +259,10 @@ def test_planned_cycles_equal_bundle_walk(toy_bn, hw_name):
     hw = next(model for model in models if model.name == hw_name)
     schedule = compile_pairing(toy_bn, hw=hw).schedule
     assert schedule.planned_cycles == CycleAccurateSimulator().run(schedule).total_cycles
+    order = [vid for bundle in schedule.bundles for vid in bundle]
+    sizes = [len(bundle) for bundle in schedule.bundles]
+    pinned = repr((order, sizes, schedule.planned_cycles)).encode()
+    assert hashlib.sha256(pinned).hexdigest() == SCHEDULE_DIGESTS[hw_name]
 
 
 def test_cycle_sim_dependent_latency():
