@@ -28,7 +28,7 @@ def assemble(schedule: ScheduledProgram, allocation: RegisterAllocation,
     register = [bank * bank_stride + slot
                 for bank, slot in zip(schedule.banks, allocation.register_of)]
 
-    order = schedule.flat_order()
+    order = schedule.order
     # ISAError for an op without a machine encoding (e.g. a muli that was not
     # strength-reduced: run the IROpt pipeline before assembling).
     opcode_of = {op: ir_op_to_machine_op(op).opcode for op in {ops[vid] for vid in order}}
@@ -51,7 +51,7 @@ def assemble(schedule: ScheduledProgram, allocation: RegisterAllocation,
         rd=[register[vid] for vid in order],
         rs1=[register[a_col[vid]] if a_col[vid] >= 0 else 0 for vid in order],
         rs2=[register[b_col[vid]] if b_col[vid] >= 0 else 0 for vid in order],
-        bundle_sizes=[len(bundle) for bundle in schedule.bundles],
+        bundle_sizes=schedule.bundle_sizes,
         constant_table=constant_table,
         input_map=input_map,
         output_map=output_map,

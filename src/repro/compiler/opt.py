@@ -26,11 +26,21 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress
 
 from repro.ir.module import IRModule
-from repro.ir.ops import LOW_LEVEL_OPS, op_info
+from repro.ir.ops import HIGH_LEVEL_OPS, LOW_LEVEL_OPS, op_info
 
 _COMMUTATIVE = frozenset(op for op in LOW_LEVEL_OPS if op_info(op).commutative)
 _NEG_DBL = "neg(dbl)"                  # mul(x, p - 2): neg of a dbl(x) row put in before it
 _ZERO = ("const", -1, -1, 0)
+#: GVN packs the key of a row without an attribute into one int instead of a
+#: tuple: ``b`` above bit ``_KEY_SHIFT``, then the op's index, then ``a + 1`` in
+#: the low ``_ID_BITS`` bits (``_OP_TAG[op]`` carries the index and the ``+ 1``).
+#: An ``a`` too large for its field keeps the tuple, so two rows share a key
+#: only if they are equal; with ``a`` in the low bits, the dict's first probe
+#: spreads over the operands instead of piling up on one op.
+_ID_BITS = 32
+_ID_LIMIT = (1 << _ID_BITS) - 1
+_OP_TAG = {op: code << _ID_BITS | 1 for code, op in enumerate(sorted(HIGH_LEVEL_OPS | LOW_LEVEL_OPS))}
+_KEY_SHIFT = _ID_BITS + len(_OP_TAG).bit_length()
 
 
 @dataclass
@@ -160,7 +170,9 @@ def _key(op, a, b, attr, p):
     if op == "const":
         return (op, attr % p)
     if b < a and op in _COMMUTATIVE:
-        return (op, b, a, attr)
+        a, b = b, a
+    if attr is None and a < _ID_LIMIT:
+        return b << _KEY_SHIFT | _OP_TAG[op] + a
     return (op, a, b, attr)
 
 
@@ -227,9 +239,13 @@ def _compact(module: IRModule, keep: bytearray, canon, columns: tuple) -> IRModu
     rank = list(accumulate(keep, initial=0))
     rank[len(keep)] = -1
     remap = [rank[v] for v in canon]
-    ops, a_col, b_col, attrs, lanes, phases = (list(compress(column, keep)) for column in columns)
-    return module.successor(remap, ops, [remap[a] for a in a_col], [remap[b] for b in b_col],
-                            attrs, lanes, phases)
+    del rank
+    renamed = remap.__getitem__
+    ops, a_col, b_col, attrs, lanes, phases = columns
+    return module.successor(remap, list(compress(ops, keep)),
+                            list(map(renamed, compress(a_col, keep))),
+                            list(map(renamed, compress(b_col, keep))),
+                            *(list(compress(column, keep)) for column in (attrs, lanes, phases)))
 
 
 def optimize(module: IRModule, p: int) -> tuple:
@@ -241,7 +257,7 @@ def optimize(module: IRModule, p: int) -> tuple:
     value = [None] * (n + 1)           # constant folding: the row's folded constant
     const = [None] * (n + 1)           # strength reduction: the row's constant
     alias = list(range(n)) + [-1]      # strength reduction: the row standing in for it
-    canon = list(range(n)) + [-1]      # GVN: the first row computing the same value
+    canon = alias[:]                   # GVN: the first row computing the same value
     anchor: dict = {}                  # inserted dbl(x) row -> the neg row it feeds
     seeds, removed = [], [0, 0, 0]     # rows iteration 2 must visit; rows folded, reduced, merged
 
@@ -326,7 +342,10 @@ def optimize(module: IRModule, p: int) -> tuple:
             visit(vid, *row, renumber)
             touched[vid] = canon[vid] != vid or row != (ops[vid], a_col[vid], b_col[vid], attrs[vid])
 
-    table.clear()
+    # Compaction reads the columns only: drop the GVN tables and the per-row
+    # state first, so optimize's peak stays below the four passes'.
+    for state in (table, changed, value, const, alias, canon):
+        state.clear()
     order = sorted(range(len(ops)), key=position) if anchor else order
     live = _live(module, order, a_col, b_col)
     columns, where = (ops, a_col, b_col, attrs, lanes, phases), range(len(ops) + 1)

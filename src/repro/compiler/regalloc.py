@@ -36,7 +36,7 @@ def allocate_registers(schedule: ScheduledProgram) -> RegisterAllocation:
     # Issue order: preloads first, then bundles in order.
     order = [vid for vid, op in enumerate(module.ops) if op == "const" or op == "input"]
     n_preloaded = len(order)
-    order += schedule.flat_order()
+    order += schedule.order
 
     # last_use[vid]: position in ``order`` of the last instruction reading the
     # value; -1 = its register is never released.  The order is walked

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice
 
 from repro.errors import CompilerError
 from repro.hw.model import HardwareModel
@@ -62,6 +63,19 @@ UNIT_OF_OP = {op: unit_of(op) for op in _SCHEDULED_OPS}
 UNITS = ("long", "short", "inv")
 _LONG, _SHORT, _INV = range(len(UNITS))
 _CODE_OF_OP = {op: UNITS.index(unit) for op, unit in UNIT_OF_OP.items()}
+#: A walk prunes its write-back slots once they outnumber this and twice what it last kept.
+_PRUNE_SIZE = 4096
+
+
+def prune_slots(busy: set, floor: int) -> tuple:
+    """Write-back slots ``busy`` without those below ``floor``, and the size at
+    which to prune again.
+
+    A walk claims slots at or above its current cycle's ``floor`` only, so the
+    ones below are dead; pruning when the set doubles keeps the work linear.
+    """
+    busy = {key for key in busy if key >= floor}
+    return busy, max(_PRUNE_SIZE, 2 * len(busy))
 
 
 def unit_columns(module: IRModule, hw: HardwareModel) -> tuple:
@@ -80,30 +94,34 @@ def unit_columns(module: IRModule, hw: HardwareModel) -> tuple:
 
 @dataclass
 class ScheduledProgram:
-    """Result of PackSched: an ordered list of issue bundles of IR value ids."""
+    """Result of PackSched: the issue order of the IR value ids, cut into bundles.
+
+    ``order`` is every issued value id, bundle after bundle, and
+    ``bundle_sizes`` how many of them each bundle issues together.  The
+    order is the stream the bundle walk, the multi-core and pipelined walks,
+    RegAlloc and ASM all read (bundle barriers dissolve into per-core
+    in-order streams), and the unit of replay for cross-batch pipelining:
+    instance ``k`` of a pipelined execution is this order with every value
+    id offset by a per-instance stride.
+    """
 
     module: IRModule
     hw: HardwareModel
     banks: list
-    bundles: list                      # list[list[vid]]
-    issue_cycle: list                  # vid -> planned issue cycle (-1 = never issued)
+    order: list                        # value ids in issue order
+    bundle_sizes: list                 # ops issued together, per bundle
     planned_cycles: int
     affinity_beta: float
 
     @property
+    def bundles(self) -> list:
+        """The order cut into one list of value ids per bundle (built on each read)."""
+        ids = iter(self.order)
+        return [list(islice(ids, size)) for size in self.bundle_sizes]
+
+    @property
     def instruction_count(self) -> int:
-        return sum(len(b) for b in self.bundles)
-
-    def flat_order(self) -> list:
-        """The scheduled issue order flattened to one list of value ids.
-
-        This is the canonical stream the multi-core and pipelined simulator
-        walks consume (bundle barriers dissolve into per-core in-order
-        streams), and the unit of replay for cross-batch pipelining: instance
-        ``k`` of a pipelined execution is this order with every value id
-        offset by a per-instance stride.
-        """
-        return [vid for bundle in self.bundles for vid in bundle]
+        return len(self.order)
 
     def planned_ipc(self) -> float:
         if not self.planned_cycles:
@@ -113,13 +131,10 @@ class ScheduledProgram:
 
 def program_order_schedule(module: IRModule, hw: HardwareModel, banks: list) -> ScheduledProgram:
     """The unscheduled baseline: original program order, one instruction per bundle."""
-    bundles = [[vid] for vid, op in enumerate(module.ops) if op in UNIT_OF_OP]
-    issue_cycle = [-1] * len(module)
-    for cycle, (vid,) in enumerate(bundles):
-        issue_cycle[vid] = cycle
+    order = [vid for vid, op in enumerate(module.ops) if op in UNIT_OF_OP]
     return ScheduledProgram(
-        module=module, hw=hw, banks=banks, bundles=bundles, issue_cycle=issue_cycle,
-        planned_cycles=len(bundles), affinity_beta=0.0,
+        module=module, hw=hw, banks=banks, order=order, bundle_sizes=[1] * len(order),
+        planned_cycles=len(order), affinity_beta=0.0,
     )
 
 
@@ -148,31 +163,53 @@ def affinity_schedule(
     # its bank unless it is an output alias (scheduled results, constants and
     # inputs all live in registers); ``read_a`` / ``read_b`` hold the bank
     # each operand reads, -1 for none (the trailing pad absorbs an absent
-    # operand).
-    read_bank = [bank if code >= 0 or op == "const" or op == "input" else -1
-                 for bank, code, op in zip(banks, codes, ops)]
-    read_bank.append(-1)
-    read_a = [read_bank[a] for a in a_col]
-    read_b = [read_bank[b] for b in b_col]
+    # operand).  A single-issue bundle closes at its first op, before any
+    # read port is counted, so only a multi-issue model needs them.
+    issue_width, read_ports = hw.issue_width, hw.bank_read_ports
+    if issue_width > 1:
+        read_bank = [bank if code >= 0 or op == "const" or op == "input" else -1
+                     for bank, code, op in zip(banks, codes, ops)]
+        read_bank.append(-1)
+        read_a = [read_bank[a] for a in a_col]
+        read_b = [read_bank[b] for b in b_col]
+        del read_bank
+    else:
+        read_a = read_b = None
     # Write-back slots taken are keyed ``cycle * bank_span + bank``, so an op
     # issued at ``cycle`` claims ``cycle * bank_span + wb_offset[vid]`` (only
     # enforced without the FIFO).
     bank_span = max(banks, default=0) + 1
     enforce_wb = not hw.has_writeback_fifo
     wb_offset = [lat * bank_span + bank for lat, bank in zip(latency, banks)] if enforce_wb else None
-    # Dependency counts and consumer lists, restricted to scheduled (compute) ops.
+    # Dependency counts and the consumers of every value, restricted to
+    # scheduled (compute) ops, as one CSR: value v's consumers are
+    # ``consumers[first[v]:first[v + 1]]``, in ascending id.  ``first`` is
+    # built as the running fanout total and filled back to front, so each
+    # entry ends where its value's row starts.
+    scheduled = [code >= 0 for code in codes]
+    scheduled.append(False)            # an absent operand
     deps = [0] * n
-    consumers: list = [[] for _ in range(n)]
-    for vid, code in enumerate(codes):
-        if code < 0:
-            continue
+    fanout = [0] * (n + 1)
+    for vid in compress(range(n), scheduled):
         a, b = a_col[vid], b_col[vid]
-        if a >= 0 and codes[a] >= 0:
+        if scheduled[a]:
             deps[vid] = 1
-            consumers[a].append(vid)
-        if b >= 0 and b != a and codes[b] >= 0:
+            fanout[a] += 1
+        if scheduled[b] and b != a:
             deps[vid] += 1
-            consumers[b].append(vid)
+            fanout[b] += 1
+    first = list(accumulate(fanout))
+    del fanout
+    consumers = [0] * first[-1]
+    for vid in reversed(list(compress(range(n), deps))):
+        a, b = a_col[vid], b_col[vid]
+        if scheduled[b] and b != a:
+            first[b] -= 1
+            consumers[first[b]] = vid
+        if scheduled[a]:
+            first[a] -= 1
+            consumers[first[a]] = vid
+    del scheduled
 
     # earliest[vid]: the cycle at which every operand has been written back.
     earliest = [0] * n
@@ -187,10 +224,10 @@ def affinity_schedule(
     short_ready: deque = deque()
     inv_queued = 0
 
-    issue_cycle = [-1] * n
-    bundles: list = []
+    order: list = []
+    bundle_sizes: list = []
     writeback_busy: set = set()
-    issue_width, read_ports = hw.issue_width, hw.bank_read_ports
+    prune_size = 0
     unit_limit = [hw.units_of_kind(unit) for unit in UNITS]
     long_limit, inv_limit = unit_limit[_LONG], unit_limit[_INV]
 
@@ -221,7 +258,6 @@ def affinity_schedule(
             cycle = min(ready_at)
             continue
 
-        bundle: list = []
         free_slots = issue_width
         units_used = [0, 0, 0]
         reads_per_bank: dict = {}
@@ -235,7 +271,7 @@ def affinity_schedule(
                 code = codes[vid]
                 # An empty bundle has every unit and both read ports of every
                 # bank free, so only a later candidate can be refused by them.
-                if bundle:
+                if free_slots < issue_width:
                     if units_used[code] >= unit_limit[code]:
                         refused.append(vid)
                         continue
@@ -257,12 +293,12 @@ def affinity_schedule(
                         continue
                     writeback_busy.add(wb_key)
                 # Issue it, and hand its consumers their write-back cycle.
-                bundle.append(vid)
-                issue_cycle[vid] = cycle
+                order.append(vid)
                 finish = cycle + latency[vid]
                 if finish > last_finish:
                     last_finish = finish
-                for consumer in consumers[vid]:
+                for index in range(first[vid], first[vid + 1]):
+                    consumer = consumers[index]
                     deps[consumer] -= 1
                     if finish > earliest[consumer]:
                         earliest[consumer] = finish
@@ -300,12 +336,14 @@ def affinity_schedule(
             if not free_slots:
                 break
 
-        if bundle:
-            bundles.append(bundle)
-            remaining -= len(bundle)
+        if free_slots < issue_width:
+            bundle_sizes.append(issue_width - free_slots)
+            remaining -= issue_width - free_slots
+            if len(writeback_busy) > prune_size:
+                writeback_busy, prune_size = prune_slots(writeback_busy, wb_base)
         cycle = next_cycle
 
     return ScheduledProgram(
-        module=module, hw=hw, banks=banks, bundles=bundles, issue_cycle=issue_cycle,
+        module=module, hw=hw, banks=banks, order=order, bundle_sizes=bundle_sizes,
         planned_cycles=last_finish, affinity_beta=beta if use_affinity else 0.0,
     )

@@ -55,7 +55,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.compiler.bankalloc import rebank_for_instance
-from repro.compiler.schedule import UNITS, ScheduledProgram, unit_columns
+from repro.compiler.schedule import UNITS, ScheduledProgram, prune_slots, unit_columns
 from repro.config import positive_int
 from repro.errors import SimulationError
 from repro.hw.model import HardwareModel
@@ -359,9 +359,9 @@ def _simulate_stream(
     phases: dict = {}
     instance_phases: dict = {}
 
-    # Flatten the scheduled issue order, then split it per core while
-    # preserving relative order (each core stays in-order).
-    order = schedule.flat_order()
+    # Split the scheduled issue order per core while preserving relative
+    # order (each core stays in-order).
+    order = schedule.order
     lane_costs: dict = {}
     for vid in order:
         lane = lane_col[vid]
@@ -403,6 +403,7 @@ def _simulate_stream(
     ready *= depth
     # Write-back slots taken, keyed ``(cycle * bank_span + bank) * n_cores + core``.
     writeback_busy = set()
+    prune_size = 0
     bank_span = max(max(banks, default=0) + 1, hw.n_banks)   # rotated banks stay < n_banks
     events: list | None = [[] for _ in range(n_cores)] if collect_events else None
 
@@ -494,6 +495,8 @@ def _simulate_stream(
                 structural_stalls += 1
             heads[core] = head
             remaining -= slots
+        if len(writeback_busy) > prune_size:
+            writeback_busy, prune_size = prune_slots(writeback_busy, cycle * bank_span * n_cores)
         if issued_this_cycle:
             cycle += 1
         elif next_wakeups and len(next_wakeups) == stall_events:
@@ -546,16 +549,20 @@ class CycleAccurateSimulator:
         ready = [0] * (len(module) + 1)
         # Write-back slots taken, keyed ``cycle * bank_span + bank``.
         writeback_busy = set()
+        prune_size = 0
         bank_span = max(banks, default=0) + 1
 
         cycle = 0
-        issued = 0
         data_stalls = 0
         writeback_stalls = 0
         structural_stalls = 0
         last_finish = 0
 
-        for bundle in schedule.bundles:
+        order = schedule.order
+        end = 0
+        for size in schedule.bundle_sizes:
+            start, end = end, end + size
+            bundle = order[start:end]
             # All ops of a VLIW bundle issue together; the bundle waits for the
             # slowest constraint of any of its slots.
             while True:
@@ -582,7 +589,10 @@ class CycleAccurateSimulator:
                     trace_codes.append(BUBBLE)
                 cycle += 1
 
-            writeback_busy.update(wb_targets)
+            if wb_targets:
+                writeback_busy.update(wb_targets)
+                if len(writeback_busy) > prune_size:
+                    writeback_busy, prune_size = prune_slots(writeback_busy, cycle * bank_span)
             for vid in bundle:
                 finish = ready[vid] = cycle + latency[vid]
                 if finish > last_finish:
@@ -596,7 +606,6 @@ class CycleAccurateSimulator:
                         entry[0] += 1
                         if finish > entry[2]:
                             entry[2] = finish
-            issued += len(bundle)
             if trace_codes is not None:
                 trace_codes.append(max((trace_of_unit[codes[vid]] for vid in bundle),
                                        default=BUBBLE))
@@ -608,14 +617,14 @@ class CycleAccurateSimulator:
         phase_stats = _phase_summary(phases)
         # The first issue cycle is read back off the first value's write-back
         # (``ready = issue + latency``); the loop above pays nothing for it.
-        first = next((vid for bundle in schedule.bundles for vid in bundle), None)
+        first = order[0] if order else None
         return CycleStats(
             total_cycles=total_cycles,
             data_stalls=data_stalls,
             writeback_stalls=writeback_stalls,
             structural_stalls=structural_stalls,
             per_core_cycles=[total_cycles],
-            per_core_instructions=[issued],
+            per_core_instructions=[len(order)],
             instance_cycles=[total_cycles],
             instance_start_cycles=[0 if first is None else ready[first] - latency[first]],
             phase_stats=phase_stats,

@@ -104,9 +104,12 @@ def _chain_module(length=6):
 
 def test_schedule_contains_every_instruction(compiled_toy_bn):
     schedule = compiled_toy_bn.schedule
-    scheduled = [vid for bundle in schedule.bundles for vid in bundle]
-    assert len(scheduled) == len(set(scheduled)) == compiled_toy_bn.final_instructions
-    assert all(len(bundle) <= schedule.hw.issue_width for bundle in schedule.bundles)
+    assert len(schedule.order) == len(set(schedule.order)) == compiled_toy_bn.final_instructions
+    assert sum(schedule.bundle_sizes) == len(schedule.order)
+    assert all(0 < size <= schedule.hw.issue_width for size in schedule.bundle_sizes)
+    # ``bundles`` is the order cut by the sizes, built on each read.
+    assert [len(bundle) for bundle in schedule.bundles] == schedule.bundle_sizes
+    assert [vid for bundle in schedule.bundles for vid in bundle] == schedule.order
 
 
 def test_scheduler_respects_dependencies():
@@ -158,8 +161,7 @@ def test_unit_classification_rejects_unknown_ops():
 def test_vliw_schedule_packs_multiple_ops(toy_bn):
     vliw = figure10_models(toy_bn.params.p.bit_length())[-1]
     result = compile_pairing(toy_bn, hw=vliw, do_assemble=False)
-    widths = [len(bundle) for bundle in result.schedule.bundles]
-    assert max(widths) > 1
+    assert max(result.schedule.bundle_sizes) > 1
     assert result.ipc > 1.0
 
 
@@ -175,7 +177,8 @@ def test_vliw_bundle_pairs_an_inv_with_a_long_op():
     module.emit("output", (inverse,), attr="inverse")
     hw = figure10_models(64)[2]          # L8-S2-lin2: two issue slots
     banks = [0, 1, 0, 1, 0, 1]
-    assert affinity_schedule(module, hw, banks).bundles == [[product, inverse]]
+    schedule = affinity_schedule(module, hw, banks)
+    assert (schedule.order, schedule.bundle_sizes) == ([product, inverse], [2])
 
 
 def test_program_order_schedule_matches_instruction_count(compiled_toy_bn):

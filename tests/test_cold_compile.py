@@ -17,6 +17,8 @@ is checked against block for block.
 """
 
 import gc
+import tracemalloc
+import zlib
 
 import pytest
 from test_golden_outputs import _kernel_digest_tool     # tools/kernel_digest.py, loaded once
@@ -390,3 +392,30 @@ def test_pool_workers_resume_collecting_after_their_compiles(toy_bn):
         assert explorer.last_report.parallel
         probes = [explorer._pool.submit(gc.isenabled) for _ in range(8)]
         assert all(probe.result(timeout=30) for probe in probes)
+
+
+# ---------------------------------------------------------------------------
+# The footprint: no per-op object survives a stage that does not need it
+# ---------------------------------------------------------------------------
+
+#: The TOY-BN42 default-model kernel: bytes of its pickled bulk (schedule and
+#: program) and the traced peak of one compile from empty caches.  With one
+#: list per bundle, a planned issue cycle per value, a consumer list per value
+#: and a tuple per GVN key they read 979 703 bytes and 18.7 MB.
+BULK_BYTES = 817_477
+PEAK_BYTES = 10_850_000
+
+
+def test_a_compile_keeps_no_object_per_op(toy_bn):
+    compile_pairing(toy_bn)              # imports and per-curve set-up, outside the trace
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = compile_pairing(toy_bn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bulk = len(zlib.decompress(result.bulk.packed()))
+    assert bulk <= BULK_BYTES * 1.02
+    assert peak <= PEAK_BYTES * 1.15

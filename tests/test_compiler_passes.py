@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.compiler.opt import (
     OptStats,
+    _key,
     constant_folding,
     dead_code_elimination,
     global_value_numbering,
@@ -88,6 +89,25 @@ def test_gvn_merges_duplicates():
     assert merged.op_histogram()["mul"] == 1
     outputs = interpret_low_level(merged, P, {"x": 3, "y": 7})
     assert outputs["out"] == 42
+
+
+def test_gvn_keys_are_equal_exactly_for_equal_rows():
+    """A row without an attribute is keyed by one packed int: no two rows that
+    differ share it, also at the edges of its fields (an absent operand, the
+    largest packable ``a``, one past it, a ``b`` of any size), and a row with
+    an attribute keeps its tuple."""
+    edge = (1 << 32) - 2
+    ids = (-1, 0, 1, 5, edge, edge + 1, 1 << 40)
+    rows = [(op, a, b, None) for op in ("add", "sub", "mul", "neg", "dbl", "cvt", "adj")
+            for a in ids for b in ids]
+    rows += [("muli", a, -1, k) for a in ids for k in (None, 2, 3)]
+    seen: dict = {}
+    for op, a, b, attr in rows:
+        row = (op, min(a, b), max(a, b), attr) if op in ("add", "mul") else (op, a, b, attr)
+        assert seen.setdefault(_key(op, a, b, attr, P), row) == row
+    assert type(_key("add", 3, edge, None, P)) is int
+    assert type(_key("add", edge + 1, edge + 2, None, P)) is tuple
+    assert _key("muli", 3, -1, 5, P) == ("muli", 3, -1, 5)
 
 
 def test_dce_removes_unused():
