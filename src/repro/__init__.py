@@ -43,9 +43,10 @@ Pairing (software golden path)
 
 Compiler
     ``KernelSpec`` -- the one validated description of a kernel to compile
-    (hardware model, variant config, batch size, accumulator / final-exp
-    mode, ``do_assemble``); every entry point below folds its keywords into
-    one, and ``compile_kernel(curve, spec)`` is where they meet.
+    (knobs: ``hw``, ``variant_config``, ``n_pairs`` -- the batch size,
+    ``split_accumulators``, ``final_exp_mode``, ``do_assemble``); every
+    entry point below folds its keywords into one, and
+    ``compile_kernel(curve, spec)`` is where they meet.
     ``compile_pairing(curve, hw=None, variant_config=None, **knobs)`` --
     compile the single-pairing accelerator kernel (cached by full semantic
     configuration).

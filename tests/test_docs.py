@@ -80,6 +80,17 @@ def test_readme_kernel_spec_knob_list_matches_the_dataclass():
     assert re.findall(r"`(\w+)`", listed) == [field.name for field in dataclasses.fields(KernelSpec)]
 
 
+def test_package_docstring_kernel_spec_knob_list_matches_the_dataclass():
+    import dataclasses
+    import re
+
+    import repro
+    from repro.compiler.pipeline import KernelSpec
+
+    listed = re.search(r"``KernelSpec`` -- [^(]*\(knobs: ([^)]*)\)", repro.__doc__).group(1)
+    assert re.findall(r"``(\w+)``", listed) == [field.name for field in dataclasses.fields(KernelSpec)]
+
+
 def test_evaluate_design_point_docstring_lists_the_eval_spec_defaults():
     """The docstring's ``name=default`` list is ``EvalSpec``'s fields, in
     order, each with its default."""
