@@ -342,8 +342,8 @@ def optimize(module: IRModule, p: int) -> tuple:
             visit(vid, *row, renumber)
             touched[vid] = canon[vid] != vid or row != (ops[vid], a_col[vid], b_col[vid], attrs[vid])
 
-    # Compaction reads the columns only: drop the GVN tables and the per-row
-    # state first, so optimize's peak stays below the four passes'.
+    # Compaction reads the columns only: free the GVN tables and the per-row
+    # state before it builds the new columns.
     for state in (table, changed, value, const, alias, canon):
         state.clear()
     order = sorted(range(len(ops)), key=position) if anchor else order
