@@ -559,10 +559,15 @@ class CycleAccurateSimulator:
         last_finish = 0
 
         order = schedule.order
-        end = 0
+        one = [0]                       # every bundle of one op is this list
+        start = 0
         for size in schedule.bundle_sizes:
-            start, end = end, end + size
-            bundle = order[start:end]
+            if size == 1:
+                one[0] = order[start]
+                bundle = one
+            else:
+                bundle = order[start:start + size]
+            start += size
             # All ops of a VLIW bundle issue together; the bundle waits for the
             # slowest constraint of any of its slots.
             while True:
