@@ -268,6 +268,22 @@ def test_planned_cycles_equal_bundle_walk(toy_bn, hw_name):
     assert hashlib.sha256(pinned).hexdigest() == SCHEDULE_DIGESTS[hw_name]
 
 
+@pytest.mark.parametrize("hw_name", ["paper-default", "HW2", "L8-S2-lin1"])
+def test_one_core_stream_walk_is_the_bundle_walk_on_single_issue_models(toy_bn, hw_name):
+    # With one core and one issue slot the stream engine degenerates to the
+    # bundle walk: same cycles, same stalls (L8-S2-lin1 retires short ops two
+    # cycles after issue, so a write-back slot is live for only a few cycles).
+    width = toy_bn.params.p.bit_length()
+    models = [default_model(width), paper_hw2(width)] + figure10_models(width)
+    hw = next(model for model in models if model.name == hw_name)
+    schedule = compile_pairing(toy_bn, hw=hw).schedule
+    bundle_walk = CycleAccurateSimulator().run(schedule)
+    stream_walk = CycleAccurateSimulator().run_multicore(schedule, 1)
+    assert [stats.total_cycles for stats in (bundle_walk, stream_walk)] == [schedule.planned_cycles] * 2
+    assert (stream_walk.data_stalls, stream_walk.writeback_stalls, stream_walk.structural_stalls) == (
+        bundle_walk.data_stalls, bundle_walk.writeback_stalls, bundle_walk.structural_stalls)
+
+
 def test_cycle_sim_dependent_latency():
     module = IRModule(level="low")
     x = module.emit("input", (), attr="x")
