@@ -73,6 +73,8 @@ def prune_slots(busy: set, floor: int) -> tuple:
 
     A walk claims slots at or above its current cycle's ``floor`` only, so the
     ones below are dead; pruning when the set doubles keeps the work linear.
+    Walks start from a size of 0: the first prune, of a near-empty set, sets
+    the pace.
     """
     busy = {key for key in busy if key >= floor}
     return busy, max(_PRUNE_SIZE, 2 * len(busy))
