@@ -36,7 +36,9 @@ import random
 
 import pytest
 
-from repro.compiler.pipeline import compile_multi_pairing, compile_pairing
+from repro.compiler.bankalloc import allocate_banks
+from repro.compiler.pipeline import compile_multi_pairing, compile_pairing, stage_modules
+from repro.compiler.schedule import program_order_schedule
 from repro.curves.catalog import get_curve
 from repro.dse.space import named_variant_configs
 from repro.hw.presets import default_model, figure10_models
@@ -210,6 +212,16 @@ ISSUE_TRACE_DIGESTS = {
     "L8-S2-lin4": "bf29d95250cb64308e0d1cc8d5e91d44005126d2dffac0af3030bd58c9c110a6",
 }
 
+#: sha256 over ``describe()``, the ``record_trace=True`` issue-trace codes and
+#: the ``instance_start_cycles`` of the bundle walk over the unscheduled
+#: baseline: the lowered module in program order, one op per bundle (Table 7's
+#: "IPC init"; TOY-BN42, all-karatsuba).  Both models stall on data only, so
+#: the two walks agree.
+BASELINE_WALK_DIGESTS = {
+    "default": "42c584b955078a897b94eb3e41fe06f18f6fb97b75c7d8c2cc91d24a1fbf0a7a",
+    "HW2": "42c584b955078a897b94eb3e41fe06f18f6fb97b75c7d8c2cc91d24a1fbf0a7a",
+}
+
 
 def _toy_bn_preset(name):
     curve = get_curve("TOY-BN42")
@@ -232,6 +244,18 @@ def test_toy_bn_issue_trace_is_unchanged(hw_name):
     stats = CycleAccurateSimulator(record_trace=True).run(schedule)
     digest = hashlib.sha256(repr([stats.trace.codes, stats.instance_start_cycles]).encode())
     assert digest.hexdigest() == ISSUE_TRACE_DIGESTS[hw_name]
+
+
+@pytest.mark.parametrize("hw_name", sorted(BASELINE_WALK_DIGESTS))
+def test_toy_bn_baseline_walk_is_unchanged(hw_name):
+    curve, hw = _toy_bn_preset(hw_name)
+    lowered = stage_modules(curve, hw=hw,
+                            variant_config=named_variant_configs()["all-karatsuba"])[1]
+    schedule = program_order_schedule(lowered, hw, allocate_banks(lowered, hw))
+    stats = CycleAccurateSimulator(record_trace=True).run(schedule)
+    digest = hashlib.sha256(repr([stats.describe(), stats.trace.codes,
+                                  stats.instance_start_cycles]).encode())
+    assert digest.hexdigest() == BASELINE_WALK_DIGESTS[hw_name]
 
 
 def test_bls12_381_kernel_model_is_unchanged():
