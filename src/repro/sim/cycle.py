@@ -53,6 +53,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import eq
 
 from repro.compiler.bankalloc import rebank_for_instance
 from repro.compiler.schedule import UNITS, ScheduledProgram, prune_slots, unit_columns
@@ -535,14 +537,25 @@ class CycleAccurateSimulator:
         self.record_trace = record_trace
 
     def run(self, schedule: ScheduledProgram) -> CycleStats:
-        hw = self.hw or schedule.hw
+        """Walk the schedule bundle by bundle: a bundle issues, all its ops
+        together, at the first cycle every operand has been written back and,
+        without the FIFO, its result's write-back slot is free.
+
+        The model is validated first, and a bundle wider than ``issue_width``
+        or needing more units of a kind than the model has raises
+        :class:`~repro.errors.SimulationError`: no bundle can then stall on a
+        unit.  A validated model without the FIFO issues one op per cycle, so
+        only a one-op bundle can stall on write-back; every other stall is a
+        data stall, waited out in one step.
+        """
+        hw = (self.hw or schedule.hw).validate()
         module = schedule.module
         banks = schedule.banks
         a_col, b_col, phase_col = module.a, module.b, module.phases
         codes, latency, unit_limit, enforce_wb = _issue_constraints(module, hw)
+        issue_width = hw.issue_width
         trace_codes = [] if self.record_trace else None
         trace_of_unit = [{"long": LONG, "short": SHORT, "inv": INV}[unit] for unit in UNITS]
-        phases: dict = {}
 
         # ready[vid]: cycle the result is available (0 = preloaded); the
         # trailing slot is where an absent operand (-1) lands.
@@ -555,79 +568,82 @@ class CycleAccurateSimulator:
         cycle = 0
         data_stalls = 0
         writeback_stalls = 0
-        structural_stalls = 0
-        last_finish = 0
 
         order = schedule.order
-        one = [0]                       # every bundle of one op is this list
         start = 0
         for size in schedule.bundle_sizes:
             if size == 1:
-                one[0] = order[start]
-                bundle = one
+                vid = order[start]
+                start += 1
+                ready_a, ready_b = ready[a_col[vid]], ready[b_col[vid]]
+                wait = (ready_a if ready_a > ready_b else ready_b) - cycle
+                if wait > 0:
+                    data_stalls += wait
+                    if trace_codes is not None:
+                        trace_codes += [BUBBLE] * wait
+                    cycle += wait
+                finish = cycle + latency[vid]
+                if enforce_wb:
+                    key = finish * bank_span + banks[vid]
+                    while key in writeback_busy:
+                        writeback_stalls += 1
+                        if trace_codes is not None:
+                            trace_codes.append(BUBBLE)
+                        cycle += 1
+                        finish += 1
+                        key += bank_span
+                    writeback_busy.add(key)
+                    if len(writeback_busy) > prune_size:
+                        writeback_busy, prune_size = prune_slots(writeback_busy, cycle * bank_span)
+                ready[vid] = finish
+                if trace_codes is not None:
+                    trace_codes.append(trace_of_unit[codes[vid]])
             else:
                 bundle = order[start:start + size]
-            start += size
-            # All ops of a VLIW bundle issue together; the bundle waits for the
-            # slowest constraint of any of its slots.
-            while True:
+                start += size
                 units_used = [0, 0, 0]
-                wb_targets = []
                 for vid in bundle:
-                    code = codes[vid]
-                    if units_used[code] >= unit_limit[code]:
-                        structural_stalls += 1
-                        break
-                    units_used[code] += 1
-                    if ready[a_col[vid]] > cycle or ready[b_col[vid]] > cycle:
-                        data_stalls += 1
-                        break
-                    if enforce_wb:
-                        key = (cycle + latency[vid]) * bank_span + banks[vid]
-                        if key in writeback_busy or key in wb_targets:
-                            writeback_stalls += 1
-                            break
-                        wb_targets.append(key)
-                else:
-                    break
+                    units_used[codes[vid]] += 1
+                if size > issue_width or any(map(int.__gt__, units_used, unit_limit)):
+                    raise SimulationError(
+                        f"bundle of value ids {bundle} at cycle {cycle} needs {size} issue "
+                        f"slots and {dict(zip(UNITS, units_used))} units; model {hw.name!r} "
+                        f"has {issue_width} and {dict(zip(UNITS, unit_limit))}")
+                # A multi-issue model has the FIFO: the bundle waits for its
+                # last operand only.
+                wait = max(max(ready[a_col[vid]], ready[b_col[vid]]) for vid in bundle) - cycle
+                if wait > 0:
+                    data_stalls += wait
+                    if trace_codes is not None:
+                        trace_codes += [BUBBLE] * wait
+                    cycle += wait
+                for vid in bundle:
+                    ready[vid] = cycle + latency[vid]
                 if trace_codes is not None:
-                    trace_codes.append(BUBBLE)
-                cycle += 1
-
-            if wb_targets:
-                writeback_busy.update(wb_targets)
-                if len(writeback_busy) > prune_size:
-                    writeback_busy, prune_size = prune_slots(writeback_busy, cycle * bank_span)
-            for vid in bundle:
-                finish = ready[vid] = cycle + latency[vid]
-                if finish > last_finish:
-                    last_finish = finish
-                phase = phase_col[vid]
-                if phase is not None:
-                    entry = phases.get(phase)
-                    if entry is None:
-                        phases[phase] = [1, cycle, finish]
-                    else:
-                        entry[0] += 1
-                        if finish > entry[2]:
-                            entry[2] = finish
-            if trace_codes is not None:
-                trace_codes.append(max((trace_of_unit[codes[vid]] for vid in bundle),
-                                       default=BUBBLE))
+                    trace_codes.append(max(trace_of_unit[codes[vid]] for vid in bundle))
             cycle += 1
 
+        # Everything else is read back off ``ready[vid] = issue + latency``
+        # (0 for a value that never issues), so the loop above pays nothing
+        # for it.  Cycles never decrease along the order: a phase's first
+        # value in it issued first.
+        total_cycles = max(cycle, max(ready))
+        phase_of = list(map(phase_col.__getitem__, order))
+        spans = {}
+        for phase in dict.fromkeys(phase_of):
+            if phase is not None:
+                ids = list(compress(order, map(eq, phase_of, repeat(phase))))
+                spans[phase] = (len(ids), ready[ids[0]] - latency[ids[0]],
+                                max(map(ready.__getitem__, ids)))
+        phase_stats = _phase_summary(spans)
+        first = order[0] if order else None
         # One core, one instance: the per-core and per-instance columns carry
         # the totals, and the instance's phase spans are the phase spans.
-        total_cycles = max(cycle, last_finish)
-        phase_stats = _phase_summary(phases)
-        # The first issue cycle is read back off the first value's write-back
-        # (``ready = issue + latency``); the loop above pays nothing for it.
-        first = order[0] if order else None
         return CycleStats(
             total_cycles=total_cycles,
             data_stalls=data_stalls,
             writeback_stalls=writeback_stalls,
-            structural_stalls=structural_stalls,
+            structural_stalls=0,
             per_core_cycles=[total_cycles],
             per_core_instructions=[len(order)],
             instance_cycles=[total_cycles],

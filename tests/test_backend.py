@@ -1,14 +1,21 @@
 """Backend: bank allocation, scheduling, register allocation, assembly, simulators."""
 
 import hashlib
+import time
+from dataclasses import replace
 
 import pytest
 
 from repro.compiler.bankalloc import allocate_banks
 from repro.compiler.pipeline import compile_pairing
 from repro.compiler.regalloc import allocate_registers
-from repro.compiler.schedule import affinity_schedule, program_order_schedule, unit_of
-from repro.errors import HardwareModelError, ISAError
+from repro.compiler.schedule import (
+    ScheduledProgram,
+    affinity_schedule,
+    program_order_schedule,
+    unit_of,
+)
+from repro.errors import HardwareModelError, ISAError, SimulationError
 from repro.hw.model import HardwareModel
 from repro.hw.presets import default_model, figure10_models, figure11_models, paper_hw1, paper_hw2
 from repro.ir.module import IRModule
@@ -301,3 +308,40 @@ def test_cycle_sim_dependent_latency():
     histogram = stats.trace.histogram()
     assert histogram["long"] == 1 and histogram["short"] == 1
     assert stats.describe()["cycles"] == stats.total_cycles
+
+
+def _bundled(module, hw, bundle):
+    banks = [0] * len(module)
+    return ScheduledProgram(module=module, hw=hw, banks=banks, order=list(bundle),
+                            bundle_sizes=[len(bundle)], planned_cycles=0, affinity_beta=0.0)
+
+
+def test_bundle_walk_refuses_a_bundle_its_model_cannot_issue(toy_bn):
+    # L8-S2-lin2 packs two ops into one bundle; the default model has one issue
+    # slot and one linear unit.  The walk used to retry such a bundle forever.
+    width = toy_bn.params.p.bit_length()
+    schedule = compile_pairing(toy_bn, hw=figure10_models(width)[2]).schedule
+    assert max(schedule.bundle_sizes) == 2
+    started = time.perf_counter()
+    with pytest.raises(SimulationError, match="paper-default"):
+        CycleAccurateSimulator(hw=default_model(width)).run(schedule)
+    assert time.perf_counter() - started < 1.0
+
+    module = IRModule(level="low")
+    x = module.emit("input", (), attr="x")
+    product = module.emit("mul", (x, x))
+    total = module.emit("add", (x, x))
+    double = module.emit("dbl", (x,))
+    # [long, short] is wider than a single-issue model ...
+    with pytest.raises(SimulationError, match="2 issue slots"):
+        CycleAccurateSimulator().run(_bundled(module, default_model(64), [product, total]))
+    # ... and [short, short] needs two linear units of a 2-issue model with one.
+    two_issue = HardwareModel(name="2-issue-lin1", issue_width=2, n_banks=2,
+                              has_writeback_fifo=True)
+    with pytest.raises(SimulationError, match="2-issue-lin1"):
+        CycleAccurateSimulator().run(_bundled(module, two_issue, [total, double]))
+    assert CycleAccurateSimulator().run(_bundled(module, two_issue, [product, total])).total_cycles == 38
+    # The model itself is validated first: a VLIW model needs the FIFO.
+    with pytest.raises(HardwareModelError):
+        CycleAccurateSimulator(hw=replace(two_issue, has_writeback_fifo=False)).run(
+            _bundled(module, two_issue, [product]))
