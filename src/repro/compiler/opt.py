@@ -41,6 +41,9 @@ _ID_BITS = 32
 _ID_LIMIT = (1 << _ID_BITS) - 1
 _OP_TAG = {op: code << _ID_BITS | 1 for code, op in enumerate(sorted(HIGH_LEVEL_OPS | LOW_LEVEL_OPS))}
 _KEY_SHIFT = _ID_BITS + len(_OP_TAG).bit_length()
+#: Ops iteration 1 always visits: a constant folds, ``muli`` reduces by its
+#: attribute, and inputs and outputs are never value-numbered.
+_VISITED = frozenset(("const", "muli", "input", "output"))
 
 
 @dataclass
@@ -309,8 +312,22 @@ def optimize(module: IRModule, p: int) -> tuple:
 
     stats = OptStats(initial=module.compute_ops)
     table: dict = {}
+    setdefault = table.setdefault
     for vid, (op, a, b, attr) in enumerate(zip(module.ops, module.a, module.b, module.attrs)):
-        visit(vid, op, a, b, attr, table.setdefault)
+        # Most rows neither fold nor reduce: they are value-numbered here.
+        # ``canon[v]`` is ``canon[alias[v]]`` and a constant's canon is a
+        # constant, so a row whose canonical operands differ and are not
+        # constants has nothing for ``visit`` to fold, reduce or seed.
+        x, y = canon[a], canon[b]
+        if x == y or const[x] is not None or const[y] is not None or op in _VISITED:
+            visit(vid, op, a, b, attr, setdefault)
+            continue
+        hit = setdefault(_key(op, x, y, attr, p), vid)
+        if hit != vid:
+            _merge(canon, lanes, phases, hit, vid)
+            removed[2] += 1
+        else:
+            a_col[vid], b_col[vid] = x, y
     order = sorted(range(len(ops)), key=position) if anchor else range(n)
     live = _live(module, order, a_col, b_col)
     count = _tally(stats, 1, module, module.compute_ops, removed, list(compress(ops, live)))
