@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, repeat
 
 from repro.errors import CompilerError
 from repro.hw.model import HardwareModel
@@ -89,9 +89,9 @@ def unit_columns(module: IRModule, hw: HardwareModel) -> tuple:
     The scheduler and every simulator walk index these instead of classifying
     the op again at each visit.
     """
-    codes = [_CODE_OF_OP.get(op, -1) for op in module.ops]
+    codes = list(map(_CODE_OF_OP.get, module.ops, repeat(-1)))
     latency_of = [hw.latency_of_unit(unit) for unit in UNITS] + [0]
-    return codes, [latency_of[code] for code in codes]
+    return codes, list(map(latency_of.__getitem__, codes))
 
 
 @dataclass
@@ -227,7 +227,8 @@ def affinity_schedule(
     inv_queued = 0
 
     order: list = []
-    bundle_sizes: list = []
+    bundle_sizes: list = []            # a single-issue model's are all 1: built at the end
+    refused: list = []                 # the ops a queue's scan refused, this cycle
     writeback_busy: set = set()
     prune_size = 0
     unit_limit = [hw.units_of_kind(unit) for unit in UNITS]
@@ -261,13 +262,10 @@ def affinity_schedule(
             continue
 
         free_slots = issue_width
-        units_used = [0, 0, 0]
-        reads_per_bank: dict = {}
         wb_base = cycle * bank_span
         next_cycle = cycle + 1
 
         for queue in orders[cycle % period]:
-            refused: list = []
             while queue:
                 vid = queue.popleft()
                 code = codes[vid]
@@ -299,8 +297,7 @@ def affinity_schedule(
                 finish = cycle + latency[vid]
                 if finish > last_finish:
                     last_finish = finish
-                for index in range(first[vid], first[vid + 1]):
-                    consumer = consumers[index]
+                for consumer in consumers[first[vid]:first[vid + 1]]:
                     deps[consumer] -= 1
                     if finish > earliest[consumer]:
                         earliest[consumer] = finish
@@ -316,6 +313,9 @@ def affinity_schedule(
                 if not free_slots:
                     break
                 # Account what the next candidate of this bundle competes for.
+                if free_slots == issue_width - 1:
+                    units_used = [0, 0, 0]
+                    reads_per_bank: dict = {}
                 units_used[code] += 1
                 bank_a, bank_b = read_a[vid], read_b[vid]
                 if bank_a >= 0:
@@ -335,16 +335,20 @@ def affinity_schedule(
                     queue.extendleft(reversed(refused))
                 else:
                     queue.extend(refused)
+                refused.clear()
             if not free_slots:
                 break
 
         if free_slots < issue_width:
-            bundle_sizes.append(issue_width - free_slots)
+            if issue_width > 1:
+                bundle_sizes.append(issue_width - free_slots)
             remaining -= issue_width - free_slots
             if len(writeback_busy) > prune_size:
                 writeback_busy, prune_size = prune_slots(writeback_busy, wb_base)
         cycle = next_cycle
 
+    if issue_width == 1:
+        bundle_sizes = [1] * len(order)
     return ScheduledProgram(
         module=module, hw=hw, banks=banks, order=order, bundle_sizes=bundle_sizes,
         planned_cycles=last_finish, affinity_beta=beta if use_affinity else 0.0,
