@@ -312,7 +312,8 @@ def affinity_schedule(
                 free_slots -= 1
                 if not free_slots:
                     break
-                # Account what the next candidate of this bundle competes for.
+                # Account what the next candidate of this bundle competes for,
+                # from its first op on (a single-issue bundle is full by now).
                 if free_slots == issue_width - 1:
                     units_used = [0, 0, 0]
                     reads_per_bank: dict = {}

@@ -300,8 +300,9 @@ def _phase_summary(entries: dict) -> dict:
     """Per-phase ``[count, first_issue, last_finish]`` accumulators as the
     :attr:`CycleStats.phase_stats` / ``instance_phase_spans`` records.
 
-    The walks fill the accumulators inline: their cycle never decreases, so
-    the first issue recorded for a key is its earliest.
+    The stream walk fills the accumulators inline and the bundle walk reads
+    them back off its ``ready`` column: a walk's cycle never decreases, so the
+    first issue recorded for a key is its earliest.
     """
     return {
         key: {
