@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/ledger_counts.py OUT_DIR [--baseline PATH]
+    python tools/ledger_counts.py OUT_DIR
 
 Reads every ``ledger-*.json`` record ``benchmarks/ledger/run.py --out OUT_DIR``
 wrote and compares each workload's ``counts`` (modelled cycles and imem bits,
@@ -48,9 +48,8 @@ def differences(record: dict, baseline: dict) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir")
-    parser.add_argument("--baseline", default=str(BASELINE))
     args = parser.parse_args(argv)
-    baseline = load_records(args.baseline)[0]
+    baseline = load_records(BASELINE)[0]
     paths = sorted(glob.glob(os.path.join(args.out_dir, "ledger-*.json")))
     if not paths:
         print(f"ledger_counts: no ledger-*.json record in {args.out_dir}")
