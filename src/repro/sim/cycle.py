@@ -577,14 +577,31 @@ class CycleAccurateSimulator:
                 vid = order[start]
                 start += 1
                 ready_a, ready_b = ready[a_col[vid]], ready[b_col[vid]]
-                wait = (ready_a if ready_a > ready_b else ready_b) - cycle
-                if wait > 0:
-                    data_stalls += wait
-                    if trace_codes is not None:
-                        trace_codes += [BUBBLE] * wait
-                    cycle += wait
+                operands_ready = ready_a if ready_a > ready_b else ready_b
+            else:
+                bundle = order[start:start + size]
+                start += size
+                units_used = [0, 0, 0]
+                for vid in bundle:
+                    units_used[codes[vid]] += 1
+                if size > issue_width or any(map(int.__gt__, units_used, unit_limit)):
+                    raise SimulationError(
+                        f"bundle of value ids {bundle} at cycle {cycle} needs {size} issue "
+                        f"slots and {dict(zip(UNITS, units_used))} units; model {hw.name!r} "
+                        f"has {issue_width} and {dict(zip(UNITS, unit_limit))}")
+                operands_ready = max(max(ready[a_col[vid]], ready[b_col[vid]]) for vid in bundle)
+            # The bundle waits for its last operand in one step.
+            wait = operands_ready - cycle
+            if wait > 0:
+                data_stalls += wait
+                if trace_codes is not None:
+                    trace_codes += [BUBBLE] * wait
+                cycle += wait
+            if size == 1:
                 finish = cycle + latency[vid]
                 if enforce_wb:
+                    # Without the FIFO a bundle is one op: it steps over the
+                    # taken write-back slots of its bank.
                     key = finish * bank_span + banks[vid]
                     while key in writeback_busy:
                         writeback_stalls += 1
@@ -600,24 +617,6 @@ class CycleAccurateSimulator:
                 if trace_codes is not None:
                     trace_codes.append(trace_of_unit[codes[vid]])
             else:
-                bundle = order[start:start + size]
-                start += size
-                units_used = [0, 0, 0]
-                for vid in bundle:
-                    units_used[codes[vid]] += 1
-                if size > issue_width or any(map(int.__gt__, units_used, unit_limit)):
-                    raise SimulationError(
-                        f"bundle of value ids {bundle} at cycle {cycle} needs {size} issue "
-                        f"slots and {dict(zip(UNITS, units_used))} units; model {hw.name!r} "
-                        f"has {issue_width} and {dict(zip(UNITS, unit_limit))}")
-                # A multi-issue model has the FIFO: the bundle waits for its
-                # last operand only.
-                wait = max(max(ready[a_col[vid]], ready[b_col[vid]]) for vid in bundle) - cycle
-                if wait > 0:
-                    data_stalls += wait
-                    if trace_codes is not None:
-                        trace_codes += [BUBBLE] * wait
-                    cycle += wait
                 for vid in bundle:
                     ready[vid] = cycle + latency[vid]
                 if trace_codes is not None:
