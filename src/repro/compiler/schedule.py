@@ -227,7 +227,7 @@ def affinity_schedule(
     inv_queued = 0
 
     order: list = []
-    bundle_sizes: list = []            # a single-issue model's are all 1: built at the end
+    bundle_sizes: list = []
     refused: list = []                 # the ops a queue's scan refused, this cycle
     writeback_busy: set = set()
     prune_size = 0
@@ -341,15 +341,12 @@ def affinity_schedule(
                 break
 
         if free_slots < issue_width:
-            if issue_width > 1:
-                bundle_sizes.append(issue_width - free_slots)
+            bundle_sizes.append(issue_width - free_slots)
             remaining -= issue_width - free_slots
             if len(writeback_busy) > prune_size:
                 writeback_busy, prune_size = prune_slots(writeback_busy, wb_base)
         cycle = next_cycle
 
-    if issue_width == 1:
-        bundle_sizes = [1] * len(order)
     return ScheduledProgram(
         module=module, hw=hw, banks=banks, order=order, bundle_sizes=bundle_sizes,
         planned_cycles=last_finish, affinity_beta=beta if use_affinity else 0.0,
