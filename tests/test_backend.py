@@ -1,10 +1,10 @@
 """Backend: bank allocation, scheduling, register allocation, assembly, simulators."""
 
 import hashlib
-import time
 from dataclasses import replace
 
 import pytest
+from schedule_checker import check_walk_stats
 
 from repro.compiler.bankalloc import allocate_banks
 from repro.compiler.pipeline import compile_pairing
@@ -268,7 +268,10 @@ def test_planned_cycles_equal_bundle_walk(toy_bn, hw_name):
     models = [default_model(width), paper_hw1(width), paper_hw2(width)] + figure10_models(width)
     hw = next(model for model in models if model.name == hw_name)
     schedule = compile_pairing(toy_bn, hw=hw).schedule
-    assert schedule.planned_cycles == CycleAccurateSimulator().run(schedule).total_cycles
+    stats = CycleAccurateSimulator(record_trace=True).run(schedule)
+    assert schedule.planned_cycles == stats.total_cycles
+    # The independent checker (``tests/schedule_checker.py``) accepts the walk.
+    assert check_walk_stats(schedule, stats) == []
     order = [vid for bundle in schedule.bundles for vid in bundle]
     sizes = [len(bundle) for bundle in schedule.bundles]
     pinned = repr((order, sizes, schedule.planned_cycles)).encode()
@@ -322,10 +325,8 @@ def test_bundle_walk_refuses_a_bundle_its_model_cannot_issue(toy_bn):
     width = toy_bn.params.p.bit_length()
     schedule = compile_pairing(toy_bn, hw=figure10_models(width)[2]).schedule
     assert max(schedule.bundle_sizes) == 2
-    started = time.perf_counter()
     with pytest.raises(SimulationError, match="paper-default"):
         CycleAccurateSimulator(hw=default_model(width)).run(schedule)
-    assert time.perf_counter() - started < 1.0
 
     module = IRModule(level="low")
     x = module.emit("input", (), attr="x")

@@ -35,6 +35,7 @@ import os
 import random
 
 import pytest
+from schedule_checker import check_walk_stats
 
 from repro.compiler.bankalloc import allocate_banks
 from repro.compiler.pipeline import compile_multi_pairing, compile_pairing, stage_modules
@@ -163,6 +164,13 @@ KERNEL_DIGESTS = {
 }
 
 
+def _assert_walk_is_legal(schedule):
+    """The independent checker (``tests/schedule_checker.py``) accepts the
+    traced bundle walk of a pinned kernel's schedule."""
+    stats = CycleAccurateSimulator(record_trace=True).run(schedule)
+    assert check_walk_stats(schedule, stats) == []
+
+
 @pytest.mark.parametrize("variants", sorted(named_variant_configs()))
 @pytest.mark.parametrize("hw_index", range(3))
 def test_toy_bn_kernel_binaries_are_unchanged(variants, hw_index):
@@ -171,6 +179,7 @@ def test_toy_bn_kernel_binaries_are_unchanged(variants, hw_index):
     result = compile_pairing(curve, hw=hw, variant_config=named_variant_configs()[variants],
                              use_cache=False)
     assert kernel_digest(result) == KERNEL_DIGESTS[f"{variants}/{hw.name}"]
+    _assert_walk_is_legal(result.schedule)
 
 
 @pytest.mark.parametrize("accumulators, depth", [("shared", 2), ("split", 1)])
@@ -180,18 +189,21 @@ def test_toy_bn_batch4_kernel_binaries_are_unchanged(accumulators, depth):
     result = compile_multi_pairing(curve, 4, hw=hw, use_cache=False,
                                    split_accumulators=accumulators == "split")
     assert kernel_digest(result, depth=depth) == KERNEL_DIGESTS[f"batch4/{accumulators}/depth{depth}"]
+    _assert_walk_is_legal(result.schedule)
 
 
 @pytest.mark.parametrize("mode", FINAL_EXP_MODES)
 def test_toy_bls12_kernel_binaries_are_unchanged(mode):
     result = compile_pairing(get_curve("TOY-BLS12-54"), use_cache=False, final_exp_mode=mode)
     assert kernel_digest(result) == KERNEL_DIGESTS[f"bls12-54/{mode}"]
+    _assert_walk_is_legal(result.schedule)
 
 
 def test_toy_bls24_schoolbook_kernel_binary_is_unchanged():
     result = compile_pairing(get_curve("TOY-BLS24-79"), use_cache=False,
                              variant_config=named_variant_configs()["all-schoolbook"])
     assert kernel_digest(result) == KERNEL_DIGESTS["bls24-79/all-schoolbook"]
+    _assert_walk_is_legal(result.schedule)
 
 
 #: Single-pairing kernels whose scheduling paths no ``KERNEL_DIGESTS`` entry
@@ -256,6 +268,7 @@ def test_toy_bn_baseline_walk_is_unchanged(hw_name):
     digest = hashlib.sha256(repr([stats.describe(), stats.trace.codes,
                                   stats.instance_start_cycles]).encode())
     assert digest.hexdigest() == BASELINE_WALK_DIGESTS[hw_name]
+    assert check_walk_stats(schedule, stats) == []
 
 
 def test_bls12_381_kernel_model_is_unchanged():
@@ -265,3 +278,4 @@ def test_bls12_381_kernel_model_is_unchanged():
     result = compile_pairing(curve, use_cache=False)
     assert (result.cycles, result.imem_bits) == (122139, 3692320)
     assert kernel_digest(result) == KERNEL_DIGESTS["BLS12-381"]
+    _assert_walk_is_legal(result.schedule)

@@ -1,18 +1,19 @@
-"""The bundle walk of every pinned schedule passes the independent legality
-checker (``tests/schedule_checker.py``), and the checker catches a broken one."""
+"""The independent legality checker (``tests/schedule_checker.py``) catches
+a broken bundle walk.
+
+It accepts every pinned walk: the tests that pin one run it on that walk
+(every ``KERNEL_DIGESTS`` kernel and the program-order baselines in
+``test_golden_outputs.py``, the TOY-BN42 schedules on the eight
+``SCHEDULE_DIGESTS`` presets in ``test_backend.py``).
+"""
 
 from dataclasses import replace
 
-import pytest
 from schedule_checker import check_bundle_walk, check_walk_stats
 
-from repro.compiler.bankalloc import allocate_banks
-from repro.compiler.pipeline import compile_multi_pairing, compile_pairing, stage_modules
-from repro.compiler.schedule import program_order_schedule
+from repro.compiler.pipeline import compile_pairing
 from repro.curves.catalog import get_curve
-from repro.dse.space import named_variant_configs
-from repro.hw.presets import default_model, figure10_models, paper_hw1, paper_hw2
-from repro.pairing.final_exp import FINAL_EXP_MODES
+from repro.hw.presets import default_model, paper_hw1, paper_hw2
 from repro.sim.cycle import CycleAccurateSimulator
 
 
@@ -20,70 +21,10 @@ def _walk(schedule, hw=None):
     return CycleAccurateSimulator(hw=hw, record_trace=True).run(schedule)
 
 
-def _toy_bn_models():
-    width = get_curve("TOY-BN42").params.p.bit_length()
-    return [default_model(width), paper_hw1(width), paper_hw2(width)] + figure10_models(width)
-
-
-def _kernel_schedule(config):
-    """The schedule of one ``KERNEL_DIGESTS`` configuration."""
-    if config.startswith("batch4/"):
-        curve = get_curve("TOY-BN42")
-        hw = default_model(curve.params.p.bit_length()).with_cores(2)
-        return compile_multi_pairing(curve, 4, hw=hw,
-                                     split_accumulators=config.startswith("batch4/split")).schedule
-    if config.startswith("bls12-54/"):
-        return compile_pairing(get_curve("TOY-BLS12-54"),
-                               final_exp_mode=config.split("/")[1]).schedule
-    if config == "bls24-79/all-schoolbook":
-        return compile_pairing(get_curve("TOY-BLS24-79"),
-                               variant_config=named_variant_configs()["all-schoolbook"]).schedule
-    variants, hw_name = config.split("/")
-    curve = get_curve("TOY-BN42")
-    hw = next(model for model in _toy_bn_models() if model.name == hw_name)
-    return compile_pairing(curve, hw=hw, variant_config=named_variant_configs()[variants]).schedule
-
-
-_TOY_KERNELS = (
-    [f"{variants}/{model.name}" for variants in sorted(named_variant_configs())
-     for model in figure10_models()[:3]]
-    + ["batch4/shared/depth2", "batch4/split/depth1"]
-    + [f"bls12-54/{mode}" for mode in FINAL_EXP_MODES]
-    + ["bls24-79/all-schoolbook"]
-)
-
-
-@pytest.mark.parametrize("config", _TOY_KERNELS)
-def test_every_pinned_kernel_schedule_is_legal(config):
-    schedule = _kernel_schedule(config)
-    assert check_walk_stats(schedule, _walk(schedule)) == []
-
-
-@pytest.mark.slow
-def test_bls12_381_schedule_is_legal():
-    schedule = compile_pairing(get_curve("BLS12-381")).schedule
-    assert check_walk_stats(schedule, _walk(schedule)) == []
-
-
-@pytest.mark.parametrize("hw_name", [model.name for model in _toy_bn_models()])
-def test_toy_bn_schedule_is_legal_on_every_preset(hw_name):
-    hw = next(model for model in _toy_bn_models() if model.name == hw_name)
-    schedule = compile_pairing(get_curve("TOY-BN42"), hw=hw).schedule
-    assert check_walk_stats(schedule, _walk(schedule)) == []
-
-
-@pytest.mark.parametrize("hw_name", ["paper-default", "HW2"])
-def test_program_order_baseline_is_legal(hw_name):
-    curve = get_curve("TOY-BN42")
-    hw = next(model for model in _toy_bn_models() if model.name == hw_name)
-    lowered = stage_modules(curve, hw=hw, variant_config=named_variant_configs()["all-karatsuba"])[1]
-    schedule = program_order_schedule(lowered, hw, allocate_banks(lowered, hw))
-    assert check_walk_stats(schedule, _walk(schedule)) == []
-
-
 def test_checker_catches_broken_walks():
     curve = get_curve("TOY-BN42")
-    hw1, hw2 = _toy_bn_models()[1:3]
+    width = curve.params.p.bit_length()
+    hw1, hw2 = paper_hw1(width), paper_hw2(width)
     schedule = compile_pairing(curve, hw=hw1).schedule
     stats = _walk(schedule)
     # A multiplier one cycle slower than the one the walk ran: reads come early.
