@@ -11,7 +11,8 @@ twice to see the effect::
 
 CI uses the second invocation with ``--assert-warm`` at one and at two
 workers (``FINESSE_DSE_WORKERS``), which fails unless the sweep was fully
-served from the store (``disk_hits > 0``, zero recompilations, and every
+served from the store (``disk_hits > 0``, zero recompilations, no
+``corrupt`` entry or write ``errors`` in the store's counters, and every
 distinct point answered from a cache tier by the parent:
 ``cached_points == distinct_points``) -- the warm-path guarantee this
 repository advertises, at any worker count.
@@ -67,7 +68,8 @@ def main() -> int:
 
     stats = compile_cache_stats()
     recompilations = report.cache_stats.get("result", {}).get("misses", 0)
-    disk_hits = report.cache_stats.get("disk", {}).get("hits", 0)
+    disk = report.cache_stats.get("disk", {})
+    disk_hits, corrupt, errors = (disk.get(name, 0) for name in ("hits", "corrupt", "errors"))
     store = active_store()
     if store is not None:
         print(f"store: {len(store)} artefacts, {store.total_bytes() / 1024:.0f} KiB "
@@ -75,11 +77,12 @@ def main() -> int:
     print(f"this sweep: {recompilations} recompilation(s), {disk_hits} disk hit(s)")
 
     if assert_warm:
-        if (recompilations != 0 or disk_hits == 0
+        if (recompilations != 0 or disk_hits == 0 or corrupt or errors
                 or report.cached_points != report.distinct_points):
             print("FAIL: expected a warm sweep (zero recompilations, disk_hits > 0, "
-                  "every distinct point cached); got "
-                  f"{recompilations} recompilation(s), {disk_hits} disk hit(s) and "
+                  "no corrupt entry or store error, every distinct point cached); got "
+                  f"{recompilations} recompilation(s), {disk_hits} disk hit(s), "
+                  f"disk corrupt={corrupt} errors={errors} and "
                   f"{report.cached_points} of {report.distinct_points} points cached",
                   file=sys.stderr)
             return 1

@@ -32,10 +32,11 @@ the payload: ``<head length, four bytes big-endian> <head> <bulk>``.  The
 the value's :class:`Deferred` part (a value may carry one); the *bulk* is that
 part's own compressed pickle, empty for a plain value.
 :meth:`ArtifactStore.load` verifies the one digest over both sections and
-unpickles the head only: the bulk's verified bytes wait inside the value's
-``Deferred`` for their first reader (a
-:class:`~repro.compiler.pipeline.CompileResult` defers its schedule and
-program, all but ~1 kB of a ~1 MB entry).  Truncation and bit-rot in either
+unpickles the head only: the bulk waits inside the value's ``Deferred`` for
+its first reader as a ``memoryview`` of the verified file bytes, so a load
+copies none of them (a :class:`~repro.compiler.pipeline.CompileResult` defers
+its schedule and program, all but ~1 kB of a ~1 MB entry); pickled, a
+``Deferred`` sends that view as ``bytes``.  Truncation and bit-rot in either
 section are thus load-time *misses* (the entry is dropped and rewritten), never
 crashes or late failures; the embedded key defends against renamed or misplaced
 files.  The pickled classes need no version of their own: the fingerprint
@@ -70,7 +71,7 @@ import time
 import zlib
 from pathlib import Path
 
-from repro.config import CACHE_DIR_ENV, MAX_BYTES_ENV, env_int, env_str
+from repro.config import CACHE_DIR_ENV, MAX_BYTES_ENV, env_int, env_str, positive_int
 from repro.obs import Counters
 from repro.reliability import faults as _faults
 
@@ -122,13 +123,18 @@ def code_fingerprint() -> str:
 class Deferred:
     """The part of a stored value (one at most) that is unpickled on first use.
 
-    A loaded one holds the entry's verified compressed bytes until :meth:`get`;
-    copies of the value share it, and so its one materialisation.  Pickled
-    anywhere else it travels in the state it is in.
+    A loaded one holds a view of the entry's verified compressed bytes, which
+    keeps the file's one buffer alive, until :meth:`get`; copies of the value
+    share it, and so its one materialisation.  Pickled anywhere else it
+    travels in the state it is in, a view as ``bytes``.
     """
 
-    def __init__(self, value, packed: bytes | None = None):
+    def __init__(self, value, packed: bytes | memoryview | None = None):
         self._value, self._packed = value, packed
+
+    def __getstate__(self):
+        packed = None if self._packed is None else bytes(self._packed)
+        return {"_value": self._value, "_packed": packed}
 
     @property
     def materialised(self) -> bool:
@@ -140,8 +146,8 @@ class Deferred:
             self._packed = None
         return self._value
 
-    def packed(self) -> bytes:
-        """The bulk section: a loaded entry's own bytes until first use."""
+    def packed(self) -> bytes | memoryview:
+        """The bulk section: a view of a loaded entry's bytes until first use."""
         if self._packed is not None:
             return self._packed
         return zlib.compress(pickle.dumps(self._value, _PICKLE_PROTOCOL), _ZLIB_LEVEL)
@@ -179,7 +185,7 @@ class ArtifactStore:
         self.root = Path(root).expanduser()
         self.namespace = self.root / f"v{SCHEMA_VERSION}-{code_fingerprint()[:12]}"
         self.max_bytes = (env_int(MAX_BYTES_ENV, DEFAULT_MAX_BYTES) if max_bytes is None
-                          else max(1, int(max_bytes)))
+                          else positive_int(max_bytes, "max_bytes"))
         self.stats = store_counters()
         # Running estimate of the root's total size, so stores do not pay a
         # full directory walk each; measured on first use, corrected by gc().
@@ -225,10 +231,11 @@ class ArtifactStore:
     @staticmethod
     def _deserialize(key: str, blob: bytes):
         """Decode one artefact file; raise ``ValueError`` on any inconsistency."""
-        digest, sep, payload = blob.partition(b"\n")
-        if not sep or len(digest) != 64:
+        # Every section is a slice of one view: no step copies the file's bytes.
+        if blob[64:65] != b"\n":
             raise ValueError("malformed artifact header")
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
+        payload = memoryview(blob)[65:]
+        if hashlib.sha256(payload).hexdigest().encode("ascii") != blob[:64]:
             raise ValueError("artifact payload digest mismatch")
         bulk_start = 4 + int.from_bytes(payload[:4], "big")
         unpickler = pickle.Unpickler(io.BytesIO(zlib.decompress(payload[4:bulk_start])))
@@ -322,7 +329,7 @@ class ArtifactStore:
         fingerprints) are reclaimed first; live entries then go in
         least-recently-used order.
         """
-        budget = self.max_bytes if max_bytes is None else max(1, int(max_bytes))
+        budget = self.max_bytes if max_bytes is None else positive_int(max_bytes, "max_bytes")
         self._reclaim_tmp()
 
         def recency(item):

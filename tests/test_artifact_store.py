@@ -184,7 +184,8 @@ def _section_offsets(blob: bytes) -> tuple:
     return start, start + int.from_bytes(blob[start - 4:start], "big")
 
 
-@pytest.mark.parametrize("damage", ["head", "bulk", "truncated", "key", "schema"])
+@pytest.mark.parametrize("damage", ["head", "bulk", "truncated", "key", "schema",
+                                    "short-digest", "shorter-than-digest"])
 def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatch):
     """Never a result whose first ``schedule`` read fails later."""
     store.store(KEY_C, compiled)
@@ -198,6 +199,10 @@ def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatc
         blob[(bulk + len(blob)) // 2] ^= 0x01
     elif damage == "truncated":
         del blob[-1000:]
+    elif damage == "short-digest":              # the first newline on byte 63
+        del blob[0]
+    elif damage == "shorter-than-digest":
+        del blob[40:]
     elif damage == "key":                       # a valid entry under another name
         blob = ArtifactStore._serialize(KEY_A, compiled)
     else:                                       # a valid entry of another format
@@ -227,6 +232,9 @@ def test_unmaterialised_result_is_stored_and_pickled_as_it_is(store, compiled, t
     assert store.store(KEY_A, loaded) and elsewhere.store(KEY_B, loaded)
     copies = [store.load(KEY_A), elsewhere.load(KEY_B), pickle.loads(pickle.dumps(loaded))]
     assert not loaded.bulk.materialised         # written out without being read
+    original = store._path(KEY_C).read_bytes()
+    assert store.store(KEY_C, loaded) and store._path(KEY_C).read_bytes() == original
+    assert type(copies[2].bulk._packed) is bytes    # a view is pickled as bytes
     for copy in copies:
         assert not copy.bulk.materialised
         assert_same_kernel(copy, compiled)
@@ -452,6 +460,18 @@ def test_env_var_activates_store(tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_DIR_ENV)
     reset_store_state()
     assert active_store() is None
+
+
+@pytest.mark.parametrize("max_bytes", [True, 0, -1, 1.5, "10"])
+def test_a_budget_that_is_not_a_positive_int_is_refused(tmp_path, max_bytes):
+    """Never silently clamped to a one-byte budget that evicts everything."""
+    store = ArtifactStore(tmp_path / "cache")
+    with pytest.raises(ValueError, match="max_bytes"):
+        ArtifactStore(tmp_path / "cache", max_bytes=max_bytes)
+    with pytest.raises(ValueError, match="max_bytes"):
+        configure_store(tmp_path / "cache", max_bytes=max_bytes)
+    with pytest.raises(ValueError, match="max_bytes"):
+        store.gc(max_bytes=max_bytes)
 
 
 def test_configure_store_overrides_env(tmp_path, monkeypatch):
