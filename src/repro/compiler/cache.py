@@ -84,10 +84,9 @@ class CompileCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self, reset_stats: bool = True) -> None:
+    def clear(self) -> None:
         self._entries.clear()
-        if reset_stats:
-            self.stats.reset()
+        self.stats.reset()
 
     def describe(self) -> dict:
         summary = self.stats.snapshot()

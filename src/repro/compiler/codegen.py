@@ -90,7 +90,7 @@ class _TracedPair(LivePair):
 
 
 def _trace_kernel(curve, name: str, meta: dict, pair_lanes: list, groups: int | None,
-                  use_naf: bool, include_final_exp: bool, final_exp_mode: str):
+                  use_naf: bool, final_exp_mode: str):
     """Trace the one Miller walk over ``pair_lanes`` -- ``(input tag, lane)`` per
     pair -- and the final exponentiation: every kernel shape is this function.
     ``groups`` runs one walk per accumulator group instead of one over all."""
@@ -106,15 +106,14 @@ def _trace_kernel(curve, name: str, meta: dict, pair_lanes: list, groups: int | 
             # the cross-group merge stays on the shared lane.
             f = split_batched_miller_loop(ctx, sources, groups, use_naf=use_naf,
                                           group_scope=builder.lane)
-    if include_final_exp:
-        with builder.phase("final_exp"):
-            f = final_exponentiation(ctx, f, mode=final_exp_mode)
+    with builder.phase("final_exp"):
+        f = final_exponentiation(ctx, f, mode=final_exp_mode)
     builder.output(f, "result")
     return builder.module
 
 
-def generate_pairing_ir(curve, use_naf: bool = True, include_final_exp: bool = True,
-                        name: str | None = None, final_exp_mode: str = "generic"):
+def generate_pairing_ir(curve, use_naf: bool = True, name: str | None = None,
+                        final_exp_mode: str = "generic"):
     """Trace the full pairing kernel for ``curve`` into a high-level IR module.
 
     The inputs of the module are the affine coordinates of P (two F_p values) and
@@ -129,7 +128,7 @@ def generate_pairing_ir(curve, use_naf: bool = True, include_final_exp: bool = T
     validate_final_exp_mode(final_exp_mode)
     suffix = "" if final_exp_mode == "generic" else f"-fe-{final_exp_mode}"
     return _trace_kernel(curve, name or f"pairing-{curve.name}{suffix}", {}, [("", None)],
-                         None, use_naf, include_final_exp, final_exp_mode)
+                         None, use_naf, final_exp_mode)
 
 
 def validate_batch_size(n_pairs) -> int:
@@ -138,7 +137,6 @@ def validate_batch_size(n_pairs) -> int:
 
 
 def generate_multi_pairing_ir(curve, n_pairs: int, use_naf: bool = True,
-                              include_final_exp: bool = True,
                               name: str | None = None,
                               accumulator_groups: int | None = None,
                               final_exp_mode: str = "generic"):
@@ -191,4 +189,4 @@ def generate_multi_pairing_ir(curve, n_pairs: int, use_naf: bool = True,
                       for group, members in enumerate(partition_into_groups(range(n_pairs), groups))
                       for i in members]
     return _trace_kernel(curve, name or f"multi-pairing-{curve.name}-x{n_pairs}{suffix}", meta,
-                         pair_lanes, groups, use_naf, include_final_exp, final_exp_mode)
+                         pair_lanes, groups, use_naf, final_exp_mode)

@@ -63,7 +63,7 @@ class CurveFamily:
     #: Loop parameter of the Miller loop as a function of u ("6u+2" for BN, "u" for BLS).
     miller_loop_scalar: Callable[[int], int]
 
-    def instantiate(self, u: int, validate: bool = True) -> FamilyParams:
+    def instantiate(self, u: int) -> FamilyParams:
         if not self.seed_constraint(u):
             raise CurveError(f"seed {u} violates the {self.name} family constraint")
         p = self.p_poly(u)
@@ -72,8 +72,7 @@ class CurveFamily:
         if p <= 3 or r <= 3:
             raise CurveError("seed is too small")
         params = FamilyParams(family=self.name, u=u, p=p, r=r, t=t, k=self.k)
-        if validate:
-            params.validate()
+        params.validate()
         return params
 
     def is_valid_seed(self, u: int) -> bool:
@@ -186,7 +185,3 @@ def get_family(name: str) -> CurveFamily:
         return _FAMILIES[name.upper()]
     except KeyError as exc:
         raise CurveError(f"unknown curve family {name!r}") from exc
-
-
-def list_families() -> list:
-    return sorted(_FAMILIES)

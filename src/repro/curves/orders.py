@@ -55,8 +55,3 @@ def sextic_twist_orders(p: int, t: int, n: int) -> tuple:
     if (tn + 3 * yn) % 2 != 0:
         raise CurveError("twist trace is not an integer")
     return first, second
-
-
-def quadratic_twist_order(p: int, t: int, n: int = 1) -> int:
-    """Order of the quadratic twist of E over F_{p^n}."""
-    return p**n + 1 + frobenius_trace(t, p, n)

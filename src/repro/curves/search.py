@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.curves.families import CurveFamily, FamilyParams
+from repro.curves.families import CurveFamily
 from repro.errors import CurveError
 
 
@@ -94,14 +94,3 @@ def find_seed(
         f"no valid {family.name} seed of {seed_bits} bits found within "
         f"{max_candidates} candidates"
     )
-
-
-def find_params(
-    family: CurveFamily,
-    seed_bits: int,
-    target_p_bits: int | None = None,
-    max_terms: int = 4,
-) -> FamilyParams:
-    """Convenience wrapper returning validated :class:`FamilyParams`."""
-    candidate = find_seed(family, seed_bits, target_p_bits=target_p_bits, max_terms=max_terms)
-    return family.instantiate(candidate.u)

@@ -38,14 +38,13 @@ Knobs
     evaluation cannot be preempted.
 evaluation knobs
     Every other keyword (``n_cores``, ``technology``, ``do_assemble``,
-    ``batch_size``, ``split_accumulators``, ``final_exp_mode``,
-    ``service_profile``) is a field of
+    ``batch_size``, ``service_profile``) is a field of
     :class:`repro.dse.spec.EvalSpec`, documented on
     :func:`repro.dse.explorer.evaluate_design_point`; the explorer folds them
-    into one validated spec at construction -- a bad batch size or policy
-    raises there, not halfway through a sharded sweep inside a worker -- and
-    ships that spec verbatim to every worker, so sharded sweeps score
-    identically to in-process ones.
+    into one validated spec at construction -- a bad batch size or an
+    unknown keyword raises there, not halfway through a sharded sweep inside
+    a worker -- and ships that spec verbatim to every worker, so sharded
+    sweeps score identically to in-process ones.
 
 Caching
 -------

@@ -16,7 +16,9 @@ from repro.dse.spec import EvalSpec
 from repro.hw.area import estimate_area
 from repro.hw.power import estimate_power
 from repro.hw.timing import frequency_mhz
-from repro.pairing.final_exp import FINAL_EXP_MODES
+
+#: The hard-part kernel every design point is scored on.
+FINAL_EXP_MODE = "cyclotomic"
 
 
 @dataclass(frozen=True)
@@ -29,12 +31,10 @@ class DesignMetrics:
     ``cycles_per_pairing`` the amortised per-pairing cost the ranking cares
     about.  ``accumulator_mode`` records which batched kernel scored the
     point: ``"shared"`` (one fused chain) or ``"split"`` (one chain per core,
-    merged before the final exponentiation); under the default ``"auto"``
-    policy it is whichever of the two simulated to fewer cycles for this
-    design point.  ``final_exp_mode`` records the hard-part backend of the
-    scoring kernel the same way ("generic" | "cyclotomic" | "compressed");
-    under its ``"auto"`` policy it is the mode that simulated to the fewest
-    cycles.
+    merged before the final exponentiation): on more than one core it is
+    whichever of the two simulated to fewer cycles for this design point.
+    ``final_exp_mode`` records the hard-part backend of the scoring kernel,
+    always ``"cyclotomic"``.
     """
 
     label: str
@@ -106,7 +106,7 @@ class KernelNotCached(LookupError):
 
 
 def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
-                    accumulator: str, fe_mode: str, fetch):
+                    accumulator: str, fetch):
     """The one place a design point meets the compiler: the single-pairing
     kernel when ``n_pairs`` is ``None``, else the ``n_pairs``-wide batched
     kernel on the spec's core count.  ``fetch`` is ``compile_kernel``, or
@@ -115,7 +115,7 @@ def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
     kernel = fetch(curve, KernelSpec(
         hw=point.hw if n_pairs is None else point.hw.with_cores(spec.n_cores),
         variant_config=point.variant_config, n_pairs=n_pairs,
-        split_accumulators=accumulator == "split", final_exp_mode=fe_mode,
+        split_accumulators=accumulator == "split", final_exp_mode=FINAL_EXP_MODE,
         do_assemble=spec.do_assemble,
     ))
     if kernel is None:
@@ -124,13 +124,13 @@ def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
 
 
 def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
-                           fe_mode, fetch) -> dict:
+                           fetch) -> dict:
     """End-to-end service figures of one design under a traffic profile.
 
     The design point's batched kernel is compiled at one-request and
     full-batch width (``pairs_per_request`` and
-    ``pairs_per_request * max_batch`` fused pairs) with the accumulator and
-    final-exp modes that scored the point; intermediate batch sizes use the
+    ``pairs_per_request * max_batch`` fused pairs) with the accumulator mode
+    that scored the point; intermediate batch sizes use the
     affine interpolation between the two -- batched-kernel cycles are a fixed
     final-exponentiation tail plus a per-pair slope, so the two-point model
     is faithful and costs two (cached) compilations per point.  The kernel
@@ -148,7 +148,7 @@ def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
     def batch_cycles(n_requests: int) -> float:
         return float(_compile_kernel(
             curve, point, spec, profile.pairs_per_request * n_requests,
-            accumulator, fe_mode, fetch,
+            accumulator, fetch,
         ).cycles)
 
     one = batch_cycles(1)
@@ -187,19 +187,15 @@ def evaluate_design_point(curve, point: DesignPoint, **knobs) -> DesignMetrics:
     multi-core simulation, and throughput counts pairings (not batches) per
     second -- the ranking sweeps care about batched-verify throughput.
 
-    ``split_accumulators`` selects the batched kernel's accumulator mode:
-    ``"shared"`` (one fused chain, the PR-3 kernel), ``"split"`` (one chain
-    per core) or ``"auto"`` (the default): compile both and score the point on
-    whichever simulates to fewer cycles, so the co-design sweep itself
-    discovers where the extra squaring chains pay for the removed
-    serialisation.  The chosen mode is recorded in
-    :attr:`DesignMetrics.accumulator_mode`.
+    A batched point on more than one core compiles both accumulator modes,
+    ``"shared"`` (one fused chain) and ``"split"`` (one chain per core), and
+    is scored on whichever simulates to fewer cycles, so the co-design sweep
+    itself discovers where the extra squaring chains pay for the removed
+    serialisation; on one core only the shared kernel is compiled.  The
+    chosen mode is recorded in :attr:`DesignMetrics.accumulator_mode`.
 
-    ``final_exp_mode`` selects the hard-part backend the same way:
-    ``"generic"``, ``"cyclotomic"`` (the default -- the optimized kernel the
-    co-design loop should rank against) or ``"compressed"`` force one kernel;
-    ``"auto"`` compiles all three and scores the point on the fastest, with
-    the winner recorded in :attr:`DesignMetrics.final_exp_mode`.
+    Every kernel runs the ``"cyclotomic"`` final exponentiation, the
+    optimized hard part the co-design loop ranks against.
 
     ``service_profile`` (a :class:`repro.service.simulate.ServiceProfile`)
     additionally scores the point as a *serving deployment*: the design's
@@ -217,8 +213,7 @@ def evaluate_design_point(curve, point: DesignPoint, **knobs) -> DesignMetrics:
 
     ``knobs`` are the fields of :class:`repro.dse.spec.EvalSpec`, with its
     defaults: ``n_cores=1``, ``technology=TECH_40NM``, ``do_assemble=True``,
-    ``batch_size=None``, ``split_accumulators="auto"``,
-    ``final_exp_mode="cyclotomic"``, ``service_profile=None``.  Degenerate
+    ``batch_size=None``, ``service_profile=None``.  Degenerate
     inputs fail loudly at entry: a non-positive or non-integral
     ``batch_size`` or ``n_cores`` raises ``ValueError`` instead of compiling
     a nonsense kernel or reporting a nonsense throughput.
@@ -233,21 +228,14 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
     ``fetch``: see :func:`_compile_kernel`)."""
     freq = frequency_mhz(point.hw.word_width, point.hw.long_latency, spec.technology)
     batch = spec.batch_size
-    # Every (accumulator x final-exp) kernel variant the policies admit;
-    # deterministic tie-breaks: fewest cycles first, then the simpler shared
-    # kernel, then the declaration order of FINAL_EXP_MODES.
+    # Deterministic tie-break: fewest cycles first, then the simpler shared kernel.
     variants = {
-        (accumulator, fe_mode): _compile_kernel(curve, point, spec, batch,
-                                                accumulator, fe_mode, fetch)
-        for fe_mode in spec.final_exp_modes
+        accumulator: _compile_kernel(curve, point, spec, batch, accumulator, fetch)
         for accumulator in spec.accumulator_modes
     }
-    accumulator, fe_mode = winner = min(
-        variants,
-        key=lambda key: (variants[key].cycles, key[0] != "shared",
-                         FINAL_EXP_MODES.index(key[1])),
-    )
-    result = variants[winner]
+    accumulator = min(variants,
+                      key=lambda mode: (variants[mode].cycles, mode != "shared"))
+    result = variants[accumulator]
     latency_us = result.cycles / freq
     if batch is None:
         throughput = spec.n_cores * 1e6 / latency_us
@@ -276,7 +264,7 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
     service_fields = {}
     if spec.service_profile is not None:
         service_fields = _service_level_metrics(
-            curve, point, spec, freq, accumulator, fe_mode, fetch)
+            curve, point, spec, freq, accumulator, fetch)
     return DesignMetrics(
         label=point.display_label,
         curve=curve.name,
@@ -292,7 +280,7 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
         batch=batch or 1,
         cycles_per_pairing=cycles_per_pairing,
         accumulator_mode=accumulator,
-        final_exp_mode=fe_mode,
+        final_exp_mode=FINAL_EXP_MODE,
         power_mw=power.total_mw,
         energy_per_pairing_uj=energy_uj,
         throughput_per_watt=pairings_per_s / (power.total_mw / 1e3),

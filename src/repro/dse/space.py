@@ -56,11 +56,13 @@ def figure2_variant_configs(k: int = 24) -> dict:
     return configs
 
 
-def variant_combinations(degrees: tuple = (2, 4, 6, 12, 24), include_squarings: bool = True) -> list:
+def variant_combinations(degrees: tuple = (2, 4, 6, 12, 24)) -> list:
     """Exhaustive enumeration of Karatsuba/schoolbook choices per tower level.
 
-    This spans the operator-variant axis of the paper's DSE; the cross product
-    with a list of hardware models gives the full space explored in Figure 10.
+    A schoolbook level uses schoolbook for both its multiplication and its
+    squaring.  This spans the operator-variant axis of the paper's DSE; the
+    cross product with a list of hardware models gives the full space explored
+    in Figure 10.
     """
     choices = ("karatsuba", "schoolbook")
     configs = []
@@ -69,8 +71,7 @@ def variant_combinations(degrees: tuple = (2, 4, 6, 12, 24), include_squarings: 
         for degree, choice in zip(degrees, combo):
             if choice == "schoolbook":
                 config = config.with_override("mul", degree, "schoolbook")
-                if include_squarings:
-                    config = config.with_override("sqr", degree, "schoolbook")
+                config = config.with_override("sqr", degree, "schoolbook")
         config.name = "+".join(
             f"p{degree}:{choice[0]}" for degree, choice in zip(degrees, combo)
         )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.curves.catalog import PAPER_CURVES, get_curve
+from repro.curves.catalog import PAPER_CURVES
 from repro.hw.presets import paper_hw1, paper_hw2
 from repro.hw.timing import frequency_mhz
 
@@ -60,7 +60,3 @@ def fpga_frequency_mhz(word_width: int, long_latency: int = 38) -> float:
 
 def fpga_slices(area_mm2: float) -> int:
     return int(round(area_mm2 * FPGA_SLICES_PER_MM2))
-
-
-def load_curves(names) -> list:
-    return [get_curve(name) for name in names]

@@ -387,7 +387,7 @@ class VariantConfig:
         return config
 
     @classmethod
-    def manual(cls, max_degree: int = 24) -> "VariantConfig":
+    def manual(cls) -> "VariantConfig":
         """The paper's manually-tuned single-issue heuristic.
 
         Karatsuba is disabled on the lowest extension steps (degree 2 and 4) where

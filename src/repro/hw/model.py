@@ -37,14 +37,14 @@ class HardwareModel:
     #: Number of linear ALUs (mlin/madd); the modular multiplier count is fixed to 1.
     n_linear_units: int = 1
     n_mul_units: int = 1
-    #: Register-bank organisation.
+    #: Register-bank organisation.  A bank holds as many registers as the
+    #: kernel's allocation asks for (the area model prices that demand).
     n_banks: int = 1
-    registers_per_bank: int = 512
     bank_read_ports: int = 2
     bank_write_ports: int = 1
-    #: Write-back ring buffer absorbing write-port conflicts (the paper's HW2).
+    #: Write-back ring buffer absorbing write-port conflicts (the paper's HW2);
+    #: it is modelled unbounded.
     has_writeback_fifo: bool = False
-    writeback_fifo_depth: int = 8
     #: Number of replicated cores sharing one instruction memory (SIMT-style).
     n_cores: int = 1
     #: Basic multiplier (DSP/IP) width used by the hierarchical mmul unit.

@@ -25,14 +25,6 @@ class MachineOp:
     operands: int          # number of register sources
     unit: str              # "short", "long", "inv" or "none"
 
-    @property
-    def is_long(self) -> bool:
-        return self.unit == "long"
-
-    @property
-    def is_short(self) -> bool:
-        return self.unit == "short"
-
 
 _MACHINE_OPS = [
     MachineOp("NOP", 0x00, 0, "none"),

@@ -69,10 +69,6 @@ class AssembledProgram:
         """Size of the instruction stream (NOP slots included, as stored in IMem)."""
         return self.bundle_count * self.issue_width * self.encoding.word_bits
 
-    def data_memory_bits(self, word_width: int) -> int:
-        """Size of the register banks in bits for a given field width."""
-        return self.total_registers * word_width
-
     # -- encodings -------------------------------------------------------------------
     def encoded_words(self) -> list:
         """Flat list of encoded instruction words (bundles padded with NOPs)."""

@@ -88,13 +88,6 @@ def _poly_divmod(a: list, b: list) -> tuple:
     return _poly_trim(quotient), remainder
 
 
-def _poly_eval(a: list, x: int):
-    result = Fraction(0)
-    for coeff in reversed(a):
-        result = result * x + coeff
-    return result
-
-
 def cyclotomic_value(k: int, p: int) -> int:
     """Phi_k(p) for the supported embedding degrees."""
     if k == 12:

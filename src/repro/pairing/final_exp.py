@@ -28,7 +28,7 @@ elements, so ``compile_pairing(final_exp_mode=...)`` emits the matching kernel.
 In software, where every squaring run is one n-times kernel call
 (``PairingContext.run_formula_times``), ``"compressed"`` is the fastest and
 the default of ``optimal_ate_pairing`` and ``multi_pairing``; compiled kernels
-keep their own defaults (``KernelSpec`` ``"generic"``, ``EvalSpec``
+keep their own (``KernelSpec`` defaults to ``"generic"``, and the DSE scores
 ``"cyclotomic"``).  ``hard_part`` itself defaults to ``"generic"``.
 """
 

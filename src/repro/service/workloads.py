@@ -25,6 +25,7 @@ import hashlib
 from dataclasses import dataclass
 from random import Random
 
+from repro.config import non_negative_int, number, positive_int
 from repro.errors import ServiceError
 
 
@@ -117,6 +118,20 @@ def build_request_pairs(request, curve, vk_cache) -> list:
 # Synthetic traffic
 # ---------------------------------------------------------------------------
 
+#: Key pairs cycled by :func:`make_bls_requests`.
+BLS_SIGNERS = 4
+
+
+def _forge_every(n, forge_fraction) -> int:
+    """Check the arguments both generators share; returns every how many
+    requests one is forged (0: none)."""
+    non_negative_int(n, "n (requests)", ServiceError)
+    number(forge_fraction, "forge_fraction", ServiceError)
+    if forge_fraction > 1:
+        raise ServiceError(f"forge_fraction must be at most 1, got {forge_fraction!r}")
+    return int(round(1.0 / forge_fraction)) if forge_fraction > 0 else 0
+
+
 def make_groth16_requests(curve, n: int, seed: int = 0, forge_fraction: float = 0.0,
                           n_circuits: int = 2) -> list:
     """``n`` synthetic Groth16 requests with known expected verdicts.
@@ -126,11 +141,15 @@ def make_groth16_requests(curve, n: int, seed: int = 0, forge_fraction: float = 
     ``examples/groth16_verification.py``); every ``1/forge_fraction``-th proof
     is forged by perturbing ``A`` and must verify ``False``.  ``n_circuits``
     distinct verifying keys are cycled so the vk cache sees realistic reuse.
+    ``n`` must be an ``int >= 0``, ``forge_fraction`` a number in [0, 1] and
+    ``n_circuits`` an ``int >= 1``; anything else raises ``ServiceError``.
     """
+    forge_every = _forge_every(n, forge_fraction)
+    positive_int(n_circuits, "n_circuits", ServiceError)
     rng = Random(seed)
     g1, g2, r = curve.g1_generator, curve.g2_generator, curve.r
     vks = []
-    for _ in range(max(1, n_circuits)):
+    for _ in range(n_circuits):
         alpha, beta, delta = (rng.randrange(2, r) for _ in range(3))
         vks.append((alpha, beta, delta, Groth16VerifyingKey(
             alpha_g1=g1.scalar_mul(alpha),
@@ -138,7 +157,6 @@ def make_groth16_requests(curve, n: int, seed: int = 0, forge_fraction: float = 
             delta_g2=g2.scalar_mul(delta),
         )))
     requests = []
-    forge_every = int(round(1.0 / forge_fraction)) if forge_fraction > 0 else 0
     for index in range(n):
         alpha, beta, delta, vk = vks[index % len(vks)]
         c = rng.randrange(2, r)
@@ -154,21 +172,22 @@ def make_groth16_requests(curve, n: int, seed: int = 0, forge_fraction: float = 
     return requests
 
 
-def make_bls_requests(curve, n: int, seed: int = 0, forge_fraction: float = 0.0,
-                      n_signers: int = 4) -> list:
+def make_bls_requests(curve, n: int, seed: int = 0, forge_fraction: float = 0.0) -> list:
     """``n`` synthetic BLS requests (``[(request, expected_bool), ...]``).
 
-    ``n_signers`` key pairs are cycled (public keys are the cacheable fixed
-    points); forged entries carry a signature over a different message.
+    :data:`BLS_SIGNERS` key pairs are cycled (public keys are the cacheable
+    fixed points); forged entries carry a signature over a different message.
+    ``n`` and ``forge_fraction`` are checked as for
+    :func:`make_groth16_requests`.
     """
+    forge_every = _forge_every(n, forge_fraction)
     rng = Random(seed)
     g2, r = curve.g2_generator, curve.r
     signers = []
-    for _ in range(max(1, n_signers)):
+    for _ in range(BLS_SIGNERS):
         secret = rng.randrange(2, r)
         signers.append((secret, g2.scalar_mul(secret)))
     requests = []
-    forge_every = int(round(1.0 / forge_fraction)) if forge_fraction > 0 else 0
     for index in range(n):
         secret, public = signers[index % len(signers)]
         message = b"finesse request %d" % index

@@ -95,6 +95,46 @@ def toy_curve(request):
     return get_curve(request.param)
 
 
+#: The twelve curve shapes the pairing code distinguishes -- family x twist
+#: type x sign of u -- and the seed search that reaches each one:
+#: (family, seed bits, prefer a negative seed) -> (twist type, sign of u).
+#: The search returns the first valid seed of that width in its own order, so
+#: each row re-derives one small curve of the shape.
+CURVE_SHAPE_SEARCHES = {
+    ("BN", 6, False): ("M", 1),
+    ("BN", 6, True): ("D", -1),
+    ("BN", 7, False): ("D", 1),
+    ("BN", 7, True): ("M", -1),
+    ("BLS12", 6, False): ("M", 1),
+    ("BLS12", 6, True): ("M", -1),
+    ("BLS12", 8, False): ("D", 1),
+    ("BLS12", 9, True): ("D", -1),
+    ("BLS24", 6, False): ("D", 1),
+    ("BLS24", 6, True): ("D", -1),
+    ("BLS24", 9, False): ("M", 1),
+    ("BLS24", 14, True): ("M", -1),
+}
+
+
+@pytest.fixture(scope="session")
+def curve_shapes():
+    """``{"BN-D-neg": curve, ...}``: one curve of each of the twelve shapes,
+    derived with :func:`repro.curves.search.find_seed` and built like a
+    catalog entry.  Building all twelve takes about a second."""
+    from repro.curves.catalog import CurveSpec, build_curve
+    from repro.curves.families import get_family
+    from repro.curves.search import find_seed
+
+    shapes = {}
+    for (family, bits, negative), (twist, sign) in CURVE_SHAPE_SEARCHES.items():
+        u = find_seed(get_family(family), bits, prefer_negative=negative).u
+        curve = build_curve(CurveSpec(f"SHAPE-{family}-{u}", family, u,
+                                      "derived with repro.curves.search", toy=True))
+        assert (curve.twist_type, 1 if u > 0 else -1) == (twist, sign), curve.name
+        shapes[f"{family}-{twist}-{'pos' if sign > 0 else 'neg'}"] = curve
+    return shapes
+
+
 @pytest.fixture(scope="session")
 def hw1_small(toy_bn):
     return paper_hw1(toy_bn.params.p.bit_length())

@@ -13,9 +13,9 @@ per-cycle trace codes, stall counters and total cycles.  Each bundle's issue
 cycle is rebuilt from the non-bubble trace entries, and every violation found
 is returned as one line (an empty list means the schedule is legal).
 
-Left unchecked until the hardware model decides them: the FIFO depth,
-``registers_per_bank`` and ``bank_write_ports`` beyond one write per bank per
-cycle.
+The write-back FIFO is unbounded and a register bank is sized by demand, so
+neither has a limit to check.  Left unchecked until the hardware model decides
+it: ``bank_write_ports`` beyond one write per bank per cycle.
 """
 
 from __future__ import annotations

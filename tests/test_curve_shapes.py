@@ -1,0 +1,52 @@
+"""The pairing on all twelve curve shapes, in software and compiled.
+
+The twist type (D or M) and the sign of the seed pick different code paths:
+line placement, the conjugation after the Miller loop and the BN Frobenius
+tail.  The catalog toys cover three of the twelve shapes; the ``curve_shapes``
+fixture derives one small curve of every shape with the seed search.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.compiler.pipeline import compile_pairing
+from repro.pairing.ate import optimal_ate_pairing
+from repro.sim.functional import FunctionalSimulator
+
+SHAPES = [f"{family}-{twist}-{sign}" for family in ("BN", "BLS12", "BLS24")
+          for twist in ("D", "M") for sign in ("pos", "neg")]
+
+
+def test_the_search_reaches_every_shape(curve_shapes):
+    assert sorted(curve_shapes) == sorted(SHAPES)
+
+
+def _pairs(curve, seed):
+    rng = random.Random(seed)
+    return rng, curve.random_g1(rng), curve.random_g2(rng)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_pairing_is_bilinear_and_non_degenerate(curve_shapes, shape):
+    curve = curve_shapes[shape]
+    rng, P, Q = _pairs(curve, 61)
+    base = optimal_ate_pairing(curve, P, Q)
+    assert curve.is_valid_gt(base) and base != curve.gt_one()
+    a, b = rng.randrange(2, curve.r), rng.randrange(2, curve.r)
+    assert optimal_ate_pairing(curve, P.scalar_mul(a), Q.scalar_mul(b)) == \
+        base ** (a * b % curve.r)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_compiled_kernel_matches_software(curve_shapes, shape):
+    curve = curve_shapes[shape]
+    _, P, Q = _pairs(curve, 67)
+    inputs = {(name, j): coeff
+              for name, value in (("xP", P.x), ("yP", P.y), ("xQ", Q.x), ("yQ", Q.y))
+              for j, coeff in enumerate(value.to_base_coeffs())}
+    outputs = FunctionalSimulator(compile_pairing(curve).program, curve.p).run(inputs).outputs
+    assert [outputs[("result", j)] for j in range(curve.k)] == \
+        optimal_ate_pairing(curve, P, Q).to_base_coeffs()

@@ -1,11 +1,13 @@
 """EvalSpec: the one validated bundle of evaluation knobs.
 
-The goldens here (compile digests, the metrics of one fully-"auto"
+The goldens here (compile digests, the metrics of one batched two-core
 evaluation) were captured at the commit *before* the knobs were
 folded into ``EvalSpec``; they pin the refactor's invariants: same digests
 (so stores written earlier still serve), same winners and tie-breaks.  The
-all-"auto" metrics were re-recorded when the batched kernels moved onto the
-single kernel's Miller walk (cycles 33 060 -> 33 280, same winners).
+batched metrics were re-recorded when the batched kernels moved onto the
+single kernel's Miller walk (cycles 33 060 -> 33 280, same winners), and kept
+when the final-exp and accumulator policies were retired: the evaluation
+that compiled all six kernels then scores exactly as the two it compiles now.
 """
 
 from __future__ import annotations
@@ -74,34 +76,36 @@ def test_spec_is_a_value():
 def test_spec_defaults_and_normalisation():
     spec = EvalSpec()
     assert [field.name for field in dataclasses.fields(EvalSpec)] == [
-        "n_cores", "technology", "do_assemble", "batch_size",
-        "split_accumulators", "final_exp_mode", "service_profile"]
+        "n_cores", "technology", "do_assemble", "batch_size", "service_profile"]
     assert tuple(getattr(spec, field.name) for field in dataclasses.fields(spec)) == (
-        1, TECH_40NM, True, None, "auto", "cyclotomic", None)
-    # Booleans spell forced accumulator modes -- equal evaluations compare equal.
-    assert EvalSpec(batch_size=2, split_accumulators=True) == \
-        EvalSpec(batch_size=2, split_accumulators="split")
-    assert EvalSpec(split_accumulators=False).split_accumulators == "shared"
-    # What the policies enumerate.
+        1, TECH_40NM, True, None, None)
+    # The kernels a point compiles: both accumulator modes only for a batch
+    # on more than one core.
+    assert EvalSpec().accumulator_modes == ("shared",)
+    assert EvalSpec(n_cores=2).accumulator_modes == ("shared",)
     assert EvalSpec(batch_size=2).accumulator_modes == ("shared",)
     assert EvalSpec(batch_size=2, n_cores=2).accumulator_modes == ("shared", "split")
-    assert EvalSpec(n_cores=2, split_accumulators="split").accumulator_modes == ("shared",)
-    assert EvalSpec(final_exp_mode="auto").final_exp_modes == (
-        "generic", "cyclotomic", "compressed")
-    assert EvalSpec(final_exp_mode="generic").final_exp_modes == ("generic",)
 
 
 REJECTED = [
     {"n_cores": True}, {"n_cores": 1.5}, {"n_cores": 0}, {"n_cores": -1},
     {"batch_size": True}, {"batch_size": 2.5}, {"batch_size": 0}, {"batch_size": -4},
-    {"batch_size": 2, "split_accumulators": "sometimes"},
-    {"split_accumulators": 2},
-    {"final_exp_mode": "sometimes"},
-    {"final_exp_mode": None},
 ]
 
 #: Keywords that are no ``EvalSpec`` field: a ``TypeError`` at every boundary.
-RETIRED = [{"pipeline_depth": 2}, {"pipeline_depth": "auto"}]
+#: The DSE scores every point on the cyclotomic final exponentiation, and
+#: picks the accumulator mode itself.
+RETIRED = [
+    {"pipeline_depth": 2}, {"pipeline_depth": "auto"},
+    {"batch_size": 2, "split_accumulators": "sometimes"},
+    {"split_accumulators": 2},
+    {"split_accumulators": "auto"},
+    {"split_accumulators": True},
+    {"final_exp_mode": "sometimes"},
+    {"final_exp_mode": None},
+    {"final_exp_mode": "cyclotomic"},
+    {"final_exp_mode": "auto"},
+]
 
 
 @pytest.mark.parametrize("knobs", REJECTED + RETIRED, ids=lambda knobs: repr(knobs))
@@ -127,9 +131,7 @@ def test_unknown_knob_is_a_type_error(toy_bn, point):
 # ---------------------------------------------------------------------------
 
 def test_all_auto_evaluation_matches_the_pre_refactor_metrics(toy_bn, point):
-    metrics = evaluate_design_point(
-        toy_bn, point, n_cores=2, batch_size=4, split_accumulators="auto",
-        final_exp_mode="auto")
+    metrics = evaluate_design_point(toy_bn, point, n_cores=2, batch_size=4)
     assert dataclasses.asdict(metrics) == {
         "label": "all-karatsuba/HW1",
         "curve": "TOY-BN42",
@@ -170,7 +172,6 @@ GRID_EVALUATIONS = {
     "batch4-1core": dict(batch_size=4, n_cores=1),
     "batch4-2core": dict(batch_size=4, n_cores=2),
     "batch4-4core": dict(batch_size=4, n_cores=4),
-    "batch4-4core-fe-auto": dict(batch_size=4, n_cores=4, final_exp_mode="auto"),
     "batch4-2core-service": dict(batch_size=4, n_cores=2, service_profile=GRID_PROFILE),
 }
 
@@ -181,8 +182,6 @@ GRID_DIGESTS = {
     ("HW1", "batch4-1core"): "4c5ad129370a858f1ddc8e8753614ab895feafb79efba3526b304804f1dcc1bf",
     ("HW1", "batch4-2core"): "38790f0739d657258a453782c8989c4319c1d649b9ceb6b6c0c01de6d7901c4c",
     ("HW1", "batch4-4core"): "1b2deba6659cf09f3e9349c93a3ba7f8b0b83b45e65fd70b608305aad5eee203",
-    ("HW1", "batch4-4core-fe-auto"):
-        "1b2deba6659cf09f3e9349c93a3ba7f8b0b83b45e65fd70b608305aad5eee203",
     ("HW1", "batch4-2core-service"):
         "30193e10cc64a1612e1faf4b8be4287277c56425cc082362a065876c530f913c",
     ("L8-S2-lin6", "single"): "1f9f1c65ae68cfb78afa0ba4a358e7edec0cb96f4ad8c945b402ba1276df6338",
@@ -191,8 +190,6 @@ GRID_DIGESTS = {
     ("L8-S2-lin6", "batch4-2core"):
         "67692d08d09648e7eb10305b4a36392173a7f6420e5151c907443943a24b2736",
     ("L8-S2-lin6", "batch4-4core"):
-        "eafe2f5b3090fb571f2b627de6c712bf1b337fb28b91fd6f7b4c11306f8547c6",
-    ("L8-S2-lin6", "batch4-4core-fe-auto"):
         "eafe2f5b3090fb571f2b627de6c712bf1b337fb28b91fd6f7b4c11306f8547c6",
     ("L8-S2-lin6", "batch4-2core-service"):
         "707743c80544237fe295278bf5ce618b1381ce767a77d2a52431d02f348ee368",

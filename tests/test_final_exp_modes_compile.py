@@ -1,5 +1,6 @@
 """Compiled final-exponentiation modes: bit-exactness, phase telemetry, the
->= 20% final-exp cycle cut, cache-digest separation and the DSE knob."""
+>= 20% final-exp cycle cut, cache-digest separation and the mode the DSE
+scores."""
 
 import random
 
@@ -212,84 +213,36 @@ def test_compile_rejects_unknown_mode(toy_bn):
 
 
 # ---------------------------------------------------------------------------
-# DSE knob
+# What the DSE scores
 # ---------------------------------------------------------------------------
 
 def test_design_point_final_exp_modes(toy_bn):
+    """The DSE scores every point on the cyclotomic kernel, which beats the
+    generic one on the batched and on the single kernel."""
     from repro.dse.explorer import evaluate_design_point
     from repro.dse.space import DesignPoint
     from repro.fields.variants import VariantConfig
 
-    point = DesignPoint(variant_config=VariantConfig.all_karatsuba(),
-                        hw=paper_hw1(toy_bn.params.p.bit_length()))
-    by_mode = {
-        mode: evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                    batch_size=4, split_accumulators="shared",
+    hw = paper_hw1(toy_bn.params.p.bit_length())
+    point = DesignPoint(variant_config=VariantConfig.all_karatsuba(), hw=hw)
+    batched = {
+        mode: compile_multi_pairing(toy_bn, 4, hw=hw.with_cores(4), do_assemble=False,
                                     final_exp_mode=mode)
-        for mode in FINAL_EXP_MODES
+        for mode in ("generic", "cyclotomic")
     }
-    for mode, metrics in by_mode.items():
-        assert metrics.final_exp_mode == mode
-        assert metrics.describe()["final_exp_mode"] == mode
-    # The fast paths must rank strictly better than generic here.
-    assert by_mode["cyclotomic"].cycles < by_mode["generic"].cycles
-    auto = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                 batch_size=4, split_accumulators="shared",
-                                 final_exp_mode="auto")
-    best = min(by_mode.values(), key=lambda metrics: metrics.cycles)
-    assert auto.cycles == best.cycles
-    assert auto.final_exp_mode == best.final_exp_mode
-    # The default evaluation scores the cyclotomic kernel.
-    default = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                    batch_size=4, split_accumulators="shared")
-    assert default.final_exp_mode == "cyclotomic"
-    assert default.cycles == by_mode["cyclotomic"].cycles
-
-
-def test_design_point_single_kernel_auto(toy_bn):
-    from repro.dse.explorer import evaluate_design_point
-    from repro.dse.space import DesignPoint
-    from repro.fields.variants import VariantConfig
-
-    point = DesignPoint(variant_config=VariantConfig.all_karatsuba(),
-                        hw=paper_hw1(toy_bn.params.p.bit_length()))
-    auto = evaluate_design_point(toy_bn, point, do_assemble=False,
-                                 final_exp_mode="auto")
-    forced = {
-        mode: evaluate_design_point(toy_bn, point, do_assemble=False,
-                                    final_exp_mode=mode)
-        for mode in FINAL_EXP_MODES
+    single = {
+        mode: compile_pairing(toy_bn, hw=hw, do_assemble=False, final_exp_mode=mode)
+        for mode in ("generic", "cyclotomic")
     }
-    assert auto.cycles == min(metrics.cycles for metrics in forced.values())
-    assert forced["cyclotomic"].cycles < forced["generic"].cycles
-
-
-def test_design_point_rejects_bad_final_exp_policy(toy_bn):
-    from repro.dse.engine import ParallelExplorer
-    from repro.dse.explorer import evaluate_design_point
-    from repro.dse.space import DesignPoint
-    from repro.fields.variants import VariantConfig
-
-    point = DesignPoint(variant_config=VariantConfig.all_karatsuba(),
-                        hw=paper_hw1(toy_bn.params.p.bit_length()))
-    with pytest.raises(ValueError):
-        evaluate_design_point(toy_bn, point, do_assemble=False,
-                              final_exp_mode="sometimes")
-    with pytest.raises(ValueError):
-        ParallelExplorer(toy_bn, final_exp_mode="sometimes")
-
-
-def test_parallel_explorer_forwards_final_exp_mode(toy_bn):
-    from repro.dse.engine import ParallelExplorer
-    from repro.dse.space import DesignPoint
-    from repro.fields.variants import VariantConfig
-
-    points = [DesignPoint(variant_config=VariantConfig.all_karatsuba(),
-                          hw=paper_hw1(toy_bn.params.p.bit_length()))]
-    with ParallelExplorer(toy_bn, workers=1, final_exp_mode="generic") as engine:
-        (generic,) = engine.explore(points)
-    with ParallelExplorer(toy_bn, workers=1, final_exp_mode="cyclotomic") as engine:
-        (cyclo,) = engine.explore(points)
-    assert generic.final_exp_mode == "generic"
-    assert cyclo.final_exp_mode == "cyclotomic"
-    assert cyclo.cycles < generic.cycles
+    for kernels in (batched, single):
+        assert kernels["cyclotomic"].cycles < kernels["generic"].cycles
+    metrics = evaluate_design_point(toy_bn, point, do_assemble=False)
+    assert metrics.final_exp_mode == metrics.describe()["final_exp_mode"] == "cyclotomic"
+    assert metrics.cycles == single["cyclotomic"].cycles
+    metrics = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
+                                    batch_size=4)
+    scored = compile_multi_pairing(toy_bn, 4, hw=hw.with_cores(4), do_assemble=False,
+                                   split_accumulators=metrics.accumulator_mode == "split",
+                                   final_exp_mode="cyclotomic")
+    assert metrics.final_exp_mode == "cyclotomic"
+    assert metrics.cycles == scored.cycles

@@ -166,9 +166,6 @@ def test_design_point_evaluation_rejects_degenerate_inputs(toy_bn):
         with pytest.raises(ValueError):
             evaluate_design_point(toy_bn, point, n_cores=bad_cores,
                                   do_assemble=False, batch_size=2)
-    with pytest.raises(ValueError):
-        evaluate_design_point(toy_bn, point, n_cores=2, do_assemble=False,
-                              batch_size=2, split_accumulators="sometimes")
 
 
 def test_batched_result_ipc_is_consistent_with_cycles(compiled_batch4):
@@ -420,31 +417,25 @@ def test_run_multicore_validates_core_count(compiled_batch4):
 # ---------------------------------------------------------------------------
 
 def test_design_point_auto_mode_picks_faster_kernel(toy_bn):
+    """A batched point on more than one core compiles the shared and the
+    split kernel and is scored on the faster one."""
     from repro.dse.explorer import evaluate_design_point
     from repro.dse.space import DesignPoint
     from repro.fields.variants import VariantConfig
 
     point = DesignPoint(variant_config=VariantConfig.all_karatsuba(),
                         hw=paper_hw1(toy_bn.params.p.bit_length()))
-    shared = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                   batch_size=4, split_accumulators="shared")
-    split = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                  batch_size=4, split_accumulators="split")
-    auto = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                 batch_size=4, split_accumulators="auto")
-    assert shared.accumulator_mode == "shared"
-    assert split.accumulator_mode == "split"
-    assert auto.cycles == min(shared.cycles, split.cycles)
-    winner = "split" if split.cycles < shared.cycles else "shared"
-    assert auto.accumulator_mode == winner
+    hw = point.hw.with_cores(4)
+    shared, split = (
+        compile_multi_pairing(toy_bn, 4, hw=hw, do_assemble=False, split_accumulators=mode,
+                              final_exp_mode="cyclotomic")
+        for mode in (False, True))
+    metrics = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
+                                    batch_size=4)
     # On the 4-core model at batch 4 the split kernel wins (the ROADMAP trade).
     assert split.cycles < shared.cycles
-    # Booleans are accepted as forced modes.
-    forced = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                   batch_size=4, split_accumulators=True)
-    assert forced == split
-    # The mode lands in the serialisable description.
-    assert auto.describe()["accumulator_mode"] == winner
+    assert metrics.cycles == split.cycles
+    assert metrics.accumulator_mode == metrics.describe()["accumulator_mode"] == "split"
 
 
 def test_design_point_single_core_auto_stays_shared(toy_bn):
@@ -455,7 +446,7 @@ def test_design_point_single_core_auto_stays_shared(toy_bn):
     point = DesignPoint(variant_config=VariantConfig.all_karatsuba(),
                         hw=paper_hw1(toy_bn.params.p.bit_length()))
     metrics = evaluate_design_point(toy_bn, point, n_cores=1, do_assemble=False,
-                                    batch_size=2, split_accumulators="auto")
+                                    batch_size=2)
     assert metrics.accumulator_mode == "shared"
 
 

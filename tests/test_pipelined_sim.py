@@ -107,7 +107,8 @@ def test_one_vliw_core_keeps_the_bundle_walk_at_depth_1(toy_bn):
     assert metrics.cycles == 20880 and metrics.cycles_per_pairing == 5220.0
     assert metrics.energy_per_pairing_uj == pytest.approx(
         metrics.power_mw / 1e3 * 5220.0 / metrics.frequency_mhz, rel=1e-12)
-    generic = evaluate_design_point(toy_bn, point, batch_size=4, n_cores=1,
+    generic = compile_multi_pairing(toy_bn, 4, hw=point.hw.with_cores(1),
+                                    variant_config=point.variant_config,
                                     final_exp_mode="generic")
     assert generic.cycles == 23483
     assert generic.cycles_per_pairing == 5870.75

@@ -348,6 +348,41 @@ def test_service_rejects_unsupported_request(toy_bn):
     asyncio.run(scenario())
 
 
+#: Generator arguments that are refused, with the behaviour they used to get:
+#: a clamp to one circuit, every or no request forged, or a loop over nothing.
+REJECTED_TRAFFIC = [
+    (make_groth16_requests, {"n_circuits": 0}),
+    (make_groth16_requests, {"n_circuits": -2}),
+    (make_groth16_requests, {"n_circuits": 1.5}),
+    (make_groth16_requests, {"n_circuits": True}),
+    (make_groth16_requests, {"forge_fraction": 1.5}),
+    (make_groth16_requests, {"forge_fraction": 2.0}),
+    (make_groth16_requests, {"forge_fraction": -0.5}),
+    (make_groth16_requests, {"forge_fraction": float("nan")}),
+    (make_groth16_requests, {"forge_fraction": "0.5"}),
+    (make_groth16_requests, {"n": -1}),
+    (make_groth16_requests, {"n": 2.0}),
+    (make_bls_requests, {"forge_fraction": 2.0}),
+    (make_bls_requests, {"forge_fraction": -1.0}),
+    (make_bls_requests, {"n": -3}),
+    (make_bls_requests, {"n": True}),
+]
+
+
+@pytest.mark.parametrize("make, knobs", REJECTED_TRAFFIC,
+                         ids=lambda value: getattr(value, "__name__", repr(value)))
+def test_request_generators_refuse_bad_input(toy_bn, make, knobs):
+    arguments = dict({"n": 2}, **knobs)
+    with pytest.raises(ServiceError):
+        make(toy_bn, arguments.pop("n"), **arguments)
+
+
+def test_request_generators_accept_the_edges(toy_bn):
+    assert make_groth16_requests(toy_bn, 0) == []
+    assert [ok for _, ok in make_bls_requests(toy_bn, 2, forge_fraction=1.0)] == [False, False]
+    assert [ok for _, ok in make_groth16_requests(toy_bn, 2, forge_fraction=0.0)] == [True, True]
+
+
 # ---------------------------------------------------------------------------
 # The coalesced fused batch: soundness, attribution, determinism
 # ---------------------------------------------------------------------------
