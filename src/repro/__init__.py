@@ -29,7 +29,7 @@ Pairing (software golden path)
     ``multi_pairing(curve, pairs, ...)`` -- the fused pairing product
     ``Pi e(P_i, Q_i)``: one shared accumulator squaring per loop iteration
     and a single final exponentiation (see its docstring for an example).
-    ``precompute_g2(curve, Q, use_naf=True)`` -- P-independent Miller-loop
+    ``precompute_g2(curve, Q)`` -- P-independent Miller-loop
     line coefficients of a fixed G2 point, replayable against any G1 point.
     ``split_batched_miller_loop(ctx, sources, n_groups, ...)`` -- the
     split-accumulator Miller loop (one independent chain per group).
@@ -147,7 +147,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.32.0"
+__version__ = "1.33.0"
 
 __all__ = [
     "get_curve",

@@ -104,16 +104,14 @@ def _trace_kernel(curve, name: str, meta: dict, pair_lanes: list, groups: int | 
         else:
             # The group chains are stamped through the group_scope hook; only
             # the cross-group merge stays on the shared lane.
-            f = split_batched_miller_loop(ctx, sources, groups, use_naf=use_naf,
-                                          group_scope=builder.lane)
+            f = split_batched_miller_loop(ctx, sources, groups, group_scope=builder.lane)
     with builder.phase("final_exp"):
         f = final_exponentiation(ctx, f, mode=final_exp_mode)
     builder.output(f, "result")
     return builder.module
 
 
-def generate_pairing_ir(curve, use_naf: bool = True, name: str | None = None,
-                        final_exp_mode: str = "generic"):
+def generate_pairing_ir(curve, use_naf: bool = True, final_exp_mode: str = "generic"):
     """Trace the full pairing kernel for ``curve`` into a high-level IR module.
 
     The inputs of the module are the affine coordinates of P (two F_p values) and
@@ -127,7 +125,7 @@ def generate_pairing_ir(curve, use_naf: bool = True, name: str | None = None,
     """
     validate_final_exp_mode(final_exp_mode)
     suffix = "" if final_exp_mode == "generic" else f"-fe-{final_exp_mode}"
-    return _trace_kernel(curve, name or f"pairing-{curve.name}{suffix}", {}, [("", None)],
+    return _trace_kernel(curve, f"pairing-{curve.name}{suffix}", {}, [("", None)],
                          None, use_naf, final_exp_mode)
 
 
@@ -136,9 +134,7 @@ def validate_batch_size(n_pairs) -> int:
     return positive_int(n_pairs, "batch size (pairs per kernel)", CompilerError)
 
 
-def generate_multi_pairing_ir(curve, n_pairs: int, use_naf: bool = True,
-                              name: str | None = None,
-                              accumulator_groups: int | None = None,
+def generate_multi_pairing_ir(curve, n_pairs: int, accumulator_groups: int | None = None,
                               final_exp_mode: str = "generic"):
     """Trace the batched pairing-product kernel ``Pi e(P_i, Q_i)`` into IR.
 
@@ -188,5 +184,5 @@ def generate_multi_pairing_ir(curve, n_pairs: int, use_naf: bool = True,
         pair_lanes = [(str(i), group)
                       for group, members in enumerate(partition_into_groups(range(n_pairs), groups))
                       for i in members]
-    return _trace_kernel(curve, name or f"multi-pairing-{curve.name}-x{n_pairs}{suffix}", meta,
-                         pair_lanes, groups, use_naf, final_exp_mode)
+    return _trace_kernel(curve, f"multi-pairing-{curve.name}-x{n_pairs}{suffix}", meta,
+                         pair_lanes, groups, True, final_exp_mode)

@@ -372,9 +372,8 @@ _CACHES = (_HL_CACHE, _LOW_CACHE, _OPT_CACHE, _RESULT_CACHE)
 def _cached_hl_module(curve, spec: KernelSpec):
     def factory():
         if spec.n_pairs is None:
-            return generate_pairing_ir(curve, use_naf=True,
-                                       final_exp_mode=spec.final_exp_mode)
-        return generate_multi_pairing_ir(curve, spec.n_pairs, use_naf=True,
+            return generate_pairing_ir(curve, final_exp_mode=spec.final_exp_mode)
+        return generate_multi_pairing_ir(curve, spec.n_pairs,
                                          accumulator_groups=spec.accumulator_groups,
                                          final_exp_mode=spec.final_exp_mode)
 

@@ -65,6 +65,8 @@ _LONG, _SHORT, _INV = range(len(UNITS))
 _CODE_OF_OP = {op: UNITS.index(unit) for op, unit in UNIT_OF_OP.items()}
 #: A walk prunes its write-back slots once they outnumber this and twice what it last kept.
 _PRUNE_SIZE = 4096
+#: How far the Long-affine share of a period's issue slots exceeds the Long ops' share.
+AFFINITY_BETA = 0.05
 
 
 def prune_slots(busy: set, floor: int) -> tuple:
@@ -113,7 +115,6 @@ class ScheduledProgram:
     order: list                        # value ids in issue order
     bundle_sizes: list                 # ops issued together, per bundle
     planned_cycles: int
-    affinity_beta: float
 
     @property
     def bundles(self) -> list:
@@ -136,7 +137,7 @@ def program_order_schedule(module: IRModule, hw: HardwareModel, banks: list) -> 
     order = [vid for vid, op in enumerate(module.ops) if op in UNIT_OF_OP]
     return ScheduledProgram(
         module=module, hw=hw, banks=banks, order=order, bundle_sizes=[1] * len(order),
-        planned_cycles=len(order), affinity_beta=0.0,
+        planned_cycles=len(order),
     )
 
 
@@ -144,7 +145,6 @@ def affinity_schedule(
     module: IRModule,
     hw: HardwareModel,
     banks: list,
-    beta: float = 0.05,
     use_affinity: bool = True,
 ) -> ScheduledProgram:
     """List scheduling with issue-slot affinity (Algorithm 2).
@@ -236,7 +236,7 @@ def affinity_schedule(
 
     # Which queue a cycle scans first, by ``cycle % period``.
     period = max(1, hw.long_latency - hw.short_latency) if use_affinity else 1
-    long_share = min(1.0, long_fraction + beta)
+    long_share = min(1.0, long_fraction + AFFINITY_BETA)
     orders = [(long_ready, short_ready) if not use_affinity or phase / period <= long_share
               else (short_ready, long_ready) for phase in range(period)]
 
@@ -349,5 +349,5 @@ def affinity_schedule(
 
     return ScheduledProgram(
         module=module, hw=hw, banks=banks, order=order, bundle_sizes=bundle_sizes,
-        planned_cycles=last_finish, affinity_beta=beta if use_affinity else 0.0,
+        planned_cycles=last_finish,
     )

@@ -54,15 +54,15 @@ def _sparse_seeds(top_bit: int, max_terms: int, sign: int):
 def find_seed(
     family: CurveFamily,
     seed_bits: int,
-    target_p_bits: int | None = None,
     max_terms: int = 4,
-    max_candidates: int = 8_000_000,
     prefer_negative: bool = False,
 ) -> SeedCandidate:
     """Find a low-Hamming-weight seed with p(u) and r(u) prime.
 
-    ``seed_bits`` is the bit length of |u|; ``target_p_bits``, when given, filters
-    on the resulting base-field width (the "log p" column of Table 2).
+    ``seed_bits`` is the bit length of |u| (one more is accepted).  The search
+    enumerates every seed of at most ``max_terms`` signed powers of two with
+    top bit ``seed_bits`` or ``seed_bits - 1``; the error, when none is valid,
+    says how many it tried.
     """
     signs = (-1, 1) if prefer_negative else (1, -1)
     tried = 0
@@ -72,8 +72,6 @@ def find_seed(
         for sign in signs:
             for candidate in _sparse_seeds(top_bit, max_terms, sign):
                 tried += 1
-                if tried > max_candidates:
-                    break
                 u = candidate.u
                 if not family.seed_constraint(u):
                     continue
@@ -83,14 +81,11 @@ def find_seed(
                     continue
                 if p <= 3 or p % 2 == 0 or p % 3 != 1:
                     continue
-                if target_p_bits is not None:
-                    if p.bit_length() != target_p_bits:
-                        continue
-                elif abs(u).bit_length() not in (seed_bits, seed_bits + 1):
+                if abs(u).bit_length() not in (seed_bits, seed_bits + 1):
                     continue
                 if family.is_valid_seed(u):
                     return candidate
     raise CurveError(
-        f"no valid {family.name} seed of {seed_bits} bits found within "
-        f"{max_candidates} candidates"
+        f"no valid {family.name} seed of {seed_bits} bits among the "
+        f"{tried} candidates tried"
     )

@@ -6,9 +6,10 @@ floor) but expose more latency to the scheduler, lowering IPC.  The co-design
 loop couples the timing model (standing in for the EDA critical-path report)
 with the compiler/simulator IPC feedback and picks the best depth.
 
-The per-depth candidates are evaluated through the parallel exploration engine
-(:mod:`repro.dse.engine`): pass ``workers=N`` to sweep the family across
-processes, and repeated sweeps are served from the compile cache.
+The per-depth candidates (all-Karatsuba formulas, the 40 nm technology node)
+are evaluated through the parallel exploration engine (:mod:`repro.dse.engine`):
+``FINESSE_DSE_WORKERS`` sweeps the family across processes, and repeated
+sweeps are served from the compile cache.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from repro.dse.space import DesignPoint
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import default_model
-from repro.hw.technology import TECH_40NM, TechnologyNode
 from repro.hw.timing import critical_path_ns
 
 
@@ -44,18 +44,12 @@ class CodesignRecord:
         }
 
 
-def alu_family_codesign(
-    curve,
-    long_latencies=tuple(range(14, 42, 3)),
-    technology: TechnologyNode = TECH_40NM,
-    variant_config=None,
-    workers: int | None = None,
-) -> list:
+def alu_family_codesign(curve, long_latencies=tuple(range(14, 42, 3))) -> list:
     """Sweep the mmul pipeline depth and return one record per candidate."""
     from repro.dse.engine import ParallelExplorer
 
     width = curve.params.p.bit_length()
-    config = variant_config or VariantConfig.all_karatsuba()
+    config = VariantConfig.all_karatsuba()
     points = [
         DesignPoint(
             variant_config=config,
@@ -64,14 +58,14 @@ def alu_family_codesign(
         )
         for latency in long_latencies
     ]
-    with ParallelExplorer(curve, workers=workers, technology=technology) as engine:
+    with ParallelExplorer(curve) as engine:
         engine.explore(points, objective="throughput")
     records = []
     for long_latency, metrics in zip(long_latencies, engine.evaluated):
         records.append(
             CodesignRecord(
                 long_latency=long_latency,
-                critical_path_ns=critical_path_ns(width, long_latency, technology),
+                critical_path_ns=critical_path_ns(width, long_latency),
                 frequency_mhz=metrics.frequency_mhz,
                 ipc=metrics.ipc,
                 cycles=metrics.cycles,

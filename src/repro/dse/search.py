@@ -118,7 +118,7 @@ def proxy_design_metrics(curve, point, n_cores: int = 1, technology=TECH_40NM):
     # latency-exposure term for the dependency chains that cannot be hidden.
     cycles = max(
         (longs + lins) / hw.issue_width,
-        longs / hw.n_mul_units,
+        longs,
         lins / hw.n_linear_units,
     ) + PROXY_LATENCY_EXPOSURE * hw.long_latency
     freq = frequency_mhz(hw.word_width, hw.long_latency, technology)

@@ -54,8 +54,9 @@ def hw_for_curve(curve, fifo: bool = False):
     return paper_hw2(width) if fifo else paper_hw1(width)
 
 
-def fpga_frequency_mhz(word_width: int, long_latency: int = 38) -> float:
-    return frequency_mhz(word_width, long_latency) / FPGA_FREQUENCY_RATIO
+def fpga_frequency_mhz(word_width: int) -> float:
+    """The clock of the default 38-stage multiplier, scaled to the FPGA."""
+    return frequency_mhz(word_width, 38) / FPGA_FREQUENCY_RATIO
 
 
 def fpga_slices(area_mm2: float) -> int:

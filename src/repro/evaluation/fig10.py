@@ -1,10 +1,11 @@
 """Figure 10: design-space search over operator-variant combinations and
 representative pipeline configurations (BLS24 curve).
 
-The full cross product (variant combination x pipeline configuration) is built
-as one design space and swept through the parallel exploration engine, so the
-search honours ``FINESSE_DSE_WORKERS`` (or an explicit ``workers=`` argument)
-and repeated runs hit the compile cache instead of recompiling.
+The cross product of the named variant combinations (at the full scale, every
+combination) and the pipeline configurations is built as one design space and
+swept through the parallel exploration engine, so the search honours
+``FINESSE_DSE_WORKERS`` and repeated runs hit the compile cache instead of
+recompiling.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ from repro.evaluation.common import DEFAULT_SCALE, dse_curve_name
 from repro.hw.presets import figure10_models
 
 
-def run(scale: str | None = None, exhaustive: bool | None = None,
-        workers: int | None = None) -> dict:
+def run(scale: str | None = None) -> dict:
     scale = scale or DEFAULT_SCALE
     curve = get_curve(dse_curve_name(scale))
     width = curve.params.p.bit_length()
     hw_models = figure10_models(width)
     configs = dict(named_variant_configs())
 
-    if exhaustive is None:
-        exhaustive = scale == "full"
+    exhaustive = scale == "full"
     search_space = variant_combinations(degrees=(2, 4, 6, 12, 24)) if exhaustive else []
 
     # One flat design space; the engine shards it and merges deterministically.
@@ -35,7 +34,7 @@ def run(scale: str | None = None, exhaustive: bool | None = None,
         for hw in hw_models
         for config in all_configs
     ]
-    with ParallelExplorer(curve, workers=workers, do_assemble=False) as engine:
+    with ParallelExplorer(curve, do_assemble=False) as engine:
         engine.explore(points, objective="latency")
     cycles_of = {point.label: metrics.cycles
                  for point, metrics in zip(points, engine.evaluated)}

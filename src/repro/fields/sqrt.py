@@ -19,7 +19,8 @@ def is_field_square(element) -> bool:
     return (element ** ((q - 1) // 2)).is_one()
 
 
-def _find_nonsquare(field, rng: random.Random):
+def _find_nonsquare(field):
+    rng = random.Random(0x5157)
     for _ in range(256):
         candidate = field.random(rng)
         if candidate.is_zero():
@@ -29,10 +30,12 @@ def _find_nonsquare(field, rng: random.Random):
     raise FieldError("could not find a non-square element (is the field order odd?)")
 
 
-def field_sqrt(element, rng: random.Random | None = None):
+def field_sqrt(element):
     """Return a square root of ``element`` in its field, or raise ``FieldError``.
 
-    Implements Tonelli-Shanks over the multiplicative group of order ``q - 1``.
+    Implements Tonelli-Shanks over the multiplicative group of order ``q - 1``;
+    the non-square it needs is drawn from a fixed-seed generator, so the root
+    returned is reproducible.
     """
     field = element.field
     if element.is_zero():
@@ -43,13 +46,12 @@ def field_sqrt(element, rng: random.Random | None = None):
     if q % 4 == 3:
         return element ** ((q + 1) // 4)
 
-    rng = rng or random.Random(0x5157)
     s = 0
     t = q - 1
     while t % 2 == 0:
         t //= 2
         s += 1
-    z = _find_nonsquare(field, rng)
+    z = _find_nonsquare(field)
     m = s
     c = z ** t
     u = element ** t

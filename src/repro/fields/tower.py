@@ -36,18 +36,18 @@ def is_cube(element) -> bool:
     return (element ** ((q - 1) // 3)).is_one()
 
 
-def find_quadratic_nonresidue(field, rng: random.Random | None = None):
+def find_quadratic_nonresidue(field):
     """Find a small quadratic non-residue in ``field``.
 
     Small integer candidates are tried first so the resulting tower matches common
-    conventions (e.g. F_p2 = F_p[i]/(i^2 + 1) when p = 3 mod 4); random elements
-    are the fallback.
+    conventions (e.g. F_p2 = F_p[i]/(i^2 + 1) when p = 3 mod 4); elements from a
+    fixed-seed generator are the fallback.
     """
     for candidate in (-1, -2, -3, -5, 2, 3, 5, 7, 11, 13, 17):
         element = field(candidate)
         if not element.is_zero() and not is_square(element):
             return element
-    rng = rng or random.Random(0xACE)
+    rng = random.Random(0xACE)
     for _ in range(256):
         element = field.random(rng)
         if not element.is_zero() and not is_square(element):
@@ -55,12 +55,13 @@ def find_quadratic_nonresidue(field, rng: random.Random | None = None):
     raise FieldError("no quadratic non-residue found")
 
 
-def find_sextic_twist_residue(field, rng: random.Random | None = None):
+def find_sextic_twist_residue(field):
     """Find xi in ``field`` that is neither a square nor a cube.
 
     Such a xi makes ``x^6 - xi`` irreducible over ``field`` (for the pairing-friendly
     primes we use, where 6 divides q - 1), and therefore defines both the degree-6
-    extension F_p^k / F_p^{k/6} and the sextic twist.
+    extension F_p^k / F_p^{k/6} and the sextic twist.  Small candidates come
+    first, then elements from a fixed-seed generator.
     """
     candidates = []
     if isinstance(field, ExtensionField):
@@ -79,7 +80,7 @@ def find_sextic_twist_residue(field, rng: random.Random | None = None):
             continue
         if not is_square(xi) and not is_cube(xi):
             return xi
-    rng = rng or random.Random(0xBEEF)
+    rng = random.Random(0xBEEF)
     for _ in range(512):
         xi = field.random(rng)
         if xi.is_zero():

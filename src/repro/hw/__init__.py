@@ -3,11 +3,9 @@
 from repro.hw.model import HardwareModel
 from repro.hw.presets import (
     default_model,
-    model_with_fifo,
     paper_hw1,
     paper_hw2,
     figure10_models,
-    figure11_models,
 )
 from repro.hw.area import AreaBreakdown, estimate_area
 from repro.hw.power import PowerBreakdown, estimate_power
@@ -17,11 +15,9 @@ from repro.hw.technology import TechnologyNode, TECH_40NM, TECH_65NM, get_node
 __all__ = [
     "HardwareModel",
     "default_model",
-    "model_with_fifo",
     "paper_hw1",
     "paper_hw2",
     "figure10_models",
-    "figure11_models",
     "AreaBreakdown",
     "estimate_area",
     "PowerBreakdown",

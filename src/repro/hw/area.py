@@ -85,7 +85,7 @@ def estimate_area(
     n_cores = n_cores or model.n_cores
     width = model.word_width
 
-    mmul = estimate_multiplier(width, model.long_latency, model.dsp_width)
+    mmul = estimate_multiplier(width, model.long_latency)
     linear_um2 = model.n_linear_units * width * LINEAR_UNIT_UM2_PER_BIT
     inverter_um2 = width * INVERTER_UM2_PER_BIT
     alu_um2_per_core = mmul.area_um2 + linear_um2 + inverter_um2

@@ -7,9 +7,9 @@ limits, the issue width, and the presence of the write-back FIFO that
 distinguishes the paper's HW1/HW2 configurations.
 
 The model enforces the framework constraints stated in Section 3.2 of the paper:
-at most one modular multiplier per core, at least as many register banks as the
-VLIW width, at least 2 reads + 1 write per bank per cycle, and a write-back
-ring buffer on VLIW configurations.
+one modular multiplier per core (the model has no field to ask for more), at
+least as many register banks as the VLIW width, at least 2 reads + 1 write per
+bank per cycle, and a write-back ring buffer on VLIW configurations.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class HardwareModel:
     issue_width: int = 1
     #: Number of linear ALUs (mlin/madd); the modular multiplier count is fixed to 1.
     n_linear_units: int = 1
-    n_mul_units: int = 1
     #: Register-bank organisation.  A bank holds as many registers as the
     #: kernel's allocation asks for (the area model prices that demand).
     n_banks: int = 1
@@ -47,8 +46,6 @@ class HardwareModel:
     has_writeback_fifo: bool = False
     #: Number of replicated cores sharing one instruction memory (SIMT-style).
     n_cores: int = 1
-    #: Basic multiplier (DSP/IP) width used by the hierarchical mmul unit.
-    dsp_width: int = 16
 
     # -- validation --------------------------------------------------------------
     def validate(self) -> "HardwareModel":
@@ -58,8 +55,6 @@ class HardwareModel:
             raise HardwareModelError("latencies must be positive")
         if self.short_latency > self.long_latency:
             raise HardwareModelError("Short ops must not be slower than Long ops")
-        if self.n_mul_units != 1:
-            raise HardwareModelError("the framework asserts at most 1 mmul ALU per core")
         if self.issue_width < 1:
             raise HardwareModelError("issue width must be positive")
         if self.n_banks < self.issue_width:
@@ -87,11 +82,9 @@ class HardwareModel:
         raise HardwareModelError(f"unknown execution unit {unit!r}")
 
     def units_of_kind(self, unit: str) -> int:
-        if unit == "long":
-            return self.n_mul_units
         if unit == "short":
             return self.n_linear_units
-        if unit == "inv":
+        if unit in ("long", "inv"):
             return 1
         return self.issue_width
 

@@ -30,10 +30,6 @@ def paper_hw2(word_width: int = 256) -> HardwareModel:
     return default_model(word_width, name="HW2").with_fifo(True)
 
 
-def model_with_fifo(word_width: int = 256) -> HardwareModel:
-    return paper_hw2(word_width)
-
-
 def figure10_models(word_width: int = 520) -> list:
     """The representative pipeline configurations of Figure 10 (BLS24-509 study)."""
     models = [
@@ -55,11 +51,3 @@ def figure10_models(word_width: int = 520) -> list:
             ).validate()
         )
     return models
-
-
-def figure11_models(word_width: int = 256) -> list:
-    """ALU-family sweep of Figure 11: Long latency from 14 to 41 cycles."""
-    return [
-        default_model(word_width, name=f"L{long}").with_long_latency(long)
-        for long in range(14, 42, 3)
-    ]

@@ -19,6 +19,9 @@ _SMALL_PRIMES = (
     239, 241, 251,
 )
 
+# Random witnesses tried above the deterministic range.
+_RANDOM_ROUNDS = 16
+
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
     """Return ``True`` if ``n`` passes one Miller-Rabin round with witness ``a``."""
@@ -32,12 +35,13 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Return ``True`` if ``n`` is (very probably) prime.
 
     For ``n`` below 3.3e24 the answer is deterministic.  Above that, fixed
-    witnesses are complemented by ``rounds`` random witnesses; the error
-    probability is below ``4**-rounds``.
+    witnesses are complemented by 16 witnesses drawn from a generator seeded
+    by ``n``, so the answer is reproducible; the error probability is below
+    ``4**-16``.
     """
     if n < 2:
         return False
@@ -59,8 +63,8 @@ def is_probable_prime(n: int, rounds: int = 16, rng: random.Random | None = None
     if n < 3_317_044_064_679_887_385_961_981:
         return True
 
-    rng = rng or random.Random(0xF1E55E ^ (n & 0xFFFFFFFF))
-    for _ in range(rounds):
+    rng = random.Random(0xF1E55E ^ (n & 0xFFFFFFFF))
+    for _ in range(_RANDOM_ROUNDS):
         a = rng.randrange(2, n - 2)
         if not _miller_rabin_round(n, a, d, s):
             return False

@@ -32,7 +32,7 @@ def as_affine_pair(point, role: str = "point"):
     return (point.x, point.y)
 
 
-def optimal_ate_pairing(curve, P, Q, mode: str = "optimized", use_naf: bool = True,
+def optimal_ate_pairing(curve, P, Q, mode: str = "optimized",
                         final_exp_mode: str = "compressed"):
     """Compute the optimal Ate pairing e(P, Q) on ``curve``.
 
@@ -48,9 +48,8 @@ def optimal_ate_pairing(curve, P, Q, mode: str = "optimized", use_naf: bool = Tr
         ``"optimized"`` runs the twist-aware Miller loop and the decomposed final
         exponentiation (the algorithm the accelerator executes); ``"reference"``
         runs the naive textbook oracle.  The optimised result equals the
-        reference result raised to ``final_exp_plan.c``.
-    use_naf:
-        Use the NAF form of the loop scalar (optimised mode only).
+        reference result raised to ``final_exp_plan.c``.  The optimised
+        Miller loop walks the NAF form of the loop scalar.
     final_exp_mode:
         Hard-part backend (:data:`repro.pairing.final_exp.FINAL_EXP_MODES`).
         All three return the same value.  The default "compressed" runs the
@@ -71,5 +70,5 @@ def optimal_ate_pairing(curve, P, Q, mode: str = "optimized", use_naf: bool = Tr
     if mode == "reference":
         return reference_pairing(curve, P_affine, Q_affine)
     ctx = ConcretePairingContext(curve)
-    f = miller_loop(ctx, P_affine, Q_affine, use_naf=use_naf)
+    f = miller_loop(ctx, P_affine, Q_affine)
     return final_exponentiation(ctx, f, mode=final_exp_mode)

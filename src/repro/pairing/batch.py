@@ -19,8 +19,6 @@ Knobs
     an AffinePoint or an ``(x, y)`` tuple.  Pairs with either point at infinity
     contribute the identity and are skipped.  ``Q`` may also be a
     :class:`G2Precomputation` (see below).
-``use_naf``
-    Digit representation of the loop scalar, as in ``optimal_ate_pairing``.
 ``accumulators``
     Number of independent Miller accumulator chains.  ``1`` (the default) is
     the classic fused product above; ``g > 1`` partitions the pairs into ``g``
@@ -51,9 +49,10 @@ Many products whose pairs sit on few distinct G2 points -- a batch verifier's
 input -- are first coalesced to one pair per G2 point by
 :func:`combine_products`, on the G1 side.
 
-Every loop here is :func:`repro.pairing.miller.miller_walk` -- the single
-pairing is the same walk over one live source -- so the shared accumulator,
-the split chains and the replay differ only in which sources they fold.
+Every loop here is :func:`repro.pairing.miller.miller_walk` over the NAF
+digits of the loop scalar -- the single pairing is the same walk over one live
+source -- so the shared accumulator, the split chains and the replay differ
+only in which sources they fold.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class G2Precomputation:
     """
 
     curve_name: str
-    use_naf: bool
     steps: list
 
     def __len__(self) -> int:
@@ -132,7 +130,7 @@ class _PrecomputedSource:
 # Precomputation
 # ---------------------------------------------------------------------------
 
-def precompute_g2(curve, Q, use_naf: bool = True) -> G2Precomputation:
+def precompute_g2(curve, Q) -> G2Precomputation:
     """Precompute the P-independent Miller-loop line coefficients of ``Q``.
 
     The Miller-loop walk of a pairing depends on ``Q`` alone until the line
@@ -150,9 +148,8 @@ def precompute_g2(curve, Q, use_naf: bool = True) -> G2Precomputation:
         rhs = repro.optimal_ate_pairing(curve, curve.g1_generator, pk)
         assert lhs == rhs
 
-    ``use_naf`` must match the ``use_naf`` of the consuming pairing call (the
-    digit form changes the walk); the point at infinity has no line
-    coefficients and raises :class:`~repro.errors.PairingError`.
+    The point at infinity has no line coefficients and raises
+    :class:`~repro.errors.PairingError`.
     """
     ctx = ConcretePairingContext(curve)
     q_affine = as_affine_pair(Q, role="Q (G2 point)")
@@ -163,12 +160,12 @@ def precompute_g2(curve, Q, use_naf: bool = True) -> G2Precomputation:
     one = curve.tower.fp.one()
     source = LivePair(ctx, (one, one), q_affine)
     steps = []
-    for kind, addend in loop_schedule(ctx, use_naf):
+    for kind, addend in loop_schedule(ctx):
         if kind == "neg":
             source.negate()
         else:
             steps.append((kind, source.step(kind, addend)))
-    return G2Precomputation(curve_name=curve.name, use_naf=use_naf, steps=steps)
+    return G2Precomputation(curve_name=curve.name, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +202,7 @@ def partition_into_groups(items, n_groups: int) -> list:
     return groups
 
 
-def split_batched_miller_loop(ctx, sources, n_groups: int, use_naf: bool = True,
-                              group_scope=None):
+def split_batched_miller_loop(ctx, sources, n_groups: int, group_scope=None):
     """Split-accumulator Miller loop: one independent chain per group.
 
     Partitions ``sources`` into ``n_groups`` contiguous groups
@@ -229,7 +225,7 @@ def split_batched_miller_loop(ctx, sources, n_groups: int, use_naf: bool = True,
         if not members:
             continue
         with scope(g):
-            partials.append(miller_walk(ctx, members, use_naf))
+            partials.append(miller_walk(ctx, members))
     if not partials:
         return ctx.full_one()
     # The cross-group merge: g - 1 extension-field multiplications, shared.
@@ -239,7 +235,7 @@ def split_batched_miller_loop(ctx, sources, n_groups: int, use_naf: bool = True,
     return f
 
 
-def batched_miller_loop(ctx, sources, use_naf: bool = True, accumulators: int = 1):
+def batched_miller_loop(ctx, sources, accumulators: int = 1):
     """The fused Miller loop: one shared accumulator over many line sources.
 
     This is :func:`repro.pairing.miller.miller_walk` over all of ``sources``:
@@ -253,11 +249,11 @@ def batched_miller_loop(ctx, sources, use_naf: bool = True, accumulators: int = 
     sources, merged once at the end.
     """
     if validate_accumulator_count(accumulators) > 1:
-        return split_batched_miller_loop(ctx, sources, accumulators, use_naf=use_naf)
-    return miller_walk(ctx, sources, use_naf)
+        return split_batched_miller_loop(ctx, sources, accumulators)
+    return miller_walk(ctx, sources)
 
 
-def _make_sources(ctx, pairs, use_naf: bool) -> list:
+def _make_sources(ctx, pairs) -> list:
     sources = []
     for index, pair in enumerate(pairs):
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
@@ -271,11 +267,6 @@ def _make_sources(ctx, pairs, use_naf: bool) -> list:
                     f"pairs[{index}]: precomputation is for curve {Q.curve_name!r}, "
                     f"not {ctx.curve.name!r}"
                 )
-            if Q.use_naf != use_naf:
-                raise PairingError(
-                    f"pairs[{index}]: precomputation digit form (use_naf={Q.use_naf}) "
-                    "does not match this call"
-                )
             if p_affine is not None:
                 sources.append(_PrecomputedSource(ctx, Q, p_affine, label))
             continue
@@ -285,8 +276,7 @@ def _make_sources(ctx, pairs, use_naf: bool) -> list:
     return sources
 
 
-def multi_pairing(curve, pairs, use_naf: bool = True, accumulators: int = 1,
-                  final_exp_mode: str = "compressed"):
+def multi_pairing(curve, pairs, accumulators: int = 1, final_exp_mode: str = "compressed"):
     """Compute the pairing product ``Pi e(P_i, Q_i)`` with one shared pipeline.
 
     Equivalent to the product of :func:`repro.pairing.ate.optimal_ate_pairing`
@@ -328,14 +318,14 @@ def multi_pairing(curve, pairs, use_naf: bool = True, accumulators: int = 1,
             f"pairs must be an iterable of (P, Q) pairs, got {type(pairs).__name__}"
         ) from exc
     ctx = ConcretePairingContext(curve)
-    loop_schedule(ctx, use_naf)             # validate the loop scalar up front
-    sources = _make_sources(ctx, pairs, use_naf)
+    loop_schedule(ctx)                      # validate the loop scalar up front
+    sources = _make_sources(ctx, pairs)
     if not sources:
         # Empty product (no pairs, or every pair degenerate): the GT identity,
         # consistent with optimal_ate_pairing on the point at infinity.
         return curve.tower.full_field.one()
 
-    f = batched_miller_loop(ctx, sources, use_naf=use_naf, accumulators=accumulators)
+    f = batched_miller_loop(ctx, sources, accumulators=accumulators)
     return final_exponentiation(ctx, f, mode=final_exp_mode)
 
 

@@ -34,7 +34,7 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.config import FAULTS_ENV, HANG_SECONDS_ENV, env_float, env_str
 from repro.errors import (
@@ -327,12 +327,13 @@ class FaultInjector:
 ACTIVE: FaultInjector | None = None
 
 
-def configure_faults(plan=None, *, seed=None, state_dir=None):
+def configure_faults(plan=None):
     """Install (or clear) the process-wide fault plan.
 
     ``plan`` may be a :class:`FaultPlan`, a ``FINESSE_FAULTS``-grammar
-    string, or None to disable injection.  ``seed``/``state_dir`` override
-    the plan's own values.  Returns the active injector (or None).
+    string (whose ``seed=`` / ``dir=`` clauses set the seed and state
+    directory), or None to disable injection.  Returns the active injector
+    (or None).
     """
     global ACTIVE
     if plan is None:
@@ -344,12 +345,6 @@ def configure_faults(plan=None, *, seed=None, state_dir=None):
         raise ReliabilityError(
             f"configure_faults needs a FaultPlan, plan string or None, "
             f"got {type(plan).__name__}"
-        )
-    if seed is not None or state_dir is not None:
-        plan = replace(
-            plan,
-            seed=plan.seed if seed is None else seed,
-            state_dir=plan.state_dir if state_dir is None else state_dir,
         )
     ACTIVE = FaultInjector(plan)
     return ACTIVE

@@ -52,16 +52,14 @@ def call_with_retries(
     policy: RetryPolicy,
     *,
     label: str = "",
-    retryable=None,
     on_retry=None,
-    sleep=time.sleep,
 ):
     """Call ``fn`` with up to ``policy.max_retries`` retries.
 
-    ``retryable(exc) -> bool`` overrides the default non-retryable filter
-    (:data:`NON_RETRYABLE`).  ``on_retry(attempt, exc, delay_s)`` is invoked
-    before each backoff sleep, for counter accounting.  The final failure
-    propagates unmodified -- callers own the wrapping.
+    An exception in :data:`NON_RETRYABLE` is never retried.
+    ``on_retry(attempt, exc, delay_s)`` is invoked before each backoff sleep,
+    for counter accounting.  The final failure propagates unmodified --
+    callers own the wrapping.
     """
     rng = policy.rng(label)
     attempt = 0
@@ -69,15 +67,11 @@ def call_with_retries(
         try:
             return fn()
         except Exception as exc:
-            keep = (
-                retryable(exc) if retryable is not None
-                else not isinstance(exc, NON_RETRYABLE)
-            )
-            if not keep or attempt >= policy.max_retries:
+            if isinstance(exc, NON_RETRYABLE) or attempt >= policy.max_retries:
                 raise
             delay = policy.backoff_s(attempt, rng)
             if on_retry is not None:
                 on_retry(attempt, exc, delay)
             if delay > 0:
-                sleep(delay)
+                time.sleep(delay)
             attempt += 1

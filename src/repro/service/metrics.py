@@ -20,6 +20,9 @@ from math import ceil
 
 from repro.obs import Counters
 
+#: Samples one list keeps before its oldest half is dropped.
+MAX_SAMPLES = 100_000
+
 
 def percentile(values, q: float) -> float:
     """Nearest-rank percentile of ``values`` (``q`` in [0, 100]).
@@ -54,18 +57,17 @@ class ServiceMetrics(Counters):
 
     ``latencies_s`` keeps one admit-to-result latency per completed request,
     ``batch_sizes`` one entry per flushed batch and ``depth_samples`` the
-    queue depth at every flush; each is bounded by ``max_samples`` (oldest
+    queue depth at every flush; each is bounded by :data:`MAX_SAMPLES` (oldest
     half dropped on overflow) so a long-lived service cannot grow without
     bound.
     """
 
-    def __init__(self, breaker, max_samples: int = 100_000):
+    def __init__(self, breaker):
         super().__init__(
             "admitted", "completed", "rejected", "batches", "busy_s",
             "fused_batches", "fused_failures", "fused_pairs", "fused_sources",
             "breaker_exact_batches", "shed", "failed_requests", floats=("busy_s",))
         self.breaker = breaker
-        self.max_samples = max_samples
         self.latencies_s: list = []
         self.batch_sizes: list = []
         self.depth_samples: list = []
@@ -100,8 +102,8 @@ class ServiceMetrics(Counters):
             self.fused_failures += 1
 
     def _trim(self, samples: list) -> None:
-        if len(samples) > self.max_samples:
-            del samples[: len(samples) - self.max_samples // 2]
+        if len(samples) > MAX_SAMPLES:
+            del samples[: len(samples) - MAX_SAMPLES // 2]
 
     # -- derived figures ---------------------------------------------------------
     def latency_percentile_ms(self, q: float) -> float:

@@ -22,18 +22,18 @@ class IssueTrace:
     def window(self, start: int, length: int) -> list:
         return self.codes[start:start + length]
 
-    def occupancy(self, start: int = 0, length: int | None = None) -> float:
-        codes = self.codes[start:start + length] if length else self.codes[start:]
-        if not codes:
+    def occupancy(self) -> float:
+        """Share of the traced cycles that issued an op."""
+        if not self.codes:
             return 0.0
-        return sum(1 for c in codes if c != BUBBLE) / len(codes)
+        return sum(1 for c in self.codes if c != BUBBLE) / len(self.codes)
 
-    def render(self, start: int = 0, length: int = 64, width: int = 64) -> str:
-        """ASCII waterfall: one character per cycle, wrapped at ``width`` columns."""
+    def render(self, start: int = 0, length: int = 64) -> str:
+        """ASCII waterfall: one character per cycle, wrapped at 64 columns."""
         codes = self.window(start, length)
         lines = []
-        for row_start in range(0, len(codes), width):
-            row = codes[row_start:row_start + width]
+        for row_start in range(0, len(codes), 64):
+            row = codes[row_start:row_start + 64]
             lines.append("".join(_SYMBOLS[c] for c in row))
         return "\n".join(lines)
 

@@ -55,7 +55,7 @@ def check_bundle_walk(ops, a_col, b_col, order, bundle_sizes, banks, hw,
             errors.append(message)
 
     latency = {"long": hw.long_latency, "short": hw.short_latency, "inv": hw.inv_latency}
-    units = {"long": hw.n_mul_units, "short": hw.n_linear_units, "inv": 1}
+    units = {"long": 1, "short": hw.n_linear_units, "inv": 1}
 
     # The order issues every schedulable row exactly once, and nothing else.
     issued = Counter(order)

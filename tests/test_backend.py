@@ -17,7 +17,7 @@ from repro.compiler.schedule import (
 )
 from repro.errors import HardwareModelError, ISAError, SimulationError
 from repro.hw.model import HardwareModel
-from repro.hw.presets import default_model, figure10_models, figure11_models, paper_hw1, paper_hw2
+from repro.hw.presets import default_model, figure10_models, paper_hw1, paper_hw2
 from repro.ir.module import IRModule
 from repro.isa.encoding import ENCODING_32, ENCODING_64, decode_word, encode_word, select_encoding
 from repro.isa.instructions import ISA_BY_NAME, ir_op_to_machine_op
@@ -33,8 +33,8 @@ def test_hardware_model_validation():
     default_model(256).validate()
     with pytest.raises(HardwareModelError):
         HardwareModel(short_latency=50, long_latency=20).validate()
-    with pytest.raises(HardwareModelError):
-        HardwareModel(n_mul_units=2).validate()
+    with pytest.raises(TypeError):                 # one multiplier per core, by structure
+        HardwareModel(n_mul_units=2)
     with pytest.raises(HardwareModelError):
         HardwareModel(issue_width=2, n_banks=1).validate()
     with pytest.raises(HardwareModelError):
@@ -62,7 +62,6 @@ def test_presets():
     models = figure10_models(520)
     assert len(models) == 5
     assert models[-1].issue_width == 6
-    assert len(figure11_models(254)) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def test_cycle_sim_dependent_latency():
 def _bundled(module, hw, bundle):
     banks = [0] * len(module)
     return ScheduledProgram(module=module, hw=hw, banks=banks, order=list(bundle),
-                            bundle_sizes=[len(bundle)], planned_cycles=0, affinity_beta=0.0)
+                            bundle_sizes=[len(bundle)], planned_cycles=0)
 
 
 def test_bundle_walk_refuses_a_bundle_its_model_cannot_issue(toy_bn):

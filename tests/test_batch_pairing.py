@@ -55,12 +55,6 @@ def test_multi_pairing_single_pair_equals_pairing(toy_curve):
     assert multi_pairing(toy_curve, pairs) == optimal_ate_pairing(toy_curve, *pairs[0])
 
 
-def test_multi_pairing_binary_digits_agree(toy_bn):
-    pairs = _random_pairs(toy_bn, 2, seed=113)
-    expected = _pairing_product(toy_bn, pairs)
-    assert multi_pairing(toy_bn, pairs, use_naf=False) == expected
-
-
 def test_multi_pairing_accepts_coordinate_tuples(toy_bn):
     (P, Q), = _random_pairs(toy_bn, 1, seed=127)
     assert multi_pairing(toy_bn, [((P.x, P.y), (Q.x, Q.y))]) == optimal_ate_pairing(
@@ -103,12 +97,6 @@ def test_split_accumulators_match_shared_all_families(toy_curve):
     # Even, uneven (5 % 2, 5 % 3) and degenerate-empty (g > n) partitions.
     for groups in (1, 2, 3, 5, 7):
         assert multi_pairing(toy_curve, pairs, accumulators=groups) == expected
-
-
-def test_split_accumulators_binary_digits(toy_bn):
-    pairs = _random_pairs(toy_bn, 4, seed=163)
-    expected = _pairing_product(toy_bn, pairs)
-    assert multi_pairing(toy_bn, pairs, use_naf=False, accumulators=3) == expected
 
 
 def test_split_accumulators_mixed_precomputed_and_live(toy_curve):
@@ -212,15 +200,12 @@ def test_precomputation_reusable_across_g1_points(toy_bn):
         assert multi_pairing(toy_bn, [(P, pre)]) == optimal_ate_pairing(toy_bn, P, Q)
 
 
-def test_precomputation_validates_curve_and_digit_form(toy_bn, toy_bls12):
+def test_precomputation_validates_curve_and_point(toy_bn, toy_bls12):
     rng = random.Random(149)
     pre = precompute_g2(toy_bn, toy_bn.random_g2(rng))
     P12 = toy_bls12.random_g1(rng)
     with pytest.raises(PairingError):
         multi_pairing(toy_bls12, [(P12, pre)])
-    P = toy_bn.random_g1(rng)
-    with pytest.raises(PairingError):
-        multi_pairing(toy_bn, [(P, pre)], use_naf=False)
     with pytest.raises(PairingError):
         precompute_g2(toy_bn, toy_bn.twist_curve.infinity())
 
@@ -310,33 +295,15 @@ def test_infinity_p_against_precomputation_is_skipped(toy_bn, rng):
     assert multi_pairing(toy_bn, [(P, pre), (inf1, pre)]) == expected
 
 
-def test_digit_form_mismatch_raises_in_both_directions(toy_bn, rng):
-    """use_naf=True precomp in a use_naf=False call and vice versa: clear error."""
-    Q = toy_bn.random_g2(rng)
-    P = toy_bn.random_g1(rng)
-    pre_naf = precompute_g2(toy_bn, Q, use_naf=True)
-    pre_bin = precompute_g2(toy_bn, Q, use_naf=False)
-    with pytest.raises(PairingError):
-        multi_pairing(toy_bn, [(P, pre_naf)], use_naf=False)
-    with pytest.raises(PairingError):
-        multi_pairing(toy_bn, [(P, pre_bin)], use_naf=True)
-    # The mismatch is detected at entry even when another pair would fail
-    # later, and the matching digit form still works.
-    assert multi_pairing(toy_bn, [(P, pre_bin)], use_naf=False) == \
-        optimal_ate_pairing(toy_bn, P, Q)
-
-
 def test_desynchronised_precomputation_fails_loudly(toy_bn, rng):
     """Leftover or missing replay steps raise instead of a silently wrong product."""
     Q = toy_bn.random_g2(rng)
     P = toy_bn.random_g1(rng)
     pre = precompute_g2(toy_bn, Q)
-    truncated = G2Precomputation(curve_name=pre.curve_name, use_naf=pre.use_naf,
-                                 steps=pre.steps[:-1])
+    truncated = G2Precomputation(curve_name=pre.curve_name, steps=pre.steps[:-1])
     with pytest.raises(PairingError):
         multi_pairing(toy_bn, [(P, truncated)])
-    padded = G2Precomputation(curve_name=pre.curve_name, use_naf=pre.use_naf,
-                              steps=pre.steps + [pre.steps[-1]])
+    padded = G2Precomputation(curve_name=pre.curve_name, steps=pre.steps + [pre.steps[-1]])
     with pytest.raises(PairingError):
         multi_pairing(toy_bn, [(P, padded)])
 

@@ -136,7 +136,7 @@ def _traced(curve, mode="generic", shape="single"):
     n_pairs, groups = SHAPES[shape]
     if n_pairs is None:
         return generate_pairing_ir(curve, use_naf=True, final_exp_mode=mode)
-    return generate_multi_pairing_ir(curve, n_pairs, use_naf=True, accumulator_groups=groups,
+    return generate_multi_pairing_ir(curve, n_pairs, accumulator_groups=groups,
                                      final_exp_mode=mode)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.compiler.pipeline import compile_pairing
 from repro.pairing.ate import optimal_ate_pairing
+from repro.pairing.batch import multi_pairing, precompute_g2
 from repro.sim.functional import FunctionalSimulator
 
 SHAPES = [f"{family}-{twist}-{sign}" for family in ("BN", "BLS12", "BLS24")
@@ -38,6 +39,22 @@ def test_pairing_is_bilinear_and_non_degenerate(curve_shapes, shape):
     a, b = rng.randrange(2, curve.r), rng.randrange(2, curve.r)
     assert optimal_ate_pairing(curve, P.scalar_mul(a), Q.scalar_mul(b)) == \
         base ** (a * b % curve.r)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_multi_pairing_is_the_product_of_single_pairings(curve_shapes, shape):
+    """The shared accumulator, two split accumulators and a replayed
+    precomputation each give the product of the single pairings."""
+    curve = curve_shapes[shape]
+    rng = random.Random(71)
+    pairs = [(curve.random_g1(rng), curve.random_g2(rng)) for _ in range(3)]
+    expected = curve.gt_one()
+    for P, Q in pairs:
+        expected = expected * optimal_ate_pairing(curve, P, Q)
+    assert multi_pairing(curve, pairs) == expected
+    assert multi_pairing(curve, pairs, accumulators=2) == expected
+    (P, Q), *rest = pairs
+    assert multi_pairing(curve, [(P, precompute_g2(curve, Q)), *rest]) == expected
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -80,6 +80,12 @@ def test_seed_search_small():
     assert "2^" in candidate.describe()
 
 
+def test_seed_search_failure_counts_the_candidates_tried():
+    # Every sparse seed of top bit 4 or 3 is tried; none gives a BLS12 curve.
+    with pytest.raises(CurveError, match=r"among the 184 candidates tried"):
+        find_seed(get_family("BLS12"), 4)
+
+
 # ---------------------------------------------------------------------------
 # Orders / CM machinery
 # ---------------------------------------------------------------------------

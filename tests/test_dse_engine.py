@@ -9,6 +9,7 @@ from repro.compiler.pipeline import (
     pairing_compile_digest,
 )
 from repro.compiler.store import CACHE_DIR_ENV, active_store, reset_store_state
+from repro.config import WORKERS_ENV
 from repro.dse.codesign import alu_family_codesign
 from repro.dse.engine import ParallelExplorer, worker_cache_stats
 from repro.dse.explorer import evaluate_design_point
@@ -165,12 +166,13 @@ def test_batched_sweep_ranks_accumulator_modes(toy_bn, toy_points):
 # Codesign through the engine
 # ---------------------------------------------------------------------------
 
-def test_codesign_routes_through_engine(toy_bn):
-    records = alu_family_codesign(toy_bn, long_latencies=(14, 26, 38), workers=1)
+def test_codesign_routes_through_engine(toy_bn, monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    records = alu_family_codesign(toy_bn, long_latencies=(14, 26, 38))
     assert [record.long_latency for record in records] == [14, 26, 38]
     assert all(record.cycles > 0 and 0 < record.ipc <= 1.0 for record in records)
     # The engine path must agree with a direct re-evaluation.
-    again = alu_family_codesign(toy_bn, long_latencies=(14, 26, 38), workers=1)
+    again = alu_family_codesign(toy_bn, long_latencies=(14, 26, 38))
     assert again == records
 
 

@@ -7,11 +7,24 @@ import pytest
 from repro.curves.catalog import CURVE_SPECS
 from repro.curves.families import get_family
 from repro.pairing.ate import optimal_ate_pairing
-from repro.pairing.batch import multi_pairing, precompute_g2
+from repro.pairing.batch import (
+    G2Precomputation,
+    _PrecomputedSource,
+    multi_pairing,
+    partition_into_groups,
+    precompute_g2,
+)
 from repro.pairing.context import ConcretePairingContext
 from repro.pairing.exponent import cyclotomic_value, hard_exponent, solve_final_exp_plan
 from repro.pairing.final_exp import easy_part, final_exponentiation, hard_part
-from repro.pairing.miller import binary_digits, miller_loop, non_adjacent_form
+from repro.pairing.miller import (
+    LivePair,
+    binary_digits,
+    loop_schedule,
+    miller_loop,
+    miller_walk,
+    non_adjacent_form,
+)
 from repro.pairing.reference import reference_pairing
 from repro.errors import PairingError
 
@@ -144,6 +157,36 @@ def oracle_pairs_and_product(toy_curve):
     return pairs, product ** curve.final_exp_plan.c
 
 
+def _binary_form_product(curve, pairs, source):
+    """``source``'s pairing product over the binary digits of the loop scalar.
+
+    The public entry points walk the NAF form; only
+    :func:`repro.pairing.miller.miller_walk` still takes the digit form, so
+    the sources are built here: a precomputation is recorded along the binary
+    schedule, and a single pairing or a split group is one walk of its own.
+    """
+    ctx = ConcretePairingContext(curve)
+    one = curve.tower.fp.one()
+
+    def line_source(P, Q):
+        if source != "precomputed":
+            return LivePair(ctx, (P.x, P.y), (Q.x, Q.y))
+        walker, steps = LivePair(ctx, (one, one), (Q.x, Q.y)), []
+        for kind, addend in loop_schedule(ctx, use_naf=False):
+            if kind == "neg":
+                walker.negate()
+            else:
+                steps.append((kind, walker.step(kind, addend)))
+        return _PrecomputedSource(ctx, G2Precomputation(curve.name, steps), (P.x, P.y))
+
+    sources = [line_source(P, Q) for P, Q in pairs]
+    walks = {"single": len(sources), "split": 2}.get(source, 1)
+    product = curve.gt_one()
+    for group in partition_into_groups(sources, walks):
+        product = product * final_exponentiation(ctx, miller_walk(ctx, group, use_naf=False))
+    return product
+
+
 @pytest.mark.parametrize("use_naf", [True, False], ids=["naf", "binary"])
 @pytest.mark.parametrize("source", ["single", "live", "precomputed", "split"])
 def test_every_line_source_matches_the_reference_oracle(
@@ -153,16 +196,16 @@ def test_every_line_source_matches_the_reference_oracle(
     forms, answers to ``pairing/reference.py`` (which shares none of it)."""
     curve = toy_curve
     pairs, expected = oracle_pairs_and_product
-    if source == "single":
+    if not use_naf:
+        got = _binary_form_product(curve, pairs, source)
+    elif source == "single":
         got = curve.gt_one()
         for P, Q in pairs:
-            got = got * optimal_ate_pairing(curve, P, Q, use_naf=use_naf)
+            got = got * optimal_ate_pairing(curve, P, Q)
     elif source == "precomputed":
-        fixed = [(P, precompute_g2(curve, Q, use_naf=use_naf)) for P, Q in pairs]
-        got = multi_pairing(curve, fixed, use_naf=use_naf)
+        got = multi_pairing(curve, [(P, precompute_g2(curve, Q)) for P, Q in pairs])
     else:
-        got = multi_pairing(curve, pairs, use_naf=use_naf,
-                            accumulators=2 if source == "split" else 1)
+        got = multi_pairing(curve, pairs, accumulators=2 if source == "split" else 1)
     assert got == expected
 
 
@@ -170,9 +213,9 @@ def test_naf_and_binary_loops_agree(toy_bn, rng):
     curve = toy_bn
     P = curve.random_g1(rng)
     Q = curve.random_g2(rng)
-    assert optimal_ate_pairing(curve, P, Q, use_naf=True) == optimal_ate_pairing(
-        curve, P, Q, use_naf=False
-    )
+    ctx = ConcretePairingContext(curve)
+    binary = miller_loop(ctx, (P.x, P.y), (Q.x, Q.y), use_naf=False)
+    assert final_exponentiation(ctx, binary) == optimal_ate_pairing(curve, P, Q)
 
 
 def test_unknown_mode_rejected(toy_bn, rng):
