@@ -101,6 +101,29 @@ def test_guided_strategy_recovers_frontier_within_budget(toy_bn, full_points, st
     assert tight.evaluated <= 3
 
 
+#: What the proxy-ranked top 7 of the TOY-BN42 Fig-10 space is on
+#: (throughput, area): the points, their summed cycles and the frontier.
+TOP7_EVALUATED = (
+    "all-karatsuba/L8-S2-lin1", "all-karatsuba/L8-S2-lin6", "manual/L38-S8-lin1",
+    "manual/L8-S2-lin1", "manual/L8-S2-lin2", "manual/L8-S2-lin4", "manual/L8-S2-lin6",
+)
+TOP7_CYCLES = 92581
+TOP7_FRONTIER = (
+    "all-karatsuba/L8-S2-lin6", "manual/L8-S2-lin6", "manual/L8-S2-lin4",
+    "manual/L8-S2-lin2", "manual/L38-S8-lin1", "manual/L8-S2-lin1",
+)
+
+
+def test_budget_seven_evaluates_the_proxy_ranked_top_seven(toy_bn, full_points):
+    engine = ParallelExplorer(toy_bn, workers=1, do_assemble=False)
+    result = engine.explore_pareto(full_points, ("throughput", "area"),
+                                   strategy="successive_halving", budget=7)
+    assert tuple(sorted(m.label for m in engine.evaluated)) == TOP7_EVALUATED
+    assert sum(m.cycles for m in engine.evaluated) == TOP7_CYCLES
+    assert result.labels() == TOP7_FRONTIER
+    assert (result.evaluated, result.total_points) == (7, 15)
+
+
 def test_local_search_ignores_what_the_process_compiled_earlier(toy_bn, full_points):
     """The seeds are the proxy front, never the memory tier: an unrelated
     earlier sweep does not move the frontier."""
