@@ -81,7 +81,7 @@ Design-space exploration
     descriptions (``--objectives help`` on the evaluation runner prints it).
     ``ParetoResult`` -- the frontier record returned by ``explore_pareto``
     on ``repro.dse.ParallelExplorer``
-    (see ``docs/dse.md`` for objectives, strategies and budget semantics).
+    (see ``docs/dse.md`` for objectives and budget semantics).
 
 Simulators
     ``FunctionalSimulator`` -- executes a compiled kernel on concrete values
@@ -147,7 +147,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.33.0"
+__version__ = "1.34.0"
 
 __all__ = [
     "get_curve",

@@ -29,12 +29,12 @@ CACHE_DIR_ENV = "FINESSE_CACHE_DIR"
 MAX_BYTES_ENV = "FINESSE_CACHE_MAX_BYTES"
 # -- field arithmetic (repro.fields.backends) ---------------------------------
 BACKEND_ENV = "FINESSE_FP_BACKEND"
-# -- exploration engine (repro.dse.engine, repro.evaluation.pareto_sweep) -----
+# -- exploration engine (repro.dse.engine) ------------------------------------
 WORKERS_ENV = "FINESSE_DSE_WORKERS"
 MAX_RETRIES_ENV = "FINESSE_DSE_MAX_RETRIES"
 EVAL_TIMEOUT_ENV = "FINESSE_DSE_EVAL_TIMEOUT"
+# -- Pareto sweep experiment (repro.evaluation.pareto_sweep) -------------------
 OBJECTIVES_ENV = "FINESSE_DSE_OBJECTIVES"
-STRATEGY_ENV = "FINESSE_DSE_STRATEGY"
 BUDGET_ENV = "FINESSE_DSE_BUDGET"
 # -- fault injection (repro.reliability.faults) -------------------------------
 FAULTS_ENV = "FINESSE_FAULTS"
@@ -54,7 +54,7 @@ SHED_AFTER_ENV = "FINESSE_SERVICE_SHED_AFTER_MS"
 ENV_VARS = (
     CACHE_DIR_ENV, MAX_BYTES_ENV, BACKEND_ENV,
     WORKERS_ENV, MAX_RETRIES_ENV, EVAL_TIMEOUT_ENV,
-    OBJECTIVES_ENV, STRATEGY_ENV, BUDGET_ENV,
+    OBJECTIVES_ENV, BUDGET_ENV,
     FAULTS_ENV, HANG_SECONDS_ENV,
     MAX_BATCH_ENV, DEADLINE_ENV, QUEUE_BOUND_ENV, FUSE_ENV,
     BREAKER_THRESHOLD_ENV, BREAKER_COOLDOWN_ENV, SHED_AFTER_ENV,
@@ -71,9 +71,9 @@ def _registered(name: str) -> str:
     return name
 
 
-def env_str(name: str, default: str = "") -> str:
-    """The stripped value of a registered variable, ``default`` when unset/empty."""
-    return os.environ.get(_registered(name), "").strip() or default
+def env_str(name: str) -> str:
+    """The stripped value of a registered variable, ``""`` when unset."""
+    return os.environ.get(_registered(name), "").strip()
 
 
 def env_int(name: str, default, minimum: int = 1):

@@ -6,7 +6,7 @@ from repro.dse.spec import EvalSpec
 from repro.dse.explorer import DesignMetrics, evaluate_design_point
 from repro.dse.engine import ExplorationReport, ParallelExplorer
 from repro.dse.pareto import ParetoResult, dominates, hypervolume, non_dominated_sort, pareto_front
-from repro.dse.search import STRATEGIES, proxy_design_metrics, resolve_strategy
+from repro.dse.search import proxy_design_metrics
 from repro.dse.codesign import alu_family_codesign
 
 __all__ = [
@@ -28,9 +28,7 @@ __all__ = [
     "hypervolume",
     "non_dominated_sort",
     "pareto_front",
-    "STRATEGIES",
     "proxy_design_metrics",
-    "resolve_strategy",
     "evaluate_design_point",
     "alu_family_codesign",
 ]

@@ -91,7 +91,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.compiler.pipeline import cache_counters, cached_kernel
 from repro.config import (
-    BUDGET_ENV,
     EVAL_TIMEOUT_ENV,
     MAX_RETRIES_ENV,
     WORKERS_ENV,
@@ -105,6 +104,7 @@ from repro.curves.catalog import CURVE_SPECS
 from repro.dse.explorer import KernelNotCached, _evaluate_spec
 from repro.dse.objectives import objective_name, resolve_objective, resolve_objectives
 from repro.dse.pareto import ParetoResult, pareto_result
+from repro.dse.search import proxy_ranking, validate_budget
 from repro.dse.spec import EvalSpec
 from repro.errors import DSEError, WorkerCrashError
 from repro.obs import Counters
@@ -670,52 +670,36 @@ class ParallelExplorer:
         return sorted(ranked, key=lambda m: (-score(m), m.label))
 
     def explore_pareto(self, points, objectives=("throughput", "area"),
-                       strategy="exhaustive", budget=None) -> ParetoResult:
+                       budget=None) -> ParetoResult:
         """Multi-objective sweep: extract the Pareto frontier of the space.
 
-        ``objectives`` names the axes (see :func:`repro.list_objectives`),
-        ``strategy`` picks how much of the space is pushed through the real
-        tool-chain (:mod:`repro.dse.search`: ``"exhaustive"``,
-        ``"successive_halving"``, ``"local"``) and ``budget`` caps the full
-        evaluations of the guided strategies (``None`` = half the space).
+        ``objectives`` names the axes (see :func:`repro.list_objectives`).
+        ``budget=None`` evaluates the whole deduplicated space; an integer
+        ``k`` evaluates the ``min(k, n)`` best points by proxy rank
+        (:func:`repro.dse.search.proxy_ranking`) in one batch.
 
         The returned :class:`~repro.dse.pareto.ParetoResult` is bit-identical
         for any worker count, any cache state and any input point order: the
-        space is deduplicated and canonically ordered before the strategy sees
-        it, and strategies themselves only order candidates by canonical keys
-        and the scores of what they evaluated.  ``self.evaluated`` retains the
-        actually-evaluated metrics and ``self.last_report`` the sweep's
-        bookkeeping (``distinct_points`` is the deduplicated space, ``points``
-        the raw input count).
+        space is deduplicated and canonically ordered before it is ranked,
+        and the ranking orders only by canonical keys and proxy scores.
+        ``self.evaluated`` retains the actually-evaluated metrics and
+        ``self.last_report`` the sweep's bookkeeping (``distinct_points`` is
+        the deduplicated space, ``points`` the raw input count).
         """
-        from repro.dse.search import SearchContext, resolve_strategy, validate_budget
-
         scorers = resolve_objectives(objectives)
-        run = resolve_strategy(strategy)
-        budget = validate_budget(
-            budget if budget is not None else env_int(BUDGET_ENV, None))
+        budget = validate_budget(budget)
         points = list(points)
         tally = self._begin_sweep()
         distinct = self._canonical_distinct(points)
-        evaluated_metrics: list = []
-
-        def evaluate(indices):
-            metrics = self._evaluate_batch([distinct[i] for i in indices], tally)
-            # Quarantined points surface as None slots: the frontier is built
-            # from the survivors, and strategies skip the holes.
-            evaluated_metrics.extend(m for m in metrics if m is not None)
-            return metrics
-
-        if distinct:
-            run(SearchContext(curve=self.curve, points=distinct, scorers=scorers,
-                              budget=budget, evaluate=evaluate, spec=self.spec))
-        strategy_name = strategy if isinstance(strategy, str) else getattr(
-            strategy, "__name__", "custom")
-        result = pareto_result(
-            evaluated_metrics, scorers, evaluated=len(evaluated_metrics),
-            total_points=len(distinct), strategy=strategy_name,
-        )
-        self.evaluated = evaluated_metrics
+        chosen = distinct
+        if budget is not None and budget < len(distinct):
+            ranking = proxy_ranking(self.curve, distinct, scorers, self.spec)
+            chosen = [distinct[i] for i in sorted(ranking[:budget])]
+        # Quarantined points surface as None slots: the frontier is built
+        # from the survivors.
+        self.evaluated = [m for m in self._evaluate_batch(chosen, tally) if m is not None]
+        result = pareto_result(self.evaluated, scorers, evaluated=len(self.evaluated),
+                               total_points=len(distinct))
         self.last_report = self._report(tally, len(points), len(distinct),
                                         "+".join(result.objectives))
         return result

@@ -9,10 +9,10 @@ Determinism is the load-bearing property.  A frontier is a *set*, but the
 explorer promises a bit-identical result for any worker count and any point
 enumeration order, so every public function returns its points in the
 canonical order of :func:`canonical_order` -- score vectors descending
-lexicographically, ties broken by the point label.  Crowding distance and
-hypervolume exist for the guided-search strategies (:mod:`repro.dse.search`),
-which need a deterministic way to rank points *within* a front when a budget
-forces them to keep only some.
+lexicographically, ties broken by the point label.  Crowding distance exists
+for the budgeted search (:mod:`repro.dse.search`), which needs a
+deterministic way to rank points *within* a front when a budget forces it to
+keep only some; hypervolume measures a frontier's spread.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def crowding_distances(scores) -> list:
 
     Boundary points of every objective get :data:`INFINITE_CROWDING`; interior
     points accumulate the normalised gap between their neighbours.  Used by
-    the guided strategies to prefer well-spread survivors when a budget forces
-    a cut inside one front.
+    the proxy ranking to prefer well-spread points when a budget forces a cut
+    inside one front.
     """
     n = len(scores)
     if n == 0:
@@ -108,8 +108,8 @@ def hypervolume(scores, reference=None) -> float:
     recurse on the projection.  Exponential in the number of objectives but
     the explorer's fronts are small (a handful of axes over tens of points).
     ``reference`` defaults to the per-axis minimum of the input, which makes
-    the value a *relative* spread measure -- exactly what the guided search
-    needs to compare candidate frontiers deterministically.
+    the value a *relative* spread measure, so candidate frontiers compare
+    deterministically.
     """
     scores = [tuple(float(x) for x in s) for s in scores]
     if not scores:
@@ -157,8 +157,8 @@ class ParetoResult:
     ``frontier`` holds the non-dominated :class:`~repro.dse.explorer.DesignMetrics`
     in canonical order with ``frontier_scores`` the matching score vectors
     (axes in ``objectives`` order, larger is better).  ``evaluated`` counts the
-    points the strategy actually pushed through the full tool-chain --
-    the budget story of :mod:`repro.dse.search` -- while ``total_points``
+    points actually pushed through the full tool-chain -- the budget story of
+    :mod:`repro.dse.search` -- while ``total_points``
     is the size of the deduplicated input space.  ``extremes`` maps each
     objective name to the label of the frontier point that maximises it.
     """
@@ -169,7 +169,6 @@ class ParetoResult:
     dominated: int
     evaluated: int
     total_points: int
-    strategy: str
     extremes: dict
 
     def labels(self) -> tuple:
@@ -181,7 +180,6 @@ class ParetoResult:
     def describe(self) -> dict:
         return {
             "objectives": list(self.objectives),
-            "strategy": self.strategy,
             "frontier_size": len(self.frontier),
             "dominated": self.dominated,
             "evaluated": self.evaluated,
@@ -191,14 +189,14 @@ class ParetoResult:
         }
 
 
-def pareto_result(metrics, objectives, *, evaluated=None, total_points=None,
-                  strategy="exhaustive") -> ParetoResult:
+def pareto_result(metrics, objectives, *, evaluated=None,
+                  total_points=None) -> ParetoResult:
     """Extract the Pareto frontier of evaluated metrics as a :class:`ParetoResult`.
 
     ``metrics`` may arrive in any order; the result is a pure function of the
-    set.  ``evaluated`` / ``total_points`` default to ``len(metrics)`` -- the
-    guided strategies pass the true figures so the budget accounting survives
-    into benchmarks and CI guards.
+    set.  ``evaluated`` / ``total_points`` default to ``len(metrics)`` -- a
+    budgeted sweep passes the true figures so the budget accounting survives
+    into reports and CI guards.
     """
     names = tuple(objective_name(objective) for objective in objectives)
     scorers = resolve_objectives(objectives)
@@ -221,7 +219,6 @@ def pareto_result(metrics, objectives, *, evaluated=None, total_points=None,
         dominated=len(metrics) - len(frontier),
         evaluated=len(metrics) if evaluated is None else evaluated,
         total_points=len(metrics) if total_points is None else total_points,
-        strategy=strategy,
         extremes=extremes,
     )
 

@@ -1,39 +1,28 @@
-"""Budgeted search strategies for multi-objective design-space exploration.
+"""Budgeted multi-objective search: the analytic proxy and its ranking.
 
 The exhaustive sweep evaluates every design point through the full tool-chain
 (compile, schedule, simulate, price) -- exact but expensive at the ROADMAP's
-10^4-point scale.  The strategies here trade a bounded amount of frontier risk
-for a hard cap on full evaluations:
+10^4-point scale.  A budget trades a bounded amount of frontier risk for a
+hard cap on full evaluations, by one rule
+(:meth:`~repro.dse.engine.ParallelExplorer.explore_pareto`):
 
-``exhaustive``
-    Evaluate everything; the budget is ignored (and documented so).  The
-    ground truth every guided strategy is judged against.
-``successive_halving``
-    Score every point with a *free* analytic proxy first (recursive
+``budget=None``
+    Evaluate the whole deduplicated space: the ground truth.
+``budget=k``
+    Score every point with a *free* analytic proxy (recursive
     tower-multiplication cost under the point's variant config, plus the
-    analytic frequency/area/power models -- no compilation), keep the top half
-    by proxy Pareto rank and crowding, and push only the survivors through the
-    real tool-chain.  Evaluates ``min(budget, max(1, n // 2))`` points.
-``local``
-    Proxy-seeded local search: seed with the proxy Pareto front, then
-    repeatedly evaluate the unexplored neighbours of the current real
-    frontier -- points sharing a variant config or a hardware model with a
-    frontier member -- until the budget runs out or no neighbour is left.
+    analytic frequency/area/power models -- no compilation), rank the points
+    by proxy Pareto front, then crowding, then label (:func:`proxy_ranking`),
+    and push the ``min(k, n)`` best through the real tool-chain in one batch.
 
-Every strategy is deterministic: candidate sets are ordered by canonical point
-keys (never submission order) and by the scores of what was evaluated, never by
-what a cache happens to hold, so the frontier a strategy returns is a pure
-function of the design-point *set* and the budget -- independent of worker
-count, cache state and enumeration order, matching the ``explore_pareto``
-contract.
-
-``explore_pareto`` resolves an unset budget from ``FINESSE_DSE_BUDGET`` (the
-evaluation runner's ``--budget`` flag); see ``docs/configuration.md``.
+The ranking is deterministic: it orders by canonical point keys (never
+submission order) and by proxy scores, never by what a cache happens to hold,
+so the frontier a budget returns is a pure function of the design-point *set*
+and the budget -- independent of worker count, cache state and enumeration
+order, matching the ``explore_pareto`` contract.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.config import positive_int
 from repro.dse.pareto import (
@@ -44,7 +33,6 @@ from repro.dse.pareto import (
 from repro.errors import DSEError
 from repro.hw.area import estimate_area
 from repro.hw.power import estimate_power
-from repro.dse.spec import EvalSpec
 from repro.hw.technology import TECH_40NM
 from repro.hw.timing import frequency_mhz
 
@@ -65,7 +53,7 @@ PROXY_LATENCY_EXPOSURE = 0.5
 
 
 def validate_budget(budget):
-    """``None`` (strategy default) or a positive integer; anything else raises."""
+    """``None`` (the whole space) or a positive integer; anything else raises."""
     return None if budget is None else positive_int(budget, "budget", DSEError)
 
 
@@ -106,7 +94,7 @@ def proxy_design_metrics(curve, point, n_cores: int = 1, technology=TECH_40NM):
     scheduler would, frequency/area/power come from the real analytic models,
     and the result is a genuine :class:`~repro.dse.explorer.DesignMetrics`, so
     the same objective callables score proxies and tool-chain results alike.
-    Zero compilations: rung 0 of the successive-halving ladder is free.
+    Zero compilations: ranking a space costs no tool-chain run.
     """
     from repro.dse.explorer import DesignMetrics
 
@@ -150,148 +138,24 @@ def proxy_design_metrics(curve, point, n_cores: int = 1, technology=TECH_40NM):
     )
 
 
-# ---------------------------------------------------------------------------
-# Strategy plumbing
-# ---------------------------------------------------------------------------
+def proxy_ranking(curve, points, scorers, spec) -> list:
+    """Indices of ``points``, best proxy candidates first (deterministic).
 
-@dataclass
-class SearchContext:
-    """Everything a strategy may consult, prepared by ``explore_pareto``.
-
-    ``points`` is the *deduplicated, canonically ordered* design space;
-    ``evaluate(indices)`` pushes those points through the real tool-chain
-    (sharded across the explorer's workers) and returns their metrics;
-    ``spec`` is the sweep's evaluation knobs (the proxy prices the same core
-    count and technology).  Strategies must request each index at most once.
+    Orders by proxy Pareto rank (front 0 first), then by descending crowding
+    distance *within* each front, then by the canonical point key; the proxy
+    prices the sweep's core count and technology (``spec``).
     """
-
-    curve: object
-    points: list
-    scorers: tuple
-    budget: int | None
-    evaluate: object  # list[int] -> list[DesignMetrics]
-    spec: EvalSpec
-    _proxies: list = field(default_factory=list)
-
-    def proxies(self) -> list:
-        """Analytic proxy metrics of every point (computed once, no compiles)."""
-        if not self._proxies:
-            self._proxies = [
-                proxy_design_metrics(self.curve, point, self.spec.n_cores,
-                                     self.spec.technology)
-                for point in self.points
-            ]
-        return self._proxies
-
-    def proxy_ranking(self) -> list:
-        """All point indices, best proxy candidates first (deterministic).
-
-        Orders by proxy Pareto rank (front 0 first), then by descending
-        crowding distance *within* each front, then by the canonical point
-        key -- the promotion order of the guided strategies.
-        """
-        proxies = self.proxies()
-        scores = score_vectors(proxies, self.scorers)
-        ranking = []
-        for front in non_dominated_sort(scores):
-            front_scores = [scores[i] for i in front]
-            crowding = dict(zip(front, crowding_distances(front_scores)))
-            ranking.extend(sorted(
-                front,
-                key=lambda i: (-crowding[i],
-                               tuple(-x for x in scores[i]),
-                               proxies[i].label),
-            ))
-        return ranking
-
-    def default_budget(self) -> int:
-        """Half the space (at least one point): the guided strategies' default."""
-        return max(1, len(self.points) // 2)
-
-
-def _capped_budget(ctx: SearchContext) -> int:
-    budget = ctx.budget if ctx.budget is not None else ctx.default_budget()
-    return min(budget, len(ctx.points))
-
-
-def exhaustive(ctx: SearchContext) -> None:
-    """Evaluate every point (the ground-truth frontier); ignores the budget."""
-    ctx.evaluate(list(range(len(ctx.points))))
-
-
-def successive_halving(ctx: SearchContext) -> None:
-    """Promote the proxy-ranked top half (capped by the budget) to full evaluation."""
-    promote = min(ctx.default_budget(), _capped_budget(ctx))
-    ctx.evaluate(sorted(ctx.proxy_ranking()[:promote]))
-
-
-def local_search(ctx: SearchContext) -> None:
-    """Proxy-seeded local search around the evolving real frontier.
-
-    Seeds are the proxy Pareto front, capped by the budget; each round
-    evaluates the unexplored neighbours (shared variant config or shared
-    hardware model) of the current real frontier, best proxy rank first,
-    until the budget is exhausted or no neighbour remains.  The proxy front
-    seeds every variant-config/hardware "row and column" the analytic model
-    finds promising, so the neighbourhood moves can reach any point the proxy
-    mis-ranked.
-    """
-    from repro.dse.pareto import pareto_front
-
-    budget = _capped_budget(ctx)
-    ranking = ctx.proxy_ranking()
-    proxy_scores = score_vectors(ctx.proxies(), ctx.scorers)
-    proxy_front = set(non_dominated_sort(proxy_scores)[0])
-    rank_of = {index: position for position, index in enumerate(ranking)}
-
-    seeds = [i for i in ranking if i in proxy_front][:budget]
-    evaluated: dict = {}
-    for index, metrics in zip(sorted(seeds), ctx.evaluate(sorted(seeds))):
-        evaluated[index] = metrics
-
-    def identity(index):
-        point = ctx.points[index]
-        return point.variant_config.cache_key(), point.hw.cache_key()
-
-    while len(evaluated) < budget:
-        # Quarantined points return None metrics: they stay in ``evaluated``
-        # (each index is requested at most once) but never seed the frontier.
-        survivors = {i: m for i, m in evaluated.items() if m is not None}
-        frontier_labels = {m.label for m in
-                           pareto_front(list(survivors.values()), ctx.scorers)}
-        frontier_ids = [identity(i) for i, m in survivors.items()
-                        if m.label in frontier_labels]
-        neighbours = [
-            i for i in ranking
-            if i not in evaluated and any(
-                identity(i)[0] == vc or identity(i)[1] == hw
-                for vc, hw in frontier_ids
-            )
-        ]
-        if not neighbours:
-            break
-        batch = sorted(neighbours, key=lambda i: rank_of[i])[:budget - len(evaluated)]
-        for index, metrics in zip(sorted(batch), ctx.evaluate(sorted(batch))):
-            evaluated[index] = metrics
-
-
-#: Registered search strategies, keyed by the name the runner's ``--strategy``
-#: flag (and ``FINESSE_DSE_STRATEGY``) accepts.
-STRATEGIES = {
-    "exhaustive": exhaustive,
-    "successive_halving": successive_halving,
-    "local": local_search,
-}
-
-
-def resolve_strategy(strategy):
-    """Turn a strategy name (or a strategy callable) into the callable."""
-    if callable(strategy):
-        return strategy
-    try:
-        return STRATEGIES[strategy]
-    except (KeyError, TypeError) as exc:
-        known = ", ".join(STRATEGIES)
-        raise DSEError(
-            f"unknown search strategy {strategy!r} (known strategies: {known})"
-        ) from exc
+    proxies = [proxy_design_metrics(curve, point, spec.n_cores, spec.technology)
+               for point in points]
+    scores = score_vectors(proxies, scorers)
+    ranking = []
+    for front in non_dominated_sort(scores):
+        front_scores = [scores[i] for i in front]
+        crowding = dict(zip(front, crowding_distances(front_scores)))
+        ranking.extend(sorted(
+            front,
+            key=lambda i: (-crowding[i],
+                           tuple(-x for x in scores[i]),
+                           proxies[i].label),
+        ))
+    return ranking

@@ -3,7 +3,7 @@
 :func:`repro.dse.explorer.evaluate_design_point` and
 :class:`repro.dse.engine.ParallelExplorer` accept the knobs as keywords and
 fold them into an :class:`EvalSpec` at the boundary; everything below -- the
-worker entry point, the search strategies, the kernel compiles -- carries the
+worker entry point, the proxy ranking, the kernel compiles -- carries the
 spec.  A new knob is a new field here plus the line that consumes it.
 """
 

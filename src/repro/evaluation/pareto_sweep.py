@@ -1,21 +1,22 @@
-"""Multi-objective Pareto sweep: exhaustive vs budgeted guided search.
+"""Multi-objective Pareto sweep: exhaustive vs budgeted proxy-guided search.
 
 Runs the Figure 10 toy design space (the named variant configurations crossed
 with the representative pipeline configurations) through
-:meth:`repro.dse.engine.ParallelExplorer.explore_pareto` once per search
-strategy and records, per strategy: the frontier itself (with per-point
-``cycles``), how many points were pushed through the full tool-chain, the
-summed cycles of those evaluations (``total_evaluated_cycles``, which pins
-down *which* points the strategy evaluated), the sweep wall-clock, and whether
-the strategy recovered the exhaustive frontier.
+:meth:`repro.dse.engine.ParallelExplorer.explore_pareto` twice: ``exhaustive``
+(no budget, the ground truth) and ``guided`` (the proxy-ranked top k).  Each
+row records the frontier itself (with per-point ``cycles``), how many points
+were pushed through the full tool-chain, the summed cycles of those
+evaluations (``total_evaluated_cycles``, which pins down *which* points were
+evaluated), the sweep wall-clock, and whether the row recovered the
+exhaustive frontier.
 
-Knobs come from the environment, set by the evaluation runner's flags:
-``FINESSE_DSE_OBJECTIVES`` (``--objectives``), ``FINESSE_DSE_STRATEGY``
-(``--strategy``: restricts the run to the exhaustive baseline plus that one
-strategy) and ``FINESSE_DSE_BUDGET`` (``--budget``).  The guided strategies'
-contract -- recover the exhaustive frontier while evaluating at most half the
-space -- is asserted by ``tests/test_dse_pareto.py`` on the same toy space;
-the explorer's wall-clock is measured by the ledger's two DSE workloads
+Knobs come from the environment, set by the evaluation runner's flags, and
+this module is their only reader: ``FINESSE_DSE_OBJECTIVES``
+(``--objectives``) and ``FINESSE_DSE_BUDGET`` (``--budget``: the guided row's
+k, half the space when unset).  Like every variable, a value that does not
+parse -- an unknown objective name included -- means the default.  The
+smallest k that recovers each frontier is tabled in ``docs/dse.md``; the
+explorer's wall-clock is measured by the ledger's two DSE workloads
 (``python benchmarks/ledger/run.py --seconds 1 --out ledger-out``).
 """
 
@@ -23,23 +24,32 @@ from __future__ import annotations
 
 import time
 
-from repro.config import BUDGET_ENV, OBJECTIVES_ENV, STRATEGY_ENV, env_int, env_str
+from repro.config import BUDGET_ENV, OBJECTIVES_ENV, env_int, env_str
 from repro.curves.catalog import get_curve
 from repro.dse.engine import ParallelExplorer
+from repro.dse.objectives import OBJECTIVES
 from repro.dse.search import DEFAULT_OBJECTIVES
 from repro.dse.space import design_points, named_variant_configs
 from repro.evaluation.common import DEFAULT_SCALE, dse_curve_name
 from repro.hw.presets import figure10_models
-
-#: Search strategies compared by the sweep, exhaustive (the ground truth)
-#: first.  ``FINESSE_DSE_STRATEGY`` narrows the run to exhaustive + that one.
-SWEEP_STRATEGIES = ("exhaustive", "successive_halving", "local")
 
 
 def toy_design_points(curve) -> list:
     """The sweep's design space: named variant configs x Figure 10 models."""
     width = curve.params.p.bit_length()
     return design_points(named_variant_configs().values(), figure10_models(width))
+
+
+def sweep_objectives() -> tuple:
+    """``FINESSE_DSE_OBJECTIVES`` as a tuple of registered names; no names,
+    or any name the registry does not know, means :data:`DEFAULT_OBJECTIVES`."""
+    names = tuple(n.strip() for n in env_str(OBJECTIVES_ENV).split(",") if n.strip())
+    return names if names and all(n in OBJECTIVES for n in names) else DEFAULT_OBJECTIVES
+
+
+def sweep_budget():
+    """``FINESSE_DSE_BUDGET`` (a positive integer), or ``None``."""
+    return env_int(BUDGET_ENV, None)
 
 
 def _frontier_row(metrics) -> dict:
@@ -60,26 +70,20 @@ def run(scale: str | None = None) -> dict:
     scale = scale or DEFAULT_SCALE
     curve = get_curve(dse_curve_name(scale))
     points = toy_design_points(curve)
-    names = env_str(OBJECTIVES_ENV).split(",")
-    objectives = tuple(n.strip() for n in names if n.strip()) or DEFAULT_OBJECTIVES
-    budget = env_int(BUDGET_ENV, None)
-    forced = env_str(STRATEGY_ENV, "exhaustive")
-    strategies = SWEEP_STRATEGIES
-    if forced != "exhaustive":
-        strategies = ("exhaustive", forced)
+    objectives = sweep_objectives()
+    budget = sweep_budget() or max(1, len(points) // 2)
 
     results: dict = {}
     exhaustive_labels: tuple = ()
-    for strategy in strategies:
+    for row, row_budget in (("exhaustive", None), ("guided", budget)):
         explorer = ParallelExplorer(curve, do_assemble=False)
         start = time.perf_counter()
-        pareto = explorer.explore_pareto(points, objectives,
-                                         strategy=strategy, budget=budget)
+        pareto = explorer.explore_pareto(points, objectives, budget=row_budget)
         wall_s = time.perf_counter() - start
         explorer.close()
-        if strategy == "exhaustive":
+        if row == "exhaustive":
             exhaustive_labels = pareto.labels()
-        results[strategy] = {
+        results[row] = {
             "evaluated_points": pareto.evaluated,
             "total_points": pareto.total_points,
             "evaluated_fraction": round(pareto.evaluated / pareto.total_points, 3),
@@ -96,10 +100,10 @@ def run(scale: str | None = None) -> dict:
         "experiment": "pareto_sweep",
         "curve": curve.name,
         "fp_backend": curve.fp_backend,
-        "objectives": _objective_names(objectives),
+        "objectives": list(objectives),
         "budget": budget,
         "points": len(points),
-        "strategies": results,
+        "rows": results,
         "paper_claim": (
             "the co-design sweep is a multi-objective frontier problem: the "
             "Pareto front over throughput/area (and power) exposes the "
@@ -110,25 +114,19 @@ def run(scale: str | None = None) -> dict:
     }
 
 
-def _objective_names(objectives) -> list:
-    from repro.dse.objectives import objective_name
-
-    return [objective_name(objective) for objective in objectives]
-
-
 def render(result: dict) -> str:
     lines = [f"Pareto sweep -- {result['curve']}, "
              f"objectives {'+'.join(result['objectives'])}, "
              f"{result['points']} design points"]
-    for strategy, entry in result["strategies"].items():
+    for row, entry in result["rows"].items():
         lines.append(
-            f"  {strategy:<19} evaluated {entry['evaluated_points']:>2}/"
+            f"  {row:<10} evaluated {entry['evaluated_points']:>2}/"
             f"{entry['total_points']} ({entry['evaluated_fraction']:.0%}) "
             f"frontier {entry['frontier_size']} "
             f"recovers={'yes' if entry['recovers_exhaustive'] else 'NO'} "
             f"({entry['wall_s']:.2f}s)"
         )
-    frontier = result["strategies"].get("exhaustive", {}).get("frontier", [])
+    frontier = result["rows"]["exhaustive"]["frontier"]
     if frontier:
         lines.append("  exhaustive frontier (throughput_ops / area_mm2 / power_mw):")
         for row in frontier:

@@ -28,13 +28,13 @@ point's evaluation in seconds on sharded sweeps (a stalled worker is killed
 and its chunk resubmitted).  Bad values fail the flag with a ``DSEError``,
 mirroring ``--budget``.
 
-``--objectives a,b,c`` / ``--strategy NAME`` / ``--budget N`` configure the
-multi-objective sweep (the ``pareto_sweep`` experiment) -- exported as
-``FINESSE_DSE_OBJECTIVES`` / ``FINESSE_DSE_STRATEGY`` / ``FINESSE_DSE_BUDGET``
-so every explorer in the run resolves the same defaults.  ``--objectives
-help`` prints the registered objectives with their descriptions and exits;
-unknown objective or strategy names fail at the flag with the same
-``DSEError`` the explorers raise.
+``--objectives a,b,c`` / ``--budget N`` configure the multi-objective sweep
+(the ``pareto_sweep`` experiment, their only reader) -- exported as
+``FINESSE_DSE_OBJECTIVES`` / ``FINESSE_DSE_BUDGET``.  ``--budget`` sizes the
+sweep's guided row (default: half the space).  ``--objectives help`` prints
+the registered objectives with their descriptions and exits; an unknown
+objective name fails at the flag with the same ``DSEError`` the explorers
+raise.
 
 A value-taking flag given without a value raises a ``DSEError`` naming it.
 """
@@ -56,7 +56,7 @@ from repro.dse.engine import (
     worker_cache_stats,
 )
 from repro.dse.objectives import list_objectives, resolve_objective
-from repro.dse.search import resolve_strategy, validate_budget
+from repro.dse.search import validate_budget
 from repro.evaluation import (
     batch_verify,
     fig2,
@@ -149,11 +149,6 @@ def _check_objectives(raw: str) -> str:
     return ",".join(names)
 
 
-def _check_strategy(name: str) -> str:
-    resolve_strategy(name)
-    return name
-
-
 #: Flags that pin a default for the whole run: flag -> (variable, parser,
 #: check, error class for an unparsable value).  The checked value is
 #: exported, so DSE worker processes resolve the same default as this
@@ -165,7 +160,6 @@ _ENV_FLAGS = {
     "--eval-timeout": (config.EVAL_TIMEOUT_ENV, float, validate_eval_timeout, DSEError),
     "--budget": (config.BUDGET_ENV, int, validate_budget, DSEError),
     "--objectives": (config.OBJECTIVES_ENV, str, _check_objectives, DSEError),
-    "--strategy": (config.STRATEGY_ENV, str, _check_strategy, DSEError),
     "--fp-backend": (config.BACKEND_ENV, str, normalise_backend, FieldError),
 }
 

@@ -91,7 +91,7 @@ def estimate_area(
     alu_um2_per_core = mmul.area_um2 + linear_um2 + inverter_um2
 
     imem = estimate_instruction_memory(imem_bits)
-    dmem = estimate_data_memory(width, registers, model.bank_read_ports, model.bank_write_ports)
+    dmem = estimate_data_memory(width, registers, model.bank_read_ports)
 
     core_um2 = alu_um2_per_core + dmem.area_um2
     other_um2 = OTHER_OVERHEAD_FRACTION * (imem.area_um2 + n_cores * core_um2)

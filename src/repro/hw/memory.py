@@ -49,11 +49,10 @@ def estimate_instruction_memory(total_bits: int) -> MemoryEstimate:
     return MemoryEstimate(width, depth, total_bits, macros, area)
 
 
-def estimate_data_memory(word_width: int, registers: int, read_ports: int = 2,
-                         write_ports: int = 1) -> MemoryEstimate:
-    """Multi-ported register-bank data memory."""
+def estimate_data_memory(word_width: int, registers: int, read_ports: int = 2) -> MemoryEstimate:
+    """Multi-ported register-bank data memory (one write port per bank)."""
     total_bits = word_width * max(1, registers)
-    port_factor = 1.0 + 0.15 * (read_ports - 2) + 0.25 * (write_ports - 1)
+    port_factor = 1.0 + 0.15 * (read_ports - 2)
     macros = max(1, ceil(total_bits / (MACRO_WIDTH_BITS * MACRO_DEPTH_WORDS)))
     area = total_bits * DMEM_UM2_PER_BIT * port_factor + 2 * word_width * PIPELINE_REG_UM2_PER_BIT
     return MemoryEstimate(word_width, registers, total_bits, macros, area)

@@ -8,8 +8,9 @@ distinguishes the paper's HW1/HW2 configurations.
 
 The model enforces the framework constraints stated in Section 3.2 of the paper:
 one modular multiplier per core (the model has no field to ask for more), at
-least as many register banks as the VLIW width, at least 2 reads + 1 write per
-bank per cycle, and a write-back ring buffer on VLIW configurations.
+least as many register banks as the VLIW width, at least 2 reads per bank per
+cycle, one write per bank per cycle (the model has no field to ask for more),
+and a write-back ring buffer on VLIW configurations.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class HardwareModel:
     #: Register-bank organisation.  A bank holds as many registers as the
     #: kernel's allocation asks for (the area model prices that demand).
     n_banks: int = 1
+    #: Reads per bank per cycle; each bank takes one write per cycle.
     bank_read_ports: int = 2
-    bank_write_ports: int = 1
     #: Write-back ring buffer absorbing write-port conflicts (the paper's HW2);
     #: it is modelled unbounded.
     has_writeback_fifo: bool = False
@@ -59,8 +60,8 @@ class HardwareModel:
             raise HardwareModelError("issue width must be positive")
         if self.n_banks < self.issue_width:
             raise HardwareModelError("need at least as many register banks as the VLIW width")
-        if self.bank_read_ports < 2 or self.bank_write_ports < 1:
-            raise HardwareModelError("banks must support at least 2 reads + 1 write per cycle")
+        if self.bank_read_ports < 2:
+            raise HardwareModelError("banks must support at least 2 reads per cycle")
         if self.issue_width >= 2 and not self.has_writeback_fifo:
             raise HardwareModelError("VLIW configurations require the write-back ring buffer")
         if self.n_linear_units < 1:
@@ -121,6 +122,6 @@ class HardwareModel:
             self.n_linear_units,
             self.n_banks,
             self.bank_read_ports,
-            self.bank_write_ports,
+            1,  # the retired bank_write_ports: keeps every kernel digest and store key
             self.has_writeback_fifo,
         )

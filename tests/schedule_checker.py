@@ -14,8 +14,8 @@ cycle is rebuilt from the non-bubble trace entries, and every violation found
 is returned as one line (an empty list means the schedule is legal).
 
 The write-back FIFO is unbounded and a register bank is sized by demand, so
-neither has a limit to check.  Left unchecked until the hardware model decides
-it: ``bank_write_ports`` beyond one write per bank per cycle.
+neither has a limit to check.  A bank takes one write per cycle: the model has
+no write-port field.
 """
 
 from __future__ import annotations

@@ -41,6 +41,8 @@ def test_hardware_model_validation():
         HardwareModel(issue_width=2, n_banks=2, has_writeback_fifo=False).validate()
     with pytest.raises(HardwareModelError):
         HardwareModel(bank_read_ports=1).validate()
+    with pytest.raises(TypeError):                 # one write per bank per cycle, by structure
+        HardwareModel(bank_write_ports=2)
 
 
 def test_hardware_model_helpers():

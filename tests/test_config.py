@@ -22,11 +22,9 @@ from repro.dse.engine import (
     ParallelExplorer,
     validate_eval_timeout,
 )
-from repro.dse.space import DesignPoint
+from repro.dse.search import DEFAULT_OBJECTIVES
 from repro.errors import DSEError, FieldError, ReliabilityError, ServiceError
-from repro.evaluation import runner
-from repro.fields.variants import VariantConfig
-from repro.hw.presets import paper_hw1
+from repro.evaluation import pareto_sweep, runner
 from repro.reliability import faults
 from repro.service import ServiceConfig
 
@@ -49,13 +47,10 @@ def _service_attr(name):
     return read
 
 
-def _pareto_budget(curve, tmp_path, monkeypatch):
-    seen = []
-    point = DesignPoint(VariantConfig.all_karatsuba(),
-                        paper_hw1(curve.params.p.bit_length()))
-    ParallelExplorer(curve, workers=1).explore_pareto(
-        [point], strategy=lambda ctx: seen.append(ctx.budget))
-    return seen[0]
+def _sweep_reader(name):
+    def read(curve, tmp_path, monkeypatch):
+        return getattr(pareto_sweep, name)()
+    return read
 
 
 def _hang_seconds(curve, tmp_path, monkeypatch):
@@ -77,7 +72,10 @@ POLICY = [
      "0", 0, ["many", "1.5", "-1"]),
     (config.EVAL_TIMEOUT_ENV, _explorer_attr("eval_timeout"), None, "2.5", 2.5,
      ["soon", "0", "-3", "nan", "inf"]),
-    (config.BUDGET_ENV, _pareto_budget, None, "5", 5, ["lots", "0", "-2"]),
+    (config.OBJECTIVES_ENV, _sweep_reader("sweep_objectives"), DEFAULT_OBJECTIVES,
+     " throughput , power", ("throughput", "power"),
+     ["bogus", "throughput,bogus", " , "]),
+    (config.BUDGET_ENV, _sweep_reader("sweep_budget"), None, "5", 5, ["lots", "0", "-2"]),
     (config.HANG_SECONDS_ENV, _hang_seconds, faults.DEFAULT_HANG_SECONDS,
      "0.25", 0.25, ["forever", "0", "-1", "nan", "inf"]),
     (config.MAX_BATCH_ENV, _service_attr("max_batch"), 8, "4", 4,
@@ -110,8 +108,7 @@ def test_env_policy(toy_bn, tmp_path, monkeypatch, name, read, default, raw,
 
 
 def test_policy_table_covers_every_numeric_and_choice_variable():
-    free_form = {config.CACHE_DIR_ENV, config.BACKEND_ENV, config.FAULTS_ENV,
-                 config.OBJECTIVES_ENV, config.STRATEGY_ENV}
+    free_form = {config.CACHE_DIR_ENV, config.BACKEND_ENV, config.FAULTS_ENV}
     assert {row[0] for row in POLICY} == set(config.ENV_VARS) - free_form
 
 
@@ -126,11 +123,11 @@ def test_only_the_name_valued_variables_raise(monkeypatch):
         faults.configure_faults_from_env()
     monkeypatch.delenv(config.FAULTS_ENV)
     assert faults.configure_faults_from_env() is None
-    # Free-form strings: stripped, default when unset or blank.
-    monkeypatch.setenv(config.STRATEGY_ENV, "  local ")
-    assert config.env_str(config.STRATEGY_ENV, "exhaustive") == "local"
-    monkeypatch.setenv(config.STRATEGY_ENV, "  ")
-    assert config.env_str(config.STRATEGY_ENV, "exhaustive") == "exhaustive"
+    # Free-form strings: stripped, empty when unset or blank.
+    monkeypatch.setenv(config.OBJECTIVES_ENV, "  power ")
+    assert config.env_str(config.OBJECTIVES_ENV) == "power"
+    monkeypatch.setenv(config.OBJECTIVES_ENV, "  ")
+    assert config.env_str(config.OBJECTIVES_ENV) == ""
 
 
 def test_unregistered_names_cannot_be_read_or_exported():

@@ -3,7 +3,8 @@
 The twist type (D or M) and the sign of the seed pick different code paths:
 line placement, the conjugation after the Miller loop and the BN Frobenius
 tail.  The catalog toys cover three of the twelve shapes; the ``curve_shapes``
-fixture derives one small curve of every shape with the seed search.
+fixture derives one small curve of every shape with the seed search.  The
+batched kernels' BLS24 rows take 1.4-2.9 s each and are marked ``slow``.
 """
 
 from __future__ import annotations
@@ -12,13 +13,17 @@ import random
 
 import pytest
 
-from repro.compiler.pipeline import compile_pairing
+from repro.compiler.pipeline import compile_multi_pairing, compile_pairing
+from repro.hw.presets import paper_hw1
 from repro.pairing.ate import optimal_ate_pairing
 from repro.pairing.batch import multi_pairing, precompute_g2
 from repro.sim.functional import FunctionalSimulator
 
 SHAPES = [f"{family}-{twist}-{sign}" for family in ("BN", "BLS12", "BLS24")
           for twist in ("D", "M") for sign in ("pos", "neg")]
+#: The shapes with the BLS24 rows marked ``slow``.
+SHAPES_BLS24_SLOW = [pytest.param(shape, marks=pytest.mark.slow)
+                     if shape.startswith("BLS24") else shape for shape in SHAPES]
 
 
 def test_the_search_reaches_every_shape(curve_shapes):
@@ -67,3 +72,22 @@ def test_compiled_kernel_matches_software(curve_shapes, shape):
     outputs = FunctionalSimulator(compile_pairing(curve).program, curve.p).run(inputs).outputs
     assert [outputs[("result", j)] for j in range(curve.k)] == \
         optimal_ate_pairing(curve, P, Q).to_base_coeffs()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["shared", "split"])
+@pytest.mark.parametrize("shape", SHAPES_BLS24_SLOW)
+def test_compiled_batch_kernel_matches_multi_pairing(curve_shapes, shape, split):
+    """The batch-2 kernel on two cores, one shared accumulator or one per
+    core, computes the software product of the two pairings."""
+    curve = curve_shapes[shape]
+    rng = random.Random(79)
+    pairs = [(curve.random_g1(rng), curve.random_g2(rng)) for _ in range(2)]
+    inputs = {(f"{name}{i}", j): coeff
+              for i, (P, Q) in enumerate(pairs)
+              for name, value in (("xP", P.x), ("yP", P.y), ("xQ", Q.x), ("yQ", Q.y))
+              for j, coeff in enumerate(value.to_base_coeffs())}
+    hw = paper_hw1(curve.p.bit_length()).with_cores(2)
+    program = compile_multi_pairing(curve, 2, hw=hw, split_accumulators=split).program
+    outputs = FunctionalSimulator(program, curve.p).run(inputs).outputs
+    assert [outputs[("result", j)] for j in range(curve.k)] == \
+        multi_pairing(curve, pairs).to_base_coeffs()

@@ -342,9 +342,9 @@ def test_sweep_report_carries_every_store_counter(toy_bn, toy_points, sweep_stor
     assert (disk["hits"], disk["misses"], disk["stores"]) == (len(toy_points) - 2, 4, 2)
 
 
-@pytest.mark.parametrize("strategy", ["exhaustive", "successive_halving", "local"])
+@pytest.mark.parametrize("budget", [None, 7], ids=["exhaustive", "top7"])
 def test_pareto_is_one_result_for_any_workers_and_cache_state(
-        toy_bn, toy_points, sweep_store, strategy):
+        toy_bn, toy_points, sweep_store, budget):
     results = []
     for workers in (1, 2):
         clear_caches(disk=True)
@@ -352,7 +352,7 @@ def test_pareto_is_one_result_for_any_workers_and_cache_state(
             clear_caches()                      # memory tier only
             with ParallelExplorer(toy_bn, workers=workers) as explorer:
                 results.append(explorer.explore_pareto(
-                    toy_points, ("throughput", "area"), strategy=strategy))
+                    toy_points, ("throughput", "area"), budget=budget))
         assert explorer.last_report.cache_stats["result"]["misses"] == 0
         assert explorer.last_report.chunks == 0
     assert results.count(results[0]) == 4

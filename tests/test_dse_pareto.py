@@ -5,10 +5,10 @@ import random
 import pytest
 
 from repro.compiler.pipeline import clear_caches
-from repro.config import BUDGET_ENV, OBJECTIVES_ENV, STRATEGY_ENV
+from repro.config import BUDGET_ENV, OBJECTIVES_ENV
 from repro.dse.engine import EMPTY_SPACE_MESSAGE, ParallelExplorer
 from repro.dse.objectives import list_objectives, resolve_objective
-from repro.dse.search import proxy_design_metrics, resolve_strategy, validate_budget
+from repro.dse.search import proxy_design_metrics, validate_budget
 from repro.dse.space import DesignPoint, design_points, named_variant_configs
 from repro.errors import DSEError
 from repro.evaluation.runner import main as runner_main
@@ -75,8 +75,7 @@ def test_explore_ranking_breaks_score_ties_by_label(toy_bn, toy_points):
 # Guided search: budget and frontier-recovery contract
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("strategy", ["successive_halving", "local"])
-def test_guided_strategy_recovers_frontier_within_budget(toy_bn, full_points, strategy):
+def test_half_the_space_recovers_the_frontier(toy_bn, full_points):
     engine = ParallelExplorer(toy_bn, workers=1, do_assemble=False)
     exhaustive = engine.explore_pareto(full_points, objectives=("throughput", "area"))
     assert exhaustive.evaluated == exhaustive.total_points == len(full_points)
@@ -88,17 +87,16 @@ def test_guided_strategy_recovers_frontier_within_budget(toy_bn, full_points, st
     assert len({m.power_mw for m in exhaustive.frontier}) > 1
 
     guided = engine.explore_pareto(full_points, objectives=("throughput", "area"),
-                                   strategy=strategy)
-    assert guided.strategy == strategy
-    assert guided.evaluated <= len(full_points) // 2
+                                   budget=len(full_points) // 2)
+    assert guided.evaluated == len(full_points) // 2
     # The guided frontier contains every exhaustive-frontier point (it may
     # not contain more: its frontier is non-dominated within the evaluated
     # subset, and the exhaustive front dominates everything else).
     assert set(exhaustive.labels()) <= set(guided.labels())
-    # A tight explicit budget is respected.
+    # A tight budget evaluates exactly that many points.
     tight = engine.explore_pareto(full_points, objectives=("throughput", "area"),
-                                  strategy=strategy, budget=3)
-    assert tight.evaluated <= 3
+                                  budget=3)
+    assert tight.evaluated == 3
 
 
 #: What the proxy-ranked top 7 of the TOY-BN42 Fig-10 space is on
@@ -116,26 +114,35 @@ TOP7_FRONTIER = (
 
 def test_budget_seven_evaluates_the_proxy_ranked_top_seven(toy_bn, full_points):
     engine = ParallelExplorer(toy_bn, workers=1, do_assemble=False)
-    result = engine.explore_pareto(full_points, ("throughput", "area"),
-                                   strategy="successive_halving", budget=7)
+    result = engine.explore_pareto(full_points, ("throughput", "area"), budget=7)
     assert tuple(sorted(m.label for m in engine.evaluated)) == TOP7_EVALUATED
     assert sum(m.cycles for m in engine.evaluated) == TOP7_CYCLES
     assert result.labels() == TOP7_FRONTIER
     assert (result.evaluated, result.total_points) == (7, 15)
 
 
+def test_a_budget_above_half_the_space_is_not_capped(toy_bn, full_points):
+    """``budget=k`` evaluates ``min(k, n)`` points: 10 of 15 is 10, and a
+    budget past the space is the whole space."""
+    engine = ParallelExplorer(toy_bn, workers=1, do_assemble=False)
+    ten = engine.explore_pareto(full_points, ("throughput", "area"), budget=10)
+    assert ten.evaluated == len(engine.evaluated) == 10
+    assert set(TOP7_EVALUATED) <= {m.label for m in engine.evaluated}
+    everything = engine.explore_pareto(full_points, ("throughput", "area"), budget=99)
+    assert everything.evaluated == everything.total_points == 15
+
+
 def test_local_search_ignores_what_the_process_compiled_earlier(toy_bn, full_points):
-    """The seeds are the proxy front, never the memory tier: an unrelated
-    earlier sweep does not move the frontier."""
+    """What a budget picks comes from the proxy, never the memory tier: an
+    unrelated earlier sweep does not move the frontier."""
     engine = ParallelExplorer(toy_bn, workers=1)
-    clear_caches()
-    cold = engine.explore_pareto(full_points, ("throughput", "area"),
-                                 strategy="local", budget=7)
-    clear_caches()
-    engine.explore(full_points[-4:])
-    after = engine.explore_pareto(full_points, ("throughput", "area"),
-                                  strategy="local", budget=7)
-    assert after == cold
+    for budget in (None, 7):
+        clear_caches()
+        cold = engine.explore_pareto(full_points, ("throughput", "area"), budget=budget)
+        clear_caches()
+        engine.explore(full_points[-4:])
+        after = engine.explore_pareto(full_points, ("throughput", "area"), budget=budget)
+        assert after == cold, budget
 
 
 def test_proxy_metrics_are_deterministic_and_populated(toy_bn, full_points):
@@ -177,14 +184,16 @@ def test_unknown_objective_identical_in_both_explorers(toy_bn, toy_points):
 
 
 def test_strategy_and_budget_validation(toy_bn, toy_points):
+    """The budget is the one search knob: ``strategy=`` is no parameter."""
     engine = ParallelExplorer(toy_bn, workers=1)
-    with pytest.raises(DSEError, match="unknown search strategy"):
-        engine.explore_pareto(toy_points, strategy="annealing")
+    with pytest.raises(TypeError):
+        engine.explore_pareto(toy_points, strategy="exhaustive")
     for bad in (0, -1, 1.5, True):
         with pytest.raises(DSEError):
             validate_budget(bad)
+        with pytest.raises(DSEError):
+            engine.explore_pareto(toy_points, budget=bad)
     assert validate_budget(7) == 7
-    assert resolve_strategy("local") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +211,14 @@ def test_list_objectives_registry():
 
 
 def test_env_defaults(toy_bn, toy_points, monkeypatch):
-    """An unset ``budget`` resolves from FINESSE_DSE_BUDGET; explicit wins.
-    (The objectives/strategy variables are read by the pareto_sweep
-    experiment; their env policy rows live in test_config.py.)"""
-    seen = []
+    """The engine reads no budget from the environment: FINESSE_DSE_BUDGET
+    sizes only the pareto_sweep experiment's guided row (its env policy row
+    lives in test_config.py), so an exported budget leaves an unbudgeted
+    sweep exhaustive."""
     engine = ParallelExplorer(toy_bn, workers=1)
-
-    def probe(ctx):                   # a strategy that evaluates nothing
-        seen.append(ctx.budget)
-
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
-    engine.explore_pareto(toy_points, strategy=probe)
-    monkeypatch.setenv(BUDGET_ENV, "5")
-    engine.explore_pareto(toy_points, strategy=probe)
-    engine.explore_pareto(toy_points, strategy=probe, budget=2)
-    monkeypatch.setenv(BUDGET_ENV, "0")       # out of range: the default again
-    engine.explore_pareto(toy_points, strategy=probe)
-    assert seen == [None, 5, 2, None]
+    monkeypatch.setenv(BUDGET_ENV, "1")
+    result = engine.explore_pareto(toy_points)
+    assert result.evaluated == result.total_points == len(toy_points)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +235,9 @@ def test_runner_objectives_help(capsys, monkeypatch):
 
 def test_runner_flag_validation(monkeypatch):
     monkeypatch.delenv(OBJECTIVES_ENV, raising=False)
-    monkeypatch.delenv(STRATEGY_ENV, raising=False)
     monkeypatch.delenv(BUDGET_ENV, raising=False)
     with pytest.raises(DSEError, match="unknown objective"):
         runner_main(["--objectives", "throughput,bogus"])
-    with pytest.raises(DSEError, match="unknown search strategy"):
-        runner_main(["--strategy", "annealing"])
     with pytest.raises(DSEError, match="--budget must be an integer"):
         runner_main(["--budget", "lots"])
     with pytest.raises(DSEError):

@@ -79,7 +79,7 @@ def test_memory_models():
     assert imem.area_mm2 > 0.3
     assert imem.size_kib == pytest.approx(2_000_000 / 8 / 1024)
     dmem = estimate_data_memory(254, 512)
-    dmem_ported = estimate_data_memory(254, 512, read_ports=4, write_ports=2)
+    dmem_ported = estimate_data_memory(254, 512, read_ports=4)
     assert dmem_ported.area_um2 > dmem.area_um2
 
 

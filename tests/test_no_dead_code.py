@@ -87,9 +87,7 @@ KEPT = {
     "fields.variants.VariantCost.weighted(linear_weight)":
         "cost model: the price of a linear op, 1 by default",
     "hw.model.HardwareModel(bank_read_ports)":
-        "ROADMAP item 2 decides whether the bank ports are modelled or go",
-    "hw.model.HardwareModel(bank_write_ports)":
-        "ROADMAP item 2 decides whether the bank ports are modelled or go",
+        "modelled: PackSched limits a bundle's reads per bank by it, the area model prices it",
     "hw.multiplier.montgomery_cios(limb_bits)":
         "the multiplier model's limb width: tests check 16- to 64-bit limbs",
     "hw.multiplier.estimate_multiplier(dsp_width)":
