@@ -142,8 +142,8 @@ def proxy_ranking(curve, points, scorers, spec) -> list:
     """Indices of ``points``, best proxy candidates first (deterministic).
 
     Orders by proxy Pareto rank (front 0 first), then by descending crowding
-    distance *within* each front, then by the canonical point key; the proxy
-    prices the sweep's core count and technology (``spec``).
+    distance *within* each front, then by descending proxy scores, then by
+    label; the proxy prices the sweep's core count and technology (``spec``).
     """
     proxies = [proxy_design_metrics(curve, point, spec.n_cores, spec.technology)
                for point in points]
