@@ -78,6 +78,10 @@ class CompileCache:
         self._entries[key] = value
         return value
 
+    def discard(self, key) -> None:
+        """Drop ``key``'s entry, if any, without touching the counters."""
+        self._entries.pop(key, None)
+
     def __contains__(self, key) -> bool:
         return key in self._entries
 

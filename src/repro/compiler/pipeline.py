@@ -10,7 +10,9 @@ the spec.  A new knob is a new field there plus the line that consumes it.
 Every intermediate stage is cached in-process so that design-space sweeps
 (many hardware models over the same curve, many variant configurations over
 the same trace) do not repeat work, which is what keeps the full benchmark
-suite runnable in pure Python.
+suite runnable in pure Python.  The lowered module is the exception: IROpt is
+its one reader, so it is dropped once IROpt has run, and a compile whose
+IROpt output is cached does not lower at all.
 """
 
 from __future__ import annotations
@@ -153,9 +155,10 @@ class CompileResult:
     plain single-core run of the same schedule.
 
     :attr:`schedule` and :attr:`program` -- all but ~1 kB of a result -- live
-    in :attr:`bulk`, which a store entry defers: a result served from disk
-    unpickles both, once, when either is first read.  What a design point is
-    priced from (:attr:`cycles`, :attr:`ipc`, :attr:`imem_bits`, the registers,
+    in :attr:`bulk`, which the disk tier keeps packed: a result it wrote or
+    served holds the entry's compressed bytes and unpickles both, once, when
+    either is first read.  What a design point is priced from
+    (:attr:`cycles`, :attr:`ipc`, :attr:`imem_bits`, the registers,
     :meth:`describe`) is recorded and never does.
     """
 
@@ -294,8 +297,8 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
     with _timed(timings, "codegen"):
         hl_module = _cached_hl_module(curve, spec)
     with _timed(timings, "lowering"):
-        low_module = _cached_low_module(curve, spec)
-    initial_instructions = low_module.count_compute_ops()
+        if _stage_key(curve, spec) not in _OPT_CACHE:    # lowered for IROpt alone
+            _cached_low_module(curve, spec)
     with _timed(timings, "iropt"):
         optimized_module, opt_stats = _cached_optimized(curve, spec)
     with _timed(timings, "bankalloc"):
@@ -333,7 +336,7 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
     return CompileResult(
         curve_name=curve.name, spec=spec,
         hl_instructions=hl_module.count_compute_ops(),
-        initial_instructions=initial_instructions,
+        initial_instructions=opt_stats.initial,
         final_instructions=optimized_module.count_compute_ops(),
         opt_stats=opt_stats, cycle_stats=cycle_stats,
         registers_per_bank=dict(allocation.registers_per_bank),
@@ -380,28 +383,43 @@ def _cached_hl_module(curve, spec: KernelSpec):
     return _HL_CACHE.get_or_compute(spec.stage_key(curve), factory)
 
 
+def _stage_key(curve, spec: KernelSpec) -> tuple:
+    """Key of the lowering and IROpt caches: the trace's key plus the variants."""
+    return spec.stage_key(curve, spec.variant_config.cache_key())
+
+
 def _cached_low_module(curve, spec: KernelSpec):
+    """The lowered module; its cache entry lives until IROpt consumes it."""
     return _LOW_CACHE.get_or_compute(
-        spec.stage_key(curve, spec.variant_config.cache_key()),
+        _stage_key(curve, spec),
         lambda: lower_module(_cached_hl_module(curve, spec), curve.tower.levels,
                              spec.variant_config),
     )
 
 
 def _cached_optimized(curve, spec: KernelSpec):
-    return _OPT_CACHE.get_or_compute(
-        spec.stage_key(curve, spec.variant_config.cache_key()),
-        lambda: optimize(_cached_low_module(curve, spec), curve.params.p),
-    )
+    key = _stage_key(curve, spec)
+
+    def factory():
+        optimized = optimize(_cached_low_module(curve, spec), curve.params.p)
+        _LOW_CACHE.discard(key)
+        return optimized
+
+    return _OPT_CACHE.get_or_compute(key, factory)
 
 
 def stage_modules(curve, **knobs) -> tuple:
     """``(traced, lowered, optimized)`` IR modules of the kernel ``knobs``
-    describe (:class:`KernelSpec` fields), served from the stage caches --
-    the very modules a compile of that kernel is built from."""
+    describe (:class:`KernelSpec` fields).  The traced and optimized modules
+    are the stage caches' own -- the very ones a compile of that kernel is
+    built from; no cache keeps a lowered module past IROpt, so the lowered
+    one is lowered here, on demand: a module equal in content to the one
+    IROpt consumed, not the same object."""
     spec = KernelSpec(**knobs).resolved(curve)
-    return (_cached_hl_module(curve, spec), _cached_low_module(curve, spec),
-            _cached_optimized(curve, spec)[0])
+    traced, lowered = _cached_hl_module(curve, spec), _cached_low_module(curve, spec)
+    optimized = _cached_optimized(curve, spec)[0]
+    _LOW_CACHE.discard(_stage_key(curve, spec))
+    return traced, lowered, optimized
 
 
 def clear_caches(disk: bool = False) -> None:
@@ -461,11 +479,12 @@ def _lookup(key: str, spec: KernelSpec, store) -> CompileResult | None:
     """The two-tier result lookup under ``key``: memory, then ``store``.
 
     A hit counts on the tier that answered, and a disk hit repopulates the
-    memory tier.  Names are labels, not semantics, so they are not in the
-    digest: a hit compiled under another ``hw`` / ``variant_config`` *name*
-    answers as a copy carrying the caller's spec, which shares the
-    :attr:`~CompileResult.bulk` and takes the memory slot (one more
-    ``stores``), so one caller's repeated hits are one object.
+    memory tier with the result as loaded, its bulk still packed.  Names are
+    labels, not semantics, so they are not in the digest: a hit compiled
+    under another ``hw`` / ``variant_config`` *name* answers as a copy
+    carrying the caller's spec, which shares the :attr:`~CompileResult.bulk`
+    and takes the memory slot (one more ``stores``), so one caller's repeated
+    hits are one object.
     """
     cached = _RESULT_CACHE.peek(key)
     if cached is not None:
@@ -503,9 +522,13 @@ def compile_kernel(curve, spec: KernelSpec, use_cache: bool = True) -> CompileRe
     Two-tier result lookup under ``spec.digest(curve)`` (:func:`_lookup`):
     memory, then disk, then a real compile.  The result-cache miss counter is
     only bumped when a real compile happens, preserving the "misses ==
-    recompilations" contract for disk-served sweeps.  ``use_cache=False``
+    recompilations" contract for disk-served sweeps.  With a disk tier, a
+    compiled result is returned as written: its bulk packed into the entry's
+    bytes, as after a disk hit, so the memory tier keeps one compressed copy
+    of each kernel (the first read of :attr:`~CompileResult.schedule` or
+    :attr:`~CompileResult.program` unpickles it).  ``use_cache=False``
     compiles unconditionally and leaves both tiers and their counters alone
-    (the stage caches still serve).
+    (the stage caches still serve), and its result stays live.
     """
     spec = spec.resolved(curve)
     store = active_store() if use_cache else None

@@ -36,10 +36,13 @@ unpickles the head only: the bulk waits inside the value's ``Deferred`` for
 its first reader as a ``memoryview`` of the verified file bytes, so a load
 copies none of them (a :class:`~repro.compiler.pipeline.CompileResult` defers
 its schedule and program, all but ~1 kB of a ~1 MB entry); pickled, a
-``Deferred`` sends that view as ``bytes``.  Truncation and bit-rot in either
-section are thus load-time *misses* (the entry is dropped and rewritten), never
-crashes or late failures; the embedded key defends against renamed or misplaced
-files.  The pickled classes need no version of their own: the fingerprint
+``Deferred`` sends that view as ``bytes``.  :meth:`ArtifactStore.store` leaves
+the value it wrote in the same state: its ``Deferred`` keeps the bulk bytes
+just written and drops the live objects, so a process holds each persisted
+kernel once, compressed, whether it compiled or loaded it.  Truncation and
+bit-rot in either section are thus load-time *misses* (the entry is dropped
+and rewritten), never crashes or late failures; the embedded key defends
+against renamed or misplaced files.  The pickled classes need no version of their own: the fingerprint
 covers the sources that define them.
 
 Concurrency
@@ -123,9 +126,12 @@ def code_fingerprint() -> str:
 class Deferred:
     """The part of a stored value (one at most) that is unpickled on first use.
 
-    A loaded one holds a view of the entry's verified compressed bytes, which
-    keeps the file's one buffer alive, until :meth:`get`; copies of the value
-    share it, and so its one materialisation.  Pickled anywhere else it
+    It holds the live value or its compressed pickle, not both.  A loaded one
+    holds a view of the entry's verified bytes, which keeps the file's one
+    buffer alive; a written one keeps the bytes the store wrote (:meth:`pack`)
+    in place of the live value -- the state a load returns.  Either way
+    :meth:`get` unpickles once, on first use; copies of the value share the
+    ``Deferred``, and so that one materialisation.  Pickled anywhere else it
     travels in the state it is in, a view as ``bytes``.
     """
 
@@ -146,11 +152,13 @@ class Deferred:
             self._packed = None
         return self._value
 
-    def packed(self) -> bytes | memoryview:
-        """The bulk section: a view of a loaded entry's bytes until first use."""
-        if self._packed is not None:
-            return self._packed
-        return zlib.compress(pickle.dumps(self._value, _PICKLE_PROTOCOL), _ZLIB_LEVEL)
+    def pack(self) -> bytes | memoryview:
+        """The bulk section, kept from now on in place of the live value."""
+        if self._packed is None:
+            self._packed = zlib.compress(pickle.dumps(self._value, _PICKLE_PROTOCOL),
+                                         _ZLIB_LEVEL)
+            self._value = None
+        return self._packed
 
 
 class _HeadPickler(pickle.Pickler):
@@ -223,7 +231,7 @@ class ArtifactStore:
         pickler = _HeadPickler(buffer, protocol=_PICKLE_PROTOCOL)
         pickler.dump({"schema": SCHEMA_VERSION, "key": key, "value": value})
         head = zlib.compress(buffer.getvalue(), _ZLIB_LEVEL)
-        bulk = b"" if pickler.deferred is None else pickler.deferred.packed()
+        bulk = b"" if pickler.deferred is None else pickler.deferred.pack()
         payload = len(head).to_bytes(4, "big") + head + bulk
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         return digest + b"\n" + payload
@@ -273,7 +281,11 @@ class ArtifactStore:
         return value
 
     def store(self, key: str, value) -> bool:
-        """Atomically persist ``value`` under ``key``; never raises."""
+        """Atomically persist ``value`` under ``key``; never raises.
+
+        The value's :class:`Deferred` part, if any, is left packed: it keeps
+        the bulk bytes written here in place of its live value.
+        """
         path = self._path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
         try:

@@ -16,7 +16,6 @@ from repro.evaluation import (  # noqa: F401
     fig11,
     fig12,
 )
-from repro.evaluation.runner import run_all, EXPERIMENTS
 
 __all__ = [
     "batch_verify",
@@ -33,6 +32,4 @@ __all__ = [
     "fig10",
     "fig11",
     "fig12",
-    "run_all",
-    "EXPERIMENTS",
 ]

@@ -7,8 +7,12 @@ with the representative pipeline configurations) through
 row records the frontier itself (with per-point ``cycles``), how many points
 were pushed through the full tool-chain, the summed cycles of those
 evaluations (``total_evaluated_cycles``, which pins down *which* points were
-evaluated), the sweep wall-clock, and whether the row recovered the
-exhaustive frontier.
+evaluated), the sweep wall-clock beside the number of points a cache tier
+answered (``cached_points``), and whether the row recovered the exhaustive
+frontier.  Each row starts from an empty memory tier, so the guided row
+compiles what it evaluates instead of reading the exhaustive row's kernels;
+a disk tier (``FINESSE_CACHE_DIR``) is left as it is, and what it answers
+shows in ``cached_points``.
 
 Knobs come from the environment, set by the evaluation runner's flags, and
 this module is their only reader: ``FINESSE_DSE_OBJECTIVES``
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import time
 
+from repro.compiler.pipeline import clear_caches
 from repro.config import BUDGET_ENV, OBJECTIVES_ENV, env_int, env_str
 from repro.curves.catalog import get_curve
 from repro.dse.engine import ParallelExplorer
@@ -76,6 +81,7 @@ def run(scale: str | None = None) -> dict:
     results: dict = {}
     exhaustive_labels: tuple = ()
     for row, row_budget in (("exhaustive", None), ("guided", budget)):
+        clear_caches()                  # memory tier only: the disk tier stays
         explorer = ParallelExplorer(curve, do_assemble=False)
         start = time.perf_counter()
         pareto = explorer.explore_pareto(points, objectives, budget=row_budget)
@@ -89,6 +95,7 @@ def run(scale: str | None = None) -> dict:
             "evaluated_fraction": round(pareto.evaluated / pareto.total_points, 3),
             "total_evaluated_cycles": sum(m.cycles for m in explorer.evaluated),
             "wall_s": round(wall_s, 3),
+            "cached_points": explorer.last_report.cached_points,
             "frontier_size": len(pareto.frontier),
             "dominated": pareto.dominated,
             "recovers_exhaustive": set(exhaustive_labels) <= set(pareto.labels()),
@@ -124,7 +131,7 @@ def render(result: dict) -> str:
             f"{entry['total_points']} ({entry['evaluated_fraction']:.0%}) "
             f"frontier {entry['frontier_size']} "
             f"recovers={'yes' if entry['recovers_exhaustive'] else 'NO'} "
-            f"({entry['wall_s']:.2f}s)"
+            f"({entry['wall_s']:.2f}s, {entry['cached_points']} cached)"
         )
     frontier = result["rows"]["exhaustive"]["frontier"]
     if frontier:

@@ -13,6 +13,8 @@ import sys
 import time
 
 import pytest
+from test_cold_compile import LOWERED_DIGESTS, lowered_digest
+from test_golden_outputs import kernel_digest
 
 import repro.compiler.store as store_mod
 from repro.compiler.pipeline import (
@@ -20,6 +22,7 @@ from repro.compiler.pipeline import (
     compile_cache_stats,
     compile_multi_pairing,
     compile_pairing,
+    stage_modules,
 )
 from repro.compiler.store import (
     CACHE_DIR_ENV,
@@ -75,7 +78,7 @@ def test_round_trip_and_counters(store):
 def test_round_trip_compile_result(store, toy_bn, hw1_small):
     result = compile_pairing(toy_bn, hw=hw1_small, use_cache=False)
     key = "cc" + "2" * 62
-    assert store.store(key, result)
+    assert store.store(key, _copy(result))
     loaded = store.load(key)
     assert loaded is not result
     assert loaded.cycles == result.cycles
@@ -93,6 +96,13 @@ KEY_C = "cc" + "2" * 62
 @pytest.fixture(scope="module")
 def compiled(toy_bn, hw1_small):
     return compile_pairing(toy_bn, hw=hw1_small, use_cache=False)
+
+
+def _copy(result):
+    """``result`` with a bulk of its own.  The store packs the bulk it writes,
+    so a result compared with what the store returns is stored as a copy and
+    stays live."""
+    return dataclasses.replace(result, bulk=Deferred(result.bulk.get()))
 
 
 def _head(result) -> dict:
@@ -116,8 +126,13 @@ def assert_same_kernel(got, expected):
     assert got.program == expected.program
 
 
+def assert_same_compile(got, expected):
+    """:func:`assert_same_kernel` for two separate compiles: timings aside."""
+    assert_same_kernel(got, dataclasses.replace(expected, stage_seconds=got.stage_seconds))
+
+
 def test_loaded_result_answers_from_the_head_alone(store, compiled):
-    store.store(KEY_C, compiled)
+    store.store(KEY_C, _copy(compiled))
     loaded = store.load(KEY_C)
     assert not loaded.bulk.materialised
     assert (loaded.cycles, loaded.ipc, loaded.imem_bits, loaded.total_registers) == (
@@ -133,7 +148,7 @@ def test_loaded_result_answers_from_the_head_alone(store, compiled):
 
 
 def test_loaded_program_computes_the_software_pairing(store, compiled, toy_bn, rng):
-    store.store(KEY_C, compiled)
+    store.store(KEY_C, _copy(compiled))
     P, Q = toy_bn.random_g1(rng), toy_bn.random_g2(rng)
     inputs = {(name, j): coeff
               for name, value in (("xP", P.x), ("yP", P.y), ("xQ", Q.x), ("yQ", Q.y))
@@ -146,7 +161,7 @@ def test_loaded_program_computes_the_software_pairing(store, compiled, toy_bn, r
 def test_loaded_schedule_drives_every_walk_to_the_compiled_figures(store, toy_bn, hw1_small):
     hw = hw1_small.with_cores(2)
     compiled = compile_multi_pairing(toy_bn, 2, hw=hw, do_assemble=False, use_cache=False)
-    store.store(KEY_C, compiled)
+    store.store(KEY_C, _copy(compiled))
     loaded = store.load(KEY_C)
     assert loaded.multicore_stats == compiled.multicore_stats
     assert not loaded.bulk.materialised         # the one-shot walk is a recorded fact
@@ -161,7 +176,7 @@ def test_loaded_schedule_drives_every_walk_to_the_compiled_figures(store, toy_bn
 @pytest.mark.slow
 def test_paper_curve_kernel_round_trips_in_every_field(store):
     compiled = compile_pairing(get_curve("BLS12-381"), use_cache=False)
-    store.store(KEY_C, compiled)
+    store.store(KEY_C, _copy(compiled))
     loaded = store.load(KEY_C)
     assert (loaded.cycles, loaded.imem_bits) == (122139, 3692320)
     assert not loaded.bulk.materialised
@@ -188,7 +203,7 @@ def _section_offsets(blob: bytes) -> tuple:
                                     "short-digest", "shorter-than-digest"])
 def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatch):
     """Never a result whose first ``schedule`` read fails later."""
-    store.store(KEY_C, compiled)
+    store.store(KEY_C, _copy(compiled))
     path = store._path(KEY_C)
     blob = bytearray(path.read_bytes())
     head, bulk = _section_offsets(blob)
@@ -204,10 +219,10 @@ def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatc
     elif damage == "shorter-than-digest":
         del blob[40:]
     elif damage == "key":                       # a valid entry under another name
-        blob = ArtifactStore._serialize(KEY_A, compiled)
+        blob = ArtifactStore._serialize(KEY_A, _copy(compiled))
     else:                                       # a valid entry of another format
         monkeypatch.setattr(store_mod, "SCHEMA_VERSION", store_mod.SCHEMA_VERSION - 1)
-        blob = ArtifactStore._serialize(KEY_C, compiled)
+        blob = ArtifactStore._serialize(KEY_C, _copy(compiled))
         monkeypatch.undo()
     path.write_bytes(bytes(blob))
     assert store.load(KEY_C) is None
@@ -217,8 +232,8 @@ def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatc
 
 def test_two_entries_keep_their_own_bulk(store, compiled, toy_bn, hw2_small):
     other = compile_pairing(toy_bn, hw=hw2_small, use_cache=False)
-    store.store(KEY_A, compiled)
-    store.store(KEY_B, other)
+    store.store(KEY_A, _copy(compiled))
+    store.store(KEY_B, _copy(other))
     loaded, loaded_other = store.load(KEY_A), store.load(KEY_B)
     assert_same_kernel(loaded_other, other)
     assert_same_kernel(loaded, compiled)
@@ -226,7 +241,7 @@ def test_two_entries_keep_their_own_bulk(store, compiled, toy_bn, hw2_small):
 
 
 def test_unmaterialised_result_is_stored_and_pickled_as_it_is(store, compiled, tmp_path):
-    store.store(KEY_C, compiled)
+    store.store(KEY_C, _copy(compiled))
     loaded = store.load(KEY_C)
     elsewhere = ArtifactStore(tmp_path / "elsewhere")
     assert store.store(KEY_A, loaded) and elsewhere.store(KEY_B, loaded)
@@ -240,6 +255,16 @@ def test_unmaterialised_result_is_stored_and_pickled_as_it_is(store, compiled, t
         assert_same_kernel(copy, compiled)
     # A materialised one pickles too (and arrives materialised).
     assert_same_kernel(pickle.loads(pickle.dumps(copies[0])), compiled)
+
+
+def test_a_written_result_keeps_the_bytes_it_wrote(store, compiled):
+    written = _copy(compiled)
+    assert store.store(KEY_C, written)
+    assert not written.bulk.materialised        # the live schedule and program are dropped
+    blob = store._path(KEY_C).read_bytes()
+    assert written.bulk.pack() == blob[_section_offsets(blob)[1]:]
+    assert store.store(KEY_C, written) and store._path(KEY_C).read_bytes() == blob
+    assert_same_kernel(written, compiled)
 
 
 def test_a_value_carries_one_deferred_part(store):
@@ -531,8 +556,9 @@ def test_a_cache_hit_answers_with_the_callers_labels(pipeline_store, toy_bn, hw1
     assert compile_pairing(toy_bn, hw=hw1_small) is compile_pairing(toy_bn, hw=hw1_small)
 
 
-def test_a_relabelled_hit_stays_lazy_and_shares_the_bulk(pipeline_store, toy_bn, hw1_small):
-    compiled = compile_pairing(toy_bn, hw=hw1_small)
+def test_a_relabelled_hit_stays_lazy_and_shares_the_bulk(pipeline_store, compiled, toy_bn,
+                                                         hw1_small):
+    compile_pairing(toy_bn, hw=hw1_small)
     clear_caches()                                  # memory tier only
     renamed = dataclasses.replace(hw1_small, name="beta")
     disk = compile_pairing(toy_bn, hw=renamed)       # disk hit, relabelled at once
@@ -541,7 +567,27 @@ def test_a_relabelled_hit_stays_lazy_and_shares_the_bulk(pipeline_store, toy_bn,
     assert compile_cache_stats()["disk"]["hits"] == 1
     assert memory.bulk is disk.bulk and not disk.bulk.materialised
     assert memory.schedule is disk.schedule          # one materialisation for both
-    assert_same_kernel(memory, compiled)
+    assert_same_compile(memory, compiled)            # as compiled without a cache
+
+
+def test_a_kernel_compiled_with_a_disk_tier_is_held_as_the_bytes_written(
+        pipeline_store, compiled, toy_bn, hw1_small):
+    """Materialised, those bytes are the kernel a compile without a cache
+    builds; and the lowered module IROpt consumed, lowered again on demand,
+    is the one pinned."""
+    hw = hw1_small.with_cores(2)
+    single = compile_pairing(toy_bn, hw=hw1_small)
+    split = compile_multi_pairing(toy_bn, 2, hw=hw, split_accumulators=True)
+    assert not single.bulk.materialised and not split.bulk.materialised
+    assert compile_cache_stats()["lowering"]["entries"] == 0
+    reference = compile_multi_pairing(toy_bn, 2, hw=hw, split_accumulators=True,
+                                      use_cache=False)
+    assert_same_compile(single, compiled)
+    assert_same_compile(split, reference)
+    assert kernel_digest(single) == kernel_digest(compiled)
+    assert kernel_digest(split) == kernel_digest(reference)
+    assert lowered_digest(stage_modules(toy_bn, hw=hw1_small)[1]) == \
+        LOWERED_DIGESTS["TOY-BN42/all-karatsuba/generic/single"]
 
 
 def test_store_counters_always_report_under_the_disk_key(tmp_path, pipeline_store):

@@ -25,7 +25,8 @@ from test_golden_outputs import _kernel_digest_tool     # tools/kernel_digest.py
 
 from repro.compiler import pipeline
 from repro.compiler.codegen import generate_multi_pairing_ir, generate_pairing_ir
-from repro.compiler.pipeline import clear_caches, compile_pairing
+from repro.compiler.pipeline import clear_caches, compile_cache_stats, compile_pairing
+from repro.compiler.store import configure_store
 from repro.curves.catalog import get_curve
 from repro.dse.engine import ParallelExplorer
 from repro.dse.space import design_points, named_variant_configs
@@ -416,6 +417,36 @@ def test_a_compile_keeps_no_object_per_op(toy_bn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bulk = len(zlib.decompress(result.bulk.packed()))
+    bulk = len(zlib.decompress(result.bulk.pack()))
     assert bulk <= BULK_BYTES * 1.02
     assert peak <= PEAK_BYTES * 1.15
+
+
+#: What one more point of one variant config may add to the memory a process
+#: retains, with a disk tier: the result's head and its packed bulk, about
+#: 195 kB on TOY-BN42.  A result that held its live schedule and program
+#: added about 1.9 MB a point.
+RETAINED_BYTES_PER_POINT = 500_000
+
+
+def test_a_sweep_holds_each_kernel_as_the_bytes_written(toy_bn, tmp_path):
+    """Three Fig-10 models of one variant config: each compile is kept as the
+    bytes the disk tier wrote, and no lowered module outlives IROpt."""
+    configure_store(tmp_path / "store")
+    config = next(iter(named_variant_configs().values()))
+    models = figure10_models(toy_bn.params.p.bit_length())[:3]
+    compile_pairing(toy_bn, use_cache=False)     # per-curve set-up, outside the trace
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        retained = []
+        for hw in models:
+            compile_pairing(toy_bn, hw=hw, variant_config=config, final_exp_mode="cyclotomic")
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert retained[2] - retained[0] <= 2 * RETAINED_BYTES_PER_POINT, retained
+    assert compile_cache_stats()["lowering"]["entries"] == 0

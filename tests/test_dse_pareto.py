@@ -1,6 +1,9 @@
 """explore_pareto end to end: determinism, guided search, errors, runner flags."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.dse.objectives import list_objectives, resolve_objective
 from repro.dse.search import proxy_design_metrics, validate_budget
 from repro.dse.space import DesignPoint, design_points, named_variant_configs
 from repro.errors import DSEError
+from repro.evaluation import pareto_sweep
 from repro.evaluation.runner import main as runner_main
 from repro.hw.presets import figure10_models
 
@@ -244,3 +248,31 @@ def test_runner_flag_validation(monkeypatch):
         runner_main(["--budget", "0"])
     with pytest.raises(DSEError, match="at least one objective"):
         runner_main(["--objectives", " , "])
+
+
+def test_the_runner_runs_as_a_module_without_a_warning():
+    """``repro.evaluation`` once imported the runner, so ``-m`` found it in
+    ``sys.modules`` already and runpy warned on every call."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.evaluation.runner",
+         "--objectives", "help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The pareto_sweep experiment
+# ---------------------------------------------------------------------------
+
+def test_each_pareto_sweep_row_compiles_what_it_evaluates(monkeypatch):
+    """Without a disk tier no row is answered from a cache: the guided row
+    once ran on the exhaustive row's memory tier (0.00 s at smoke scale)."""
+    space = pareto_sweep.toy_design_points
+    monkeypatch.setattr(pareto_sweep, "toy_design_points", lambda curve: space(curve)[:4])
+    monkeypatch.delenv(OBJECTIVES_ENV, raising=False)
+    monkeypatch.setenv(BUDGET_ENV, "2")
+    rows = pareto_sweep.run("smoke")["rows"]
+    assert [rows[row]["evaluated_points"] for row in rows] == [4, 2]
+    for entry in rows.values():
+        assert entry["cached_points"] == 0 and entry["wall_s"] > 0
