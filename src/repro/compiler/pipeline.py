@@ -21,6 +21,7 @@ import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from repro.compiler.asm import assemble
 from repro.compiler.bankalloc import allocate_banks
@@ -157,7 +158,8 @@ class CompileResult:
     :attr:`schedule` and :attr:`program` -- all but ~1 kB of a result -- live
     in :attr:`bulk`, which the disk tier keeps packed: a result it wrote or
     served holds the entry's compressed bytes and unpickles both, once, when
-    either is first read.  What a design point is priced from
+    either is first read, after checking their SHA-256 (a served result whose
+    bytes fail it is recompiled there).  What a design point is priced from
     (:attr:`cycles`, :attr:`ipc`, :attr:`imem_bits`, the registers,
     :meth:`describe`) is recorded and never does.
     """
@@ -475,16 +477,17 @@ def cache_counters() -> dict:
     return counters
 
 
-def _lookup(key: str, spec: KernelSpec, store) -> CompileResult | None:
+def _lookup(curve, key: str, spec: KernelSpec, store) -> CompileResult | None:
     """The two-tier result lookup under ``key``: memory, then ``store``.
 
     A hit counts on the tier that answered, and a disk hit repopulates the
-    memory tier with the result as loaded, its bulk still packed.  Names are
-    labels, not semantics, so they are not in the digest: a hit compiled
-    under another ``hw`` / ``variant_config`` *name* answers as a copy
-    carrying the caller's spec, which shares the :attr:`~CompileResult.bulk`
-    and takes the memory slot (one more ``stores``), so one caller's repeated
-    hits are one object.
+    memory tier with the result as loaded, its bulk still packed and unchecked,
+    given a hook that rebuilds it should it fail its digest on first read
+    (:func:`_rebuild_bulk`).  Names are labels, not semantics, so they are not
+    in the digest: a hit compiled under another ``hw`` / ``variant_config``
+    *name* answers as a copy carrying the caller's spec, which shares the
+    :attr:`~CompileResult.bulk` and takes the memory slot (one more
+    ``stores``), so one caller's repeated hits are one object.
     """
     cached = _RESULT_CACHE.peek(key)
     if cached is not None:
@@ -492,12 +495,35 @@ def _lookup(key: str, spec: KernelSpec, store) -> CompileResult | None:
     elif store is not None:
         cached = store.load(key)
         if cached is not None:
+            cached.bulk.rebuild = partial(_rebuild_bulk, curve, key, cached.spec,
+                                          _head_facts(cached), store)
             _RESULT_CACHE.store(key, cached)
     if cached is not None and (cached.spec.hw.name, cached.spec.variant_config.name) != (
             spec.hw.name, spec.variant_config.name):
         cached = replace(cached, spec=spec)
         _RESULT_CACHE.store(key, cached)
     return cached
+
+
+def _head_facts(result: CompileResult) -> tuple:
+    return result.cycles, result.imem_bits, result.registers_per_bank, result.total_registers
+
+
+def _rebuild_bulk(curve, key: str, spec: KernelSpec, facts: tuple, store) -> tuple:
+    """The ``(schedule, program)`` of a loaded result whose bulk failed its
+    digest: the entry is dropped (one ``corrupt``), the kernel recompiled (one
+    ``result`` miss, so misses still count recompilations) and checked against
+    the facts its head recorded, and the entry rewritten."""
+    store.drop(key)
+    _RESULT_CACHE.stats.misses += 1
+    fresh = _run_stages(curve, spec)
+    if _head_facts(fresh) != facts:
+        raise CompilerError(
+            f"recompiled kernel {key[:12]} disagrees with its stored head: "
+            f"{_head_facts(fresh)} != {facts}")
+    bulk = fresh.bulk.get()
+    store.store(key, fresh)
+    return bulk
 
 
 def cached_kernel(curve, spec: KernelSpec) -> CompileResult | None:
@@ -512,7 +538,7 @@ def cached_kernel(curve, spec: KernelSpec) -> CompileResult | None:
     key, store = spec.digest(curve), active_store()
     if key not in _RESULT_CACHE and (store is None or key not in store):
         return None
-    return _lookup(key, spec, store)
+    return _lookup(curve, key, spec, store)
 
 
 def compile_kernel(curve, spec: KernelSpec, use_cache: bool = True) -> CompileResult:
@@ -534,7 +560,7 @@ def compile_kernel(curve, spec: KernelSpec, use_cache: bool = True) -> CompileRe
     store = active_store() if use_cache else None
     if use_cache:
         key = spec.digest(curve)
-        cached = _lookup(key, spec, store)
+        cached = _lookup(curve, key, spec, store)
         if cached is not None:
             return cached
         _RESULT_CACHE.stats.misses += 1

@@ -26,24 +26,44 @@ self-invalidation axes:
 Abandoned namespaces are garbage-collected before live entries whenever the
 store goes over budget.
 
-Each file is a 64-hex-character SHA-256 digest of the payload, a newline, and
-the payload: ``<head length, four bytes big-endian> <head> <bulk>``.  The
-*head* is a zlib-compressed pickle of ``{"schema", "key", "value"}`` without
-the value's :class:`Deferred` part (a value may carry one); the *bulk* is that
-part's own compressed pickle, empty for a plain value.
-:meth:`ArtifactStore.load` verifies the one digest over both sections and
-unpickles the head only: the bulk waits inside the value's ``Deferred`` for
-its first reader as a ``memoryview`` of the verified file bytes, so a load
-copies none of them (a :class:`~repro.compiler.pipeline.CompileResult` defers
-its schedule and program, all but ~1 kB of a ~1 MB entry); pickled, a
-``Deferred`` sends that view as ``bytes``.  :meth:`ArtifactStore.store` leaves
-the value it wrote in the same state: its ``Deferred`` keeps the bulk bytes
-just written and drops the live objects, so a process holds each persisted
-kernel once, compressed, whether it compiled or loaded it.  Truncation and
-bit-rot in either section are thus load-time *misses* (the entry is dropped
-and rewritten), never crashes or late failures; the embedded key defends
-against renamed or misplaced files.  The pickled classes need no version of their own: the fingerprint
-covers the sources that define them.
+Each file is two sections behind a checked head::
+
+    <sha256 hex of the head section> \n
+    <head length, 4 bytes> <head> <bulk length, 8 bytes> <bulk sha256, 32 bytes>
+    <bulk>
+
+all lengths big-endian.  The *head* is a zlib-compressed pickle of
+``{"schema", "key", "value"}`` without the value's :class:`Deferred` part (a
+value may carry one); the *bulk* is that part's own compressed pickle, empty
+for a plain value.  The head section -- everything before the bulk -- is
+covered by the hex digest on the first line, and records the bulk's length
+and its own SHA-256.  :meth:`ArtifactStore.load` reads the whole file,
+verifies the head digest and the bulk's length, and unpickles the head only:
+the bulk waits inside the value's ``Deferred`` for its first reader as a
+``memoryview`` of the file bytes, so a load copies none of them and hashes
+~2 kB, not the ~0.2-1 MB of a kernel entry (a
+:class:`~repro.compiler.pipeline.CompileResult` defers its schedule and
+program, all but ~1 kB of it).  :meth:`Deferred.get` checks the bulk digest
+before it decompresses anything.  Both digests sit in the file they cover, so
+they guard against accidental damage only, and each section is checked just
+before it is used: no byte is unpickled unchecked.
+
+Damage to the head, a wrong key or schema, a short digest line and a bulk of
+the wrong length (truncated or torn) are load-time *misses*: the entry is
+dropped and rewritten.  Damage inside a bulk of the right length surfaces on
+the first read of the value's deferred part, never as unpickled garbage: a
+result the compile pipeline loaded rebuilds itself there (the entry is
+dropped, the kernel recompiled and the entry rewritten, see
+``repro.compiler.pipeline._lookup``); any other ``Deferred`` raises
+:class:`~repro.errors.CompilerError`.  :meth:`ArtifactStore.store` leaves the
+value it wrote in the loaded state: its ``Deferred`` keeps the bulk bytes just
+written, and their digest, and drops the live objects, so a process holds each
+persisted kernel once, compressed, whether it compiled or loaded it.
+Re-storing a value whose bulk was never read writes the digest it came with,
+never one recomputed over unchecked bytes.  Pickled, a ``Deferred`` sends a
+view as ``bytes``, with its digest.  The embedded key defends against renamed
+or misplaced files.  The pickled classes need no version of their own: the
+fingerprint covers the sources that define them.
 
 Concurrency
 -----------
@@ -75,11 +95,12 @@ import zlib
 from pathlib import Path
 
 from repro.config import CACHE_DIR_ENV, MAX_BYTES_ENV, env_int, env_str, positive_int
+from repro.errors import CompilerError
 from repro.obs import Counters
 from repro.reliability import faults as _faults
 
 #: Bump on any incompatible change to the entry format.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Default eviction budget: 2 GiB holds thousands of toy-curve kernels and
 #: hundreds of full-size ones while staying inside CI cache quotas.
@@ -126,21 +147,30 @@ def code_fingerprint() -> str:
 class Deferred:
     """The part of a stored value (one at most) that is unpickled on first use.
 
-    It holds the live value or its compressed pickle, not both.  A loaded one
-    holds a view of the entry's verified bytes, which keeps the file's one
-    buffer alive; a written one keeps the bytes the store wrote (:meth:`pack`)
-    in place of the live value -- the state a load returns.  Either way
-    :meth:`get` unpickles once, on first use; copies of the value share the
-    ``Deferred``, and so that one materialisation.  Pickled anywhere else it
-    travels in the state it is in, a view as ``bytes``.
+    It holds the live value or its compressed pickle and that pickle's
+    SHA-256, not both.  A loaded one holds a view of the entry's bytes, which
+    keeps the file's one buffer alive; a written one keeps the bytes the
+    store wrote (:meth:`pack`) in place of the live value -- the state a load
+    returns.  Either way :meth:`get` checks the digest and unpickles once, on
+    first use; copies of the value share the ``Deferred``, and so that one
+    materialisation.  Bytes that fail the digest are never unpickled: the
+    :attr:`rebuild` hook, when one is set, supplies the value instead (the
+    compile pipeline sets one on each result it loads), else :meth:`get`
+    raises :class:`~repro.errors.CompilerError`.  Pickled anywhere else it
+    travels in the state it is in, a view as ``bytes`` with its digest, and
+    without the hook.
     """
 
-    def __init__(self, value, packed: bytes | memoryview | None = None):
-        self._value, self._packed = value, packed
+    #: Called with no argument for the value when the bulk fails its digest.
+    rebuild = None
+
+    def __init__(self, value, packed: bytes | memoryview | None = None,
+                 digest: bytes | None = None):
+        self._value, self._packed, self._digest = value, packed, digest
 
     def __getstate__(self):
         packed = None if self._packed is None else bytes(self._packed)
-        return {"_value": self._value, "_packed": packed}
+        return {"_value": self._value, "_packed": packed, "_digest": self._digest}
 
     @property
     def materialised(self) -> bool:
@@ -148,15 +178,23 @@ class Deferred:
 
     def get(self):
         if self._packed is not None:
-            self._value = pickle.loads(zlib.decompress(self._packed))
-            self._packed = None
+            if hashlib.sha256(self._packed).digest() == self._digest:
+                self._value = pickle.loads(zlib.decompress(self._packed))
+            elif self.rebuild is not None:
+                self._value = self.rebuild()
+            else:
+                raise CompilerError(
+                    f"stored bulk damaged: {len(self._packed)} bytes fail their SHA-256")
+            self._packed = self._digest = self.rebuild = None
         return self._value
 
     def pack(self) -> bytes | memoryview:
-        """The bulk section, kept from now on in place of the live value."""
+        """The bulk section, kept from now on (with its SHA-256) in place of
+        the live value."""
         if self._packed is None:
             self._packed = zlib.compress(pickle.dumps(self._value, _PICKLE_PROTOCOL),
                                          _ZLIB_LEVEL)
+            self._digest = hashlib.sha256(self._packed).digest()
             self._value = None
         return self._packed
 
@@ -177,7 +215,8 @@ class _HeadPickler(pickle.Pickler):
 
 def store_counters() -> Counters:
     """The counters of one :class:`ArtifactStore` (zeroed)."""
-    # ``corrupt``: corrupt/truncated entries dropped (also misses);
+    # ``corrupt``: damaged entries dropped (also misses when found at load;
+    # a bulk that fails its digest on first read is found after its hit);
     # ``errors``: failed writes (serialisation, ENOSPC, ...).
     return Counters("hits", "misses", "stores", "corrupt", "evictions", "errors")
 
@@ -231,23 +270,33 @@ class ArtifactStore:
         pickler = _HeadPickler(buffer, protocol=_PICKLE_PROTOCOL)
         pickler.dump({"schema": SCHEMA_VERSION, "key": key, "value": value})
         head = zlib.compress(buffer.getvalue(), _ZLIB_LEVEL)
-        bulk = b"" if pickler.deferred is None else pickler.deferred.pack()
-        payload = len(head).to_bytes(4, "big") + head + bulk
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        return digest + b"\n" + payload
+        if pickler.deferred is None:
+            bulk, bulk_digest = b"", hashlib.sha256(b"").digest()
+        else:       # a packed part keeps the digest it has: nothing is re-hashed
+            bulk = pickler.deferred.pack()
+            bulk_digest = pickler.deferred._digest
+        section = b"".join((len(head).to_bytes(4, "big"), head,
+                            len(bulk).to_bytes(8, "big"), bulk_digest))
+        digest = hashlib.sha256(section).hexdigest().encode("ascii")
+        return b"".join((digest, b"\n", section, bulk))
 
     @staticmethod
     def _deserialize(key: str, blob: bytes):
-        """Decode one artefact file; raise ``ValueError`` on any inconsistency."""
+        """Decode one artefact file; raise ``ValueError`` on any inconsistency
+        the head shows (the bulk's own digest is checked on its first read)."""
         # Every section is a slice of one view: no step copies the file's bytes.
         if blob[64:65] != b"\n":
             raise ValueError("malformed artifact header")
-        payload = memoryview(blob)[65:]
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != blob[:64]:
-            raise ValueError("artifact payload digest mismatch")
-        bulk_start = 4 + int.from_bytes(payload[:4], "big")
-        unpickler = pickle.Unpickler(io.BytesIO(zlib.decompress(payload[4:bulk_start])))
-        deferred = Deferred(None, payload[bulk_start:])     # still packed
+        view = memoryview(blob)[65:]
+        head_end = 4 + int.from_bytes(view[:4], "big")
+        bulk_start = head_end + 8 + 32
+        if hashlib.sha256(view[:bulk_start]).hexdigest().encode("ascii") != blob[:64]:
+            raise ValueError("artifact head digest mismatch")
+        bulk = view[bulk_start:]
+        if len(bulk) != int.from_bytes(view[head_end:head_end + 8], "big"):
+            raise ValueError("artifact bulk length mismatch")
+        unpickler = pickle.Unpickler(io.BytesIO(zlib.decompress(view[4:head_end])))
+        deferred = Deferred(None, bulk, bytes(view[head_end + 8:bulk_start]))   # still packed
         unpickler.persistent_load = lambda pid: deferred
         record = unpickler.load()
         if not isinstance(record, dict) or record.get("schema") != SCHEMA_VERSION:
@@ -272,13 +321,18 @@ class ArtifactStore:
         except Exception:
             # Truncated write, bit-rot, stale pickle: drop the entry so the
             # next store rewrites it, and report a miss -- never an error.
-            self.stats.corrupt += 1
             self.stats.misses += 1
-            self._unlink(path)
+            self.drop(key)
             return None
         self.stats.hits += 1
         self._touch(path)
         return value
+
+    def drop(self, key: str) -> None:
+        """Delete a damaged entry, counting one ``corrupt``: the next store
+        rewrites it."""
+        self.stats.corrupt += 1
+        self._unlink(self._path(key))
 
     def store(self, key: str, value) -> bool:
         """Atomically persist ``value`` under ``key``; never raises.

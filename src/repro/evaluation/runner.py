@@ -36,7 +36,9 @@ the registered objectives with their descriptions and exits; an unknown
 objective name fails at the flag with the same ``DSEError`` the explorers
 raise.
 
-A value-taking flag given without a value raises a ``DSEError`` naming it.
+A value-taking flag given without a value raises a ``DSEError`` naming it,
+and so does a name that is no experiment, before anything runs.  ``-h`` /
+``--help`` prints the usage and exits.
 """
 
 from __future__ import annotations
@@ -95,7 +97,13 @@ EXPERIMENTS = {
 
 
 def run_all(scale: str | None = None, names=None, verbose: bool = True) -> dict:
-    """Run the selected experiments (all by default) and return their results."""
+    """Run the selected experiments (all by default) and return their results.
+
+    A name that is no experiment raises ``DSEError`` before any runs."""
+    unknown = [name for name in names or () if name not in EXPERIMENTS]
+    if unknown:
+        raise DSEError(f"unknown experiment {', '.join(map(repr, unknown))} "
+                       f"(known: {', '.join(EXPERIMENTS)})")
     results = {}
     for name, module in EXPERIMENTS.items():
         if names is not None and name not in names:
@@ -176,6 +184,13 @@ def _export_flag(flag: str, raw: str) -> None:
     config.export(name, check(value))
 
 
+def _usage() -> str:
+    flags = " ".join(f"[{flag} VALUE]" for flag in _VALUE_FLAGS)
+    return (f"usage: python -m repro.evaluation.runner [-h] {flags} [--no-disk-cache] "
+            f"[experiment ...]\n\nexperiments (default: all): {' '.join(EXPERIMENTS)}\n"
+            f"\n{__doc__}")
+
+
 def main(argv=None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     names = None
@@ -189,7 +204,10 @@ def main(argv=None) -> int:
             if not args:
                 raise DSEError(f"{arg} needs a value")
             value = args.pop(0)
-        if arg == "--scale":
+        if arg in ("-h", "--help"):
+            print(_usage())
+            return 0
+        elif arg == "--scale":
             scale = value
         elif arg == "--json":
             out_path = value

@@ -63,8 +63,11 @@ INFINITE = 10**9
 #: ``worker.evaluate`` is traversed where a design point is evaluated for real
 #: (a miss, in process or in a pool worker, at any worker count), never by
 #: the exploration engine's parent-side answer from a cache tier;
-#: ``store.read`` fires in those parent-side lookups too, where a fault is a
-#: miss: the point is evaluated and its kernel recompiled.
+#: ``store.read`` fires in those parent-side lookups too, where a fault the
+#: entry's head shows is a miss: the point is evaluated and its kernel
+#: recompiled.  A ``flip`` inside a kernel's bulk is a hit instead (the point
+#: is priced from the head); the bulk fails its digest on first read, where
+#: the kernel is recompiled.
 FAULT_POINTS = {
     "store.read": ("truncate", "torn", "garbage", "flip", "error"),
     "store.write": ("truncate", "torn", "garbage", "flip", "enospc", "error"),

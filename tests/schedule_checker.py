@@ -16,6 +16,13 @@ is returned as one line (an empty list means the schedule is legal).
 The write-back FIFO is unbounded and a register bank is sized by demand, so
 neither has a limit to check.  A bank takes one write per cycle: the model has
 no write-port field.
+
+:func:`check_registers` checks a register allocation against the same issue
+order: walking the preloaded rows and then ``order``, a value holds its
+(bank, register) slot from its definition through its last read, and the
+constants, inputs and the operands of ``output`` rows to the end; no two
+values whose holds overlap may share a slot, and every register must lie
+within its bank's ``registers_per_bank``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ BUBBLE, SHORT, LONG, INV = 0, 1, 2, 3
 _TRACE_CODE = {"short": SHORT, "long": LONG, "inv": INV}
 #: Rows that never issue: their values are in registers from cycle 0.
 PRELOADED = frozenset(("const", "input"))
+#: A row that reads its operand once the kernel is done.
+OUTPUT = "output"
 
 
 def unit_class(op: str) -> str | None:
@@ -131,3 +140,48 @@ def check_walk_stats(schedule, stats, hw=None) -> list:
         module.ops, module.a, module.b, schedule.order, schedule.bundle_sizes, schedule.banks,
         hw or schedule.hw, stats.trace.codes, stats.data_stalls, stats.writeback_stalls,
         stats.structural_stalls, stats.total_cycles)
+
+
+def check_registers(ops, a_col, b_col, order, banks, register_of, registers_per_bank,
+                    limit: int = 20) -> list:
+    """Every register clash or overflow of an allocation, one line each (at
+    most ``limit``); positions are in the preloads-then-``order`` walk."""
+    errors: list = []
+
+    def fail(message):
+        if len(errors) < limit:
+            errors.append(message)
+
+    walk = [vid for vid, op in enumerate(ops) if op in PRELOADED] + list(order)
+    end = len(walk)                         # held to the end of the kernel
+    last = {vid: position for position, vid in enumerate(walk)}
+    for position, vid in enumerate(walk):
+        for operand in (a_col[vid], b_col[vid]):
+            if operand >= 0:
+                last[operand] = position
+    for vid, op in enumerate(ops):
+        if op in PRELOADED:
+            last[vid] = end
+        elif op == OUTPUT:
+            last[a_col[vid]] = end
+
+    holder: dict = {}                       # (bank, register) -> value holding it
+    for position, vid in enumerate(walk):
+        bank, register = banks[vid], register_of[vid]
+        if not 0 <= register < registers_per_bank.get(bank, 0):
+            fail(f"{vid} gets register {register} of bank {bank}, "
+                 f"which has {registers_per_bank.get(bank, 0)}")
+            continue
+        previous = holder.get((bank, register))
+        if previous is not None and last[previous] >= position:
+            fail(f"{vid} (issued at {position}) takes register {register} of bank {bank} "
+                 f"while {previous} holds it until {last[previous]}")
+        holder[bank, register] = vid
+    return errors
+
+
+def check_allocation(schedule, allocation) -> list:
+    """:func:`check_registers` on a schedule and its register allocation."""
+    module = schedule.module
+    return check_registers(module.ops, module.a, module.b, schedule.order, schedule.banks,
+                           allocation.register_of, allocation.registers_per_bank)

@@ -22,6 +22,7 @@ from repro.compiler.pipeline import (
     compile_cache_stats,
     compile_multi_pairing,
     compile_pairing,
+    pairing_compile_digest,
     stage_modules,
 )
 from repro.compiler.store import (
@@ -33,6 +34,7 @@ from repro.compiler.store import (
     reset_store_state,
 )
 from repro.curves.catalog import get_curve
+from repro.errors import CompilerError
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import figure10_models
 from repro.pairing.ate import optimal_ate_pairing
@@ -194,15 +196,23 @@ def test_imem_bits_is_a_recorded_fact(toy_bn):
 
 
 def _section_offsets(blob: bytes) -> tuple:
-    """``(first head byte, first bulk byte)`` of an entry file."""
+    """``(first head byte, first bulk byte)`` of an entry file: the head's
+    length leads it, the bulk's length and SHA-256 (8 + 32 bytes) follow it."""
     start = blob.index(b"\n") + 1 + 4
-    return start, start + int.from_bytes(blob[start - 4:start], "big")
+    return start, start + int.from_bytes(blob[start - 4:start], "big") + 8 + 32
 
 
-@pytest.mark.parametrize("damage", ["head", "bulk", "truncated", "key", "schema",
+def _flip_bulk_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[(_section_offsets(blob)[1] + len(blob)) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("damage", ["head", "truncated", "key", "schema",
                                     "short-digest", "shorter-than-digest"])
 def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatch):
-    """Never a result whose first ``schedule`` read fails later."""
+    """Damage the head shows -- its own bytes, the bulk's length -- is a miss
+    at load; damage inside the bulk waits for the bulk's first read."""
     store.store(KEY_C, _copy(compiled))
     path = store._path(KEY_C)
     blob = bytearray(path.read_bytes())
@@ -210,8 +220,6 @@ def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatc
     assert head < bulk < len(blob) - 1000       # a small head, then the bulk
     if damage == "head":
         blob[(head + bulk) // 2] ^= 0x01
-    elif damage == "bulk":
-        blob[(bulk + len(blob)) // 2] ^= 0x01
     elif damage == "truncated":
         del blob[-1000:]
     elif damage == "short-digest":              # the first newline on byte 63
@@ -228,6 +236,38 @@ def test_damage_anywhere_is_a_load_time_miss(store, compiled, damage, monkeypatc
     assert store.load(KEY_C) is None
     assert store.stats.corrupt == 1 and store.stats.misses == 1
     assert not path.exists()
+
+
+def test_a_damaged_bulk_is_never_unpickled(store, compiled):
+    """The head still answers; the first read of the bulk raises, since a
+    ``Deferred`` the store returns directly has nothing to rebuild it from,
+    and so does a pickled copy of it."""
+    store.store(KEY_C, _copy(compiled))
+    _flip_bulk_byte(store._path(KEY_C))
+    loaded = store.load(KEY_C)
+    assert (store.stats.hits, store.stats.corrupt) == (1, 0)
+    assert loaded.describe() == compiled.describe()
+    for damaged in (pickle.loads(pickle.dumps(loaded)), loaded):
+        with pytest.raises(CompilerError, match="damaged"):
+            damaged.schedule
+        with pytest.raises(CompilerError, match="damaged"):
+            damaged.program
+        assert not damaged.bulk.materialised
+
+
+def test_re_storing_an_unread_value_writes_the_digest_it_came_with(store, compiled,
+                                                                   tmp_path):
+    """Nothing is re-hashed: a damaged bulk re-stored unread is written
+    byte for byte, under the digest that still exposes the damage."""
+    store.store(KEY_C, _copy(compiled))
+    _flip_bulk_byte(store._path(KEY_C))
+    damaged = store._path(KEY_C).read_bytes()
+    loaded = store.load(KEY_C)
+    elsewhere = ArtifactStore(tmp_path / "elsewhere")
+    assert store.store(KEY_C, loaded) and elsewhere.store(KEY_C, loaded)
+    assert store._path(KEY_C).read_bytes() == elsewhere._path(KEY_C).read_bytes() == damaged
+    with pytest.raises(CompilerError, match="damaged"):
+        elsewhere.load(KEY_C).schedule
 
 
 def test_two_entries_keep_their_own_bulk(store, compiled, toy_bn, hw2_small):
@@ -588,6 +628,52 @@ def test_a_kernel_compiled_with_a_disk_tier_is_held_as_the_bytes_written(
     assert kernel_digest(split) == kernel_digest(reference)
     assert lowered_digest(stage_modules(toy_bn, hw=hw1_small)[1]) == \
         LOWERED_DIGESTS["TOY-BN42/all-karatsuba/generic/single"]
+
+
+def test_a_damaged_bulk_is_recompiled_on_its_first_read(pipeline_store, compiled, toy_bn,
+                                                         hw1_small):
+    """A served result whose bulk fails its digest answers from its head,
+    then rebuilds the bulk on first read: one ``corrupt``, one recompilation
+    (a ``result`` miss), the entry rewritten."""
+    compile_pairing(toy_bn, hw=hw1_small)
+    path = pipeline_store._path(pairing_compile_digest(toy_bn, hw=hw1_small))
+    _flip_bulk_byte(path)
+    damaged = path.read_bytes()
+    clear_caches()                                  # memory tier only
+    served = compile_pairing(toy_bn, hw=hw1_small)
+    stats = compile_cache_stats()
+    assert (stats["disk"]["hits"], stats["disk"]["corrupt"], stats["result"]["misses"]) == (
+        1, 0, 0)
+    assert _head(served) == _head(compiled) | {"stage_seconds": served.stage_seconds}
+    # A copy pickled elsewhere has no hook: its first read raises.
+    with pytest.raises(CompilerError, match="damaged"):
+        pickle.loads(pickle.dumps(served)).schedule
+    schedule = served.schedule
+    stats = compile_cache_stats()
+    assert (stats["disk"]["corrupt"], stats["result"]["misses"], stats["disk"]["stores"]) == (
+        1, 1, 1)
+    assert served.schedule is schedule and served.bulk.materialised
+    assert_same_compile(served, compiled)
+    assert path.read_bytes() != damaged             # rewritten, and served whole next time
+    clear_caches()
+    assert_same_compile(compile_pairing(toy_bn, hw=hw1_small), compiled)
+    stats = compile_cache_stats()
+    assert (stats["disk"]["hits"], stats["disk"]["corrupt"], stats["result"]["misses"]) == (
+        1, 0, 0)
+
+
+def test_a_rebuilt_bulk_must_agree_with_its_head(pipeline_store, toy_bn, hw1_small):
+    """A head that records other figures than the recompiled kernel's is
+    an error, not an answer: the figures were already served."""
+    compile_pairing(toy_bn, hw=hw1_small)
+    key = pairing_compile_digest(toy_bn, hw=hw1_small)
+    loaded = pipeline_store.load(key)
+    pipeline_store.store(key, dataclasses.replace(
+        loaded, total_registers=loaded.total_registers + 1))
+    _flip_bulk_byte(pipeline_store._path(key))
+    clear_caches()                                  # memory tier only
+    with pytest.raises(CompilerError, match="disagrees with its stored head"):
+        compile_pairing(toy_bn, hw=hw1_small).schedule
 
 
 def test_store_counters_always_report_under_the_disk_key(tmp_path, pipeline_store):

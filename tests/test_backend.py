@@ -4,7 +4,7 @@ import hashlib
 from dataclasses import replace
 
 import pytest
-from schedule_checker import check_walk_stats
+from schedule_checker import check_allocation, check_walk_stats
 
 from repro.compiler.bankalloc import allocate_banks
 from repro.compiler.pipeline import compile_pairing
@@ -271,8 +271,10 @@ def test_planned_cycles_equal_bundle_walk(toy_bn, hw_name):
     schedule = compile_pairing(toy_bn, hw=hw).schedule
     stats = CycleAccurateSimulator(record_trace=True).run(schedule)
     assert schedule.planned_cycles == stats.total_cycles
-    # The independent checker (``tests/schedule_checker.py``) accepts the walk.
+    # The independent checker (``tests/schedule_checker.py``) accepts the walk
+    # and the register allocation.
     assert check_walk_stats(schedule, stats) == []
+    assert check_allocation(schedule, allocate_registers(schedule)) == []
     order = [vid for bundle in schedule.bundles for vid in bundle]
     sizes = [len(bundle) for bundle in schedule.bundles]
     pinned = repr((order, sizes, schedule.planned_cycles)).encode()

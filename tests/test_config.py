@@ -12,6 +12,7 @@ import ast
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -228,6 +229,25 @@ def test_runner_flag_without_a_value_names_the_flag(flag, monkeypatch):
     monkeypatch.setattr(runner, "run_all", lambda **kwargs: {})
     with pytest.raises(DSEError, match=f"{flag} needs a value"):
         runner.main(["table2", flag])
+
+
+def test_runner_refuses_an_unknown_experiment_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setitem(runner.EXPERIMENTS, "table2", SimpleNamespace(
+        run=lambda scale: ran.append(scale) or {}, render=repr))
+    with pytest.raises(DSEError, match=r"unknown experiment 'fig99' \(known: table2, table3"):
+        runner.main(["--scale", "smoke", "table2", "fig99"])
+    assert ran == []
+    assert runner.main(["--scale", "smoke", "table2"]) == 0 and ran == ["smoke"]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_runner_help_prints_the_usage(flag, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "run_all", lambda **kwargs: pytest.fail("help ran experiments"))
+    assert runner.main(["table2", flag]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("usage: python -m repro.evaluation.runner [-h]")
+    assert " ".join(runner.EXPERIMENTS) in printed and "--no-disk-cache" in printed
 
 
 def test_runner_flag_table_keeps_each_flags_error_class(monkeypatch):

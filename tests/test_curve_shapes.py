@@ -16,7 +16,7 @@ import pytest
 from repro.compiler.pipeline import compile_multi_pairing, compile_pairing
 from repro.hw.presets import paper_hw1
 from repro.pairing.ate import optimal_ate_pairing
-from repro.pairing.batch import multi_pairing, precompute_g2
+from repro.pairing.batch import combine_products, multi_pairing, precompute_g2
 from repro.sim.functional import FunctionalSimulator
 
 SHAPES = [f"{family}-{twist}-{sign}" for family in ("BN", "BLS12", "BLS24")
@@ -60,6 +60,26 @@ def test_multi_pairing_is_the_product_of_single_pairings(curve_shapes, shape):
     assert multi_pairing(curve, pairs, accumulators=2) == expected
     (P, Q), *rest = pairs
     assert multi_pairing(curve, [(P, precompute_g2(curve, Q)), *rest]) == expected
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_replayed_sources_and_combined_products_give_the_live_product(curve_shapes, shape):
+    """Every Q replaced by its precomputation, and a mix of live and replayed
+    sources, give the live product; ``combine_products`` with seeded
+    coefficients gives the product of the powers."""
+    curve = curve_shapes[shape]
+    rng = random.Random(83)
+    pairs = [(curve.random_g1(rng), curve.random_g2(rng)) for _ in range(3)]
+    live = multi_pairing(curve, pairs)
+    replayed = [(P, precompute_g2(curve, Q)) for P, Q in pairs]
+    assert multi_pairing(curve, replayed) == live
+    assert multi_pairing(curve, [replayed[0], pairs[1], replayed[2]]) == live
+    products = [pairs[:2], [replayed[2], pairs[0]], [replayed[1]]]
+    coefficients = [rng.randrange(1, curve.r) for _ in products]
+    expected = curve.gt_one()
+    for product, coefficient in zip(products, coefficients):
+        expected = expected * multi_pairing(curve, product) ** coefficient
+    assert multi_pairing(curve, combine_products(curve, products, coefficients)) == expected
 
 
 @pytest.mark.parametrize("shape", SHAPES)

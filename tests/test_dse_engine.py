@@ -1,6 +1,7 @@
 """Parallel exploration engine: determinism, cache reuse, worker sharding."""
 
 import pytest
+from test_artifact_store import _flip_bulk_byte, _section_offsets
 
 from repro.compiler.pipeline import (
     clear_caches,
@@ -309,10 +310,12 @@ def test_a_point_is_cached_only_when_all_its_kernels_are(toy_bn, toy_points, swe
 
 
 def test_corrupt_entry_read_by_the_parent_is_dispatched(toy_bn, toy_points, sweep_store):
+    """Damage to an entry's head is a miss at the parent's load."""
     sequential, _ = _sweep(toy_bn, toy_points, 1)
     path = _entry(sweep_store, toy_bn, toy_points[2])
     blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
+    head, bulk = _section_offsets(blob)
+    blob[(head + bulk) // 2] ^= 0x01
     path.write_bytes(bytes(blob))
     clear_caches()
     ranked, explorer = _sweep(toy_bn, toy_points, 2)
@@ -320,6 +323,21 @@ def test_corrupt_entry_read_by_the_parent_is_dispatched(toy_bn, toy_points, swee
     assert sweep_store.stats.corrupt == 1       # the parent's own read
     assert (report.cached_points, report.chunks) == (len(toy_points) - 1, 1)
     assert report.cache_stats["result"]["misses"] == 1      # recompiled by a worker
+    assert ranked == sequential
+
+
+def test_a_damaged_bulk_leaves_a_warm_sweep_cached(toy_bn, toy_points, sweep_store):
+    """A sweep prices every point from the heads: damage inside one entry's
+    bulk is neither read nor fixed by it, and costs no dispatch."""
+    sequential, _ = _sweep(toy_bn, toy_points, 1)
+    _flip_bulk_byte(_entry(sweep_store, toy_bn, toy_points[2]))
+    clear_caches()
+    ranked, explorer = _sweep(toy_bn, toy_points, 2)
+    report = explorer.last_report
+    assert (report.cached_points, report.chunks) == (len(toy_points), 0)
+    assert report.cache_stats["result"]["misses"] == 0
+    assert (report.cache_stats["disk"]["hits"], report.cache_stats["disk"]["corrupt"]) == (
+        len(toy_points), 0)
     assert ranked == sequential
 
 

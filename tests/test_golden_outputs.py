@@ -35,10 +35,11 @@ import os
 import random
 
 import pytest
-from schedule_checker import check_walk_stats
+from schedule_checker import check_allocation, check_walk_stats
 
 from repro.compiler.bankalloc import allocate_banks
 from repro.compiler.pipeline import compile_multi_pairing, compile_pairing, stage_modules
+from repro.compiler.regalloc import allocate_registers
 from repro.compiler.schedule import program_order_schedule
 from repro.curves.catalog import get_curve
 from repro.dse.space import named_variant_configs
@@ -166,9 +167,11 @@ KERNEL_DIGESTS = {
 
 def _assert_walk_is_legal(schedule):
     """The independent checker (``tests/schedule_checker.py``) accepts the
-    traced bundle walk of a pinned kernel's schedule."""
+    traced bundle walk of a pinned kernel's schedule and its register
+    allocation."""
     stats = CycleAccurateSimulator(record_trace=True).run(schedule)
     assert check_walk_stats(schedule, stats) == []
+    assert check_allocation(schedule, allocate_registers(schedule)) == []
 
 
 @pytest.mark.parametrize("variants", sorted(named_variant_configs()))
@@ -269,6 +272,7 @@ def test_toy_bn_baseline_walk_is_unchanged(hw_name):
                                   stats.instance_start_cycles]).encode())
     assert digest.hexdigest() == BASELINE_WALK_DIGESTS[hw_name]
     assert check_walk_stats(schedule, stats) == []
+    assert check_allocation(schedule, allocate_registers(schedule)) == []
 
 
 def test_bls12_381_kernel_model_is_unchanged():

@@ -1,17 +1,19 @@
 """The independent legality checker (``tests/schedule_checker.py``) catches
-a broken bundle walk.
+a broken bundle walk and a register allocation that clashes.
 
-It accepts every pinned walk: the tests that pin one run it on that walk
-(every ``KERNEL_DIGESTS`` kernel and the program-order baselines in
-``test_golden_outputs.py``, the TOY-BN42 schedules on the eight
+It accepts every pinned walk and its allocation: the tests that pin one run
+it on that walk (every ``KERNEL_DIGESTS`` kernel and the program-order
+baselines in ``test_golden_outputs.py``, the TOY-BN42 schedules on the eight
 ``SCHEDULE_DIGESTS`` presets in ``test_backend.py``).
 """
 
+import random
 from dataclasses import replace
 
-from schedule_checker import check_bundle_walk, check_walk_stats
+from schedule_checker import check_allocation, check_bundle_walk, check_walk_stats
 
 from repro.compiler.pipeline import compile_pairing
+from repro.compiler.regalloc import allocate_registers
 from repro.curves.catalog import get_curve
 from repro.hw.presets import default_model, paper_hw1, paper_hw2
 from repro.sim.cycle import CycleAccurateSimulator
@@ -49,3 +51,25 @@ def test_checker_catches_an_overfull_bundle():
     assert any("3 ops on a 2-issue model" in line for line in errors)
     assert any("2 short ops" in line for line in errors)
     assert any("reads of bank 0" in line for line in errors)
+
+
+def test_checker_catches_two_live_values_in_one_register():
+    curve = get_curve("TOY-BN42")
+    schedule = compile_pairing(curve, hw=paper_hw1(curve.params.p.bit_length())).schedule
+    allocation = allocate_registers(schedule)
+    assert check_allocation(schedule, allocation) == []
+    # Seeded mutant: an op takes the register of an operand it reads, which
+    # is live at its issue by construction.
+    module, banks, register_of = schedule.module, schedule.banks, allocation.register_of
+    candidates = [vid for vid in schedule.order if module.a[vid] >= 0
+                  and banks[module.a[vid]] == banks[vid]
+                  and register_of[module.a[vid]] != register_of[vid]]
+    vid = random.Random(20261019).choice(candidates)
+    clashed = replace(allocation, register_of=list(register_of))
+    clashed.register_of[vid] = register_of[module.a[vid]]
+    assert any(f"{vid} (issued at" in line and f"while {module.a[vid]} holds it" in line
+               for line in check_allocation(schedule, clashed))
+    # A register past its bank's count.
+    overflowed = replace(allocation, register_of=list(register_of))
+    overflowed.register_of[vid] = allocation.registers_per_bank[banks[vid]]
+    assert any(f"{vid} gets register" in line for line in check_allocation(schedule, overflowed))

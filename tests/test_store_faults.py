@@ -4,7 +4,9 @@ The store's docstring promises that torn writes, truncation and bit-rot are
 *misses* -- never crashes, never wrong artifacts.  These tests prove the
 promise by injecting every corruption mode at the ``store.read`` /
 ``store.write`` fault points and asserting the store either returns exactly
-what was stored or returns ``None``.
+what was stored or returns ``None``.  The values here have no deferred part,
+so every byte of their entries is in the head section, checked at load; a
+damaged bulk, checked on its first read, is ``test_artifact_store.py``'s.
 """
 
 import pytest

@@ -5,7 +5,10 @@ bit-for-bit with a fault-free baseline.
 Three storms, all driven through the public ``FINESSE_FAULTS`` grammar:
 
 * **store corruption** -- torn writes and garbage reads against a dedicated
-  on-disk artifact store while a sweep compiles through it;
+  on-disk artifact store while a sweep compiles through it, then a pass that
+  flips one bit in every read of the full store: a flip in an entry's head
+  is a miss, one in its bulk surfaces when a served kernel's schedule and
+  program are first read, which must rebuild them to the clean compile;
 * **worker crash** -- a pool worker killed mid-chunk (``os._exit``) at
   ``--workers`` parallelism, plus the same supervisor run in process
   (``workers=1``);
@@ -34,10 +37,21 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from repro.compiler.pipeline import clear_caches  # noqa: E402
-from repro.compiler.store import CACHE_DIR_ENV, configure_store, reset_store_state  # noqa: E402
+from repro.compiler.pipeline import (  # noqa: E402
+    KernelSpec,
+    cached_kernel,
+    clear_caches,
+    compile_kernel,
+)
+from repro.compiler.store import (  # noqa: E402
+    CACHE_DIR_ENV,
+    active_store,
+    configure_store,
+    reset_store_state,
+)
 from repro.curves.catalog import get_curve  # noqa: E402
 from repro.dse.engine import ParallelExplorer  # noqa: E402
+from repro.dse.explorer import FINAL_EXP_MODE  # noqa: E402
 from repro.dse.space import design_points, named_variant_configs  # noqa: E402
 from repro.hw.presets import figure10_models  # noqa: E402
 from repro.obs import Counters  # noqa: E402
@@ -180,8 +194,45 @@ class Chaos:
                     counters, ok,
                     detail=(f"failures={result['failures']}" if result["failures"]
                             else "" if fired else "(corruption never fired)"))
+                self._store_flip_pass(workers)
             os.environ.pop(CACHE_DIR_ENV, None)
             reset_store_state()
+
+    def _store_flip_pass(self, workers):
+        # The store is full: every read now flips one seeded bit.  A flip in
+        # an entry's head is a miss (the point is recompiled); one in its bulk
+        # is a hit that prices the point from the head, and the kernel's bulk
+        # fails its digest when first read, where it must be rebuilt.
+        clear_caches()      # memory tier only
+        _set_faults(f"store.read:flip@1*inf;seed={self.seed}")
+        result = _sweep(self.curve, self.points, workers=workers)
+        _set_faults(None)
+        store = active_store()
+        corrupt_before = store.stats.corrupt
+        read = matched = 0
+        for point in self.points:
+            spec = KernelSpec(hw=point.hw, variant_config=point.variant_config,
+                              final_exp_mode=FINAL_EXP_MODE)
+            served = cached_kernel(self.curve, spec)
+            if served.bulk.materialised:
+                continue
+            clean = compile_kernel(self.curve, spec, use_cache=False)
+            read += 1
+            matched += (served.program == clean.program and all(
+                getattr(served.schedule, name) == getattr(clean.schedule, name)
+                for name in ("banks", "order", "bundle_sizes", "planned_cycles")))
+        counters = dict(result["counters"], store_corrupt=result["disk"]["corrupt"],
+                        kernels_read=read,
+                        bulks_rebuilt=store.stats.corrupt - corrupt_before)
+        fired = counters["bulks_rebuilt"] >= 1
+        ok = (result["ranked"] == self.clean["ranked"]
+              and result["frontier"] == self.clean["frontier"]
+              and not result["failures"] and matched == read and fired)
+        self.check(
+            f"store bit flips (workers={workers})", counters, ok,
+            detail=(f"failures={result['failures']}" if result["failures"]
+                    else f"{read - matched} of {read} kernels differ" if matched != read
+                    else "(no bulk flip read)"))
 
     def storm_worker_crash(self):
         # One crash budget shared across all pool workers via the token dir:
