@@ -147,7 +147,7 @@ from repro.service import ServiceConfig, ServiceProfile, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.36.0"
+__version__ = "1.37.0"
 
 __all__ = [
     "get_curve",

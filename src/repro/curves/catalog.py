@@ -99,6 +99,11 @@ class PairingCurve:
     final_exp_plan: object
     security_bits: int
     seed_origin: str
+    #: The endomorphism phi(x, y) = (beta x, y) of E acts on G1 as [lambda]:
+    #: beta is a primitive cube root of unity in F_p, lambda the root of
+    #: x^2 + x + 1 mod r paired with it (checked on the generator at load).
+    endo_beta: int
+    endo_lambda: int
     toy: bool = False
     _frob_consts: dict = field(default_factory=dict, repr=False)
     #: Compiled pairing formulas; filled and keyed by
@@ -206,6 +211,34 @@ def _find_curve_b(fp_field, params: FamilyParams, rng: random.Random) -> tuple:
     raise CurveError("could not find a curve coefficient b with the correct order")
 
 
+def _cube_root_of_unity(q: int) -> int:
+    """The primitive cube root of unity mod the prime ``q`` that the bases
+    2, 3, ... reach first (``q`` must be 1 mod 3)."""
+    if q % 3 != 1:
+        raise CurveError(f"{q} is not 1 mod 3, so it has no primitive cube root of unity")
+    exponent = (q - 1) // 3
+    return next(root for root in (pow(base, exponent, q) for base in range(2, q)) if root != 1)
+
+
+def _endomorphism(curve: EllipticCurve, generator: AffinePoint, params: FamilyParams) -> tuple:
+    """``(beta, lambda)`` with phi(x, y) = (beta x, y) = [lambda] on G1.
+
+    phi acts on the order-r subgroup as one of the two roots of
+    x^2 + x + 1 mod r; one multiplication of the generator tells which,
+    because [lambda^2] G = -G - [lambda] G.
+    """
+    beta = _cube_root_of_unity(params.p)
+    lam = _cube_root_of_unity(params.r)
+    image = AffinePoint(curve, generator.x * curve.field(beta), generator.y)
+    multiple = generator.scalar_mul(lam)
+    if image != multiple:
+        if image != -(generator + multiple):
+            raise CurveError("phi(x, y) = (beta x, y) maps the G1 generator to neither "
+                             "[lambda] G nor [lambda^2] G")
+        lam = params.r - 1 - lam
+    return beta, lam
+
+
 def _find_twist(tower: PairingTower, params: FamilyParams, b: int, rng: random.Random) -> tuple:
     """Select the correct sextic twist (D or M type) and a G2 generator."""
     twist_field = tower.twist_field
@@ -259,6 +292,7 @@ def build_curve(spec: CurveSpec, fp_backend: str | None = None) -> PairingCurve:
 
     curve, g1 = _find_curve_b(tower.fp, params, rng)
     twist_curve, twist_type, cofactor_g2, g2 = _find_twist(tower, params, int(curve.b.value), rng)
+    beta, lam = _endomorphism(curve, g1, params)
     plan = solve_final_exp_plan(family, params)
     security = estimate_security_bits(family.name, params.k, params.p, params.r)
 
@@ -277,6 +311,8 @@ def build_curve(spec: CurveSpec, fp_backend: str | None = None) -> PairingCurve:
         final_exp_plan=plan,
         security_bits=security,
         seed_origin=spec.seed_origin,
+        endo_beta=beta,
+        endo_lambda=lam,
         toy=spec.toy,
     )
 

@@ -6,8 +6,9 @@ into a serving layer:
 
 * :mod:`repro.service.service` -- :class:`VerificationService`, the asyncio
   front end (admission, verifying-key cache, fused batch verification);
-* :mod:`repro.service.batcher` -- the dynamic batcher (flush on deadline OR
-  max-batch, bounded queue, reject-with-retry-after backpressure);
+* :mod:`repro.service.batcher` -- the dynamic batcher (flush on max-batch OR
+  once no companion is expected before the deadline, bounded queue,
+  reject-with-retry-after backpressure);
 * :mod:`repro.service.workloads` -- the Groth16/BLS request shapes and
   synthetic traffic generators;
 * :mod:`repro.service.vkcache` -- the content-addressed ``precompute_g2``

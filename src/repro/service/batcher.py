@@ -8,11 +8,16 @@ keeps admitting traffic while a batch is being verified).
 
 Policy -- a batch is flushed when EITHER
     * it has reached ``max_batch`` requests (flush immediately), OR
-    * ``deadline_s`` has elapsed since its *oldest* request arrived
+    * no companion is expected before its *oldest* request's deadline
+      (``deadline_s`` after that request arrived)
 (whichever comes first).  A backlogged queue is drained greedily: when the
-consumer frees up it first fills the batch with whatever is already waiting
-and only waits out the deadline for the remainder -- under saturation batches
-are always full and the deadline never adds latency.
+consumer frees up it first fills the batch with whatever is already waiting,
+so under saturation batches are always full and nothing waits.  A short batch
+then waits for the rest only while the EMA of the gaps between admissions is
+shorter than the time left to that deadline: sparse traffic, whose companions
+arrive after the deadline anyway, is flushed at once, and dense traffic waits
+until one mean gap before the deadline.  Until a second request has been
+admitted there is no gap, and the batch waits out the whole deadline.
 
 Backpressure -- :meth:`DynamicBatcher.admit` rejects with
 :class:`~repro.errors.ServiceOverloadedError` (carrying a ``retry_after_s``
@@ -36,6 +41,16 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
+
+
+#: Weight of the newest sample in the batcher's moving averages: the batch
+#: service time and the gap between admissions.
+EMA_WEIGHT = 0.2
+
+
+def ema(average: float | None, sample: float) -> float:
+    """``sample`` folded into the moving ``average`` (``None``: no sample yet)."""
+    return sample if average is None else (1 - EMA_WEIGHT) * average + EMA_WEIGHT * sample
 
 
 class _Pending:
@@ -83,6 +98,9 @@ class DynamicBatcher:
         self._idle.set()
         #: EMA of recent batch wall-clock service times (None until first flush).
         self._ema_batch_s: float | None = None
+        #: EMA of the gaps between admissions (None until the second one).
+        self._ema_gap_s: float | None = None
+        self._last_admit: float | None = None
 
     # -- admission ---------------------------------------------------------------
     @property
@@ -123,6 +141,9 @@ class DynamicBatcher:
                 retry_after_s=self.estimate_retry_after_s(),
             )
         now = loop.time()
+        if self._last_admit is not None:
+            self._ema_gap_s = ema(self._ema_gap_s, now - self._last_admit)
+        self._last_admit = now
         pending = _Pending(item, loop.create_future(), now)
         self._queue.put_nowait(pending)
         self._outstanding += 1
@@ -182,12 +203,13 @@ class DynamicBatcher:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            # Deadline phase: wait out the oldest request's deadline for the rest.
+            # Deadline phase: wait for the rest while the mean admission gap
+            # is shorter than the time left to the oldest request's deadline.
             if len(batch) < self.max_batch and self.deadline_s > 0:
                 loop = asyncio.get_running_loop()
                 flush_at = batch[0].arrival + self.deadline_s
                 while len(batch) < self.max_batch:
-                    remaining = flush_at - loop.time()
+                    remaining = flush_at - (self._ema_gap_s or 0.0) - loop.time()
                     if remaining <= 0:
                         break
                     try:
@@ -261,7 +283,6 @@ class DynamicBatcher:
             else:
                 self._settle(batch, results=results)
             elapsed = loop.time() - started
-            self._ema_batch_s = elapsed if self._ema_batch_s is None \
-                else 0.8 * self._ema_batch_s + 0.2 * elapsed
+            self._ema_batch_s = ema(self._ema_batch_s, elapsed)
             if self.metrics is not None:
                 self.metrics.record_batch(len(batch), elapsed, self._queue.qsize())

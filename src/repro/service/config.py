@@ -48,10 +48,13 @@ class ServiceConfig:
         batching entirely (the baseline configuration the benchmark compares
         against).
     ``deadline_ms``
-        Latency deadline of a forming batch, measured from the arrival of its
-        *oldest* request.  A batch flushes when the deadline expires OR when
-        it reaches ``max_batch``, whichever comes first; ``0`` flushes
-        greedily (whatever is queued when the server frees up).
+        The longest a request waits for company, measured from the arrival
+        of a forming batch's *oldest* request.  A batch flushes when it
+        reaches ``max_batch``, or once the time left to the deadline is no
+        longer than the EMA of the gaps between admissions (the whole
+        deadline before a second request is admitted): sparse traffic is
+        flushed at once.  ``0`` flushes greedily (whatever is queued when
+        the server frees up).
     ``queue_bound``
         Maximum number of admitted-but-unserved requests.  Admission beyond
         the bound raises :class:`repro.errors.ServiceOverloadedError` with a

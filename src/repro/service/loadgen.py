@@ -32,7 +32,7 @@ import json
 
 from repro.curves.catalog import get_curve
 from repro.errors import ServiceError, ServiceOverloadedError
-from repro.service.config import ServiceConfig
+from repro.service.config import FUSE_MODES, ServiceConfig
 from repro.service.metrics import percentile
 from repro.service.service import VerificationService
 from repro.service.simulate import ARRIVAL_DISTRIBUTIONS, arrival_times
@@ -136,14 +136,17 @@ async def run_load(service: VerificationService, *, rate_rps: float,
     }
 
 
+#: The command line's ``ServiceConfig`` flags.  One left out keeps the value
+#: :meth:`ServiceConfig.from_env` resolves: its ``FINESSE_SERVICE_*``
+#: variable, or else the dataclass default.
+CONFIG_FLAGS = ("max_batch", "deadline_ms", "queue_bound", "fuse")
+
+
 async def _main_async(args) -> dict:
     curve = get_curve(args.curve)
-    config = ServiceConfig.from_env(
-        max_batch=args.max_batch,
-        deadline_ms=args.deadline_ms,
-        queue_bound=args.queue_bound,
-        fuse=args.fuse,
-    )
+    config = ServiceConfig.from_env(**{
+        name: getattr(args, name) for name in CONFIG_FLAGS
+        if getattr(args, name) is not None})
     async with VerificationService(curve, config) as service:
         return await run_load(
             service, rate_rps=args.rate, n_requests=args.requests,
@@ -164,10 +167,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--forge-fraction", type=float, default=0.0,
                         help="fraction of requests forged (expected to fail)")
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--deadline-ms", type=float, default=20.0)
-    parser.add_argument("--queue-bound", type=int, default=256)
-    parser.add_argument("--fuse", default="rlc", choices=("rlc", "none"))
+    parser.add_argument("--max-batch", type=int)
+    parser.add_argument("--deadline-ms", type=float)
+    parser.add_argument("--queue-bound", type=int)
+    parser.add_argument("--fuse", choices=FUSE_MODES)
     parser.add_argument("--max-retries", type=int, default=0)
     parser.add_argument("--json", action="store_true",
                         help="print the full JSON report instead of the summary")

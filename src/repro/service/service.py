@@ -4,8 +4,8 @@
 requests into well-shaped ``multi_pairing`` batches:
 
 * requests are admitted through the bounded :class:`~repro.service.batcher.
-  DynamicBatcher` (flush on deadline OR max-batch, reject-with-retry-after on
-  overflow);
+  DynamicBatcher` (flush on max-batch OR once no companion is expected
+  before the deadline, reject-with-retry-after on overflow);
 * the fixed G2 points of every request (Groth16 verifying keys, BLS public
   keys, the G2 generator) come from the content-addressed
   :class:`~repro.service.vkcache.VerifyingKeyCache`, so their Miller-loop

@@ -3,8 +3,9 @@
 The DSE layer cannot rank hardware designs with a wall-clock load test -- it
 needs a *deterministic* end-to-end figure per design point.  This module
 replays the exact flush policy of :class:`repro.service.batcher.DynamicBatcher`
-(greedy fill from backlog, then flush on the oldest request's deadline OR on
-max-batch, single server, bounded waiting queue with rejections) in virtual
+(greedy fill from backlog, then flush on max-batch OR once no companion is
+expected before the oldest request's deadline, single server, bounded waiting
+queue with rejections) in virtual
 time against a seeded arrival trace and a per-batch service-time model, and
 reports the same figures the live service's metrics report: latency
 percentiles, sustained verifications per second, batch-size histogram and
@@ -26,6 +27,7 @@ from random import Random
 
 from repro.config import non_negative_int, number, positive_int
 from repro.errors import ServiceError
+from repro.service.batcher import ema
 from repro.service.metrics import percentile
 
 #: Supported arrival processes of :func:`arrival_times`.
@@ -133,8 +135,11 @@ def simulate_batch_queue(arrivals, service_time, *, max_batch: int,
     ``arrivals`` is a non-decreasing sequence of admission instants;
     ``service_time(batch_size)`` is the server occupancy of one flushed batch.
     A single server forms batches exactly like the live batcher: greedy fill
-    from whatever has already arrived, then wait until the oldest waiting
-    request's ``deadline`` (or until the batch fills) before flushing.
+    from whatever has already arrived, then wait for the rest until the batch
+    fills or until the time left to the oldest waiting request's ``deadline``
+    is no longer than the EMA of the gaps between admitted arrivals (the
+    whole deadline before the second admission), re-read after each
+    admission.  Sparse traffic is therefore flushed at once.
     Arrivals that would exceed ``queue_bound`` waiting requests are rejected,
     mirroring the live admission check (``None`` = unbounded).  The knobs are
     checked like the live batcher's: what it refuses, its twin refuses.
@@ -144,23 +149,30 @@ def simulate_batch_queue(arrivals, service_time, *, max_batch: int,
     if queue_bound is not None:
         positive_int(queue_bound, "queue_bound", ServiceError)
     arrivals = list(arrivals)
+    total = len(arrivals)
     if any(b < a for a, b in zip(arrivals, arrivals[1:])):
         raise ServiceError("arrival times must be non-decreasing")
     result = BatchQueueResult()
     waiting: deque = deque()
     cursor = 0                         # next arrival not yet admitted/rejected
     t_free = 0.0                       # server becomes idle at this instant
+    ema_gap = None                     # EMA of the gaps between admissions
+    last_admit = None
 
     def admit_until(t: float) -> None:
-        nonlocal cursor
-        while cursor < len(arrivals) and arrivals[cursor] <= t:
+        nonlocal cursor, ema_gap, last_admit
+        while cursor < total and arrivals[cursor] <= t:
+            arrival = arrivals[cursor]
             if queue_bound is not None and len(waiting) >= queue_bound:
                 result.rejected += 1
             else:
-                waiting.append(arrivals[cursor])
+                waiting.append(arrival)
+                if last_admit is not None:
+                    ema_gap = ema(ema_gap, arrival - last_admit)
+                last_admit = arrival
             cursor += 1
 
-    while cursor < len(arrivals) or waiting:
+    while cursor < total or waiting:
         if not waiting:
             admit_until(arrivals[cursor])      # jump to the next arrival burst
             continue
@@ -168,11 +180,14 @@ def simulate_batch_queue(arrivals, service_time, *, max_batch: int,
         start = max(t_free, head)
         admit_until(start)                     # greedy fill: backlog at start
         if len(waiting) < max_batch:
-            flush_at = max(start, head + deadline)
-            # Admit arrivals one at a time until the batch fills or the
-            # deadline passes; the batch then starts at whichever came first.
-            while len(waiting) < max_batch and cursor < len(arrivals) \
-                    and arrivals[cursor] <= flush_at:
+            # Admit arrivals one at a time until the batch fills or no
+            # companion is expected in time; each admission moves the mean
+            # gap, so the flush instant is read again after it.
+            while True:
+                flush_at = max(start, head + deadline - (ema_gap or 0.0))
+                if len(waiting) >= max_batch or cursor == total \
+                        or arrivals[cursor] > flush_at:
+                    break
                 admit_until(arrivals[cursor])
             if len(waiting) >= max_batch:
                 start = max(start, waiting[max_batch - 1])

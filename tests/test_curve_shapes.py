@@ -18,6 +18,7 @@ from repro.hw.presets import paper_hw1
 from repro.pairing.ate import optimal_ate_pairing
 from repro.pairing.batch import combine_products, multi_pairing, precompute_g2
 from repro.sim.functional import FunctionalSimulator
+from test_curves import check_endomorphism
 
 SHAPES = [f"{family}-{twist}-{sign}" for family in ("BN", "BLS12", "BLS24")
           for twist in ("D", "M") for sign in ("pos", "neg")]
@@ -44,6 +45,11 @@ def test_pairing_is_bilinear_and_non_degenerate(curve_shapes, shape):
     a, b = rng.randrange(2, curve.r), rng.randrange(2, curve.r)
     assert optimal_ate_pairing(curve, P.scalar_mul(a), Q.scalar_mul(b)) == \
         base ** (a * b % curve.r)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_the_g1_endomorphism_is_lambda(curve_shapes, shape):
+    check_endomorphism(curve_shapes[shape], 97)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -431,6 +431,22 @@ def test_toy_curve_structure(toy_curve):
     assert (curve.params.p + 1 - curve.params.t) == curve.cofactor_g1 * curve.params.r
 
 
+def check_endomorphism(curve, seed: int) -> None:
+    """phi(x, y) = (beta x, y) is [lambda] on a random G1 point, and not
+    [lambda^2]: beta and lambda are paired, not merely two cube roots."""
+    beta, lam, r = curve.endo_beta, curve.endo_lambda, curve.r
+    assert beta != 1 and pow(beta, 3, curve.p) == 1
+    assert (lam * lam + lam + 1) % r == 0
+    P = curve.random_g1(random.Random(seed))
+    image = curve.curve.point(P.x * curve.tower.fp(beta), P.y)
+    assert image == P.scalar_mul(lam) != P.scalar_mul(r - 1 - lam)
+
+
+@pytest.mark.parametrize("name", PAPER_CURVES)
+def test_the_g1_endomorphism_of_every_paper_curve(name):
+    check_endomorphism(get_curve(name), 89)
+
+
 def test_twist_frobenius_constants_map_g2_to_twist(toy_curve, rng):
     curve = toy_curve
     Q = curve.random_g2(rng)

@@ -183,7 +183,7 @@ GRID_DIGESTS = {
     ("HW1", "batch4-2core"): "38790f0739d657258a453782c8989c4319c1d649b9ceb6b6c0c01de6d7901c4c",
     ("HW1", "batch4-4core"): "1b2deba6659cf09f3e9349c93a3ba7f8b0b83b45e65fd70b608305aad5eee203",
     ("HW1", "batch4-2core-service"):
-        "30193e10cc64a1612e1faf4b8be4287277c56425cc082362a065876c530f913c",
+        "b969e6536a550f9ad6d3996f823a9b68727f9267a820d781fc38de330a043caf",
     ("L8-S2-lin6", "single"): "1f9f1c65ae68cfb78afa0ba4a358e7edec0cb96f4ad8c945b402ba1276df6338",
     ("L8-S2-lin6", "batch4-1core"):
         "d0bde78376cde800d134e51f0672a3dc2d9b43bd233cf8a1cda8edc27cf2078a",
@@ -192,7 +192,7 @@ GRID_DIGESTS = {
     ("L8-S2-lin6", "batch4-4core"):
         "eafe2f5b3090fb571f2b627de6c712bf1b337fb28b91fd6f7b4c11306f8547c6",
     ("L8-S2-lin6", "batch4-2core-service"):
-        "707743c80544237fe295278bf5ce618b1381ce767a77d2a52431d02f348ee368",
+        "cbf7cd82cf6406e86f685b15611ae1c6c1756b12b29be232a8d244bd6ea4cf7f",
 }
 
 

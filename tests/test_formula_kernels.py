@@ -38,9 +38,12 @@ from repro.pairing.context import (
 from repro.pairing.final_exp import easy_part
 from repro.pairing.lines import add_step, double_step
 from repro.pairing.miller import times_line
+from test_curve_shapes import SHAPES
 
 TOY_CURVES = ("TOY-BN42", "TOY-BLS12-54", "TOY-BLS24-79")
 PAPER_CURVES = ("BN254N", "BLS12-381")
+#: The catalog toys, then the twelve curve shapes of ``curve_shapes``.
+TOYS_AND_SHAPES = TOY_CURVES + tuple(SHAPES)
 
 
 class ElementwiseContext(ConcretePairingContext):
@@ -110,18 +113,22 @@ def _check_ladder_kernels(curve, data):
         assert elements(add(raw, raw_other)) == jacobian_add(point, other)
 
 
-@pytest.mark.parametrize("curve_name", TOY_CURVES)
-@given(data=st.data())
-@settings(max_examples=10, deadline=None)
-def test_every_pairing_kernel_equals_its_formula(curve_name, data):
-    _check_pairing_kernels(get_curve(curve_name), data)
+def _toy_or_shape(curve_name, curve_shapes):
+    return curve_shapes.get(curve_name) or get_curve(curve_name)
 
 
-@pytest.mark.parametrize("curve_name", TOY_CURVES)
+@pytest.mark.parametrize("curve_name", TOYS_AND_SHAPES)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
-def test_every_ladder_kernel_equals_its_formula(curve_name, data):
-    _check_ladder_kernels(get_curve(curve_name), data)
+def test_every_pairing_kernel_equals_its_formula(curve_shapes, curve_name, data):
+    _check_pairing_kernels(_toy_or_shape(curve_name, curve_shapes), data)
+
+
+@pytest.mark.parametrize("curve_name", TOYS_AND_SHAPES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_every_ladder_kernel_equals_its_formula(curve_shapes, curve_name, data):
+    _check_ladder_kernels(_toy_or_shape(curve_name, curve_shapes), data)
 
 
 @pytest.mark.parametrize("curve_name", PAPER_CURVES)

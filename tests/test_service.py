@@ -10,6 +10,7 @@ verdicts are bit-identical to unbatched ``multi_pairing`` verification.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import random
 import subprocess
@@ -37,6 +38,7 @@ from repro.service.config import (
 )
 from repro.service.loadgen import run_load
 from repro.service.workloads import build_request_pairs
+from test_service_sim import live_batches
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,25 @@ def test_batcher_zero_deadline_flushes_greedily():
 
     assert _run(scenario()) == [0, 1, 2]
     assert flushed and len(flushed[0]) == 3
+
+
+def test_batcher_does_not_wait_for_companions_sparse_traffic_will_not_send():
+    """Requests 0.5 s apart against a 20 ms deadline: once one gap is known,
+    each request is flushed the instant it arrives.  The first waits out
+    the deadline, as no gap is known before the second admission."""
+    sizes, latencies = live_batches([0.0, 0.5, 1.0, 1.5], lambda k: 0.001,
+                                    max_batch=8, deadline=0.02)
+    assert sizes == [1, 1, 1, 1]
+    assert latencies == pytest.approx([0.021, 0.001, 0.001, 0.001], abs=1e-9)
+
+
+def test_batcher_still_coalesces_dense_traffic():
+    """Requests 2 ms apart against a 20 ms deadline form one batch, flushed
+    one mean gap before the oldest request's deadline."""
+    sizes, latencies = live_batches([0.0, 0.002, 0.004, 0.006], lambda k: 0.001,
+                                    max_batch=8, deadline=0.02)
+    assert sizes == [4]
+    assert latencies[0] == pytest.approx(0.02 - 0.002 + 0.001, abs=1e-9)
 
 
 def test_batcher_queue_full_rejects_with_retry_hint():
@@ -450,6 +471,28 @@ def test_loadgen_checks_every_verdict_and_batches_fill_at_saturation(toy_bn):
     report = asyncio.run(scenario())
     assert (report["completed"], report["rejected"], report["mismatches"]) == (16, 0, 0)
     assert report["service"]["mean_batch_size"] > 2.0
+
+
+def test_loadgen_flags_win_over_the_environment_only_when_given(monkeypatch, capsys):
+    """``FINESSE_SERVICE_*`` reaches the service through the CLI; a flag
+    given on the command line still wins."""
+    from repro.service import loadgen
+
+    monkeypatch.setenv(MAX_BATCH_ENV, "1")
+    monkeypatch.setenv(DEADLINE_ENV, "5")
+    configs = []
+
+    class Recording(VerificationService):
+        def __init__(self, curve, config, **kwargs):
+            configs.append(config)
+            super().__init__(curve, config, **kwargs)
+
+    monkeypatch.setattr(loadgen, "VerificationService", Recording)
+    assert loadgen.main(["--requests", "8", "--rate", "1e5", "--deadline-ms", "7",
+                         "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (configs[0].max_batch, configs[0].deadline_ms) == (1, 7.0)
+    assert report["service"]["mean_batch_size"] == 1
 
 
 _FUSED_SOURCES_SCRIPT = """

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
+import selectors
+
 import pytest
 
 from repro.errors import ServiceError
@@ -132,6 +135,93 @@ def test_simulator_is_deterministic():
             for _ in range(2)]
     assert runs[0].latencies == runs[1].latencies
     assert runs[0].describe() == runs[1].describe()
+
+
+# ---------------------------------------------------------------------------
+# The live batcher and its twin on one trace
+# ---------------------------------------------------------------------------
+
+class _JumpingSelector(selectors.DefaultSelector):
+    """A selector that, asked to wait, moves the loop's clock instead."""
+
+    def __init__(self, loop):
+        super().__init__()
+        self._loop = loop
+
+    def select(self, timeout=None):
+        if timeout is None:
+            raise RuntimeError("virtual clock: the loop would wait forever")
+        self._loop.now += timeout
+        return super().select(0)
+
+
+class VirtualClockLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock starts at 0 and jumps to its next timer:
+    every wait of the live batcher happens at its exact instant, in no
+    wall-clock time."""
+
+    def __init__(self):
+        self.now = 0.0
+        super().__init__(_JumpingSelector(self))
+
+    def time(self):
+        return self.now
+
+
+def live_batches(arrivals, service_time, *, max_batch, deadline):
+    """``(batch sizes, latencies)`` of the live batcher fed ``arrivals``, its
+    flush occupying the server for ``service_time(batch size)``."""
+    sizes = []
+
+    async def flush(items):
+        sizes.append(len(items))
+        await asyncio.sleep(service_time(len(items)))
+        return items
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        batcher = DynamicBatcher(flush, max_batch=max_batch, deadline_s=deadline,
+                                 queue_bound=len(arrivals))
+        await batcher.start()
+
+        async def request(index, at):
+            await asyncio.sleep(at)
+            await batcher.admit(index)
+            return loop.time() - at
+
+        # A minute of virtual time: a batcher that never settles fails here.
+        latencies = await asyncio.wait_for(
+            asyncio.gather(*(request(i, at) for i, at in enumerate(arrivals))), timeout=60.0)
+        await batcher.stop()
+        return latencies
+
+    loop = VirtualClockLoop()
+    try:
+        latencies = loop.run_until_complete(scenario())
+    finally:
+        loop.close()
+    return sizes, latencies
+
+
+#: Sparse arrivals, a burst of twelve 3 ms apart, then sparse arrivals again.
+TWIN_TRACE = ([0.2 * i for i in range(4)] + [0.8 + 0.003 * i for i in range(12)]
+              + [0.833 + 0.2 * i for i in range(1, 5)])
+
+
+def test_the_live_batcher_and_its_twin_form_the_same_batches():
+    """Sparse traffic is flushed request by request (the first after the
+    whole deadline: no gap is known yet), the burst coalesces once the mean
+    gap has fallen below the deadline, and the first sparse arrival after it
+    is flushed at once again."""
+    def service_time(k):
+        return 0.004 + 0.001 * k
+
+    knobs = dict(max_batch=4, deadline=0.05)
+    sizes, latencies = live_batches(TWIN_TRACE, service_time, **knobs)
+    twin = simulate_batch_queue(TWIN_TRACE, service_time, **knobs)
+    assert sizes == twin.batch_sizes == [1, 1, 1, 1] + [1, 1, 2, 2, 2, 4] + [1, 1, 1, 1]
+    assert latencies == pytest.approx(twin.latencies, abs=1e-9)
+    assert twin.latencies[:2] == pytest.approx([0.05 + 0.005, 0.005])
 
 
 def test_simulator_validation():
