@@ -44,9 +44,10 @@ Pairing (software golden path)
 Compiler
     ``KernelSpec`` -- the one validated description of a kernel to compile
     (knobs: ``hw``, ``variant_config``, ``n_pairs`` -- the batch size,
-    ``split_accumulators``, ``final_exp_mode``, ``do_assemble``); every
-    entry point below folds its keywords into one, and
-    ``compile_kernel(curve, spec)`` is where they meet.
+    ``split_accumulators``, ``final_exp_mode``, ``do_assemble`` -- emit the
+    binary, which no recorded fact depends on); every entry point below
+    folds its keywords into one, and ``compile_kernel(curve, spec)`` is
+    where they meet.
     ``compile_pairing(curve, hw=None, variant_config=None, **knobs)`` --
     compile the single-pairing accelerator kernel (cached by full semantic
     configuration).
@@ -98,8 +99,6 @@ Serving
     service: dynamic batching, verifying-key cache, fused batch checks.
     ``ServiceConfig(...)`` -- its knobs (``FINESSE_SERVICE_*`` environment
     variables via ``ServiceConfig.from_env``; see ``docs/serving.md``).
-    ``ServiceProfile(...)`` -- a traffic profile for ranking hardware design
-    points by end-to-end service latency/throughput in the DSE layer.
 
 Configuration
     Every ``FINESSE_*`` environment variable is declared in ``repro.config``
@@ -143,11 +142,11 @@ from repro.reliability import (
     RetryPolicy,
     configure_faults,
 )
-from repro.service import ServiceConfig, ServiceProfile, VerificationService
+from repro.service import ServiceConfig, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.37.0"
+__version__ = "1.38.0"
 
 __all__ = [
     "get_curve",
@@ -180,7 +179,6 @@ __all__ = [
     "CycleStats",
     "VerificationService",
     "ServiceConfig",
-    "ServiceProfile",
     "configure_faults",
     "FaultPlan",
     "RetryPolicy",

@@ -11,9 +11,22 @@ from __future__ import annotations
 
 from repro.compiler.regalloc import RegisterAllocation
 from repro.compiler.schedule import ScheduledProgram
-from repro.isa.encoding import select_encoding
+from repro.isa.encoding import EncodingFormat, select_encoding
 from repro.isa.instructions import ir_op_to_machine_op
 from repro.isa.program import AssembledProgram
+
+
+def _encoding(schedule: ScheduledProgram, allocation: RegisterAllocation) -> EncodingFormat:
+    """The narrowest instruction word that addresses the flattened register file."""
+    return select_encoding(schedule.hw.n_banks * max(allocation.registers_per_bank.values()))
+
+
+def binary_size_bits(schedule: ScheduledProgram, allocation: RegisterAllocation) -> int:
+    """Size of the binary :func:`assemble` emits, without assembling it:
+    every bundle padded with NOPs to the issue width, one word a slot
+    (:meth:`AssembledProgram.binary_size_bits`)."""
+    return (len(schedule.bundle_sizes) * schedule.hw.issue_width
+            * _encoding(schedule, allocation).word_bits)
 
 
 def assemble(schedule: ScheduledProgram, allocation: RegisterAllocation,
@@ -46,7 +59,7 @@ def assemble(schedule: ScheduledProgram, allocation: RegisterAllocation,
 
     return AssembledProgram(
         name=name or module.name,
-        encoding=select_encoding(n_banks * bank_stride),
+        encoding=_encoding(schedule, allocation),
         opcodes=[opcode_of[ops[vid]] for vid in order],
         rd=[register[vid] for vid in order],
         rs1=[register[a_col[vid]] if a_col[vid] >= 0 else 0 for vid in order],

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
-from repro.compiler.asm import assemble
+from repro.compiler.asm import assemble, binary_size_bits
 from repro.compiler.bankalloc import allocate_banks
 from repro.compiler.cache import CompileCache
 from repro.compiler.codegen import (
@@ -58,7 +58,9 @@ class KernelSpec:
     the hard-part backend traced into the kernel ("generic" | "cyclotomic" |
     "compressed"; :data:`repro.pairing.final_exp.FINAL_EXP_MODES`).
     ``hw=None`` and ``variant_config=None`` mean the curve's default model and
-    all-Karatsuba (:meth:`resolved`).
+    all-Karatsuba (:meth:`resolved`).  ``do_assemble`` emits the binary
+    (:attr:`CompileResult.program`); no recorded fact depends on it, since
+    ``imem_bits`` is the size of that binary either way.
 
     Validated once, here, so every entry point fails the same way.  A flag
     that is not a ``bool`` raises ``CompilerError``: ``bool("shared")`` is
@@ -175,7 +177,7 @@ class CompileResult:
     cycle_stats: CycleStats
     registers_per_bank: dict
     total_registers: int
-    #: The assembled binary's size; without assembly, 32 bits an instruction.
+    #: The size of the binary the kernel assembles to, assembled or not.
     imem_bits: int
     #: ``(schedule, program)``; shared by relabelled copies of the result.
     bulk: Deferred
@@ -343,8 +345,7 @@ def _run_stages(curve, spec: KernelSpec) -> CompileResult:
         opt_stats=opt_stats, cycle_stats=cycle_stats,
         registers_per_bank=dict(allocation.registers_per_bank),
         total_registers=allocation.total_registers,
-        imem_bits=(schedule.instruction_count * 32 if program is None
-                   else program.binary_size_bits()),
+        imem_bits=binary_size_bits(schedule, allocation),
         bulk=Deferred((schedule, program)),
         multicore_stats=multicore_stats,
         stage_seconds=timings,

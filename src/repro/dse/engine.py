@@ -37,9 +37,8 @@ Knobs
     the pool only -- a chunk of k points gets ``k * eval_timeout``; in-process
     evaluation cannot be preempted.
 evaluation knobs
-    Every other keyword (``n_cores``, ``technology``, ``do_assemble``,
-    ``batch_size``, ``service_profile``) is a field of
-    :class:`repro.dse.spec.EvalSpec`, documented on
+    Every other keyword (``n_cores``, ``technology``, ``batch_size``) is a
+    field of :class:`repro.dse.spec.EvalSpec`, documented on
     :func:`repro.dse.explorer.evaluate_design_point`; the explorer folds them
     into one validated spec at construction -- a bad batch size or an
     unknown keyword raises there, not halfway through a sharded sweep inside

@@ -52,15 +52,6 @@ class DesignMetrics:
     cycles_per_pairing: float = 0.0
     accumulator_mode: str = "shared"
     final_exp_mode: str = "generic"
-    #: End-to-end service figures (populated only when the point was evaluated
-    #: with a ``service_profile``): request latency percentiles in µs and the
-    #: sustained verifications/sec of the modelled dynamic-batching service
-    #: running this design, plus how many trace requests backpressure rejected.
-    service_p50_us: float = 0.0
-    service_p95_us: float = 0.0
-    service_p99_us: float = 0.0
-    service_vps: float = 0.0
-    service_rejected: int = 0
     #: Power figures from :mod:`repro.hw.power` (dynamic + leakage at the
     #: sweep's technology node, with the dynamic part scaled by the scoring
     #: kernel's issue-slot utilisation).  ``energy_per_pairing_uj`` amortises
@@ -71,7 +62,7 @@ class DesignMetrics:
     throughput_per_watt: float = 0.0
 
     def describe(self) -> dict:
-        summary = {
+        return {
             "label": self.label,
             "curve": self.curve,
             "cycles": self.cycles,
@@ -90,15 +81,6 @@ class DesignMetrics:
             "energy_per_pairing_uj": round(self.energy_per_pairing_uj, 3),
             "throughput_per_watt": round(self.throughput_per_watt, 1),
         }
-        if self.service_vps:
-            summary["service"] = {
-                "p50_us": round(self.service_p50_us, 2),
-                "p95_us": round(self.service_p95_us, 2),
-                "p99_us": round(self.service_p99_us, 2),
-                "sustained_vps": round(self.service_vps, 1),
-                "rejected": self.service_rejected,
-            }
-        return summary
 
 
 class KernelNotCached(LookupError):
@@ -116,66 +98,10 @@ def _compile_kernel(curve, point: DesignPoint, spec: EvalSpec, n_pairs,
         hw=point.hw if n_pairs is None else point.hw.with_cores(spec.n_cores),
         variant_config=point.variant_config, n_pairs=n_pairs,
         split_accumulators=accumulator == "split", final_exp_mode=FINAL_EXP_MODE,
-        do_assemble=spec.do_assemble,
     ))
     if kernel is None:
         raise KernelNotCached(point.display_label)
     return kernel
-
-
-def _service_level_metrics(curve, point, spec: EvalSpec, freq, accumulator,
-                           fetch) -> dict:
-    """End-to-end service figures of one design under a traffic profile.
-
-    The design point's batched kernel is compiled at one-request and
-    full-batch width (``pairs_per_request`` and
-    ``pairs_per_request * max_batch`` fused pairs) with the accumulator mode
-    that scored the point; intermediate batch sizes use the
-    affine interpolation between the two -- batched-kernel cycles are a fixed
-    final-exponentiation tail plus a per-pair slope, so the two-point model
-    is faithful and costs two (cached) compilations per point.  The kernel
-    latencies feed the deterministic virtual-time replay of the dynamic
-    batcher (:func:`repro.service.simulate.simulate_batch_queue`) against the
-    profile's seeded arrival trace: each flushed batch occupies the device
-    for its kernel's cycles.
-    """
-    from repro.service.simulate import arrival_times, simulate_batch_queue
-
-    profile = spec.service_profile
-    if spec.n_cores == 1:
-        accumulator = "shared"      # the split kernel degenerates on one core
-
-    def batch_cycles(n_requests: int) -> float:
-        return float(_compile_kernel(
-            curve, point, spec, profile.pairs_per_request * n_requests,
-            accumulator, fetch,
-        ).cycles)
-
-    one = batch_cycles(1)
-    if profile.max_batch == 1:
-        def service_time_us(k: int) -> float:
-            return one / freq
-    else:
-        slope = (batch_cycles(profile.max_batch) - one) / (profile.max_batch - 1)
-
-        def service_time_us(k: int) -> float:
-            return (one + slope * (k - 1)) / freq
-
-    outcome = simulate_batch_queue(
-        arrival_times(profile.n_requests, profile.rate_rps / 1e6,
-                      distribution=profile.arrival, seed=profile.seed),
-        service_time_us,
-        max_batch=profile.max_batch,
-        deadline=profile.deadline_us,
-        queue_bound=profile.queue_bound,
-    )
-    return {
-        "service_p50_us": outcome.latency_percentile(50),
-        "service_p95_us": outcome.latency_percentile(95),
-        "service_p99_us": outcome.latency_percentile(99),
-        "service_vps": outcome.sustained_throughput() * 1e6,
-        "service_rejected": outcome.rejected,
-    }
 
 
 def evaluate_design_point(curve, point: DesignPoint, **knobs) -> DesignMetrics:
@@ -197,24 +123,14 @@ def evaluate_design_point(curve, point: DesignPoint, **knobs) -> DesignMetrics:
     Every kernel runs the ``"cyclotomic"`` final exponentiation, the
     optimized hard part the co-design loop ranks against.
 
-    ``service_profile`` (a :class:`repro.service.simulate.ServiceProfile`)
-    additionally scores the point as a *serving deployment*: the design's
-    batched kernel latencies drive the deterministic virtual-time replay of
-    the dynamic-batching service under the profile's traffic, and the
-    ``service_*`` fields of :class:`DesignMetrics` (request latency
-    percentiles, sustained verifications/sec, rejections) are populated so
-    the ``"service_throughput"`` / ``"service_p99"`` objectives can rank
-    designs by end-to-end serving behaviour instead of raw kernel cycles.
-
     A point is scored one batch at a time.  Keeping several batch instances
     in flight (:meth:`repro.sim.cycle.CycleAccurateSimulator.run_pipelined`)
     holds that many register files, which the area model does not price, so
     it is no axis here.
 
     ``knobs`` are the fields of :class:`repro.dse.spec.EvalSpec`, with its
-    defaults: ``n_cores=1``, ``technology=TECH_40NM``, ``do_assemble=True``,
-    ``batch_size=None``, ``service_profile=None``.  Degenerate
-    inputs fail loudly at entry: a non-positive or non-integral
+    defaults: ``n_cores=1``, ``technology=TECH_40NM``, ``batch_size=None``.
+    Degenerate inputs fail loudly at entry: a non-positive or non-integral
     ``batch_size`` or ``n_cores`` raises ``ValueError`` instead of compiling
     a nonsense kernel or reporting a nonsense throughput.
     """
@@ -261,10 +177,6 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
                            activity=result.ipc / max(1, point.hw.issue_width),
                            technology=spec.technology)
     energy_uj = (power.total_mw / 1e3) * (cycles_per_pairing / freq)
-    service_fields = {}
-    if spec.service_profile is not None:
-        service_fields = _service_level_metrics(
-            curve, point, spec, freq, accumulator, fetch)
     return DesignMetrics(
         label=point.display_label,
         curve=curve.name,
@@ -284,5 +196,4 @@ def _evaluate_spec(curve, point: DesignPoint, spec: EvalSpec,
         power_mw=power.total_mw,
         energy_per_pairing_uj=energy_uj,
         throughput_per_watt=pairings_per_s / (power.total_mw / 1e3),
-        **service_fields,
     )

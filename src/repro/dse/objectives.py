@@ -51,20 +51,12 @@ def _registry() -> dict:
                   lambda m: -m.energy_per_pairing_uj),
         Objective("throughput_per_watt", "pairings per second per watt (energy efficiency)",
                   lambda m: m.throughput_per_watt),
-        Objective("service_throughput",
-                  "sustained verifications/s of the modelled service (needs a service_profile)",
-                  lambda m: m.service_vps),
-        Objective("service_p99",
-                  "p99 service latency in microseconds, lower is better (needs a service_profile)",
-                  lambda m: -m.service_p99_us),
     ]
     return {objective.name: objective for objective in objectives}
 
 
 #: Built-in optimisation objectives, keyed by name.  All are "larger is
-#: better" after negation; the ``service_*`` objectives are only meaningful
-#: for sweeps evaluated with a ``service_profile`` (the fields stay 0
-#: otherwise and the ranking degenerates to the deterministic tie-break).
+#: better" after negation.
 OBJECTIVES = _registry()
 
 

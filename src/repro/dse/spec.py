@@ -27,9 +27,7 @@ class EvalSpec:
 
     n_cores: int = 1
     technology: TechnologyNode = TECH_40NM
-    do_assemble: bool = True
     batch_size: int | None = None
-    service_profile: object = None
 
     def __post_init__(self):
         positive_int(self.n_cores, "n_cores")

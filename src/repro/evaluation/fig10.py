@@ -34,7 +34,7 @@ def run(scale: str | None = None) -> dict:
         for hw in hw_models
         for config in all_configs
     ]
-    with ParallelExplorer(curve, do_assemble=False) as engine:
+    with ParallelExplorer(curve) as engine:
         engine.explore(points, objective="latency")
     cycles_of = {point.label: metrics.cycles
                  for point, metrics in zip(points, engine.evaluated)}

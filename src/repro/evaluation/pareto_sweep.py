@@ -82,7 +82,7 @@ def run(scale: str | None = None) -> dict:
     exhaustive_labels: tuple = ()
     for row, row_budget in (("exhaustive", None), ("guided", budget)):
         clear_caches()                  # memory tier only: the disk tier stays
-        explorer = ParallelExplorer(curve, do_assemble=False)
+        explorer = ParallelExplorer(curve)
         start = time.perf_counter()
         pareto = explorer.explore_pareto(points, objectives, budget=row_budget)
         wall_s = time.perf_counter() - start

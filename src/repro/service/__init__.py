@@ -16,8 +16,7 @@ into a serving layer:
 * :mod:`repro.service.metrics` -- queue depth, batch-size histogram,
   latency percentiles, sustained verifications/sec;
 * :mod:`repro.service.simulate` -- the deterministic virtual-time model of
-  the same policy, used by the DSE layer to rank hardware designs by
-  end-to-end service latency and throughput;
+  the same policy (the live batcher's twin) and the seeded arrival traces;
 * :mod:`repro.service.loadgen` -- the open-loop load generator
   (``python -m repro.service.loadgen``).
 
@@ -29,11 +28,7 @@ from repro.service.batcher import DynamicBatcher
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics, percentile
 from repro.service.service import VerificationService
-from repro.service.simulate import (
-    ServiceProfile,
-    arrival_times,
-    simulate_batch_queue,
-)
+from repro.service.simulate import arrival_times, simulate_batch_queue
 from repro.service.vkcache import VerifyingKeyCache, g2_point_digest
 from repro.service.workloads import (
     BLSRequest,
@@ -48,7 +43,6 @@ from repro.service.workloads import (
 __all__ = [
     "VerificationService",
     "ServiceConfig",
-    "ServiceProfile",
     "ServiceMetrics",
     "DynamicBatcher",
     "VerifyingKeyCache",

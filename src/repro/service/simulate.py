@@ -1,22 +1,21 @@
 """Deterministic virtual-time model of the dynamic-batching service.
 
-The DSE layer cannot rank hardware designs with a wall-clock load test -- it
-needs a *deterministic* end-to-end figure per design point.  This module
-replays the exact flush policy of :class:`repro.service.batcher.DynamicBatcher`
+A wall-clock load test answers for one host on one run; a what-if about the
+batching policy needs a *deterministic* figure.  This module replays the
+exact flush policy of :class:`repro.service.batcher.DynamicBatcher`
 (greedy fill from backlog, then flush on max-batch OR once no companion is
-expected before the oldest request's deadline, single server, bounded waiting
-queue with rejections) in virtual
-time against a seeded arrival trace and a per-batch service-time model, and
-reports the same figures the live service's metrics report: latency
-percentiles, sustained verifications per second, batch-size histogram and
-rejections.
+expected before the oldest request's deadline, single server, unbounded
+waiting queue) in virtual time against a seeded arrival trace and a per-batch
+service-time model, and reports the same figures the live service's metrics
+report: latency percentiles, sustained verifications per second and the
+batch-size histogram.
 
 Time is unitless: pass arrival times and a ``service_time`` callable in the
-same unit (seconds for wall-clock what-ifs, microseconds for the DSE layer,
-cycles for frequency-independent comparisons) and read the results in that
-unit.  Everything is a pure function of its arguments, so the numbers are
-bit-reproducible across processes and machines -- which is what lets CI guard
-them like cycle counts.
+same unit (seconds for wall-clock what-ifs, cycles for frequency-independent
+comparisons) and read the results in that unit.  Everything is a pure function
+of its arguments, so the numbers are bit-reproducible across processes and
+machines -- which is what lets the tests hold the live batcher to it on a
+virtual clock.  :func:`arrival_times` also paces the open-loop load generator.
 """
 
 from __future__ import annotations
@@ -63,45 +62,12 @@ def arrival_times(n: int, rate: float, distribution: str = "poisson",
         f"distribution must be one of {ARRIVAL_DISTRIBUTIONS}, got {distribution!r}")
 
 
-@dataclass(frozen=True)
-class ServiceProfile:
-    """Traffic + policy profile for service-level design evaluation.
-
-    Consumed by :func:`repro.dse.explorer.evaluate_design_point` (its
-    ``service_profile`` argument): the design point's compiled batched kernel
-    supplies the per-batch service time, this profile supplies everything
-    else.  ``rate_rps`` is the offered load in requests per second;
-    ``pairs_per_request`` is the pairing-product width of one request (3 for
-    the Groth16 shape, 2 for BLS); the remaining knobs mirror
-    :class:`repro.service.config.ServiceConfig`.
-    """
-
-    rate_rps: float
-    max_batch: int = 8
-    deadline_us: float = 500.0
-    queue_bound: int = 64
-    pairs_per_request: int = 3
-    n_requests: int = 256
-    arrival: str = "poisson"
-    seed: int = 1
-
-    def __post_init__(self):
-        number(self.rate_rps, "rate_rps", ServiceError, exclusive=True)
-        for name in ("max_batch", "queue_bound", "pairs_per_request", "n_requests"):
-            positive_int(getattr(self, name), name, ServiceError)
-        number(self.deadline_us, "deadline_us", ServiceError)
-        if self.arrival not in ARRIVAL_DISTRIBUTIONS:
-            raise ServiceError(
-                f"arrival must be one of {ARRIVAL_DISTRIBUTIONS}, got {self.arrival!r}")
-
-
 @dataclass
 class BatchQueueResult:
     """Outcome of one virtual-time run (same time unit as the inputs)."""
 
     latencies: list = field(default_factory=list)
     batch_sizes: list = field(default_factory=list)
-    rejected: int = 0
     completed: int = 0
     makespan: float = 0.0
 
@@ -118,7 +84,6 @@ class BatchQueueResult:
     def describe(self) -> dict:
         return {
             "completed": self.completed,
-            "rejected": self.rejected,
             "batches": len(self.batch_sizes),
             "batch_size_histogram": self.batch_size_histogram(),
             "p50": round(self.latency_percentile(50), 3),
@@ -129,7 +94,7 @@ class BatchQueueResult:
 
 
 def simulate_batch_queue(arrivals, service_time, *, max_batch: int,
-                         deadline: float, queue_bound: int | None = None) -> BatchQueueResult:
+                         deadline: float) -> BatchQueueResult:
     """Replay the dynamic-batching policy over an arrival trace.
 
     ``arrivals`` is a non-decreasing sequence of admission instants;
@@ -139,22 +104,20 @@ def simulate_batch_queue(arrivals, service_time, *, max_batch: int,
     fills or until the time left to the oldest waiting request's ``deadline``
     is no longer than the EMA of the gaps between admitted arrivals (the
     whole deadline before the second admission), re-read after each
-    admission.  Sparse traffic is therefore flushed at once.
-    Arrivals that would exceed ``queue_bound`` waiting requests are rejected,
-    mirroring the live admission check (``None`` = unbounded).  The knobs are
-    checked like the live batcher's: what it refuses, its twin refuses.
+    admission.  Sparse traffic is therefore flushed at once.  The waiting
+    queue is unbounded: the live batcher's admission bound is no part of the
+    twin.  The knobs are checked like the live batcher's: what it refuses,
+    its twin refuses.
     """
     positive_int(max_batch, "max_batch", ServiceError)
     number(deadline, "deadline", ServiceError)
-    if queue_bound is not None:
-        positive_int(queue_bound, "queue_bound", ServiceError)
     arrivals = list(arrivals)
     total = len(arrivals)
     if any(b < a for a, b in zip(arrivals, arrivals[1:])):
         raise ServiceError("arrival times must be non-decreasing")
     result = BatchQueueResult()
     waiting: deque = deque()
-    cursor = 0                         # next arrival not yet admitted/rejected
+    cursor = 0                         # next arrival not yet admitted
     t_free = 0.0                       # server becomes idle at this instant
     ema_gap = None                     # EMA of the gaps between admissions
     last_admit = None
@@ -163,13 +126,10 @@ def simulate_batch_queue(arrivals, service_time, *, max_batch: int,
         nonlocal cursor, ema_gap, last_admit
         while cursor < total and arrivals[cursor] <= t:
             arrival = arrivals[cursor]
-            if queue_bound is not None and len(waiting) >= queue_bound:
-                result.rejected += 1
-            else:
-                waiting.append(arrival)
-                if last_admit is not None:
-                    ema_gap = ema(ema_gap, arrival - last_admit)
-                last_admit = arrival
+            waiting.append(arrival)
+            if last_admit is not None:
+                ema_gap = ema(ema_gap, arrival - last_admit)
+            last_admit = arrival
             cursor += 1
 
     while cursor < total or waiting:

@@ -34,6 +34,7 @@ from repro.compiler.store import (
     reset_store_state,
 )
 from repro.curves.catalog import get_curve
+from repro.dse.space import design_points, named_variant_configs
 from repro.errors import CompilerError
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import figure10_models
@@ -185,14 +186,22 @@ def test_paper_curve_kernel_round_trips_in_every_field(store):
     assert_same_kernel(loaded, compiled)
 
 
-def test_imem_bits_is_a_recorded_fact(toy_bn):
-    # A VLIW model: the binary stores NOP slots, so the two sizings differ.
-    vliw = figure10_models(toy_bn.params.p.bit_length())[2]
-    assembled = compile_pairing(toy_bn, hw=vliw, use_cache=False)
-    bare = compile_pairing(toy_bn, hw=vliw, do_assemble=False, use_cache=False)
-    assert bare.program is None
-    assert assembled.imem_bits == assembled.program.binary_size_bits()
-    assert bare.imem_bits == bare.schedule.instruction_count * 32 != assembled.imem_bits
+@pytest.mark.parametrize("curve_name", [
+    "TOY-BN42", pytest.param("TOY-BLS24-79", marks=pytest.mark.slow)])
+def test_imem_bits_is_a_recorded_fact(curve_name):
+    """On every Fig-10 point, a compile that skips the assembler records the
+    size of the binary it would emit: NOP slots included, and 64-bit words
+    once the flattened register file outgrows the 32-bit encoding."""
+    curve = get_curve(curve_name)
+    points = design_points(named_variant_configs().values(),
+                           figure10_models(curve.params.p.bit_length()))
+    for point in points:
+        knobs = dict(hw=point.hw, variant_config=point.variant_config, use_cache=False)
+        assembled = compile_pairing(curve, **knobs)
+        bare = compile_pairing(curve, do_assemble=False, **knobs)
+        assert bare.program is None
+        assert bare.imem_bits == assembled.imem_bits == \
+            assembled.program.binary_size_bits(), point.display_label
 
 
 def _section_offsets(blob: bytes) -> tuple:

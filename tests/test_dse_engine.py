@@ -145,8 +145,7 @@ def test_batched_sweep_ranks_accumulator_modes(toy_bn, toy_points):
     """A batched two-core sweep records the winning kernel per point and is
     deterministic across repeated sweeps."""
     points = toy_points[:2]
-    engine = ParallelExplorer(toy_bn, workers=1, n_cores=2, batch_size=2,
-                              do_assemble=False)
+    engine = ParallelExplorer(toy_bn, workers=1, n_cores=2, batch_size=2)
     first = engine.explore(points, objective="throughput")
     assert len(first) == len(points)
     by_label = {point.display_label: point for point in points}
@@ -158,7 +157,7 @@ def test_batched_sweep_ranks_accumulator_modes(toy_bn, toy_points):
         point = by_label[metrics.label]
         shared = compile_multi_pairing(
             toy_bn, 2, hw=point.hw.with_cores(2), variant_config=point.variant_config,
-            do_assemble=False, final_exp_mode="cyclotomic")
+            final_exp_mode="cyclotomic")
         assert metrics.cycles <= shared.cycles
     assert engine.explore(points, objective="throughput") == first
 

@@ -7,15 +7,17 @@ import sys
 
 import pytest
 
-from repro.compiler.pipeline import clear_caches
+from repro.compiler.pipeline import clear_caches, compile_pairing
 from repro.config import BUDGET_ENV, OBJECTIVES_ENV
 from repro.dse.engine import EMPTY_SPACE_MESSAGE, ParallelExplorer
+from repro.dse.explorer import FINAL_EXP_MODE
 from repro.dse.objectives import list_objectives, resolve_objective
 from repro.dse.search import proxy_design_metrics, validate_budget
 from repro.dse.space import DesignPoint, design_points, named_variant_configs
 from repro.errors import DSEError
 from repro.evaluation import pareto_sweep
 from repro.evaluation.runner import main as runner_main
+from repro.hw.area import estimate_area
 from repro.hw.presets import figure10_models
 
 
@@ -80,7 +82,7 @@ def test_explore_ranking_breaks_score_ties_by_label(toy_bn, toy_points):
 # ---------------------------------------------------------------------------
 
 def test_half_the_space_recovers_the_frontier(toy_bn, full_points):
-    engine = ParallelExplorer(toy_bn, workers=1, do_assemble=False)
+    engine = ParallelExplorer(toy_bn, workers=1)
     exhaustive = engine.explore_pareto(full_points, objectives=("throughput", "area"))
     assert exhaustive.evaluated == exhaustive.total_points == len(full_points)
     # A real trade-off, with power axes populated and varying along it, so
@@ -103,6 +105,20 @@ def test_half_the_space_recovers_the_frontier(toy_bn, full_points):
     assert tight.evaluated == 3
 
 
+def test_a_sweep_prices_the_binary_each_kernel_assembles_to(toy_bn, full_points):
+    """The area a sweep ranks on is the area of the assembled kernel: its
+    instruction memory holds the binary the assembler emits."""
+    engine = ParallelExplorer(toy_bn, workers=1)
+    engine.explore(full_points, objective="area")
+    assert len(engine.evaluated) == len(full_points)
+    for point, metrics in zip(full_points, engine.evaluated):
+        kernel = compile_pairing(toy_bn, hw=point.hw, variant_config=point.variant_config,
+                                 final_exp_mode=FINAL_EXP_MODE)
+        area = estimate_area(point.hw, kernel.program.binary_size_bits(),
+                             kernel.total_registers)
+        assert metrics.area_mm2 == area.total_mm2, point.display_label
+
+
 #: What the proxy-ranked top 7 of the TOY-BN42 Fig-10 space is on
 #: (throughput, area): the points, their summed cycles and the frontier.
 TOP7_EVALUATED = (
@@ -117,7 +133,7 @@ TOP7_FRONTIER = (
 
 
 def test_budget_seven_evaluates_the_proxy_ranked_top_seven(toy_bn, full_points):
-    engine = ParallelExplorer(toy_bn, workers=1, do_assemble=False)
+    engine = ParallelExplorer(toy_bn, workers=1)
     result = engine.explore_pareto(full_points, ("throughput", "area"), budget=7)
     assert tuple(sorted(m.label for m in engine.evaluated)) == TOP7_EVALUATED
     assert sum(m.cycles for m in engine.evaluated) == TOP7_CYCLES
@@ -128,7 +144,7 @@ def test_budget_seven_evaluates_the_proxy_ranked_top_seven(toy_bn, full_points):
 def test_a_budget_above_half_the_space_is_not_capped(toy_bn, full_points):
     """``budget=k`` evaluates ``min(k, n)`` points: 10 of 15 is 10, and a
     budget past the space is the whole space."""
-    engine = ParallelExplorer(toy_bn, workers=1, do_assemble=False)
+    engine = ParallelExplorer(toy_bn, workers=1)
     ten = engine.explore_pareto(full_points, ("throughput", "area"), budget=10)
     assert ten.evaluated == len(engine.evaluated) == 10
     assert set(TOP7_EVALUATED) <= {m.label for m in engine.evaluated}
@@ -208,7 +224,7 @@ def test_list_objectives_registry():
     registry = list_objectives()
     assert list(registry) == [
         "throughput", "latency", "area", "efficiency", "power", "energy",
-        "throughput_per_watt", "service_throughput", "service_p99"]
+        "throughput_per_watt"]
     for name in registry:
         assert registry[name]                      # every entry documented
         assert resolve_objective(name).name == name

@@ -143,7 +143,7 @@ def test_wrapped_dse_error_chains_cause(toy_bn, toy_points):
     counters = {"retries": 0, "backoff_s": 0.0}
     with pytest.raises(DSEError) as exc_info:
         _evaluate_point_resilient(
-            toy_bn, toy_points[0], {"n_cores": 1, "do_assemble": False},
+            toy_bn, toy_points[0], {"n_cores": 1},
             RetryPolicy(max_retries=0, base_delay_s=0.0), counters)
     assert toy_points[0].label in str(exc_info.value)
     assert isinstance(exc_info.value.__cause__, InjectedFaultError)

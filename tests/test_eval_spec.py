@@ -8,6 +8,9 @@ batched metrics were re-recorded when the batched kernels moved onto the
 single kernel's Miller walk (cycles 33 060 -> 33 280, same winners), and kept
 when the final-exp and accumulator policies were retired: the evaluation
 that compiled all six kernels then scores exactly as the two it compiles now.
+The grid digests were re-recorded when the five ``service_*`` fields left
+``DesignMetrics``: each equals the digest of the earlier record with those
+keys deleted, so every other field held byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from repro.dse.spec import EvalSpec
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import figure10_models, paper_hw1
 from repro.hw.technology import TECH_40NM
-from repro.service import ServiceProfile
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +64,8 @@ def test_compile_pairing_is_keyed_by_pairing_compile_digest(toy_bn):
 # ---------------------------------------------------------------------------
 
 def test_spec_is_a_value():
-    profile = ServiceProfile(rate_rps=1000.0)
-    spec = EvalSpec(n_cores=2, batch_size=4, service_profile=profile)
-    twin = EvalSpec(n_cores=2, batch_size=4, service_profile=profile)
+    spec = EvalSpec(n_cores=2, batch_size=4)
+    twin = EvalSpec(n_cores=2, batch_size=4)
     assert spec == twin and hash(spec) == hash(twin)
     assert spec != dataclasses.replace(spec, n_cores=4)
     assert pickle.loads(pickle.dumps(spec)) == spec
@@ -76,9 +77,9 @@ def test_spec_is_a_value():
 def test_spec_defaults_and_normalisation():
     spec = EvalSpec()
     assert [field.name for field in dataclasses.fields(EvalSpec)] == [
-        "n_cores", "technology", "do_assemble", "batch_size", "service_profile"]
+        "n_cores", "technology", "batch_size"]
     assert tuple(getattr(spec, field.name) for field in dataclasses.fields(spec)) == (
-        1, TECH_40NM, True, None, None)
+        1, TECH_40NM, None)
     # The kernels a point compiles: both accumulator modes only for a batch
     # on more than one core.
     assert EvalSpec().accumulator_modes == ("shared",)
@@ -148,11 +149,6 @@ def test_all_auto_evaluation_matches_the_pre_refactor_metrics(toy_bn, point):
         "cycles_per_pairing": 8320.0,
         "accumulator_mode": "split",
         "final_exp_mode": "cyclotomic",
-        "service_p50_us": 0.0,
-        "service_p95_us": 0.0,
-        "service_p99_us": 0.0,
-        "service_vps": 0.0,
-        "service_rejected": 0,
         "power_mw": 0.8809930721119377,
         "energy_per_pairing_uj": 0.006413433531344402,
         "throughput_per_watt": 155922719.8836155,
@@ -163,36 +159,27 @@ def test_all_auto_evaluation_matches_the_pre_refactor_metrics(toy_bn, point):
 # (4) The metrics grid: every field of every evaluation kind, exactly
 # ---------------------------------------------------------------------------
 
-GRID_PROFILE = ServiceProfile(rate_rps=20_000.0, max_batch=4, deadline_us=300.0,
-                              queue_bound=32, pairs_per_request=3, n_requests=48,
-                              arrival="poisson", seed=1)
-
 GRID_EVALUATIONS = {
     "single": {},
     "batch4-1core": dict(batch_size=4, n_cores=1),
     "batch4-2core": dict(batch_size=4, n_cores=2),
     "batch4-4core": dict(batch_size=4, n_cores=4),
-    "batch4-2core-service": dict(batch_size=4, n_cores=2, service_profile=GRID_PROFILE),
 }
 
 #: sha256 of ``json.dumps(dataclasses.asdict(metrics))`` (floats by repr, so
 #: exact), TOY-BN42, all-Karatsuba.
 GRID_DIGESTS = {
-    ("HW1", "single"): "0015385280a706ec23638d688b9042334f0c01d7dee52fefb04345c3ac74bb08",
-    ("HW1", "batch4-1core"): "4c5ad129370a858f1ddc8e8753614ab895feafb79efba3526b304804f1dcc1bf",
-    ("HW1", "batch4-2core"): "38790f0739d657258a453782c8989c4319c1d649b9ceb6b6c0c01de6d7901c4c",
-    ("HW1", "batch4-4core"): "1b2deba6659cf09f3e9349c93a3ba7f8b0b83b45e65fd70b608305aad5eee203",
-    ("HW1", "batch4-2core-service"):
-        "b969e6536a550f9ad6d3996f823a9b68727f9267a820d781fc38de330a043caf",
-    ("L8-S2-lin6", "single"): "1f9f1c65ae68cfb78afa0ba4a358e7edec0cb96f4ad8c945b402ba1276df6338",
+    ("HW1", "single"): "ae0e8d7521861ef1d11fdd6a4508f5dbb0869e2e617262ca7920acd183769ef7",
+    ("HW1", "batch4-1core"): "126e93356ee675f219668f60e7b300b4241be131630ed592bec93a2da147ae20",
+    ("HW1", "batch4-2core"): "887c4747356bfc506f133ab75dd97dc129e2f08695263d626ed99a1a80a8f036",
+    ("HW1", "batch4-4core"): "4bf6c56640f75b234d9cf2e20b0e4b74abf70f8231b6ef08251ac9451f0a9c79",
+    ("L8-S2-lin6", "single"): "82e16ae7e3a0e6d2838ac16cf49edd1f66de8cb3bb1a838e988fa92543c44f2b",
     ("L8-S2-lin6", "batch4-1core"):
-        "d0bde78376cde800d134e51f0672a3dc2d9b43bd233cf8a1cda8edc27cf2078a",
+        "fa55daf190dfc9516a566f9447a34853f3d9ea471b02cff52f3df7045a446a80",
     ("L8-S2-lin6", "batch4-2core"):
-        "67692d08d09648e7eb10305b4a36392173a7f6420e5151c907443943a24b2736",
+        "6b6c4768e0fdde115be0fc15f64a18838f6e2f36fa81351e38c34a883423cb07",
     ("L8-S2-lin6", "batch4-4core"):
-        "eafe2f5b3090fb571f2b627de6c712bf1b337fb28b91fd6f7b4c11306f8547c6",
-    ("L8-S2-lin6", "batch4-2core-service"):
-        "cbf7cd82cf6406e86f685b15611ae1c6c1756b12b29be232a8d244bd6ea4cf7f",
+        "8d581374bb92c7eb724f446086874e1c536d9812f466dd161fc50e5c4c1ab504",
 }
 
 

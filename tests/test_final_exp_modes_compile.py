@@ -236,12 +236,11 @@ def test_design_point_final_exp_modes(toy_bn):
     }
     for kernels in (batched, single):
         assert kernels["cyclotomic"].cycles < kernels["generic"].cycles
-    metrics = evaluate_design_point(toy_bn, point, do_assemble=False)
+    metrics = evaluate_design_point(toy_bn, point)
     assert metrics.final_exp_mode == metrics.describe()["final_exp_mode"] == "cyclotomic"
     assert metrics.cycles == single["cyclotomic"].cycles
-    metrics = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                    batch_size=4)
-    scored = compile_multi_pairing(toy_bn, 4, hw=hw.with_cores(4), do_assemble=False,
+    metrics = evaluate_design_point(toy_bn, point, n_cores=4, batch_size=4)
+    scored = compile_multi_pairing(toy_bn, 4, hw=hw.with_cores(4),
                                    split_accumulators=metrics.accumulator_mode == "split",
                                    final_exp_mode="cyclotomic")
     assert metrics.final_exp_mode == "cyclotomic"

@@ -160,12 +160,10 @@ def test_design_point_evaluation_rejects_degenerate_inputs(toy_bn):
                         hw=paper_hw1(toy_bn.params.p.bit_length()))
     for bad in (0, -4, 2.5, True):
         with pytest.raises(ValueError):
-            evaluate_design_point(toy_bn, point, n_cores=2, do_assemble=False,
-                                  batch_size=bad)
+            evaluate_design_point(toy_bn, point, n_cores=2, batch_size=bad)
     for bad_cores in (0, -1, 1.5, False):
         with pytest.raises(ValueError):
-            evaluate_design_point(toy_bn, point, n_cores=bad_cores,
-                                  do_assemble=False, batch_size=2)
+            evaluate_design_point(toy_bn, point, n_cores=bad_cores, batch_size=2)
 
 
 def test_batched_result_ipc_is_consistent_with_cycles(compiled_batch4):
@@ -427,11 +425,10 @@ def test_design_point_auto_mode_picks_faster_kernel(toy_bn):
                         hw=paper_hw1(toy_bn.params.p.bit_length()))
     hw = point.hw.with_cores(4)
     shared, split = (
-        compile_multi_pairing(toy_bn, 4, hw=hw, do_assemble=False, split_accumulators=mode,
+        compile_multi_pairing(toy_bn, 4, hw=hw, split_accumulators=mode,
                               final_exp_mode="cyclotomic")
         for mode in (False, True))
-    metrics = evaluate_design_point(toy_bn, point, n_cores=4, do_assemble=False,
-                                    batch_size=4)
+    metrics = evaluate_design_point(toy_bn, point, n_cores=4, batch_size=4)
     # On the 4-core model at batch 4 the split kernel wins (the ROADMAP trade).
     assert split.cycles < shared.cycles
     assert metrics.cycles == split.cycles
@@ -445,8 +442,7 @@ def test_design_point_single_core_auto_stays_shared(toy_bn):
 
     point = DesignPoint(variant_config=VariantConfig.all_karatsuba(),
                         hw=paper_hw1(toy_bn.params.p.bit_length()))
-    metrics = evaluate_design_point(toy_bn, point, n_cores=1, do_assemble=False,
-                                    batch_size=2)
+    metrics = evaluate_design_point(toy_bn, point, n_cores=1, batch_size=2)
     assert metrics.accumulator_mode == "shared"
 
 

@@ -110,12 +110,6 @@ KEPT = {
         "shutdown mode: drain=False settles queued work with an error",
     "service.simulate.arrival_times(burst)":
         "traffic model: the size of a burst under the bursty distribution",
-    "service.simulate.ServiceProfile(deadline_us)":
-        "public traffic profile: a caller describes the load to rank designs for",
-    "service.simulate.ServiceProfile(pairs_per_request)":
-        "public traffic profile: a caller describes the load to rank designs for",
-    "service.simulate.ServiceProfile(n_requests)":
-        "public traffic profile: a caller describes the load to rank designs for",
     "sim.cycle.CycleAccurateSimulator(hw)":
         "test seam: simulate a schedule on a model other than its own",
 }

@@ -8,7 +8,7 @@ import selectors
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import ServiceProfile, arrival_times, percentile, simulate_batch_queue
+from repro.service import arrival_times, percentile, simulate_batch_queue
 from repro.service.batcher import DynamicBatcher
 
 
@@ -104,13 +104,6 @@ def test_simulator_greedy_fill_under_backlog():
     assert result.sustained_throughput() == pytest.approx(8 / 2.0)
 
 
-def test_simulator_queue_bound_rejections():
-    result = simulate_batch_queue([0.0] * 10, lambda k: 1.0, max_batch=2,
-                                  deadline=0.0, queue_bound=4)
-    assert result.rejected == 6           # first 4 admitted at t=0, rest rejected
-    assert result.completed == 4
-
-
 def test_simulator_batching_beats_serial_latency():
     """Same trace, same per-item cost: batching wins once serial service saturates.
 
@@ -131,7 +124,7 @@ def test_simulator_batching_beats_serial_latency():
 def test_simulator_is_deterministic():
     arrivals = arrival_times(32, 5.0, distribution="poisson", seed=3)
     runs = [simulate_batch_queue(arrivals, lambda k: 0.1 + 0.02 * k,
-                                 max_batch=4, deadline=0.4, queue_bound=16)
+                                 max_batch=4, deadline=0.4)
             for _ in range(2)]
     assert runs[0].latencies == runs[1].latencies
     assert runs[0].describe() == runs[1].describe()
@@ -234,44 +227,19 @@ def test_simulator_validation():
 
 
 @pytest.mark.parametrize("knobs", [
-    {"queue_bound": 0}, {"queue_bound": -1},      # silently rejected every request
     {"max_batch": 1.5},                           # died with a bare TypeError
     {"max_batch": True}, {"deadline": float("nan")}, {"deadline": float("inf")},
 ])
 def test_the_twin_refuses_the_knobs_the_live_batcher_refuses(knobs):
-    knobs = {"max_batch": 2, "deadline": 0.0, "queue_bound": 4, **knobs}
+    knobs = {"max_batch": 2, "deadline": 0.0, **knobs}
     with pytest.raises(ServiceError):
         simulate_batch_queue([0.0, 0.0], lambda k: 1.0, **knobs)
     with pytest.raises(ServiceError):
         DynamicBatcher(lambda items: items, max_batch=knobs["max_batch"],
-                       deadline_s=knobs["deadline"], queue_bound=knobs["queue_bound"])
+                       deadline_s=knobs["deadline"], queue_bound=4)
 
 
 @pytest.mark.parametrize("duration", [float("nan"), float("inf"), None])
 def test_simulator_rejects_a_non_finite_service_time(duration):
     with pytest.raises(ServiceError, match="service_time"):     # was NaN percentiles
         simulate_batch_queue([0.0], lambda k: duration, max_batch=1, deadline=0.0)
-
-
-# ---------------------------------------------------------------------------
-# ServiceProfile
-# ---------------------------------------------------------------------------
-
-def test_service_profile_defaults_and_validation():
-    profile = ServiceProfile(rate_rps=1000.0)
-    assert profile.max_batch == 8
-    assert profile.pairs_per_request == 3
-    with pytest.raises(ServiceError):
-        ServiceProfile(rate_rps=0.0)
-    with pytest.raises(ServiceError):
-        ServiceProfile(rate_rps=10.0, max_batch=0)
-    with pytest.raises(ServiceError):
-        ServiceProfile(rate_rps=10.0, arrival="steady")
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "fast"])
-def test_service_profile_rejects_non_finite_numbers(bad):
-    with pytest.raises(ServiceError, match="rate_rps"):
-        ServiceProfile(rate_rps=bad)
-    with pytest.raises(ServiceError, match="deadline_us"):
-        ServiceProfile(rate_rps=1.0, deadline_us=bad)
