@@ -9,7 +9,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.38.0",
+    version="1.39.0",
     description=(
         "Finesse reproduction: agile software/hardware co-design framework for "
         "pairing-based cryptography (Python functional model)"

@@ -146,7 +146,7 @@ from repro.service import ServiceConfig, VerificationService
 from repro.sim.cycle import CycleAccurateSimulator, CycleStats
 from repro.sim.functional import FunctionalSimulator
 
-__version__ = "1.38.0"
+__version__ = "1.39.0"
 
 __all__ = [
     "get_curve",

@@ -2,7 +2,6 @@
 
 from repro.dse.space import DesignPoint, figure2_variant_configs, named_variant_configs, variant_combinations
 from repro.dse.objectives import OBJECTIVES, Objective, list_objectives, resolve_objective, resolve_objectives
-from repro.dse.spec import EvalSpec
 from repro.dse.explorer import DesignMetrics, evaluate_design_point
 from repro.dse.engine import ExplorationReport, ParallelExplorer
 from repro.dse.pareto import ParetoResult, dominates, hypervolume, non_dominated_sort, pareto_front
@@ -20,7 +19,6 @@ __all__ = [
     "resolve_objective",
     "resolve_objectives",
     "DesignMetrics",
-    "EvalSpec",
     "ParallelExplorer",
     "ExplorationReport",
     "ParetoResult",

@@ -25,25 +25,20 @@ Knobs
     parallel and merges results back into submission order before ranking.
     The default can be set globally with the ``FINESSE_DSE_WORKERS``
     environment variable (used by the evaluation runner's ``--workers`` flag).
-``chunk_size``
-    Points per dispatched work unit.  Defaults to a balanced
-    ``ceil(len(misses) / (4 * workers))`` so stragglers (large kernels) do not
-    serialise the sweep.
-``max_retries`` / ``eval_timeout``
-    Failure handling: the per-point retry budget for transient evaluation
-    failures (``FINESSE_DSE_MAX_RETRIES``, default 2; crash recovery is
-    separate) and the per-point evaluation timeout in seconds
-    (``FINESSE_DSE_EVAL_TIMEOUT``, default off).  The timeout is enforced on
-    the pool only -- a chunk of k points gets ``k * eval_timeout``; in-process
+``FINESSE_DSE_MAX_RETRIES`` / ``FINESSE_DSE_EVAL_TIMEOUT``
+    Failure handling, read from the environment at construction (the
+    evaluation runner's ``--max-retries`` / ``--eval-timeout`` flags set
+    them): the per-point retry budget for transient evaluation failures
+    (default 2; crash recovery is separate) and the per-point evaluation
+    timeout in seconds (default off).  The timeout is enforced on the pool
+    only -- a chunk of k points gets ``k * eval_timeout``; in-process
     evaluation cannot be preempted.
-evaluation knobs
-    Every other keyword (``n_cores``, ``technology``, ``batch_size``) is a
-    field of :class:`repro.dse.spec.EvalSpec`, documented on
-    :func:`repro.dse.explorer.evaluate_design_point`; the explorer folds them
-    into one validated spec at construction -- a bad batch size or an
-    unknown keyword raises there, not halfway through a sharded sweep inside
-    a worker -- and ships that spec verbatim to every worker, so sharded
-    sweeps score identically to in-process ones.
+
+A pool sweep dispatches its misses in chunks of
+``ceil(len(misses) / (4 * workers))`` points, so stragglers (large kernels)
+do not serialise it.  Every point is scored the same way
+(:func:`repro.dse.explorer.evaluate_design_point`), so sharded sweeps score
+identically to in-process ones.
 
 Caching
 -------
@@ -69,9 +64,9 @@ Three mechanisms extend that guarantee across process boundaries:
   later CI jobs) are served from disk instead of recompiling; the shared
   ``disk`` counters surface in ``last_report.cache_stats``.
 * **Cached points are answered by the parent** -- a distinct point whose
-  kernels are all in the memory or disk tier is priced from the recorded
-  facts (``last_report.cached_points``); only the rest is evaluated, so a
-  fully warm ``workers=N`` sweep builds no pool at all (``chunks == 0``).
+  kernel is in the memory or disk tier is priced from the recorded facts
+  (``last_report.cached_points``); only the rest is evaluated, so a fully
+  warm ``workers=N`` sweep builds no pool at all (``chunks == 0``).
 
 Worker processes reconstruct the curve from its catalog name (curve objects
 hold deeply nested field towers that are expensive to ship), so the pool is
@@ -100,11 +95,10 @@ from repro.config import (
     positive_int,
 )
 from repro.curves.catalog import CURVE_SPECS
-from repro.dse.explorer import KernelNotCached, _evaluate_spec
+from repro.dse.explorer import _evaluate, evaluate_design_point
 from repro.dse.objectives import objective_name, resolve_objective, resolve_objectives
 from repro.dse.pareto import ParetoResult, pareto_result
 from repro.dse.search import proxy_ranking, validate_budget
-from repro.dse.spec import EvalSpec
 from repro.errors import DSEError, WorkerCrashError
 from repro.obs import Counters
 from repro.reliability import faults as _faults
@@ -226,7 +220,7 @@ def _merge_tiers(totals: dict, delta: dict) -> None:
         totals.setdefault(name, Counters(*counts)).merge(counts)
 
 
-def _evaluate_point_resilient(curve, point, spec, policy, reliability):
+def _evaluate_point_resilient(curve, point, policy, reliability):
     """Evaluate one point with retry/backoff; wrap persistent failures.
 
     Transient errors (injected faults, flaky I/O...) are retried up to the
@@ -243,7 +237,7 @@ def _evaluate_point_resilient(curve, point, spec, policy, reliability):
     def attempt():
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.apply("worker.evaluate")
-        return _evaluate_spec(curve, point, spec)
+        return evaluate_design_point(curve, point)
 
     def on_retry(attempt_no, exc, delay):
         attempts["n"] += 1
@@ -265,7 +259,7 @@ def _evaluate_point_resilient(curve, point, spec, policy, reliability):
         ) from exc
 
 
-def _evaluate_chunk(curve, chunk, spec, max_retries):
+def _evaluate_chunk(curve, chunk, max_retries):
     """Evaluate one chunk of (index, point) pairs: the unit of work a miss is.
 
     ``curve`` is the curve itself in process and its catalog name in a pool
@@ -283,7 +277,7 @@ def _evaluate_chunk(curve, chunk, spec, max_retries):
     reliability = _reliability_counters()
     before = _tier_delta()
     evaluated = [
-        (index, _evaluate_point_resilient(curve, point, spec, policy, reliability))
+        (index, _evaluate_point_resilient(curve, point, policy, reliability))
         for index, point in chunk
     ]
     delta = _tier_delta(before)
@@ -325,24 +319,12 @@ class _Tally:
 class ParallelExplorer:
     """Shard design-point evaluation across processes; merge deterministically."""
 
-    def __init__(self, curve, workers: int | None = None,
-                 chunk_size: int | None = None, max_retries: int | None = None,
-                 eval_timeout: float | None = None, **knobs):
+    def __init__(self, curve, workers: int | None = None):
         self.curve = curve
         self.workers = (env_int(WORKERS_ENV, 1) if workers is None
                         else positive_int(workers, "workers", DSEError))
-        self.chunk_size = (None if chunk_size is None
-                           else positive_int(chunk_size, "chunk_size", DSEError))
-        #: The sweep's evaluation knobs, validated once.
-        self.spec = EvalSpec(**knobs)
-        self.max_retries = (
-            env_int(MAX_RETRIES_ENV, DEFAULT_MAX_RETRIES, minimum=0)
-            if max_retries is None else validate_max_retries(max_retries)
-        )
-        self.eval_timeout = (
-            env_float(EVAL_TIMEOUT_ENV, None, exclusive=True)
-            if eval_timeout is None else validate_eval_timeout(eval_timeout)
-        )
+        self.max_retries = env_int(MAX_RETRIES_ENV, DEFAULT_MAX_RETRIES, minimum=0)
+        self.eval_timeout = env_float(EVAL_TIMEOUT_ENV, None, exclusive=True)
         #: Metrics of the last sweep, in submission order (mirrors the points
         #: list; quarantined points leave a ``None`` slot).
         self.evaluated: list = []
@@ -371,7 +353,7 @@ class ParallelExplorer:
     # -- internals ---------------------------------------------------------------
     def _chunk_indexed(self, indexed) -> list:
         """Split indexed points into contiguous chunks (deterministic)."""
-        size = self.chunk_size or max(1, -(-len(indexed) // (4 * self.workers)))
+        size = max(1, -(-len(indexed) // (4 * self.workers)))
         return [indexed[i:i + size] for i in range(0, len(indexed), size)]
 
     @staticmethod
@@ -411,8 +393,7 @@ class ParallelExplorer:
 
     def _submit_chunk(self, executor, chunk):
         curve = self.curve if executor is _INLINE else self.curve.name
-        return executor.submit(_evaluate_chunk, curve, chunk, self.spec,
-                               self.max_retries)
+        return executor.submit(_evaluate_chunk, curve, chunk, self.max_retries)
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -600,15 +581,14 @@ class ParallelExplorer:
                     and self.curve.name in CURVE_SPECS)
         indexed, duplicates = self._dedup_points(points)
         slots: list = [None] * len(points)
-        # A point whose kernels the memory or disk tier holds costs a lookup,
+        # A point whose kernel the memory or disk tier holds costs a lookup,
         # so the parent answers it (no evaluation is traversed:
         # ``worker.evaluate`` does not fire); a failed or corrupt read is a
         # miss.  Only misses are evaluated -- none means no pool.
         misses = []
         for index, point in indexed:
-            try:
-                slots[index] = _evaluate_spec(self.curve, point, self.spec, cached_kernel)
-            except KernelNotCached:
+            slots[index] = _evaluate(self.curve, point, cached_kernel)
+            if slots[index] is None:
                 misses.append((index, point))
         tally.distinct += len(indexed)
         tally.cached += len(indexed) - len(misses)
@@ -692,7 +672,7 @@ class ParallelExplorer:
         distinct = self._canonical_distinct(points)
         chosen = distinct
         if budget is not None and budget < len(distinct):
-            ranking = proxy_ranking(self.curve, distinct, scorers, self.spec)
+            ranking = proxy_ranking(self.curve, distinct, scorers)
             chosen = [distinct[i] for i in sorted(ranking[:budget])]
         # Quarantined points surface as None slots: the frontier is built
         # from the survivors.

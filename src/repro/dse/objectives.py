@@ -41,7 +41,7 @@ def _registry() -> dict:
                   lambda m: m.throughput_ops),
         Objective("latency", "single-kernel latency in microseconds (lower is better)",
                   lambda m: -m.latency_us),
-        Objective("area", "chip area in mm^2 at the sweep's technology node (lower is better)",
+        Objective("area", "chip area in mm^2 at 40 nm (lower is better)",
                   lambda m: -m.area_mm2),
         Objective("efficiency", "throughput per mm^2 (pairings/s/mm^2)",
                   lambda m: m.throughput_per_mm2),

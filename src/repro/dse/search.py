@@ -33,7 +33,6 @@ from repro.dse.pareto import (
 from repro.errors import DSEError
 from repro.hw.area import estimate_area
 from repro.hw.power import estimate_power
-from repro.hw.technology import TECH_40NM
 from repro.hw.timing import frequency_mhz
 
 #: Objectives a Pareto sweep ranks on when none are named anywhere: the
@@ -85,7 +84,7 @@ def _field_op_costs(curve, variant_config) -> tuple:
     return costs["mul"]
 
 
-def proxy_design_metrics(curve, point, n_cores: int = 1, technology=TECH_40NM):
+def proxy_design_metrics(curve, point):
     """Free analytic estimate of a design point, packaged as ``DesignMetrics``.
 
     One full-field multiplication stands in for the pairing (the pairing is a
@@ -109,16 +108,15 @@ def proxy_design_metrics(curve, point, n_cores: int = 1, technology=TECH_40NM):
         longs,
         lins / hw.n_linear_units,
     ) + PROXY_LATENCY_EXPOSURE * hw.long_latency
-    freq = frequency_mhz(hw.word_width, hw.long_latency, technology)
+    freq = frequency_mhz(hw.word_width, hw.long_latency)
     latency_us = cycles / freq
-    throughput = n_cores * 1e6 / latency_us
+    throughput = 1e6 / latency_us
     instructions = int(longs + lins)
     registers = PROXY_REGISTERS_PER_BANK * hw.n_banks
     area = estimate_area(hw, PROXY_IMEM_BITS_PER_INSTRUCTION * instructions,
-                         registers, n_cores=n_cores, technology=technology)
+                         registers, n_cores=1)
     ipc = min(float(hw.issue_width), instructions / cycles if cycles else 1.0)
-    power = estimate_power(hw, area, freq, activity=ipc / hw.issue_width,
-                           technology=technology)
+    power = estimate_power(hw, area, freq, activity=ipc / hw.issue_width)
     return DesignMetrics(
         label=point.display_label,
         curve=curve.name,
@@ -131,22 +129,20 @@ def proxy_design_metrics(curve, point, n_cores: int = 1, technology=TECH_40NM):
         area_mm2=area.total_mm2,
         throughput_per_mm2=throughput / area.total_mm2,
         registers=registers,
-        cycles_per_pairing=cycles,
         power_mw=power.total_mw,
         energy_per_pairing_uj=(power.total_mw / 1e3) * (cycles / freq),
         throughput_per_watt=throughput / (power.total_mw / 1e3),
     )
 
 
-def proxy_ranking(curve, points, scorers, spec) -> list:
+def proxy_ranking(curve, points, scorers) -> list:
     """Indices of ``points``, best proxy candidates first (deterministic).
 
     Orders by proxy Pareto rank (front 0 first), then by descending crowding
     distance *within* each front, then by descending proxy scores, then by
-    label; the proxy prices the sweep's core count and technology (``spec``).
+    label.
     """
-    proxies = [proxy_design_metrics(curve, point, spec.n_cores, spec.technology)
-               for point in points]
+    proxies = [proxy_design_metrics(curve, point) for point in points]
     scores = score_vectors(proxies, scorers)
     ranking = []
     for front in non_dominated_sort(scores):

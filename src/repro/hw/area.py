@@ -26,7 +26,7 @@ OTHER_OVERHEAD_FRACTION = 0.03
 class AreaBreakdown:
     """Area breakdown of one accelerator instance (mm^2, in the chosen technology)."""
 
-    technology: str
+    technology: TechnologyNode
     n_cores: int
     imem_mm2: float
     dmem_mm2: float
@@ -56,7 +56,7 @@ class AreaBreakdown:
 
     def describe(self) -> dict:
         data = {
-            "technology": self.technology,
+            "technology": self.technology.name,
             "n_cores": self.n_cores,
             "total_mm2": round(self.total_mm2, 3),
             "imem_mm2": round(self.imem_mm2, 3),
@@ -98,7 +98,7 @@ def estimate_area(
 
     scale = technology.area_factor
     return AreaBreakdown(
-        technology=technology.name,
+        technology=technology,
         n_cores=n_cores,
         imem_mm2=imem.area_um2 / 1e6 * scale,
         dmem_mm2=n_cores * dmem.area_um2 / 1e6 * scale,

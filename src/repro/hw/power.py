@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from repro.hw.area import AreaBreakdown
 from repro.hw.model import HardwareModel
-from repro.hw.technology import TECH_40NM, TechnologyNode
 
 #: Dynamic power density of switching logic (mW per mm^2 per MHz, 40 nm LP).
 LOGIC_MW_PER_MM2_MHZ = 0.90e-3
@@ -89,20 +88,21 @@ def estimate_power(
     area: AreaBreakdown,
     frequency_mhz: float,
     activity: float = 1.0,
-    technology: TechnologyNode = TECH_40NM,
 ) -> PowerBreakdown:
     """Estimate the power draw of a compiled program on a hardware model.
 
     ``area`` is the :func:`repro.hw.area.estimate_area` breakdown of the same
-    design point (its components are node-scaled mm^2); ``frequency_mhz`` the
-    node-scaled clock from :func:`repro.hw.timing.frequency_mhz`; ``activity``
-    the fraction of issue slots the scoring kernel keeps busy (the simulator's
-    IPC divided by the issue width -- a stalled design burns less dynamic
-    power, and the floor at :data:`MIN_ACTIVITY` keeps the clocked registers
-    charged).  Leakage depends on area and process only, so a large
-    low-utilisation design is still priced for its idle silicon.
+    design point (its components are mm^2 scaled to its ``technology`` node,
+    and power is priced at that node); ``frequency_mhz`` the node-scaled clock
+    from :func:`repro.hw.timing.frequency_mhz`; ``activity`` the fraction of
+    issue slots the scoring kernel keeps busy (the simulator's IPC divided by
+    the issue width -- a stalled design burns less dynamic power, and the
+    floor at :data:`MIN_ACTIVITY` keeps the clocked registers charged).
+    Leakage depends on area and process only, so a large low-utilisation
+    design is still priced for its idle silicon.
     """
     activity = min(1.0, max(float(activity), MIN_ACTIVITY))
+    technology = area.technology
     scale = technology.power_factor / technology.area_factor
 
     def dynamic(component_mm2: float, density: float) -> float:

@@ -1,8 +1,9 @@
 """Configuration of the streaming verification service.
 
 One frozen dataclass carries every operator-facing knob of
-:class:`repro.service.VerificationService` and of the virtual-time model the
-DSE layer runs (:mod:`repro.service.simulate`).  Defaults come from the
+:class:`repro.service.VerificationService` (its virtual-time twin,
+:func:`repro.service.simulate.simulate_batch_queue`, takes ``max_batch`` and
+``deadline`` itself).  Defaults come from the
 ``FINESSE_SERVICE_*`` environment variables via :meth:`ServiceConfig.from_env`,
 mirroring how ``FINESSE_DSE_WORKERS`` / ``FINESSE_CACHE_DIR`` configure the
 exploration engine and the artifact store; explicit constructor arguments

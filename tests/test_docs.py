@@ -91,32 +91,6 @@ def test_package_docstring_kernel_spec_knob_list_matches_the_dataclass():
     assert re.findall(r"``(\w+)``", listed) == [field.name for field in dataclasses.fields(KernelSpec)]
 
 
-def test_evaluate_design_point_docstring_lists_the_eval_spec_defaults():
-    """The docstring's ``name=default`` list is ``EvalSpec``'s fields, in
-    order, each with its default."""
-    import ast
-    import dataclasses
-    import re
-
-    from repro.dse.explorer import evaluate_design_point
-    from repro.dse.spec import EvalSpec
-    from repro.hw import technology
-
-    doc = evaluate_design_point.__doc__
-    listed = doc.split("with its\n    defaults:", 1)[1].split("\n\n", 1)[0]
-    pairs = re.findall(r"``(\w+)=([^`]+)``", listed)
-
-    def value(text):
-        try:
-            return ast.literal_eval(text)
-        except ValueError:          # a named constant, e.g. TECH_40NM
-            return getattr(technology, text)
-
-    fields = dataclasses.fields(EvalSpec)
-    assert [name for name, _ in pairs] == [field.name for field in fields]
-    assert [value(text) for _, text in pairs] == [field.default for field in fields]
-
-
 def test_dse_objective_table_matches_the_registry():
     import re
 

@@ -6,7 +6,6 @@ from test_artifact_store import _flip_bulk_byte, _section_offsets
 from repro.compiler.pipeline import (
     clear_caches,
     compile_cache_stats,
-    compile_multi_pairing,
     pairing_compile_digest,
 )
 from repro.compiler.store import CACHE_DIR_ENV, active_store, reset_store_state
@@ -91,7 +90,7 @@ def test_parallel_workers_agree_with_sequential(toy_bn, toy_points):
     # The parent answers what its memory tier holds: empty it, so that the
     # pool is still what this test exercises.
     clear_caches()
-    with ParallelExplorer(toy_bn, workers=2, chunk_size=2) as parallel:
+    with ParallelExplorer(toy_bn, workers=2) as parallel:
         ranked = parallel.explore(toy_points)
         # Deterministic merge: identical metrics and identical ranking regardless
         # of worker count (the engine falls back to sequential where pools are
@@ -101,28 +100,24 @@ def test_parallel_workers_agree_with_sequential(toy_bn, toy_points):
             evaluate_design_point(toy_bn, point) for point in toy_points
         ]
         if parallel.last_report.parallel:
-            assert parallel.last_report.chunks == len(toy_points) // 2
+            # Fewer points than 4 x workers: one point per chunk.
+            assert parallel.last_report.chunks == len(toy_points)
             # Worker compile activity is tracked in the process-lifetime totals.
             totals = worker_cache_stats()["result"]
             assert totals["hits"] + totals["misses"] >= len(toy_points)
 
 
 def test_chunking_is_deterministic_and_exhaustive(toy_bn, toy_points):
-    engine = ParallelExplorer(toy_bn, workers=3, chunk_size=2)
-    indexed = list(enumerate(toy_points))
-    chunks = engine._chunk_indexed(indexed)
-    flattened = [index for chunk in chunks for index, _ in chunk]
-    assert flattened == list(range(len(toy_points)))
-    assert all(len(chunk) <= 2 for chunk in chunks)
-    # Default chunking balances across workers without dropping points.
-    auto = ParallelExplorer(toy_bn, workers=2)._chunk_indexed(indexed)
-    assert [i for chunk in auto for i, _ in chunk] == list(range(len(toy_points)))
-
-
-@pytest.mark.parametrize("bad", [0, True, 2.5])
-def test_chunk_size_is_validated_at_construction(toy_bn, bad):
-    with pytest.raises(DSEError, match="chunk_size"):
-        ParallelExplorer(toy_bn, workers=2, chunk_size=bad)
+    """Chunks are contiguous, cover every point once and balance the misses
+    across workers: ``ceil(n / (4 * workers))`` points each."""
+    for workers, n, size in ((3, len(toy_points), 1), (2, 25, 4), (3, 25, 3)):
+        indexed = list(enumerate(range(n)))
+        chunks = ParallelExplorer(toy_bn, workers=workers)._chunk_indexed(indexed)
+        assert [index for chunk in chunks for index, _ in chunk] == list(range(n))
+        assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1]) <= size
+    with pytest.raises(TypeError):
+        ParallelExplorer(toy_bn, workers=2, chunk_size=2)
 
 
 def test_default_workers_env(toy_bn, monkeypatch):
@@ -135,31 +130,6 @@ def test_default_workers_env(toy_bn, monkeypatch):
     assert ParallelExplorer(toy_bn).workers == 1
     monkeypatch.setenv("FINESSE_DSE_WORKERS", "0")
     assert ParallelExplorer(toy_bn).workers == 1
-
-
-# ---------------------------------------------------------------------------
-# Batched sweeps: accumulator-mode ranking (entry validation: test_eval_spec.py)
-# ---------------------------------------------------------------------------
-
-def test_batched_sweep_ranks_accumulator_modes(toy_bn, toy_points):
-    """A batched two-core sweep records the winning kernel per point and is
-    deterministic across repeated sweeps."""
-    points = toy_points[:2]
-    engine = ParallelExplorer(toy_bn, workers=1, n_cores=2, batch_size=2)
-    first = engine.explore(points, objective="throughput")
-    assert len(first) == len(points)
-    by_label = {point.display_label: point for point in points}
-    for metrics in first:
-        assert metrics.batch == 2
-        assert metrics.accumulator_mode in ("shared", "split")
-        assert metrics.describe()["accumulator_mode"] == metrics.accumulator_mode
-        # The winner can only improve on (or match) the shared kernel.
-        point = by_label[metrics.label]
-        shared = compile_multi_pairing(
-            toy_bn, 2, hw=point.hw.with_cores(2), variant_config=point.variant_config,
-            final_exp_mode="cyclotomic")
-        assert metrics.cycles <= shared.cycles
-    assert engine.explore(points, objective="throughput") == first
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +154,7 @@ def test_cold_parallel_sweep_compiles_each_distinct_point_once(toy_bn, toy_point
     """Duplicated points are dispatched once and filled from a representative."""
     clear_caches()
     points = list(toy_points) + list(toy_points[:3])
-    with ParallelExplorer(toy_bn, workers=2, chunk_size=2) as engine:
+    with ParallelExplorer(toy_bn, workers=2) as engine:
         ranked = engine.explore(points)
     report = engine.last_report
     assert report.points == len(points)
@@ -215,18 +185,18 @@ def sweep_store(tmp_path, monkeypatch):
     return active_store()
 
 
-def _sweep(curve, points, workers, **knobs):
-    with ParallelExplorer(curve, workers=workers, **knobs) as explorer:
+def _sweep(curve, points, workers):
+    with ParallelExplorer(curve, workers=workers) as explorer:
         ranked = explorer.explore(points, "efficiency")
         if workers > 1 and explorer._pool_unavailable:
             pytest.skip("process pools unavailable in this environment")
         return ranked, explorer
 
 
-def _entry(store, curve, point, **knobs):
-    knobs.setdefault("final_exp_mode", "cyclotomic")
+def _entry(store, curve, point):
     return store._path(pairing_compile_digest(
-        curve, hw=point.hw, variant_config=point.variant_config, **knobs))
+        curve, hw=point.hw, variant_config=point.variant_config,
+        final_exp_mode="cyclotomic"))
 
 
 def test_cold_parallel_sweep_counts_as_before(toy_bn, toy_points, sweep_store):
@@ -280,7 +250,7 @@ def test_mixed_sweep_dispatches_only_what_is_missing(toy_bn, toy_points, sweep_s
     for point in toy_points[::2]:               # every other point: slots interleave
         _entry(sweep_store, toy_bn, point).unlink()
     clear_caches()
-    ranked, explorer = _sweep(toy_bn, toy_points, 2, chunk_size=1)
+    ranked, explorer = _sweep(toy_bn, toy_points, 2)     # one point per chunk
     report = explorer.last_report
     missing = len(toy_points[::2])
     assert (report.cached_points, report.chunks) == (n - missing, missing)
@@ -288,24 +258,6 @@ def test_mixed_sweep_dispatches_only_what_is_missing(toy_bn, toy_points, sweep_s
     assert report.cache_stats["disk"]["hits"] == n - missing
     assert ranked == sequential
     assert explorer.evaluated == reference.evaluated        # every answer in its own slot
-
-
-def test_a_point_is_cached_only_when_all_its_kernels_are(toy_bn, toy_points, sweep_store):
-    """A batched two-core point scores two kernels: with the split one evicted
-    the parent must hand the point to a worker, not price it from the shared
-    one."""
-    points = toy_points[:3]
-    batched = dict(batch_size=2, n_cores=2)
-    sequential, _ = _sweep(toy_bn, points, 1, **batched)
-    sweep_store._path(pairing_compile_digest(
-        toy_bn, hw=points[1].hw.with_cores(2), variant_config=points[1].variant_config,
-        n_pairs=2, split_accumulators=True, final_exp_mode="cyclotomic")).unlink()
-    clear_caches()
-    ranked, explorer = _sweep(toy_bn, points, 2, **batched)
-    report = explorer.last_report
-    assert (report.cached_points, report.chunks) == (2, 1)
-    assert report.cache_stats["result"]["misses"] == 1
-    assert ranked == sequential
 
 
 def test_corrupt_entry_read_by_the_parent_is_dispatched(toy_bn, toy_points, sweep_store):

@@ -42,7 +42,7 @@ def full_points(toy_bn):
 def test_frontier_identical_across_worker_counts(toy_bn, toy_points):
     sequential = ParallelExplorer(toy_bn, workers=1).explore_pareto(
         toy_points, objectives=("throughput", "area"))
-    with ParallelExplorer(toy_bn, workers=2, chunk_size=2) as parallel:
+    with ParallelExplorer(toy_bn, workers=2) as parallel:
         sharded = parallel.explore_pareto(toy_points, objectives=("throughput", "area"))
     assert sharded.frontier == sequential.frontier
     assert sharded.frontier_scores == sequential.frontier_scores

@@ -117,14 +117,15 @@ def test_repeat_crasher_is_quarantined(toy_bn, toy_points, baseline):
     assert _ranked_key(ranked) == survivors
 
 
-def test_persistent_error_raises_labelled_dse_error(toy_bn, toy_points):
+def test_persistent_error_raises_labelled_dse_error(toy_bn, toy_points, monkeypatch):
     # A point that keeps *erroring* (as opposed to killing workers) is a
     # diagnosable failure: after the retry budget it propagates as a DSEError
     # naming the design point, with the original exception chained and its
     # worker-side traceback embedded in the message (satellite 1).
     clear_caches()
     configure_faults(FaultPlan.parse("worker.evaluate:error@1*inf"))
-    with ParallelExplorer(toy_bn, workers=1, max_retries=1) as explorer:
+    monkeypatch.setenv(MAX_RETRIES_ENV, "1")
+    with ParallelExplorer(toy_bn, workers=1) as explorer:
         with pytest.raises(DSEError) as exc_info:
             explorer.explore(toy_points, objective="throughput")
     message = str(exc_info.value)
@@ -143,8 +144,8 @@ def test_wrapped_dse_error_chains_cause(toy_bn, toy_points):
     counters = {"retries": 0, "backoff_s": 0.0}
     with pytest.raises(DSEError) as exc_info:
         _evaluate_point_resilient(
-            toy_bn, toy_points[0], {"n_cores": 1},
-            RetryPolicy(max_retries=0, base_delay_s=0.0), counters)
+            toy_bn, toy_points[0], RetryPolicy(max_retries=0, base_delay_s=0.0),
+            counters)
     assert toy_points[0].label in str(exc_info.value)
     assert isinstance(exc_info.value.__cause__, InjectedFaultError)
 
@@ -201,7 +202,8 @@ def test_eval_timeout_recovers_hung_worker(
     # and the parent answers cached points itself: empty it, so that the pool
     # (and the hang inside it) is still what this test exercises.
     clear_caches()
-    with ParallelExplorer(toy_bn, workers=2, eval_timeout=10.0) as explorer:
+    monkeypatch.setenv(EVAL_TIMEOUT_ENV, "10")
+    with ParallelExplorer(toy_bn, workers=2) as explorer:
         ranked = explorer.explore(toy_points, objective="throughput")
         assert explorer.reliability.eval_timeouts >= 1
         assert explorer.reliability.chunks_resubmitted >= 1
@@ -248,10 +250,15 @@ def test_env_defaults(toy_bn, monkeypatch):
 
 
 def test_explorer_ctor_validates_knobs(toy_bn):
-    with pytest.raises(DSEError):
-        ParallelExplorer(toy_bn, workers=1, max_retries=-1)
-    with pytest.raises(DSEError):
-        ParallelExplorer(toy_bn, workers=1, eval_timeout=0)
+    """``workers`` is the one constructor knob; the failure-handling knobs
+    come from the environment only (``test_env_defaults``)."""
+    for bad in (0, -1, 1.5, True):
+        with pytest.raises(DSEError, match="workers"):
+            ParallelExplorer(toy_bn, workers=bad)
+    with pytest.raises(TypeError):
+        ParallelExplorer(toy_bn, workers=1, max_retries=1)
+    with pytest.raises(TypeError):
+        ParallelExplorer(toy_bn, workers=1, eval_timeout=10.0)
 
 
 def test_runner_flags_export_env(monkeypatch):

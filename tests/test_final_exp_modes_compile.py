@@ -217,8 +217,8 @@ def test_compile_rejects_unknown_mode(toy_bn):
 # ---------------------------------------------------------------------------
 
 def test_design_point_final_exp_modes(toy_bn):
-    """The DSE scores every point on the cyclotomic kernel, which beats the
-    generic one on the batched and on the single kernel."""
+    """The DSE scores every point on the cyclotomic single-pairing kernel,
+    and cyclotomic beats generic on the batched and on the single kernel."""
     from repro.dse.explorer import evaluate_design_point
     from repro.dse.space import DesignPoint
     from repro.fields.variants import VariantConfig
@@ -237,11 +237,5 @@ def test_design_point_final_exp_modes(toy_bn):
     for kernels in (batched, single):
         assert kernels["cyclotomic"].cycles < kernels["generic"].cycles
     metrics = evaluate_design_point(toy_bn, point)
-    assert metrics.final_exp_mode == metrics.describe()["final_exp_mode"] == "cyclotomic"
     assert metrics.cycles == single["cyclotomic"].cycles
-    metrics = evaluate_design_point(toy_bn, point, n_cores=4, batch_size=4)
-    scored = compile_multi_pairing(toy_bn, 4, hw=hw.with_cores(4),
-                                   split_accumulators=metrics.accumulator_mode == "split",
-                                   final_exp_mode="cyclotomic")
-    assert metrics.final_exp_mode == "cyclotomic"
-    assert metrics.cycles == scored.cycles
+    assert metrics.instructions == single["cyclotomic"].final_instructions

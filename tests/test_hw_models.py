@@ -133,8 +133,7 @@ def _power_fixture(technology=TECH_40NM, frequency_mhz=700.0, activity=0.8,
     hw = default_model(254)
     area = estimate_area(hw, 1_000_000, 400, n_cores=n_cores,
                          technology=technology)
-    return estimate_power(hw, area, frequency_mhz, activity=activity,
-                          technology=technology)
+    return estimate_power(hw, area, frequency_mhz, activity=activity)
 
 
 def test_power_totals_and_breakdown():
@@ -171,3 +170,6 @@ def test_power_technology_scaling():
     # newer node less -- the ordering the TechnologyNode power factors encode.
     assert at_65.total_mw > at_40.total_mw
     assert at_16.total_mw < at_40.total_mw
+    # The node is the one the area breakdown was scaled to.
+    assert (at_40.technology, at_65.technology, at_16.technology) == (
+        "40nm LP", "65nm", "16nm")

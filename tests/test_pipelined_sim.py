@@ -27,8 +27,6 @@ import pytest
 
 from repro.compiler.bankalloc import rebank_for_instance
 from repro.compiler.pipeline import compile_multi_pairing
-from repro.dse.explorer import evaluate_design_point
-from repro.dse.space import DesignPoint
 from repro.errors import SimulationError
 from repro.fields.variants import VariantConfig
 from repro.hw.presets import figure10_models
@@ -98,17 +96,16 @@ def test_pipelined_deterministic(simulator, bn_batch8_4core):
 
 
 def test_one_vliw_core_keeps_the_bundle_walk_at_depth_1(toy_bn):
-    """Regression: on one core of a VLIW model the per-pairing figure a point
-    is priced at is the bundle walk of the packed schedule (what ``cycles``
-    reports), not the one-core stream walk (20 680 / 23 206 cycles here)."""
-    point = DesignPoint(VariantConfig.all_karatsuba(),
-                        figure10_models(toy_bn.params.p.bit_length())[2])
-    metrics = evaluate_design_point(toy_bn, point, batch_size=4, n_cores=1)
-    assert metrics.cycles == 20880 and metrics.cycles_per_pairing == 5220.0
-    assert metrics.energy_per_pairing_uj == pytest.approx(
-        metrics.power_mw / 1e3 * 5220.0 / metrics.frequency_mhz, rel=1e-12)
-    generic = compile_multi_pairing(toy_bn, 4, hw=point.hw.with_cores(1),
-                                    variant_config=point.variant_config,
+    """Regression: on one core of a VLIW model a batched kernel is priced at
+    the bundle walk of the packed schedule (what ``cycles`` reports), not the
+    one-core stream walk (20 680 / 23 206 cycles here)."""
+    hw = figure10_models(toy_bn.params.p.bit_length())[2].with_cores(1)
+    cyclotomic = compile_multi_pairing(toy_bn, 4, hw=hw,
+                                       variant_config=VariantConfig.all_karatsuba(),
+                                       final_exp_mode="cyclotomic")
+    assert cyclotomic.cycles == 20880 and cyclotomic.cycles_per_pairing == 5220.0
+    generic = compile_multi_pairing(toy_bn, 4, hw=hw,
+                                    variant_config=VariantConfig.all_karatsuba(),
                                     final_exp_mode="generic")
     assert generic.cycles == 23483
     assert generic.cycles_per_pairing == 5870.75

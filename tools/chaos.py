@@ -38,7 +38,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.compiler.pipeline import (  # noqa: E402
-    KernelSpec,
     cached_kernel,
     clear_caches,
     compile_kernel,
@@ -51,7 +50,7 @@ from repro.compiler.store import (  # noqa: E402
 )
 from repro.curves.catalog import get_curve  # noqa: E402
 from repro.dse.engine import ParallelExplorer  # noqa: E402
-from repro.dse.explorer import FINAL_EXP_MODE  # noqa: E402
+from repro.dse.explorer import design_kernel  # noqa: E402
 from repro.dse.space import design_points, named_variant_configs  # noqa: E402
 from repro.hw.presets import figure10_models  # noqa: E402
 from repro.obs import Counters  # noqa: E402
@@ -87,8 +86,8 @@ def _ranked_key(ranked):
     return [(m.label, m.throughput_ops, m.area_mm2, m.cycles) for m in ranked]
 
 
-def _sweep(curve, points, workers, **explorer_kwargs):
-    with ParallelExplorer(curve, workers=workers, **explorer_kwargs) as explorer:
+def _sweep(curve, points, workers):
+    with ParallelExplorer(curve, workers=workers) as explorer:
         ranked = explorer.explore(points, objective="throughput")
         # Each explore* call resets the explorer's reliability counters and
         # failure list; fold both sweeps' numbers together for the report.
@@ -211,8 +210,7 @@ class Chaos:
         corrupt_before = store.stats.corrupt
         read = matched = 0
         for point in self.points:
-            spec = KernelSpec(hw=point.hw, variant_config=point.variant_config,
-                              final_exp_mode=FINAL_EXP_MODE)
+            spec = design_kernel(point)
             served = cached_kernel(self.curve, spec)
             if served.bulk.materialised:
                 continue
